@@ -16,7 +16,7 @@
       checked path-sensitively: scratch restored on every path after
       borrow, [Snapshot.load ~validate:false] results validated before
       routing, programmatic [Events] sinks flushed.
-   D3 message-protocol      -- every [Ftr_svc.Message.payload]
+   D3 message-protocol      -- every [Ftr_p2p.Message.payload]
       constructor must be explicitly headed in some dispatch match
       outside the Message unit itself when any dispatch carries a
       catch-all (the catch-all would silently swallow a new

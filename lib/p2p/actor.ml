@@ -1,21 +1,21 @@
-(* One overlay node as an actor. The handler is the synchronous overlay's
-   protocol re-expressed over messages: every decision delegates to the
-   shared pure rules in [Ftr_p2p.Protocol], so for a static network the
-   actor and the event-heap overlay choose identical owners, hops and
-   repairs (the equivalence property in test/test_svc.ml).
+(* One overlay node as an actor: the single implementation of the paper's
+   Section 5 protocol. Two transports carry its messages — [Overlay]
+   delivers them as [Ftr_sim.Engine] events with a latency model,
+   [Ftr_svc.Service] through deterministic mailboxes on a round scheduler
+   — and both call the same handler, the same dead-carrier rule
+   ([dead_mail]) and the same trace replay ([replay_trace]).
 
    Determinism discipline — what a handler may touch:
-   - its own actor state (links, ring pointers, RNG, sequence counter),
-   - the frozen per-round liveness view (read-only during a round),
-   - the per-shard accumulators behind the [ctx] callbacks (outbox,
-     counters, transcript, completions, departures).
+   - its own actor state (links, ring pointers, RNG),
+   - the liveness view (read-only while a handler runs),
+   - the transport's accumulators behind the [ctx] callbacks (outbox,
+     counters, completions, departures).
    Nothing else: no other actor's state, no global registries, no wall
-   clock. That confinement is what makes the merged transcript a pure
-   function of (seed, logical time, sender, sequence). *)
+   clock. That confinement is what makes the service's merged transcript
+   a pure function of (seed, logical time, sender, sequence). *)
 
 module Rng = Ftr_prng.Rng
 module Sample = Ftr_prng.Sample
-module Protocol = Ftr_p2p.Protocol
 open Message
 
 type t = {
@@ -25,21 +25,19 @@ type t = {
   mutable right : int option;
   mutable long : int list;
   mutable births : int list; (* local arrival order, aligned with [long] *)
-  mutable next_seq : int; (* per-sender sequence numbers for [Mailbox] keys *)
   mutable birth_tick : int; (* local counter feeding [births] *)
-  rng : Rng.t; (* per-actor stream: Seed.rng_for ~seed ~index:pos *)
-  mailbox : payload Mailbox.t;
+  rng : Rng.t;
 }
 
-(* Worker-side event counters, merged by the coordinator in shard order. *)
+(* Handler-side event counters; the transport folds them into its stats. *)
 type counters = {
-  mutable c_messages : int; (* routed lookup forwards (overlay stats.messages) *)
-  mutable c_replies : int; (* Resolved/Splice/Set_* service replies *)
+  mutable c_messages : int; (* routed lookup forwards and solicitation answers *)
+  mutable c_replies : int; (* Resolved/Splice/Set_* replies *)
   mutable c_probes : int;
   mutable c_repairs : int;
   mutable c_redirects : int;
   mutable c_maint_issued : int;
-  mutable c_handled : int; (* envelopes processed *)
+  mutable c_handled : int; (* messages processed *)
 }
 
 let fresh_counters () =
@@ -53,26 +51,15 @@ let fresh_counters () =
     c_handled = 0;
   }
 
-let merge_counters ~into c =
-  into.c_messages <- into.c_messages + c.c_messages;
-  into.c_replies <- into.c_replies + c.c_replies;
-  into.c_probes <- into.c_probes + c.c_probes;
-  into.c_repairs <- into.c_repairs + c.c_repairs;
-  into.c_redirects <- into.c_redirects + c.c_redirects;
-  into.c_maint_issued <- into.c_maint_issued + c.c_maint_issued;
-  into.c_handled <- into.c_handled + c.c_handled
-
 (* Everything a handler is allowed to see beyond its own actor. [send]
-   appends to the shard outbox (the coordinator posts it after the round
-   barrier), [complete] records a lookup outcome for merge-time
-   accounting, [depart] queues a membership change. *)
+   hands a message to the transport, [complete] records a lookup outcome
+   for the transport's accounting, [depart] reports a graceful leave. *)
 type ctx = {
   line_size : int;
   links : int;
   ttl : int;
   regenerate : bool;
-  now : int;
-  alive_view : Bytes.t; (* frozen for the round; 1 = live *)
+  alive_view : Bytes.t; (* 1 = live; frozen for the round in the service *)
   pl : Sample.power_law;
   counters : counters;
   send : src:t -> dst:int -> payload -> unit;
@@ -82,24 +69,45 @@ type ctx = {
 
 let view_alive ctx pos = pos >= 0 && pos < ctx.line_size && Bytes.get ctx.alive_view pos = '\001'
 
-let create ?capacity ~pos ~rng () =
-  {
-    pos;
-    alive = true;
-    left = None;
-    right = None;
-    long = [];
-    births = [];
-    next_seq = 0;
-    birth_tick = 0;
-    rng;
-    mailbox = Mailbox.create ?capacity ~owner:pos ();
-  }
+let create ~pos ~rng () =
+  { pos; alive = true; left = None; right = None; long = []; births = []; birth_tick = 0; rng }
 
 let neighbors_of a = Option.to_list a.left @ Option.to_list a.right @ a.long
 
 (* ------------------------------------------------------------------ *)
-(* Link bookkeeping (mirrors Overlay's)                                *)
+(* The pure routing rules                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Section 4's greedy rule with the tie walk: a strictly closer neighbour
+   advances the lookup; an equidistant neighbour at a smaller position
+   also does, so a point midway between two nodes resolves to the same
+   owner from either direction. *)
+let advances ~pos ~target ~cand =
+  let my_dist = abs (pos - target) and d = abs (cand - target) in
+  d < my_dist || (d = my_dist && cand < pos)
+
+(* One min-scan over the neighbour set: the advancing candidate with
+   minimal (distance, position) and its distance; [None] means this node
+   owns the target's basin. Liveness is deliberately not consulted: the
+   caller probes the single chosen candidate and, on a dead pick, repairs
+   the link set and re-scans — the paper's failure detection by probing. *)
+let best_candidate ~pos ~target neighbors =
+  let best = ref (-1) and best_dist = ref max_int in
+  List.iter
+    (fun cand ->
+      let dist = abs (cand - target) in
+      if
+        advances ~pos ~target ~cand
+        && (dist < !best_dist || (dist = !best_dist && cand < !best))
+      then begin
+        best := cand;
+        best_dist := dist
+      end)
+    neighbors;
+  if !best < 0 then None else Some (!best, !best_dist)
+
+(* ------------------------------------------------------------------ *)
+(* Link bookkeeping                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let remove_long a target =
@@ -122,8 +130,9 @@ let add_long a target =
   a.long <- target :: a.long;
   a.births <- a.birth_tick :: a.births
 
-(* Section 5's replacement rule on solicitation, with this actor's own
-   stream standing in for the overlay's shared generator. *)
+(* Section 5's replacement rule, applied when [newcomer] solicits a link
+   from this actor: accept with probability p_{k+1}/sum, evict
+   proportionally. *)
 let consider_redirect ctx a ~newcomer =
   if newcomer <> a.pos then begin
     let weights = List.map (fun l -> 1.0 /. float_of_int (abs (a.pos - l))) a.long in
@@ -149,11 +158,17 @@ let consider_redirect ctx a ~newcomer =
     end
   end
 
-let ring_probe ctx a ~from ~dir =
-  Protocol.probe_ring
-    ~alive:(fun pos -> view_alive ctx pos)
-    ~line_size:ctx.line_size ~self:a.pos ~from ~dir
-    ~on_probe:(fun () -> ctx.counters.c_probes <- ctx.counters.c_probes + 1)
+(* Ring repair: walk the line away from [from], one probe per grid point,
+   until a live node other than this actor answers or the line ends. *)
+let probe_ring ctx a ~from ~dir =
+  let rec walk pos =
+    if pos < 0 || pos >= ctx.line_size then None
+    else begin
+      ctx.counters.c_probes <- ctx.counters.c_probes + 1;
+      if view_alive ctx pos && pos <> a.pos then Some pos else walk (pos + dir)
+    end
+  in
+  walk (from + dir)
 
 (* ------------------------------------------------------------------ *)
 (* Lookup processing                                                   *)
@@ -161,28 +176,14 @@ let ring_probe ctx a ~from ~dir =
 
 let tlog l step = if l.traced then { l with tlog_rev = step :: l.tlog_rev } else l
 
-(* A lookup starting at this actor (a fresh maintenance lookup, or the
-   local half of forwarding) runs inline at hop-issue time, exactly like
-   the overlay's [lookup_step] recursion at the issuing node. *)
+(* A fresh maintenance lookup starts inline at its issuing actor. *)
 let rec start_lookup ctx a ~kind ~target =
   ctx.counters.c_maint_issued <- ctx.counters.c_maint_issued + 1;
-  enter ctx a
-    {
-      request = -1;
-      origin = a.pos;
-      target;
-      hops = 0;
-      kind;
-      traced = false;
-      path_rev = [];
-      tlog_rev = [];
-    }
+  enter ctx a (fresh_lookup ~request:(-1) ~origin:a.pos ~target kind)
 
 (* Arrival at a decision point: record the hop, check the TTL, scan.
-   Re-entries after a repair come back here with unchanged hops, exactly
-   like [Overlay.lookup_step]. *)
+   Re-entries after a repair come back here with unchanged hops. *)
 and enter ctx a l =
-  let l = { l with path_rev = a.pos :: l.path_rev } in
   let l = tlog l (T_hop a.pos) in
   if l.hops >= ctx.ttl then
     ctx.complete l (Failed { stuck_at = a.pos; hops = l.hops; reason = "ttl_exceeded" })
@@ -190,7 +191,7 @@ and enter ctx a l =
 
 and scan ctx a l =
   let neighbors = neighbors_of a in
-  let choice = Protocol.best_candidate ~pos:a.pos ~target:l.target neighbors in
+  let choice = best_candidate ~pos:a.pos ~target:l.target neighbors in
   let l =
     if not l.traced then l
     else begin
@@ -208,7 +209,7 @@ and scan ctx a l =
                      cand = v;
                      dist;
                      verdict =
-                       (if Protocol.advances ~pos:a.pos ~target:l.target ~cand:v then V_not_best
+                       (if advances ~pos:a.pos ~target:l.target ~cand:v then V_not_best
                         else V_not_closer);
                    }))
           l neighbors
@@ -227,8 +228,7 @@ and scan ctx a l =
       end
       else begin
         (* The probe discovers the pick is already dead: zero-latency
-           repair, then re-enter with unchanged hops (the overlay's
-           [on_dead_neighbor] path). *)
+           repair, then re-enter with unchanged hops. *)
         ctx.counters.c_probes <- ctx.counters.c_probes + 1;
         let l =
           tlog l (T_cand { cur = a.pos; cand = best; dist = best_dist; verdict = V_dead })
@@ -245,7 +245,7 @@ and deliver ctx a l =
   | User | Link -> ()
   | Placement { joiner } -> splice_in ctx a ~joiner
   | Solicit { newcomer } ->
-      (* The overlay charges the solicitation answer as one message. *)
+      (* The solicitation answer is charged as one message. *)
       ctx.counters.c_messages <- ctx.counters.c_messages + 1;
       consider_redirect ctx a ~newcomer);
   ctx.complete l (Delivered { owner = a.pos; hops = l.hops });
@@ -256,14 +256,14 @@ and deliver ctx a l =
         (Resolved { request = l.request; owner = a.pos; hops = l.hops; kind = l.kind })
   | User | Link | Placement _ | Solicit _ -> ()
 
-(* The owner-side half of a join splice (Overlay.insert_into_ring over
-   messages). The self-owner case — the placement lookup resolved to the
-   joiner itself, which is visible to probes while its join is in
-   flight — probes both directions and continues the join inline. *)
+(* The owner-side half of a join splice. The self-owner case — the
+   placement lookup resolved to the joiner itself, which is visible to
+   probes while its join is in flight — probes both directions and
+   continues the join inline. *)
 and splice_in ctx a ~joiner =
   if joiner = a.pos then begin
-    a.left <- ring_probe ctx a ~from:a.pos ~dir:(-1);
-    a.right <- ring_probe ctx a ~from:a.pos ~dir:1;
+    a.left <- probe_ring ctx a ~from:a.pos ~dir:(-1);
+    a.right <- probe_ring ctx a ~from:a.pos ~dir:1;
     (match a.left with
     | Some l ->
         ctx.counters.c_replies <- ctx.counters.c_replies + 1;
@@ -282,7 +282,7 @@ and splice_in ctx a ~joiner =
        rather than handing the joiner a self-loop. *)
     let succ =
       match a.right with
-      | Some r when r = joiner -> ring_probe ctx a ~from:joiner ~dir:1
+      | Some r when r = joiner -> probe_ring ctx a ~from:joiner ~dir:1
       | r -> r
     in
     a.right <- Some joiner;
@@ -297,7 +297,7 @@ and splice_in ctx a ~joiner =
   else begin
     let pred =
       match a.left with
-      | Some lp when lp = joiner -> ring_probe ctx a ~from:joiner ~dir:(-1)
+      | Some lp when lp = joiner -> probe_ring ctx a ~from:joiner ~dir:(-1)
       | lp -> lp
     in
     a.left <- Some joiner;
@@ -311,7 +311,7 @@ and splice_in ctx a ~joiner =
   end
 
 (* Spliced in: build ℓ outgoing links through routed lookups and solicit
-   Poisson(ℓ) incoming ones (Overlay.join steps 2 and 3). *)
+   Poisson(ℓ) incoming ones. *)
 and continue_join ctx a =
   for _ = 1 to ctx.links do
     let sink = Ftr_core.Network.sample_long_target ctx.pl a.rng ~n:ctx.line_size ~src:a.pos in
@@ -323,9 +323,10 @@ and continue_join ctx a =
     start_lookup ctx a ~kind:(Solicit { newcomer = a.pos }) ~target:sink
   done
 
-(* Overlay.drop_dead_link over the frozen view: remove the dead long
-   link (regenerating it when the config says so), re-probe ring
-   pointers that named the dead node. *)
+(* Remove a dead link and regenerate it with a fresh 1/d draw when the
+   config says so (Section 5's "same heuristic can be used for
+   regeneration of links when a node crashes"); re-probe ring pointers
+   that named the dead node. *)
 and repair ctx a ~dead =
   if List.mem dead a.long then begin
     remove_long a dead;
@@ -337,11 +338,11 @@ and repair ctx a ~dead =
   end;
   let points_at o = match o with Some p -> p = dead | None -> false in
   if points_at a.left then begin
-    a.left <- ring_probe ctx a ~from:dead ~dir:(-1);
+    a.left <- probe_ring ctx a ~from:dead ~dir:(-1);
     ctx.counters.c_repairs <- ctx.counters.c_repairs + 1
   end;
   if points_at a.right then begin
-    a.right <- ring_probe ctx a ~from:dead ~dir:1;
+    a.right <- probe_ring ctx a ~from:dead ~dir:1;
     ctx.counters.c_repairs <- ctx.counters.c_repairs + 1
   end
 
@@ -355,8 +356,7 @@ let handle ctx a (payload : payload) =
   | Lookup l -> enter ctx a l
   | Resolved { owner; kind = Link; _ } ->
       (* Claim the long link the routed lookup found, under the budget;
-         dead origins never get here (the coordinator drains dead
-         mailboxes), matching the overlay callback's [node.alive] guard. *)
+         dead origins never get here (see [dead_mail]). *)
       if owner <> a.pos && (not (List.mem owner a.long)) && List.length a.long < ctx.links then
         add_long a owner
   | Resolved _ -> ()
@@ -392,3 +392,54 @@ let handle ctx a (payload : payload) =
       let l = tlog l (T_cand { cur = a.pos; cand = dead; dist = abs (dead - l.target); verdict = V_dead }) in
       repair ctx a ~dead;
       enter ctx a l
+
+(* ------------------------------------------------------------------ *)
+(* Mail for a dead actor                                               *)
+(* ------------------------------------------------------------------ *)
+
+type dead_mail =
+  | Return_to_sender of payload
+  | Lost of lookup * outcome
+  | Dead_letter
+
+(* The dead-carrier rule, applied by the transport to a message [src]
+   sent to the actor at [dead]: a forwarded lookup bounces back to its
+   sender, who repairs the link and re-scans with its original hop count
+   (the +1 charged at send is undone); a driver-issued lookup ([src < 0])
+   whose source died fails as [carrier_died]; a bounce that comes home to
+   a dead origin fails as [origin_died]; anything else is dropped. *)
+let dead_mail ~dead ~src = function
+  | Lookup l when src >= 0 -> Return_to_sender (Bounce { dead; lookup = { l with hops = l.hops - 1 } })
+  | Lookup l -> Lost (l, Failed { stuck_at = dead; hops = l.hops; reason = "carrier_died" })
+  | Bounce { lookup; _ } ->
+      Lost (lookup, Failed { stuck_at = dead; hops = lookup.hops; reason = "origin_died" })
+  | Resolved _ | Splice _ | Set_left _ | Set_right _ | Stabilize | Leave_now -> Dead_letter
+
+(* ------------------------------------------------------------------ *)
+(* Flight-recorder replay                                              *)
+(* ------------------------------------------------------------------ *)
+
+let verdict_of = function
+  | V_chosen -> Ftr_obs.Tracing.Chosen
+  | V_not_best -> Ftr_obs.Tracing.Not_best
+  | V_not_closer -> Ftr_obs.Tracing.Not_closer
+  | V_dead -> Ftr_obs.Tracing.Dead_node
+
+(* Replay a traced lookup's per-hop log into the flight recorder at
+   completion. The log travelled inside the payload, so the replay does
+   not depend on which domain or event ran each hop; the caller fixes the
+   trace index beforehand when it wants ids pure in its request ids. *)
+let replay_trace ~nodes ~strategy (l : lookup) (o : outcome) =
+  let module T = Ftr_obs.Tracing in
+  let tr = T.begin_route ~src:l.origin ~dst:l.target in
+  if T.is_live tr then begin
+    T.set_context tr ~nodes ~links:"overlay" ~strategy;
+    List.iter
+      (function
+        | T_hop n -> T.hop tr ~node:n
+        | T_cand { cur; cand; dist; verdict } -> T.candidate tr ~cur ~cand ~dist (verdict_of verdict))
+      (List.rev l.tlog_rev);
+    match o with
+    | Delivered { hops; _ } -> T.finish tr ~delivered:true ~hops ~stuck_at:(-1) ~reason:""
+    | Failed { stuck_at; hops; reason } -> T.finish tr ~delivered:false ~hops ~stuck_at ~reason
+  end

@@ -1,12 +1,14 @@
 (** The paper's overlay as a running message-passing protocol on the
-    discrete-event engine.
+    discrete-event engine: the event-engine transport for {!Actor}'s
+    handlers.
 
     Nodes live at line positions and keep (a) ring links to the nearest
     live node on each side and (b) ℓ long-distance links maintained by the
-    Section 5 heuristic. All interaction is by messages with a fixed
-    latency: lookups route greedily hop by hop; joins find their ring slot
-    and their long links through routed lookups and solicit incoming links
-    with the Poisson/redirect rule; crashes are discovered by probes during
+    Section 5 heuristic. All interaction is by {!Message} payloads, each
+    delivered as an engine event after a latency draw: lookups route
+    greedily hop by hop; joins find their ring slot and their long links
+    through routed lookups and solicit incoming links with the
+    Poisson/redirect rule; crashes are discovered by probes during
     routing, and dead links are regenerated with fresh 1/d draws
     (self-healing). *)
 
@@ -20,7 +22,9 @@ type stats = {
   mutable maintenance_issued : int;
       (** protocol-internal lookups: join placement, link setup, repair *)
   mutable maintenance_failed : int;
-  mutable messages : int;  (** routed protocol messages *)
+  mutable messages : int;
+      (** protocol messages: lookup forwards, solicitation answers and
+          replies ([Resolved], [Splice], [Set_left]/[Set_right]) *)
   mutable probes : int;  (** failure-detection and ring-repair probes *)
   mutable repairs : int;  (** links regenerated after a failure *)
   mutable joins : int;
@@ -48,7 +52,8 @@ val create :
     replacement 1/d lookups are issued — the link set only shrinks. With a
     constant latency model this makes a lookup's outcome a pure function
     of the link state and the failure set (no RNG draws on the routing
-    path), which is what the {!Ftr_svc} equivalence harness pins against.
+    path), so this transport and {!Ftr_svc}'s round transport can be
+    compared request by request. Every actor draws from [rng].
     @raise Invalid_argument on non-positive latency or sizes. *)
 
 val engine : t -> Ftr_sim.Engine.t
@@ -81,7 +86,9 @@ val join : t -> pos:int -> via:int -> unit
     @raise Invalid_argument if [pos] is occupied or [via] is dead. *)
 
 val leave : t -> pos:int -> unit
-(** Graceful departure: splice the ring, then go. No-op if absent. *)
+(** Graceful departure: send both neighbours the ring splice, then go at
+    once (the neighbours re-point when the messages arrive). No-op if
+    absent. *)
 
 val crash : t -> pos:int -> unit
 (** Fail-stop: the node disappears without telling anyone; neighbours

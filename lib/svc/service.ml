@@ -29,6 +29,7 @@ module Sample = Ftr_prng.Sample
 module Seed = Ftr_exec.Seed
 module Pool = Ftr_exec.Pool
 module Debug = Ftr_debug.Debug
+module Actor = Ftr_p2p.Actor
 open Message
 
 type stats = {
@@ -63,8 +64,11 @@ type request_state = {
   rq_traced : bool;
   mutable rq_outcome : outcome option;
   mutable rq_done_at : int;
-  mutable rq_path : int list; (* forward visit order, filled at completion *)
 }
+
+(* One registered actor with the delivery state this transport keeps
+   beside it: its mailbox and its per-sender sequence counter. *)
+type slot = { actor : Actor.t; mailbox : payload Mailbox.t; mutable next_seq : int }
 
 (* Per-shard accumulator: everything a worker produces besides its own
    actors' state, merged by the coordinator in shard order. *)
@@ -85,7 +89,7 @@ type t = {
   regenerate : bool;
   nshards : int;
   latency : int;
-  actors : (int, Actor.t) Hashtbl.t;
+  actors : (int, slot) Hashtbl.t;
   mutable order : int array; (* sorted positions of every registered actor *)
   mutable order_dirty : bool;
   alive_view : Bytes.t;
@@ -200,16 +204,17 @@ let live_count t =
 let register t ~pos ~alive =
   if pos < 0 || pos >= t.line_size then invalid_arg "Service.register: position off the line";
   if Hashtbl.mem t.actors pos then invalid_arg "Service.register: position already registered";
-  let a = Actor.create ?capacity:t.capacity ~pos ~rng:(Seed.rng_for ~seed:t.seed ~index:pos) () in
+  let a = Actor.create ~pos ~rng:(Seed.rng_for ~seed:t.seed ~index:pos) () in
   a.Actor.alive <- alive;
-  Hashtbl.replace t.actors pos a;
+  Hashtbl.replace t.actors pos
+    { actor = a; mailbox = Mailbox.create ?capacity:t.capacity ~owner:pos (); next_seq = 0 };
   if alive then Bytes.set t.alive_view pos '\001';
   t.order_dirty <- true;
   a
 
 (* Snapshot constructor: the service starts from exactly the link state
-   the synchronous overlay reached (populate, joins, crashes...), so the
-   two runtimes can be compared on the same (seed, network, failure set).
+   the engine transport reached (populate, joins, crashes...), so the two
+   transports can be compared on the same (seed, network, failure set).
    Dead registry entries come along too — their mailboxes are what in-
    flight mail bounces off. *)
 let of_overlay ?capacity ?ttl ?(regenerate = true) ?shards ?record ~seed ov =
@@ -241,57 +246,26 @@ let post_env t (env : envelope) =
       if Debug.enabled () then
         Debug.failf "Service: message for unregistered position %d (from %d)" env.dst env.src
       else t.stats.dead_letters <- t.stats.dead_letters + 1
-  | Some a ->
+  | Some s ->
       if Debug.enabled () && env.deliver_at < t.now then
         Debug.failf "Service: delivery time %d before now %d" env.deliver_at t.now;
-      if
-        not
-          (Mailbox.post a.Actor.mailbox ~time:env.deliver_at ~src:env.src ~seq:env.seq
-             env.payload)
+      if not (Mailbox.post s.mailbox ~time:env.deliver_at ~src:env.src ~seq:env.seq env.payload)
       then begin
         t.stats.dropped <- t.stats.dropped + 1;
         if t.record then
           linef t "t=%d drop %d<-%d#%d %s" t.now env.dst env.src env.seq (describe env.payload)
       end
-      else if Debug.enabled () && not (Mailbox.well_ordered a.Actor.mailbox) then
+      else if Debug.enabled () && not (Mailbox.well_ordered s.mailbox) then
         Debug.failf "Service: mailbox %d lost its delivery order" env.dst
 
 let coord_send t ~dst ~deliver_at payload =
   let seq = t.coord_seq in
   t.coord_seq <- seq + 1;
-  post_env t { src = -1; dst; seq; sent_at = t.now; deliver_at; payload }
+  post_env t { src = -1; dst; seq; deliver_at; payload }
 
 (* ------------------------------------------------------------------ *)
 (* Completion accounting (coordinator only)                            *)
 (* ------------------------------------------------------------------ *)
-
-let verdict_of = function
-  | V_chosen -> Ftr_obs.Tracing.Chosen
-  | V_not_best -> Ftr_obs.Tracing.Not_best
-  | V_not_closer -> Ftr_obs.Tracing.Not_closer
-  | V_dead -> Ftr_obs.Tracing.Dead_node
-
-(* Replay a traced request's per-hop log into the flight recorder. The
-   log travelled inside the lookup payload, so the replay is identical no
-   matter which domains ran the hops; the trace id is pure in
-   (Tracing seed, request id) via [set_next_index]. *)
-let replay_trace rq (l : lookup) (o : outcome) =
-  let module T = Ftr_obs.Tracing in
-  T.set_next_index rq.rq_id;
-  let tr = T.begin_route ~src:rq.rq_src ~dst:rq.rq_target in
-  if T.is_live tr then begin
-    T.set_context tr ~nodes:"service" ~links:"overlay" ~strategy:"svc_lookup";
-    List.iter
-      (function
-        | T_hop n -> T.hop tr ~node:n
-        | T_cand { cur; cand; dist; verdict } ->
-            T.candidate tr ~cur ~cand ~dist (verdict_of verdict))
-      (List.rev l.tlog_rev);
-    match o with
-    | Delivered { hops; _ } -> T.finish tr ~delivered:true ~hops ~stuck_at:(-1) ~reason:""
-    | Failed { stuck_at; hops; reason } ->
-        T.finish tr ~delivered:false ~hops ~stuck_at ~reason
-  end
 
 let complete t (l : lookup) (o : outcome) =
   match l.kind with
@@ -300,7 +274,6 @@ let complete t (l : lookup) (o : outcome) =
       | Some rq when Option.is_none rq.rq_outcome ->
           rq.rq_outcome <- Some o;
           rq.rq_done_at <- t.now;
-          rq.rq_path <- List.rev l.path_rev;
           (match o with
           | Delivered { hops; _ } ->
               t.stats.ok <- t.stats.ok + 1;
@@ -318,7 +291,11 @@ let complete t (l : lookup) (o : outcome) =
             | Delivered { hops; _ } ->
                 Ftr_obs.Metrics.observe "svc_request_hops" (float_of_int hops)
             | Failed _ -> ());
-            if rq.rq_traced then replay_trace rq l o
+            if rq.rq_traced then begin
+              (* Trace ids pure in the request id, whatever the completion order. *)
+              Ftr_obs.Tracing.set_next_index rq.rq_id;
+              Actor.replay_trace ~nodes:"service" ~strategy:"svc_lookup" l o
+            end
           end
       | Some _ | None -> ())
   | Placement _ | Link | Solicit _ -> (
@@ -344,22 +321,11 @@ let request ?(traced = false) t ~src ~target =
       rq_traced = traced;
       rq_outcome = None;
       rq_done_at = -1;
-      rq_path = [];
     };
   t.stats.issued <- t.stats.issued + 1;
   if t.record then linef t "t=%d req %d %d->%d" t.now id src target;
   coord_send t ~dst:src ~deliver_at:t.now
-    (Lookup
-       {
-         request = id;
-         origin = src;
-         target;
-         hops = 0;
-         kind = User;
-         traced;
-         path_rev = [];
-         tlog_rev = [];
-       });
+    (Lookup (fresh_lookup ~traced ~request:id ~origin:src ~target User));
   id
 
 let join t ~pos ~via =
@@ -367,27 +333,16 @@ let join t ~pos ~via =
   if known t pos then invalid_arg "Service.join: position already in the registry";
   if not (view_alive t via) then invalid_arg "Service.join: bootstrap node is dead";
   ignore (register t ~pos ~alive:true);
-  refresh_order t;
   t.stats.joins <- t.stats.joins + 1;
   t.stats.maint_issued <- t.stats.maint_issued + 1;
   if t.record then linef t "t=%d join %d via %d" t.now pos via;
   if Ftr_obs.Flag.enabled () then Ftr_obs.Metrics.incr "svc_joins_total";
   coord_send t ~dst:via ~deliver_at:t.now
-    (Lookup
-       {
-         request = -1;
-         origin = pos;
-         target = pos;
-         hops = 0;
-         kind = Placement { joiner = pos };
-         traced = false;
-         path_rev = [];
-         tlog_rev = [];
-       })
+    (Lookup (fresh_lookup ~request:(-1) ~origin:pos ~target:pos (Placement { joiner = pos })))
 
 let crash t ~pos =
   match Hashtbl.find_opt t.actors pos with
-  | Some a when a.Actor.alive ->
+  | Some { actor = a; _ } when a.Actor.alive ->
       a.Actor.alive <- false;
       Bytes.set t.alive_view pos '\000';
       t.stats.crashes <- t.stats.crashes + 1;
@@ -411,45 +366,34 @@ let stabilize t ~pos =
 (* The round                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Mail due at a dead actor, drained by the coordinator in sorted order:
-   lookups bounce back to their sender after one more latency (the
-   overlay's arrival re-check), bounces whose origin died fail the
-   request, everything else is dead-lettered — the message-passing form
-   of the overlay's [node.alive] callback guards. *)
-let drain_dead t (a : Actor.t) =
+(* Mail due at a dead actor, drained by the coordinator in sorted order
+   under the shared dead-carrier rule ([Actor.dead_mail]): a returned
+   lookup travels back to its sender as a [Bounce] after one more
+   latency. *)
+let drain_dead t (s : slot) =
+  let pos = s.actor.Actor.pos in
   List.iter
     (fun (e : payload Mailbox.entry) ->
       t.stats.handled <- t.stats.handled + 1;
       if t.record then
-        linef t "t=%d dead %d<-%d#%d %s" t.now a.Actor.pos e.Mailbox.e_src e.Mailbox.e_seq
+        linef t "t=%d dead %d<-%d#%d %s" t.now pos e.Mailbox.e_src e.Mailbox.e_seq
           (describe e.Mailbox.e_msg);
-      match e.Mailbox.e_msg with
-      | Lookup l when e.Mailbox.e_src >= 0 ->
-          (* The carrier died with the lookup in flight: bounce to the
-             sender, who repairs the link and re-scans with its original
-             hop count (the +1 charged at send is undone). *)
+      match Actor.dead_mail ~dead:pos ~src:e.Mailbox.e_src e.Mailbox.e_msg with
+      | Actor.Return_to_sender payload ->
           t.stats.bounces <- t.stats.bounces + 1;
-          let seq = a.Actor.next_seq in
-          a.Actor.next_seq <- seq + 1;
+          let seq = s.next_seq in
+          s.next_seq <- seq + 1;
           post_env t
             {
-              src = a.Actor.pos;
+              src = pos;
               dst = e.Mailbox.e_src;
               seq;
-              sent_at = t.now;
               deliver_at = t.now + t.latency;
-              payload = Bounce { dead = a.Actor.pos; lookup = { l with hops = l.hops - 1 } };
+              payload;
             }
-      | Lookup l ->
-          (* Driver-issued lookup whose source died in the same tick. *)
-          complete t l (Failed { stuck_at = a.Actor.pos; hops = l.hops; reason = "carrier_died" })
-      | Bounce { lookup; _ } ->
-          (* The bounce came home to an origin that has since died. *)
-          complete t lookup
-            (Failed { stuck_at = a.Actor.pos; hops = lookup.hops; reason = "origin_died" })
-      | Resolved _ | Splice _ | Set_left _ | Set_right _ | Stabilize | Leave_now ->
-          t.stats.dead_letters <- t.stats.dead_letters + 1)
-    (Mailbox.take_due a.Actor.mailbox ~now:t.now)
+      | Actor.Lost (l, o) -> complete t l o
+      | Actor.Dead_letter -> t.stats.dead_letters <- t.stats.dead_letters + 1)
+    (Mailbox.take_due s.mailbox ~now:t.now)
 
 let fresh_acc () =
   {
@@ -460,7 +404,7 @@ let fresh_acc () =
     departs_rev = [];
   }
 
-let process_shard t (due : Actor.t array) acc shard =
+let process_shard t (due : slot array) acc shard =
   let n = Array.length due in
   let lo = shard * n / t.nshards and hi = (shard + 1) * n / t.nshards in
   let ctx =
@@ -469,20 +413,19 @@ let process_shard t (due : Actor.t array) acc shard =
       links = t.links;
       ttl = t.ttl;
       regenerate = t.regenerate;
-      now = t.now;
       alive_view = t.alive_view;
       pl = t.pl;
       counters = acc.counters;
       send =
         (fun ~src ~dst payload ->
-          let seq = src.Actor.next_seq in
-          src.Actor.next_seq <- seq + 1;
+          let s = Hashtbl.find t.actors src.Actor.pos in
+          let seq = s.next_seq in
+          s.next_seq <- seq + 1;
           acc.out_rev <-
             {
               src = src.Actor.pos;
               dst;
               seq;
-              sent_at = t.now;
               deliver_at = t.now + t.latency;
               payload;
             }
@@ -492,7 +435,7 @@ let process_shard t (due : Actor.t array) acc shard =
     }
   in
   for i = lo to hi - 1 do
-    let a = due.(i) in
+    let { actor = a; mailbox; _ } = due.(i) in
     List.iter
       (fun (e : payload Mailbox.entry) ->
         if t.record then
@@ -500,7 +443,7 @@ let process_shard t (due : Actor.t array) acc shard =
             (Printf.sprintf "t=%d %d<-%d#%d %s\n" t.now a.Actor.pos e.Mailbox.e_src
                e.Mailbox.e_seq (describe e.Mailbox.e_msg));
         Actor.handle ctx a e.Mailbox.e_msg)
-      (Mailbox.take_due a.Actor.mailbox ~now:t.now)
+      (Mailbox.take_due mailbox ~now:t.now)
   done
 
 let merge_acc t acc =
@@ -529,19 +472,19 @@ let step t ~pool =
   t.stats.rounds <- t.stats.rounds + 1;
   Array.iter
     (fun pos ->
-      let a = Hashtbl.find t.actors pos in
-      if not a.Actor.alive then
-        match Mailbox.next_due a.Actor.mailbox with
-        | Some d when d <= t.now -> drain_dead t a
+      let s = Hashtbl.find t.actors pos in
+      if not s.actor.Actor.alive then
+        match Mailbox.next_due s.mailbox with
+        | Some d when d <= t.now -> drain_dead t s
         | Some _ | None -> ())
     t.order;
   let due = ref [] in
   Array.iter
     (fun pos ->
-      let a = Hashtbl.find t.actors pos in
-      if a.Actor.alive then
-        match Mailbox.next_due a.Actor.mailbox with
-        | Some d when d <= t.now -> due := a :: !due
+      let s = Hashtbl.find t.actors pos in
+      if s.actor.Actor.alive then
+        match Mailbox.next_due s.mailbox with
+        | Some d when d <= t.now -> due := s :: !due
         | Some _ | None -> ())
     t.order;
   let due = Array.of_list (List.rev !due) in
@@ -556,7 +499,7 @@ let step t ~pool =
 let mail_pending t =
   refresh_order t;
   Array.exists
-    (fun pos -> not (Mailbox.is_empty (Hashtbl.find t.actors pos).Actor.mailbox))
+    (fun pos -> not (Mailbox.is_empty (Hashtbl.find t.actors pos).mailbox))
     t.order
 
 (* Run rounds with no new control input until every mailbox is empty (or
@@ -615,7 +558,7 @@ let iter_actors t f =
   refresh_order t;
   Array.iter
     (fun pos ->
-      let a = Hashtbl.find t.actors pos in
+      let { actor = a; mailbox; _ } = Hashtbl.find t.actors pos in
       f
         {
           av_pos = a.Actor.pos;
@@ -624,12 +567,12 @@ let iter_actors t f =
           av_right = a.Actor.right;
           av_long = a.Actor.long;
           av_births = a.Actor.births;
-          av_mail_length = Mailbox.length a.Actor.mailbox;
-          av_mail_capacity = Mailbox.capacity a.Actor.mailbox;
-          av_mail_dropped = Mailbox.dropped a.Actor.mailbox;
-          av_mail_high_water = Mailbox.high_water a.Actor.mailbox;
-          av_mail_well_ordered = Mailbox.well_ordered a.Actor.mailbox;
-          av_mail_keys = Mailbox.keys a.Actor.mailbox;
+          av_mail_length = Mailbox.length mailbox;
+          av_mail_capacity = Mailbox.capacity mailbox;
+          av_mail_dropped = Mailbox.dropped mailbox;
+          av_mail_high_water = Mailbox.high_water mailbox;
+          av_mail_well_ordered = Mailbox.well_ordered mailbox;
+          av_mail_keys = Mailbox.keys mailbox;
         })
     t.order
 
@@ -640,7 +583,6 @@ type request_view = {
   rv_issued : int;
   rv_done_at : int;
   rv_outcome : outcome option;
-  rv_path : int list;
 }
 
 let request_outcome t ~request =
@@ -660,7 +602,6 @@ let iter_requests t f =
             rv_issued = rq.rq_issued;
             rv_done_at = rq.rq_done_at;
             rv_outcome = rq.rq_outcome;
-            rv_path = rq.rq_path;
           }
     | None -> ()
   done

@@ -1,7 +1,9 @@
 module Engine = Ftr_sim.Engine
 module Overlay = Ftr_p2p.Overlay
 module Churn = Ftr_p2p.Churn
+module Actor = Ftr_p2p.Actor
 module Rng = Ftr_prng.Rng
+module Tracing = Ftr_obs.Tracing
 
 let make ?(line_size = 256) ?(links = 6) ?(seed = 5) () =
   let engine = Engine.create () in
@@ -203,6 +205,71 @@ let crash_is_idempotent () =
   Overlay.crash overlay ~pos:0;
   let s = Overlay.stats overlay in
   Alcotest.(check int) "one crash" 1 s.Overlay.crashes
+
+(* ------------------------------------------------------------------ *)
+(* The dead-carrier rule on the engine transport                       *)
+(* ------------------------------------------------------------------ *)
+
+let conserved (s : Overlay.stats) =
+  s.Overlay.lookups_issued = s.Overlay.lookups_ok + s.Overlay.lookups_failed
+
+let neighbours_of overlay pos =
+  let ns = ref [] in
+  Overlay.iter_nodes overlay (fun v ->
+      if v.Overlay.view_pos = pos then
+        ns := Option.to_list v.Overlay.view_left @ Option.to_list v.Overlay.view_right @ v.Overlay.view_long);
+  !ns
+
+(* A lookup from 0 for point 200 (constant latency 1.0), with the first
+   hop's node crashed while the message is on the wire to it. *)
+let lookup_into_crash ?callback ~seed () =
+  let engine = Engine.create () in
+  let overlay =
+    Overlay.create ~regenerate:false ~line_size:256 ~links:4 ~rng:(Rng.of_int seed) engine
+  in
+  populate_evenly overlay ~line_size:256 ~count:32;
+  let next =
+    match Actor.best_candidate ~pos:0 ~target:200 (neighbours_of overlay 0) with
+    | Some (v, _) -> v
+    | None -> Alcotest.fail "the lookup would resolve at its origin"
+  in
+  Overlay.lookup overlay ~from:0 ~target:200 ?callback ();
+  Overlay.crash overlay ~pos:next;
+  (engine, overlay, next)
+
+let in_flight_crash_bounces () =
+  let result = ref None in
+  let engine, overlay, next =
+    lookup_into_crash ~seed:31 ~callback:(fun ~owner ~hops:_ -> result := Some owner) ()
+  in
+  Engine.run engine;
+  let s = Overlay.stats overlay in
+  (match !result with
+  | Some owner ->
+      Alcotest.(check bool) "delivered to a live owner" true
+        (owner <> next && Overlay.is_alive overlay owner)
+  | None -> Alcotest.fail "the bounced lookup was not delivered");
+  Alcotest.(check bool) "the origin repaired its link" false (List.mem next (neighbours_of overlay 0));
+  Alcotest.(check bool) "repair counted" true (s.Overlay.repairs > 0);
+  Alcotest.(check bool) "issued = ok + failed" true (conserved s)
+
+let bounce_to_dead_origin_fails () =
+  Ftr_obs.Flag.with_mode true @@ fun () ->
+  Tracing.reset ();
+  let engine, overlay, _ = lookup_into_crash ~seed:32 () in
+  (* The lookup reaches the dead hop at t=1 and bounces; its origin dies
+     before the bounce lands at t=2. *)
+  Engine.run ~until:1.5 engine;
+  Overlay.crash overlay ~pos:0;
+  Engine.run engine;
+  let s = Overlay.stats overlay in
+  Alcotest.(check int) "one failure" 1 s.Overlay.lookups_failed;
+  Alcotest.(check bool) "issued = ok + failed" true (conserved s);
+  match Tracing.pinned_traces () with
+  | [ { Tracing.status = Tracing.Done_failed { reason; stuck_at; _ }; _ } ] ->
+      Alcotest.(check string) "reason" "origin_died" reason;
+      Alcotest.(check int) "stuck at the origin" 0 stuck_at
+  | trs -> Alcotest.failf "expected one failed trace, got %d" (List.length trs)
 
 (* ------------------------------------------------------------------ *)
 (* Asynchrony                                                          *)
@@ -493,8 +560,10 @@ let prop_random_operations_preserve_invariants =
       Engine.run engine;
       let s = Overlay.stats overlay in
       (* Invariants: population accounting exact; every user lookup
-         resolved one way or the other; no queued events left. *)
+         resolved one way or the other; no queued events left; the
+         sanitizer finds nothing. *)
       Overlay.node_count overlay = !expected
+      && List.is_empty (Ftr_check.Check.overlay overlay)
       && s.Overlay.lookups_ok + s.Overlay.lookups_failed = s.Overlay.lookups_issued
       (* Each protocol join issues at least its placement lookup (the 32
          populate bootstraps issue none). *)
@@ -527,6 +596,8 @@ let () =
           quick "crash then self-heal" crash_then_lookup_self_heals;
           quick "graceful leave splices ring" leave_splices_ring;
           quick "crash idempotent" crash_is_idempotent;
+          quick "in-flight crash bounces and repairs" in_flight_crash_bounces;
+          quick "bounce to a dead origin fails" bounce_to_dead_origin_fails;
         ] );
       ( "asynchrony",
         [

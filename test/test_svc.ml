@@ -1,8 +1,8 @@
 (* ftr-lint: disable-file R2 test assertions compare small concrete values *)
 (* The message-passing overlay service: deterministic mailboxes, the
-   round scheduler's jobs-invariance (including under mid-run churn), the
-   equivalence of served lookups with the synchronous overlay path, and a
-   clean drain when the workload stops mid-churn. *)
+   round scheduler's jobs-invariance (including under mid-run churn),
+   agreement of the round transport with the event-engine transport on a
+   static network, and a clean drain when the workload stops mid-churn. *)
 
 module Rng = Ftr_prng.Rng
 module Engine = Ftr_sim.Engine
@@ -63,17 +63,18 @@ let mailbox_order_qcheck =
       && Mailbox.is_empty mb)
 
 (* ------------------------------------------------------------------ *)
-(* Equivalence with the synchronous overlay                            *)
+(* One protocol, two transports                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Build a populated overlay with a failure set, all under regeneration
-   off and constant latency, so a lookup's outcome is a pure function of
-   link state — then check the served path and the synchronous path give
-   the same owner and hop count for the same request sequence, with both
+(* Both transports run [Actor]'s handlers. Build a populated overlay with
+   a failure set, all under regeneration off and constant latency, so a
+   lookup's outcome is a pure function of link state — then check the
+   round transport (Service) and the engine transport (Overlay) give the
+   same owner and hop count for the same request sequence, with both
    sides' cumulative repairs kept in lockstep by issuing one lookup at a
    time. *)
-let equivalence_run seed =
-  let line_size = 512 and links = 4 and count = 40 in
+let transports_agree () =
+  let seed = 42 and line_size = 512 and links = 4 and count = 40 in
   let rng = Rng.of_int seed in
   let engine = Engine.create () in
   let ov =
@@ -98,45 +99,34 @@ let equivalence_run seed =
         let lives = Array.of_list (Overlay.live_positions ov) in
         let from = lives.(Rng.int rng (Array.length lives)) in
         let target = Rng.int rng line_size in
-        (* Synchronous side. *)
-        let sync_result = ref None in
+        (* Engine transport. *)
+        let engine_result = ref None in
         Overlay.lookup ov ~from ~target
-          ~callback:(fun ~owner ~hops -> sync_result := Some (owner, hops))
+          ~callback:(fun ~owner ~hops -> engine_result := Some (owner, hops))
           ();
         Engine.run engine;
-        (* Served side: same request, run to quiescence. *)
+        (* Round transport: same request, run to quiescence. *)
         let id = Service.request svc ~src:from ~target in
         ignore (Service.drain svc ~pool);
-        let served =
+        let rounds_result =
           match Service.request_outcome svc ~request:id with
           | Some (Message.Delivered { owner; hops }) -> Some (owner, hops)
           | Some (Message.Failed _) | None -> None
         in
-        if served <> !sync_result then
+        if rounds_result <> !engine_result then
           mismatches :=
-            Printf.sprintf "seed=%d %d->%d: sync=%s served=%s" seed from target
-              (match !sync_result with
+            Printf.sprintf "%d->%d: engine=%s rounds=%s" from target
+              (match !engine_result with
               | Some (o, h) -> Printf.sprintf "ok(%d,%d)" o h
               | None -> "fail")
-              (match served with
+              (match rounds_result with
               | Some (o, h) -> Printf.sprintf "ok(%d,%d)" o h
               | None -> "fail")
             :: !mismatches
       done);
-  !mismatches
-
-let equivalence_fixed () =
-  match equivalence_run 42 with
+  match !mismatches with
   | [] -> ()
-  | ms -> Alcotest.failf "served/synchronous divergence:\n%s" (String.concat "\n" ms)
-
-let equivalence_qcheck =
-  QCheck.Test.make ~count:8 ~name:"served lookups match the synchronous overlay"
-    QCheck.(int_bound 10_000)
-    (fun seed ->
-      match equivalence_run seed with
-      | [] -> true
-      | m :: _ -> QCheck.Test.fail_report m)
+  | ms -> Alcotest.failf "transport divergence:\n%s" (String.concat "\n" ms)
 
 (* ------------------------------------------------------------------ *)
 (* Jobs-invariance under churn                                         *)
@@ -232,11 +222,8 @@ let () =
           Alcotest.test_case "capacity drops" `Quick mailbox_capacity_drops;
           QCheck_alcotest.to_alcotest mailbox_order_qcheck;
         ] );
-      ( "equivalence",
-        [
-          Alcotest.test_case "fixed seed" `Quick equivalence_fixed;
-          QCheck_alcotest.to_alcotest equivalence_qcheck;
-        ] );
+      ( "transports",
+        [ Alcotest.test_case "engine and rounds agree" `Quick transports_agree ] );
       ( "determinism",
         [
           Alcotest.test_case "transcript jobs-invariant under churn" `Slow
