@@ -1253,7 +1253,7 @@ let run_route_throughput () =
   let rng = Rng.of_int seed in
   let net = Network.build_ideal ~n ~links (Rng.split rng) in
   (* The reference's storage model: one jagged row per node, built once. *)
-  let rows = Array.init n (Network.neighbors net) in
+  let rows = Array.init n (fun u -> Array.init (Network.degree net u) (Network.neighbor net u)) in
   let mask = Ftr_core.Failure.random_node_fraction (Rng.split rng) ~n ~fraction:0.3 in
   let failures = Ftr_core.Failure.of_node_mask mask in
   let alive = Ftr_graph.Bitset.get mask in

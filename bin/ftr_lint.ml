@@ -1,6 +1,6 @@
 (* ftr_lint: the project static analyzer (docs/LINTING.md). Wired into
    `dune build @lint` alongside the runtime sanitizer battery; the
-   syntactic rules R1-R5, the typed interprocedural rules T1-T4 and the
+   syntactic rules R1-R3 and R5, the typed interprocedural rules T1-T4 and the
    flow-sensitive rules D1-D4 live in lib/lint.
 
      ftr_lint [DIR|FILE ...] [--stage syntactic|typed|flow|all]
@@ -17,7 +17,7 @@
    (--cache DIR).
 
    Exit status: 0 clean (modulo baseline), 1 findings, 2 usage or parse
-   error. *)
+   error (including a baseline line that does not parse). *)
 
 let () =
   let dirs = ref [] in
@@ -54,7 +54,7 @@ let () =
     [
       ( "--stage",
         Arg.String set_stage,
-        "STAGE run `syntactic` (R1-R5, default), `typed` (T1-T4), `flow` (D1-D4) or `all`" );
+        "STAGE run `syntactic` (R1-R3, R5, default), `typed` (T1-T4), `flow` (D1-D4) or `all`" );
       ("--typed", Arg.Unit (fun () -> set_stage "typed"), " shorthand for --stage typed");
       ("--flow", Arg.Unit (fun () -> set_stage "flow"), " shorthand for --stage flow");
       ( "--jobs",

@@ -940,8 +940,8 @@ let check_cmd =
              "Static properties are covered separately by the three-stage $(b,ftr_lint) \
               analyzer (docs/LINTING.md): $(b,dune build @lint) runs this battery, then \
               lints lib/, bin/ and bench/ syntactically for nondeterminism sources, \
-              polymorphic comparison, hash-order output, ungated telemetry and hot-path \
-              allocation (R1-R5), runs the typed interprocedural stage \
+              polymorphic comparison, hash-order output and hot-path allocation (R1-R3, \
+              R5), runs the typed interprocedural stage \
               ($(b,@lint-typed), rules T1-T4) over the compiled .cmt files — a \
               call-graph analysis catching cross-function domain races reachable from \
               Ftr_exec.Pool worker jobs, transitive nondeterminism taint and typed \

@@ -7,7 +7,6 @@
      dune exec examples/churn_simulation.exe *)
 
 module Engine = Ftr_sim.Engine
-module Trace = Ftr_sim.Trace
 module Overlay = Ftr_p2p.Overlay
 module Churn = Ftr_p2p.Churn
 module Rng = Ftr_prng.Rng
@@ -16,10 +15,7 @@ let () =
   let line_size = 1024 in
   let rng = Rng.of_int 7 in
   let engine = Engine.create () in
-  let trace = Trace.create ~capacity:64 () in
-  let overlay =
-    Overlay.create ~latency:1.0 ~trace ~line_size ~links:8 ~rng:(Rng.split rng) engine
-  in
+  let overlay = Overlay.create ~line_size ~links:8 ~rng:(Rng.split rng) engine in
   (* Seed population: 64 nodes spread over the line. *)
   Overlay.populate overlay ~positions:(List.init 64 (fun i -> i * line_size / 64));
   Printf.printf "seeded %d nodes on a %d-point line\n" (Overlay.node_count overlay) line_size;
@@ -38,8 +34,14 @@ let () =
         }
       ~line_size overlay (Rng.split rng)
   in
-  Engine.run ~until engine;
-  Engine.run ~max_events:1_000_000 engine;
+  (* Telemetry on, events captured: the overlay logs every join, crash
+     and leave as an [overlay.*] event line. *)
+  let (), events =
+    Ftr_obs.Flag.with_mode true (fun () ->
+        Ftr_obs.Events.with_buffer (fun () ->
+            Engine.run ~until engine;
+            Engine.run ~max_events:1_000_000 engine))
+  in
 
   let r = Churn.report overlay in
   Printf.printf "\nafter %.0f time units of churn:\n" until;
@@ -50,7 +52,12 @@ let () =
   Printf.printf "  maintenance  %d messages, %d probes, %d links regenerated\n" r.Churn.messages
     r.Churn.probes r.Churn.repairs;
 
+  let membership =
+    List.filter
+      (String.starts_with ~prefix:{|{"kind":"overlay.|})
+      (String.split_on_char '\n' events)
+  in
   print_endline "\nlast protocol events:";
-  List.iter
-    (fun e -> Printf.printf "  [%8.1f] %s\n" e.Trace.time e.Trace.message)
-    (Trace.entries trace)
+  List.iteri
+    (fun i line -> if i >= List.length membership - 16 then Printf.printf "  %s\n" line)
+    membership

@@ -1,4 +1,4 @@
-module Adjacency = Ftr_graph.Adjacency
+module Csr = Ftr_graph.Adjacency.Csr
 module Rng = Ftr_prng.Rng
 
 (* Unstructured overlay in the Gnutella mould: every node links to
@@ -19,8 +19,7 @@ let random_overlay ~n ~degree rng =
       buckets.(v) <- u :: buckets.(v)
     done
   done;
-  Adjacency.of_arrays
-    (Array.map (fun l -> Array.of_list (List.sort_uniq Int.compare l)) buckets)
+  Csr.of_rows (Array.map (fun l -> Array.of_list (List.sort_uniq Int.compare l)) buckets)
 
 type result = { found : bool; messages : int; rounds : int }
 
@@ -29,7 +28,7 @@ type result = { found : bool; messages : int; rounds : int }
    every forwarded copy — the cost the paper's introduction holds against
    flooding-based systems. *)
 let search ?(ttl = max_int) graph ~src ~dst =
-  let n = Adjacency.size graph in
+  let n = Csr.size graph in
   if src < 0 || src >= n || dst < 0 || dst >= n then invalid_arg "Flooding.search: out of range";
   if src = dst then { found = true; messages = 0; rounds = 0 }
   else begin
@@ -44,15 +43,13 @@ let search ?(ttl = max_int) graph ~src ~dst =
         let hit = ref false in
         List.iter
           (fun u ->
-            Array.iter
-              (fun v ->
+            Csr.iter_row graph u (fun v ->
                 incr messages;
                 if v = dst then hit := true;
                 if not seen.(v) then begin
                   seen.(v) <- true;
                   next := v :: !next
-                end)
-              (Adjacency.neighbors graph u))
+                end))
           !frontier;
         if !hit then { found = true; messages = !messages; rounds = round + 1 }
         else begin

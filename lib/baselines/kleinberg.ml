@@ -15,7 +15,7 @@ let torus = Multidim.torus
 
 let size = Multidim.size
 
-let neighbors = Multidim.neighbors
+let degree = Multidim.degree
 
 let route ?max_hops t ~src ~dst =
   if not (Ftr_metric.Torus.contains (Multidim.torus t) src

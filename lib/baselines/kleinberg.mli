@@ -19,8 +19,8 @@ val torus : t -> Ftr_metric.Torus.t
 val size : t -> int
 (** Number of nodes. *)
 
-val neighbors : t -> int -> int array
-(** Sorted neighbour list of a node (do not mutate). *)
+val degree : t -> int -> int
+(** Number of entries in a node's neighbour row (duplicates counted). *)
 
 val route : ?max_hops:int -> t -> src:int -> dst:int -> int option
 (** Greedy hops from [src] to [dst]; [None] only on hop-budget exhaustion

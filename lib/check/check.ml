@@ -57,18 +57,8 @@ let with_mode = Ftr_debug.Debug.with_mode
 
 type ring_policy = Both_sides | Successor_only
 
-let mem_sorted ns x =
-  (* [ns] is sorted; binary search. *)
-  let lo = ref 0 and hi = ref (Array.length ns) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if ns.(mid) < x then lo := mid + 1 else hi := mid
-  done;
-  !lo < Array.length ns && ns.(!lo) = x
-
-(* Link membership via binary search directly on the CSR row — the trace
-   replay below asks this once per hop, and the flat form answers without
-   copying the row the way [Network.neighbors] now does. *)
+(* Link membership via binary search directly on the (sorted) CSR row —
+   the trace replay below asks this once per hop. *)
 let mem_link net u x =
   let module I32 = Ftr_graph.Adjacency.I32 in
   let { Ftr_graph.Adjacency.Csr.offsets; targets } = Network.csr net in
@@ -107,26 +97,27 @@ let network ?expected_links ?(multi_edges = `Allowed) ?(ring = Both_sides) net =
   in
   for i = 0 to n - 1 do
     let subject = Printf.sprintf "node %d" i in
-    let ns = Network.neighbors net i in
-    Array.iteri
-      (fun k j ->
-        if j < 0 || j >= n then
-          emit (violation "net.dead-endpoint" subject
-                  "neighbor entry %d is index %d outside [0,%d)" k j n)
-        else if j = i then
-          emit (violation "net.self-link" subject "neighbor entry %d links node to itself" k);
-        if k > 0 then begin
-          if ns.(k - 1) > j then
-            emit (violation "net.unsorted" subject
-                    "neighbor entries %d,%d out of order (%d > %d)" (k - 1) k ns.(k - 1) j)
-          else if ns.(k - 1) = j && multi_edges = `Forbidden then
-            emit (violation "net.duplicate-link" subject
-                    "neighbor %d appears more than once" j)
-        end)
-      ns;
+    let deg = Network.degree net i in
+    for k = 0 to deg - 1 do
+      let j = Network.neighbor net i k in
+      if j < 0 || j >= n then
+        emit (violation "net.dead-endpoint" subject
+                "neighbor entry %d is index %d outside [0,%d)" k j n)
+      else if j = i then
+        emit (violation "net.self-link" subject "neighbor entry %d links node to itself" k);
+      if k > 0 then begin
+        let prev = Network.neighbor net i (k - 1) in
+        if prev > j then
+          emit (violation "net.unsorted" subject
+                  "neighbor entries %d,%d out of order (%d > %d)" (k - 1) k prev j)
+        else if prev = j && multi_edges = `Forbidden then
+          emit (violation "net.duplicate-link" subject
+                  "neighbor %d appears more than once" j)
+      end
+    done;
     List.iter
       (fun r ->
-        if not (mem_sorted ns r) then
+        if not (mem_link net i r) then
           emit (violation "net.ring-broken" subject
                   "missing short link to ring neighbor %d" r))
       (ring_expected i);
@@ -134,19 +125,18 @@ let network ?expected_links ?(multi_edges = `Allowed) ?(ring = Both_sides) net =
     | None -> ()
     | Some links ->
         let expect = links + List.length (ring_expected i) in
-        if Array.length ns <> expect then
+        if deg <> expect then
           emit (violation "net.link-count" subject
-                  "degree %d, expected %d (ℓ=%d long + %d ring)" (Array.length ns) expect
+                  "degree %d, expected %d (ℓ=%d long + %d ring)" deg expect
                   links (List.length (ring_expected i))))
   done;
   List.rev !out
 
 (* The flat CSR storage behind [Network]: offsets must be a monotone
    prefix-sum frame over the target array, every target a valid node
-   index, every row sorted, and the [neighbors] copy shim must agree with
-   the row the routing inner loop actually scans. [Adjacency.Csr.validate]
-   fails fast on the frame invariants at construction time; this validator
-   is the exhaustive after-the-fact battery form. *)
+   index, every row sorted. [Adjacency.Csr.validate] fails fast on the
+   frame invariants at construction time; this validator is the
+   exhaustive after-the-fact battery form. *)
 let csr net =
   let module I32 = Ftr_graph.Adjacency.I32 in
   let out = ref [] in
@@ -182,19 +172,7 @@ let csr net =
           emit (violation "csr.row-unsorted" (Printf.sprintf "node %d" i)
                   "row entries at slots %d,%d out of order (%d > %d)" (k - 1) k
                   (I32.get targets (k - 1)) (I32.get targets k))
-      done;
-      let row = Network.neighbors net i in
-      let deg = I32.get offsets (i + 1) - I32.get offsets i in
-      if Array.length row <> deg then
-        emit (violation "csr.shim-divergence" (Printf.sprintf "node %d" i)
-                "neighbors returns %d entries, CSR row has %d" (Array.length row) deg)
-      else
-        for k = 0 to deg - 1 do
-          if row.(k) <> I32.get targets (I32.get offsets i + k) then
-            emit (violation "csr.shim-divergence" (Printf.sprintf "node %d" i)
-                    "neighbors entry %d is %d, CSR row holds %d" k row.(k)
-                    (I32.get targets (I32.get offsets i + k)))
-        done
+      done
     done;
   List.rev !out
 

@@ -503,7 +503,6 @@ let sweep_stretch ?(n = 4096) ?(links_list = [ 1; 4; 12 ]) ?(pairs = 100) ~seed 
   List.map
     (fun links ->
       let net = Network.build_ideal ~n ~links (Rng.split rng) in
-      let adj = Network.to_adjacency net in
       let stretch = Summary.create () in
       let greedy_s = Summary.create () and optimal_s = Summary.create () in
       for _ = 1 to pairs do
@@ -516,7 +515,7 @@ let sweep_stretch ?(n = 4096) ?(links_list = [ 1; 4; 12 ]) ?(pairs = 100) ~seed 
           pick ()
         in
         let greedy = Route.hops (Route.route net ~src ~dst) in
-        let optimal = (Ftr_graph.Bfs.distances adj ~src).(dst) in
+        let optimal = (Ftr_graph.Bfs.distances (Network.csr net) ~src).(dst) in
         if optimal > 0 then begin
           Summary.add stretch (float_of_int greedy /. float_of_int optimal);
           Summary.add_int greedy_s greedy;

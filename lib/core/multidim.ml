@@ -20,7 +20,7 @@ let links t = t.links
 
 let alpha t = t.alpha
 
-let neighbors t u = Csr.row t.adj u
+let degree t u = Csr.degree t.adj u
 
 (* Offset table shared by all nodes: every non-zero offset vector weighted
    by d(offset)^-alpha, where d is the wraparound L1 distance. Kleinberg's

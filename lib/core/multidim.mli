@@ -31,9 +31,9 @@ val links : t -> int
 val alpha : t -> float
 (** Exponent of the link-length law. *)
 
-val neighbors : t -> int -> int array
-(** Fresh copy of the sorted neighbour row (the storage itself is flat
-    CSR, as in {!Network}). *)
+val degree : t -> int -> int
+(** Number of entries in a node's neighbour row (lattice plus long links,
+    duplicates counted). *)
 
 type outcome = Delivered of { hops : int } | Failed of { hops : int; stuck_at : int }
 

@@ -27,8 +27,6 @@ let position t i = I32.get t.positions i
 
 let positions t = t.positions
 
-let neighbors t i = Csr.row t.adj i
-
 let degree t i = Csr.degree t.adj i
 
 let neighbor t i k = Csr.nth t.adj i k
@@ -116,8 +114,6 @@ let nearest_index t ~position =
 let index_of_position t ~position =
   let i = nearest_index t ~position in
   if I32.get t.positions i = position then Some i else None
-
-let to_adjacency t = Ftr_graph.Adjacency.of_csr t.adj
 
 (* Sanitizer hook: structural invariants every builder must establish —
    sorted in-range neighbour lists without self-links, and the short-link

@@ -1,7 +1,7 @@
 (** Static overlay networks on the line (Section 4.3).
 
     A network is a set of nodes at strictly increasing line positions; node
-    [i] knows the nodes at indices [neighbors i]. Every builder links each
+    [i] knows the nodes at the indices of its {!csr} row. Every builder links each
     node to its nearest present node on either side (the "immediate"
     neighbours the paper assumes never fail) plus long-distance links
     according to the chosen strategy:
@@ -45,20 +45,6 @@ val positions : t -> Ftr_graph.Adjacency.I32.t
     {!csr}, so hot loops can compute distances without a call per
     candidate. *)
 
-val neighbors : t -> int -> int array
-(** Debug/test accessor: fresh copy of a node's sorted neighbour-index
-    row. The row is sorted
-    non-decreasing; the {b duplicate guarantee} is per builder: the random
-    builders ({!build_ideal}, {!build_binomial}, {!build_ring}) keep one
-    entry per sampled link, so a row may contain duplicates when several
-    independent draws landed on the same node (the multiplicity is part of
-    the sampled distribution and of the routing semantics); the structural
-    builders ({!build_deterministic}, {!build_geometric},
-    {!build_chordlike}) produce strictly increasing, duplicate-free rows.
-    The Check battery enforces exactly this policy per builder. Since the
-    move to flat CSR storage this function copies; hot paths should use
-    {!degree}/{!neighbor}/{!iter_neighbors} or {!csr} instead. *)
-
 val degree : t -> int -> int
 (** Number of neighbour entries of a node (duplicates counted). *)
 
@@ -72,8 +58,18 @@ val iter_neighbors : t -> int -> (int -> unit) -> unit
 
 val csr : t -> Ftr_graph.Adjacency.Csr.t
 (** The underlying flat CSR pair (no copy — do not mutate). Node [i]'s row
-    is [targets.(offsets.(i)) .. targets.(offsets.(i+1)-1)], sorted. This
-    is the representation the routing inner loop scans. *)
+    is [targets.(offsets.(i)) .. targets.(offsets.(i+1)-1)], sorted
+    non-decreasing. This is the representation the routing inner loop
+    scans.
+
+    The {b duplicate guarantee} is per builder: the random builders
+    ({!build_ideal}, {!build_binomial}, {!build_ring}) keep one entry per
+    sampled link, so a row may contain duplicates when several independent
+    draws landed on the same node (the multiplicity is part of the sampled
+    distribution and of the routing semantics); the structural builders
+    ({!build_deterministic}, {!build_geometric}, {!build_chordlike})
+    produce strictly increasing, duplicate-free rows. The Check battery
+    enforces exactly this policy per builder. *)
 
 val is_full : t -> bool
 (** Whether every line position hosts a node. *)
@@ -106,9 +102,6 @@ val nearest_index : t -> position:int -> int
 
 val index_of_position : t -> position:int -> int option
 (** Node index exactly at the given position, if present. *)
-
-val to_adjacency : t -> Ftr_graph.Adjacency.t
-(** View as a directed graph over node indices. *)
 
 val of_neighbor_indices :
   ?geometry:geometry ->

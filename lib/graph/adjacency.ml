@@ -71,13 +71,6 @@ module Csr = struct
 
   let nth t u k = I32.get t.targets (I32.get t.offsets u + k)
 
-  (* Debug/test accessor: copies the row out as an int array — the
-     compatibility view of the pre-Bigarray representation. Warm paths use
-     [iter_row]/[nth] or scan [offsets]/[targets] directly. *)
-  let row t u =
-    let base = I32.get t.offsets u in
-    Array.init (degree t u) (fun k -> I32.get t.targets (base + k))
-
   let iter_row t u f =
     for k = I32.get t.offsets u to I32.get t.offsets (u + 1) - 1 do
       f (I32.unsafe_get t.targets k)
@@ -183,67 +176,14 @@ module Csr = struct
     validate t;
     t
 
-  let to_rows t = Array.init (size t) (fun u -> row t u)
+  (* Transpose: row [v] lists every [u] with an edge [u -> v], ascending
+     (with multiplicity). *)
+  let reverse t =
+    let ins = Array.make (size t) [] in
+    for u = size t - 1 downto 0 do
+      iter_row t u (fun v -> ins.(v) <- u :: ins.(v))
+    done;
+    of_rows (Array.map Array.of_list ins)
 
   let equal a b = I32.equal a.offsets b.offsets && I32.equal a.targets b.targets
 end
-
-type t = { out_neighbors : int array array }
-
-let to_csr t = Csr.of_rows t.out_neighbors
-
-let of_csr c = { out_neighbors = Csr.to_rows c }
-
-let of_arrays out_neighbors =
-  Array.iteri
-    (fun u ns ->
-      Array.iter
-        (fun v ->
-          if v < 0 || v >= Array.length out_neighbors then
-            invalid_arg
-              (Printf.sprintf "Adjacency.of_arrays: edge %d -> %d out of range" u v))
-        ns)
-    out_neighbors;
-  { out_neighbors }
-
-let of_edges ~n edges =
-  let buckets = Array.make n [] in
-  List.iter
-    (fun (u, v) ->
-      if u < 0 || u >= n || v < 0 || v >= n then invalid_arg "Adjacency.of_edges: out of range";
-      buckets.(u) <- v :: buckets.(u))
-    edges;
-  { out_neighbors = Array.map (fun l -> Array.of_list (List.rev l)) buckets }
-
-let size t = Array.length t.out_neighbors
-
-let out_degree t u = Array.length t.out_neighbors.(u)
-
-let neighbors t u = t.out_neighbors.(u)
-
-let mem_edge t u v = Array.exists (fun w -> w = v) t.out_neighbors.(u)
-
-let iter_edges t f =
-  Array.iteri (fun u ns -> Array.iter (fun v -> f u v) ns) t.out_neighbors
-
-let edge_count t = Array.fold_left (fun acc ns -> acc + Array.length ns) 0 t.out_neighbors
-
-let reverse t =
-  let n = size t in
-  let buckets = Array.make n [] in
-  iter_edges t (fun u v -> buckets.(v) <- u :: buckets.(v));
-  { out_neighbors = Array.map (fun l -> Array.of_list (List.rev l)) buckets }
-
-let degree_summary t =
-  let n = size t in
-  if n = 0 then (0, 0, 0.0)
-  else begin
-    let lo = ref max_int and hi = ref 0 and total = ref 0 in
-    for u = 0 to n - 1 do
-      let d = out_degree t u in
-      if d < !lo then lo := d;
-      if d > !hi then hi := d;
-      total := !total + d
-    done;
-    (!lo, !hi, float_of_int !total /. float_of_int n)
-  end

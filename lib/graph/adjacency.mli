@@ -1,5 +1,5 @@
-(** Directed graphs as per-node out-neighbour arrays — the shape of the
-    paper's overlay, where each node stores only the addresses of its
+(** Directed graphs as flat int32 CSR rows — the shape of the paper's
+    overlay, where each node stores only the addresses of its
     neighbours. *)
 
 (** Flat int32 vectors ([Bigarray], C layout) — the storage type behind
@@ -87,10 +87,6 @@ module Csr : sig
   val of_rows : int array array -> t
   (** Flatten per-node rows; validates targets are in range. *)
 
-  val to_rows : t -> int array array
-  (** Debug/test accessor: rebuild the jagged per-node view (fresh
-      arrays) — the compatibility view of the pre-Bigarray layout. *)
-
   val size : t -> int
   (** Number of nodes (rows). *)
 
@@ -103,10 +99,6 @@ module Csr : sig
   val nth : t -> int -> int -> int
   (** [nth t u k] is the [k]-th out-neighbour of [u]. *)
 
-  val row : t -> int -> int array
-  (** Debug/test accessor: fresh int-array copy of one row. Allocates per
-      call — warm paths use {!iter_row}/{!nth} or scan the vectors. *)
-
   val iter_row : t -> int -> (int -> unit) -> unit
   (** Apply to every out-neighbour of a node, in row order. *)
 
@@ -114,45 +106,10 @@ module Csr : sig
   (** Re-check the structural invariants ([sorted] additionally demands
       every row be non-decreasing). @raise Invalid_argument on violation. *)
 
+  val reverse : t -> t
+  (** Transpose: row [v] lists every [u] with an edge [u -> v], in
+      ascending order (an edge present twice appears twice). *)
+
   val equal : t -> t -> bool
   (** Structural (byte) equality of both vectors. *)
 end
-
-type t
-
-val of_arrays : int array array -> t
-(** Wrap per-node neighbour arrays.
-    @raise Invalid_argument if any endpoint is out of range. *)
-
-val of_edges : n:int -> (int * int) list -> t
-(** Build from an edge list over nodes [0..n-1]. *)
-
-val size : t -> int
-(** Number of nodes. *)
-
-val out_degree : t -> int -> int
-(** Out-degree of a node. *)
-
-val neighbors : t -> int -> int array
-(** Out-neighbours of a node (do not mutate). *)
-
-val mem_edge : t -> int -> int -> bool
-(** Whether the directed edge u -> v exists. *)
-
-val iter_edges : t -> (int -> int -> unit) -> unit
-(** Apply to every directed edge. *)
-
-val edge_count : t -> int
-(** Total number of directed edges. *)
-
-val reverse : t -> t
-(** Graph with every edge reversed. *)
-
-val degree_summary : t -> int * int * float
-(** (min, max, mean) out-degree. *)
-
-val to_csr : t -> Csr.t
-(** Flatten to the CSR form (fresh vectors). *)
-
-val of_csr : Csr.t -> t
-(** Rebuild the jagged form from CSR (fresh arrays). *)

@@ -1,5 +1,7 @@
+module Csr = Adjacency.Csr
+
 let distances graph ~src =
-  let n = Adjacency.size graph in
+  let n = Csr.size graph in
   if src < 0 || src >= n then invalid_arg "Bfs.distances: source out of range";
   let dist = Array.make n (-1) in
   let queue = Queue.create () in
@@ -7,13 +9,11 @@ let distances graph ~src =
   Queue.add src queue;
   while not (Queue.is_empty queue) do
     let u = Queue.pop queue in
-    Array.iter
-      (fun v ->
+    Csr.iter_row graph u (fun v ->
         if dist.(v) < 0 then begin
           dist.(v) <- dist.(u) + 1;
           Queue.add v queue
         end)
-      (Adjacency.neighbors graph u)
   done;
   dist
 
@@ -21,17 +21,17 @@ let reachable_count graph ~src =
   Array.fold_left (fun acc d -> if d >= 0 then acc + 1 else acc) 0 (distances graph ~src)
 
 let is_strongly_connected graph =
-  let n = Adjacency.size graph in
+  let n = Csr.size graph in
   n = 0
   || (reachable_count graph ~src:0 = n
-     && reachable_count (Adjacency.reverse graph) ~src:0 = n)
+     && reachable_count (Csr.reverse graph) ~src:0 = n)
 
 let eccentricity graph ~src =
   Array.fold_left max 0 (distances graph ~src)
 
 let weakly_connected_components graph =
-  let n = Adjacency.size graph in
-  let rev = Adjacency.reverse graph in
+  let n = Csr.size graph in
+  let rev = Csr.reverse graph in
   let comp = Array.make n (-1) in
   let next = ref 0 in
   let queue = Queue.create () in
@@ -49,8 +49,8 @@ let weakly_connected_components graph =
             Queue.add v queue
           end
         in
-        Array.iter visit (Adjacency.neighbors graph u);
-        Array.iter visit (Adjacency.neighbors rev u)
+        Csr.iter_row graph u visit;
+        Csr.iter_row rev u visit
       done
     end
   done;

@@ -4,7 +4,7 @@
    while any edit to the flagged line itself retires the entry.
 
    File format, one entry per line (lines starting with '#' and blank
-   lines are comments):
+   lines are comments; any other line that does not parse is an error):
 
      syn:R2<TAB>lib/foo/bar.ml<TAB>Array.sort compare arr;
      typed:T1<TAB>lib/foo/baz.ml<TAB>Hashtbl.replace table k v
@@ -47,32 +47,30 @@ let entry_stage e =
   else if has_prefix "flow:" then Finding.Flow
   else Finding.Syntactic
 
+(* Raised by [load] with "path:line: reason". *)
+exception Malformed of string
+
 let parse_line line =
-  if String.length line = 0 || line.[0] = '#' then None
-  else
-    match String.split_on_char '\t' line with
-    | rule :: file :: rest -> (
-        match parse_rule_field rule with
-        | Some r ->
-            Some { b_rule = r; b_file = file; b_content = String.trim (String.concat "\t" rest) }
-        | None -> None)
-    | _ -> None
+  match String.split_on_char '\t' line with
+  | rule :: file :: rest -> (
+      match parse_rule_field rule with
+      | Some r ->
+          Ok { b_rule = r; b_file = file; b_content = String.trim (String.concat "\t" rest) }
+      | None -> Error (Printf.sprintf "unknown rule id %S" rule))
+  | _ -> Error "expected STAGE:RULE<TAB>file<TAB>source line"
 
 let load path =
   if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in_bin path in
-    let entries = ref [] in
-    (try
-       while true do
-         match parse_line (input_line ic) with
-         | Some e -> entries := e :: !entries
-         | None -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !entries
-  end
+  else
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.mapi (fun i line ->
+           if String.equal (String.trim line) "" || line.[0] = '#' then None
+           else
+             match parse_line line with
+             | Ok e -> Some e
+             | Error why -> raise (Malformed (Printf.sprintf "%s:%d: %s" path (i + 1) why)))
+    |> List.filter_map Fun.id
 
 let save path entries =
   let oc = open_out_bin path in

@@ -3,21 +3,19 @@
    for the syntactic stage; [run] is the CLI entry point wired into
    `dune build @lint`.
 
-   Two stages share one finding stream: the syntactic rules (R1-R5,
-   one Parsetree walk per source file) and the typed interprocedural
+   Three stages share one finding stream: the syntactic rules (R1-R3,
+   R5, one Parsetree walk per source file), the typed interprocedural
    rules (T1-T4, a call-graph analysis over the .cmt corpus —
-   typed_rules.ml). [run] selects stages, merges and sorts their
+   typed_rules.ml) and the flow-sensitive rules (D1-D4 —
+   flow_rules.ml). [run] selects stages, merges and sorts their
    findings, then applies the shared baseline. *)
 
 let clock_seam_files = Typed_rules.clock_seam_files
-
-let contains s sub = Suppress.find_sub s sub <> None
 
 let config_for file hot =
   {
     Rules.file;
     hot;
-    in_obs = contains file "lib/obs/";
     clock_seam = List.exists (fun sfx -> Filename.check_suffix file sfx) clock_seam_files;
   }
 
@@ -104,17 +102,13 @@ let write_json_report path ~stages ~files ~fresh ~baselined ~stale ~flow_stats ~
   close_out oc
 
 (* Exit status: 0 clean (modulo baseline), 1 findings, 2 usage/parse
-   error. [stages] selects which analyses run; findings from all of
-   them are merged into one sorted stream before the baseline applies.
+   error (a malformed baseline included). [stages] selects which
+   analyses run; findings from all of them are merged into one sorted
+   stream before the baseline applies.
    [write_baseline] regenerates the baseline file mechanically from the
    current findings of the *selected* stages — entries belonging to
    unselected stages are carried over from the existing file untouched,
    so `--stage typed --update-baseline` cannot eat syntactic entries.
-
-   When the flow stage runs, syntactic R3/R4 findings in files the flow
-   corpus covers are dropped: D1's path-sensitive gate dominance
-   supersedes their 3-ancestor heuristic, which survives only as the
-   parse-only fallback for files with no .cmt (and for flow-less runs).
 
    [profile_test] is the relaxed test profile: R1 (tests drive wall
    clocks freely) and T2 (its propagation) findings are dropped,
@@ -123,11 +117,18 @@ let write_json_report path ~stages ~files ~fresh ~baselined ~stale ~flow_stats ~
 let run ?baseline ?write_baseline ?json ?(quiet = false)
     ?(stages = [ Finding.Syntactic ]) ?jobs ?cache_dir ?(profile_test = false)
     ?(timings = false) ~dirs () =
-  match List.filter (fun d -> not (Sys.file_exists d)) dirs with
-  | missing :: _ ->
+  let baseline_file = match write_baseline with Some p -> Some p | None -> baseline in
+  match
+    ( List.filter (fun d -> not (Sys.file_exists d)) dirs,
+      Option.fold ~none:[] ~some:Baseline.load baseline_file )
+  with
+  | missing :: _, _ ->
       Printf.eprintf "ftr_lint: no such file or directory: %s\n" missing;
       2
-  | [] -> (
+  | exception Baseline.Malformed why ->
+      Printf.eprintf "ftr_lint: malformed baseline %s\n" why;
+      2
+  | [], loaded -> (
       let stage_seconds = ref [] in
       let timed stage f =
         let t0 = Ftr_exec.Clock.now () in
@@ -161,22 +162,6 @@ let run ?baseline ?write_baseline ?json ?(quiet = false)
               let found, stats = Flow_driver.analyze ?jobs ?cache_dir ~root:"." ~dirs () in
               (Some stats, found))
       in
-      let flow_covered =
-        match flow_stats with
-        | None -> fun _ -> false
-        | Some s ->
-            let tbl = Hashtbl.create 64 in
-            List.iter (fun src -> Hashtbl.replace tbl src ()) s.Flow_driver.fl_sources;
-            fun file -> Hashtbl.mem tbl file
-      in
-      let syntactic =
-        List.filter
-          (fun ((f : Finding.t), _) ->
-            match f.rule with
-            | Finding.R3 | Finding.R4 -> not (flow_covered f.file)
-            | _ -> true)
-          syntactic
-      in
       let profile_drop (f : Finding.t) =
         profile_test && match f.rule with Finding.R1 | Finding.T2 -> true | _ -> false
       in
@@ -198,7 +183,7 @@ let run ?baseline ?write_baseline ?json ?(quiet = false)
           let kept =
             List.filter
               (fun e -> not (List.mem (Baseline.entry_stage e) stages))
-              (Baseline.load path)
+              loaded
           in
           let entries =
             kept @ List.map (fun (f, line) -> Baseline.entry_of_finding ~source_line:line f) all
@@ -210,17 +195,10 @@ let run ?baseline ?write_baseline ?json ?(quiet = false)
             path (List.length kept);
           0
       | None ->
-          let entries =
-            match baseline with
-            | Some p ->
-                (* Only entries of the selected stages participate: a
-                   typed entry is not "stale" during a syntactic-only
-                   run that cannot rediscover it. *)
-                List.filter
-                  (fun e -> List.mem (Baseline.entry_stage e) stages)
-                  (Baseline.load p)
-            | None -> []
-          in
+          (* Only entries of the selected stages participate: a typed
+             entry is not "stale" during a syntactic-only run that
+             cannot rediscover it. *)
+          let entries = List.filter (fun e -> List.mem (Baseline.entry_stage e) stages) loaded in
           let fresh, baselined, stale = Baseline.apply entries all in
           (match json with
           | Some path ->

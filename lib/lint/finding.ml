@@ -2,8 +2,9 @@
    closed and small on purpose: each rule protects a property the paper's
    reproduction depends on (docs/LINTING.md maps rule -> property).
 
-   Rules come in three stages. R1-R5 are syntactic: one Parsetree walk
-   per file, no types, heuristics tuned to this tree's idioms (rules.ml).
+   Rules come in three stages. R1-R3 and R5 are syntactic (there is no
+   R4: telemetry gating is D1's): one Parsetree walk per file, no types,
+   heuristics tuned to this tree's idioms (rules.ml).
    T1-T4 are typed and interprocedural: they load the .cmt files dune
    already produces, build a call graph over the Typedtree and reason
    about worker-domain reachability, taint and real instantiation types
@@ -12,21 +13,20 @@
    fixpoint, and declarative typestate automata (cfg.ml, dataflow.ml,
    typestate.ml, flow_rules.ml). *)
 
-type rule = R1 | R2 | R3 | R4 | R5 | T1 | T2 | T3 | T4 | D1 | D2 | D3 | D4
+type rule = R1 | R2 | R3 | R5 | T1 | T2 | T3 | T4 | D1 | D2 | D3 | D4
 
 type stage = Syntactic | Typed | Flow
 
 (* Bumped whenever a rule's detection logic changes enough that recorded
    reports are no longer comparable run-to-run; surfaced in lint.json. *)
-let analyzer_version = "3.0"
+let analyzer_version = "3.1"
 
-let all_rules = [ R1; R2; R3; R4; R5; T1; T2; T3; T4; D1; D2; D3; D4 ]
+let all_rules = [ R1; R2; R3; R5; T1; T2; T3; T4; D1; D2; D3; D4 ]
 
 let rule_id = function
   | R1 -> "R1"
   | R2 -> "R2"
   | R3 -> "R3"
-  | R4 -> "R4"
   | R5 -> "R5"
   | T1 -> "T1"
   | T2 -> "T2"
@@ -41,7 +41,6 @@ let rule_name = function
   | R1 -> "nondeterminism-source"
   | R2 -> "polymorphic-comparison"
   | R3 -> "unordered-iteration-in-output"
-  | R4 -> "ungated-telemetry"
   | R5 -> "hot-path-allocation"
   | T1 -> "domain-race"
   | T2 -> "nondeterminism-taint"
@@ -53,7 +52,7 @@ let rule_name = function
   | D4 -> "loop-invariant-flag-reload"
 
 let stage_of_rule = function
-  | R1 | R2 | R3 | R4 | R5 -> Syntactic
+  | R1 | R2 | R3 | R5 -> Syntactic
   | T1 | T2 | T3 | T4 -> Typed
   | D1 | D2 | D3 | D4 -> Flow
 
@@ -67,7 +66,6 @@ let rule_of_id = function
   | "R1" -> Some R1
   | "R2" -> Some R2
   | "R3" -> Some R3
-  | "R4" -> Some R4
   | "R5" -> Some R5
   | "T1" -> Some T1
   | "T2" -> Some T2

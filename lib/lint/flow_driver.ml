@@ -44,7 +44,6 @@ type stats = {
   fl_units : int;
   fl_analyzed : int; (* analyzed this run *)
   fl_cached : int; (* served from the incremental cache *)
-  fl_sources : string list; (* source path of every loaded unit *)
 }
 
 type unit_result = { ur_findings : (Finding.t * string) list; ur_d3 : Flow_rules.d3 }
@@ -208,7 +207,6 @@ let analyze ?jobs ?cache_dir ~root ~dirs () =
       fl_units = n;
       fl_analyzed = Array.length miss_arr;
       fl_cached = n - Array.length miss_arr;
-      fl_sources = List.map (fun (u : Cmt_loader.unit_info) -> u.source) (Array.to_list units);
     }
   in
   (all, stats)

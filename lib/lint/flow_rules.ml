@@ -9,9 +9,7 @@
       flag is off, so liveness implies the flag was consulted).
       Closures inherit the fact at their definition site: a callback
       built under [if obs then ...] keeps the gate (route.ml's
-      [on_hop]). This replaces the R3/R4 3-ancestor heuristic; those
-      rules demote to a parse-only fallback when no .cmt is available
-      (driver.ml).
+      [on_hop]). This is the tree's only telemetry-gating rule.
    D2 resource-typestate    -- the lifecycle automata of typestate.ml,
       checked path-sensitively: scratch restored on every path after
       borrow, [Snapshot.load ~validate:false] results validated before

@@ -1,4 +1,4 @@
-(* The rule engine: one Parsetree walk per file, five rules. Everything
+(* The rule engine: one Parsetree walk per file, four rules. Everything
    here is syntactic -- the Parsetree carries no types -- so each rule is
    an explicitly documented heuristic tuned to this tree's idioms; the
    escape hatches are `ftr-lint: disable` comments (suppress.ml) and the
@@ -14,19 +14,18 @@
       emit/export/merge-shaped function makes output depend on hash
       order, breaking byte-identical --jobs invariance. Iterations whose
       result is visibly sorted nearby are accepted.
-   R4 ungated-telemetry          -- Metrics/Events writers must be
-      dominated by an [Ftr_obs.Flag.enabled] check or the
-      zero-overhead-when-off guarantee dies (argument lists allocate).
    R5 hot-path-allocation        -- in modules tagged [ftr-lint: hot],
       list-scanning and closure-capturing combinators guard the
-      allocation-free router of docs/MEMORY_LAYOUT.md. *)
+      allocation-free router of docs/MEMORY_LAYOUT.md.
+
+   Telemetry gating is not checked here: the flow stage's D1 proves gate
+   dominance path-sensitively on every .cmt (flow_rules.ml). *)
 
 open Parsetree
 
 type config = {
   file : string;
   hot : bool; (* module carries the [ftr-lint: hot] tag *)
-  in_obs : bool; (* the telemetry collectors themselves (lib/obs) *)
   clock_seam : bool; (* allowlisted clock seam: may read the wall clock *)
 }
 
@@ -63,9 +62,6 @@ let expr_contains pred e =
     it.expr it e;
     false
   with Found -> true
-
-let is_flag_enabled_path p =
-  match List.rev (strip_stdlib p) with "enabled" :: "Flag" :: _ -> true | _ -> false
 
 let is_sort_path p =
   match List.rev (strip_stdlib p) with
@@ -115,12 +111,6 @@ let contains_marker name =
       go 0)
     output_markers
 
-let telemetry_writer p =
-  match List.rev (strip_stdlib p) with
-  | ("incr" | "incr_by" | "set_gauge" | "observe" | "observe_int") :: "Metrics" :: _ -> true
-  | "emit" :: "Events" :: _ -> true
-  | _ -> false
-
 let hot_list_combinators =
   [
     "mem"; "append"; "map"; "mapi"; "map2"; "filter"; "filteri"; "filter_map"; "concat";
@@ -141,35 +131,10 @@ let r5_banned p =
 
 type ast = Structure of structure | Signature of signature
 
-(* Names let-bound to an expression that consults [Flag.enabled]: a
-   condition mentioning such a name dominates its branches with the
-   telemetry gate (the `let obs = Ftr_obs.Flag.enabled () in ... if obs
-   then ...` idiom). *)
-let collect_gate_vars str =
-  let vars = Hashtbl.create 8 in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      value_binding =
-        (fun it vb ->
-          (match vb.pvb_pat.ppat_desc with
-          | Ppat_var { txt; _ } when mentions is_flag_enabled_path vb.pvb_expr ->
-              Hashtbl.replace vars txt ()
-          | _ -> ());
-          Ast_iterator.default_iterator.value_binding it vb);
-    }
-  in
-  it.structure it str;
-  vars
-
 let run cfg ast =
   let findings = ref [] in
-  let gated = ref 0 in
   let binding_names = ref [] in
   let ancestors = ref [] in
-  let gate_vars =
-    match ast with Structure str -> collect_gate_vars str | Signature _ -> Hashtbl.create 1
-  in
   let flag rule loc message =
     let pos = loc.Location.loc_start in
     findings :=
@@ -181,13 +146,6 @@ let run cfg ast =
         message;
       }
       :: !findings
-  in
-  let cond_is_gate c =
-    mentions
-      (fun p ->
-        is_flag_enabled_path p
-        || (match p with [ x ] -> Hashtbl.mem gate_vars x | _ -> false))
-      c
   in
   let in_sorted_context parents =
     let rec take n = function x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> [] in
@@ -245,13 +203,7 @@ let run cfg ast =
                   first (byte-identical --jobs invariance, docs/PARALLELISM.md)"
                  (List.nth sp 1)
                  (match !binding_names with n :: _ -> n | [] -> "?"))
-        | _ -> ());
-        if (not cfg.in_obs) && !gated = 0 && telemetry_writer sp then
-          flag Finding.R4 e.pexp_loc
-            (Printf.sprintf
-               "%s not dominated by an Ftr_obs.Flag.enabled guard (zero-overhead-when-off, \
-                docs/OBSERVABILITY.md)"
-               (dotted sp)))
+        | _ -> ()))
     | _ -> ()
   in
   let iter =
@@ -262,18 +214,10 @@ let run cfg ast =
           let parents = !ancestors in
           ancestors := e :: parents;
           (match e.pexp_desc with
-          | Pexp_ifthenelse (c, then_, else_opt) when cond_is_gate c ->
-              it.expr it c;
-              incr gated;
-              it.expr it then_;
-              Option.iter (it.expr it) else_opt;
-              decr gated
-          | _ ->
-              (match e.pexp_desc with
-              | Pexp_ident { txt; _ } -> check_ident e txt parents
-              | Pexp_apply (fn, args) -> check_apply e fn args parents
-              | _ -> ());
-              Ast_iterator.default_iterator.expr it e);
+          | Pexp_ident { txt; _ } -> check_ident e txt parents
+          | Pexp_apply (fn, args) -> check_apply e fn args parents
+          | _ -> ());
+          Ast_iterator.default_iterator.expr it e;
           ancestors := parents);
       value_binding =
         (fun it vb ->

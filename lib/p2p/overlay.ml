@@ -7,7 +7,6 @@
    and turns completions into user callbacks and [stats]. *)
 
 module Engine = Ftr_sim.Engine
-module Trace = Ftr_sim.Trace
 module Rng = Ftr_prng.Rng
 module Sample = Ftr_prng.Sample
 open Message
@@ -29,7 +28,6 @@ type stats = {
 
 type t = {
   engine : Engine.t;
-  trace : Trace.t;
   rng : Rng.t; (* shared by the latency draws and every actor *)
   latency : Ftr_sim.Latency.t;
   actors : (int, Actor.t) Hashtbl.t; (* every node ever placed, dead ones included *)
@@ -155,27 +153,17 @@ let depart t pos =
     Ftr_obs.Metrics.incr "overlay_leaves_total";
     Ftr_obs.Events.emit ~time:(Engine.now t.engine) ~kind:"overlay.leave"
       [ ("pos", Ftr_obs.Json.Int pos) ]
-  end;
-  Trace.infof t.trace ~time:(Engine.now t.engine) "leave %d" pos
+  end
 
-let create ?latency ?latency_model ?(ttl = 256) ?(regenerate = true) ?(trace = Trace.create ())
+let create ?(latency_model = Ftr_sim.Latency.constant 1.0) ?(ttl = 256) ?(regenerate = true)
     ~line_size ~links ~rng engine =
   if line_size < 2 then invalid_arg "Overlay.create: line_size must be >= 2";
   if links < 1 then invalid_arg "Overlay.create: links must be >= 1";
-  let latency =
-    match (latency_model, latency) with
-    | Some model, _ -> model
-    | None, Some v ->
-        if v <= 0.0 then invalid_arg "Overlay.create: latency must be positive";
-        Ftr_sim.Latency.constant v
-    | None, None -> Ftr_sim.Latency.constant 1.0
-  in
   let rec t =
     {
       engine;
-      trace;
       rng;
-      latency;
+      latency = latency_model;
       actors = Hashtbl.create 1024;
       callbacks = Hashtbl.create 64;
       stats =
@@ -251,7 +239,6 @@ let join t ~pos ~via =
   if Ftr_obs.Flag.enabled () then
     Ftr_obs.Events.emit ~time:(Engine.now t.engine) ~kind:"overlay.join"
       [ ("pos", Ftr_obs.Json.Int pos); ("via", Ftr_obs.Json.Int via) ];
-  Trace.infof t.trace ~time:(Engine.now t.engine) "join %d via %d" pos via;
   t.stats.maintenance_issued <- t.stats.maintenance_issued + 1;
   dispatch t bootstrap
     (Lookup (fresh_lookup ~request:(-1) ~origin:pos ~target:pos (Placement { joiner = pos })))
@@ -267,8 +254,7 @@ let crash t ~pos =
         Ftr_obs.Metrics.incr "overlay_crashes_total";
         Ftr_obs.Events.emit ~time:(Engine.now t.engine) ~kind:"overlay.crash"
           [ ("pos", Ftr_obs.Json.Int pos) ]
-      end;
-      Trace.infof t.trace ~time:(Engine.now t.engine) "crash %d" pos
+      end
 
 let leave t ~pos = match live_actor t pos with Some a -> dispatch t a Leave_now | None -> ()
 

@@ -33,28 +33,28 @@ type stats = {
 }
 
 val create :
-  ?latency:float ->
   ?latency_model:Ftr_sim.Latency.t ->
   ?ttl:int ->
   ?regenerate:bool ->
-  ?trace:Ftr_sim.Trace.t ->
   line_size:int ->
   links:int ->
   rng:Ftr_prng.Rng.t ->
   Ftr_sim.Engine.t ->
   t
-(** An empty overlay bound to an engine. [latency] is a fixed per-message
-    delay (default 1.0); [latency_model] overrides it with a jittered or
-    heavy-tailed model, so experiments can check that conclusions survive
-    asynchrony. [ttl] caps lookup hops (default 256). [regenerate]
-    (default [true]) controls Section 5's link regeneration: when [false],
+(** An empty overlay bound to an engine. [latency_model] draws each
+    message's delay (default a constant 1.0); a jittered or heavy-tailed
+    model lets experiments check that conclusions survive asynchrony.
+    [ttl] caps lookup hops (default 256). [regenerate] (default [true])
+    controls Section 5's link regeneration: when [false],
     dead links are still detected, removed and the ring repaired, but no
     replacement 1/d lookups are issued — the link set only shrinks. With a
     constant latency model this makes a lookup's outcome a pure function
     of the link state and the failure set (no RNG draws on the routing
     path), so this transport and {!Ftr_svc}'s round transport can be
     compared request by request. Every actor draws from [rng].
-    @raise Invalid_argument on non-positive latency or sizes. *)
+    Joins, crashes and leaves are logged as the [overlay.join],
+    [overlay.crash] and [overlay.leave] events when telemetry is on.
+    @raise Invalid_argument on non-positive sizes. *)
 
 val engine : t -> Ftr_sim.Engine.t
 (** The engine this overlay schedules on. *)

@@ -8,7 +8,7 @@
 module Network = Ftr_core.Network
 module Route = Ftr_core.Route
 module Failure = Ftr_core.Failure
-module Serial = Ftr_core.Serial
+module Snapshot = Ftr_core.Snapshot
 module Rng = Ftr_prng.Rng
 module Heap = Ftr_sim.Heap
 module Engine = Ftr_sim.Engine
@@ -175,21 +175,21 @@ let prop_heap_stays_wellformed =
       done;
       Check.heap h = [])
 
-let prop_serial_roundtrip_preserves_invariants =
-  QCheck.Test.make ~name:"Serial roundtrip preserves networks and their invariants" ~count:40
+let prop_snapshot_roundtrip_preserves_invariants =
+  QCheck.Test.make ~name:"Snapshot roundtrip preserves networks and their invariants" ~count:40
     QCheck.(triple (int_range 2 128) (int_range 0 5) small_int)
     (fun (n, links, seed) ->
       let net = Network.build_ideal ~n ~links (Rng.of_int seed) in
-      let restored = Serial.of_string (Serial.to_string net) in
-      let same = ref (Network.size net = Network.size restored) in
-      same := !same && Network.line_size net = Network.line_size restored;
-      same := !same && Network.links net = Network.links restored;
-      same := !same && Network.geometry net = Network.geometry restored;
-      for i = 0 to Network.size net - 1 do
-        same := !same && Network.position net i = Network.position restored i;
-        same := !same && Network.neighbors net i = Network.neighbors restored i
-      done;
-      !same && Check.network ~expected_links:links restored = [])
+      let path = Filename.temp_file "ftr_check_test" ".ftrsnap" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      Snapshot.save net ~path;
+      let restored = Snapshot.load ~path () in
+      Network.line_size net = Network.line_size restored
+      && Network.links net = Network.links restored
+      && Network.geometry net = Network.geometry restored
+      && Ftr_graph.Adjacency.I32.equal (Network.positions net) (Network.positions restored)
+      && Ftr_graph.Adjacency.Csr.equal (Network.csr net) (Network.csr restored)
+      && Check.network ~expected_links:links restored = [])
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -212,6 +212,6 @@ let () =
             prop_routes_pass;
             prop_backtrack_routes_pass;
             prop_heap_stays_wellformed;
-            prop_serial_roundtrip_preserves_invariants;
+            prop_snapshot_roundtrip_preserves_invariants;
           ] );
     ]

@@ -5,9 +5,9 @@
    jagged-row router with Hashtbl exclusion lists) on the exact grids
    re-run here; the refactor's contract is byte-for-byte identical
    semantics, so these tests must pass without any tolerance. The
-   qcheck properties pin the CSR representation to the jagged view it
-   replaced, and the Gc tests pin the "zero minor allocations per hop"
-   property the refactor bought. *)
+   qcheck properties pin the CSR rows to the Network accessors and to
+   [Csr.of_rows], and the Gc tests pin the "zero minor allocations per
+   hop" property the refactor bought. *)
 
 module Network = Ftr_core.Network
 module Route = Ftr_core.Route
@@ -122,13 +122,14 @@ let golden_figure6 () =
   List.iter2 (fun want row -> Alcotest.(check string) "figure6 row" want (line row)) expected rows
 
 (* ------------------------------------------------------------------ *)
-(* CSR vs jagged view                                                  *)
+(* CSR vs the Network accessors                                       *)
 (* ------------------------------------------------------------------ *)
 
-let row_of_csr c u = Csr.row c u
+(* A node's neighbour row copied out through [Network.neighbor]. *)
+let row net u = Array.init (Network.degree net u) (Network.neighbor net u)
 
-let prop_csr_matches_jagged =
-  QCheck.Test.make ~name:"network CSR rows equal the neighbors shim" ~count:40
+let prop_csr_matches_accessors =
+  QCheck.Test.make ~name:"network CSR rows equal degree/neighbor/iter_neighbors" ~count:40
     QCheck.(triple (int_range 2 192) (int_range 0 6) small_int)
     (fun (n, links, seed) ->
       let net = Network.build_ideal ~n ~links (Rng.of_int seed) in
@@ -136,24 +137,23 @@ let prop_csr_matches_jagged =
       Csr.validate ~sorted:true c;
       let ok = ref true in
       for u = 0 to n - 1 do
-        let shim = Network.neighbors net u in
-        if shim <> row_of_csr c u then ok := false;
-        if Array.length shim <> Network.degree net u then ok := false;
-        Array.iteri (fun k v -> if Network.neighbor net u k <> v then ok := false) shim;
+        if Network.degree net u <> Csr.degree c u then ok := false;
+        let from_csr = Array.init (Csr.degree c u) (Csr.nth c u) in
+        if row net u <> from_csr then ok := false;
         let via_iter = ref [] in
         Network.iter_neighbors net u (fun v -> via_iter := v :: !via_iter);
-        if Array.of_list (List.rev !via_iter) <> shim then ok := false
+        if Array.of_list (List.rev !via_iter) <> from_csr then ok := false
       done;
       !ok)
 
 let prop_csr_roundtrip =
-  QCheck.Test.make ~name:"Csr.of_rows/to_rows roundtrip on network rows" ~count:40
+  QCheck.Test.make ~name:"Csr.of_rows rebuilds network rows byte-identically" ~count:40
     QCheck.(triple (int_range 2 128) (int_range 0 5) small_int)
     (fun (n, links, seed) ->
       let net = Network.build_ideal ~n ~links (Rng.of_int seed) in
-      let rows = Array.init n (Network.neighbors net) in
+      let rows = Array.init n (row net) in
       let c = Csr.of_rows rows in
-      Csr.to_rows c = rows
+      Csr.equal c (Network.csr net)
       && Csr.edge_count c = Array.fold_left (fun a r -> a + Array.length r) 0 rows)
 
 (* ------------------------------------------------------------------ *)
@@ -240,7 +240,7 @@ let prop_batch_jobs_invariant =
       && with_seq_forced true (fun () -> batch ~jobs:4 = reference))
 
 (* ------------------------------------------------------------------ *)
-(* Duplicate-entry policy (documented on Network.neighbors)            *)
+(* Duplicate-entry policy (documented on Network.csr)                  *)
 (* ------------------------------------------------------------------ *)
 
 let sorted_row a =
@@ -260,7 +260,7 @@ let strictly_increasing_row a =
 let all_rows pred net =
   let ok = ref true in
   for u = 0 to Network.size net - 1 do
-    if not (pred (Network.neighbors net u)) then ok := false
+    if not (pred (row net u)) then ok := false
   done;
   !ok
 
@@ -291,9 +291,8 @@ let random_builder_keeps_duplicates () =
   for seed = 0 to 9 do
     let net = Network.build_ideal ~n:64 ~links:6 (Rng.of_int seed) in
     for u = 0 to 63 do
-      let row = Network.neighbors net u in
-      for k = 1 to Array.length row - 1 do
-        if row.(k - 1) = row.(k) then found := true
+      for k = 1 to Network.degree net u - 1 do
+        if Network.neighbor net u (k - 1) = Network.neighbor net u k then found := true
       done
     done
   done;
@@ -391,7 +390,7 @@ let () =
       ( "properties",
         List.map (fun p -> QCheck_alcotest.to_alcotest p)
           [
-            prop_csr_matches_jagged;
+            prop_csr_matches_accessors;
             prop_csr_roundtrip;
             prop_streaming_equals_materialized;
             prop_batch_jobs_invariant;

@@ -1,6 +1,6 @@
 (* ftr-lint: disable-file R2 test assertions compare small concrete values *)
 module Bitset = Ftr_graph.Bitset
-module Adjacency = Ftr_graph.Adjacency
+module Csr = Ftr_graph.Adjacency.Csr
 module Bfs = Ftr_graph.Bfs
 
 (* ------------------------------------------------------------------ *)
@@ -65,42 +65,43 @@ let bitset_bounds () =
 (* ------------------------------------------------------------------ *)
 
 let path_graph n =
-  Adjacency.of_arrays
+  Csr.of_rows
     (Array.init n (fun u ->
          Array.of_list ((if u > 0 then [ u - 1 ] else []) @ if u < n - 1 then [ u + 1 ] else [])))
 
-let adjacency_of_edges () =
-  let g = Adjacency.of_edges ~n:4 [ (0, 1); (1, 2); (0, 3) ] in
-  Alcotest.(check int) "size" 4 (Adjacency.size g);
-  Alcotest.(check int) "edges" 3 (Adjacency.edge_count g);
-  Alcotest.(check bool) "0->1" true (Adjacency.mem_edge g 0 1);
-  Alcotest.(check bool) "1->0 absent (directed)" false (Adjacency.mem_edge g 1 0);
-  Alcotest.(check (array int)) "out of 0" [| 1; 3 |] (Adjacency.neighbors g 0)
+(* Edge list to CSR, each row in list order. *)
+let of_edges ~n edges =
+  let rows = Array.make n [] in
+  List.iter (fun (u, v) -> rows.(u) <- v :: rows.(u)) (List.rev edges);
+  Csr.of_rows (Array.map Array.of_list rows)
+
+let row g u = Array.init (Csr.degree g u) (Csr.nth g u)
+
+let adjacency_of_rows () =
+  let g = Csr.of_rows [| [| 1; 3 |]; [| 2 |]; [||]; [||] |] in
+  Alcotest.(check int) "size" 4 (Csr.size g);
+  Alcotest.(check int) "edges" 3 (Csr.edge_count g);
+  Alcotest.(check int) "degree of 2" 0 (Csr.degree g 2);
+  Alcotest.(check (array int)) "out of 0" [| 1; 3 |] (row g 0)
 
 let adjacency_reverse () =
-  let g = Adjacency.of_edges ~n:3 [ (0, 1); (1, 2) ] in
-  let r = Adjacency.reverse g in
-  Alcotest.(check bool) "reversed edge" true (Adjacency.mem_edge r 1 0);
-  Alcotest.(check bool) "reversed edge 2" true (Adjacency.mem_edge r 2 1);
-  Alcotest.(check int) "edge count preserved" 2 (Adjacency.edge_count r)
-
-let adjacency_degree_summary () =
-  let g = Adjacency.of_edges ~n:3 [ (0, 1); (0, 2); (1, 2) ] in
-  let lo, hi, mean = Adjacency.degree_summary g in
-  Alcotest.(check int) "min degree" 0 lo;
-  Alcotest.(check int) "max degree" 2 hi;
-  Alcotest.(check (float 1e-9)) "mean degree" 1.0 mean
+  let g = of_edges ~n:3 [ (0, 1); (1, 2); (2, 1); (0, 1) ] in
+  let r = Csr.reverse g in
+  Alcotest.(check (array int)) "into 0" [||] (row r 0);
+  Alcotest.(check (array int)) "into 1, ascending with multiplicity" [| 0; 0; 2 |] (row r 1);
+  Alcotest.(check (array int)) "into 2" [| 1 |] (row r 2);
+  Alcotest.(check int) "edge count preserved" 4 (Csr.edge_count r)
 
 let adjacency_validates () =
   Alcotest.check_raises "edge out of range"
-    (Invalid_argument "Adjacency.of_edges: out of range") (fun () ->
-      ignore (Adjacency.of_edges ~n:2 [ (0, 5) ]))
+    (Invalid_argument "Csr.Builder: target 5 out of range") (fun () ->
+      ignore (Csr.of_rows [| [| 5 |]; [||] |]))
 
-let adjacency_iter_edges () =
-  let g = Adjacency.of_edges ~n:3 [ (0, 1); (1, 2); (2, 0) ] in
-  let count = ref 0 in
-  Adjacency.iter_edges g (fun _ _ -> incr count);
-  Alcotest.(check int) "visits every edge" 3 !count
+let adjacency_iter_row () =
+  let g = of_edges ~n:3 [ (0, 2); (0, 1); (2, 0) ] in
+  let seen = ref [] in
+  Csr.iter_row g 0 (fun v -> seen := v :: !seen);
+  Alcotest.(check (list int)) "row order" [ 2; 1 ] (List.rev !seen)
 
 (* ------------------------------------------------------------------ *)
 (* BFS                                                                 *)
@@ -112,7 +113,7 @@ let bfs_path_distances () =
   Array.iteri (fun i dist -> Alcotest.(check int) (Printf.sprintf "node %d" i) i dist) d
 
 let bfs_unreachable () =
-  let g = Adjacency.of_edges ~n:4 [ (0, 1) ] in
+  let g = of_edges ~n:4 [ (0, 1) ] in
   let d = Bfs.distances g ~src:0 in
   Alcotest.(check int) "reached" 1 d.(1);
   Alcotest.(check int) "unreached" (-1) d.(2);
@@ -121,7 +122,7 @@ let bfs_unreachable () =
 let bfs_strong_connectivity () =
   Alcotest.(check bool) "path graph strongly connected" true
     (Bfs.is_strongly_connected (path_graph 20));
-  let one_way = Adjacency.of_edges ~n:3 [ (0, 1); (1, 2) ] in
+  let one_way = of_edges ~n:3 [ (0, 1); (1, 2) ] in
   Alcotest.(check bool) "one-way chain is not" false (Bfs.is_strongly_connected one_way)
 
 let bfs_eccentricity () =
@@ -129,7 +130,7 @@ let bfs_eccentricity () =
   Alcotest.(check int) "middle of path" 5 (Bfs.eccentricity (path_graph 10) ~src:5)
 
 let bfs_components () =
-  let g = Adjacency.of_edges ~n:6 [ (0, 1); (2, 3); (3, 4) ] in
+  let g = of_edges ~n:6 [ (0, 1); (2, 3); (3, 4) ] in
   let count, labels = Bfs.weakly_connected_components g in
   Alcotest.(check int) "three components" 3 count;
   Alcotest.(check bool) "0 and 1 together" true (labels.(0) = labels.(1));
@@ -157,19 +158,25 @@ let prop_bfs_triangle =
       let g = path_graph n in
       let d = Bfs.distances g ~src:0 in
       let ok = ref true in
-      Adjacency.iter_edges g (fun u v ->
-          if d.(u) >= 0 && d.(v) >= 0 && d.(v) > d.(u) + 1 then ok := false);
+      for u = 0 to n - 1 do
+        Csr.iter_row g u (fun v ->
+            if d.(u) >= 0 && d.(v) >= 0 && d.(v) > d.(u) + 1 then ok := false)
+      done;
       !ok)
 
 let prop_reverse_involution =
   QCheck.Test.make ~name:"reverse twice preserves edges" ~count:100
     QCheck.(list_of_size (Gen.int_range 0 40) (pair (int_range 0 9) (int_range 0 9)))
     (fun edges ->
-      let g = Adjacency.of_edges ~n:10 edges in
-      let rr = Adjacency.reverse (Adjacency.reverse g) in
-      let ok = ref true in
-      Adjacency.iter_edges g (fun u v -> if not (Adjacency.mem_edge rr u v) then ok := false);
-      !ok && Adjacency.edge_count rr = Adjacency.edge_count g)
+      let g = of_edges ~n:10 edges in
+      (* Reversal lists sources ascending, so twice gives [g] row-sorted. *)
+      let sorted_rows =
+        Array.init 10 (fun u ->
+            let r = row g u in
+            Array.sort compare r;
+            r)
+      in
+      Csr.equal (Csr.reverse (Csr.reverse g)) (Csr.of_rows sorted_rows))
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -187,11 +194,10 @@ let () =
         ] );
       ( "adjacency",
         [
-          quick "of_edges" adjacency_of_edges;
+          quick "of_rows" adjacency_of_rows;
           quick "reverse" adjacency_reverse;
-          quick "degree summary" adjacency_degree_summary;
           quick "validates ranges" adjacency_validates;
-          quick "iter_edges" adjacency_iter_edges;
+          quick "iter_row" adjacency_iter_row;
         ] );
       ( "bfs",
         [

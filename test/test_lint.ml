@@ -51,22 +51,6 @@ let test_r3 () =
   check_rules "visibly sorted nearby is fine" []
     "let emit_rows tbl = List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])\n"
 
-(* R4: ungated telemetry *)
-
-let test_r4 () =
-  check_rules "ungated Metrics.incr fires" [ "R4" ]
-    "let f () = Ftr_obs.Metrics.incr \"routes_total\"\n";
-  check_rules "ungated Events.emit fires" [ "R4" ]
-    "let f () = Ftr_obs.Events.emit ~time:0.0 ~kind:\"k\" []\n";
-  check_rules "direct Flag.enabled gate is fine" []
-    "let f () = if Ftr_obs.Flag.enabled () then Ftr_obs.Metrics.incr \"routes_total\"\n";
-  check_rules "let-bound gate variable is fine" []
-    "let f () =\n\
-    \  let obs = Ftr_obs.Flag.enabled () in\n\
-    \  if obs then Ftr_obs.Metrics.incr \"routes_total\"\n";
-  check_rules "lib/obs itself is exempt" [] ~file:"lib/obs/metrics.ml"
-    "let f () = Ftr_obs.Metrics.incr \"routes_total\"\n"
-
 (* R5: hot-path allocation *)
 
 let hot_tag = "(* " ^ "ftr-lint: hot -- fixture *)\n"
@@ -125,6 +109,33 @@ let test_baseline () =
   let fresh, _, stale = Baseline.apply reloaded (Driver.lint_string ~file:"lib/fixture/fixture.ml" edited) in
   Alcotest.(check int) "editing the flagged line retires the entry" 1 (List.length fresh);
   Alcotest.(check int) "retired entry reported stale" 1 stale
+
+(* A baseline line that does not parse is refused with its path:line —
+   here a leftover entry for the retired R4 and a line with no tab
+   field — while comments and blank lines stay accepted; [Driver.run]
+   turns the refusal into exit 2. *)
+let test_baseline_malformed () =
+  let path = Filename.temp_file "ftr_lint_bad" ".baseline" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let write lines =
+    Out_channel.with_open_bin path (fun oc -> output_string oc (String.concat "\n" lines))
+  in
+  let refused lines expected_line =
+    write lines;
+    match Baseline.load path with
+    | _ -> Alcotest.failf "line %d was accepted" expected_line
+    | exception Baseline.Malformed why ->
+        Alcotest.(check bool) "names path:line" true
+          (Option.is_some
+             (Ftr_lint.Suppress.find_sub why (Printf.sprintf "%s:%d:" path expected_line)))
+  in
+  let good = "syn:R2\tlib/a.ml\tlet u = compare 1 2" in
+  write [ "# comment"; ""; good; "" ];
+  Alcotest.(check int) "comments and blank lines accepted" 1 (List.length (Baseline.load path));
+  refused [ "# comment"; good; "syn:R4\tlib/b.ml\tFtr_obs.Metrics.incr \"x\"" ] 3;
+  refused [ "syn:R2 lib/a.ml no tabs" ] 1;
+  Alcotest.(check int) "Driver.run exits 2" 2
+    (Driver.run ~baseline:path ~quiet:true ~dirs:[ path ] ())
 
 (* Self-application: the committed tree is clean modulo lint.baseline.
    Tests run from _build/default/test; walk up to the build context root
@@ -185,13 +196,13 @@ let () =
           Alcotest.test_case "R1 nondeterminism-source" `Quick test_r1;
           Alcotest.test_case "R2 polymorphic-comparison" `Quick test_r2;
           Alcotest.test_case "R3 unordered-iteration" `Quick test_r3;
-          Alcotest.test_case "R4 ungated-telemetry" `Quick test_r4;
           Alcotest.test_case "R5 hot-path-allocation" `Quick test_r5;
         ] );
       ( "machinery",
         [
           Alcotest.test_case "suppressions" `Quick test_suppression;
           Alcotest.test_case "baseline round-trip" `Quick test_baseline;
+          Alcotest.test_case "baseline refuses malformed lines" `Quick test_baseline_malformed;
           Alcotest.test_case "reporting" `Quick test_reporting;
         ] );
       ("self", [ Alcotest.test_case "tree is clean" `Quick test_self_application ]);

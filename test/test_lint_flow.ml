@@ -46,8 +46,8 @@ let findings_of file =
 
 let test_corpus () =
   let _, (stats : Flow_driver.stats) = Lazy.force fixture in
-  Alcotest.(check int) "all twelve fixture units loaded" 12 stats.Flow_driver.fl_units;
-  Alcotest.(check int) "all analyzed on a cache-less run" 12 stats.Flow_driver.fl_analyzed;
+  Alcotest.(check int) "all thirteen fixture units loaded" 13 stats.Flow_driver.fl_units;
+  Alcotest.(check int) "all analyzed on a cache-less run" 13 stats.Flow_driver.fl_analyzed;
   Alcotest.(check int) "nothing cached on a cache-less run" 0 stats.Flow_driver.fl_cached
 
 (* D1: the ungated write and the post-join write fire; the gated write,
@@ -96,6 +96,25 @@ let test_d4 () =
   | [ ("D4", 10, m) ] ->
       Alcotest.(check bool) "suggests hoisting" true (contains m "hoist")
   | fs -> Alcotest.failf "expected exactly one D4 finding, got %d findings" (List.length fs)
+
+(* R3 has no flow-stage successor, so a `--stage all` run (syntactic +
+   flow) over a unit with a .cmt must still report it. *)
+let test_r3_with_flow () =
+  let cwd = Sys.getcwd () in
+  Fun.protect ~finally:(fun () -> Sys.chdir cwd) @@ fun () ->
+  Sys.chdir (Lazy.force root);
+  let json = Filename.temp_file "ftr_lint_r3" ".json" in
+  let code =
+    Driver.run ~json ~quiet:true ~stages:[ Finding.Syntactic; Finding.Flow ]
+      ~dirs:[ "test/lint_fixture" ] ()
+  in
+  let ic = open_in_bin json in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove json;
+  Alcotest.(check int) "findings exit 1" 1 code;
+  Alcotest.(check bool) "R3 reported on the fixture" true
+    (contains text {|"file":"test/lint_fixture/r3_order.ml","line":7,"col":2,"rule":"R3"|})
 
 (* Baseline: flow findings round-trip under the `flow:` namespace. *)
 let test_flow_baseline () =
@@ -183,9 +202,9 @@ let test_cache_warm () =
   @@ fun () ->
   let cold, (cs : Flow_driver.stats) = analyze_fixture ~cache_dir:dir () in
   let warm, (ws : Flow_driver.stats) = analyze_fixture ~cache_dir:dir () in
-  Alcotest.(check int) "cold run analyzes every unit" 12 cs.Flow_driver.fl_analyzed;
+  Alcotest.(check int) "cold run analyzes every unit" 13 cs.Flow_driver.fl_analyzed;
   Alcotest.(check int) "warm run analyzes zero units" 0 ws.Flow_driver.fl_analyzed;
-  Alcotest.(check int) "warm run serves every unit from cache" 12 ws.Flow_driver.fl_cached;
+  Alcotest.(check int) "warm run serves every unit from cache" 13 ws.Flow_driver.fl_cached;
   Alcotest.(check string) "identical finding streams" (render cold) (render warm)
 
 (* qcheck: the rendered finding stream is byte-identical across
@@ -249,6 +268,7 @@ let () =
           Alcotest.test_case "D2 snapshot typestate" `Quick test_d2_snapshot;
           Alcotest.test_case "D3 message protocol" `Quick test_d3;
           Alcotest.test_case "D4 loop-invariant reload" `Quick test_d4;
+          Alcotest.test_case "R3 survives the flow stage" `Quick test_r3_with_flow;
         ] );
       ( "machinery",
         [

@@ -46,7 +46,7 @@ let rules_of file =
 let test_corpus () =
   let state, _ = Lazy.force fixture in
   Alcotest.(check int)
-    "all twelve fixture units loaded (seven typed, five flow)" 12
+    "all thirteen fixture units loaded (seven typed, five flow, one syntactic)" 13
     (Array.length state.Typed_rules.units)
 
 (* T1: the cross-function race (run -> pool boundary -> job -> bump ->

@@ -3,6 +3,9 @@ module Network = Ftr_core.Network
 module Rng = Ftr_prng.Rng
 module Sample = Ftr_prng.Sample
 
+(* A node's neighbour row as an array, for comparisons. *)
+let row net u = Array.init (Network.degree net u) (Network.neighbor net u)
+
 let rng () = Rng.of_int 12345
 
 (* ------------------------------------------------------------------ *)
@@ -22,14 +25,14 @@ let ideal_degrees () =
   for u = 0 to n - 1 do
     let expected = links + (if u = 0 || u = n - 1 then 1 else 2) in
     Alcotest.(check int) (Printf.sprintf "degree of %d" u) expected
-      (Array.length (Network.neighbors net u))
+      (Network.degree net u)
   done
 
 let ideal_has_immediate_neighbors () =
   let n = 128 in
   let net = Network.build_ideal ~n ~links:2 (rng ()) in
   for u = 0 to n - 1 do
-    let ns = Network.neighbors net u in
+    let ns = row net u in
     if u > 0 then
       Alcotest.(check bool) "left neighbour present" true (Array.mem (u - 1) ns);
     if u < n - 1 then
@@ -40,7 +43,7 @@ let ideal_neighbors_sorted_and_valid () =
   let n = 200 in
   let net = Network.build_ideal ~n ~links:5 (rng ()) in
   for u = 0 to n - 1 do
-    let ns = Network.neighbors net u in
+    let ns = row net u in
     Array.iteri
       (fun i v ->
         Alcotest.(check bool) "in range" true (v >= 0 && v < n);
@@ -72,7 +75,7 @@ let ideal_deterministic_by_seed () =
   let a = Network.build_ideal ~n:64 ~links:3 (Rng.of_int 9) in
   let b = Network.build_ideal ~n:64 ~links:3 (Rng.of_int 9) in
   for u = 0 to 63 do
-    Alcotest.(check (array int)) "same network" (Network.neighbors a u) (Network.neighbors b u)
+    Alcotest.(check (array int)) "same network" (row a u) (row b u)
   done
 
 let ideal_rejects () =
@@ -82,12 +85,12 @@ let ideal_rejects () =
 let ideal_zero_links () =
   (* Pure chain: still routable by crawling. *)
   let net = Network.build_ideal ~n:16 ~links:0 (rng ()) in
-  Alcotest.(check int) "interior degree" 2 (Array.length (Network.neighbors net 5))
+  Alcotest.(check int) "interior degree" 2 (Network.degree net 5)
 
 let ideal_strongly_connected () =
   let net = Network.build_ideal ~n:64 ~links:2 (rng ()) in
   Alcotest.(check bool) "strongly connected" true
-    (Ftr_graph.Bfs.is_strongly_connected (Network.to_adjacency net))
+    (Ftr_graph.Bfs.is_strongly_connected (Network.csr net))
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic (Theorem 14) builder                                  *)
@@ -96,19 +99,19 @@ let ideal_strongly_connected () =
 let deterministic_exact_links () =
   (* base 2, n = 16: node 0 links to +1,+2,+4,+8 (and nothing negative). *)
   let net = Network.build_deterministic ~n:16 ~base:2 in
-  Alcotest.(check (array int)) "node 0" [| 1; 2; 4; 8 |] (Network.neighbors net 0);
+  Alcotest.(check (array int)) "node 0" [| 1; 2; 4; 8 |] (row net 0);
   (* node 5: ±1, ±2, ±4, ±8 → 1,3,4,6,7,9,13. *)
-  Alcotest.(check (array int)) "node 5" [| 1; 3; 4; 6; 7; 9; 13 |] (Network.neighbors net 5)
+  Alcotest.(check (array int)) "node 5" [| 1; 3; 4; 6; 7; 9; 13 |] (row net 5)
 
 let deterministic_base3 () =
   let net = Network.build_deterministic ~n:27 ~base:3 in
   (* node 0: j*3^i for j in {1,2}, i in {0,1,2}: 1,2,3,6,9,18. *)
-  Alcotest.(check (array int)) "node 0 base 3" [| 1; 2; 3; 6; 9; 18 |] (Network.neighbors net 0)
+  Alcotest.(check (array int)) "node 0 base 3" [| 1; 2; 3; 6; 9; 18 |] (row net 0)
 
 let deterministic_symmetric_interior () =
   let net = Network.build_deterministic ~n:1024 ~base:2 in
   let mid = 512 in
-  let ns = Network.neighbors net mid in
+  let ns = row net mid in
   Array.iter
     (fun v ->
       let d = abs (v - mid) in
@@ -118,9 +121,9 @@ let deterministic_symmetric_interior () =
 
 let geometric_links () =
   let net = Network.build_geometric ~n:16 ~base:2 in
-  Alcotest.(check (array int)) "node 0 geometric" [| 1; 2; 4; 8 |] (Network.neighbors net 0);
+  Alcotest.(check (array int)) "node 0 geometric" [| 1; 2; 4; 8 |] (row net 0);
   Alcotest.(check (array int)) "node 8 geometric" [| 0; 4; 6; 7; 9; 10; 12 |]
-    (Network.neighbors net 8)
+    (row net 8)
 
 (* ------------------------------------------------------------------ *)
 (* Binomial (Theorem 17) builder                                       *)
@@ -144,14 +147,14 @@ let binomial_links_present_only () =
   for i = 0 to m - 1 do
     Array.iter
       (fun j -> Alcotest.(check bool) "neighbour is a node index" true (j >= 0 && j < m))
-      (Network.neighbors net i)
+      (row net i)
   done
 
 let binomial_immediate_are_adjacent_indices () =
   let net = Network.build_binomial ~n:512 ~links:1 ~present_p:0.4 (rng ()) in
   let m = Network.size net in
   for i = 0 to m - 1 do
-    let ns = Network.neighbors net i in
+    let ns = row net i in
     if i > 0 then Alcotest.(check bool) "prev present" true (Array.mem (i - 1) ns);
     if i < m - 1 then Alcotest.(check bool) "next present" true (Array.mem (i + 1) ns)
   done
@@ -176,8 +179,8 @@ let ring_shape () =
   Alcotest.(check int) "size" 256 (Network.size net);
   (* Every node, including 0 and n-1, has exactly two ring neighbours. *)
   for u = 0 to 255 do
-    Alcotest.(check int) "degree" 6 (Array.length (Network.neighbors net u));
-    let ns = Network.neighbors net u in
+    Alcotest.(check int) "degree" 6 (Network.degree net u);
+    let ns = row net u in
     Alcotest.(check bool) "clockwise neighbour" true (Array.mem ((u + 1) mod 256) ns);
     Alcotest.(check bool) "counter-clockwise neighbour" true (Array.mem ((u + 255) mod 256) ns)
   done
@@ -324,78 +327,6 @@ let sample_target_side_balance () =
   Alcotest.(check bool) "balanced" true (abs_float (rate -. 0.5) < 0.02)
 
 (* ------------------------------------------------------------------ *)
-(* Serialization                                                       *)
-(* ------------------------------------------------------------------ *)
-
-module Serial = Ftr_core.Serial
-
-let networks_equal a b =
-  Network.geometry a = Network.geometry b
-  && Network.line_size a = Network.line_size b
-  && Network.links a = Network.links b
-  && Network.size a = Network.size b
-  &&
-  let ok = ref true in
-  for i = 0 to Network.size a - 1 do
-    if Network.position a i <> Network.position b i then ok := false;
-    if Network.neighbors a i <> Network.neighbors b i then ok := false
-  done;
-  !ok
-
-let serial_string_roundtrip () =
-  let net = Network.build_ideal ~n:128 ~links:4 (rng ()) in
-  let restored = Serial.of_string (Serial.to_string net) in
-  Alcotest.(check bool) "identical" true (networks_equal net restored)
-
-let serial_ring_roundtrip () =
-  let net = Network.build_ring ~n:64 ~links:3 (rng ()) in
-  let restored = Serial.of_string (Serial.to_string net) in
-  Alcotest.(check bool) "circle preserved" true
-    (Network.geometry restored = Network.Circle && networks_equal net restored)
-
-let serial_sparse_roundtrip () =
-  let net = Network.build_binomial ~n:256 ~links:2 ~present_p:0.5 (rng ()) in
-  let restored = Serial.of_string (Serial.to_string net) in
-  Alcotest.(check bool) "sparse positions preserved" true (networks_equal net restored)
-
-let serial_file_roundtrip () =
-  let net = Network.build_deterministic ~n:64 ~base:2 in
-  let path = Filename.temp_file "ftrnet_test" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Serial.save_file net path;
-      let restored = Serial.load_file path in
-      Alcotest.(check bool) "file roundtrip" true (networks_equal net restored))
-
-let serial_restored_routes_identically () =
-  let net = Network.build_ideal ~n:512 ~links:6 (Rng.of_int 80) in
-  let restored = Serial.of_string (Serial.to_string net) in
-  let r1 = Rng.of_int 81 and r2 = Rng.of_int 81 in
-  for _ = 1 to 100 do
-    let src = Rng.int r1 512 and dst = Rng.int r1 512 in
-    let src' = Rng.int r2 512 and dst' = Rng.int r2 512 in
-    Alcotest.(check int) "same route cost"
-      (Ftr_core.Route.hops (Ftr_core.Route.route net ~src ~dst))
-      (Ftr_core.Route.hops (Ftr_core.Route.route restored ~src:src' ~dst:dst'))
-  done
-
-let serial_rejects_garbage () =
-  let expect_parse_error s =
-    match Serial.of_string s with
-    | exception Serial.Parse_error _ -> ()
-    | _ -> Alcotest.fail "expected a parse error"
-  in
-  expect_parse_error "";
-  expect_parse_error "nonsense 1\n";
-  expect_parse_error "ftrnet 99\n";
-  expect_parse_error "ftrnet 1\ngeometry spiral\n";
-  (* Truncated node section. *)
-  expect_parse_error "ftrnet 1\ngeometry line\nline_size 4\nlinks 0\nnodes 2\n0 1 1\n";
-  (* Degree mismatch. *)
-  expect_parse_error "ftrnet 1\ngeometry line\nline_size 4\nlinks 0\nnodes 1\n0 2 1\n"
-
-(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -404,7 +335,7 @@ let prop_ideal_connected =
     QCheck.(pair (int_range 2 128) (int_range 0 4))
     (fun (n, links) ->
       let net = Network.build_ideal ~n ~links (Rng.of_int (n + links)) in
-      Ftr_graph.Bfs.is_strongly_connected (Network.to_adjacency net))
+      Ftr_graph.Bfs.is_strongly_connected (Network.csr net))
 
 let prop_deterministic_degree_bound =
   QCheck.Test.make ~name:"deterministic degree <= 2(b-1)ceil(log_b n)" ~count:50
@@ -414,19 +345,7 @@ let prop_deterministic_degree_bound =
       let bound = 2 * Network.links net in
       let ok = ref true in
       for u = 0 to n - 1 do
-        if Array.length (Network.neighbors net u) > bound then ok := false
-      done;
-      !ok)
-
-let prop_serial_roundtrip =
-  QCheck.Test.make ~name:"serialization roundtrips any ideal network" ~count:40
-    QCheck.(triple (int_range 2 128) (int_range 0 5) small_int)
-    (fun (n, links, seed) ->
-      let net = Network.build_ideal ~n ~links (Rng.of_int seed) in
-      let restored = Ftr_core.Serial.of_string (Ftr_core.Serial.to_string net) in
-      let ok = ref (Network.size net = Network.size restored) in
-      for i = 0 to Network.size net - 1 do
-        if Network.neighbors net i <> Network.neighbors restored i then ok := false
+        if Network.degree net u > bound then ok := false
       done;
       !ok)
 
@@ -452,7 +371,7 @@ let prop_chordlike_links_are_powers =
         (fun v ->
           let d = Network.clockwise_distance net ~src:0 ~dst:v in
           d >= 1 && d land (d - 1) = 0)
-        (Network.neighbors net 0))
+        (row net 0))
 
 let prop_binomial_positions_sorted =
   QCheck.Test.make ~name:"binomial positions strictly increasing" ~count:30
@@ -521,22 +440,12 @@ let () =
           quick "edge nodes sample one side" sample_target_edge_node_one_sided;
           quick "midpoint side balance" sample_target_side_balance;
         ] );
-      ( "serialization",
-        [
-          quick "string roundtrip" serial_string_roundtrip;
-          quick "circle roundtrip" serial_ring_roundtrip;
-          quick "sparse roundtrip" serial_sparse_roundtrip;
-          quick "file roundtrip" serial_file_roundtrip;
-          quick "restored network routes identically" serial_restored_routes_identically;
-          quick "rejects garbage" serial_rejects_garbage;
-        ] );
       ( "properties",
         List.map (fun p -> QCheck_alcotest.to_alcotest p)
           [
             prop_ideal_connected;
             prop_deterministic_degree_bound;
             prop_binomial_positions_sorted;
-            prop_serial_roundtrip;
             prop_ring_distance_bounded;
             prop_chordlike_links_are_powers;
           ]

@@ -24,7 +24,7 @@ let in_degree_conserves_edges () =
   let n = net () in
   let total_out = ref 0 in
   for i = 0 to Network.size n - 1 do
-    total_out := !total_out + Array.length (Network.neighbors n i)
+    total_out := !total_out + Network.degree n i
   done;
   let total_in = Array.fold_left ( + ) 0 (Stats.in_degrees n) in
   Alcotest.(check int) "sum of in-degrees = sum of out-degrees" !total_out total_in

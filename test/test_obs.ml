@@ -608,57 +608,38 @@ let tracing_off_allocation_free () =
     true (delta < 512.0)
 
 (* ------------------------------------------------------------------ *)
-(* Trace drop accounting and JSON (satellite)                          *)
+(* Overlay membership log                                              *)
 (* ------------------------------------------------------------------ *)
 
-module Trace = Ftr_sim.Trace
-
-let trace_drop_counts () =
-  let t = Trace.create ~capacity:2 ~min_level:Trace.Info () in
-  Trace.debugf t ~time:0.5 "below level";
-  Trace.infof t ~time:1.0 "one";
-  Trace.infof t ~time:2.0 "two";
-  (* Overflow sheds down to capacity/2 (amortised batch eviction), so the
-     third entry evicts two and one survives. *)
-  Trace.infof t ~time:3.0 "three";
-  Alcotest.(check int) "below level" 1 (Trace.dropped_below_level t);
-  Alcotest.(check int) "evicted" 2 (Trace.dropped_by_eviction t);
-  Alcotest.(check int) "total dropped" 3 (Trace.dropped t);
-  Alcotest.(check int) "retained" 1 (Trace.length t);
-  match Trace.entries t with
-  | [ e ] -> Alcotest.(check string) "newest survives" "three" e.Trace.message
-  | _ -> Alcotest.fail "expected exactly one retained entry"
-
-let trace_to_json () =
-  let t = Trace.create ~capacity:4 () in
-  Trace.infof t ~time:1.0 "hello %d" 42;
-  Trace.warnf t ~time:2.0 "tricky \"quote\"";
-  let j = Trace.to_json t in
-  match Json.parse (Json.to_string j) with
-  | Json.Obj _ as parsed -> (
-      (match Json.member "retained" parsed with
-      | Some (Json.Int 2) -> ()
-      | _ -> Alcotest.fail "retained count wrong");
-      match Json.member "entries" parsed with
-      | Some (Json.List [ _; second ]) -> (
-          match Json.member "message" second with
-          | Some (Json.String m) -> Alcotest.(check string) "message survives" "tricky \"quote\"" m
-          | _ -> Alcotest.fail "entry message missing")
-      | _ -> Alcotest.fail "entries list wrong")
-  | _ -> Alcotest.fail "trace json is not an object"
-
-let trace_emit_events () =
-  Flag.with_mode true @@ fun () ->
-  Events.reset ();
-  Events.set_sampling ~every:1;
-  let t = Trace.create () in
-  Trace.infof t ~time:1.0 "replayed";
-  let (), out = Events.with_buffer (fun () -> Trace.emit_events t) in
-  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' out) in
-  Alcotest.(check int) "one event per entry" 1 (List.length lines);
-  match Json.member "kind" (Json.parse (List.hd lines)) with
-  | Some (Json.String "trace") -> ()
-  | _ -> Alcotest.fail "default kind wrong"
+(* Joins, crashes and leaves are logged only as [overlay.*] events, so
+   telemetry on must yield one line per membership change, in order, and
+   telemetry off none at all. *)
+let overlay_membership_events () =
+  let run () =
+    let engine = Ftr_sim.Engine.create () in
+    let ov =
+      Ftr_p2p.Overlay.create ~line_size:64 ~links:2 ~rng:(Ftr_prng.Rng.of_int 5) engine
+    in
+    Ftr_p2p.Overlay.populate ov ~positions:[ 0; 16; 32; 48 ];
+    Ftr_p2p.Overlay.join ov ~pos:8 ~via:0;
+    Ftr_sim.Engine.run engine;
+    Ftr_p2p.Overlay.crash ov ~pos:16;
+    Ftr_p2p.Overlay.leave ov ~pos:32;
+    Ftr_sim.Engine.run engine
+  in
+  let kinds out =
+    List.filter_map
+      (fun l ->
+        match Json.member "kind" (Json.parse l) with
+        | Some (Json.String k) when String.starts_with ~prefix:"overlay." k -> Some k
+        | _ -> None)
+      (List.filter (fun l -> l <> "") (String.split_on_char '\n' out))
+  in
+  let (), on = Flag.with_mode true (fun () -> Events.with_buffer run) in
+  Alcotest.(check (list string)) "one event per change"
+    [ "overlay.join"; "overlay.crash"; "overlay.leave" ] (kinds on);
+  let (), off = Flag.with_mode false (fun () -> Events.with_buffer run) in
+  Alcotest.(check string) "silent with telemetry off" "" off
 
 (* ------------------------------------------------------------------ *)
 (* JSON parser                                                         *)
@@ -738,12 +719,7 @@ let () =
           quick "route feeds metrics, spans and events" route_instrumentation;
           quick "export formats" export_formats;
         ] );
-      ( "trace",
-        [
-          quick "drop accounting" trace_drop_counts;
-          quick "to_json" trace_to_json;
-          quick "emit_events" trace_emit_events;
-        ] );
+      ("overlay", [ quick "membership events" overlay_membership_events ]);
       ( "json",
         [ json_rejects |> quick "parser rejects malformed"; QCheck_alcotest.to_alcotest json_round_trip ] );
     ]

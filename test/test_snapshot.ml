@@ -18,6 +18,16 @@ module Rng = Ftr_prng.Rng
 let build ?(n = 384) ?(links = 4) ?(seed = 0xBEE) () =
   Network.build_ideal ~n ~links (Rng.of_int seed)
 
+(* Round-trip inputs: the ideal line plus the circle geometry, sparse
+   positions and a duplicate-free structural builder. *)
+let inputs () =
+  [
+    ("ideal", build ());
+    ("ring", Network.build_ring ~n:64 ~links:3 (Rng.of_int 12345));
+    ("binomial", Network.build_binomial ~n:256 ~links:2 ~present_p:0.5 (Rng.of_int 12345));
+    ("deterministic", Network.build_deterministic ~n:64 ~base:2);
+  ]
+
 let with_snapshot net f =
   let path = Filename.temp_file "ftr_test" ".ftrsnap" in
   Fun.protect
@@ -43,27 +53,22 @@ let check_routes_agree original loaded =
       (Route.route original ~src ~dst = Route.route loaded ~src ~dst)
   done
 
-let roundtrip_mmap () =
-  let net = build () in
-  with_snapshot net @@ fun path ->
-  let loaded = Snapshot.load ~path () in
-  Alcotest.(check bool) "mmap load byte-identical" true (same_network net loaded);
-  check_routes_agree net loaded
+let roundtrip load () =
+  List.iter
+    (fun (label, net) ->
+      with_snapshot net @@ fun path ->
+      let loaded = load path in
+      Alcotest.(check bool) (label ^ " byte-identical") true (same_network net loaded);
+      check_routes_agree net loaded)
+    (inputs ())
 
-let roundtrip_copy () =
-  let net = build () in
-  with_snapshot net @@ fun path ->
-  let loaded = Snapshot.load ~mmap:false ~path () in
-  Alcotest.(check bool) "copy load byte-identical" true (same_network net loaded);
-  check_routes_agree net loaded
+let roundtrip_mmap = roundtrip (fun path -> Snapshot.load ~path ())
 
-let roundtrip_no_validate () =
-  (* validate:false skips the full structural sweep but keeps the frame
-     checks; a well-formed file must load identically either way. *)
-  let net = build () in
-  with_snapshot net @@ fun path ->
-  let loaded = Snapshot.load ~validate:false ~path () in
-  Alcotest.(check bool) "unvalidated load byte-identical" true (same_network net loaded)
+let roundtrip_copy = roundtrip (fun path -> Snapshot.load ~mmap:false ~path ())
+
+(* validate:false skips the full structural sweep but keeps the frame
+   checks; a well-formed file must load identically either way. *)
+let roundtrip_no_validate = roundtrip (fun path -> Snapshot.load ~validate:false ~path ())
 
 let info_fields () =
   let net = build ~n:200 ~links:3 () in
