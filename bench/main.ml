@@ -1384,11 +1384,13 @@ let run_scale () =
       let net = Network.build_ideal ~n ~links (Rng.split rng) in
       let build_dt = Unix.gettimeofday () -. t0 in
       let edges = Csr.edge_count (Network.csr net) in
-      (* Footprint accounting: positions (n) + offsets (n+1) + targets (E)
-         at 4 bytes/word, against the same vectors as 8-byte OCaml ints —
-         the pre-refactor representation. *)
-      let words = n + (n + 1) + edges in
-      let bytes_int32 = 4 * words and bytes_int_array = 8 * words in
+      (* Footprint accounting: the vectors the network holds — an ideal
+         network is full, so offsets (n+1) and targets (E) but no positions
+         — at 4 bytes/word, against the pre-refactor representation:
+         positions, offsets and targets as 8-byte OCaml ints. *)
+      if Option.is_some (Network.positions net) then
+        failwith "scale: a full network holds a positions vector";
+      let bytes_int32 = 4 * (n + 1 + edges) and bytes_int_array = 8 * (n + (n + 1) + edges) in
       let per_node b = float_of_int b /. float_of_int n in
       let ratio = per_node bytes_int32 /. per_node bytes_int_array in
       Printf.printf "build: %.3f s (%.0f nodes/s), %d edges\n" build_dt
@@ -1454,6 +1456,14 @@ let run_scale () =
       let load_dt = Unix.gettimeofday () -. t0 in
       let snap_bytes = (Unix.stat snap).Unix.st_size in
       if Network.size reloaded <> n then failwith "scale: snapshot round-trip lost nodes";
+      (* The file is the size its header implies, and that is the 64-byte
+         header plus exactly the vectors the network holds: a full
+         network's file carries no positions section. *)
+      let want_bytes = Snapshot.expected_bytes ~line_size:n ~nodes:n ~edges in
+      if snap_bytes <> want_bytes || snap_bytes <> 64 + bytes_int32 then
+        failwith
+          (Printf.sprintf "scale: snapshot is %d bytes; header implies %d, held vectors %d + 64"
+             snap_bytes want_bytes bytes_int32);
       Printf.printf "snapshot: %d bytes, save %.3f s, mmap load %.3f s\n%!" snap_bytes
         save_dt load_dt;
       json_rows :=

@@ -8,22 +8,27 @@ type geometry = Line | Circle
    sorted): the routing inner loop scans a contiguous block instead of
    chasing [n] separately boxed rows. Positions and the CSR are int32
    Bigarrays — 4 bytes per entry, unscanned by the GC, and mmap-able from
-   a snapshot file (Snapshot). *)
+   a snapshot file (Snapshot).
+
+   A full network ([size = line_size]) stores no positions: strictly
+   increasing points of [0, line_size) with one node per point can only
+   be [0 .. n-1], so node [i] sits at point [i] and [positions] is
+   [None]. Only sparse networks carry the vector. *)
 type t = {
   geometry : geometry;
   line_size : int; (* number of grid points of the underlying space *)
-  positions : I32.t;
-  adj : Csr.t; (* neighbor *indices* into [positions], per-row sorted *)
+  positions : I32.t option; (* [None]: the identity embedding *)
+  adj : Csr.t; (* neighbor indices, per-row sorted *)
   links : int;
 }
 
-let size t = I32.length t.positions
+let size t = Csr.size t.adj
 
 let line_size t = t.line_size
 
 let links t = t.links
 
-let position t i = I32.get t.positions i
+let position t i = match t.positions with None -> i | Some p -> I32.get p i
 
 let positions t = t.positions
 
@@ -46,7 +51,7 @@ let point_distance t a b =
       let d = abs (a - b) in
       min d (t.line_size - d)
 
-let distance t i j = point_distance t (I32.get t.positions i) (I32.get t.positions j)
+let distance t i j = point_distance t (position t i) (position t j)
 
 (* Arc length walking in the increasing direction; the one-sided metric on
    the circle (Chord's orientation). *)
@@ -54,7 +59,7 @@ let clockwise_distance t ~src ~dst =
   match t.geometry with
   | Line -> invalid_arg "Network.clockwise_distance: line networks have no orientation"
   | Circle ->
-      let d = (I32.get t.positions dst - I32.get t.positions src) mod t.line_size in
+      let d = (position t dst - position t src) mod t.line_size in
       if d < 0 then d + t.line_size else d
 
 (* The quantity greedy routing minimises. Two-sided: the metric distance.
@@ -72,30 +77,27 @@ let one_sided_admissible t ~cur ~v ~dst =
   match t.geometry with
   | Circle -> true
   | Line ->
-      let cur_pos = I32.get t.positions cur
-      and v_pos = I32.get t.positions v
-      and dst_pos = I32.get t.positions dst in
+      let cur_pos = position t cur and v_pos = position t v and dst_pos = position t dst in
       (cur_pos > dst_pos && v_pos >= dst_pos && v_pos < cur_pos)
       || (cur_pos < dst_pos && v_pos <= dst_pos && v_pos > cur_pos)
 
-let nearest_index t ~position =
+let nearest_index t ~position:target =
   let n = size t in
   if n = 0 then invalid_arg "Network.nearest_index: empty network";
-  (* Binary search for the first present position >= position, then compare
+  (* Binary search for the first present position >= target, then compare
      with its predecessor. *)
   let rec search lo hi =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if I32.get t.positions mid >= position then search lo mid else search (mid + 1) hi
+      if position t mid >= target then search lo mid else search (mid + 1) hi
   in
   let i = search 0 n in
   match t.geometry with
   | Line ->
       if i = n then n - 1
       else if i = 0 then 0
-      else if position - I32.get t.positions (i - 1) <= I32.get t.positions i - position then
-        i - 1
+      else if target - position t (i - 1) <= position t i - target then i - 1
       else i
   | Circle ->
       (* Candidates wrap: the first and last nodes are adjacent. *)
@@ -103,7 +105,7 @@ let nearest_index t ~position =
       let best = ref (i mod n) and best_d = ref max_int in
       List.iter
         (fun c ->
-          let d = point_distance t (I32.get t.positions c) position in
+          let d = point_distance t (position t c) target in
           if d < !best_d then begin
             best := c;
             best_d := d
@@ -111,9 +113,9 @@ let nearest_index t ~position =
         candidates;
       !best
 
-let index_of_position t ~position =
-  let i = nearest_index t ~position in
-  if I32.get t.positions i = position then Some i else None
+let index_of_position t ~position:target =
+  let i = nearest_index t ~position:target in
+  if position t i = target then Some i else None
 
 (* Sanitizer hook: structural invariants every builder must establish —
    sorted in-range neighbour lists without self-links, and the short-link
@@ -164,14 +166,6 @@ let checked t =
   if Ftr_debug.Debug.enabled () then debug_validate t;
   t
 
-(* Positions 0..n-1: the full-network identity embedding. *)
-let iota_positions n =
-  let a = I32.create n in
-  for i = 0 to n - 1 do
-    I32.unsafe_set a i i
-  done;
-  a
-
 let check_positions ~line_size positions =
   let n = I32.length positions in
   for i = 0 to n - 1 do
@@ -184,30 +178,47 @@ let check_positions ~line_size positions =
 (* Assemble from already-flat parts — the snapshot loader's entry point.
    [validate] (default true) runs the full structural check; pass false
    only for trusted in-process parts (the builders below, which establish
-   the invariants by construction and re-check under FTR_CHECK). *)
-let of_flat ?(validate = true) ~geometry ~line_size ~positions ~adj ~links () =
-  if I32.length positions <> Csr.size adj then
-    invalid_arg "Network.of_flat: positions/adjacency size mismatch";
-  if line_size < I32.length positions then
-    invalid_arg "Network.of_flat: more nodes than grid points";
+   the invariants by construction and re-check under FTR_CHECK). A
+   position vector handed in for a full network is checked, then dropped:
+   it can only be the identity. *)
+let of_flat ?(validate = true) ~geometry ~line_size ?positions ~adj ~links () =
+  let n = Csr.size adj in
+  if line_size < n then invalid_arg "Network.of_flat: more nodes than grid points";
   if links < 0 then invalid_arg "Network.of_flat: negative link count";
+  (match positions with
+  | Some p when I32.length p <> n ->
+      invalid_arg "Network.of_flat: positions/adjacency size mismatch"
+  | None when n <> line_size -> invalid_arg "Network.of_flat: sparse network without positions"
+  | Some _ | None -> ());
   if validate then begin
     Csr.validate ~sorted:true adj;
-    check_positions ~line_size positions
+    Option.iter (check_positions ~line_size) positions
   end;
+  let positions = if n = line_size then None else positions in
   checked { geometry; line_size; positions; adj; links }
 
 (* Every jagged builder assembles per-node rows and hands them here; the
-   CSR flattening is the only place the flat pair is built from rows. *)
+   CSR flattening is the only place the flat pair is built from rows. The
+   builders' positions are in range and increasing by construction, so a
+   full-length vector is the identity and is dropped. *)
 let make ~geometry ~line_size ~positions ~rows ~links =
   checked
     {
       geometry;
       line_size;
-      positions = I32.of_int_array positions;
+      positions =
+        (if Array.length positions = line_size then None
+         else Some (I32.of_int_array positions));
       adj = Csr.of_rows rows;
       links;
     }
+
+let equal a b =
+  a.geometry = b.geometry
+  && a.line_size = b.line_size
+  && a.links = b.links
+  && Option.equal I32.equal a.positions b.positions
+  && Csr.equal a.adj b.adj
 
 let of_neighbor_indices ?(geometry = Line) ~line_size ~positions ~neighbors ~links () =
   let n = Array.length positions in
@@ -247,8 +258,7 @@ let finish_node ~immediate ~long =
 
 (* In-place insertion sort of [arr.(0 .. len-1)] — the streaming builder
    sorts each short row (links + 2 entries) in its reusable scratch array
-   without allocating. Same total order as [Array.sort Int.compare] in
-   [finish_node], so the two build paths emit identical rows. *)
+   without allocating. *)
 let sort_prefix arr len =
   for i = 1 to len - 1 do
     let x = arr.(i) in
@@ -260,17 +270,14 @@ let sort_prefix arr len =
     arr.(!j + 1) <- x
   done
 
-let check_ideal_args ~who ~n ~links =
-  if n < 2 then invalid_arg (Printf.sprintf "Network.%s: need at least two nodes" who);
-  if links < 0 then invalid_arg (Printf.sprintf "Network.%s: negative link count" who)
-
 (* Streaming construction: one pass over the nodes, each row assembled in a
    reused scratch array and appended straight to the CSR builder — O(n)
-   with O(links) transient state, never a jagged intermediate. Consumes
-   the RNG in exactly the same order as [build_ideal_materialized], so the
-   two produce byte-identical networks (qcheck-pinned). *)
+   with O(links) transient state, never a jagged intermediate. The CSR it
+   emits for a table of (n, links, seed) triples is pinned by digest in
+   the test suite. *)
 let build_ideal ?(exponent = 1.0) ~n ~links rng =
-  check_ideal_args ~who:"build_ideal" ~n ~links;
+  if n < 2 then invalid_arg "Network.build_ideal: need at least two nodes";
+  if links < 0 then invalid_arg "Network.build_ideal: negative link count";
   (* Every builder times its construction phase under a [Ftr_obs.Span]; a
      no-op (beyond the closure) unless FTR_OBS is on. *)
   Ftr_obs.Span.time "network.build_ideal" @@ fun () ->
@@ -295,30 +302,10 @@ let build_ideal ?(exponent = 1.0) ~n ~links rng =
     {
       geometry = Line;
       line_size = n;
-      positions = iota_positions n;
+      positions = None;
       adj = Csr.Builder.finish b;
       links;
     }
-
-(* Reference implementation of the ideal builder that materializes every
-   jagged row before flattening — kept as the equivalence oracle for the
-   streaming path (same RNG consumption order, byte-identical output). *)
-let build_ideal_materialized ?(exponent = 1.0) ~n ~links rng =
-  check_ideal_args ~who:"build_ideal_materialized" ~n ~links;
-  Ftr_obs.Span.time "network.build_ideal" @@ fun () ->
-  let pl = Ftr_prng.Sample.power_law ~exponent ~max_length:(n - 1) in
-  let neighbors =
-    Array.init n (fun u ->
-        let immediate =
-          (if u > 0 then [ u - 1 ] else []) @ if u < n - 1 then [ u + 1 ] else []
-        in
-        let long = ref [] in
-        for _ = 1 to links do
-          long := sample_long_target pl rng ~n ~src:u :: !long
-        done;
-        finish_node ~immediate ~long:!long)
-  in
-  make ~geometry:Line ~line_size:n ~positions:(Array.init n (fun i -> i)) ~rows:neighbors ~links
 
 let build_binomial ?(exponent = 1.0) ~n ~links ~present_p rng =
   if n < 2 then invalid_arg "Network.build_binomial: need at least two positions";

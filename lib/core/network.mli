@@ -1,7 +1,11 @@
 (** Static overlay networks on the line (Section 4.3).
 
     A network is a set of nodes at strictly increasing line positions; node
-    [i] knows the nodes at the indices of its {!csr} row. Every builder links each
+    [i] knows the nodes at the indices of its {!csr} row. On a {e full}
+    network ([size = line_size]) the only such positions are [0 .. n-1], so
+    node [i] sits at grid point [i]: full networks store no position
+    vector at all ({!positions} is [None]), and only sparse networks — the
+    binomial model, heuristic-repaired overlays — carry one. Every builder links each
     node to its nearest present node on either side (the "immediate"
     neighbours the paper assumes never fail) plus long-distance links
     according to the chosen strategy:
@@ -27,7 +31,7 @@ val geometry : t -> geometry
 (** The metric space the network is embedded in. *)
 
 val size : t -> int
-(** Number of (present) nodes. *)
+(** Number of (present) nodes (the CSR's row count). *)
 
 val line_size : t -> int
 (** Number of grid points on the underlying line. *)
@@ -39,11 +43,12 @@ val position : t -> int -> int
 (** Line position of node index [i]. On full networks this is the
     identity. *)
 
-val positions : t -> Ftr_graph.Adjacency.I32.t
-(** The full strictly increasing position vector (no copy — do not
-    mutate). [I32.get (positions t) i = position t i]; exposed, like
-    {!csr}, so hot loops can compute distances without a call per
-    candidate. *)
+val positions : t -> Ftr_graph.Adjacency.I32.t option
+(** The strictly increasing position vector of a sparse network (no copy —
+    do not mutate), with [I32.get p i = position t i]; [None] exactly when
+    the network is full ({!is_full}), where positions are the identity.
+    Exposed, like {!csr}, so hot loops can compute distances without a
+    call per candidate — and skip the load altogether on full networks. *)
 
 val degree : t -> int -> int
 (** Number of neighbour entries of a node (duplicates counted). *)
@@ -72,7 +77,12 @@ val csr : t -> Ftr_graph.Adjacency.Csr.t
     enforces exactly this policy per builder. *)
 
 val is_full : t -> bool
-(** Whether every line position hosts a node. *)
+(** Whether every line position hosts a node (equivalently, {!positions}
+    is [None]). *)
+
+val equal : t -> t -> bool
+(** Structural equality: geometry, line size, nominal links, positions and
+    the CSR vectors ({!Ftr_graph.Adjacency.Csr.equal}). *)
 
 val distance : t -> int -> int -> int
 (** Metric distance between two node indices: absolute difference on the
@@ -119,13 +129,16 @@ val of_flat :
   ?validate:bool ->
   geometry:geometry ->
   line_size:int ->
-  positions:Ftr_graph.Adjacency.I32.t ->
+  ?positions:Ftr_graph.Adjacency.I32.t ->
   adj:Ftr_graph.Adjacency.Csr.t ->
   links:int ->
   unit ->
   t
 (** Assemble a network from already-flat parts without copying — the
-    snapshot loader's entry point. [validate] (default true) runs the full
+    snapshot loader's entry point. The node count is the CSR's row count.
+    [positions] is required when it is below [line_size]; omitted, the
+    network is full. A vector handed in for a full network is checked (when
+    validating) and dropped. [validate] (default true) runs the full
     structural check (CSR invariants with sorted rows, positions strictly
     increasing and on the grid); pass [false] only for parts produced
     in-process by a trusted builder.
@@ -137,13 +150,6 @@ val build_ideal : ?exponent:float -> n:int -> links:int -> Ftr_prng.Rng.t -> t
     paper's law). Streams rows straight into the CSR builder — O(n) time,
     O(links) transient state beyond the result itself.
     @raise Invalid_argument if [n < 2] or [links < 0]. *)
-
-val build_ideal_materialized : ?exponent:float -> n:int -> links:int -> Ftr_prng.Rng.t -> t
-(** Reference implementation of {!build_ideal} that materializes every
-    jagged row before flattening. Consumes the RNG in exactly the same
-    order, so given equal generator states the two produce byte-identical
-    networks — the equivalence is qcheck-pinned in the test suite. Kept as
-    the oracle for the streaming path; prefer {!build_ideal}. *)
 
 val build_binomial :
   ?exponent:float -> n:int -> links:int -> present_p:float -> Ftr_prng.Rng.t -> t

@@ -94,6 +94,15 @@ let borrow_scratch ?scr ~tracking net =
 
 let restore_scratch b = match b.bs_home with Some cell -> cell := Some b.bs | None -> ()
 
+(* Stand-in position vector for full networks, whose positions are the
+   identity and are not stored: every read goes through [pos] below with
+   [identity] true, so it is never read. *)
+let no_positions = I32.create 0
+
+(* Line position of node [v]: the node index itself on a full network,
+   one (cache-missing, at scale) load from the sparse vector otherwise. *)
+let[@inline] pos ~identity positions v = if identity then v else I32.unsafe_get positions v
+
 (* Sanitizer hook: a hop chosen in [`Strict] mode must obey the greedy
    contract — strictly decrease the routing distance, and on one-sided
    networks never overshoot the target (Section 4.2.1). [best_neighbor]
@@ -181,10 +190,14 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
   let node_all = Failure.node_all_alive failures in
   let link_all = Failure.link_all_alive failures in
   (* Geometry resolved once per route so the candidate scan can compute
-     two-sided distances inline — one array load and some integer
-     arithmetic per candidate instead of a call into [Network]. One-sided
-     routing keeps the generic path (it also needs the overshoot test). *)
-  let positions = Network.positions net in
+     two-sided distances inline — integer arithmetic per candidate instead
+     of a call into [Network]. On a full network ([identity]) a target
+     index is its position, so the scan loads no position at all; a sparse
+     network pays one array load per candidate. One-sided routing keeps
+     the generic path (it also needs the overshoot test). *)
+  let identity, positions =
+    match Network.positions net with None -> (true, no_positions) | Some p -> (false, p)
+  in
   let lsize = Network.line_size net in
   let circle = match Network.geometry net with Network.Circle -> true | Network.Line -> false in
   let two_sided = match side with Two_sided -> true | One_sided -> false in
@@ -209,7 +222,7 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
      are allocation-free: the [Int32.to_int] in the accessor cancels the
      Bigarray box (see Adjacency.I32). *)
   let dist_to ~dst_pos v =
-    let d = I32.unsafe_get positions v - dst_pos in
+    let d = pos ~identity positions v - dst_pos in
     let d = if d < 0 then -d else d in
     if circle then min d (lsize - d) else d
   in
@@ -240,7 +253,7 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
     end
   in
   let best_neighbor ~mode ~cur ~dst =
-    let dst_pos = I32.unsafe_get positions dst in
+    let dst_pos = pos ~identity positions dst in
     let cur_dist =
       if two_sided then dist_to ~dst_pos cur
       else Network.routing_distance net ~side:rd ~src:cur ~dst
@@ -265,7 +278,7 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
       let lo = ref 0 and hi = ref deg in
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
-        if I32.unsafe_get positions (I32.unsafe_get targets (base + mid)) >= dst_pos then
+        if pos ~identity positions (I32.unsafe_get targets (base + mid)) >= dst_pos then
           hi := mid
         else lo := mid + 1
       done;
@@ -274,11 +287,11 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
       while !scanning do
         let dl =
           if !l >= 0 then
-            dst_pos - I32.unsafe_get positions (I32.unsafe_get targets (base + !l))
+            dst_pos - pos ~identity positions (I32.unsafe_get targets (base + !l))
           else max_int
         and dr =
           if !r < deg then
-            I32.unsafe_get positions (I32.unsafe_get targets (base + !r)) - dst_pos
+            pos ~identity positions (I32.unsafe_get targets (base + !r)) - dst_pos
           else max_int
         in
         let take_left = dl <= dr in

@@ -5,7 +5,7 @@ exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
-let format_version = 1
+let format_version = 2
 
 let magic = "FTRSNAP1"
 
@@ -37,9 +37,16 @@ type info = {
   file_bytes : int;
 }
 
-let payload_words ~nodes ~edges = nodes + (nodes + 1) + edges
+(* Words of the positions section: present only on sparse networks (a full
+   network's positions are the identity and are not stored). The offsets
+   and targets sections follow it. *)
+let position_words ~line_size ~nodes = if nodes < line_size then nodes else 0
 
-let expected_bytes ~nodes ~edges = header_bytes + (4 * payload_words ~nodes ~edges)
+let payload_words ~line_size ~nodes ~edges =
+  position_words ~line_size ~nodes + (nodes + 1) + edges
+
+let expected_bytes ~line_size ~nodes ~edges =
+  header_bytes + (4 * payload_words ~line_size ~nodes ~edges)
 
 let encode_header net =
   let b = Bytes.make header_bytes '\000' in
@@ -89,7 +96,7 @@ let decode_header ~file_bytes b =
   let links = Int32.to_int (Bytes.get_int32_ne b off_links) in
   if links < 0 then corrupt "negative link count %d" links;
   if nodes > line_size then corrupt "%d nodes on a %d-point grid" nodes line_size;
-  let expected = expected_bytes ~nodes ~edges in
+  let expected = expected_bytes ~line_size ~nodes ~edges in
   if file_bytes <> expected then
     corrupt "file is %d bytes, header implies %d (%s)" file_bytes expected
       (if file_bytes < expected then "truncated" else "trailing garbage");
@@ -128,16 +135,18 @@ let map_payload fd ~shared ~words =
 
 let save net ~path =
   Ftr_obs.Span.time "snapshot.save" @@ fun () ->
-  let nodes = Network.size net and adj = Network.csr net in
+  let nodes = Network.size net and line_size = Network.line_size net in
+  let adj = Network.csr net in
   let edges = Csr.edge_count adj in
+  let skip = position_words ~line_size ~nodes in
   with_fd path ~flags:[ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] ~perm:0o644 @@ fun fd ->
   write_fully fd (encode_header net);
-  (* A shared mapping extends the file to its full size; the three payload
+  (* A shared mapping extends the file to its full size; the payload
      sections are then memcpy-speed blits of the in-memory vectors. *)
-  let payload = map_payload fd ~shared:true ~words:(payload_words ~nodes ~edges) in
-  I32.blit (Network.positions net) (I32.sub payload 0 nodes);
-  I32.blit adj.Csr.offsets (I32.sub payload nodes (nodes + 1));
-  if edges > 0 then I32.blit adj.Csr.targets (I32.sub payload ((2 * nodes) + 1) edges)
+  let payload = map_payload fd ~shared:true ~words:(payload_words ~line_size ~nodes ~edges) in
+  Option.iter (fun p -> I32.blit p (I32.sub payload 0 nodes)) (Network.positions net);
+  I32.blit adj.Csr.offsets (I32.sub payload skip (nodes + 1));
+  if edges > 0 then I32.blit adj.Csr.targets (I32.sub payload (skip + nodes + 1) edges)
 
 let info ~path =
   with_fd path ~flags:[ Unix.O_RDONLY ] ~perm:0 @@ fun fd ->
@@ -153,7 +162,9 @@ let load ?(mmap = true) ?(validate = true) ~path () =
   (* shared:false — a private copy-on-write mapping: read-only use serves
      straight from the page cache, and nothing this process does can write
      back to the file. *)
-  let payload = map_payload fd ~shared:false ~words:(payload_words ~nodes ~edges) in
+  let payload =
+    map_payload fd ~shared:false ~words:(payload_words ~line_size:h.line_size ~nodes ~edges)
+  in
   let view off len = I32.sub payload off len in
   let copy off len =
     let a = I32.create len in
@@ -161,15 +172,16 @@ let load ?(mmap = true) ?(validate = true) ~path () =
     a
   in
   let slice = if mmap then view else copy in
-  let positions = slice 0 nodes in
-  let offsets = slice nodes (nodes + 1) in
-  let targets = slice ((2 * nodes) + 1) edges in
+  let skip = position_words ~line_size:h.line_size ~nodes in
+  let positions = if nodes < h.line_size then Some (slice 0 nodes) else None in
+  let offsets = slice skip (nodes + 1) in
+  let targets = slice (skip + nodes + 1) edges in
   (* Cheap frame checks always run, even with [validate:false]: the two
      ends of the offsets vector anchor every row bound the router trusts. *)
   if I32.get offsets 0 <> 0 then corrupt "offsets do not start at 0";
   if I32.get offsets nodes <> edges then
     corrupt "offsets end at %d, header claims %d edges" (I32.get offsets nodes) edges;
   try
-    Network.of_flat ~validate ~geometry:h.geometry ~line_size:h.line_size ~positions
+    Network.of_flat ~validate ~geometry:h.geometry ~line_size:h.line_size ?positions
       ~adj:{ Csr.offsets; targets } ~links:h.links ()
   with Invalid_argument msg -> corrupt "invalid payload: %s" msg

@@ -184,11 +184,7 @@ let prop_snapshot_roundtrip_preserves_invariants =
       Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
       Snapshot.save net ~path;
       let restored = Snapshot.load ~path () in
-      Network.line_size net = Network.line_size restored
-      && Network.links net = Network.links restored
-      && Network.geometry net = Network.geometry restored
-      && Ftr_graph.Adjacency.I32.equal (Network.positions net) (Network.positions restored)
-      && Ftr_graph.Adjacency.Csr.equal (Network.csr net) (Network.csr restored)
+      Network.equal net restored
       && Check.network ~expected_links:links restored = [])
 
 let () =

@@ -157,41 +157,77 @@ let prop_csr_roundtrip =
       && Csr.edge_count c = Array.fold_left (fun a r -> a + Array.length r) 0 rows)
 
 (* ------------------------------------------------------------------ *)
-(* Streaming vs materialized construction                              *)
+(* Streaming construction: pinned digests                              *)
 (* ------------------------------------------------------------------ *)
 
-(* [Network.build_ideal] streams CSR rows straight into the builder;
-   [build_ideal_materialized] keeps the pre-refactor materialize-then-
-   convert path as the oracle. Same seed must mean byte-identical
-   networks — vectors compared with the Bigarray equalities, not through
-   any int-array shim — and, as a behavioural witness, identical route
-   outcomes on a shared pair stream. *)
-let prop_streaming_equals_materialized =
-  QCheck.Test.make ~name:"streaming build_ideal equals materialized oracle" ~count:40
-    QCheck.(triple (int_range 2 256) (int_range 0 8) small_int)
-    (fun (n, links, seed) ->
-      let module I32 = Ftr_graph.Adjacency.I32 in
-      let streamed = Network.build_ideal ~n ~links (Rng.of_int seed) in
-      let oracle = Network.build_ideal_materialized ~n ~links (Rng.of_int seed) in
-      let same_bytes =
-        I32.equal (Network.positions streamed) (Network.positions oracle)
-        && Csr.equal (Network.csr streamed) (Network.csr oracle)
-        && Network.line_size streamed = Network.line_size oracle
-        && Network.links streamed = Network.links oracle
-      in
-      let same_routes =
-        let pair_rng = Rng.of_int (seed + 1) in
-        let ok = ref true in
-        for _ = 1 to 16 do
-          let src = Rng.int pair_rng n and dst = Rng.int pair_rng n in
-          if
-            Route.route streamed ~src ~dst
-            <> Route.route oracle ~src ~dst
-          then ok := false
-        done;
-        !ok
-      in
-      same_bytes && same_routes)
+(* [Network.build_ideal] streams CSR rows straight into the builder. Its
+   output is pinned as data: per (n, links, seed), an FNV-1a 64 digest of
+   the CSR vectors (offsets, then targets, each int32 as 4 little-endian
+   bytes) and, as a behavioural witness, a digest of the two-sided and
+   one-sided route outcomes on 16 pairs drawn from [Rng.of_int (seed+1)].
+   The values were recorded from the materialize-then-convert builder this
+   streaming path replaced, which consumed the RNG in the same order. *)
+let fnv_basis = 0xCBF29CE484222325L
+
+let fnv_int h x =
+  let h = ref h in
+  for b = 0 to 3 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int ((x lsr (8 * b)) land 0xFF))) 0x100000001B3L
+  done;
+  !h
+
+let fnv_vec h a =
+  let module I32 = Ftr_graph.Adjacency.I32 in
+  let h = ref h in
+  for i = 0 to I32.length a - 1 do
+    h := fnv_int !h (I32.get a i)
+  done;
+  !h
+
+let csr_digest net =
+  let { Csr.offsets; targets } = Network.csr net in
+  fnv_vec (fnv_vec fnv_basis offsets) targets
+
+let route_digest net ~n ~seed =
+  let pair_rng = Rng.of_int (seed + 1) in
+  let h = ref fnv_basis in
+  for _ = 1 to 16 do
+    let src = Rng.int pair_rng n and dst = Rng.int pair_rng n in
+    List.iter
+      (fun side ->
+        match Route.route ~side net ~src ~dst with
+        | Route.Delivered { hops } -> h := fnv_int (fnv_int !h 0) hops
+        | Route.Failed { hops; stuck_at; _ } ->
+            h := fnv_int (fnv_int (fnv_int !h 1) hops) stuck_at)
+      [ Route.Two_sided; Route.One_sided ]
+  done;
+  !h
+
+(* (n, links, seed, CSR digest, route-outcome digest). *)
+let ideal_digests =
+  [
+    (2, 0, 0, 0xA909B37EE2C1AC77L, 0x0E6205E43C2AEA45L);
+    (2, 3, 1, 0xB6D1039885C6F7F9L, 0x218EFD391D15D285L);
+    (3, 1, 7, 0xE858EAA5FCE67C84L, 0x9CFF10A272F976A5L);
+    (16, 0, 5, 0xF31EC858FF96F5FBL, 0x48BBA78C8991C845L);
+    (17, 4, 42, 0xDD7D84B98F812DA2L, 0x12963947265B9905L);
+    (64, 2, 3, 0x3F99036E2BD24138L, 0xB31653C7FE1FDB34L);
+    (100, 8, 11, 0x2F22C8A6171D809AL, 0x13482B77339DAA12L);
+    (128, 5, 99, 0xD4FD483695BF3E94L, 0x48CFDBC5EBE37514L);
+    (200, 1, 2002, 0x870038034C808FE5L, 0x7EEBC56FEFF40369L);
+    (256, 8, 3054, 0xDCF3C914D60CB051L, 0x2FF726B7711369ADL);
+    (1000, 6, 17, 0xDEAAB9C50C1C204CL, 0xC4AD86A56813A03DL);
+    (4096, 10, 1, 0x9BC2780ECD54D6BCL, 0x75E9C4B8FD4EDA86L);
+  ]
+
+let pinned_ideal_digests () =
+  List.iter
+    (fun (n, links, seed, csr_want, route_want) ->
+      let net = Network.build_ideal ~n ~links (Rng.of_int seed) in
+      let label what = Printf.sprintf "n=%d links=%d seed=%d %s" n links seed what in
+      Alcotest.(check int64) (label "CSR digest") csr_want (csr_digest net);
+      Alcotest.(check int64) (label "route digest") route_want (route_digest net ~n ~seed))
+    ideal_digests
 
 (* ------------------------------------------------------------------ *)
 (* Batch routing: jobs-invariance                                      *)
@@ -377,6 +413,7 @@ let () =
           Alcotest.test_case "route outcomes with shared scratch" `Quick
             golden_route_outcomes_with_scratch;
           Alcotest.test_case "figure6 fractions (bit-exact)" `Quick golden_figure6;
+          Alcotest.test_case "build_ideal CSR and route digests" `Quick pinned_ideal_digests;
         ] );
       ( "duplicates",
         [ Alcotest.test_case "random builders keep duplicates" `Quick random_builder_keeps_duplicates ]
@@ -392,7 +429,6 @@ let () =
           [
             prop_csr_matches_accessors;
             prop_csr_roundtrip;
-            prop_streaming_equals_materialized;
             prop_batch_jobs_invariant;
             prop_duplicate_policy;
           ] );

@@ -1,10 +1,11 @@
 (* ftr-lint: disable-file T3 test assertions compare small concrete values *)
 (* Snapshot persistence: round-trip fidelity and corrupted-file refusal.
 
-   The format is a fixed 64-byte header plus three native-int32 sections
-   (positions, offsets, targets); fidelity means the loaded network is
-   byte-identical to the saved one — Bigarray equality on every vector,
-   plus identical route outcomes as the behavioural witness. Refusal
+   The format is a fixed 64-byte header plus native-int32 sections
+   (positions on sparse networks only, offsets, targets); fidelity means
+   the loaded network is byte-identical to the saved one ([Network.equal]:
+   Bigarray equality on every vector), plus identical route outcomes as
+   the behavioural witness. Refusal
    means every malformed file raises [Snapshot.Corrupt] with a message,
    never a crash, a silent truncation, or an unrelated exception. *)
 
@@ -12,11 +13,13 @@ module Network = Ftr_core.Network
 module Route = Ftr_core.Route
 module Snapshot = Ftr_core.Snapshot
 module Csr = Ftr_graph.Adjacency.Csr
-module I32 = Ftr_graph.Adjacency.I32
 module Rng = Ftr_prng.Rng
 
 let build ?(n = 384) ?(links = 4) ?(seed = 0xBEE) () =
   Network.build_ideal ~n ~links (Rng.of_int seed)
+
+(* A sparse network: the only kind whose snapshot stores positions. *)
+let sparse () = Network.build_binomial ~n:256 ~links:2 ~present_p:0.5 (Rng.of_int 12345)
 
 (* Round-trip inputs: the ideal line plus the circle geometry, sparse
    positions and a duplicate-free structural builder. *)
@@ -24,7 +27,7 @@ let inputs () =
   [
     ("ideal", build ());
     ("ring", Network.build_ring ~n:64 ~links:3 (Rng.of_int 12345));
-    ("binomial", Network.build_binomial ~n:256 ~links:2 ~present_p:0.5 (Rng.of_int 12345));
+    ("binomial", sparse ());
     ("deterministic", Network.build_deterministic ~n:64 ~base:2);
   ]
 
@@ -35,13 +38,6 @@ let with_snapshot net f =
     (fun () ->
       Snapshot.save net ~path;
       f path)
-
-let same_network a b =
-  Network.geometry a = Network.geometry b
-  && Network.line_size a = Network.line_size b
-  && Network.links a = Network.links b
-  && I32.equal (Network.positions a) (Network.positions b)
-  && Csr.equal (Network.csr a) (Network.csr b)
 
 let check_routes_agree original loaded =
   let n = Network.size original in
@@ -58,7 +54,7 @@ let roundtrip load () =
     (fun (label, net) ->
       with_snapshot net @@ fun path ->
       let loaded = load path in
-      Alcotest.(check bool) (label ^ " byte-identical") true (same_network net loaded);
+      Alcotest.(check bool) (label ^ " byte-identical") true (Network.equal net loaded);
       check_routes_agree net loaded)
     (inputs ())
 
@@ -82,6 +78,34 @@ let info_fields () =
   Alcotest.(check int)
     "file_bytes matches the file" (Unix.stat path).Unix.st_size i.Snapshot.file_bytes
 
+(* A full network stores no positions, in memory or on disk: its file is
+   the header plus offsets and targets, 4 bytes per word. A sparse network
+   adds its n positions. *)
+let file_sizes_and_positions () =
+  List.iter
+    (fun (label, net, stores_positions) ->
+      let n = Network.size net and edges = Csr.edge_count (Network.csr net) in
+      let position_words = if stores_positions then n else 0 in
+      with_snapshot net @@ fun path ->
+      let bytes = (Unix.stat path).Unix.st_size in
+      Alcotest.(check int) (label ^ " file size") (64 + (4 * (position_words + n + 1 + edges))) bytes;
+      Alcotest.(check int)
+        (label ^ " expected_bytes")
+        (Snapshot.expected_bytes ~line_size:(Network.line_size net) ~nodes:n ~edges)
+        bytes;
+      List.iter
+        (fun (how, loaded) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s positions stored" label how)
+            stores_positions
+            (Option.is_some (Network.positions loaded)))
+        [
+          ("mmap", Snapshot.load ~path ());
+          ("copy", Snapshot.load ~mmap:false ~path ());
+          ("unvalidated", Snapshot.load ~validate:false ~path ());
+        ])
+    [ ("full", build (), false); ("sparse", sparse (), true) ]
+
 (* ------------------------------------------------------------------ *)
 (* Corrupted-file matrix                                               *)
 (* ------------------------------------------------------------------ *)
@@ -102,33 +126,42 @@ let set_int32 s off v =
   Bytes.set_int32_ne b off v;
   Bytes.to_string b
 
-(* Each row: a label and a mutation of a pristine snapshot's bytes. Both
-   [load] and [info] must refuse the mutant with [Snapshot.Corrupt] —
-   except payload-only damage, which only [load] can see. *)
+let get_int32 s off = Int32.to_int (Bytes.get_int32_ne (Bytes.of_string s) off)
+
+(* Each row: a label, the pristine snapshot it mutates (the ideal network,
+   or the sparse one, which stores positions from byte 64 on), and a
+   mutation of its bytes. Both [load] and [info] must refuse the mutant with
+   [Snapshot.Corrupt] — except payload-only damage, which only [load] can
+   see. *)
 let corruptions =
   [
-    ("empty file", true, fun _ -> "");
-    ("truncated header", true, fun s -> String.sub s 0 40);
-    ("truncated payload", true, fun s -> String.sub s 0 (String.length s - 8));
-    ("trailing garbage", true, fun s -> s ^ "junk");
-    ("bad magic", true, fun s -> "X" ^ String.sub s 1 (String.length s - 1));
-    ("wrong version", true, fun s -> set_int32 s 12 99l);
-    ("foreign endianness", true, fun s -> set_int32 s 8 0x0D0C0B0Al);
+    ("empty file", `Full, true, fun _ -> "");
+    ("truncated header", `Full, true, fun s -> String.sub s 0 40);
+    ("truncated payload", `Full, true, fun s -> String.sub s 0 (String.length s - 8));
+    ("trailing garbage", `Full, true, fun s -> s ^ "junk");
+    ("bad magic", `Full, true, fun s -> "X" ^ String.sub s 1 (String.length s - 1));
+    ("wrong version", `Full, true, fun s -> set_int32 s 12 99l);
+    ("foreign endianness", `Full, true, fun s -> set_int32 s 8 0x0D0C0B0Al);
     ( "out-of-range target",
+      `Full,
       false,
       fun s -> set_int32 s (String.length s - 4) Int32.max_int );
+    ( "non-increasing position",
+      `Sparse,
+      false,
+      fun s -> set_int32 s 68 (Int32.of_int (get_int32 s 64)) );
   ]
 
 let rejects_corrupt () =
-  let net = build () in
-  with_snapshot net @@ fun path ->
-  let pristine = read_file path in
+  with_snapshot (build ()) @@ fun full_path ->
+  with_snapshot (sparse ()) @@ fun sparse_path ->
+  let full = read_file full_path and sparse = read_file sparse_path in
   let mutant = Filename.temp_file "ftr_test_bad" ".ftrsnap" in
   Fun.protect ~finally:(fun () -> try Sys.remove mutant with Sys_error _ -> ())
   @@ fun () ->
   List.iter
-    (fun (label, info_too, mutate) ->
-      write_file mutant (mutate pristine);
+    (fun (label, source, info_too, mutate) ->
+      write_file mutant (mutate (match source with `Full -> full | `Sparse -> sparse));
       let expect_corrupt what f =
         match f () with
         | _ -> Alcotest.failf "%s: %s accepted a corrupt file" label what
@@ -140,6 +173,25 @@ let rejects_corrupt () =
       expect_corrupt "load" (fun () -> Snapshot.load ~path:mutant ());
       if info_too then expect_corrupt "info" (fun () -> Snapshot.info ~path:mutant))
     corruptions
+
+(* A version-1 file (positions stored unconditionally) is refused by the
+   version check, with a message naming the version it found. *)
+let rejects_version_1 () =
+  with_snapshot (build ()) @@ fun path ->
+  write_file path (set_int32 (read_file path) 12 1l);
+  List.iter
+    (fun (what, f) ->
+      match f () with
+      | () -> Alcotest.failf "%s accepted a version-1 snapshot" what
+      | exception Snapshot.Corrupt msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s message %S names version 1" what msg)
+            true
+            (String.starts_with ~prefix:"unsupported snapshot version 1 " msg))
+    [
+      ("load", fun () -> ignore (Snapshot.load ~path ()));
+      ("info", fun () -> ignore (Snapshot.info ~path));
+    ]
 
 let missing_file () =
   (* A nonexistent path is an I/O error, not a corruption — it must
@@ -159,8 +211,8 @@ let prop_roundtrip =
     (fun (n, links, seed) ->
       let net = Network.build_ideal ~n ~links (Rng.of_int seed) in
       with_snapshot net @@ fun path ->
-      same_network net (Snapshot.load ~path ())
-      && same_network net (Snapshot.load ~mmap:false ~path ()))
+      Network.equal net (Snapshot.load ~path ())
+      && Network.equal net (Snapshot.load ~mmap:false ~path ()))
 
 let () =
   Alcotest.run "snapshot"
@@ -171,10 +223,12 @@ let () =
           Alcotest.test_case "copy load" `Quick roundtrip_copy;
           Alcotest.test_case "load without validation" `Quick roundtrip_no_validate;
           Alcotest.test_case "info fields" `Quick info_fields;
+          Alcotest.test_case "file size and stored positions" `Quick file_sizes_and_positions;
         ] );
       ( "corruption",
         [
           Alcotest.test_case "corrupted files are refused" `Quick rejects_corrupt;
+          Alcotest.test_case "version 1 is refused" `Quick rejects_version_1;
           Alcotest.test_case "missing file is ENOENT" `Quick missing_file;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_roundtrip ]);
