@@ -784,72 +784,95 @@ let service (svc : Ftr_svc.Service.t) =
 (* Round-trip fidelity and corruption rejection in one battery section.
    A snapshot that loads is trusted byte-for-byte by the router (the CSR
    invariants are what make the unsafe reads safe), so the section checks
-   both directions: a saved network must come back identical in both load
-   modes, and every corrupted variant — truncated, bad magic, wrong
-   version, foreign endianness, out-of-range payload, trailing bytes —
-   must be refused with [Snapshot.Corrupt], never accepted or crashed. *)
+   both directions: a saved network — full, with no positions section, and
+   sparse, with one — must come back identical in both load modes, and
+   every corrupted variant — truncated, bad magic, wrong version, foreign
+   endianness, out-of-range payload, non-increasing positions, trailing
+   bytes — must be refused with [Snapshot.Corrupt], never accepted or
+   crashed. *)
 let snapshot ?(seed = 0x5A9) () =
   let module Snapshot = Ftr_core.Snapshot in
   let module Csr = Ftr_graph.Adjacency.Csr in
+  let module I32 = Ftr_graph.Adjacency.I32 in
   let out = ref [] in
   let emit x = out := x :: !out in
   let rng = Rng.of_int seed in
-  let net = Network.build_ideal ~n:192 ~links:3 rng in
+  let full = Network.build_ideal ~n:192 ~links:3 rng in
+  let sparse = Network.build_binomial ~n:192 ~links:3 ~present_p:0.5 rng in
   let path = Filename.temp_file "ftr_check_snapshot" ".ftrsnap" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  Snapshot.save net ~path;
-  let compare_loaded label net' =
-    if Network.geometry net' <> Network.geometry net then
-      emit (violation "snapshot.roundtrip" label "geometry changed across the round-trip");
-    if Network.line_size net' <> Network.line_size net then
-      emit
-        (violation "snapshot.roundtrip" label "line_size %d, expected %d"
-           (Network.line_size net') (Network.line_size net));
-    if Network.links net' <> Network.links net then
-      emit
-        (violation "snapshot.roundtrip" label "links %d, expected %d" (Network.links net')
-           (Network.links net));
-    let same_position i = Network.position net' i = Network.position net i in
-    if
-      Network.size net' <> Network.size net
-      || not (List.for_all same_position (List.init (Network.size net) Fun.id))
-    then emit (violation "snapshot.roundtrip" label "positions differ");
-    if not (Csr.equal (Network.csr net') (Network.csr net)) then
-      emit (violation "snapshot.roundtrip" label "CSR adjacency differs");
-    (* Outcome fidelity: the loaded network must route exactly like the
-       original (structural equality should imply it; this catches any
-       accessor reading through the wrong layer). *)
-    for i = 0 to 7 do
-      let src = (i * 37) mod Network.size net
-      and dst = (i * 91) mod Network.size net in
-      if src <> dst then begin
-        let o = Route.route net ~src ~dst and o' = Route.route net' ~src ~dst in
-        if o <> o' then
-          emit
-            (violation "snapshot.route-divergence" label "route %d->%d differs after reload" src
-               dst)
-      end
-    done
-  in
-  (match Snapshot.load ~path () with
-  | net' -> compare_loaded "mmap load" net'
-  | exception Snapshot.Corrupt msg ->
-      emit (violation "snapshot.rejects-valid" "mmap load" "refused a valid snapshot: %s" msg));
-  (match Snapshot.load ~mmap:false ~path () with
-  | net' -> compare_loaded "copy load" net'
-  | exception Snapshot.Corrupt msg ->
-      emit (violation "snapshot.rejects-valid" "copy load" "refused a valid snapshot: %s" msg));
-  (match Snapshot.info ~path with
-  | i ->
-      if i.Snapshot.nodes <> Network.size net then
+  (* Save [net], reload it both ways and compare; returns the file bytes
+     for the corruption matrix. *)
+  let round_trip kind net =
+    Snapshot.save net ~path;
+    let compare_loaded how net' =
+      let label = kind ^ " " ^ how in
+      if Network.geometry net' <> Network.geometry net then
+        emit (violation "snapshot.roundtrip" label "geometry changed across the round-trip");
+      if Network.line_size net' <> Network.line_size net then
         emit
-          (violation "snapshot.info" "info" "node count %d, expected %d" i.Snapshot.nodes
-             (Network.size net))
-  | exception Snapshot.Corrupt msg ->
-      emit (violation "snapshot.rejects-valid" "info" "refused a valid snapshot: %s" msg));
+          (violation "snapshot.roundtrip" label "line_size %d, expected %d"
+             (Network.line_size net') (Network.line_size net));
+      if Network.links net' <> Network.links net then
+        emit
+          (violation "snapshot.roundtrip" label "links %d, expected %d" (Network.links net')
+             (Network.links net));
+      if not (Option.equal I32.equal (Network.positions net') (Network.positions net)) then
+        emit (violation "snapshot.roundtrip" label "positions differ");
+      if not (Csr.equal (Network.csr net') (Network.csr net)) then
+        emit (violation "snapshot.roundtrip" label "CSR adjacency differs");
+      (* Outcome fidelity: the loaded network must route exactly like the
+         original (structural equality should imply it; this catches any
+         accessor reading through the wrong layer). *)
+      for i = 0 to 7 do
+        let src = (i * 37) mod Network.size net
+        and dst = (i * 91) mod Network.size net in
+        if src <> dst then begin
+          let o = Route.route net ~src ~dst and o' = Route.route net' ~src ~dst in
+          if o <> o' then
+            emit
+              (violation "snapshot.route-divergence" label "route %d->%d differs after reload"
+                 src dst)
+        end
+      done
+    in
+    (match Snapshot.load ~path () with
+    | net' -> compare_loaded "mmap load" net'
+    | exception Snapshot.Corrupt msg ->
+        emit
+          (violation "snapshot.rejects-valid" (kind ^ " mmap load")
+             "refused a valid snapshot: %s" msg));
+    (match Snapshot.load ~mmap:false ~path () with
+    | net' -> compare_loaded "copy load" net'
+    | exception Snapshot.Corrupt msg ->
+        emit
+          (violation "snapshot.rejects-valid" (kind ^ " copy load")
+             "refused a valid snapshot: %s" msg));
+    (match Snapshot.info ~path with
+    | i ->
+        if i.Snapshot.nodes <> Network.size net then
+          emit
+            (violation "snapshot.info" (kind ^ " info") "node count %d, expected %d"
+               i.Snapshot.nodes (Network.size net))
+    | exception Snapshot.Corrupt msg ->
+        emit
+          (violation "snapshot.rejects-valid" (kind ^ " info") "refused a valid snapshot: %s"
+             msg));
+    let bytes = In_channel.with_open_bin path In_channel.input_all in
+    let expected =
+      Snapshot.expected_bytes ~line_size:(Network.line_size net) ~nodes:(Network.size net)
+        ~edges:(Csr.edge_count (Network.csr net))
+    in
+    if String.length bytes <> expected then
+      emit
+        (violation "snapshot.size" kind "file is %d bytes, expected %d" (String.length bytes)
+           expected);
+    bytes
+  in
+  let original = round_trip "full" full in
+  let sparse_original = round_trip "sparse" sparse in
   (* Corruption matrix: every variant must raise [Corrupt]. *)
-  let original = In_channel.with_open_bin path In_channel.input_all in
   let corrupt_path = Filename.temp_file "ftr_check_snapshot_bad" ".ftrsnap" in
   Fun.protect ~finally:(fun () -> try Sys.remove corrupt_path with Sys_error _ -> ())
   @@ fun () ->
@@ -864,8 +887,8 @@ let snapshot ?(seed = 0x5A9) () =
           (violation "snapshot.wrong-exception" label "raised %s instead of Corrupt"
              (Printexc.to_string e))
   in
-  let patched off f =
-    let b = Bytes.of_string original in
+  let patched ?(source = original) off f =
+    let b = Bytes.of_string source in
     f b off;
     Bytes.to_string b
   in
@@ -881,4 +904,9 @@ let snapshot ?(seed = 0x5A9) () =
     (patched
        (String.length original - 4)
        (fun b off -> Bytes.set_int32_ne b off Int32.max_int));
+  (* The sparse file's positions section starts right after the 64-byte
+     header: repeat the first position in the second slot. *)
+  expect_rejected "non-increasing position"
+    (patched ~source:sparse_original 68 (fun b off ->
+         Bytes.set_int32_ne b off (Bytes.get_int32_ne b 64)));
   List.rev !out

@@ -198,20 +198,17 @@ let of_flat ?(validate = true) ~geometry ~line_size ?positions ~adj ~links () =
   checked { geometry; line_size; positions; adj; links }
 
 (* Every jagged builder assembles per-node rows and hands them here; the
-   CSR flattening is the only place the flat pair is built from rows. The
-   builders' positions are in range and increasing by construction, so a
-   full-length vector is the identity and is dropped. *)
-let make ~geometry ~line_size ~positions ~rows ~links =
-  checked
-    {
-      geometry;
-      line_size;
-      positions =
-        (if Array.length positions = line_size then None
-         else Some (I32.of_int_array positions));
-      adj = Csr.of_rows rows;
-      links;
-    }
+   CSR flattening is the only place the flat pair is built from rows.
+   Omitted [positions] means a full network. The builders' positions are
+   in range and increasing by construction, so a full-length vector is the
+   identity and is dropped. *)
+let make ~geometry ~line_size ?positions ~rows ~links () =
+  let positions =
+    match positions with
+    | Some p when Array.length p <> line_size -> Some (I32.of_int_array p)
+    | Some _ | None -> None
+  in
+  checked { geometry; line_size; positions; adj = Csr.of_rows rows; links }
 
 let equal a b =
   a.geometry = b.geometry
@@ -234,7 +231,7 @@ let of_neighbor_indices ?(geometry = Line) ~line_size ~positions ~neighbors ~lin
     (Array.iter (fun j ->
          if j < 0 || j >= n then invalid_arg "Network.of_neighbor_indices: neighbor out of range"))
     neighbors;
-  make ~geometry ~line_size ~positions ~rows:neighbors ~links
+  make ~geometry ~line_size ~positions ~rows:neighbors ~links ()
 
 (* Draw a long-distance target for the node at position [src]: a point [v]
    distinct from [src] with Pr[v] proportional to 1/d(src,v)^exponent,
@@ -282,7 +279,9 @@ let build_ideal ?(exponent = 1.0) ~n ~links rng =
      no-op (beyond the closure) unless FTR_OBS is on. *)
   Ftr_obs.Span.time "network.build_ideal" @@ fun () ->
   let pl = Ftr_prng.Sample.power_law ~exponent ~max_length:(n - 1) in
-  let b = Csr.Builder.create ~edges_hint:(n * (links + 2)) ~n () in
+  (* Exact edge count: [links] long links per node plus the two ring links,
+     minus the one each end node lacks. *)
+  let b = Csr.Builder.create ~edges_hint:((n * (links + 2)) - 2) ~n () in
   let scratch = Array.make (links + 2) 0 in
   for u = 0 to n - 1 do
     let len = ref 0 in
@@ -372,7 +371,7 @@ let build_binomial ?(exponent = 1.0) ~n ~links ~present_p rng =
         done;
         finish_node ~immediate ~long:!long)
   in
-  make ~geometry:Line ~line_size:n ~positions ~rows:neighbors ~links
+  make ~geometry:Line ~line_size:n ~positions ~rows:neighbors ~links ()
 
 let ceil_log ~base n =
   if base < 2 then invalid_arg "Network.ceil_log: base must be >= 2";
@@ -408,7 +407,7 @@ let build_deterministic ~n ~base =
         Array.of_list (List.rev !uniq))
   in
   let links = (base - 1) * digits in
-  make ~geometry:Line ~line_size:n ~positions:(Array.init n (fun i -> i)) ~rows:neighbors ~links
+  make ~geometry:Line ~line_size:n ~rows:neighbors ~links ()
 
 let build_geometric ~n ~base =
   if n < 2 then invalid_arg "Network.build_geometric: need at least two nodes";
@@ -432,9 +431,7 @@ let build_geometric ~n ~base =
           arr;
         Array.of_list (List.rev !uniq))
   in
-  make ~geometry:Line ~line_size:n
-    ~positions:(Array.init n (fun i -> i))
-    ~rows:neighbors ~links:(ceil_log ~base n)
+  make ~geometry:Line ~line_size:n ~rows:neighbors ~links:(ceil_log ~base n) ()
 
 (* Lengths of all links except the two ring links (the nearest present node
    on each side); these are the long-distance links whose distribution
@@ -497,7 +494,7 @@ let build_ring ?(exponent = 1.0) ~n ~links rng =
         Array.sort Int.compare arr;
         arr)
   in
-  make ~geometry:Circle ~line_size:n ~positions:(Array.init n (fun i -> i)) ~rows:neighbors ~links
+  make ~geometry:Circle ~line_size:n ~rows:neighbors ~links ()
 
 (* Chord as an instance of this framework (Section 3: Chord's nodes "can be
    thought of as embedded on grid points on a real circle"): clockwise
@@ -530,7 +527,6 @@ let build_chordlike ?(base = 2) ?(predecessor = false) ~n () =
           arr;
         Array.of_list (List.rev !uniq))
   in
-  make ~geometry:Circle ~line_size:n
-    ~positions:(Array.init n (fun i -> i))
-    ~rows:neighbors
+  make ~geometry:Circle ~line_size:n ~rows:neighbors
     ~links:((base - 1) * ceil_log ~base n)
+    ()

@@ -159,20 +159,10 @@ module Csr = struct
       if b.rows_done <> b.n then
         invalid_arg
           (Printf.sprintf "Csr.Builder: %d of %d rows closed at finish" b.rows_done b.n);
-      (* Shrink to fit: the doubling buffer may overshoot by up to 2x, and a
-         [sub] view would pin the full buffer, so copy. A buffer that is
-         already (nearly) full — [edges_hint] was right — is kept as a view:
-         it pins at most 1/64 slack, and the copy would leave a second
-         edge-sized buffer resident until the GC finalizes it. *)
-      let cap = I32.length b.targets in
-      let targets =
-        if cap - b.len <= cap / 64 then I32.sub b.targets 0 b.len
-        else begin
-          let t = I32.create b.len in
-          if b.len > 0 then I32.blit (I32.sub b.targets 0 b.len) t;
-          t
-        end
-      in
+      (* A view, not a copy: the buffer is sized by [edges_hint], and a copy
+         would hold a second edge-sized buffer until the GC finalizes the
+         first. A caller without an exact hint pins the doubling slack. *)
+      let targets = I32.sub b.targets 0 b.len in
       { offsets = b.offsets; targets }
   end
 

@@ -80,7 +80,9 @@ module Csr : sig
         [scratch] as one full row — the scratch array can be reused. *)
 
     val finish : t -> csr
-    (** Seal into a CSR (shrinks the buffer to fit).
+    (** Seal into a CSR. [targets] is a view of the builder's buffer, so
+        it pins the whole buffer: pass the exact edge count as
+        [edges_hint] to leave no slack.
         @raise Invalid_argument unless exactly [n] rows were closed. *)
   end
 
