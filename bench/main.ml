@@ -66,6 +66,32 @@ let section title =
 
 let subsection title = Printf.printf "\n--- %s ---\n%!" title
 
+(* A uniform draw from [rng] over the nodes [0, n) that pass [alive]. *)
+let rec draw_alive rng ~n alive =
+  let v = Rng.int rng n in
+  if alive v then v else draw_alive rng ~n alive
+
+(* [f ()] and the wall-clock seconds it took. *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+(* Every machine-readable file the harness writes goes through here.
+   [asserts] are the section's identity contracts (outputs identical
+   across jobs, a warm cache analyzing nothing): the file is written
+   first, so the evidence survives, then any false one fails the run. *)
+let write_report ?(asserts = []) path json =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Ftr_obs.Json.to_string json);
+      output_char oc '\n');
+  Printf.printf "[bench] wrote %s\n%!" path;
+  match List.filter (fun (_, holds) -> not holds) asserts with
+  | [] -> ()
+  | broken ->
+      List.iter (fun (what, _) -> Printf.eprintf "[bench] %s: %s is false\n%!" path what) broken;
+      exit 1
+
 (* ------------------------------------------------------------------ *)
 (* Figure 5                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -375,13 +401,7 @@ let run_extensions () =
   let failures = Ftr_core.Failure.of_node_mask mask in
   let before = ref 0 and trials = if full then 500 else 300 in
   for _ = 1 to trials do
-    let live () =
-      let rec go () =
-        let v = Rng.int rrng rn in
-        if alive v then v else go ()
-      in
-      go ()
-    in
+    let live () = draw_alive rrng ~n:rn alive in
     let src = live () and dst = live () in
     if not (Route.delivered (Route.route ~failures rnet ~src ~dst)) then incr before
   done;
@@ -518,13 +538,7 @@ let run_byzantine () =
     (fun fraction ->
       let mask = Ftr_core.Failure.random_node_fraction rng ~n ~fraction in
       let byzantine v = not (Ftr_graph.Bitset.get mask v) in
-      let honest () =
-        let rec go () =
-          let v = Rng.int rng n in
-          if byzantine v then go () else v
-        in
-        go ()
-      in
+      let honest () = draw_alive rng ~n (fun v -> not (byzantine v)) in
       let delivered = ref 0 and hops = Summary.create () and sab = Summary.create () in
       let trials = if full then 400 else 200 in
       for _ = 1 to trials do
@@ -564,13 +578,7 @@ let run_dht () =
       done;
       let mask = Ftr_core.Failure.random_node_fraction rng ~n ~fraction in
       let failures = Ftr_core.Failure.of_node_mask mask in
-      let src =
-        let rec live () =
-          let v = Rng.int rng n in
-          if Ftr_graph.Bitset.get mask v then v else live ()
-        in
-        live ()
-      in
+      let src = draw_alive rng ~n (Ftr_graph.Bitset.get mask) in
       let hits = ref 0 and hops = Summary.create () in
       for i = 0 to keys - 1 do
         let r =
@@ -855,37 +863,12 @@ let run_churn () =
 (* ------------------------------------------------------------------ *)
 
 (* Each driver runs twice — jobs=1, then --jobs N — on identical
-   arguments; the executor guarantees identical output (verified here
+   arguments; the executor guarantees identical output (asserted here
    with a structural comparison, and byte-for-byte in the test suite),
-   so the only difference is the wall clock. The numbers land in
-   BENCH_exec.json for machines to read. *)
-let write_exec_report report =
-  let path = "BENCH_exec.json" in
-  let oc = open_out path in
-  output_string oc (Ftr_obs.Json.to_string report);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "[exec] wrote %s\n%!" path
-
+   so the only difference is the wall clock. On a one-domain host N is
+   1 too, and the report's jobs and host_recommended_domains say so. The
+   numbers land in BENCH_exec.json for machines to read. *)
 let run_exec () =
-  let host = Domain.recommended_domain_count () in
-  if host <= 1 then begin
-    (* A jobs sweep on one core can only measure scheduling overhead, so
-       the section is skipped outright; the report says so explicitly
-       rather than publishing a meaningless "speedup". *)
-    section
-      (Printf.sprintf
-         "EXEC — skipped: host recommends %d domain(s); the jobs sweep needs more than one" host);
-    write_exec_report
-      Ftr_obs.Json.(
-        Obj
-          [
-            ("skipped", Bool true);
-            ("host_recommended_domains", Int host);
-            ("full_scale", Bool full);
-          ])
-  end
-  else begin
   let jobs = match jobs_flag with Some j -> j | None -> Ftr_exec.Pool.default_jobs () in
   section
     (Printf.sprintf
@@ -894,13 +877,8 @@ let run_exec () =
        (Domain.recommended_domain_count ()));
   let rows = ref [] in
   let bench name seq par =
-    let time f =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      (r, Unix.gettimeofday () -. t0)
-    in
-    let r1, t1 = time seq in
-    let rj, tj = time par in
+    let r1, t1 = timed seq in
+    let rj, tj = timed par in
     let speedup = t1 /. tj in
     Printf.printf "%28s: jobs=1 %7.2f s, jobs=%d %7.2f s, speedup %5.2fx%s\n%!" name t1 jobs tj
       speedup
@@ -947,97 +925,74 @@ let run_exec () =
                !rows) );
       ]
   in
-  write_exec_report report
-  end
+  write_report "BENCH_exec.json" report
+    ~asserts:(List.rev_map (fun (name, _, _, same) -> (name ^ " output_identical", same)) !rows)
 
 (* ------------------------------------------------------------------ *)
 (* Service: lookups/s through the actor scheduler                      *)
 (* ------------------------------------------------------------------ *)
 
 (* The message-passing service under a churny workload, jobs=1 against
-   the recommended worker count on identical arguments. The scheduler
-   guarantees a byte-identical transcript (checked structurally here,
-   and byte-for-byte by @serve), so the only difference is the wall
-   clock; the numbers land in BENCH_serve.json for machines to read. *)
-let write_serve_report report =
-  let path = "BENCH_serve.json" in
-  let oc = open_out path in
-  output_string oc (Ftr_obs.Json.to_string report);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "[serve] wrote %s\n%!" path
-
+   the recommended worker count on identical arguments (both 1 on a
+   one-domain host). The scheduler guarantees a byte-identical transcript
+   (asserted structurally here, and byte-for-byte by @serve), so the
+   only difference is the wall clock; the numbers land in
+   BENCH_serve.json for machines to read. *)
 let run_serve () =
   let module D = Ftr_svc.Driver in
   let host = Domain.recommended_domain_count () in
-  if host <= 1 then begin
-    section
-      (Printf.sprintf
-         "SERVE — skipped: host recommends %d domain(s); the jobs comparison needs more than one"
-         host);
-    write_serve_report
-      Ftr_obs.Json.(
-        Obj
-          [
-            ("skipped", Bool true);
-            ("host_recommended_domains", Int host);
-            ("full_scale", Bool full);
-          ])
-  end
-  else begin
-    let jobs = match jobs_flag with Some j -> j | None -> Ftr_exec.Pool.default_jobs () in
-    section
-      (Printf.sprintf
-         "SERVE — the overlay as a message-passing service (--jobs %d; host recommends %d)\n\
-          the transcript is jobs-invariant by contract; parallelism only moves the wall clock"
-         jobs host);
-    let cfg =
-      {
-        D.default_config with
-        D.line_size = (if full then 1 lsl 14 else 4096);
-        initial = (if full then 1024 else 256);
-        links = 8;
-        seed;
-        ticks = (if smoke then 32 else 128);
-        rate = (if full then 64 else 32);
-        join_rate = 0.5;
-        crash_rate = 0.5;
-        leave_rate = 0.25;
-        stabilize = 2;
-      }
-    in
-    let r1 = D.run { cfg with D.jobs = Some 1 } in
-    let rj = D.run { cfg with D.jobs = Some jobs } in
-    let same =
-      D.report_lines ~wall:false r1.D.res_report = D.report_lines ~wall:false rj.D.res_report
-    in
-    let rate r = r.D.res_report.D.rp_requests_per_second in
-    Printf.printf
-      "%28s: jobs=1 %8.0f lookups/s, jobs=%d %8.0f lookups/s, speedup %5.2fx%s\n%!"
-      "serve (churny workload)" (rate r1) jobs (rate rj)
-      (rate rj /. rate r1)
-      (if same then "" else "  [OUTPUT MISMATCH]");
-    Printf.printf "%28s: delivered %d/%d, hops p50 %d p99 %d, repairs %d, bounces %d\n%!"
-      "outcomes" r1.D.res_report.D.rp_delivered r1.D.res_report.D.rp_issued
-      r1.D.res_report.D.rp_p50_hops r1.D.res_report.D.rp_p99_hops r1.D.res_report.D.rp_repairs
-      r1.D.res_report.D.rp_bounces;
-    write_serve_report
-      Ftr_obs.Json.(
-        Obj
-          [
-            ("jobs", Int jobs);
-            ("host_recommended_domains", Int host);
-            ("full_scale", Bool full);
-            ("issued", Int r1.D.res_report.D.rp_issued);
-            ("delivered", Int r1.D.res_report.D.rp_delivered);
-            ("p50_hops", Int r1.D.res_report.D.rp_p50_hops);
-            ("p99_hops", Int r1.D.res_report.D.rp_p99_hops);
-            ("jobs1_lookups_per_second", Float (rate r1));
-            ("jobsN_lookups_per_second", Float (rate rj));
-            ("speedup", Float (rate rj /. rate r1));
-            ("output_identical", Bool same);
-          ])
-  end
+  let jobs = match jobs_flag with Some j -> j | None -> Ftr_exec.Pool.default_jobs () in
+  section
+    (Printf.sprintf
+       "SERVE — the overlay as a message-passing service (--jobs %d; host recommends %d)\n\
+        the transcript is jobs-invariant by contract; parallelism only moves the wall clock"
+       jobs host);
+  let cfg =
+    {
+      D.default_config with
+      D.line_size = (if full then 1 lsl 14 else 4096);
+      initial = (if full then 1024 else 256);
+      links = 8;
+      seed;
+      ticks = (if smoke then 32 else 128);
+      rate = (if full then 64 else 32);
+      join_rate = 0.5;
+      crash_rate = 0.5;
+      leave_rate = 0.25;
+      stabilize = 2;
+    }
+  in
+  let r1 = D.run { cfg with D.jobs = Some 1 } in
+  let rj = D.run { cfg with D.jobs = Some jobs } in
+  let same =
+    D.report_lines ~wall:false r1.D.res_report = D.report_lines ~wall:false rj.D.res_report
+  in
+  let rate r = r.D.res_report.D.rp_requests_per_second in
+  Printf.printf
+    "%28s: jobs=1 %8.0f lookups/s, jobs=%d %8.0f lookups/s, speedup %5.2fx%s\n%!"
+    "serve (churny workload)" (rate r1) jobs (rate rj)
+    (rate rj /. rate r1)
+    (if same then "" else "  [OUTPUT MISMATCH]");
+  Printf.printf "%28s: delivered %d/%d, hops p50 %d p99 %d, repairs %d, bounces %d\n%!"
+    "outcomes" r1.D.res_report.D.rp_delivered r1.D.res_report.D.rp_issued
+    r1.D.res_report.D.rp_p50_hops r1.D.res_report.D.rp_p99_hops r1.D.res_report.D.rp_repairs
+    r1.D.res_report.D.rp_bounces;
+  write_report "BENCH_serve.json" ~asserts:[ ("output_identical", same) ]
+    Ftr_obs.Json.(
+      Obj
+        [
+          ("jobs", Int jobs);
+          ("host_recommended_domains", Int host);
+          ("full_scale", Bool full);
+          ("issued", Int r1.D.res_report.D.rp_issued);
+          ("delivered", Int r1.D.res_report.D.rp_delivered);
+          ("p50_hops", Int r1.D.res_report.D.rp_p50_hops);
+          ("p99_hops", Int r1.D.res_report.D.rp_p99_hops);
+          ("jobs1_lookups_per_second", Float (rate r1));
+          ("jobsN_lookups_per_second", Float (rate rj));
+          ("speedup", Float (rate rj /. rate r1));
+          ("output_identical", Bool same);
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Lint: flow-stage analyzer throughput, cold vs warm cache            *)
@@ -1050,14 +1005,6 @@ let run_serve () =
    must analyze zero — and asserts the jobs-invariance contract (the
    rendered finding stream at --jobs 1 and --jobs 4 must agree byte for
    byte). The numbers land in BENCH_lint.json for machines to read. *)
-let write_lint_report report =
-  let path = "BENCH_lint.json" in
-  let oc = open_out path in
-  output_string oc (Ftr_obs.Json.to_string report);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "[lint] wrote %s\n%!" path
-
 let run_lint () =
   let module Flow_driver = Ftr_lint.Flow_driver in
   let root =
@@ -1073,7 +1020,7 @@ let run_lint () =
   match root with
   | None ->
       section "LINT — skipped: no dune-project above the working directory";
-      write_lint_report Ftr_obs.Json.(Obj [ ("skipped", Bool true) ])
+      write_report "BENCH_lint.json" Ftr_obs.Json.(Obj [ ("skipped", Bool true) ])
   | Some root ->
       section
         "LINT — flow-stage analyzer (D1-D4): cold vs warm incremental cache\n\
@@ -1081,26 +1028,20 @@ let run_lint () =
       let cache = Filename.temp_file "ftr_lint_bench" "" in
       Sys.remove cache;
       Unix.mkdir cache 0o755;
-      Fun.protect ~finally:(fun () ->
-          Array.iter (fun f -> Sys.remove (Filename.concat cache f)) (Sys.readdir cache);
-          Unix.rmdir cache)
-      @@ fun () ->
-      let time f =
-        let t0 = Unix.gettimeofday () in
-        let r = f () in
-        (r, Unix.gettimeofday () -. t0)
-      in
-      let (cold, cs), t_cold =
-        time (fun () -> Flow_driver.analyze ~cache_dir:cache ~root ~dirs ())
-      in
-      let (warm, ws), t_warm =
-        time (fun () -> Flow_driver.analyze ~cache_dir:cache ~root ~dirs ())
+      let ((cold, cs), t_cold), ((warm, ws), t_warm) =
+        Fun.protect ~finally:(fun () ->
+            Array.iter (fun f -> Sys.remove (Filename.concat cache f)) (Sys.readdir cache);
+            Unix.rmdir cache)
+        @@ fun () ->
+        let analyze () = timed (fun () -> Flow_driver.analyze ~cache_dir:cache ~root ~dirs ()) in
+        let cold = analyze () in
+        (cold, analyze ())
       in
       let render fs =
         String.concat "\n" (List.map (fun (f, _) -> Ftr_lint.Finding.to_string f) fs)
       in
-      let (j1, _), _ = time (fun () -> Flow_driver.analyze ~jobs:1 ~root ~dirs ()) in
-      let (j4, _), _ = time (fun () -> Flow_driver.analyze ~jobs:4 ~root ~dirs ()) in
+      let j1, _ = Flow_driver.analyze ~jobs:1 ~root ~dirs () in
+      let j4, _ = Flow_driver.analyze ~jobs:4 ~root ~dirs () in
       let jobs_identical = String.equal (render j1) (render j4) in
       let warm_identical = String.equal (render cold) (render warm) in
       Printf.printf "%28s: %d units, %d analyzed, %d findings, %7.2f s\n%!" "cold cache"
@@ -1112,7 +1053,13 @@ let run_lint () =
          else "  [CACHE CONTRACT BROKEN]");
       Printf.printf "%28s: --jobs 1 vs --jobs 4 streams %s\n%!" "jobs invariance"
         (if jobs_identical then "identical" else "DIFFER");
-      write_lint_report
+      write_report "BENCH_lint.json"
+        ~asserts:
+          [
+            ("jobs_identical", jobs_identical);
+            ("warm_identical", warm_identical);
+            ("warm_analyzed = 0", ws.Flow_driver.fl_analyzed = 0);
+          ]
         Ftr_obs.Json.(
           Obj
             [
@@ -1129,221 +1076,66 @@ let run_lint () =
             ])
 
 (* ------------------------------------------------------------------ *)
-(* Route throughput: flat-CSR router vs the pre-refactor reference     *)
+(* Route throughput: the flat-CSR router                               *)
 (* ------------------------------------------------------------------ *)
 
-(* A faithful re-implementation of the router this tree shipped before
-   the CSR refactor: jagged per-node neighbour rows, a Hashtbl of
-   int-list exclusion sets probed with [List.mem], and the generic
-   closure-based failure checks on every candidate. It exists so the
-   speedup in BENCH_route.json is measured inside one build against the
-   same workload, not quoted from a stale run — and so the agreement
-   pass below can assert, message by message, that the refactor changed
-   the clock and nothing else. Only the two strategies the throughput
-   workload exercises are implemented. *)
-module Legacy_route = struct
-  module Failure = Ftr_core.Failure
-
-  let best_neighbor net rows failures ~mode ~tried ~cur ~dst =
-    let cur_dist = Network.routing_distance net ~side:`Two_sided ~src:cur ~dst in
-    let ns : int array = rows.(cur) in
-    let excluded = match Hashtbl.find_opt tried cur with Some l -> l | None -> [] in
-    let limit = match mode with `Strict -> cur_dist | `Any -> max_int in
-    let best = ref (-1) and best_idx = ref (-1) and best_dist = ref limit in
-    Array.iteri
-      (fun idx v ->
-        if
-          Failure.link_alive failures ~src:cur ~idx
-          && Failure.node_alive failures v
-          && not (List.mem idx excluded)
-        then begin
-          let v_dist = Network.routing_distance net ~side:`Two_sided ~src:v ~dst in
-          if v_dist < !best_dist then begin
-            best := v;
-            best_idx := idx;
-            best_dist := v_dist
-          end
-        end)
-      ns;
-    if !best < 0 then None else Some (!best_idx, !best)
-
-  let no_tried : (int, int list) Hashtbl.t = Hashtbl.create 1
-
-  let route ?(failures = Failure.none) ?(strategy = Route.Terminate) ?(max_hops = 1_000_000) net
-      rows ~src ~dst =
-    let tried =
-      match strategy with
-      | Route.Backtrack _ -> Hashtbl.create 64
-      | Route.Terminate -> no_tried
-      | Route.Random_reroute _ -> invalid_arg "Legacy_route.route: reroute not implemented"
-    in
-    let record_tried cur idx =
-      match strategy with
-      | Route.Backtrack _ ->
-          let prev = match Hashtbl.find_opt tried cur with Some l -> l | None -> [] in
-          Hashtbl.replace tried cur (idx :: prev)
-      | Route.Terminate | Route.Random_reroute _ -> ()
-    in
-    match strategy with
-    | Route.Random_reroute _ -> assert false
-    | Route.Terminate ->
-        let cur = ref src and h = ref 0 and stop = ref false in
-        while (not !stop) && !cur <> dst && !h < max_hops do
-          match best_neighbor net rows failures ~mode:`Strict ~tried ~cur:!cur ~dst with
-          | Some (_, v) ->
-              cur := v;
-              incr h
-          | None -> stop := true
-        done;
-        if !cur = dst then Route.Delivered { hops = !h }
-        else if !stop then
-          Route.Failed { hops = !h; stuck_at = !cur; reason = Route.No_live_neighbor }
-        else Route.Failed { hops = !h; stuck_at = !cur; reason = Route.Hop_limit }
-    | Route.Backtrack { history = history_limit } ->
-        let trim history =
-          let rec take k = function
-            | [] -> []
-            | x :: rest -> if k = 0 then [] else x :: take (k - 1) rest
-          in
-          take history_limit history
-        in
-        let rec forward cur h history =
-          if cur = dst then Route.Delivered { hops = h }
-          else if h >= max_hops then
-            Route.Failed { hops = h; stuck_at = cur; reason = Route.Hop_limit }
-          else
-            match best_neighbor net rows failures ~mode:`Strict ~tried ~cur ~dst with
-            | Some (idx, v) ->
-                record_tried cur idx;
-                forward v (h + 1) (trim (cur :: history))
-            | None -> backtrack cur h history
-        and backtrack stuck h history =
-          match history with
-          | [] -> Route.Failed { hops = h; stuck_at = stuck; reason = Route.No_live_neighbor }
-          | y :: rest ->
-              let h = h + 1 in
-              if h >= max_hops then
-                Route.Failed { hops = h; stuck_at = y; reason = Route.Hop_limit }
-              else begin
-                match best_neighbor net rows failures ~mode:`Any ~tried ~cur:y ~dst with
-                | Some (idx, v) ->
-                    record_tried y idx;
-                    forward v (h + 1) (trim (y :: rest))
-                | None -> backtrack y h rest
-              end
-        in
-        forward src 0 []
-end
-
+(* Hops/second of the production router on two streams over one
+   network: any pair with no failures (Terminate), and live pairs under
+   30% node failures (Backtrack, 5-node history). Telemetry is off so
+   the number is the router's, not the obs layer's (the tracing section
+   measures that). The outcomes of these streams are pinned as digests
+   in test/test_csr.ml, recorded from the pre-refactor router. *)
 let run_route_throughput () =
   let n = if full then 1 lsl 14 else 1 lsl 13 in
   let links = 14 in
   let messages = if smoke then 3_000 else if full then 60_000 else 30_000 in
   section
     (Printf.sprintf
-       "ROUTE THROUGHPUT — flat-CSR router vs the pre-refactor reference\n\
-        (n=%d, links=%d, %d messages per timing; same workload, same build)" n links messages);
-  (* The harness keeps telemetry on, but the reference router carries no
-     obs hooks — timing the production router with per-hop event emission
-     against it would measure the telemetry layer, not the layout change.
-     Both sides run with obs off and the previous mode is restored. *)
-  let obs_was = Ftr_obs.Flag.enabled () in
-  Ftr_obs.Flag.set_mode false;
-  Fun.protect ~finally:(fun () -> Ftr_obs.Flag.set_mode obs_was) @@ fun () ->
+       "ROUTE THROUGHPUT — flat-CSR router\n(n=%d, links=%d, %d messages per timing)" n links
+       messages);
+  Ftr_obs.Flag.with_mode false @@ fun () ->
   let rng = Rng.of_int seed in
   let net = Network.build_ideal ~n ~links (Rng.split rng) in
-  (* The reference's storage model: one jagged row per node, built once. *)
-  let rows = Array.init n (fun u -> Array.init (Network.degree net u) (Network.neighbor net u)) in
   let mask = Ftr_core.Failure.random_node_fraction (Rng.split rng) ~n ~fraction:0.3 in
   let failures = Ftr_core.Failure.of_node_mask mask in
   let alive = Ftr_graph.Bitset.get mask in
   let scratch = Route.scratch net in
   let any r = (Rng.int r n, Rng.int r n) in
-  let live_pick r =
-    let rec go () =
-      let v = Rng.int r n in
-      if alive v then v else go ()
-    in
-    (go (), go ())
-  in
-  let json_rows = ref [] in
+  let live_pick r = (draw_alive r ~n alive, draw_alive r ~n alive) in
   let run name ~failures ~strategy ~pick =
     subsection name;
-    (* Agreement pass: identical pair streams through both routers; any
-       outcome divergence disqualifies the comparison. *)
-    let sample = min 2_000 messages in
-    let mismatches = ref 0 in
-    let pr_l = Rng.of_int (seed + 77) and pr_n = Rng.of_int (seed + 77) in
-    for _ = 1 to sample do
-      let src, dst = pick pr_l in
-      let src', dst' = pick pr_n in
-      let legacy = Legacy_route.route ~failures ~strategy net rows ~src ~dst in
-      let fresh = Route.route ~failures ~strategy ~scratch net ~src:src' ~dst:dst' in
-      if legacy <> fresh then incr mismatches
-    done;
-    let time router =
-      let pair_rng = Rng.of_int (seed + 78) in
-      for _ = 1 to min 2_000 messages do
-        let src, dst = pick pair_rng in
-        ignore (router ~src ~dst)
-      done;
+    let route_pairs count =
       let pair_rng = Rng.of_int (seed + 78) in
       let hops = ref 0 in
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to messages do
+      for _ = 1 to count do
         let src, dst = pick pair_rng in
-        hops := !hops + Route.hops (router ~src ~dst)
+        hops := !hops + Route.hops (Route.route ~failures ~strategy ~scratch net ~src ~dst)
       done;
-      let dt = Unix.gettimeofday () -. t0 in
-      float_of_int !hops /. dt
+      !hops
     in
-    let legacy_hps = time (fun ~src ~dst -> Legacy_route.route ~failures ~strategy net rows ~src ~dst) in
-    let csr_hps = time (fun ~src ~dst -> Route.route ~failures ~strategy ~scratch net ~src ~dst) in
-    let speedup = csr_hps /. legacy_hps in
-    Printf.printf "legacy reference: %12.0f hops/s\n" legacy_hps;
-    Printf.printf "flat CSR router:  %12.0f hops/s\n" csr_hps;
-    Printf.printf "speedup: %.2fx%s\n%!" speedup
-      (if !mismatches = 0 then "" else Printf.sprintf "  [%d OUTCOME MISMATCHES]" !mismatches);
-    json_rows :=
-      ( name,
-        legacy_hps,
-        csr_hps,
-        speedup,
-        !mismatches = 0 )
-      :: !json_rows
+    ignore (route_pairs (min 2_000 messages));
+    let hops, dt = timed (fun () -> route_pairs messages) in
+    let csr_hps = float_of_int hops /. dt in
+    Printf.printf "flat CSR router:  %12.0f hops/s\n%!" csr_hps;
+    Ftr_obs.Json.(Obj [ ("name", String name); ("csr_hops_per_second", Float csr_hps) ])
   in
-  run "healthy_terminate" ~failures:Ftr_core.Failure.none ~strategy:Route.Terminate ~pick:any;
-  run "fail30_backtrack5" ~failures ~strategy:(Route.Backtrack { history = 5 }) ~pick:live_pick;
-  let open Ftr_obs.Json in
-  let report =
-    Obj
-      [
-        ("n", Int n);
-        ("links", Int links);
-        ("messages", Int messages);
-        ("full_scale", Bool full);
-        ("smoke", Bool smoke);
-        ( "sections",
-          List
-            (List.rev_map
-               (fun (name, legacy_hps, csr_hps, speedup, same) ->
-                 Obj
-                   [
-                     ("name", String name);
-                     ("legacy_hops_per_second", Float legacy_hps);
-                     ("csr_hops_per_second", Float csr_hps);
-                     ("speedup", Float speedup);
-                     ("outcomes_identical", Bool same);
-                   ])
-               !json_rows) );
-      ]
+  let healthy =
+    run "healthy_terminate" ~failures:Ftr_core.Failure.none ~strategy:Route.Terminate ~pick:any
   in
-  let path = "BENCH_route.json" in
-  let oc = open_out path in
-  output_string oc (to_string report);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "[route] wrote %s\n%!" path
+  let faulty =
+    run "fail30_backtrack5" ~failures ~strategy:(Route.Backtrack { history = 5 }) ~pick:live_pick
+  in
+  write_report "BENCH_route.json"
+    Ftr_obs.Json.(
+      Obj
+        [
+          ("n", Int n);
+          ("links", Int links);
+          ("messages", Int messages);
+          ("full_scale", Bool full);
+          ("smoke", Bool smoke);
+          ("sections", List [ healthy; faulty ]);
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Scale: compact CSR footprint, streaming build, batch routing        *)
@@ -1372,144 +1164,113 @@ let run_scale () =
        "SCALE — int32 CSR core: streaming build, footprint, batch routing\n\
         (links=%d, %d messages per size; sizes up to n=%d)" links messages
        (List.fold_left max 0 sizes));
-  let obs_was = Ftr_obs.Flag.enabled () in
-  Ftr_obs.Flag.set_mode false;
-  Fun.protect ~finally:(fun () -> Ftr_obs.Flag.set_mode obs_was) @@ fun () ->
-  let json_rows = ref [] in
-  List.iter
-    (fun n ->
-      subsection (Printf.sprintf "n = %d" n);
-      let rng = Rng.of_int (seed + n) in
-      let t0 = Unix.gettimeofday () in
-      let net = Network.build_ideal ~n ~links (Rng.split rng) in
-      let build_dt = Unix.gettimeofday () -. t0 in
-      let edges = Csr.edge_count (Network.csr net) in
-      (* Footprint accounting: the vectors the network holds — an ideal
-         network is full, so offsets (n+1) and targets (E) but no positions
-         — at 4 bytes/word, against the pre-refactor representation:
-         positions, offsets and targets as 8-byte OCaml ints. *)
-      if Option.is_some (Network.positions net) then
-        failwith "scale: a full network holds a positions vector";
-      let bytes_int32 = 4 * (n + 1 + edges) and bytes_int_array = 8 * (n + (n + 1) + edges) in
-      let per_node b = float_of_int b /. float_of_int n in
-      let ratio = per_node bytes_int32 /. per_node bytes_int_array in
-      Printf.printf "build: %.3f s (%.0f nodes/s), %d edges\n" build_dt
-        (float_of_int n /. build_dt) edges;
-      Printf.printf "footprint: %.1f bytes/node (int-array baseline %.1f, ratio %.2f)\n"
-        (per_node bytes_int32) (per_node bytes_int_array) ratio;
-      (* Batch routing: healthy Terminate for throughput; the identity
-         check below re-routes the same pairs under failures with the
-         seeded Random_reroute strategy, the case where per-route rng
-         derivation could diverge across schedules. *)
-      let pair_rng = Rng.of_int (seed + 79) in
-      let pairs =
-        Array.init messages (fun _ -> (Rng.int pair_rng n, Rng.int pair_rng n))
-      in
-      let time_batch ~jobs =
-        let t0 = Unix.gettimeofday () in
-        let outcomes = Route_batch.run ~jobs net ~pairs in
-        let dt = Unix.gettimeofday () -. t0 in
-        let hops = Array.fold_left (fun acc o -> acc + Route.hops o) 0 outcomes in
-        (float_of_int hops /. dt, outcomes)
-      in
-      let hps1, _ = time_batch ~jobs:1 in
-      let jobs = Ftr_exec.Pool.default_jobs () in
-      let hps, _ = time_batch ~jobs in
-      Printf.printf "batch route: %12.0f hops/s (jobs=1)  %12.0f hops/s (jobs=%d)\n" hps1
-        hps jobs;
-      let mask =
-        Ftr_core.Failure.random_node_fraction (Rng.split rng) ~n ~fraction:0.3
-      in
-      let failures = Ftr_core.Failure.of_node_mask mask in
-      let alive = Ftr_graph.Bitset.get mask in
-      let live_rng = Rng.of_int (seed + 81) in
-      let rec live () =
-        let v = Rng.int live_rng n in
-        if alive v then v else live ()
-      in
-      let live_pairs = Array.init messages (fun _ -> (live (), live ())) in
-      let strategy = Route.Random_reroute { attempts = 3 } in
-      let reroute ~jobs =
-        Route_batch.run ~jobs ~failures ~strategy ~seed:(seed + 80) net
-          ~pairs:live_pairs
-      in
-      let reference = reroute ~jobs:1 in
-      let identical = ref true in
-      List.iter (fun j -> if reroute ~jobs:j <> reference then identical := false) [ 2; 4 ];
-      (* Same grid forced through the sequential fallback. *)
-      let saved_seq = Sys.getenv_opt "FTR_EXEC_SEQ" in
-      Unix.putenv "FTR_EXEC_SEQ" "1";
-      Fun.protect ~finally:(fun () ->
-          Unix.putenv "FTR_EXEC_SEQ" (Option.value saved_seq ~default:"0"))
-      @@ fun () ->
-      if reroute ~jobs:4 <> reference then identical := false;
-      Printf.printf "jobs 1/2/4 + FTR_EXEC_SEQ=1 merged outcomes identical: %b\n" !identical;
-      (* Snapshot round trip through a scratch file: save, then the mmap
-         load the CLI serves from. *)
-      let snap = Filename.temp_file "ftr_scale" ".ftrsnap" in
-      Fun.protect ~finally:(fun () -> try Sys.remove snap with Sys_error _ -> ()) @@ fun () ->
-      let t0 = Unix.gettimeofday () in
-      Snapshot.save net ~path:snap;
-      let save_dt = Unix.gettimeofday () -. t0 in
-      let t0 = Unix.gettimeofday () in
-      let reloaded = Snapshot.load ~path:snap () in
-      let load_dt = Unix.gettimeofday () -. t0 in
-      let snap_bytes = (Unix.stat snap).Unix.st_size in
-      if Network.size reloaded <> n then failwith "scale: snapshot round-trip lost nodes";
-      (* The file is the size its header implies, and that is the 64-byte
-         header plus exactly the vectors the network holds: a full
-         network's file carries no positions section. *)
-      let want_bytes = Snapshot.expected_bytes ~line_size:n ~nodes:n ~edges in
-      if snap_bytes <> want_bytes || snap_bytes <> 64 + bytes_int32 then
-        failwith
-          (Printf.sprintf "scale: snapshot is %d bytes; header implies %d, held vectors %d + 64"
-             snap_bytes want_bytes bytes_int32);
-      Printf.printf "snapshot: %d bytes, save %.3f s, mmap load %.3f s\n%!" snap_bytes
-        save_dt load_dt;
-      json_rows :=
-        ( n, edges, build_dt, per_node bytes_int32, per_node bytes_int_array, ratio, hps1,
-          hps, jobs, !identical, snap_bytes, save_dt, load_dt )
-        :: !json_rows)
-    sizes;
-  let open Ftr_obs.Json in
-  let report =
-    Obj
-      [
-        ("links", Int links);
-        ("messages", Int messages);
-        ("full_scale", Bool full);
-        ("smoke", Bool smoke);
-        ( "sizes",
-          List
-            (List.rev_map
-               (fun ( n, edges, build_dt, bpn, bpn_base, ratio, hps1, hps, jobs, identical,
-                      snap_bytes, save_dt, load_dt ) ->
-                 Obj
-                   [
-                     ("n", Int n);
-                     ("edges", Int edges);
-                     ("build_seconds", Float build_dt);
-                     ("build_nodes_per_second", Float (float_of_int n /. build_dt));
-                     ("bytes_per_node_int32", Float bpn);
-                     ("bytes_per_node_int_array", Float bpn_base);
-                     ("footprint_ratio", Float ratio);
-                     ("batch_hops_per_second_jobs1", Float hps1);
-                     ("batch_hops_per_second", Float hps);
-                     ("jobs", Int jobs);
-                     ("outcomes_identical_across_jobs", Bool identical);
-                     ("snapshot_bytes", Int snap_bytes);
-                     ("snapshot_save_seconds", Float save_dt);
-                     ("snapshot_load_seconds", Float load_dt);
-                   ])
-               !json_rows) );
-      ]
+  Ftr_obs.Flag.with_mode false @@ fun () ->
+  let rows =
+    List.map
+      (fun n ->
+        subsection (Printf.sprintf "n = %d" n);
+        let rng = Rng.of_int (seed + n) in
+        let net, build_dt = timed (fun () -> Network.build_ideal ~n ~links (Rng.split rng)) in
+        let edges = Csr.edge_count (Network.csr net) in
+        (* Footprint accounting: the vectors the network holds — an ideal
+           network is full, so offsets (n+1) and targets (E) but no positions
+           — at 4 bytes/word, against the pre-refactor representation:
+           positions, offsets and targets as 8-byte OCaml ints. *)
+        if Option.is_some (Network.positions net) then
+          failwith "scale: a full network holds a positions vector";
+        let bytes_int32 = 4 * (n + 1 + edges) and bytes_int_array = 8 * (n + (n + 1) + edges) in
+        let per_node b = float_of_int b /. float_of_int n in
+        let ratio = per_node bytes_int32 /. per_node bytes_int_array in
+        Printf.printf "build: %.3f s (%.0f nodes/s), %d edges\n" build_dt
+          (float_of_int n /. build_dt) edges;
+        Printf.printf "footprint: %.1f bytes/node (int-array baseline %.1f, ratio %.2f)\n"
+          (per_node bytes_int32) (per_node bytes_int_array) ratio;
+        (* Batch routing: healthy Terminate for throughput; the identity
+           check below re-routes the same pairs under failures with the
+           seeded Random_reroute strategy, the case where per-route rng
+           derivation could diverge across schedules. *)
+        let pair_rng = Rng.of_int (seed + 79) in
+        let pairs =
+          Array.init messages (fun _ -> (Rng.int pair_rng n, Rng.int pair_rng n))
+        in
+        let batch_hps ~jobs =
+          let outcomes, dt = timed (fun () -> Route_batch.run ~jobs net ~pairs) in
+          float_of_int (Array.fold_left (fun acc o -> acc + Route.hops o) 0 outcomes) /. dt
+        in
+        let hps1 = batch_hps ~jobs:1 in
+        let jobs = Ftr_exec.Pool.default_jobs () in
+        let hps = batch_hps ~jobs in
+        Printf.printf "batch route: %12.0f hops/s (jobs=1)  %12.0f hops/s (jobs=%d)\n" hps1
+          hps jobs;
+        let mask =
+          Ftr_core.Failure.random_node_fraction (Rng.split rng) ~n ~fraction:0.3
+        in
+        let failures = Ftr_core.Failure.of_node_mask mask in
+        let alive = Ftr_graph.Bitset.get mask in
+        let live_rng = Rng.of_int (seed + 81) in
+        let live () = draw_alive live_rng ~n alive in
+        let live_pairs = Array.init messages (fun _ -> (live (), live ())) in
+        let strategy = Route.Random_reroute { attempts = 3 } in
+        let reroute ~jobs =
+          Route_batch.run ~jobs ~failures ~strategy ~seed:(seed + 80) net
+            ~pairs:live_pairs
+        in
+        let reference = reroute ~jobs:1 in
+        let identical =
+          List.for_all (fun j -> reroute ~jobs:j = reference) [ 2; 4 ]
+          (* Same grid forced through the sequential fallback. *)
+          && Ftr_exec.Pool.with_sequential_forced true (fun () -> reroute ~jobs:4 = reference)
+        in
+        Printf.printf "jobs 1/2/4 + FTR_EXEC_SEQ=1 merged outcomes identical: %b\n" identical;
+        (* Snapshot round trip through a scratch file: save, then the mmap
+           load the CLI serves from. *)
+        let snap = Filename.temp_file "ftr_scale" ".ftrsnap" in
+        Fun.protect ~finally:(fun () -> try Sys.remove snap with Sys_error _ -> ()) @@ fun () ->
+        let (), save_dt = timed (fun () -> Snapshot.save net ~path:snap) in
+        let reloaded, load_dt = timed (fun () -> Snapshot.load ~path:snap ()) in
+        let snap_bytes = (Unix.stat snap).Unix.st_size in
+        if Network.size reloaded <> n then failwith "scale: snapshot round-trip lost nodes";
+        (* The file is the size its header implies, and that is the 64-byte
+           header plus exactly the vectors the network holds: a full
+           network's file carries no positions section. *)
+        let want_bytes = Snapshot.expected_bytes ~line_size:n ~nodes:n ~edges in
+        if snap_bytes <> want_bytes || snap_bytes <> 64 + bytes_int32 then
+          failwith
+            (Printf.sprintf "scale: snapshot is %d bytes; header implies %d, held vectors %d + 64"
+               snap_bytes want_bytes bytes_int32);
+        Printf.printf "snapshot: %d bytes, save %.3f s, mmap load %.3f s\n%!" snap_bytes
+          save_dt load_dt;
+        let open Ftr_obs.Json in
+        ( Obj
+            [
+              ("n", Int n);
+              ("edges", Int edges);
+              ("build_seconds", Float build_dt);
+              ("build_nodes_per_second", Float (float_of_int n /. build_dt));
+              ("bytes_per_node_int32", Float (per_node bytes_int32));
+              ("bytes_per_node_int_array", Float (per_node bytes_int_array));
+              ("footprint_ratio", Float ratio);
+              ("batch_hops_per_second_jobs1", Float hps1);
+              ("batch_hops_per_second", Float hps);
+              ("jobs", Int jobs);
+              ("outcomes_identical_across_jobs", Bool identical);
+              ("snapshot_bytes", Int snap_bytes);
+              ("snapshot_save_seconds", Float save_dt);
+              ("snapshot_load_seconds", Float load_dt);
+            ],
+          (Printf.sprintf "n=%d outcomes_identical_across_jobs" n, identical) ))
+      sizes
   in
-  let path = "BENCH_scale.json" in
-  let oc = open_out path in
-  output_string oc (to_string report);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "[scale] wrote %s\n%!" path
+  write_report "BENCH_scale.json" ~asserts:(List.map snd rows)
+    Ftr_obs.Json.(
+      Obj
+        [
+          ("links", Int links);
+          ("messages", Int messages);
+          ("full_scale", Bool full);
+          ("smoke", Bool smoke);
+          ("sizes", List (List.map fst rows));
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Flight-recorder overhead                                            *)
@@ -1518,8 +1279,8 @@ let run_scale () =
 (* Route throughput under three telemetry settings — everything off, obs
    on with the recorder muted, and full-fidelity tracing — plus a bounded-
    retention check: however many routes record, the ring never grows past
-   its capacity. Does not touch BENCH_route.json (that comparison times
-   with obs forced off; see run_route_throughput). *)
+   its capacity. Does not touch BENCH_route.json (the route section
+   times with obs forced off). *)
 let run_tracing () =
   let n = 1 lsl 13 in
   let links = 13 in
@@ -1528,10 +1289,9 @@ let run_tracing () =
     (Printf.sprintf
        "FLIGHT RECORDER — tracing overhead and bounded retention\n\
         (n=%d, links=%d, %d messages per timing)" n links messages);
-  let obs_was = Ftr_obs.Flag.enabled () in
+  Ftr_obs.Flag.with_mode false @@ fun () ->
   Fun.protect
     ~finally:(fun () ->
-      Ftr_obs.Flag.set_mode obs_was;
       Ftr_obs.Tracing.set_recording true;
       Ftr_obs.Tracing.force_full false;
       Ftr_obs.Tracing.reset ())
@@ -1542,17 +1302,10 @@ let run_tracing () =
   let failures = Ftr_core.Failure.of_node_mask mask in
   let alive = Ftr_graph.Bitset.get mask in
   let scratch = Route.scratch net in
-  let time () =
+  let route_all () =
     let pair_rng = Rng.of_int (seed + 80) in
-    let live () =
-      let rec go () =
-        let v = Rng.int pair_rng n in
-        if alive v then v else go ()
-      in
-      go ()
-    in
+    let live () = draw_alive pair_rng ~n alive in
     let hops = ref 0 in
-    let t0 = Unix.gettimeofday () in
     for _ = 1 to messages do
       let src = live () and dst = live () in
       hops :=
@@ -1562,18 +1315,21 @@ let run_tracing () =
                ~strategy:(Route.Backtrack { history = 5 })
                ~rng:pair_rng ~scratch net ~src ~dst)
     done;
-    float_of_int !hops /. (Unix.gettimeofday () -. t0)
+    !hops
   in
-  Ftr_obs.Flag.set_mode false;
-  let off_hps = time () in
+  let hops_per_second () =
+    let hops, dt = timed route_all in
+    float_of_int hops /. dt
+  in
+  let off_hps = hops_per_second () in
   Ftr_obs.Flag.set_mode true;
   Ftr_obs.Tracing.reset ();
   Ftr_obs.Tracing.set_recording false;
-  let muted_hps = time () in
+  let muted_hps = hops_per_second () in
   Ftr_obs.Tracing.set_recording true;
   Ftr_obs.Tracing.set_seed seed;
   Ftr_obs.Tracing.force_full true;
-  let traced_hps = time () in
+  let traced_hps = hops_per_second () in
   Printf.printf "telemetry off:            %12.0f hops/s\n" off_hps;
   Printf.printf "obs on, recorder muted:   %12.0f hops/s (%.2fx slower than off)\n" muted_hps
     (off_hps /. muted_hps);
@@ -1602,13 +1358,7 @@ let run_micro () =
   let det = Network.build_deterministic ~n ~base:2 in
   let mask = Ftr_core.Failure.random_node_fraction rng ~n ~fraction:0.3 in
   let failures = Ftr_core.Failure.of_node_mask mask in
-  let live () =
-    let rec go () =
-      let v = Rng.int rng n in
-      if Ftr_graph.Bitset.get mask v then v else go ()
-    in
-    go ()
-  in
+  let live () = draw_alive rng ~n (Ftr_graph.Bitset.get mask) in
   let tests =
     [
       Test.make ~name:"xoshiro-next" (Staged.stage (fun () -> ignore (Rng.bits64 rng)));
@@ -1698,16 +1448,11 @@ let () =
     ~rows:(List.rev !table1_csv_rows);
   (* Closing metrics snapshot: one line of JSON on stdout, and a file next
      to the CSVs when FTR_BENCH_CSV is set. *)
-  let snapshot = Ftr_obs.Json.to_string (Ftr_obs.Export.json_snapshot ()) in
-  Printf.printf "\n[obs] metrics snapshot: %s\n" snapshot;
+  let snapshot = Ftr_obs.Export.json_snapshot () in
+  Printf.printf "\n[obs] metrics snapshot: %s\n" (Ftr_obs.Json.to_string snapshot);
   (match csv_dir with
   | Some dir ->
       mkdir_p dir;
-      let path = Filename.concat dir "metrics.json" in
-      let oc = open_out path in
-      output_string oc snapshot;
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "[obs] wrote %s\n%!" path
+      write_report (Filename.concat dir "metrics.json") snapshot
   | None -> ());
   Printf.printf "\ntotal wall time: %.1f s\n%!" (Unix.gettimeofday () -. t0)

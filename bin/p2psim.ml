@@ -24,9 +24,25 @@ open Cmdliner
 let seed_t =
   Arg.(value & opt int 2002 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed (reproducible).")
 
+(* [conv] narrowed to the values [valid] accepts; anything else is a
+   usage error (exit 124) that names the option and [expected]. *)
+let checked conv ~expected valid =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when not (valid v) ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let nodes_conv = checked Arg.int ~expected:"a node count of at least 2" (fun n -> n >= 2)
+
+let fraction_conv =
+  checked Arg.float ~expected:"a fraction in [0, 1)" (fun p -> p >= 0.0 && p < 1.0)
+
 let n_t default =
   Arg.(
-    value & opt int default
+    value & opt nodes_conv default
     & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes on the line.")
 
 let links_t =
@@ -52,11 +68,60 @@ let json_t =
     value & flag
     & info [ "json" ] ~doc:"Emit machine-readable JSON instead of the human-readable table.")
 
-let strategy_of_string = function
-  | "terminate" -> Route.Terminate
-  | "reroute" -> Route.Random_reroute { attempts = 1 }
-  | "backtrack" -> Route.Backtrack { history = 5 }
-  | s -> failwith (Printf.sprintf "unknown strategy %S" s)
+let strategy_t =
+  let strategies =
+    [
+      ("terminate", Route.Terminate);
+      ("reroute", Route.Random_reroute { attempts = 1 });
+      ("backtrack", Route.Backtrack { history = 5 });
+    ]
+  in
+  Arg.(
+    value
+    & opt (enum strategies) (Route.Backtrack { history = 5 })
+    & info [ "strategy" ] ~docv:"S" ~doc:"terminate | reroute | backtrack.")
+
+let fail_t default =
+  Arg.(
+    value & opt fraction_conv default
+    & info [ "fail" ] ~docv:"P" ~doc:"Fraction of nodes to fail before routing.")
+
+let jobs_t ~doc = Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"J" ~doc)
+
+(* The ideal network, then a random [fraction] of its nodes failed, both
+   drawn from [rng] in that order: the failure set and its liveness
+   test. *)
+let ideal_with_failures ~n ~links ~fraction rng =
+  let net = Network.build_ideal ~n ~links rng in
+  if fraction > 0.0 then
+    let mask = Ftr_core.Failure.random_node_fraction rng ~n ~fraction in
+    (net, Ftr_core.Failure.of_node_mask mask, Ftr_graph.Bitset.get mask)
+  else (net, Ftr_core.Failure.none, fun _ -> true)
+
+(* Telemetry forced on from empty registries, trace identity seeded by
+   [seed]: what a run then records is its own workload and nothing
+   else, and trace ids repeat from run to run. *)
+let fresh_telemetry ~seed =
+  Ftr_obs.Flag.set_mode true;
+  Ftr_obs.Metrics.reset Ftr_obs.Metrics.default;
+  Ftr_obs.Span.reset ();
+  Ftr_obs.Events.reset ();
+  Ftr_obs.Tracing.reset ();
+  Ftr_obs.Tracing.set_seed seed
+
+type problems = { fail : 'a. ('a, unit, string, unit) format4 -> 'a }
+
+(* A [--selfcheck] run: [body] reports each broken contract through
+   [fail]. None prints [passed]; any are listed on stderr, and the exit
+   status is 1. *)
+let run_selfcheck name ~passed body =
+  let found = ref [] in
+  body { fail = (fun fmt -> Printf.ksprintf (fun m -> found := m :: !found) fmt) };
+  match List.rev !found with
+  | [] -> print_endline passed
+  | ps ->
+      List.iter (Printf.eprintf "%s selfcheck: %s\n" name) ps;
+      exit 1
 
 (* route *)
 
@@ -64,16 +129,8 @@ let route_cmd =
   let run n links seed src dst fraction strategy json =
     let links = resolve_links n links in
     let rng = Rng.of_int seed in
-    let net = Network.build_ideal ~n ~links rng in
+    let net, failures, live_guard = ideal_with_failures ~n ~links ~fraction rng in
     let src = ((src mod n) + n) mod n and dst = ((dst mod n) + n) mod n in
-    let strategy = strategy_of_string strategy in
-    let failures, live_guard =
-      if fraction > 0.0 then begin
-        let mask = Ftr_core.Failure.random_node_fraction rng ~n ~fraction in
-        (Ftr_core.Failure.of_node_mask mask, fun v -> Ftr_graph.Bitset.get mask v)
-      end
-      else (Ftr_core.Failure.none, fun _ -> true)
-    in
     if not (live_guard src && live_guard dst) then
       if json then
         print_endline
@@ -115,20 +172,10 @@ let route_cmd =
   in
   let src_t = Arg.(value & opt int 0 & info [ "src" ] ~docv:"SRC" ~doc:"Source node.") in
   let dst_t = Arg.(value & opt int (-1) & info [ "dst" ] ~docv:"DST" ~doc:"Destination node.") in
-  let fraction_t =
-    Arg.(
-      value & opt float 0.0
-      & info [ "fail" ] ~docv:"P" ~doc:"Fraction of nodes to fail before routing.")
-  in
-  let strategy_t =
-    Arg.(
-      value & opt string "backtrack"
-      & info [ "strategy" ] ~docv:"S" ~doc:"terminate | reroute | backtrack.")
-  in
   Cmd.v
     (Cmd.info "route" ~doc:"Route one message and print the route it took")
     Term.(
-      const run $ n_t 4096 $ links_t $ seed_t $ src_t $ dst_t $ fraction_t $ strategy_t $ json_t)
+      const run $ n_t 4096 $ links_t $ seed_t $ src_t $ dst_t $ fail_t 0.0 $ strategy_t $ json_t)
 
 (* explain *)
 
@@ -139,27 +186,12 @@ let explain_cmd =
       exit 2
     end;
     let links = resolve_links n links in
-    let strategy = strategy_of_string strategy in
-    (* Telemetry and the flight recorder forced on, from a clean slate.
-       Trace identity derives from (seed, route index) — no clocks, no
-       worker identity — so the rendered trace is byte-identical on
-       re-runs and across --jobs counts. *)
-    Ftr_obs.Flag.set_mode true;
-    Ftr_obs.Metrics.reset Ftr_obs.Metrics.default;
-    Ftr_obs.Span.reset ();
-    Ftr_obs.Events.reset ();
-    Ftr_obs.Tracing.reset ();
-    Ftr_obs.Tracing.set_seed seed;
+    (* The flight recorder forced on. Trace identity derives from (seed,
+       route index) — no clocks, no worker identity — so the rendered
+       trace is byte-identical on re-runs and across --jobs counts. *)
+    fresh_telemetry ~seed;
     Ftr_obs.Tracing.force_full true;
-    let rng = Rng.of_int seed in
-    let net = Network.build_ideal ~n ~links rng in
-    let failures, alive =
-      if fraction > 0.0 then begin
-        let mask = Ftr_core.Failure.random_node_fraction rng ~n ~fraction in
-        (Ftr_core.Failure.of_node_mask mask, fun v -> Ftr_graph.Bitset.get mask v)
-      end
-      else (Ftr_core.Failure.none, fun _ -> true)
-    in
+    let net, failures, alive = ideal_with_failures ~n ~links ~fraction (Rng.of_int seed) in
     (* Route [i]'s endpoints and recovery randomness are a pure function
        of (seed, i) through the sweep derivation scheme (Seed.rng_for),
        so route K is the same route whether the preceding routes replayed
@@ -210,16 +242,6 @@ let explain_cmd =
           print_string (Ftr_obs.Tracing.render tr)
         end
   in
-  let fraction_t =
-    Arg.(
-      value & opt float 0.3
-      & info [ "fail" ] ~docv:"P" ~doc:"Fraction of nodes to fail before routing.")
-  in
-  let strategy_t =
-    Arg.(
-      value & opt string "backtrack"
-      & info [ "strategy" ] ~docv:"S" ~doc:"terminate | reroute | backtrack.")
-  in
   let route_t =
     Arg.(
       value & opt int 0
@@ -227,13 +249,6 @@ let explain_cmd =
           ~doc:
             "Route index to explain: routes 0..K-1 replay untraced, then route K runs with \
              full-fidelity tracing.")
-  in
-  let jobs_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"J"
-          ~doc:"Worker domains for the warmup replay (never changes the output).")
   in
   let chrome_t =
     Arg.(
@@ -257,7 +272,8 @@ let explain_cmd =
               seed prints the same bytes whatever $(b,--jobs) is.";
          ])
     Term.(
-      const run $ n_t 4096 $ links_t $ seed_t $ fraction_t $ strategy_t $ route_t $ jobs_t
+      const run $ n_t 4096 $ links_t $ seed_t $ fail_t 0.3 $ strategy_t $ route_t
+      $ jobs_t ~doc:"Worker domains for the warmup replay (never changes the output)."
       $ json_t $ chrome_t)
 
 (* figure5 *)
@@ -476,15 +492,10 @@ let dht_cmd =
   let run n links seed replicas fraction requests =
     let links = resolve_links n links in
     let rng = Rng.of_int seed in
-    let net = Network.build_ideal ~n ~links rng in
+    let net, failures, _ = ideal_with_failures ~n ~links ~fraction rng in
     let store = Ftr_dht.Store.create ~replicas net in
     let w = Ftr_dht.Workload.create ~universe:(max 10 (n / 8)) () in
     Array.iter (fun k -> Ftr_dht.Store.put store ~key:k ~value:"v") (Ftr_dht.Workload.keys w);
-    let failures =
-      if fraction > 0.0 then
-        Ftr_core.Failure.of_node_mask (Ftr_core.Failure.random_node_fraction rng ~n ~fraction)
-      else Ftr_core.Failure.none
-    in
     let report =
       Ftr_dht.Workload.measure_load ~failures
         ~strategy:(Route.Backtrack { history = 5 })
@@ -502,15 +513,12 @@ let dht_cmd =
   let replicas_t =
     Arg.(value & opt int 3 & info [ "replicas" ] ~docv:"R" ~doc:"Salted replica count.")
   in
-  let fraction_t =
-    Arg.(value & opt float 0.0 & info [ "fail" ] ~docv:"P" ~doc:"Fraction of nodes to fail.")
-  in
   let requests_t =
     Arg.(value & opt int 1000 & info [ "requests" ] ~docv:"Q" ~doc:"Zipf-popular requests.")
   in
   Cmd.v
     (Cmd.info "dht" ~doc:"Resource layer under a Zipf workload, with failures")
-    Term.(const run $ n_t 4096 $ links_t $ seed_t $ replicas_t $ fraction_t $ requests_t)
+    Term.(const run $ n_t 4096 $ links_t $ seed_t $ replicas_t $ fail_t 0.0 $ requests_t)
 
 (* churn *)
 
@@ -554,15 +562,10 @@ let churn_cmd =
 
 let report_cmd =
   let run n links seed json prometheus events_path traces selfcheck =
-    (* The telemetry layer is the point of this subcommand: force it on
-       regardless of FTR_OBS and start from clean registries so the
-       snapshot reflects exactly the workload below. *)
-    Ftr_obs.Flag.set_mode true;
-    Ftr_obs.Metrics.reset Ftr_obs.Metrics.default;
-    Ftr_obs.Span.reset ();
-    Ftr_obs.Events.reset ();
-    Ftr_obs.Tracing.reset ();
-    Ftr_obs.Tracing.set_seed seed;
+    (* The telemetry layer is the point of this subcommand: forced on
+       regardless of FTR_OBS, so the snapshot reflects exactly the
+       workload below. *)
+    fresh_telemetry ~seed;
     let links = resolve_links n links in
     let (), jsonl =
       Ftr_obs.Events.with_buffer @@ fun () ->
@@ -572,10 +575,7 @@ let report_cmd =
          metrics), a short churn run (engine, overlay and heap metrics),
          a replicated store workload (hit/miss counters) and a small
          heuristic construction (basin/redirect counters). *)
-      let net = Network.build_ideal ~n ~links rng in
-      let mask = Ftr_core.Failure.random_node_fraction rng ~n ~fraction:0.2 in
-      let failures = Ftr_core.Failure.of_node_mask mask in
-      let alive v = Ftr_graph.Bitset.get mask v in
+      let net, failures, alive = ideal_with_failures ~n ~links ~fraction:0.2 rng in
       let routed = ref 0 in
       while !routed < 200 do
         let src = Rng.int rng n and dst = Rng.int rng n in
@@ -615,8 +615,7 @@ let report_cmd =
         close_out oc
     | None -> ());
     if selfcheck then begin
-      let problems = ref [] in
-      let fail fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
+      run_selfcheck "report" ~passed:"report selfcheck passed" @@ fun { fail } ->
       let lines =
         List.filter (fun l -> not (String.equal l "")) (String.split_on_char '\n' jsonl)
       in
@@ -682,12 +681,7 @@ let report_cmd =
       let delta = Gc.minor_words () -. before in
       Ftr_obs.Flag.set_mode true;
       if delta > 512.0 then
-        fail "a 4095-hop route with telemetry off allocated %.0f minor words" delta;
-      match !problems with
-      | [] -> print_endline "report selfcheck passed"
-      | ps ->
-          List.iter (Printf.eprintf "report selfcheck: %s\n") (List.rev ps);
-          exit 1
+        fail "a 4095-hop route with telemetry off allocated %.0f minor words" delta
     end
     else if json && traces then
       (* Flight-recorder focus: the retained ring and the pinned failures
@@ -1005,7 +999,6 @@ let sweep_cmd =
       Printf.eprintf "p2psim sweep: --resume needs --checkpoint FILE\n";
       exit 2
     end;
-    let strategy = strategy_of_string strategy in
     let resolve n l = if l = 0 then int_of_float (Theory.lg n) else l in
     (* The grid is the job decomposition: (n, links, fail) points with the
        [networks] replicates as the innermost axis, so a point's replicates
@@ -1014,14 +1007,7 @@ let sweep_cmd =
     let sweep =
       Sweep.create
         ~run:(fun ~index:_ ~rng (n, links, fraction, _rep) ->
-          let links = resolve n links in
-          let net = Network.build_ideal ~n ~links rng in
-          let failures =
-            if fraction > 0.0 then
-              Ftr_core.Failure.of_node_mask
-                (Ftr_core.Failure.random_node_fraction rng ~n ~fraction)
-            else Ftr_core.Failure.none
-          in
+          let net, failures, _ = ideal_with_failures ~n ~links:(resolve n links) ~fraction rng in
           let pairs = E.random_live_pairs rng failures ~n ~messages in
           E.measure ~failures ~strategy ~pairs ~messages ~rng net)
         (Sweep.grid4 ns links_list fails (List.init networks Fun.id))
@@ -1034,19 +1020,20 @@ let sweep_cmd =
       (* The acceptance gate for the exec subsystem: the merged output must
          be byte-identical across worker counts and the sequential
          fallback, and resuming a truncated checkpoint must reproduce the
-         uninterrupted run. Exit 1 on any divergence. *)
-      let problems = ref [] in
-      let fail fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
+         uninterrupted run. *)
+      run_selfcheck "sweep"
+        ~passed:
+          "sweep selfcheck passed (jobs=1/2/4, FTR_EXEC_SEQ=1 and checkpoint resume all \
+           byte-identical)"
+      @@ fun { fail } ->
       let reference = serialize (run_plain ~jobs:1 ()) in
       List.iter
         (fun jobs ->
           if serialize (run_plain ~jobs ()) <> reference then
             fail "jobs=%d output differs from the jobs=1 reference" jobs)
         [ 2; 4 ];
-      Unix.putenv "FTR_EXEC_SEQ" "1";
-      if serialize (run_plain ()) <> reference then
-        fail "FTR_EXEC_SEQ=1 output differs from the jobs=1 reference";
-      Unix.putenv "FTR_EXEC_SEQ" "0";
+      if Ftr_exec.Pool.with_sequential_forced true (fun () -> serialize (run_plain ()) <> reference)
+      then fail "FTR_EXEC_SEQ=1 output differs from the jobs=1 reference";
       let path = Filename.temp_file "ftr_sweep_selfcheck" ".jsonl" in
       let run_ck ~fresh =
         Sweep.run_checkpointed ~wave:2 ~fresh ~path ~seed ~encode:encode_measurement
@@ -1068,15 +1055,7 @@ let sweep_cmd =
             lines);
       let resumed = serialize (run_ck ~fresh:false) in
       Sys.remove path;
-      if resumed <> reference then fail "resume from a truncated checkpoint diverged";
-      match !problems with
-      | [] ->
-          print_endline
-            "sweep selfcheck passed (jobs=1/2/4, FTR_EXEC_SEQ=1 and checkpoint resume all \
-             byte-identical)"
-      | ps ->
-          List.iter (Printf.eprintf "sweep selfcheck: %s\n") (List.rev ps);
-          exit 1
+      if resumed <> reference then fail "resume from a truncated checkpoint diverged"
     end
     else begin
       let results =
@@ -1159,7 +1138,7 @@ let sweep_cmd =
   let ns_t =
     Arg.(
       value
-      & opt (list int) [ 1024 ]
+      & opt (list nodes_conv) [ 1024 ]
       & info [ "nodes"; "n" ] ~docv:"N,..." ~doc:"Grid axis: node counts.")
   in
   let links_t =
@@ -1171,22 +1150,8 @@ let sweep_cmd =
   let fails_t =
     Arg.(
       value
-      & opt (list float) [ 0.0 ]
+      & opt (list fraction_conv) [ 0.0 ]
       & info [ "fail" ] ~docv:"P,..." ~doc:"Grid axis: node-failure fractions.")
-  in
-  let strategy_t =
-    Arg.(
-      value & opt string "backtrack"
-      & info [ "strategy" ] ~docv:"S" ~doc:"terminate | reroute | backtrack.")
-  in
-  let jobs_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"J"
-          ~doc:
-            "Worker domains (default: the recommended domain count; never changes the output, \
-             only the wall clock).")
   in
   let checkpoint_t =
     Arg.(
@@ -1224,7 +1189,11 @@ let sweep_cmd =
           deterministically")
     Term.(
       const run $ ns_t $ links_t $ fails_t $ networks_t 3 $ messages_t 100 $ strategy_t $ seed_t
-      $ jobs_t $ checkpoint_t $ resume_t $ csv_t $ json_t $ selfcheck_t)
+      $ jobs_t
+          ~doc:
+            "Worker domains (default: the recommended domain count; never changes the output, \
+             only the wall clock)."
+      $ checkpoint_t $ resume_t $ csv_t $ json_t $ selfcheck_t)
 
 (* serve — the message-passing overlay service *)
 
@@ -1263,15 +1232,18 @@ let serve_cmd =
          across worker counts and the sequential fallback — including any
          mid-run churn the flags inject — and the structural invariants
          (request conservation, no mailbox overflow, clean drain) must
-         hold. Exit 1 on any divergence. *)
+         hold. *)
       let cfg = { cfg with D.record = true; explain = None } in
       let serialize (res : D.result) =
         res.D.res_transcript
         ^ String.concat "\n" (D.report_lines ~wall:false res.D.res_report)
         ^ "\n"
       in
-      let problems = ref [] in
-      let fail fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
+      run_selfcheck "serve"
+        ~passed:
+          "serve selfcheck passed (jobs=1/2/4 and FTR_EXEC_SEQ=1 transcripts byte-identical; \
+           invariants hold)"
+      @@ fun { fail } ->
       let ref_res = D.run { cfg with D.jobs = Some 1 } in
       let reference = serialize ref_res in
       List.iter
@@ -1279,32 +1251,19 @@ let serve_cmd =
           if serialize (D.run { cfg with D.jobs = Some j }) <> reference then
             fail "jobs=%d transcript differs from the jobs=1 reference" j)
         [ 2; 4 ];
-      Unix.putenv "FTR_EXEC_SEQ" "1";
-      if serialize (D.run { cfg with D.jobs = None }) <> reference then
-        fail "FTR_EXEC_SEQ=1 transcript differs from the jobs=1 reference";
-      Unix.putenv "FTR_EXEC_SEQ" "0";
-      List.iter (fun p -> fail "%s" p) (D.invariant_problems ref_res);
-      match !problems with
-      | [] ->
-          print_endline
-            "serve selfcheck passed (jobs=1/2/4 and FTR_EXEC_SEQ=1 transcripts byte-identical; \
-             invariants hold)"
-      | ps ->
-          List.iter (Printf.eprintf "serve selfcheck: %s\n") (List.rev ps);
-          exit 1
+      if
+        Ftr_exec.Pool.with_sequential_forced true (fun () ->
+            serialize (D.run { cfg with D.jobs = None }) <> reference)
+      then fail "FTR_EXEC_SEQ=1 transcript differs from the jobs=1 reference";
+      List.iter (fun p -> fail "%s" p) (D.invariant_problems ref_res)
     end
     else begin
       (match explain with
       | Some _ ->
-          (* Same clean-slate forcing as [explain]: trace identity derives
-             from (seed, request id), so the rendered trace is
-             byte-identical across --jobs counts. *)
-          Ftr_obs.Flag.set_mode true;
-          Ftr_obs.Metrics.reset Ftr_obs.Metrics.default;
-          Ftr_obs.Span.reset ();
-          Ftr_obs.Events.reset ();
-          Ftr_obs.Tracing.reset ();
-          Ftr_obs.Tracing.set_seed seed;
+          (* Same forcing as [explain]: trace identity derives from (seed,
+             request id), so the rendered trace is byte-identical across
+             --jobs counts. *)
+          fresh_telemetry ~seed;
           Ftr_obs.Tracing.force_full true
       | None -> ());
       let res = D.run cfg in
@@ -1363,15 +1322,6 @@ let serve_cmd =
   let ttl_t =
     Arg.(value & opt int 256 & info [ "ttl" ] ~docv:"H" ~doc:"Lookup hop budget.")
   in
-  let jobs_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"J"
-          ~doc:
-            "Worker domains (default: the recommended domain count; never changes the \
-             transcript).")
-  in
   let shards_t =
     Arg.(
       value & opt int 8
@@ -1417,7 +1367,12 @@ let serve_cmd =
           multi-hop lookups under churn")
     Term.(
       const run $ n_t 4096 $ initial_t $ links_t $ seed_t $ ticks_t $ rate_t $ join_rate_t
-      $ crash_rate_t $ leave_rate_t $ stabilize_t $ ttl_t $ jobs_t $ shards_t $ json_t
+      $ crash_rate_t $ leave_rate_t $ stabilize_t $ ttl_t
+      $ jobs_t
+          ~doc:
+            "Worker domains (default: the recommended domain count; never changes the \
+             transcript)."
+      $ shards_t $ json_t
       $ transcript_t $ explain_t $ no_wall_t $ selfcheck_t)
 
 (* snapshot *)
@@ -1550,15 +1505,12 @@ let snapshot_cmd =
         value & opt int 0
         & info [ "messages" ] ~docv:"M" ~doc:"Route M random messages off the loaded network.")
     in
-    let jobs_t =
-      Arg.(
-        value
-        & opt (some int) None
-        & info [ "jobs" ] ~docv:"J" ~doc:"Worker domains for batch routing.")
-    in
     Cmd.v
       (Cmd.info "load" ~doc:"Load a snapshot (mmap by default) and optionally smoke-route it")
-      Term.(const run $ copy_t $ no_verify_t $ messages_t $ jobs_t $ seed_t $ json_t $ path_t)
+      Term.(
+        const run $ copy_t $ no_verify_t $ messages_t
+        $ jobs_t ~doc:"Worker domains for batch routing."
+        $ seed_t $ json_t $ path_t)
   in
   Cmd.group
     (Cmd.info "snapshot" ~doc:"Save, inspect and load mmap-able binary network snapshots")

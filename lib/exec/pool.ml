@@ -9,6 +9,11 @@ let sequential_forced () =
   | Some ("1" | "true" | "on" | "yes") -> true
   | Some _ | None -> false
 
+let with_sequential_forced on f =
+  let saved = Sys.getenv_opt "FTR_EXEC_SEQ" in
+  Unix.putenv "FTR_EXEC_SEQ" (if on then "1" else "0");
+  Fun.protect f ~finally:(fun () -> Unix.putenv "FTR_EXEC_SEQ" (Option.value saved ~default:"0"))
+
 let default_jobs () =
   if sequential_forced () then 1 else max 1 (Domain.recommended_domain_count ())
 

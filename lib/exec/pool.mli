@@ -17,7 +17,13 @@
 val sequential_forced : unit -> bool
 (** [true] when the environment demands the sequential fallback
     ([FTR_EXEC_SEQ] set to [1], [true], [on] or [yes]). Read per call, so
-    tests can flip it with [Unix.putenv]. *)
+    {!with_sequential_forced} takes effect immediately. *)
+
+val with_sequential_forced : bool -> (unit -> 'a) -> 'a
+(** [with_sequential_forced on f] runs [f] with [FTR_EXEC_SEQ] set to [1]
+    ([on]) or [0], then restores the previous value, also when [f] raises.
+    A variable that was unset comes back as [0], which reads as not
+    forced. *)
 
 val default_jobs : unit -> int
 (** Worker count used when [?jobs] is omitted: 1 when

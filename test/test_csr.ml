@@ -188,17 +188,17 @@ let csr_digest net =
   let { Csr.offsets; targets } = Network.csr net in
   fnv_vec (fnv_vec fnv_basis offsets) targets
 
+let fnv_outcome h = function
+  | Route.Delivered { hops } -> fnv_int (fnv_int h 0) hops
+  | Route.Failed { hops; stuck_at; _ } -> fnv_int (fnv_int (fnv_int h 1) hops) stuck_at
+
 let route_digest net ~n ~seed =
   let pair_rng = Rng.of_int (seed + 1) in
   let h = ref fnv_basis in
   for _ = 1 to 16 do
     let src = Rng.int pair_rng n and dst = Rng.int pair_rng n in
     List.iter
-      (fun side ->
-        match Route.route ~side net ~src ~dst with
-        | Route.Delivered { hops } -> h := fnv_int (fnv_int !h 0) hops
-        | Route.Failed { hops; stuck_at; _ } ->
-            h := fnv_int (fnv_int (fnv_int !h 1) hops) stuck_at)
+      (fun side -> h := fnv_outcome !h (Route.route ~side net ~src ~dst))
       [ Route.Two_sided; Route.One_sided ]
   done;
   !h
@@ -229,16 +229,46 @@ let pinned_ideal_digests () =
       Alcotest.(check int64) (label "route digest") route_want (route_digest net ~n ~seed))
     ideal_digests
 
+(* The route section of bench/main.ml as data. Its two streams share one
+   network (n=8192, links=14, seed 0xF7A, built from the first split of
+   [Rng.of_int seed], the 30% failure mask from the second) and draw
+   2,000 pairs from [Rng.of_int (seed+77)]: any pair healthy, live pairs
+   under the mask. The digests were recorded from the pre-refactor router
+   (jagged rows, Hashtbl + List.mem exclusion, closure failure checks)
+   that the section used to rebuild in-binary and agree with. *)
+let bench_stream_digests =
+  [
+    ("healthy terminate", Route.Terminate, false, 0xFE83EC71D9EE25F7L);
+    ("30% failed, backtrack 5", Route.Backtrack { history = 5 }, true, 0x6AAB29688D39A274L);
+  ]
+
+let pinned_bench_stream_digests () =
+  let n = 8192 and seed = 0xF7A in
+  let rng = Rng.of_int seed in
+  let net = Network.build_ideal ~n ~links:14 (Rng.split rng) in
+  let mask = Failure.random_node_fraction (Rng.split rng) ~n ~fraction:0.3 in
+  List.iter
+    (fun (label, strategy, faulty, want) ->
+      let failures = if faulty then Failure.of_node_mask mask else Failure.none in
+      let pair_rng = Rng.of_int (seed + 77) in
+      let rec draw () =
+        let v = Rng.int pair_rng n in
+        if faulty && not (Ftr_graph.Bitset.get mask v) then draw () else v
+      in
+      let h = ref fnv_basis in
+      for _ = 1 to 2_000 do
+        (* The recorder drew each pair as a tuple, which OCaml evaluates
+           right to left: destination first. *)
+        let dst = draw () in
+        let src = draw () in
+        h := fnv_outcome !h (Route.route ~failures ~strategy net ~src ~dst)
+      done;
+      Alcotest.(check int64) label want !h)
+    bench_stream_digests
+
 (* ------------------------------------------------------------------ *)
 (* Batch routing: jobs-invariance                                      *)
 (* ------------------------------------------------------------------ *)
-
-let with_seq_forced on f =
-  let old = Sys.getenv_opt "FTR_EXEC_SEQ" in
-  Unix.putenv "FTR_EXEC_SEQ" (if on then "1" else "0");
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "FTR_EXEC_SEQ" (match old with Some v -> v | None -> "0"))
-    f
 
 (* The batch layer's contract: the merged outcome vector is a pure
    function of (network, pairs, options) — never of the worker count or
@@ -273,7 +303,7 @@ let prop_batch_jobs_invariant =
         Route_batch.run ~jobs ~chunk:16 ~failures ~strategy ~seed:11 net ~pairs
       in
       List.for_all (fun jobs -> batch ~jobs = reference) [ 1; 2; 4 ]
-      && with_seq_forced true (fun () -> batch ~jobs:4 = reference))
+      && Ftr_exec.Pool.with_sequential_forced true (fun () -> batch ~jobs:4 = reference))
 
 (* ------------------------------------------------------------------ *)
 (* Duplicate-entry policy (documented on Network.csr)                  *)
@@ -414,6 +444,7 @@ let () =
             golden_route_outcomes_with_scratch;
           Alcotest.test_case "figure6 fractions (bit-exact)" `Quick golden_figure6;
           Alcotest.test_case "build_ideal CSR and route digests" `Quick pinned_ideal_digests;
+          Alcotest.test_case "bench route stream digests" `Quick pinned_bench_stream_digests;
         ] );
       ( "duplicates",
         [ Alcotest.test_case "random builders keep duplicates" `Quick random_builder_keeps_duplicates ]

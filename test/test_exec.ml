@@ -17,16 +17,6 @@ module Network = Ftr_core.Network
 
 let bytes_equal a b = Marshal.to_string a [] = Marshal.to_string b []
 
-(* FTR_EXEC_SEQ is read per call, so a putenv flip takes effect
-   immediately; restore the previous value even if the body fails. *)
-let with_seq_forced on f =
-  let old = Sys.getenv_opt "FTR_EXEC_SEQ" in
-  Unix.putenv "FTR_EXEC_SEQ" (if on then "1" else "0");
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "FTR_EXEC_SEQ" (match old with Some v -> v | None -> "0"))
-    f
-
 (* ------------------------------------------------------------------ *)
 (* Seed derivation                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -94,11 +84,15 @@ let pool_nested () =
     r
 
 let pool_sequential_fallbacks () =
-  with_seq_forced true (fun () ->
+  Pool.with_sequential_forced true (fun () ->
       Alcotest.(check bool) "FTR_EXEC_SEQ forces the fallback" true (Pool.sequential_forced ());
       Alcotest.(check int) "default_jobs is 1 under the fallback" 1 (Pool.default_jobs ()));
-  with_seq_forced false (fun () ->
-      Alcotest.(check bool) "fallback released" false (Pool.sequential_forced ()))
+  Pool.with_sequential_forced false (fun () ->
+      Alcotest.(check bool) "fallback released" false (Pool.sequential_forced ());
+      (try Pool.with_sequential_forced true (fun () -> failwith "body raised")
+       with Failure _ -> ());
+      Alcotest.(check bool) "previous value restored after a raise" false
+        (Pool.sequential_forced ()))
 
 let pool_metrics () =
   Ftr_obs.Flag.with_mode true @@ fun () ->
@@ -143,7 +137,7 @@ let qcheck_determinism =
       let reference = run ~jobs:1 () in
       bytes_equal reference (run ~jobs:2 ())
       && bytes_equal reference (run ~jobs:4 ())
-      && with_seq_forced true (fun () -> bytes_equal reference (run ())))
+      && Pool.with_sequential_forced true (fun () -> bytes_equal reference (run ())))
 
 (* ------------------------------------------------------------------ *)
 (* Sweep grids                                                         *)

@@ -215,11 +215,7 @@ let prop_jobs_cache_identity =
     QCheck.(triple (int_range 0 2) bool bool)
     (fun (jobs_idx, seq, use_cache) ->
       let jobs = [| 1; 2; 4 |].(jobs_idx) in
-      let saved = Sys.getenv_opt "FTR_EXEC_SEQ" in
-      Unix.putenv "FTR_EXEC_SEQ" (if seq then "1" else "0");
-      Fun.protect ~finally:(fun () ->
-          Unix.putenv "FTR_EXEC_SEQ" (Option.value ~default:"0" saved))
-      @@ fun () ->
+      Ftr_exec.Pool.with_sequential_forced seq @@ fun () ->
       let run () =
         if not use_cache then render (fst (analyze_fixture ~jobs ()))
         else begin

@@ -579,15 +579,10 @@ let tracing_jobs_invariant =
     QCheck.(int_range 0 1_000)
     (fun seed ->
       let reference = trace_bytes ~seed ~jobs:1 () in
-      let sequential f =
-        let saved = Sys.getenv_opt "FTR_EXEC_SEQ" in
-        Unix.putenv "FTR_EXEC_SEQ" "1";
-        let finally () = Unix.putenv "FTR_EXEC_SEQ" (Option.value saved ~default:"0") in
-        Fun.protect ~finally f
-      in
       String.equal reference (trace_bytes ~seed ~jobs:2 ())
       && String.equal reference (trace_bytes ~seed ~jobs:4 ())
-      && String.equal reference (sequential (fun () -> trace_bytes ~seed ())))
+      && String.equal reference
+           (Ftr_exec.Pool.with_sequential_forced true (fun () -> trace_bytes ~seed ())))
 
 (* With telemetry off entirely, a route across the whole 2^16-node line —
    65535 hops through the tracing-instrumented router — must stay inside

@@ -160,9 +160,10 @@ let transcript_jobs_invariant () =
       let out = serialize (Driver.run { churn_config with Driver.jobs = Some j }) in
       Alcotest.(check string) (Printf.sprintf "jobs=%d byte-identical" j) reference out)
     [ 2; 4 ];
-  Unix.putenv "FTR_EXEC_SEQ" "1";
-  let seq = serialize (Driver.run { churn_config with Driver.jobs = None }) in
-  Unix.putenv "FTR_EXEC_SEQ" "0";
+  let seq =
+    Ftr_exec.Pool.with_sequential_forced true (fun () ->
+        serialize (Driver.run { churn_config with Driver.jobs = None }))
+  in
   Alcotest.(check string) "FTR_EXEC_SEQ=1 byte-identical" reference seq
 
 let invariants_hold_after_churn () =
