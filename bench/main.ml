@@ -1193,15 +1193,24 @@ let run_scale () =
         let pairs =
           Array.init messages (fun _ -> (Rng.int pair_rng n, Rng.int pair_rng n))
         in
-        let batch_hps ~jobs =
-          let outcomes, dt = timed (fun () -> Route_batch.run ~jobs net ~pairs) in
+        let hops_per_second (outcomes, dt) =
           float_of_int (Array.fold_left (fun acc o -> acc + Route.hops o) 0 outcomes) /. dt
         in
-        let hps1 = batch_hps ~jobs:1 in
+        let batch1 = timed (fun () -> Route_batch.run ~jobs:1 net ~pairs) in
         let jobs = Ftr_exec.Pool.default_jobs () in
-        let hps = batch_hps ~jobs in
+        let hps1 = hops_per_second batch1
+        and hps = hops_per_second (timed (fun () -> Route_batch.run ~jobs net ~pairs)) in
+        (* The same pairs one Route.route call at a time: the per-call
+           router, whose outcomes the lockstep batch must reproduce. *)
+        let per_call =
+          timed (fun () -> Array.map (fun (src, dst) -> Route.route net ~src ~dst) pairs)
+        in
+        let route_hps = hops_per_second per_call in
+        let lockstep_identical = fst batch1 = fst per_call in
         Printf.printf "batch route: %12.0f hops/s (jobs=1)  %12.0f hops/s (jobs=%d)\n" hps1
           hps jobs;
+        Printf.printf "per-call route: %12.0f hops/s; lockstep batch outcomes identical: %b\n"
+          route_hps lockstep_identical;
         let mask =
           Ftr_core.Failure.random_node_fraction (Rng.split rng) ~n ~fraction:0.3
         in
@@ -1252,16 +1261,21 @@ let run_scale () =
               ("footprint_ratio", Float ratio);
               ("batch_hops_per_second_jobs1", Float hps1);
               ("batch_hops_per_second", Float hps);
+              ("route_hops_per_second", Float route_hps);
+              ("lockstep_outcomes_identical", Bool lockstep_identical);
               ("jobs", Int jobs);
               ("outcomes_identical_across_jobs", Bool identical);
               ("snapshot_bytes", Int snap_bytes);
               ("snapshot_save_seconds", Float save_dt);
               ("snapshot_load_seconds", Float load_dt);
             ],
-          (Printf.sprintf "n=%d outcomes_identical_across_jobs" n, identical) ))
+          [
+            (Printf.sprintf "n=%d outcomes_identical_across_jobs" n, identical);
+            (Printf.sprintf "n=%d lockstep_outcomes_identical" n, lockstep_identical);
+          ] ))
       sizes
   in
-  write_report "BENCH_scale.json" ~asserts:(List.map snd rows)
+  write_report "BENCH_scale.json" ~asserts:(List.concat_map snd rows)
     Ftr_obs.Json.(
       Obj
         [

@@ -99,13 +99,215 @@ let restore_scratch b = match b.bs_home with Some cell -> cell := Some b.bs | No
    [identity] true, so it is never read. *)
 let no_positions = I32.create 0
 
+(* Everything the hop choice reads, resolved once per route by [route]
+   and once per chunk by [route_lockstep]:
+   - the CSR vectors and the geometry, so the candidate scan computes
+     two-sided distances inline — integer arithmetic per candidate
+     instead of a call into [Network]. On a full network ([identity]) a
+     target index is its position, so the scan loads no position at all;
+     a sparse network pays one array load per candidate. One-sided
+     routing keeps the generic path (it also needs the overshoot test);
+   - the failure fast paths: node liveness through the concrete bitset
+     when the view has one, link liveness skipped entirely when
+     everything is statically alive, the general closure forms as the
+     fallback;
+   - the tried-link stamps ([epoch] 0 is the "no tracking" sentinel) and
+     the flight-recorder handle, live only when [tracing]. *)
+type view = {
+  net : Network.t;
+  offsets : I32.t;
+  targets : I32.t;
+  identity : bool;
+  positions : I32.t;
+  lsize : int;
+  circle : bool;
+  two_sided : bool;
+  rd : [ `One_sided | `Two_sided ];
+  failures : Failure.t;
+  node_bits : Bitset.t option;
+  node_all : bool;
+  link_all : bool;
+  stamps : int array;
+  epoch : int;
+  tr : Ftr_obs.Tracing.t;
+  tracing : bool;
+}
+
+let view ~failures ~side ~stamps ~epoch ~tr ~tracing net =
+  let { Ftr_graph.Adjacency.Csr.offsets; targets } = Network.csr net in
+  let identity, positions =
+    match Network.positions net with None -> (true, no_positions) | Some p -> (false, p)
+  in
+  {
+    net;
+    offsets;
+    targets;
+    identity;
+    positions;
+    lsize = Network.line_size net;
+    circle = (match Network.geometry net with Network.Circle -> true | Network.Line -> false);
+    two_sided = (match side with Two_sided -> true | One_sided -> false);
+    rd = (match side with One_sided -> `One_sided | Two_sided -> `Two_sided);
+    failures;
+    node_bits = Failure.node_alive_bits failures;
+    node_all = Failure.node_all_alive failures;
+    link_all = Failure.link_all_alive failures;
+    stamps;
+    epoch;
+    tr;
+    tracing;
+  }
+
 (* Line position of node [v]: the node index itself on a full network,
    one (cache-missing, at scale) load from the sparse vector otherwise. *)
-let[@inline] pos ~identity positions v = if identity then v else I32.unsafe_get positions v
+let[@inline] pos rv v = if rv.identity then v else I32.unsafe_get rv.positions v
+
+(* Node behind link [k] of [cur]. *)
+let[@inline] nth_target rv ~cur k = I32.unsafe_get rv.targets (I32.unsafe_get rv.offsets cur + k)
+
+(* Unsafe I32/array reads below are justified by construction-time CSR
+   validation ([Adjacency.Csr.validate], re-checked by the Check
+   battery): every target is a node index in [0, n), every slot is below
+   [offsets.(n)], and [stamps] is kept at least that long. The I32 reads
+   are allocation-free: the [Int32.to_int] in the accessor cancels the
+   Bigarray box (see Adjacency.I32). *)
+let dist_to rv ~dst_pos v =
+  let d = pos rv v - dst_pos in
+  let d = if d < 0 then -d else d in
+  if rv.circle then min d (rv.lsize - d) else d
+
+(* Routing distance from [v] to [dst] on the view's side. *)
+let distance rv ~dst_pos v ~dst =
+  if rv.two_sided then dist_to rv ~dst_pos v
+  else Network.routing_distance rv.net ~side:rv.rd ~src:v ~dst
+
+(* Link [k] of [cur] (slot [base + k]) leads to a live node over a live
+   link that the current route has not tried yet. *)
+let[@inline] usable rv ~cur ~base ~k v =
+  (rv.link_all || Failure.link_alive rv.failures ~src:cur ~idx:k)
+  && (match rv.node_bits with
+     | Some b -> Bitset.unsafe_get b v
+     | None -> rv.node_all || Failure.node_alive rv.failures v)
+  && (rv.epoch = 0 || Array.unsafe_get rv.stamps (base + k) <> rv.epoch)
+
+(* Flight-recorder verdict for a candidate [usable] rejected: re-run the
+   conjuncts one by one to name the first that failed. The gate is
+   re-checked here so the write is gated on every path (rules D1, T1); the
+   recomputation (plus the record's allocation, inside
+   [Ftr_obs.Tracing]) costs nothing when the recorder is off. *)
+let record_excluded rv ~cur ~base ~k ~v ~dist =
+  if rv.tracing && Ftr_obs.Flag.enabled () && Ftr_obs.Tracing.is_live rv.tr then begin
+    let verdict =
+      if not (rv.link_all || Failure.link_alive rv.failures ~src:cur ~idx:k) then
+        Ftr_obs.Tracing.Dead_link
+      else if
+        not
+          (match rv.node_bits with
+          | Some b -> Bitset.unsafe_get b v
+          | None -> rv.node_all || Failure.node_alive rv.failures v)
+      then Ftr_obs.Tracing.Dead_node
+      else if rv.epoch <> 0 && Array.unsafe_get rv.stamps (base + k) = rv.epoch then
+        Ftr_obs.Tracing.Already_tried
+      else Ftr_obs.Tracing.Not_closer
+    in
+    Ftr_obs.Tracing.candidate rv.tr ~cur ~cand:v ~dist verdict
+  end
+
+(* The hop choice: the best live untried neighbour of [cur], subject to
+   the one-sided no-overshoot rule when requested. In [`Strict] mode only
+   neighbours strictly closer to [dst] qualify (the greedy rule); in
+   [`Any] mode every untried live neighbour qualifies, still ranked by
+   distance to [dst] — used when resuming from a backtracked node, where
+   the "next best neighbour" may have to route around a hole. Ties go to
+   the first candidate in sorted-position order, matching "ties broken
+   arbitrarily" (Section 4.2.1) deterministically. Returns the winner's
+   index into [cur]'s row, or -1 when there is none. Both drivers —
+   [route]'s greedy legs and [route_lockstep] — call this one scan. *)
+let best_hop rv ~mode ~cur ~dst =
+  let tracing = rv.tracing && Ftr_obs.Flag.enabled () && Ftr_obs.Tracing.is_live rv.tr in
+  let dst_pos = pos rv dst in
+  let cur_dist = distance rv ~dst_pos cur ~dst in
+  let base = I32.unsafe_get rv.offsets cur in
+  let deg = I32.unsafe_get rv.offsets (cur + 1) - base in
+  let limit = match mode with `Strict -> cur_dist | `Any -> max_int in
+  let best = ref (-1) and best_idx = ref (-1) and best_dist = ref limit in
+  if rv.two_sided && not rv.circle then begin
+    (* Line fast path, exploiting the per-row sorted invariant: the live
+       neighbour closest to [dst] is found by bisecting the row to the
+       two entries bracketing [dst_pos] and walking the brackets outward
+       in increasing-distance order, stopping at the first live
+       candidate. Equivalent to the full scan below: that scan keeps the
+       minimum-distance live candidate, ties to the earliest row entry —
+       i.e. the smaller position, which is exactly the left bracket this
+       merge prefers on ties ([dl <= dr]). (When duplicate row entries
+       name one node, the two orders can record a different *slot* in
+       [stamps], but the slots alias the same node with the same
+       remaining multiplicity, so the visited-node sequence — and the
+       outcome — is unchanged.) *)
+    let lo = ref 0 and hi = ref deg in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if pos rv (I32.unsafe_get rv.targets (base + mid)) >= dst_pos then hi := mid
+      else lo := mid + 1
+    done;
+    let l = ref (!lo - 1) and r = ref !lo in
+    let scanning = ref true in
+    while !scanning do
+      let dl =
+        if !l >= 0 then dst_pos - pos rv (I32.unsafe_get rv.targets (base + !l)) else max_int
+      and dr =
+        if !r < deg then pos rv (I32.unsafe_get rv.targets (base + !r)) - dst_pos else max_int
+      in
+      let take_left = dl <= dr in
+      let d = if take_left then dl else dr in
+      if d >= limit then scanning := false (* exhausted or no closer candidate left *)
+      else begin
+        let k = if take_left then !l else !r in
+        let v = I32.unsafe_get rv.targets (base + k) in
+        if usable rv ~cur ~base ~k v then begin
+          best_idx := k;
+          scanning := false
+        end
+        else begin
+          if tracing then record_excluded rv ~cur ~base ~k ~v ~dist:d;
+          if take_left then decr l else incr r
+        end
+      end
+    done
+  end
+  else
+    for k = 0 to deg - 1 do
+      let v = I32.unsafe_get rv.targets (base + k) in
+      if usable rv ~cur ~base ~k v then begin
+        let v_dist = distance rv ~dst_pos v ~dst in
+        let admissible =
+          v_dist < !best_dist
+          && (rv.two_sided || Network.one_sided_admissible rv.net ~cur ~v ~dst)
+        in
+        if admissible then begin
+          (* A superseded provisional best was examined and not taken:
+             record it so the trace names every also-ran. *)
+          if tracing && !best >= 0 then
+            Ftr_obs.Tracing.candidate rv.tr ~cur ~cand:!best ~dist:!best_dist
+              Ftr_obs.Tracing.Not_best;
+          best := v;
+          best_idx := k;
+          best_dist := v_dist
+        end
+        else if tracing then
+          Ftr_obs.Tracing.candidate rv.tr ~cur ~cand:v ~dist:v_dist
+            (if v_dist >= limit then Ftr_obs.Tracing.Not_closer
+             else if not (rv.two_sided || Network.one_sided_admissible rv.net ~cur ~v ~dst) then
+               Ftr_obs.Tracing.Overshoot
+             else Ftr_obs.Tracing.Not_best)
+      end
+      else if tracing then record_excluded rv ~cur ~base ~k ~v ~dist:(distance rv ~dst_pos v ~dst)
+    done;
+  !best_idx
 
 (* Sanitizer hook: a hop chosen in [`Strict] mode must obey the greedy
    contract — strictly decrease the routing distance, and on one-sided
-   networks never overshoot the target (Section 4.2.1). [best_neighbor]
+   networks never overshoot the target (Section 4.2.1). [best_hop]
    establishes this by construction; the check guards against regressions
    in the candidate filter. *)
 let debug_check_strict_hop net ~side ~cur ~v ~dst =
@@ -120,12 +322,15 @@ let debug_check_strict_hop net ~side ~cur ~v ~dst =
       Ftr_debug.Debug.failf "Route: one-sided hop %d -> %d overshoots target %d" cur v dst
   end
 
+let check_endpoints failures ~n ~src ~dst =
+  if src < 0 || src >= n || dst < 0 || dst >= n then invalid_arg "Route.route: node out of range";
+  if not (Failure.node_alive failures dst) then invalid_arg "Route.route: destination is dead";
+  if not (Failure.node_alive failures src) then invalid_arg "Route.route: source is dead"
+
 let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
     ?(max_hops = 1_000_000) ?rng ?scratch:scr ?(on_hop = fun _ -> ()) net ~src ~dst =
   let n = Network.size net in
-  if src < 0 || src >= n || dst < 0 || dst >= n then invalid_arg "Route.route: node out of range";
-  if not (Failure.node_alive failures dst) then invalid_arg "Route.route: destination is dead";
-  if not (Failure.node_alive failures src) then invalid_arg "Route.route: source is dead";
+  check_endpoints failures ~n ~src ~dst;
   (* Telemetry: one bool load here is the whole cost when FTR_OBS is off —
      the unwrapped [on_hop] is passed through untouched and no metric or
      event code runs. When on, every hop feeds the (sampled) JSONL stream
@@ -162,7 +367,7 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
     end
     else on_hop
   in
-  let { Ftr_graph.Adjacency.Csr.offsets; targets } = Network.csr net in
+  let offsets = (Network.csr net).Ftr_graph.Adjacency.Csr.offsets in
   (* Only {!Backtrack} records tried links; the other strategies skip both
      the stamp array (epoch 0 is the "no tracking" sentinel below) and its
      allocation when the caller supplied no scratch. *)
@@ -182,193 +387,8 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
     end
     else ([||], 0)
   in
-  (* Failure fast paths, resolved once per route: node liveness through the
-     concrete bitset when the view has one, link liveness skipped entirely
-     when everything is statically alive. The general closure forms remain
-     the fallback. *)
-  let node_bits = Failure.node_alive_bits failures in
-  let node_all = Failure.node_all_alive failures in
-  let link_all = Failure.link_all_alive failures in
-  (* Geometry resolved once per route so the candidate scan can compute
-     two-sided distances inline — integer arithmetic per candidate instead
-     of a call into [Network]. On a full network ([identity]) a target
-     index is its position, so the scan loads no position at all; a sparse
-     network pays one array load per candidate. One-sided routing keeps
-     the generic path (it also needs the overshoot test). *)
-  let identity, positions =
-    match Network.positions net with None -> (true, no_positions) | Some p -> (false, p)
-  in
-  let lsize = Network.line_size net in
-  let circle = match Network.geometry net with Network.Circle -> true | Network.Line -> false in
-  let two_sided = match side with Two_sided -> true | One_sided -> false in
-  let rd = match side with One_sided -> `One_sided | Two_sided -> `Two_sided in
-  (* Winning candidate of the last successful [best_neighbor] scan; mutable
-     result slots instead of an allocated [Some (idx, v)] pair per hop. *)
-  let found_idx = ref (-1) and found_node = ref (-1) in
-  (* Best live untried neighbour of [cur], subject to the one-sided
-     no-overshoot rule when requested. In [`Strict] mode only neighbours
-     strictly closer to [dst] qualify (the greedy rule); in [`Any] mode
-     every untried live neighbour qualifies, still ranked by distance to
-     [dst] — used when resuming from a backtracked node, where the "next
-     best neighbour" may have to route around a hole. Ties go to the first
-     candidate in sorted-position order, matching "ties broken arbitrarily"
-     (Section 4.2.1) deterministically. Writes the winning
-     (index-into-row, node) pair into [found_idx]/[found_node] and returns
-     whether one exists. *)
-  (* Unsafe I32/array reads below are justified by construction-time CSR
-     validation ([Adjacency.Csr.validate], re-checked by the Check
-     battery): every target is a node index in [0, n), every slot is below
-     [offsets.(n)], and [stamps] is kept at least that long. The I32 reads
-     are allocation-free: the [Int32.to_int] in the accessor cancels the
-     Bigarray box (see Adjacency.I32). *)
-  let dist_to ~dst_pos v =
-    let d = pos ~identity positions v - dst_pos in
-    let d = if d < 0 then -d else d in
-    if circle then min d (lsize - d) else d
-  in
-  (* Flight-recorder verdict for a candidate the liveness conjunction
-     rejected: re-run the conjuncts one by one to name the first that
-     failed. Every call site already sits under [tracing], and the body
-     re-checks it so the write is gated on every path through the
-     closure itself (rule D1): one redundant immediate bool, and the
-     recomputation (plus the record's allocation, inside
-     [Ftr_obs.Tracing]) still costs nothing when the recorder is off. *)
-  let record_excluded ~cur ~k ~v ~dist =
-    if tracing then begin
-      let base = I32.unsafe_get offsets cur in
-      let verdict =
-        if not (link_all || Failure.link_alive failures ~src:cur ~idx:k) then
-          Ftr_obs.Tracing.Dead_link
-        else if
-          not
-            (match node_bits with
-            | Some b -> Bitset.unsafe_get b v
-            | None -> node_all || Failure.node_alive failures v)
-        then Ftr_obs.Tracing.Dead_node
-        else if epoch <> 0 && Array.unsafe_get stamps (base + k) = epoch then
-          Ftr_obs.Tracing.Already_tried
-        else Ftr_obs.Tracing.Not_closer
-      in
-      Ftr_obs.Tracing.candidate tr ~cur ~cand:v ~dist verdict
-    end
-  in
-  let best_neighbor ~mode ~cur ~dst =
-    let dst_pos = pos ~identity positions dst in
-    let cur_dist =
-      if two_sided then dist_to ~dst_pos cur
-      else Network.routing_distance net ~side:rd ~src:cur ~dst
-    in
-    let base = I32.unsafe_get offsets cur in
-    let deg = I32.unsafe_get offsets (cur + 1) - base in
-    let limit = match mode with `Strict -> cur_dist | `Any -> max_int in
-    let best = ref (-1) and best_idx = ref (-1) and best_dist = ref limit in
-    if two_sided && not circle then begin
-      (* Line fast path, exploiting the per-row sorted invariant: the live
-         neighbour closest to [dst] is found by bisecting the row to the
-         two entries bracketing [dst_pos] and walking the brackets outward
-         in increasing-distance order, stopping at the first live
-         candidate. Equivalent to the full scan below: that scan keeps the
-         minimum-distance live candidate, ties to the earliest row entry —
-         i.e. the smaller position, which is exactly the left bracket this
-         merge prefers on ties ([dl <= dr]). (When duplicate row entries
-         name one node, the two orders can record a different *slot* in
-         [stamps], but the slots alias the same node with the same
-         remaining multiplicity, so the visited-node sequence — and the
-         outcome — is unchanged.) *)
-      let lo = ref 0 and hi = ref deg in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if pos ~identity positions (I32.unsafe_get targets (base + mid)) >= dst_pos then
-          hi := mid
-        else lo := mid + 1
-      done;
-      let l = ref (!lo - 1) and r = ref !lo in
-      let scanning = ref true in
-      while !scanning do
-        let dl =
-          if !l >= 0 then
-            dst_pos - pos ~identity positions (I32.unsafe_get targets (base + !l))
-          else max_int
-        and dr =
-          if !r < deg then
-            pos ~identity positions (I32.unsafe_get targets (base + !r)) - dst_pos
-          else max_int
-        in
-        let take_left = dl <= dr in
-        let d = if take_left then dl else dr in
-        if d >= limit then scanning := false (* exhausted or no closer candidate left *)
-        else begin
-          let k = if take_left then !l else !r in
-          let v = I32.unsafe_get targets (base + k) in
-          let live =
-            (link_all || Failure.link_alive failures ~src:cur ~idx:k)
-            && (match node_bits with
-               | Some b -> Bitset.unsafe_get b v
-               | None -> node_all || Failure.node_alive failures v)
-            && (epoch = 0 || Array.unsafe_get stamps (base + k) <> epoch)
-          in
-          if live then begin
-            best := v;
-            best_idx := k;
-            best_dist := d;
-            scanning := false
-          end
-          else begin
-            if tracing then record_excluded ~cur ~k ~v ~dist:d;
-            if take_left then decr l else incr r
-          end
-        end
-      done
-    end
-    else
-      for k = 0 to deg - 1 do
-        let v = I32.unsafe_get targets (base + k) in
-        let live =
-          (link_all || Failure.link_alive failures ~src:cur ~idx:k)
-          && (match node_bits with
-             | Some b -> Bitset.unsafe_get b v
-             | None -> node_all || Failure.node_alive failures v)
-          && (epoch = 0 || Array.unsafe_get stamps (base + k) <> epoch)
-        in
-        if live then begin
-          let v_dist =
-            if two_sided then dist_to ~dst_pos v
-            else Network.routing_distance net ~side:rd ~src:v ~dst
-          in
-          let admissible =
-            v_dist < !best_dist
-            && (two_sided || Network.one_sided_admissible net ~cur ~v ~dst)
-          in
-          if admissible then begin
-            (* A superseded provisional best was examined and not taken:
-               record it so the trace names every also-ran. *)
-            if tracing && !best >= 0 then
-              Ftr_obs.Tracing.candidate tr ~cur ~cand:!best ~dist:!best_dist
-                Ftr_obs.Tracing.Not_best;
-            best := v;
-            best_idx := k;
-            best_dist := v_dist
-          end
-          else if tracing then
-            Ftr_obs.Tracing.candidate tr ~cur ~cand:v ~dist:v_dist
-              (if v_dist >= limit then Ftr_obs.Tracing.Not_closer
-               else if not (two_sided || Network.one_sided_admissible net ~cur ~v ~dst) then
-                 Ftr_obs.Tracing.Overshoot
-               else Ftr_obs.Tracing.Not_best)
-        end
-        else if tracing then
-          record_excluded ~cur ~k ~v
-            ~dist:
-              (if two_sided then dist_to ~dst_pos v
-               else Network.routing_distance net ~side:rd ~src:v ~dst)
-      done;
-    if !best < 0 then false
-    else begin
-      found_idx := !best_idx;
-      found_node := !best;
-      true
-    end
-  in
+  let rv = view ~failures ~side ~stamps ~epoch ~tr ~tracing net in
+  let rd = rv.rd in
   let record_tried cur idx =
     match strategy with
     | Backtrack _ -> stamps.(I32.unsafe_get offsets cur + idx) <- epoch
@@ -379,14 +399,15 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
   let greedy_leg ~start ~target ~hops =
     let cur = ref start and h = ref hops and stop = ref false in
     while (not !stop) && !cur <> target && !h < max_hops do
-      if best_neighbor ~mode:`Strict ~cur:!cur ~dst:target then begin
-        let v = !found_node in
+      let k = best_hop rv ~mode:`Strict ~cur:!cur ~dst:target in
+      if k >= 0 then begin
+        let v = nth_target rv ~cur:!cur k in
         debug_check_strict_hop net ~side ~cur:!cur ~v ~dst:target;
         if tracing then
           Ftr_obs.Tracing.candidate tr ~cur:!cur ~cand:v
             ~dist:(Network.routing_distance net ~side:rd ~src:v ~dst:target)
             Ftr_obs.Tracing.Chosen;
-        record_tried !cur !found_idx;
+        record_tried !cur k;
         cur := v;
         incr h;
         on_hop v
@@ -464,19 +485,21 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
       let rec forward cur h =
         if cur = dst then Delivered { hops = h }
         else if h >= max_hops then Failed { hops = h; stuck_at = cur; reason = Hop_limit }
-        else if best_neighbor ~mode:`Strict ~cur ~dst then begin
-          let v = !found_node in
-          debug_check_strict_hop net ~side ~cur ~v ~dst;
-          if tracing then
-            Ftr_obs.Tracing.candidate tr ~cur ~cand:v
-              ~dist:(Network.routing_distance net ~side:rd ~src:v ~dst)
-              Ftr_obs.Tracing.Chosen;
-          record_tried cur !found_idx;
-          on_hop v;
-          push cur;
-          forward v (h + 1)
-        end
-        else backtrack cur h
+        else
+          let k = best_hop rv ~mode:`Strict ~cur ~dst in
+          if k < 0 then backtrack cur h
+          else begin
+            let v = nth_target rv ~cur k in
+            debug_check_strict_hop net ~side ~cur ~v ~dst;
+            if tracing then
+              Ftr_obs.Tracing.candidate tr ~cur ~cand:v
+                ~dist:(Network.routing_distance net ~side:rd ~src:v ~dst)
+                Ftr_obs.Tracing.Chosen;
+            record_tried cur k;
+            on_hop v;
+            push cur;
+            forward v (h + 1)
+          end
       and backtrack stuck h =
         if !hist_len = 0 then Failed { hops = h; stuck_at = stuck; reason = No_live_neighbor }
         else begin
@@ -487,25 +510,25 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
           let h = h + 1 in
           on_hop y;
           if h >= max_hops then Failed { hops = h; stuck_at = y; reason = Hop_limit }
-          else if
+          else
             (* "Chooses the next best neighbour": once the strictly closer
                options of [y] are exhausted, the search is allowed to route
                around the hole through a farther neighbour — without this,
                delivery would require a monotone live path, and the failure
                fractions of Figure 6 are unreachable. *)
-            best_neighbor ~mode:`Any ~cur:y ~dst
-          then begin
-            let v = !found_node in
-            if tracing then
-              Ftr_obs.Tracing.candidate tr ~cur:y ~cand:v
-                ~dist:(Network.routing_distance net ~side:rd ~src:v ~dst)
-                Ftr_obs.Tracing.Chosen;
-            record_tried y !found_idx;
-            on_hop v;
-            push y;
-            forward v (h + 1)
-          end
-          else backtrack y h
+            let k = best_hop rv ~mode:`Any ~cur:y ~dst in
+            if k < 0 then backtrack y h
+            else begin
+              let v = nth_target rv ~cur:y k in
+              if tracing then
+                Ftr_obs.Tracing.candidate tr ~cur:y ~cand:v
+                  ~dist:(Network.routing_distance net ~side:rd ~src:v ~dst)
+                  Ftr_obs.Tracing.Chosen;
+              record_tried y k;
+              on_hop v;
+              push y;
+              forward v (h + 1)
+            end
         end
       in
       forward src 0
@@ -535,6 +558,122 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
       ]
   end;
   outcome
+
+(* Routes in flight at once in [route_lockstep]. On an n=2^20, links=8
+   network the gain over one route at a time plateaus from 4 to 32
+   routes (the sweep is in docs/MEMORY_LAYOUT.md, "Batch routing"). *)
+let lockstep_width = 16
+
+(* {!Terminate} routing of many pairs, advanced one hop per step across
+   [lockstep_width] slots. At scale every hop costs two dependent cache
+   misses — [offsets.(cur)], then the row in [targets] it points at — and
+   one route can never overlap them, since each hop's row depends on the
+   previous hop's choice. Different routes are independent, so each step
+   makes three passes over the slots: load every slot's offsets pair,
+   touch the first and last entry of every slot's row, then run
+   [best_hop] on rows that are now cached. The out-of-order core keeps
+   the misses of one pass in flight together (group prefetching, with
+   plain loads standing in for prefetch instructions). A finished slot
+   records its outcome and refills from the next pair. The outcome of
+   each pair is exactly [route ~strategy:Terminate]'s. *)
+let lockstep_terminate ~failures ~side ~max_hops net ~pairs =
+  let n = Network.size net in
+  Array.iter (fun (src, dst) -> check_endpoints failures ~n ~src ~dst) pairs;
+  let rv =
+    view ~failures ~side ~stamps:[||] ~epoch:0 ~tr:Ftr_obs.Tracing.null ~tracing:false net
+  in
+  let count = Array.length pairs in
+  let out = Array.make count (Delivered { hops = 0 }) in
+  let w = lockstep_width in
+  let cur = Array.make w 0 and dst = Array.make w 0 and hops = Array.make w 0 in
+  let pair = Array.make w (-1) and base = Array.make w 0 and deg = Array.make w 0 in
+  let next = ref 0 in
+  (* Load the next pair that needs a hop into slot [s], settling the
+     pairs that need none ([src = dst], a spent budget) on the way. An
+     idle slot holds pair -1. *)
+  let rec fill s =
+    if !next >= count then pair.(s) <- -1
+    else begin
+      let i = !next in
+      incr next;
+      let src, d = pairs.(i) in
+      if src = d then begin
+        out.(i) <- Delivered { hops = 0 };
+        fill s
+      end
+      else if max_hops <= 0 then begin
+        out.(i) <- Failed { hops = 0; stuck_at = src; reason = Hop_limit };
+        fill s
+      end
+      else begin
+        cur.(s) <- src;
+        dst.(s) <- d;
+        hops.(s) <- 0;
+        pair.(s) <- i
+      end
+    end
+  in
+  let delivered s h =
+    out.(pair.(s)) <- Delivered { hops = h };
+    fill s
+  in
+  let failed s h stuck_at reason =
+    out.(pair.(s)) <- Failed { hops = h; stuck_at; reason };
+    fill s
+  in
+  for s = 0 to w - 1 do
+    fill s
+  done;
+  (* The touched row entries feed [sink], kept live past the loop, so the
+     compiler cannot drop the loads of the second pass. *)
+  let sink = ref 0 and live = ref true in
+  while !live do
+    live := false;
+    for s = 0 to w - 1 do
+      if pair.(s) >= 0 then begin
+        let c = cur.(s) in
+        let b = I32.unsafe_get rv.offsets c in
+        base.(s) <- b;
+        deg.(s) <- I32.unsafe_get rv.offsets (c + 1) - b;
+        live := true
+      end
+    done;
+    for s = 0 to w - 1 do
+      if pair.(s) >= 0 && deg.(s) > 0 then
+        sink :=
+          !sink
+          lxor I32.unsafe_get rv.targets base.(s)
+          lxor I32.unsafe_get rv.targets (base.(s) + deg.(s) - 1)
+    done;
+    for s = 0 to w - 1 do
+      if pair.(s) >= 0 then begin
+        let c = cur.(s) and d = dst.(s) in
+        let k = best_hop rv ~mode:`Strict ~cur:c ~dst:d in
+        if k < 0 then failed s hops.(s) c No_live_neighbor
+        else begin
+          let v = I32.unsafe_get rv.targets (base.(s) + k) in
+          debug_check_strict_hop net ~side ~cur:c ~v ~dst:d;
+          let h = hops.(s) + 1 in
+          if v = d then delivered s h
+          else if h >= max_hops then failed s h v Hop_limit
+          else begin
+            cur.(s) <- v;
+            hops.(s) <- h
+          end
+        end
+      end
+    done
+  done;
+  ignore (Sys.opaque_identity !sink);
+  out
+
+let route_lockstep ?(failures = Failure.none) ?(side = Two_sided) ?(max_hops = 1_000_000) net
+    ~pairs =
+  (* Telemetry records per route, so with it on every pair goes through
+     [route], in order. *)
+  if Ftr_obs.Flag.enabled () then
+    Array.map (fun (src, dst) -> route ~failures ~side ~max_hops net ~src ~dst) pairs
+  else lockstep_terminate ~failures ~side ~max_hops net ~pairs
 
 (* Length of the walk after erasing every excursion: each revisit of a node
    truncates the walk back to its first visit. For a backtracking search

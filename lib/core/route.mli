@@ -84,6 +84,28 @@ val route :
     (outcomes are identical with or without it).
     @raise Invalid_argument if an endpoint is out of range or dead. *)
 
+val route_lockstep :
+  ?failures:Failure.t ->
+  ?side:side ->
+  ?max_hops:int ->
+  Network.t ->
+  pairs:(int * int) array ->
+  outcome array
+(** [route_lockstep net ~pairs] routes every [(src, dst)] pair with the
+    {!Terminate} strategy and returns the outcomes in pair order, each
+    exactly [route ~strategy:Terminate]'s for the same options. It keeps
+    16 routes in flight and advances them one hop per step, so that the
+    CSR cache misses of independent routes overlap instead of queueing
+    behind each other (docs/MEMORY_LAYOUT.md, "Batch routing"). Both this
+    driver and {!route} choose each hop with the same candidate scan.
+    While [Ftr_obs.Flag.enabled ()] holds in the calling domain, each pair
+    is instead handed to {!route} in order, so metrics, events and
+    flight-recorder traces are recorded per route exactly as {!route}
+    records them.
+    @raise Invalid_argument with {!route}'s message if any pair has an
+    endpoint out of range or dead; every pair is checked before any is
+    routed. *)
+
 val loop_erased_length : int list -> int
 (** Hop count of a visit sequence after erasing every excursion (a revisit
     truncates back to the first visit). Total hops charge the full

@@ -9,9 +9,17 @@ module Seed = Ftr_exec.Seed
    is therefore byte-identical across --jobs 1/2/4 and FTR_EXEC_SEQ=1
    (qcheck-pinned, and re-asserted by bench.scale on every @perf run).
 
-   Scratch is per domain, not per route: [Route.route] with no explicit
-   scratch borrows the Domain.DLS-cached one, so a chunk of backtracking
-   routes costs one scratch per worker domain, amortized to nothing. *)
+   A {!Route.Terminate} chunk goes through [Route.route_lockstep], which
+   (with telemetry off in the running domain) keeps several routes in
+   flight so their cache misses overlap; its routes share only read-only
+   state, so the contract above holds unchanged. The other strategies
+   route one pair at a time: backtracking routes share one epoch-stamped
+   scratch (interleaved routes would overwrite each other's tried-link
+   marks), and rerouting draws from a per-route generator across several
+   legs. Scratch is per domain, not per route: [Route.route] with no
+   explicit scratch borrows the Domain.DLS-cached one, so a chunk of
+   backtracking routes costs one scratch per worker domain, amortized to
+   nothing. *)
 
 let default_chunk = 1024
 
@@ -23,10 +31,11 @@ let run ?jobs ?(chunk = default_chunk) ?failures ?side ?strategy ?max_hops ?(see
   else begin
     (* Only Random_reroute consumes randomness; the derivation per route
        index is skipped entirely for the deterministic strategies. *)
-    let needs_rng =
+    let needs_rng, terminate =
       match strategy with
-      | Some (Route.Random_reroute _) -> true
-      | Some (Route.Terminate | Route.Backtrack _) | None -> false
+      | Some (Route.Random_reroute _) -> (true, false)
+      | Some Route.Backtrack _ -> (false, false)
+      | Some Route.Terminate | None -> (false, true)
     in
     let chunks = (count + chunk - 1) / chunk in
     let route_one i =
@@ -38,7 +47,9 @@ let run ?jobs ?(chunk = default_chunk) ?failures ?side ?strategy ?max_hops ?(see
       Pool.map ?jobs ~count:chunks (fun c ->
           let lo = c * chunk in
           let len = min chunk (count - lo) in
-          Array.init len (fun k -> route_one (lo + k)))
+          if terminate then
+            Route.route_lockstep ?failures ?side ?max_hops net ~pairs:(Array.sub pairs lo len)
+          else Array.init len (fun k -> route_one (lo + k)))
     in
     Array.concat (Array.to_list per_chunk)
   end

@@ -7,7 +7,13 @@
     in request order. The merged outcome vector is byte-identical across
     [--jobs 1/2/4] and [FTR_EXEC_SEQ=1]: per-route generators are derived
     from [(seed, route index)] with {!Ftr_exec.Seed.rng_for}, so no route
-    observes another's randomness regardless of scheduling. *)
+    observes another's randomness regardless of scheduling.
+
+    A {!Route.Terminate} chunk is routed by {!Route.route_lockstep}, which
+    advances 16 routes one hop at a time so their cache misses overlap
+    (with telemetry on it routes pair by pair). {!Route.Backtrack} and
+    {!Route.Random_reroute} chunks call {!Route.route} once per pair. The
+    outcomes are the same either way. *)
 
 val default_chunk : int
 (** Routes per pool job when [?chunk] is omitted (1024). *)
@@ -29,6 +35,7 @@ val run :
     trades scheduling overhead against load balance; [seed] (default 0)
     feeds the per-route generator derivation used by
     {!Route.Random_reroute}. Route options mean exactly what they mean on
-    {!Route.route}.
+    {!Route.route}, and each outcome is the one {!Route.route} returns for
+    its pair.
     @raise Invalid_argument if [chunk < 1] or any endpoint is out of
-    range or dead. *)
+    range or dead, with {!Route.route}'s message. *)

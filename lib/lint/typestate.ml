@@ -66,7 +66,7 @@ let protocols =
       p_acquire_skip_none = false;
       p_release = [ [ "Check"; "snapshot" ]; [ "Csr"; "validate" ] ];
       p_use =
-        [ [ "Route"; "route" ]; [ "Route_batch"; "run" ]; [ "Route_batch"; "run_indices" ] ];
+        [ [ "Route"; "route" ]; [ "Route"; "route_lockstep" ]; [ "Route_batch"; "run" ] ];
       p_leak_msg = "";
       p_use_msg =
         "network loaded with Snapshot.load ~validate:false is routed before flowing through \

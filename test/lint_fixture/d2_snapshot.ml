@@ -14,6 +14,7 @@ end
 
 module Route = struct
   let route net = net + 1
+  let route_lockstep net = net + 2
 end
 
 (* Positive: unvalidated load flows straight into routing. *)
@@ -31,3 +32,8 @@ let good path =
 let also_good path =
   let net = Snapshot.load ~validate:true path in
   Route.route net
+
+(* Positive: the lockstep batch entry is a routing sink too. *)
+let bad_batch path =
+  let net = Snapshot.load ~validate:false path in
+  Route.route_lockstep net

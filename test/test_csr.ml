@@ -192,16 +192,27 @@ let fnv_outcome h = function
   | Route.Delivered { hops } -> fnv_int (fnv_int h 0) hops
   | Route.Failed { hops; stuck_at; _ } -> fnv_int (fnv_int (fnv_int h 1) hops) stuck_at
 
-let route_digest net ~n ~seed =
+(* [route side pairs] routes the 16 pairs on one side; the digest folds
+   the outcomes pair by pair, two-sided before one-sided. *)
+let route_digest ~route ~n ~seed =
   let pair_rng = Rng.of_int (seed + 1) in
+  let pairs =
+    Array.init 16 (fun _ ->
+        let src = Rng.int pair_rng n in
+        (src, Rng.int pair_rng n))
+  in
+  let two = route Route.Two_sided pairs and one = route Route.One_sided pairs in
   let h = ref fnv_basis in
-  for _ = 1 to 16 do
-    let src = Rng.int pair_rng n and dst = Rng.int pair_rng n in
-    List.iter
-      (fun side -> h := fnv_outcome !h (Route.route ~side net ~src ~dst))
-      [ Route.Two_sided; Route.One_sided ]
-  done;
+  Array.iteri (fun i o -> h := fnv_outcome (fnv_outcome !h o) one.(i)) two;
   !h
+
+(* The two routers a pinned Terminate digest must hold for: one
+   [Route.route] call per pair, and the batch layer's lockstep driver. *)
+let per_route ?failures ?side ?strategy net pairs =
+  Array.map (fun (src, dst) -> Route.route ?failures ?side ?strategy net ~src ~dst) pairs
+
+let batched ?failures ?side net pairs =
+  Ftr_core.Route_batch.run ~jobs:1 ?failures ?side net ~pairs
 
 (* (n, links, seed, CSR digest, route-outcome digest). *)
 let ideal_digests =
@@ -226,7 +237,10 @@ let pinned_ideal_digests () =
       let net = Network.build_ideal ~n ~links (Rng.of_int seed) in
       let label what = Printf.sprintf "n=%d links=%d seed=%d %s" n links seed what in
       Alcotest.(check int64) (label "CSR digest") csr_want (csr_digest net);
-      Alcotest.(check int64) (label "route digest") route_want (route_digest net ~n ~seed))
+      Alcotest.(check int64) (label "route digest") route_want
+        (route_digest ~route:(fun side -> per_route ~side net) ~n ~seed);
+      Alcotest.(check int64) (label "batch route digest") route_want
+        (route_digest ~route:(fun side -> batched ~side net) ~n ~seed))
     ideal_digests
 
 (* The route section of bench/main.ml as data. Its two streams share one
@@ -255,15 +269,19 @@ let pinned_bench_stream_digests () =
         let v = Rng.int pair_rng n in
         if faulty && not (Ftr_graph.Bitset.get mask v) then draw () else v
       in
-      let h = ref fnv_basis in
-      for _ = 1 to 2_000 do
-        (* The recorder drew each pair as a tuple, which OCaml evaluates
-           right to left: destination first. *)
-        let dst = draw () in
-        let src = draw () in
-        h := fnv_outcome !h (Route.route ~failures ~strategy net ~src ~dst)
-      done;
-      Alcotest.(check int64) label want !h)
+      let pairs =
+        Array.init 2_000 (fun _ ->
+            (* The recorder drew each pair as a tuple, which OCaml
+               evaluates right to left: destination first. *)
+            let dst = draw () in
+            (draw (), dst))
+      in
+      let digest outs = Array.fold_left fnv_outcome fnv_basis outs in
+      Alcotest.(check int64) label want
+        (digest (per_route ~failures ~strategy net pairs));
+      (* Terminate batches take the lockstep driver. *)
+      if strategy = Route.Terminate then
+        Alcotest.(check int64) (label ^ ", batched") want (digest (batched ~failures net pairs)))
     bench_stream_digests
 
 (* ------------------------------------------------------------------ *)
@@ -290,20 +308,121 @@ let prop_batch_jobs_invariant =
         if alive v then v else live ()
       in
       let pairs = Array.init 97 (fun _ -> (live (), live ())) in
-      let strategy = Route.Random_reroute { attempts = 2 } in
-      let reference =
-        Array.mapi
-          (fun i (src, dst) ->
-            let rng = Seed.rng_for ~seed:11 ~index:i in
-            Route.route ~failures ~strategy ~rng net ~src ~dst)
-          pairs
+      (* Rerouting draws from per-route generators; Terminate chunks take
+         the lockstep driver. *)
+      List.for_all
+        (fun strategy ->
+          let reference =
+            Array.mapi
+              (fun i (src, dst) ->
+                let rng = Seed.rng_for ~seed:11 ~index:i in
+                Route.route ~failures ~strategy ~rng net ~src ~dst)
+              pairs
+          in
+          let batch ~jobs =
+            (* chunk 16 forces several chunks per job even at small counts. *)
+            Route_batch.run ~jobs ~chunk:16 ~failures ~strategy ~seed:11 net ~pairs
+          in
+          List.for_all (fun jobs -> batch ~jobs = reference) [ 1; 2; 4 ]
+          && Ftr_exec.Pool.with_sequential_forced true (fun () -> batch ~jobs:4 = reference))
+        [ Route.Random_reroute { attempts = 2 }; Route.Terminate ])
+
+(* ------------------------------------------------------------------ *)
+(* Batch routing: the lockstep Terminate driver                        *)
+(* ------------------------------------------------------------------ *)
+
+(* [Route_batch.run] routes Terminate chunks in lockstep, several routes
+   in flight at once; every outcome, reason included, must be the one a
+   [Route.route] call gives the same pair. The grid crosses full and
+   sparse networks, line and circle geometries, both sides, the four
+   failure-view shapes, hop budgets that bind (0, 1, 3) and the default
+   one, and pair counts below, at and above the driver's width of 16,
+   with [src = dst] pairs mixed in. The chunk size varies too, so chunks
+   themselves fall below, at and above the width. *)
+let prop_lockstep_matches_route =
+  QCheck.Test.make ~name:"lockstep Terminate batch equals per-route Route.route" ~count:20
+    QCheck.(quad (int_range 3 160) (int_range 0 6) small_int (int_range 1 40))
+    (fun (n, links, seed, chunk) ->
+      (* The shrinker may step below the generator's ranges. *)
+      let n = max 3 n and chunk = max 1 chunk in
+      let rng = Rng.of_int seed in
+      let nets =
+        [
+          Network.build_ideal ~n ~links rng;
+          Network.build_ring ~n ~links rng;
+          Network.build_binomial ~n ~links ~present_p:0.5 rng;
+        ]
       in
-      let batch ~jobs =
-        (* chunk 16 forces several chunks per job even at small counts. *)
-        Route_batch.run ~jobs ~chunk:16 ~failures ~strategy ~seed:11 net ~pairs
+      List.for_all
+        (fun net ->
+          let size = Network.size net in
+          let mask = Failure.random_node_fraction rng ~n:size ~fraction:0.3 in
+          let nodes = Failure.of_node_mask mask in
+          let links = Failure.of_link_mask (Failure.random_link_mask rng net ~present_p:0.6) in
+          List.for_all
+            (fun (failures, alive) ->
+              let rec live () =
+                let v = Rng.int rng size in
+                if alive v then v else live ()
+              in
+              List.for_all
+                (fun count ->
+                  let pairs =
+                    Array.init count (fun i ->
+                        let src = live () in
+                        (src, if i mod 5 = 0 then src else live ()))
+                  in
+                  List.for_all
+                    (fun side ->
+                      List.for_all
+                        (fun max_hops ->
+                          let reference =
+                            Array.map
+                              (fun (src, dst) ->
+                                Route.route ~failures ~side ~strategy:Route.Terminate ?max_hops
+                                  net ~src ~dst)
+                              pairs
+                          in
+                          Ftr_core.Route_batch.run ~jobs:1 ~chunk ~failures ~side
+                            ~strategy:Route.Terminate ?max_hops net ~pairs
+                          = reference)
+                        [ Some 0; Some 1; Some 3; None ])
+                    [ Route.Two_sided; Route.One_sided ])
+                [ 7; 16; 41 ])
+            [
+              (Failure.none, fun _ -> true);
+              (nodes, Ftr_graph.Bitset.get mask);
+              (links, fun _ -> true);
+              (Failure.compose nodes links, Ftr_graph.Bitset.get mask);
+            ])
+        nets)
+
+(* A batch refuses a bad endpoint with [Route.route]'s own message, even
+   when valid pairs precede it in the chunk. *)
+let lockstep_rejects_like_route () =
+  let n = 64 in
+  let net = Network.build_ideal ~n ~links:3 (Rng.of_int 5) in
+  let mask = Ftr_graph.Bitset.create n in
+  for v = 0 to n - 1 do
+    if v <> 9 then Ftr_graph.Bitset.set mask v
+  done;
+  let failures = Failure.of_node_mask mask in
+  let message f = match f () with _ -> "no exception" | exception Invalid_argument m -> m in
+  List.iter
+    (fun (what, (src, dst)) ->
+      let single = message (fun () -> Route.route ~failures net ~src ~dst) in
+      let batch =
+        message (fun () ->
+            Ftr_core.Route_batch.run ~jobs:1 ~failures net ~pairs:[| (1, 2); (3, 3); (src, dst) |])
       in
-      List.for_all (fun jobs -> batch ~jobs = reference) [ 1; 2; 4 ]
-      && Ftr_exec.Pool.with_sequential_forced true (fun () -> batch ~jobs:4 = reference))
+      Alcotest.(check bool) (what ^ " raises") true (not (String.equal single "no exception"));
+      Alcotest.(check string) what single batch)
+    [
+      ("source out of range", (n, 4));
+      ("destination out of range", (4, -1));
+      ("dead destination", (4, 9));
+      ("dead source", (9, 4));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Duplicate-entry policy (documented on Network.csr)                  *)
@@ -400,6 +519,26 @@ let minor_words_independent_of_hops () =
     (Printf.sprintf "backtrack: %.0f minor words for %d hops" backtrack (n - 1))
     true (backtrack < 512.0)
 
+(* The lockstep batch path allocates per pair, not per hop: 33 routes of
+   65,535 hops each (more than two driver widths, so slots refill) on
+   the links:0 line stay under 64 minor words per pair. *)
+let batch_minor_words_independent_of_hops () =
+  let n = 1 lsl 16 in
+  let net = Network.build_ideal ~n ~links:0 (Rng.of_int 1) in
+  let pairs = Array.make 33 (0, n - 1) in
+  let run () = Ftr_core.Route_batch.run ~jobs:1 net ~pairs in
+  ignore (run ());
+  let w0 = Gc.minor_words () in
+  let outs = run () in
+  let per_pair = (Gc.minor_words () -. w0) /. 33.0 in
+  Alcotest.(check bool) "every route walks the line" true
+    (Array.for_all
+       (function Route.Delivered { hops } -> hops = n - 1 | Route.Failed _ -> false)
+       outs);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per pair of %d hops" per_pair (n - 1))
+    true (per_pair < 64.0)
+
 (* Steady state on the Figure 6 workload: mean minor words per message
    stays a small constant (the pre-refactor router allocated per hop —
    thousands of words on this grid). *)
@@ -454,6 +593,13 @@ let () =
           Alcotest.test_case "minor words independent of hops" `Quick
             minor_words_independent_of_hops;
           Alcotest.test_case "minor words per message bounded" `Quick minor_words_steady_state;
+          Alcotest.test_case "batch minor words independent of hops" `Quick
+            batch_minor_words_independent_of_hops;
+        ] );
+      ( "lockstep",
+        [
+          Alcotest.test_case "bad endpoints raise like Route.route" `Quick
+            lockstep_rejects_like_route;
         ] );
       ( "properties",
         List.map (fun p -> QCheck_alcotest.to_alcotest p)
@@ -461,6 +607,7 @@ let () =
             prop_csr_matches_accessors;
             prop_csr_roundtrip;
             prop_batch_jobs_invariant;
+            prop_lockstep_matches_route;
             prop_duplicate_policy;
           ] );
     ]
