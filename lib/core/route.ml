@@ -196,7 +196,7 @@ let[@inline] usable rv ~cur ~base ~k v =
    recomputation (plus the record's allocation, inside
    [Ftr_obs.Tracing]) costs nothing when the recorder is off. *)
 let record_excluded rv ~cur ~base ~k ~v ~dist =
-  if rv.tracing && Ftr_obs.Flag.enabled () && Ftr_obs.Tracing.is_live rv.tr then begin
+  if rv.tracing && Ftr_obs.Flag.enabled () then begin
     let verdict =
       if not (rv.link_all || Failure.link_alive rv.failures ~src:cur ~idx:k) then
         Ftr_obs.Tracing.Dead_link
@@ -224,7 +224,7 @@ let record_excluded rv ~cur ~base ~k ~v ~dist =
    index into [cur]'s row, or -1 when there is none. Both drivers —
    [route]'s greedy legs and [route_lockstep] — call this one scan. *)
 let best_hop rv ~mode ~cur ~dst =
-  let tracing = rv.tracing && Ftr_obs.Flag.enabled () && Ftr_obs.Tracing.is_live rv.tr in
+  let tracing = rv.tracing && Ftr_obs.Flag.enabled () in
   let dst_pos = pos rv dst in
   let cur_dist = distance rv ~dst_pos cur ~dst in
   let base = I32.unsafe_get rv.offsets cur in
