@@ -962,7 +962,11 @@ let run_serve () =
       stabilize = 2;
     }
   in
+  let words0 = Gc.minor_words () in
   let r1 = D.run { cfg with D.jobs = Some 1 } in
+  let words_per_lookup =
+    (Gc.minor_words () -. words0) /. float_of_int (max 1 r1.D.res_report.D.rp_issued)
+  in
   let rj = D.run { cfg with D.jobs = Some jobs } in
   let same =
     D.report_lines ~wall:false r1.D.res_report = D.report_lines ~wall:false rj.D.res_report
@@ -977,6 +981,8 @@ let run_serve () =
     "outcomes" r1.D.res_report.D.rp_delivered r1.D.res_report.D.rp_issued
     r1.D.res_report.D.rp_p50_hops r1.D.res_report.D.rp_p99_hops r1.D.res_report.D.rp_repairs
     r1.D.res_report.D.rp_bounces;
+  Printf.printf "%28s: %.0f minor words per lookup (jobs=1, set-up included)\n%!" "allocation"
+    words_per_lookup;
   write_report "BENCH_serve.json" ~asserts:[ ("output_identical", same) ]
     Ftr_obs.Json.(
       Obj
@@ -990,6 +996,7 @@ let run_serve () =
           ("p99_hops", Int r1.D.res_report.D.rp_p99_hops);
           ("jobs1_lookups_per_second", Float (rate r1));
           ("jobsN_lookups_per_second", Float (rate rj));
+          ("jobs1_minor_words_per_lookup", Float words_per_lookup);
           ("speedup", Float (rate rj /. rate r1));
           ("output_identical", Bool same);
         ])

@@ -51,6 +51,15 @@ let fresh_counters () =
     c_handled = 0;
   }
 
+let clear_counters c =
+  c.c_messages <- 0;
+  c.c_replies <- 0;
+  c.c_probes <- 0;
+  c.c_repairs <- 0;
+  c.c_redirects <- 0;
+  c.c_maint_issued <- 0;
+  c.c_handled <- 0
+
 (* Everything a handler is allowed to see beyond its own actor. [send]
    hands a message to the transport, [complete] records a lookup outcome
    for the transport's accounting, [depart] reports a graceful leave. *)
@@ -86,25 +95,29 @@ let advances ~pos ~target ~cand =
   let my_dist = abs (pos - target) and d = abs (cand - target) in
   d < my_dist || (d = my_dist && cand < pos)
 
-(* One min-scan over the neighbour set: the advancing candidate with
-   minimal (distance, position) and its distance; [None] means this node
-   owns the target's basin. Liveness is deliberately not consulted: the
-   caller probes the single chosen candidate and, on a dead pick, repairs
-   the link set and re-scans — the paper's failure detection by probing. *)
-let best_candidate ~pos ~target neighbors =
-  let best = ref (-1) and best_dist = ref max_int in
-  List.iter
-    (fun cand ->
-      let dist = abs (cand - target) in
-      if
-        advances ~pos ~target ~cand
-        && (dist < !best_dist || (dist = !best_dist && cand < !best))
-      then begin
-        best := cand;
-        best_dist := dist
-      end)
-    neighbors;
-  if !best < 0 then None else Some (!best, !best_dist)
+(* Fold one candidate into a running pick ([-1] for none so far): keep
+   the advancing candidate with minimal (distance, position). *)
+let better ~pos ~target best cand =
+  if not (advances ~pos ~target ~cand) then best
+  else if best < 0 then cand
+  else
+    let d = abs (cand - target) and bd = abs (best - target) in
+    if d < bd || (d = bd && cand < best) then cand else best
+
+let rec better_long ~pos ~target best = function
+  | [] -> best
+  | cand :: rest -> better_long ~pos ~target (better ~pos ~target best cand) rest
+
+(* One min-scan over the neighbour set — [left], [right], then [long],
+   read in place: the advancing candidate with minimal (distance,
+   position), or [-1] when this node owns the target's basin. Liveness is
+   deliberately not consulted: the caller probes the single chosen
+   candidate and, on a dead pick, repairs the link set and re-scans — the
+   paper's failure detection by probing. *)
+let best_candidate ~pos ~target ~left ~right ~long =
+  let best = match left with Some v -> better ~pos ~target (-1) v | None -> -1 in
+  let best = match right with Some v -> better ~pos ~target best v | None -> best in
+  better_long ~pos ~target best long
 
 (* ------------------------------------------------------------------ *)
 (* Link bookkeeping                                                    *)
@@ -176,6 +189,27 @@ let probe_ring ctx a ~from ~dir =
 
 let tlog l step = if l.traced then { l with tlog_rev = step :: l.tlog_rev } else l
 
+(* The traced half of a scan: every neighbour but the pick, in the scan's
+   order, with why it lost, then the pick itself. *)
+let log_candidates a l ~best =
+  let log l v =
+    if v = best then l
+    else
+      tlog l
+        (T_cand
+           {
+             cur = a.pos;
+             cand = v;
+             dist = abs (v - l.target);
+             verdict =
+               (if advances ~pos:a.pos ~target:l.target ~cand:v then V_not_best else V_not_closer);
+           })
+  in
+  let log_opt l = function Some v -> log l v | None -> l in
+  let l = List.fold_left log (log_opt (log_opt l a.left) a.right) a.long in
+  if best < 0 then l
+  else tlog l (T_cand { cur = a.pos; cand = best; dist = abs (best - l.target); verdict = V_chosen })
+
 (* A fresh maintenance lookup starts inline at its issuing actor. *)
 let rec start_lookup ctx a ~kind ~target =
   ctx.counters.c_maint_issued <- ctx.counters.c_maint_issued + 1;
@@ -190,52 +224,25 @@ and enter ctx a l =
   else scan ctx a l
 
 and scan ctx a l =
-  let neighbors = neighbors_of a in
-  let choice = best_candidate ~pos:a.pos ~target:l.target neighbors in
-  let l =
-    if not l.traced then l
-    else begin
-      let best = match choice with Some (v, _) -> v | None -> -1 in
-      let l =
-        List.fold_left
-          (fun l v ->
-            if v = best then l
-            else
-              let dist = abs (v - l.target) in
-              tlog l
-                (T_cand
-                   {
-                     cur = a.pos;
-                     cand = v;
-                     dist;
-                     verdict =
-                       (if advances ~pos:a.pos ~target:l.target ~cand:v then V_not_best
-                        else V_not_closer);
-                   }))
-          l neighbors
-      in
-      match choice with
-      | Some (v, d) -> tlog l (T_cand { cur = a.pos; cand = v; dist = d; verdict = V_chosen })
-      | None -> l
-    end
+  let best =
+    best_candidate ~pos:a.pos ~target:l.target ~left:a.left ~right:a.right ~long:a.long
   in
-  match choice with
-  | None -> deliver ctx a l
-  | Some (best, best_dist) ->
-      if view_alive ctx best then begin
-        ctx.counters.c_messages <- ctx.counters.c_messages + 1;
-        ctx.send ~src:a ~dst:best (Lookup { l with hops = l.hops + 1 })
-      end
-      else begin
-        (* The probe discovers the pick is already dead: zero-latency
-           repair, then re-enter with unchanged hops. *)
-        ctx.counters.c_probes <- ctx.counters.c_probes + 1;
-        let l =
-          tlog l (T_cand { cur = a.pos; cand = best; dist = best_dist; verdict = V_dead })
-        in
-        repair ctx a ~dead:best;
-        enter ctx a l
-      end
+  let l = if l.traced then log_candidates a l ~best else l in
+  if best < 0 then deliver ctx a l
+  else if view_alive ctx best then begin
+    ctx.counters.c_messages <- ctx.counters.c_messages + 1;
+    ctx.send ~src:a ~dst:best (Lookup { l with hops = l.hops + 1 })
+  end
+  else begin
+    (* The probe discovers the pick is already dead: zero-latency
+       repair, then re-enter with unchanged hops. *)
+    ctx.counters.c_probes <- ctx.counters.c_probes + 1;
+    let l =
+      tlog l (T_cand { cur = a.pos; cand = best; dist = abs (best - l.target); verdict = V_dead })
+    in
+    repair ctx a ~dead:best;
+    enter ctx a l
+  end
 
 (* This actor owns the target's basin. Maintenance kinds act at the
    owner (splice for placement, redirect for solicitation) and answer

@@ -71,19 +71,18 @@ let post t ~time ~src ~seq msg =
     true
   end
 
-let next_due t = match t.entries with [] -> None | e :: _ -> Some e.e_time
+let due t ~now = match t.entries with e :: _ -> e.e_time <= now | [] -> false
 
-(* Remove and return every entry due at or before [now], in delivery
-   order. *)
-let take_due t ~now =
-  let rec split acc = function
-    | e :: tl when e.e_time <= now -> split (e :: acc) tl
-    | rest -> (List.rev acc, rest)
-  in
-  let due, rest = split [] t.entries in
-  t.entries <- rest;
-  t.length <- t.length - List.length due;
-  due
+(* Pop every entry due at or before [now] off the head, in delivery
+   order, handing each to [f] once it is already out of the mailbox. *)
+let rec drain_due t ~now f =
+  match t.entries with
+  | e :: rest when e.e_time <= now ->
+      t.entries <- rest;
+      t.length <- t.length - 1;
+      f e;
+      drain_due t ~now f
+  | _ :: _ | [] -> ()
 
 (* The stored keys in stored order, for the invariant validators: the
    sanitizer re-checks that this is strictly increasing under the

@@ -28,12 +28,14 @@ val post : 'a t -> time:int -> src:int -> seq:int -> 'a -> bool
     at capacity and the message was dropped (and counted in
     {!dropped}) — the bounded-mailbox rule. *)
 
-val next_due : 'a t -> int option
-(** Earliest pending delivery time, if any. *)
+val due : 'a t -> now:int -> bool
+(** Whether the earliest pending entry is due at or before [now]. *)
 
-val take_due : 'a t -> now:int -> 'a entry list
-(** Remove and return every entry due at or before [now], in delivery
-    order. *)
+val drain_due : 'a t -> now:int -> ('a entry -> unit) -> unit
+(** Pop every entry due at or before [now] off the head, in delivery
+    order, and hand each to the callback after it has left the mailbox
+    (so {!length} already excludes it). An entry the callback posts
+    that is itself due is drained by the same call. *)
 
 val owner : 'a t -> int
 

@@ -89,20 +89,32 @@ type t = {
   regenerate : bool;
   nshards : int;
   latency : int;
-  actors : (int, slot) Hashtbl.t;
-  mutable order : int array; (* sorted positions of every registered actor *)
-  mutable order_dirty : bool;
+  slots : slot option array; (* by line position; [None] = never registered *)
+  mutable order : slot array; (* every registered actor by position, in [0, registered) *)
+  mutable registered : int;
+  mutable due : slot array; (* this round's due live actors, in [0, ndue); reused *)
+  mutable ndue : int;
+  accs : shard_acc array; (* one per shard, cleared every round *)
   alive_view : Bytes.t;
   pl : Sample.power_law;
   mutable now : int;
   mutable next_request : int;
   mutable coord_seq : int;
-  requests : (int, request_state) Hashtbl.t;
+  mutable requests : request_state array; (* by request id, in [0, next_request) *)
   hops_hist : int array; (* per-success hop counts, exact *)
   stats : stats;
   transcript : Buffer.t;
   record : bool;
 }
+
+let fresh_acc ~record =
+  {
+    counters = Actor.fresh_counters ();
+    buf = Buffer.create (if record then 1024 else 1);
+    out_rev = [];
+    completions_rev = [];
+    departs_rev = [];
+  }
 
 let create ?capacity ?(ttl = 256) ?(regenerate = true) ?(shards = 8) ?(record = false)
     ~line_size ~links ~seed () =
@@ -118,15 +130,18 @@ let create ?capacity ?(ttl = 256) ?(regenerate = true) ?(shards = 8) ?(record = 
     regenerate;
     nshards = shards;
     latency = 1;
-    actors = Hashtbl.create 1024;
+    slots = Array.make line_size None;
     order = [||];
-    order_dirty = false;
+    registered = 0;
+    due = [||];
+    ndue = 0;
+    accs = Array.init shards (fun _ -> fresh_acc ~record);
     alive_view = Bytes.make line_size '\000';
     pl = Sample.power_law ~exponent:1.0 ~max_length:(line_size - 1);
     now = 0;
     next_request = 0;
     coord_seq = 0;
-    requests = Hashtbl.create 64;
+    requests = [||];
     hops_hist = Array.make (ttl + 2) 0;
     stats =
       {
@@ -178,45 +193,68 @@ let linef t fmt = Printf.ksprintf (fun s -> Buffer.add_string t.transcript s; Bu
 (* Membership and registry                                             *)
 (* ------------------------------------------------------------------ *)
 
-let refresh_order t =
-  if t.order_dirty then begin
-    let acc = ref [] in
-    Hashtbl.iter (fun pos _ -> acc := pos :: !acc) t.actors;
-    let arr = Array.of_list !acc in
-    Array.sort Int.compare arr;
-    t.order <- arr;
-    t.order_dirty <- false
-  end
+let slot t pos = if pos >= 0 && pos < t.line_size then t.slots.(pos) else None
 
 let view_alive t pos = pos >= 0 && pos < t.line_size && Bytes.get t.alive_view pos = '\001'
 
-let known t pos = Hashtbl.mem t.actors pos
+let known t pos = Option.is_some (slot t pos)
 
 let live_positions t =
-  refresh_order t;
-  Array.to_list (Array.of_seq (Seq.filter (view_alive t) (Array.to_seq t.order)))
+  let acc = ref [] in
+  for i = t.registered - 1 downto 0 do
+    let pos = t.order.(i).actor.Actor.pos in
+    if view_alive t pos then acc := pos :: !acc
+  done;
+  !acc
 
 let live_count t =
   let n = ref 0 in
   Bytes.iter (fun c -> if c = '\001' then incr n) t.alive_view;
   !n
 
-let register t ~pos ~alive =
+(* [arr], or a copy of twice the size when index [n] is past its end.
+   The new cells hold [x] — the element about to be stored at [n] — so
+   growth needs no placeholder value. *)
+let room arr n x =
+  if n < Array.length arr then arr
+  else begin
+    let a = Array.make (max 16 (2 * n)) x in
+    Array.blit arr 0 a 0 n;
+    a
+  end
+
+let add_slot t ~pos ~alive =
   if pos < 0 || pos >= t.line_size then invalid_arg "Service.register: position off the line";
-  if Hashtbl.mem t.actors pos then invalid_arg "Service.register: position already registered";
+  if Option.is_some t.slots.(pos) then
+    invalid_arg "Service.register: position already registered";
   let a = Actor.create ~pos ~rng:(Seed.rng_for ~seed:t.seed ~index:pos) () in
   a.Actor.alive <- alive;
-  Hashtbl.replace t.actors pos
-    { actor = a; mailbox = Mailbox.create ?capacity:t.capacity ~owner:pos (); next_seq = 0 };
+  let s = { actor = a; mailbox = Mailbox.create ?capacity:t.capacity ~owner:pos (); next_seq = 0 } in
+  t.slots.(pos) <- Some s;
   if alive then Bytes.set t.alive_view pos '\001';
-  t.order_dirty <- true;
-  a
+  s
+
+(* Registration keeps [order] sorted by shifting the larger positions up
+   one cell: a join costs one insertion, never a rescan of the line. *)
+let register t ~pos ~alive =
+  let s = add_slot t ~pos ~alive in
+  let order = room t.order t.registered s in
+  let i = ref t.registered in
+  while !i > 0 && order.(!i - 1).actor.Actor.pos > pos do
+    order.(!i) <- order.(!i - 1);
+    decr i
+  done;
+  order.(!i) <- s;
+  t.order <- order;
+  t.registered <- t.registered + 1;
+  s.actor
 
 (* Snapshot constructor: the service starts from exactly the link state
    the engine transport reached (populate, joins, crashes...), so the two
    transports can be compared on the same (seed, network, failure set).
    Dead registry entries come along too — their mailboxes are what in-
-   flight mail bounces off. *)
+   flight mail bounces off. The overlay hands its nodes over unsorted, so
+   [order] is read off the slot array once at the end. *)
 let of_overlay ?capacity ?ttl ?(regenerate = true) ?shards ?record ~seed ov =
   let module O = Ftr_p2p.Overlay in
   let t =
@@ -225,13 +263,18 @@ let of_overlay ?capacity ?ttl ?(regenerate = true) ?shards ?record ~seed ov =
       ~regenerate ?shards ?record ~line_size:(O.line_size ov) ~links:(O.links ov) ~seed ()
   in
   O.iter_nodes ov (fun v ->
-      let a = register t ~pos:v.O.view_pos ~alive:v.O.view_alive in
+      let a = (add_slot t ~pos:v.O.view_pos ~alive:v.O.view_alive).actor in
       a.Actor.left <- v.O.view_left;
       a.Actor.right <- v.O.view_right;
       a.Actor.long <- v.O.view_long;
       a.Actor.births <- v.O.view_births;
       a.Actor.birth_tick <- List.fold_left max 0 v.O.view_births);
-  refresh_order t;
+  let order = ref [] in
+  for pos = t.line_size - 1 downto 0 do
+    match t.slots.(pos) with Some s -> order := s :: !order | None -> ()
+  done;
+  t.order <- Array.of_list !order;
+  t.registered <- Array.length t.order;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -239,7 +282,7 @@ let of_overlay ?capacity ?ttl ?(regenerate = true) ?shards ?record ~seed ov =
 (* ------------------------------------------------------------------ *)
 
 let post_env t (env : envelope) =
-  match Hashtbl.find_opt t.actors env.dst with
+  match slot t env.dst with
   | None ->
       (* Every destination comes out of the registry (neighbour sets,
          origins, join targets), so this is a scheduler bug, not load. *)
@@ -267,37 +310,37 @@ let coord_send t ~dst ~deliver_at payload =
 (* Completion accounting (coordinator only)                            *)
 (* ------------------------------------------------------------------ *)
 
+let is_request t id = id >= 0 && id < t.next_request
+
 let complete t (l : lookup) (o : outcome) =
   match l.kind with
-  | User -> (
-      match Hashtbl.find_opt t.requests l.request with
-      | Some rq when Option.is_none rq.rq_outcome ->
-          rq.rq_outcome <- Some o;
-          rq.rq_done_at <- t.now;
+  | User ->
+      if is_request t l.request && Option.is_none t.requests.(l.request).rq_outcome then begin
+        let rq = t.requests.(l.request) in
+        rq.rq_outcome <- Some o;
+        rq.rq_done_at <- t.now;
+        (match o with
+        | Delivered { hops; _ } ->
+            t.stats.ok <- t.stats.ok + 1;
+            t.stats.hops_total <- t.stats.hops_total + hops;
+            let b = min hops (Array.length t.hops_hist - 1) in
+            t.hops_hist.(b) <- t.hops_hist.(b) + 1
+        | Failed _ -> t.stats.failed <- t.stats.failed + 1);
+        if t.record then linef t "t=%d req %d %s" t.now l.request (describe_outcome o);
+        if Ftr_obs.Flag.enabled () then begin
+          Ftr_obs.Metrics.incr
+            ~labels:[ ("outcome", match o with Delivered _ -> "delivered" | Failed _ -> "failed") ]
+            "svc_requests_total";
           (match o with
-          | Delivered { hops; _ } ->
-              t.stats.ok <- t.stats.ok + 1;
-              t.stats.hops_total <- t.stats.hops_total + hops;
-              let b = min hops (Array.length t.hops_hist - 1) in
-              t.hops_hist.(b) <- t.hops_hist.(b) + 1
-          | Failed _ -> t.stats.failed <- t.stats.failed + 1);
-          if t.record then linef t "t=%d req %d %s" t.now l.request (describe_outcome o);
-          if Ftr_obs.Flag.enabled () then begin
-            Ftr_obs.Metrics.incr
-              ~labels:
-                [ ("outcome", match o with Delivered _ -> "delivered" | Failed _ -> "failed") ]
-              "svc_requests_total";
-            (match o with
-            | Delivered { hops; _ } ->
-                Ftr_obs.Metrics.observe "svc_request_hops" (float_of_int hops)
-            | Failed _ -> ());
-            if rq.rq_traced then begin
-              (* Trace ids pure in the request id, whatever the completion order. *)
-              Ftr_obs.Tracing.set_next_index rq.rq_id;
-              Actor.replay_trace ~nodes:"service" ~strategy:"svc_lookup" l o
-            end
+          | Delivered { hops; _ } -> Ftr_obs.Metrics.observe "svc_request_hops" (float_of_int hops)
+          | Failed _ -> ());
+          if rq.rq_traced then begin
+            (* Trace ids pure in the request id, whatever the completion order. *)
+            Ftr_obs.Tracing.set_next_index rq.rq_id;
+            Actor.replay_trace ~nodes:"service" ~strategy:"svc_lookup" l o
           end
-      | Some _ | None -> ())
+        end
+      end
   | Placement _ | Link | Solicit _ -> (
       match o with
       | Delivered _ -> t.stats.maint_ok <- t.stats.maint_ok + 1
@@ -311,8 +354,7 @@ let request ?(traced = false) t ~src ~target =
   if not (view_alive t src) then invalid_arg "Service.request: source is not a live actor";
   if target < 0 || target >= t.line_size then invalid_arg "Service.request: target off the line";
   let id = t.next_request in
-  t.next_request <- id + 1;
-  Hashtbl.replace t.requests id
+  let rq =
     {
       rq_id = id;
       rq_src = src;
@@ -321,7 +363,11 @@ let request ?(traced = false) t ~src ~target =
       rq_traced = traced;
       rq_outcome = None;
       rq_done_at = -1;
-    };
+    }
+  in
+  t.requests <- room t.requests id rq;
+  t.requests.(id) <- rq;
+  t.next_request <- id + 1;
   t.stats.issued <- t.stats.issued + 1;
   if t.record then linef t "t=%d req %d %d->%d" t.now id src target;
   coord_send t ~dst:src ~deliver_at:t.now
@@ -341,7 +387,7 @@ let join t ~pos ~via =
     (Lookup (fresh_lookup ~request:(-1) ~origin:pos ~target:pos (Placement { joiner = pos })))
 
 let crash t ~pos =
-  match Hashtbl.find_opt t.actors pos with
+  match slot t pos with
   | Some { actor = a; _ } when a.Actor.alive ->
       a.Actor.alive <- false;
       Bytes.set t.alive_view pos '\000';
@@ -372,8 +418,7 @@ let stabilize t ~pos =
    latency. *)
 let drain_dead t (s : slot) =
   let pos = s.actor.Actor.pos in
-  List.iter
-    (fun (e : payload Mailbox.entry) ->
+  Mailbox.drain_due s.mailbox ~now:t.now (fun (e : payload Mailbox.entry) ->
       t.stats.handled <- t.stats.handled + 1;
       if t.record then
         linef t "t=%d dead %d<-%d#%d %s" t.now pos e.Mailbox.e_src e.Mailbox.e_seq
@@ -393,19 +438,26 @@ let drain_dead t (s : slot) =
             }
       | Actor.Lost (l, o) -> complete t l o
       | Actor.Dead_letter -> t.stats.dead_letters <- t.stats.dead_letters + 1)
-    (Mailbox.take_due s.mailbox ~now:t.now)
 
-let fresh_acc () =
-  {
-    counters = Actor.fresh_counters ();
-    buf = Buffer.create 1024;
-    out_rev = [];
-    completions_rev = [];
-    departs_rev = [];
-  }
+(* Phase 1, one pass over the registry in position order: a due dead
+   actor's mail is drained on the spot, a due live actor is queued in
+   the reusable due buffer for the shards. Dead drains only post mail
+   for the next tick, so they cannot change which live actors are due. *)
+let scan t =
+  t.ndue <- 0;
+  for i = 0 to t.registered - 1 do
+    let s = t.order.(i) in
+    if Mailbox.due s.mailbox ~now:t.now then
+      if s.actor.Actor.alive then begin
+        t.due <- room t.due t.ndue s;
+        t.due.(t.ndue) <- s;
+        t.ndue <- t.ndue + 1
+      end
+      else drain_dead t s
+  done
 
-let process_shard t (due : slot array) acc shard =
-  let n = Array.length due in
+let process_shard t acc shard =
+  let n = t.ndue in
   let lo = shard * n / t.nshards and hi = (shard + 1) * n / t.nshards in
   let ctx =
     {
@@ -418,34 +470,36 @@ let process_shard t (due : slot array) acc shard =
       counters = acc.counters;
       send =
         (fun ~src ~dst payload ->
-          let s = Hashtbl.find t.actors src.Actor.pos in
-          let seq = s.next_seq in
-          s.next_seq <- seq + 1;
-          acc.out_rev <-
-            {
-              src = src.Actor.pos;
-              dst;
-              seq;
-              deliver_at = t.now + t.latency;
-              payload;
-            }
-            :: acc.out_rev);
+          match t.slots.(src.Actor.pos) with
+          | Some s ->
+              let seq = s.next_seq in
+              s.next_seq <- seq + 1;
+              acc.out_rev <-
+                {
+                  src = src.Actor.pos;
+                  dst;
+                  seq;
+                  deliver_at = t.now + t.latency;
+                  payload;
+                }
+                :: acc.out_rev
+          | None -> invalid_arg "Service: send from an unregistered actor");
       complete = (fun l o -> acc.completions_rev <- (l, o) :: acc.completions_rev);
       depart = (fun pos -> acc.departs_rev <- pos :: acc.departs_rev);
     }
   in
   for i = lo to hi - 1 do
-    let { actor = a; mailbox; _ } = due.(i) in
-    List.iter
-      (fun (e : payload Mailbox.entry) ->
+    let { actor = a; mailbox; _ } = t.due.(i) in
+    Mailbox.drain_due mailbox ~now:t.now (fun (e : payload Mailbox.entry) ->
         if t.record then
           Buffer.add_string acc.buf
             (Printf.sprintf "t=%d %d<-%d#%d %s\n" t.now a.Actor.pos e.Mailbox.e_src
                e.Mailbox.e_seq (describe e.Mailbox.e_msg));
         Actor.handle ctx a e.Mailbox.e_msg)
-      (Mailbox.take_due mailbox ~now:t.now)
   done
 
+(* Fold one shard's accumulator into the service and leave it empty for
+   the next round. *)
 let merge_acc t acc =
   let c = acc.counters in
   t.stats.messages <- t.stats.messages + c.Actor.c_messages;
@@ -455,7 +509,11 @@ let merge_acc t acc =
   t.stats.redirects <- t.stats.redirects + c.Actor.c_redirects;
   t.stats.maint_issued <- t.stats.maint_issued + c.Actor.c_maint_issued;
   t.stats.handled <- t.stats.handled + c.Actor.c_handled;
-  if t.record then Buffer.add_buffer t.transcript acc.buf;
+  Actor.clear_counters c;
+  if t.record then begin
+    Buffer.add_buffer t.transcript acc.buf;
+    Buffer.clear acc.buf
+  end;
   List.iter (fun (l, o) -> complete t l o) (List.rev acc.completions_rev);
   List.iter (fun env -> post_env t env) (List.rev acc.out_rev);
   List.iter
@@ -463,44 +521,33 @@ let merge_acc t acc =
       Bytes.set t.alive_view pos '\000';
       t.stats.leaves <- t.stats.leaves + 1;
       if Ftr_obs.Flag.enabled () then Ftr_obs.Metrics.incr "svc_leaves_total")
-    (List.rev acc.departs_rev)
+    (List.rev acc.departs_rev);
+  acc.completions_rev <- [];
+  acc.out_rev <- [];
+  acc.departs_rev <- []
 
-(* One round: drain the dead, fan the due live actors out over the
-   shards, merge. Advances the logical clock by one tick. *)
+let merge t = Array.iter (merge_acc t) t.accs
+
+(* One round: scan (drain the dead, collect the due), fan the due live
+   actors out over the shards, merge. Advances the logical clock by one
+   tick. With telemetry on, each phase is a span: [svc.scan],
+   [svc.round] (the handlers) and [svc.merge]. *)
 let step t ~pool =
-  refresh_order t;
   t.stats.rounds <- t.stats.rounds + 1;
-  Array.iter
-    (fun pos ->
-      let s = Hashtbl.find t.actors pos in
-      if not s.actor.Actor.alive then
-        match Mailbox.next_due s.mailbox with
-        | Some d when d <= t.now -> drain_dead t s
-        | Some _ | None -> ())
-    t.order;
-  let due = ref [] in
-  Array.iter
-    (fun pos ->
-      let s = Hashtbl.find t.actors pos in
-      if s.actor.Actor.alive then
-        match Mailbox.next_due s.mailbox with
-        | Some d when d <= t.now -> due := s :: !due
-        | Some _ | None -> ())
-    t.order;
-  let due = Array.of_list (List.rev !due) in
-  if Array.length due > 0 then begin
-    let accs = Array.init t.nshards (fun _ -> fresh_acc ()) in
-    let run () = Pool.run_resident pool ~count:t.nshards (fun s -> process_shard t due accs.(s) s) in
-    if Ftr_obs.Flag.enabled () then Ftr_obs.Span.time "svc.round" run else run ();
-    Array.iter (fun acc -> merge_acc t acc) accs
+  let spans = Ftr_obs.Flag.enabled () in
+  if spans then Ftr_obs.Span.time "svc.scan" (fun () -> scan t) else scan t;
+  if t.ndue > 0 then begin
+    let run () = Pool.run_resident pool ~count:t.nshards (fun s -> process_shard t t.accs.(s) s) in
+    if spans then Ftr_obs.Span.time "svc.round" run else run ();
+    if spans then Ftr_obs.Span.time "svc.merge" (fun () -> merge t) else merge t
   end;
   t.now <- t.now + 1
 
 let mail_pending t =
-  refresh_order t;
-  Array.exists
-    (fun pos -> not (Mailbox.is_empty (Hashtbl.find t.actors pos).mailbox))
-    t.order
+  let rec from i =
+    i < t.registered && ((not (Mailbox.is_empty t.order.(i).mailbox)) || from (i + 1))
+  in
+  from 0
 
 (* Run rounds with no new control input until every mailbox is empty (or
    the safety cap trips — which the selfcheck would then report as
@@ -517,9 +564,8 @@ let drain ?cap t ~pool =
 let pending_requests t =
   let acc = ref [] in
   for id = t.next_request - 1 downto 0 do
-    match Hashtbl.find_opt t.requests id with
-    | Some rq when Option.is_none rq.rq_outcome -> acc := rq :: !acc
-    | Some _ | None -> ()
+    let rq = t.requests.(id) in
+    if Option.is_none rq.rq_outcome then acc := rq :: !acc
   done;
   !acc
 
@@ -555,11 +601,9 @@ type actor_view = {
 }
 
 let iter_actors t f =
-  refresh_order t;
-  Array.iter
-    (fun pos ->
-      let { actor = a; mailbox; _ } = Hashtbl.find t.actors pos in
-      f
+  for i = 0 to t.registered - 1 do
+    let { actor = a; mailbox; _ } = t.order.(i) in
+    f
         {
           av_pos = a.Actor.pos;
           av_alive = a.Actor.alive;
@@ -573,8 +617,8 @@ let iter_actors t f =
           av_mail_high_water = Mailbox.high_water mailbox;
           av_mail_well_ordered = Mailbox.well_ordered mailbox;
           av_mail_keys = Mailbox.keys mailbox;
-        })
-    t.order
+        }
+  done
 
 type request_view = {
   rv_id : int;
@@ -586,22 +630,18 @@ type request_view = {
 }
 
 let request_outcome t ~request =
-  match Hashtbl.find_opt t.requests request with
-  | Some rq -> rq.rq_outcome
-  | None -> None
+  if is_request t request then t.requests.(request).rq_outcome else None
 
 let iter_requests t f =
   for id = 0 to t.next_request - 1 do
-    match Hashtbl.find_opt t.requests id with
-    | Some rq ->
-        f
-          {
-            rv_id = rq.rq_id;
-            rv_src = rq.rq_src;
-            rv_target = rq.rq_target;
-            rv_issued = rq.rq_issued;
-            rv_done_at = rq.rq_done_at;
-            rv_outcome = rq.rq_outcome;
-          }
-    | None -> ()
+    let rq = t.requests.(id) in
+    f
+      {
+        rv_id = rq.rq_id;
+        rv_src = rq.rq_src;
+        rv_target = rq.rq_target;
+        rv_issued = rq.rq_issued;
+        rv_done_at = rq.rq_done_at;
+        rv_outcome = rq.rq_outcome;
+      }
   done

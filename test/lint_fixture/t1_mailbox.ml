@@ -9,7 +9,7 @@
 let mailbox : int Ftr_svc.Mailbox.t = Ftr_svc.Mailbox.create ~owner:0 ()
 
 let drain_one i =
-  ignore (Ftr_svc.Mailbox.take_due mailbox ~now:i);
+  Ftr_svc.Mailbox.drain_due mailbox ~now:i ignore;
   i
 
 let drain_all n = Ftr_exec.Pool.map ~count:n drain_one

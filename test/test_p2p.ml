@@ -213,12 +213,14 @@ let crash_is_idempotent () =
 let conserved (s : Overlay.stats) =
   s.Overlay.lookups_issued = s.Overlay.lookups_ok + s.Overlay.lookups_failed
 
+let view_of overlay pos =
+  let found = ref None in
+  Overlay.iter_nodes overlay (fun v -> if v.Overlay.view_pos = pos then found := Some v);
+  match !found with Some v -> v | None -> Alcotest.failf "no node at %d" pos
+
 let neighbours_of overlay pos =
-  let ns = ref [] in
-  Overlay.iter_nodes overlay (fun v ->
-      if v.Overlay.view_pos = pos then
-        ns := Option.to_list v.Overlay.view_left @ Option.to_list v.Overlay.view_right @ v.Overlay.view_long);
-  !ns
+  let v = view_of overlay pos in
+  Option.to_list v.Overlay.view_left @ Option.to_list v.Overlay.view_right @ v.Overlay.view_long
 
 (* A lookup from 0 for point 200 (constant latency 1.0), with the first
    hop's node crashed while the message is on the wire to it. *)
@@ -229,9 +231,13 @@ let lookup_into_crash ?callback ~seed () =
   in
   populate_evenly overlay ~line_size:256 ~count:32;
   let next =
-    match Actor.best_candidate ~pos:0 ~target:200 (neighbours_of overlay 0) with
-    | Some (v, _) -> v
-    | None -> Alcotest.fail "the lookup would resolve at its origin"
+    let v = view_of overlay 0 in
+    match
+      Actor.best_candidate ~pos:0 ~target:200 ~left:v.Overlay.view_left
+        ~right:v.Overlay.view_right ~long:v.Overlay.view_long
+    with
+    | -1 -> Alcotest.fail "the lookup would resolve at its origin"
+    | next -> next
   in
   Overlay.lookup overlay ~from:0 ~target:200 ?callback ();
   Overlay.crash overlay ~pos:next;
@@ -570,6 +576,34 @@ let prop_random_operations_preserve_invariants =
       && s.Overlay.maintenance_issued >= !protocol_joins
       && Engine.pending_events engine = 0)
 
+(* The in-place neighbour choice against a list-based min-scan oracle:
+   over every neighbour that advances, the minimal (distance, position),
+   or -1 when none does. Positions are drawn from a small range so ties
+   in distance, duplicate links and a neighbour at the node itself all
+   occur, and each of left, right and long may be empty. *)
+let prop_best_candidate_matches_oracle =
+  let small = QCheck.Gen.int_bound 24 in
+  QCheck.Test.make ~name:"neighbour choice equals the list min-scan" ~count:1000
+    QCheck.(
+      make
+        Gen.(
+          quad (pair small small) (opt small) (opt small) (list_size (int_bound 6) small)))
+    (fun ((pos, target), left, right, long) ->
+      let advancing =
+        List.filter
+          (fun cand -> Actor.advances ~pos ~target ~cand)
+          (Option.to_list left @ Option.to_list right @ long)
+      in
+      let by_distance (d1, c1) (d2, c2) =
+        match Int.compare d1 d2 with 0 -> Int.compare c1 c2 | c -> c
+      in
+      let oracle =
+        match List.sort by_distance (List.map (fun c -> (abs (c - target), c)) advancing) with
+        | (_, c) :: _ -> c
+        | [] -> -1
+      in
+      Actor.best_candidate ~pos ~target ~left ~right ~long = oracle)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "p2p"
@@ -626,5 +660,8 @@ let () =
           quick "rejects bad setup" churn_rejects_bad_setup;
         ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_random_operations_preserve_invariants ] );
+        [
+          QCheck_alcotest.to_alcotest prop_best_candidate_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_random_operations_preserve_invariants;
+        ] );
     ]
