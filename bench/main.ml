@@ -1,4 +1,4 @@
-(* ftr-lint: disable-file R1 T2 -- benchmark wall-clock timing is the measurement itself *)
+(* ftr-lint: disable-file T2 -- benchmark wall-clock timing is the measurement itself *)
 
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Sections 5 and 6, Table 1), then times the hot paths with
@@ -1002,11 +1002,13 @@ let run_serve () =
         ])
 
 (* ------------------------------------------------------------------ *)
-(* Lint: flow-stage analyzer throughput, cold vs warm cache            *)
+(* Lint: analyzer throughput, typed stage and flow cold vs warm cache  *)
 (* ------------------------------------------------------------------ *)
 
-(* The flow stage (D1-D4) is the expensive lint pass: it loads every
-   .cmt, builds per-function CFGs and runs the dataflow engine to
+(* The typed stage (T1-T5) has no cache: every run loads the .cmt
+   corpus, builds the call graph and walks every body, so it is timed
+   once. The flow stage (D1-D4) is the expensive lint pass: it loads
+   every .cmt, builds per-function CFGs and runs the dataflow engine to
    fixpoint. This section times it over the real tree twice against one
    cache directory — the cold run analyzes every unit, the warm rerun
    must analyze zero — and asserts the jobs-invariance contract (the
@@ -1030,8 +1032,14 @@ let run_lint () =
       write_report "BENCH_lint.json" Ftr_obs.Json.(Obj [ ("skipped", Bool true) ])
   | Some root ->
       section
-        "LINT — flow-stage analyzer (D1-D4): cold vs warm incremental cache\n\
+        "LINT — typed stage (T1-T5), and flow stage (D1-D4) cold vs warm incremental cache\n\
          the finding stream is jobs-invariant by contract; the cache only moves the wall clock";
+      let (typed_state, typed), t_typed =
+        timed (fun () -> Ftr_lint.Typed_driver.analyze ~root ~dirs)
+      in
+      Printf.printf "%28s: %d units, %d findings, %7.2f s\n%!" "typed stage"
+        (Array.length typed_state.Ftr_lint.Typed_rules.units)
+        (List.length typed) t_typed;
       let cache = Filename.temp_file "ftr_lint_bench" "" in
       Sys.remove cache;
       Unix.mkdir cache 0o755;
@@ -1071,6 +1079,8 @@ let run_lint () =
           Obj
             [
               ("units", Int cs.Flow_driver.fl_units);
+              ("typed_findings", Int (List.length typed));
+              ("typed_cold_seconds", Float t_typed);
               ("findings", Int (List.length cold));
               ("cold_analyzed", Int cs.Flow_driver.fl_analyzed);
               ("warm_analyzed", Int ws.Flow_driver.fl_analyzed);

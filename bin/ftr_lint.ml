@@ -1,20 +1,18 @@
 (* ftr_lint: the project static analyzer (docs/LINTING.md). Wired into
-   `dune build @lint` alongside the runtime sanitizer battery; the
-   syntactic rules R1-R3 and R5, the typed interprocedural rules T1-T4 and the
-   flow-sensitive rules D1-D4 live in lib/lint.
+   `dune build @lint` alongside the runtime sanitizer battery; the typed
+   interprocedural rules T1-T5 and the flow-sensitive rules D1-D4 live
+   in lib/lint.
 
-     ftr_lint [DIR|FILE ...] [--stage syntactic|typed|flow|all]
-              [--typed] [--flow] [--jobs N] [--cache DIR]
+     ftr_lint [DIR ...] [--stage typed|flow|all] [--jobs N] [--cache DIR]
               [--profile default|test]
               [--baseline FILE] [--update-baseline] [--write-baseline FILE]
               [--json FILE] [--timings] [--quiet]
 
-   The typed and flow stages read the .cmt files a prior `dune build`
-   produced (under the scanned directories in a build context, or under
-   _build/default from a checkout). The flow stage fans per-unit
-   analysis out over Ftr_exec.Pool (--jobs, FTR_EXEC_SEQ honoured) and
-   caches per-unit results keyed by .cmt digest + analyzer version
-   (--cache DIR).
+   Both stages read the .cmt files a prior `dune build` produced (under
+   the scanned directories in a build context, or under _build/default
+   from a checkout). The flow stage fans per-unit analysis out over
+   Ftr_exec.Pool (--jobs, FTR_EXEC_SEQ honoured) and caches per-unit
+   results keyed by .cmt digest + analyzer version (--cache DIR).
 
    Exit status: 0 clean (modulo baseline), 1 findings, 2 usage or parse
    error (including a baseline line that does not parse). *)
@@ -30,17 +28,14 @@ let () =
   let jobs = ref None in
   let cache_dir = ref None in
   let profile_test = ref false in
-  let stages = ref [ Ftr_lint.Finding.Syntactic ] in
-  let usage = "usage: ftr_lint [DIR|FILE ...] [options]" in
+  let stages = ref Ftr_lint.Finding.all_stages in
+  let usage = "usage: ftr_lint [DIR ...] [options]" in
   let set_stage = function
-    | "syntactic" -> stages := [ Ftr_lint.Finding.Syntactic ]
     | "typed" -> stages := [ Ftr_lint.Finding.Typed ]
     | "flow" -> stages := [ Ftr_lint.Finding.Flow ]
-    | "all" ->
-        stages := [ Ftr_lint.Finding.Syntactic; Ftr_lint.Finding.Typed; Ftr_lint.Finding.Flow ]
+    | "all" -> stages := Ftr_lint.Finding.all_stages
     | s ->
-        Printf.eprintf
-          "ftr_lint: unknown stage %S (expected syntactic, typed, flow or all)\n%s\n" s usage;
+        Printf.eprintf "ftr_lint: unknown stage %S (expected typed, flow or all)\n%s\n" s usage;
         exit 2
   in
   let set_profile = function
@@ -54,9 +49,7 @@ let () =
     [
       ( "--stage",
         Arg.String set_stage,
-        "STAGE run `syntactic` (R1-R3, R5, default), `typed` (T1-T4), `flow` (D1-D4) or `all`" );
-      ("--typed", Arg.Unit (fun () -> set_stage "typed"), " shorthand for --stage typed");
-      ("--flow", Arg.Unit (fun () -> set_stage "flow"), " shorthand for --stage flow");
+        "STAGE run `typed` (T1-T5), `flow` (D1-D4) or `all` (default)" );
       ( "--jobs",
         Arg.Int (fun n -> jobs := Some n),
         "N flow-stage worker domains (default: pool default; FTR_EXEC_SEQ=1 forces sequential)"
@@ -66,7 +59,7 @@ let () =
         "DIR incremental flow-stage cache keyed by .cmt digest + analyzer version" );
       ( "--profile",
         Arg.String set_profile,
-        "PROFILE `default`, or `test` (R1/T2 tolerated — tests drive clocks and randomness)" );
+        "PROFILE `default`, or `test` (T2 tolerated — tests drive clocks and randomness)" );
       ( "--baseline",
         Arg.String (fun p -> baseline := Some p),
         "FILE tolerate the findings recorded in FILE (see docs/LINTING.md)" );

@@ -931,15 +931,14 @@ let check_cmd =
              "Runs every runtime invariant check (docs/CHECKING.md) against freshly built \
               networks, routes, the simulator and the DHT store. Exits 1 on any violation.";
            `P
-             "Static properties are covered separately by the three-stage $(b,ftr_lint) \
+             "Static properties are covered separately by the two-stage $(b,ftr_lint) \
               analyzer (docs/LINTING.md): $(b,dune build @lint) runs this battery, then \
-              lints lib/, bin/ and bench/ syntactically for nondeterminism sources, \
-              polymorphic comparison, hash-order output and hot-path allocation (R1-R3, \
-              R5), runs the typed interprocedural stage \
-              ($(b,@lint-typed), rules T1-T4) over the compiled .cmt files — a \
+              lints lib/, bin/ and bench/ with the typed interprocedural stage \
+              ($(b,@lint-typed), rules T1-T5) over the compiled .cmt files — a \
               call-graph analysis catching cross-function domain races reachable from \
-              Ftr_exec.Pool worker jobs, transitive nondeterminism taint and typed \
-              comparison hazards — and finally the flow-sensitive stage \
+              Ftr_exec.Pool worker jobs, direct and transitive nondeterminism, typed \
+              comparison hazards, hot-path allocation and hash-order output — and the \
+              flow-sensitive stage \
               ($(b,@lint-flow), rules D1-D4): per-function control-flow graphs and \
               typestate dataflow proving telemetry writes gated on every path, \
               resources released or validated on every path, message dispatches \

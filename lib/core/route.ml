@@ -694,7 +694,7 @@ let loop_erased_length path =
     Hashtbl.replace position v !top;
     incr top
   in
-  (* ftr-lint: disable R5 -- post-hoc analysis of an already-materialised path list, not the routing loop *)
+  (* ftr-lint: disable T4 -- post-hoc analysis of an already-materialised path list, not the routing loop *)
   List.iter
     (fun v ->
       match Hashtbl.find_opt position v with

@@ -1,4 +1,4 @@
-(* The one place in lib/exec allowed to read the wall clock (ftr_lint R1
+(* The one place in lib/exec allowed to read the wall clock (ftr_lint T2
    allowlists this file); everything else calls [now]. *)
 
 let default () = Unix.gettimeofday ()

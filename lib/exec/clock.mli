@@ -2,10 +2,10 @@
     [Ftr_obs.Span.set_clock]: the pool's worker busy-time accounting reads
     the clock through this ref so tests can drive deterministic durations
     and the static analyzer can confine raw [Unix.gettimeofday] to one
-    allowlisted definition (rule R1, docs/LINTING.md).
+    allowlisted definition (rule T2, docs/LINTING.md).
 
     The clock only feeds telemetry (worker busy seconds); simulation
-    results never depend on it, which is exactly the property R1 guards:
+    results never depend on it, which is exactly the property T2 guards:
     any *new* wall-clock read must come through here, where its influence
     is visibly limited to observability. *)
 

@@ -6,29 +6,22 @@
    File format, one entry per line (lines starting with '#' and blank
    lines are comments; any other line that does not parse is an error):
 
-     syn:R2<TAB>lib/foo/bar.ml<TAB>Array.sort compare arr;
      typed:T1<TAB>lib/foo/baz.ml<TAB>Hashtbl.replace table k v
+     flow:D2<TAB>lib/foo/bar.ml<TAB>let s = Route.borrow_scratch () in
 
-   The rule field carries a stage namespace prefix ([syn:], [typed:] or
-   [flow:]) so entries from all stages coexist unambiguously in one
-   file; bare rule ids from pre-typed-stage baselines are still accepted
-   on read and normalised to the rule's own stage. Matching is multiset
-   semantics: an entry absorbs exactly one finding with the same key, so
-   two identical violations on two lines need two entries. *)
+   The rule field carries its stage namespace ([typed:] or [flow:]) so
+   entries from both stages coexist unambiguously in one file. Matching
+   is multiset semantics: an entry absorbs exactly one finding with the
+   same key, so two identical violations on two lines need two
+   entries. *)
 
 type entry = { b_rule : string; b_file : string; b_content : string }
-(* [b_rule] is stored in normalised namespaced form, e.g. "syn:R2". *)
+(* [b_rule] is stored in namespaced form, e.g. "typed:T1". *)
 
-let namespaced rule = Finding.(stage_namespace (stage_of_rule rule)) ^ ":" ^ Finding.rule_id rule
+let namespaced rule = Finding.(stage_id (stage_of_rule rule)) ^ ":" ^ Finding.rule_id rule
 
-(* "syn:R2" / "typed:T1" / legacy bare "R2" -> the rule, in its
-   normalised namespaced spelling. *)
-let parse_rule_field s =
-  let bare = match String.index_opt s ':' with
-    | Some i -> String.sub s (i + 1) (String.length s - i - 1)
-    | None -> s
-  in
-  Option.map namespaced (Finding.rule_of_id bare)
+(* The rule field must spell a rule under its own stage's namespace. *)
+let valid_rule_field s = List.exists (fun r -> String.equal (namespaced r) s) Finding.all_rules
 
 let key_of ~rule ~file ~content = namespaced rule ^ "\t" ^ file ^ "\t" ^ String.trim content
 
@@ -37,26 +30,18 @@ let key_of_entry e = e.b_rule ^ "\t" ^ e.b_file ^ "\t" ^ String.trim e.b_content
 let entry_of_finding ~source_line (f : Finding.t) =
   { b_rule = namespaced f.rule; b_file = f.file; b_content = String.trim source_line }
 
-(* Stage of a (normalised) entry, for stage-selective regeneration. *)
+(* Stage of an entry, for stage-selective regeneration. *)
 let entry_stage e =
-  let has_prefix p =
-    let n = String.length p in
-    String.length e.b_rule >= n && String.equal (String.sub e.b_rule 0 n) p
-  in
-  if has_prefix "typed:" then Finding.Typed
-  else if has_prefix "flow:" then Finding.Flow
-  else Finding.Syntactic
+  if String.starts_with ~prefix:"flow:" e.b_rule then Finding.Flow else Finding.Typed
 
 (* Raised by [load] with "path:line: reason". *)
 exception Malformed of string
 
 let parse_line line =
   match String.split_on_char '\t' line with
-  | rule :: file :: rest -> (
-      match parse_rule_field rule with
-      | Some r ->
-          Ok { b_rule = r; b_file = file; b_content = String.trim (String.concat "\t" rest) }
-      | None -> Error (Printf.sprintf "unknown rule id %S" rule))
+  | rule :: file :: rest when valid_rule_field rule ->
+      Ok { b_rule = rule; b_file = file; b_content = String.trim (String.concat "\t" rest) }
+  | rule :: _ :: _ -> Error (Printf.sprintf "unknown rule id %S" rule)
   | _ -> Error "expected STAGE:RULE<TAB>file<TAB>source line"
 
 let load path =

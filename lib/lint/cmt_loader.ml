@@ -33,16 +33,16 @@ let is_objs_byte_dir path =
 
 (* Every .cmt under [dir], depth-first with children in sorted order, so
    unit lists (and therefore node ids, reports and witness chains) are
-   deterministic. Unlike the syntactic walk this one must descend into
-   dot-directories: that is where dune keeps the artifacts. *)
+   deterministic. The walk descends into dot-directories: that is where
+   dune keeps the artifacts. *)
 let find_cmts dir =
   let acc = ref [] in
   let rec walk path =
     if Sys.is_directory path then
       Sys.readdir path |> Array.to_list |> List.sort String.compare
       |> List.iter (fun name ->
-             (* Fixture units violate rules on purpose; like the
-                syntactic walk, they only load when named directly. *)
+             (* Fixture units violate rules on purpose; they only load
+                when named directly. *)
              if not (String.equal name "_build" || String.equal name "lint_fixture") then
                walk (Filename.concat path name))
     else if Filename.check_suffix path ".cmt" && is_objs_byte_dir (Filename.dirname path) then

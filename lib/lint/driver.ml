@@ -1,75 +1,11 @@
-(* File discovery, stage orchestration, suppression/baseline
-   application and reporting. [lint_string] is the unit-test entry point
-   for the syntactic stage; [run] is the CLI entry point wired into
-   `dune build @lint`.
+(* Stage orchestration, baseline application and reporting: [run] is
+   the CLI entry point wired into `dune build @lint`.
 
-   Three stages share one finding stream: the syntactic rules (R1-R3,
-   R5, one Parsetree walk per source file), the typed interprocedural
-   rules (T1-T4, a call-graph analysis over the .cmt corpus —
+   Two stages share one finding stream: the typed interprocedural rules
+   (T1-T5, a call-graph analysis over the .cmt corpus —
    typed_rules.ml) and the flow-sensitive rules (D1-D4 —
    flow_rules.ml). [run] selects stages, merges and sorts their
    findings, then applies the shared baseline. *)
-
-let clock_seam_files = Typed_rules.clock_seam_files
-
-let config_for file hot =
-  {
-    Rules.file;
-    hot;
-    clock_seam = List.exists (fun sfx -> Filename.check_suffix file sfx) clock_seam_files;
-  }
-
-(* Lint one compilation unit given as text. Returns each surviving
-   finding paired with the trimmed text of its source line (the baseline
-   key). Parse errors propagate as the parser's own exceptions. *)
-let lint_string ~file source =
-  let sup = Suppress.scan source in
-  let lexbuf = Lexing.from_string source in
-  Lexing.set_filename lexbuf file;
-  let ast =
-    if Filename.check_suffix file ".mli" then Rules.Signature (Parse.interface lexbuf)
-    else Rules.Structure (Parse.implementation lexbuf)
-  in
-  let findings = Rules.run (config_for file (Suppress.hot sup)) ast in
-  let lines = Array.of_list (String.split_on_char '\n' source) in
-  let line_text l = if l >= 1 && l <= Array.length lines then String.trim lines.(l - 1) else "" in
-  findings
-  |> List.filter (fun (f : Finding.t) -> not (Suppress.suppressed sup ~line:f.line f.rule))
-  |> List.map (fun (f : Finding.t) -> (f, line_text f.line))
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let lint_file path = lint_string ~file:path (read_file path)
-
-(* Every .ml/.mli under [dirs], depth-first, children in sorted order so
-   reports and baselines are themselves deterministic. [lint_fixture]
-   children are skipped — those sources violate rules on purpose (the
-   compiled fixture corpus under test/) — but naming such a directory
-   directly as a root still scans it, which is how the fixture tests
-   run. *)
-let find_sources dirs =
-  let rec walk acc path =
-    if Sys.is_directory path then
-      Sys.readdir path |> Array.to_list
-      |> List.sort String.compare
-      |> List.fold_left
-           (fun acc name ->
-             if
-               String.length name = 0 || name.[0] = '.' || String.equal name "_build"
-               || String.equal name "lint_fixture"
-             then acc
-             else walk acc (Filename.concat path name))
-           acc
-    else if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli" then
-      path :: acc
-    else acc
-  in
-  List.rev (List.fold_left walk [] dirs)
 
 (* [timings] is opt-in (the --timings flag): wall time varies run to
    run, and @lint-report's lint.json must stay byte-identical under
@@ -108,14 +44,14 @@ let write_json_report path ~stages ~files ~fresh ~baselined ~stale ~flow_stats ~
    [write_baseline] regenerates the baseline file mechanically from the
    current findings of the *selected* stages — entries belonging to
    unselected stages are carried over from the existing file untouched,
-   so `--stage typed --update-baseline` cannot eat syntactic entries.
+   so `--stage typed --update-baseline` cannot eat flow entries.
 
-   [profile_test] is the relaxed test profile: R1 (tests drive wall
-   clocks freely) and T2 (its propagation) findings are dropped,
-   everything else is enforced. [jobs]/[cache_dir] thread through to
+   [profile_test] is the relaxed test profile: T2 findings are dropped
+   (tests drive wall clocks and randomness freely), everything else is
+   enforced. [jobs]/[cache_dir] thread through to
    the flow stage's pool fan-out and incremental cache. *)
 let run ?baseline ?write_baseline ?json ?(quiet = false)
-    ?(stages = [ Finding.Syntactic ]) ?jobs ?cache_dir ?(profile_test = false)
+    ?(stages = Finding.all_stages) ?jobs ?cache_dir ?(profile_test = false)
     ?(timings = false) ~dirs () =
   let baseline_file = match write_baseline with Some p -> Some p | None -> baseline in
   match
@@ -136,18 +72,6 @@ let run ?baseline ?write_baseline ?json ?(quiet = false)
         stage_seconds := (stage, Ftr_exec.Clock.now () -. t0) :: !stage_seconds;
         r
       in
-      let syntactic =
-        if not (List.mem Finding.Syntactic stages) then []
-        else
-          timed Finding.Syntactic (fun () ->
-              find_sources dirs
-              |> List.concat_map (fun path ->
-                     try lint_file path
-                     with exn ->
-                       Location.report_exception Format.err_formatter exn;
-                       Printf.eprintf "ftr_lint: cannot parse %s\n" path;
-                       exit 2))
-      in
       let typed_state, typed =
         if not (List.mem Finding.Typed stages) then (None, [])
         else
@@ -163,20 +87,18 @@ let run ?baseline ?write_baseline ?json ?(quiet = false)
               (Some stats, found))
       in
       let profile_drop (f : Finding.t) =
-        profile_test && match f.rule with Finding.R1 | Finding.T2 -> true | _ -> false
+        profile_test && match f.rule with Finding.T2 -> true | _ -> false
       in
       let all =
         List.sort
           (fun ((a : Finding.t), _) ((b : Finding.t), _) -> Finding.compare_findings a b)
-          (List.filter (fun (f, _) -> not (profile_drop f)) (syntactic @ typed @ flow))
+          (List.filter (fun (f, _) -> not (profile_drop f)) (typed @ flow))
       in
       let files =
-        if List.mem Finding.Syntactic stages then List.length (find_sources dirs)
-        else
-          match (typed_state, flow_stats) with
-          | Some s, _ -> Array.length s.Typed_rules.units
-          | None, Some s -> s.Flow_driver.fl_units
-          | None, None -> 0
+        match (typed_state, flow_stats) with
+        | Some s, _ -> Array.length s.Typed_rules.units
+        | None, Some s -> s.Flow_driver.fl_units
+        | None, None -> 0
       in
       match write_baseline with
       | Some path ->
@@ -196,8 +118,8 @@ let run ?baseline ?write_baseline ?json ?(quiet = false)
           0
       | None ->
           (* Only entries of the selected stages participate: a typed
-             entry is not "stale" during a syntactic-only run that
-             cannot rediscover it. *)
+             entry is not "stale" during a flow-only run that cannot
+             rediscover it. *)
           let entries = List.filter (fun e -> List.mem (Baseline.entry_stage e) stages) loaded in
           let fresh, baselined, stale = Baseline.apply entries all in
           (match json with

@@ -2,80 +2,58 @@
    closed and small on purpose: each rule protects a property the paper's
    reproduction depends on (docs/LINTING.md maps rule -> property).
 
-   Rules come in three stages. R1-R3 and R5 are syntactic (there is no
-   R4: telemetry gating is D1's): one Parsetree walk per file, no types,
-   heuristics tuned to this tree's idioms (rules.ml).
-   T1-T4 are typed and interprocedural: they load the .cmt files dune
-   already produces, build a call graph over the Typedtree and reason
-   about worker-domain reachability, taint and real instantiation types
+   Rules come in two stages over the .cmt files dune already produces.
+   T1-T5 are typed and interprocedural: they build a call graph over the
+   Typedtree and reason about worker-domain reachability, taint, real
+   instantiation types, hot-module allocation and hash-order output
    (typed_rules.ml). D1-D4 are flow-sensitive: per-function control-flow
    graphs over the same Typedtree, a forward dataflow engine run to
    fixpoint, and declarative typestate automata (cfg.ml, dataflow.ml,
    typestate.ml, flow_rules.ml). *)
 
-type rule = R1 | R2 | R3 | R5 | T1 | T2 | T3 | T4 | D1 | D2 | D3 | D4
+type rule = T1 | T2 | T3 | T4 | T5 | D1 | D2 | D3 | D4
 
-type stage = Syntactic | Typed | Flow
+type stage = Typed | Flow
+
+let all_stages = [ Typed; Flow ]
 
 (* Bumped whenever a rule's detection logic changes enough that recorded
-   reports are no longer comparable run-to-run; surfaced in lint.json. *)
-let analyzer_version = "3.1"
+   reports are no longer comparable run-to-run; surfaced in lint.json and
+   part of every flow-cache key. *)
+let analyzer_version = "4.0"
 
-let all_rules = [ R1; R2; R3; R5; T1; T2; T3; T4; D1; D2; D3; D4 ]
+let all_rules = [ T1; T2; T3; T4; T5; D1; D2; D3; D4 ]
 
 let rule_id = function
-  | R1 -> "R1"
-  | R2 -> "R2"
-  | R3 -> "R3"
-  | R5 -> "R5"
   | T1 -> "T1"
   | T2 -> "T2"
   | T3 -> "T3"
   | T4 -> "T4"
+  | T5 -> "T5"
   | D1 -> "D1"
   | D2 -> "D2"
   | D3 -> "D3"
   | D4 -> "D4"
 
 let rule_name = function
-  | R1 -> "nondeterminism-source"
-  | R2 -> "polymorphic-comparison"
-  | R3 -> "unordered-iteration-in-output"
-  | R5 -> "hot-path-allocation"
   | T1 -> "domain-race"
   | T2 -> "nondeterminism-taint"
   | T3 -> "typed-polymorphic-comparison"
   | T4 -> "typed-hot-path-allocation"
+  | T5 -> "typed-unordered-iteration-in-output"
   | D1 -> "gate-dominance"
   | D2 -> "resource-typestate"
   | D3 -> "message-protocol"
   | D4 -> "loop-invariant-flag-reload"
 
 let stage_of_rule = function
-  | R1 | R2 | R3 | R5 -> Syntactic
-  | T1 | T2 | T3 | T4 -> Typed
+  | T1 | T2 | T3 | T4 | T5 -> Typed
   | D1 | D2 | D3 | D4 -> Flow
 
-let stage_id = function Syntactic -> "syntactic" | Typed -> "typed" | Flow -> "flow"
+(* Also the baseline's rule-namespace prefix ("typed:T1", "flow:D2"). *)
+let stage_id = function Typed -> "typed" | Flow -> "flow"
 
-(* The baseline's rule-namespace prefix, so entries from all stages
-   coexist in one file without ambiguity (baseline.ml). *)
-let stage_namespace = function Syntactic -> "syn" | Typed -> "typed" | Flow -> "flow"
-
-let rule_of_id = function
-  | "R1" -> Some R1
-  | "R2" -> Some R2
-  | "R3" -> Some R3
-  | "R5" -> Some R5
-  | "T1" -> Some T1
-  | "T2" -> Some T2
-  | "T3" -> Some T3
-  | "T4" -> Some T4
-  | "D1" -> Some D1
-  | "D2" -> Some D2
-  | "D3" -> Some D3
-  | "D4" -> Some D4
-  | _ -> None
+let rule_of_id id = List.find_opt (fun r -> String.equal (rule_id r) id) all_rules
 
 type t = { file : string; line : int; col : int; rule : rule; message : string }
 

@@ -19,27 +19,6 @@
    fresh units alike — then applies suppressions at the declaration
    site. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-type source_info = { sup : Suppress.t; lines : string array }
-
-let load_source ~root file =
-  match Typed_driver.source_path ~root file with
-  | None -> None
-  | Some path ->
-      let text = read_file path in
-      Some { sup = Suppress.scan text; lines = Array.of_list (String.split_on_char '\n' text) }
-
-let line_text (si : source_info option) l =
-  match si with
-  | Some { lines; _ } when l >= 1 && l <= Array.length lines -> String.trim lines.(l - 1)
-  | _ -> ""
-
 type stats = {
   fl_units : int;
   fl_analyzed : int; (* analyzed this run *)
@@ -81,7 +60,7 @@ let read_entry dir u ~digest =
   let path = cache_file dir u in
   if not (Sys.file_exists path) then None
   else
-    match String.split_on_char '\n' (read_file path) with
+    match String.split_on_char '\n' (Typed_driver.read_file path) with
     | header :: rest -> (
         match String.split_on_char '\t' header with
         | [ "ftr_lint-flow"; v; d ]
@@ -143,16 +122,18 @@ let read_entry dir u ~digest =
 (* ------------------------------------------------------------------ *)
 
 let analyze_one ~root (u : Cmt_loader.unit_info) =
-  let src = load_source ~root u.source in
-  let hot = match src with Some { sup; _ } -> Suppress.hot sup | None -> false in
+  let src = Typed_driver.load_source ~root u.source in
+  let hot = match src with Some { Typed_driver.sup; _ } -> Suppress.hot sup | None -> false in
   let found, d3 = Flow_rules.analyze_unit ~hot u in
   let kept =
     List.filter_map
       (fun (f : Finding.t) ->
-        let si = if String.equal f.file u.source then src else load_source ~root f.file in
+        let si =
+          if String.equal f.file u.source then src else Typed_driver.load_source ~root f.file
+        in
         match si with
-        | Some { sup; _ } when Suppress.suppressed sup ~line:f.line f.rule -> None
-        | _ -> Some (f, line_text si f.line))
+        | Some { Typed_driver.sup; _ } when Suppress.suppressed sup ~line:f.line f.rule -> None
+        | _ -> Some (f, Typed_driver.line_text si f.line))
       found
   in
   { ur_findings = kept; ur_d3 = d3 }
@@ -192,10 +173,10 @@ let analyze ?jobs ?cache_dir ~root ~dirs () =
   let d3a =
     Flow_rules.d3_findings (List.map (fun r -> r.ur_d3) per_unit)
     |> List.filter_map (fun (f : Finding.t) ->
-           let si = load_source ~root f.file in
+           let si = Typed_driver.load_source ~root f.file in
            match si with
-           | Some { sup; _ } when Suppress.suppressed sup ~line:f.line f.rule -> None
-           | _ -> Some (f, line_text si f.line))
+           | Some { Typed_driver.sup; _ } when Suppress.suppressed sup ~line:f.line f.rule -> None
+           | _ -> Some (f, Typed_driver.line_text si f.line))
   in
   let all =
     List.sort

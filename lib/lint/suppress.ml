@@ -1,24 +1,27 @@
-(* In-source lint directives. The Parsetree drops comments, so directives
-   are recovered from the raw text with a line scan; a directive applies
-   to findings on its own line or on the line directly below it (the
-   conventional "comment above the offending expression" placement).
+(* In-source lint directives. Directives live in comments, which the
+   Typedtree drops, so they are recovered from the raw text with a line
+   scan; a directive applies to findings on its own line or on the line
+   directly below it (the conventional "comment above the offending
+   expression" placement).
 
    Grammar: the marker word [ftr-lint] followed by a colon, then one
-   directive -- [disable R1 R2 <justification>] (this line and the next),
-   [disable-file R1 <justification>] (whole file), or [hot
-   <justification>] (opts the module into R5). Rule ids may be separated
-   by spaces or commas; collection stops at the first token that is not a
-   rule id, so a one-line justification can follow without any closing
-   marker. [all] stands for every rule. (The examples above avoid the
-   literal marker spelling: the scan is purely textual, and this module
-   must not tag itself.) *)
+   directive -- [disable T1 D2 <justification>] (this line and the next),
+   [disable-file T2 <justification>] (whole file), or [hot
+   <justification>] (opts the module into T4 and D4). Rule ids may be
+   separated by spaces or commas; collection stops at the first token
+   that is not a rule id, so a one-line justification can follow without
+   any closing marker. The retired syntactic ids R1 R2 R3 R5 are skipped
+   without stopping the collection, so an old header such as
+   [disable-file R1 T2] still disables T2. [all] stands for every rule.
+   (The examples above avoid the literal marker spelling: the scan is
+   purely textual, and this module must not tag itself.) *)
 
 let marker = "ftr-lint:"
 
 type t = {
   line_rules : (int, Finding.rule list) Hashtbl.t; (* disable, keyed by source line *)
   mutable file_rules : Finding.rule list; (* disable-file *)
-  mutable hot : bool; (* module participates in R5 *)
+  mutable hot : bool; (* module participates in T4 and D4 *)
 }
 
 let find_sub s sub =
@@ -35,10 +38,14 @@ let tokens_after s pos =
   |> List.map String.trim
   |> List.filter (fun t -> not (String.equal t ""))
 
-(* Leading rule ids of a token list; stops at the first non-rule token. *)
+let retired_ids = [ "R1"; "R2"; "R3"; "R5" ]
+
+(* Leading rule ids of a token list; stops at the first token that is
+   neither a rule id nor a retired one. *)
 let rec take_rules = function
   | [] -> []
   | "all" :: _ -> Finding.all_rules
+  | t :: rest when List.mem t retired_ids -> take_rules rest
   | t :: rest -> (
       match Finding.rule_of_id t with Some r -> r :: take_rules rest | None -> [])
 

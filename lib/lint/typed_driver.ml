@@ -1,16 +1,10 @@
 (* Orchestration for the typed stage: load the .cmt corpus, scan
-   sources for directives (the same `ftr-lint:` grammar the syntactic
-   stage uses — typed rule ids are valid in [disable]/[disable-file],
-   and [hot] opts a module into T4), run the rules, drop suppressed
-   findings and pair the survivors with their source line text for the
-   baseline. *)
+   sources for directives (suppress.ml — [hot] opts a module into T4),
+   run the rules, drop suppressed findings and pair the survivors with
+   their source line text for the baseline. The source helpers here are
+   shared with the flow stage (flow_driver.ml). *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* A finding's [file] is build-relative (it comes from the cmt's
    locations); the checkout source is preferred, the copy under
@@ -29,13 +23,16 @@ let load_source ~root file =
   | None -> None
   | Some path ->
       let text = read_file path in
-      Some
-        {
-          sup = Suppress.scan text;
-          lines = Array.of_list (String.split_on_char '\n' text);
-        }
+      Some { sup = Suppress.scan text; lines = Array.of_list (String.split_on_char '\n' text) }
 
-(* Run T1-T4 over every compilation unit found under [dirs] (resolved
+(* Trimmed text of source line [l] (the baseline key), or "" when the
+   source is unavailable. *)
+let line_text (si : source_info option) l =
+  match si with
+  | Some { lines; _ } when l >= 1 && l <= Array.length lines -> String.trim lines.(l - 1)
+  | _ -> ""
+
+(* Run T1-T5 over every compilation unit found under [dirs] (resolved
    against [root]); returns surviving findings with their baseline key
    text, sorted. [units] and the callgraph are also returned so tests
    can assert on reachability directly. *)
@@ -62,17 +59,10 @@ let analyze ~root ~dirs =
   let kept =
     List.filter_map
       (fun (f : Finding.t) ->
-        match source_for f.file with
-        | None -> Some (f, "")
-        | Some { sup; lines } ->
-            if Suppress.suppressed sup ~line:f.line f.rule then None
-            else
-              let text =
-                if f.line >= 1 && f.line <= Array.length lines then
-                  String.trim lines.(f.line - 1)
-                else ""
-              in
-              Some (f, text))
+        let si = source_for f.file in
+        match si with
+        | Some { sup; _ } when Suppress.suppressed sup ~line:f.line f.rule -> None
+        | _ -> Some (f, line_text si f.line))
       findings
   in
   (state, kept)

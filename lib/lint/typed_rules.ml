@@ -1,5 +1,5 @@
 (* The typed, interprocedural rule engine: two passes over every loaded
-   Typedtree, one shared call graph, four rules.
+   Typedtree, one shared call graph, five rules.
 
    T1 domain-race           -- toplevel mutable state reachable from a
       function transitively invoked inside an [Ftr_exec.Pool] worker job
@@ -8,28 +8,33 @@
       branches dominated by [Ftr_obs.Flag.enabled] — the one gate that
       consults [Flag.suppress_in_domain]'s domain-local flag, so code
       behind it never runs inside a worker.
-   T2 nondeterminism-taint  -- [Random.*]/[Sys.time]/[Unix.gettimeofday]
-      propagated through the call graph: a toplevel function that calls
-      (transitively) into a nondeterminism source is itself flagged,
-      upgrading R1 from "this expression reads the clock" to "this
-      exported function is nondeterministic". The injectable clock seams
+   T2 nondeterminism-taint  -- a toplevel binding that reads
+      [Random.*]/[Sys.time]/[Unix.time]/[Unix.gettimeofday], and every
+      toplevel function that calls (transitively) into one, with the
+      call chain to the source. A read in module-initialisation code is
+      reported where it happens. The injectable clock seams
       (lib/obs/span.ml, lib/exec/clock.ml) are declared sanitizers:
       sources inside them taint nothing.
    T3 typed-polymorphic-comparison -- the real instantiation type of
-      every [compare]/[=]/[<]/[min]/... occurrence, replacing R2's
-      "clearly structural operand" heuristic: floats buried in
+      every [compare]/[=]/[<]/[min]/... occurrence: floats buried in
       structures, closures and abstract types are caught even through
       bare identifiers.
-   T4 typed-hot-path-allocation -- in modules tagged [ftr-lint: hot],
-      allocations the Typedtree makes visible inside loop bodies
-      (tuples, records, non-constant constructors — including boxed
-      float payloads — array literals, closures and partial
-      applications), upgrading R5 beyond the List-combinator list.
-      Applications whose result type is [int32] are also allocations
-      (the box) unless directly wrapped in [Int32.to_int] — the
-      Adjacency.I32 accessor pattern, whose box/unbox pair cmmgen
-      cancels — so a hot loop reading a Bigarray without going through
-      the I32 accessors is caught here.
+   T4 typed-hot-path-allocation -- in modules tagged [ftr-lint: hot]:
+      anywhere, [@] and the list-scanning or closure-capturing [List]
+      combinators; inside loop bodies, every allocation the Typedtree
+      makes visible (tuples, records, non-constant constructors —
+      including boxed float payloads — array literals, closures and
+      partial applications). Applications whose result type is [int32]
+      are also allocations (the box) unless directly wrapped in
+      [Int32.to_int] — the Adjacency.I32 accessor pattern, whose
+      box/unbox pair cmmgen cancels — so a hot loop reading a Bigarray
+      without going through the I32 accessors is caught here.
+   T5 typed-unordered-iteration-in-output -- [Hashtbl.iter]/[fold]
+      inside a binding whose name marks an output path ([emit],
+      [to_json], [write], ...) makes output depend on hash order,
+      breaking byte-identical --jobs invariance. Only the chain of
+      binding names counts, never the module path; an iteration whose
+      result is visibly sorted nearby is accepted.
 
    Pass 1 registers nodes for every toplevel binding (with cross-unit
    names) and classifies toplevel globals; pass 2 walks bodies adding
@@ -37,11 +42,10 @@
 
 open Typedtree
 
-(* Wall-clock seam files, shared with the syntactic stage (driver.ml):
-   sources inside them are the sanctioned injection points. *)
-let clock_seam_files = [ "lib/obs/span.ml"; "lib/exec/clock.ml" ]
-
-let is_clock_seam file = List.exists (fun sfx -> Filename.check_suffix file sfx) clock_seam_files
+(* Wall-clock seam files: sources inside them are the sanctioned
+   injection points. *)
+let is_clock_seam file =
+  List.exists (Filename.check_suffix file) [ "lib/obs/span.ml"; "lib/exec/clock.ml" ]
 
 (* ------------------------------------------------------------------ *)
 (* Paths                                                               *)
@@ -69,12 +73,34 @@ let is_worker_boundary parts =
 let is_flag_enabled parts =
   match List.rev parts with "enabled" :: m :: _ -> module_head m "Flag" | _ -> false
 
-(* R1's nondeterminism sources, re-used by T2 as taint seeds. *)
+(* T2's taint seeds. *)
 let is_nondet_source parts =
   match parts with
   | "Random" :: _ :: _ -> true
   | [ "Sys"; "time" ] | [ "Unix"; "gettimeofday" ] | [ "Unix"; "time" ] -> true
   | _ -> false
+
+let hot_list_combinators =
+  [
+    "mem"; "append"; "map"; "mapi"; "map2"; "filter"; "filteri"; "filter_map"; "concat";
+    "concat_map"; "flatten"; "fold_left"; "fold_right"; "iter"; "iteri"; "exists"; "for_all";
+    "find"; "find_opt"; "find_map"; "assoc"; "assoc_opt"; "mem_assoc"; "nth"; "init"; "sort";
+    "sort_uniq"; "stable_sort";
+  ]
+
+let is_hot_list_op parts =
+  match parts with [ "@" ] -> true | [ "List"; m ] -> List.mem m hot_list_combinators | _ -> false
+
+let is_sort_path parts =
+  match parts with
+  | [ ("List" | "Array"); ("sort" | "sort_uniq" | "stable_sort" | "fast_sort") ] -> true
+  | _ -> false
+
+let output_markers =
+  [ "emit"; "export"; "merge"; "to_json"; "report"; "dump"; "render"; "write"; "print" ]
+
+let is_output_name name =
+  List.exists (fun m -> Option.is_some (Suppress.find_sub name m)) output_markers
 
 let poly_compare_op parts =
   match parts with
@@ -103,11 +129,13 @@ type access = {
   a_in_worker_arg : bool; (* textually inside a worker-job argument *)
 }
 
-type taint_src = { s_node : int; s_what : string }
+type taint_src = { s_node : int; s_what : string; s_file : string; s_line : int; s_col : int }
 
-type alloc = { l_file : string; l_line : int; l_col : int; l_what : string; l_node : int }
+type alloc = { l_file : string; l_line : int; l_col : int; l_what : string }
 
 type cmp = { c_file : string; c_line : int; c_col : int; c_op : string; c_why : string }
+
+type unordered = { u_file : string; u_line : int; u_col : int; u_fn : string; u_binding : string }
 
 type t = {
   graph : Callgraph.t;
@@ -125,6 +153,7 @@ type t = {
   mutable taint_sources : taint_src list;
   mutable allocs : alloc list;
   mutable cmps : cmp list;
+  mutable unordered : unordered list;
   mutable hot_files : string list;
   units : Cmt_loader.unit_info array;
 }
@@ -259,34 +288,33 @@ let register_toplevels t ui =
 (* Pass 2: bodies                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Does [e] mention an identifier whose path satisfies [pred]? *)
+let mentions pred e =
+  let found = ref false in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      expr =
+        (fun it e ->
+          (match e.exp_desc with Texp_ident (p, _, _) when pred p -> found := true | _ -> ());
+          Tast_iterator.default_iterator.expr it e);
+    }
+  in
+  it.expr it e;
+  !found
+
 (* Per-unit gate variables: stamps of let-bound names whose defining
    expression consults [Flag.enabled] (the `let obs = Flag.enabled ()
    in ... if obs then ...` idiom). *)
 let collect_gate_vars (u : Cmt_loader.unit_info) =
   let vars = Hashtbl.create 8 in
-  let mentions_enabled e =
-    let found = ref false in
-    let it =
-      {
-        Tast_iterator.default_iterator with
-        expr =
-          (fun it e ->
-            (match e.exp_desc with
-            | Texp_ident (p, _, _) when is_flag_enabled (path_parts p) -> found := true
-            | _ -> ());
-            Tast_iterator.default_iterator.expr it e);
-      }
-    in
-    it.expr it e;
-    !found
-  in
   let it =
     {
       Tast_iterator.default_iterator with
       value_binding =
         (fun it vb ->
           (match vb.vb_pat.pat_desc with
-          | Tpat_var (id, _) when mentions_enabled vb.vb_expr ->
+          | Tpat_var (id, _) when mentions (fun p -> is_flag_enabled (path_parts p)) vb.vb_expr ->
               Hashtbl.replace vars (Ident.unique_name id) ()
           | _ -> ());
           Tast_iterator.default_iterator.value_binding it vb);
@@ -320,29 +348,23 @@ let walk_unit t ui =
     | Path.Pident id -> Hashtbl.find_opt t.by_stamp (ui, Ident.unique_name id)
     | _ -> Hashtbl.find_opt t.by_name (Path.name p)
   in
-  let cond_is_gate c =
-    let found = ref false in
-    let it =
-      {
-        Tast_iterator.default_iterator with
-        expr =
-          (fun it e ->
-            (match e.exp_desc with
-            | Texp_ident (Path.Pident id, _, _) when Hashtbl.mem gate_vars (Ident.unique_name id) ->
-                found := true
-            | Texp_ident (p, _, _) when is_flag_enabled (path_parts p) -> found := true
-            | _ -> ());
-            Tast_iterator.default_iterator.expr it e);
-      }
-    in
-    it.expr it c;
-    !found
+  let cond_is_gate =
+    mentions (function
+      | Path.Pident id when Hashtbl.mem gate_vars (Ident.unique_name id) -> true
+      | p -> is_flag_enabled (path_parts p))
+  in
+  (* Enclosing value-binding names, innermost first (T5), and enclosing
+     expressions, nearest first (T5's sorted-nearby exemption). *)
+  let binding_names = ref [] in
+  let ancestors = ref [] in
+  let record_hot loc what =
+    if hot then begin
+      let l_file, l_line, l_col = loc_of loc ~fallback_file:u.source in
+      t.allocs <- { l_file; l_line; l_col; l_what = what } :: t.allocs
+    end
   in
   let record_alloc loc what =
-    if hot && !loop_depth > 0 then begin
-      let l_file, l_line, l_col = loc_of loc ~fallback_file:u.source in
-      t.allocs <- { l_file; l_line; l_col; l_what = what; l_node = !current } :: t.allocs
-    end
+    if !loop_depth > 0 then record_hot loc (Printf.sprintf "allocates a %s inside a loop" what)
   in
   let ident_ref e p =
     let parts = path_parts p in
@@ -371,7 +393,11 @@ let walk_unit t ui =
     | None -> ());
     (* T2 taint seeds. *)
     if (not seam) && is_nondet_source parts then
-      t.taint_sources <- { s_node = !current; s_what = dotted p } :: t.taint_sources;
+      t.taint_sources <-
+        { s_node = !current; s_what = dotted p; s_file = file; s_line = line; s_col = col }
+        :: t.taint_sources;
+    if is_hot_list_op parts then
+      record_hot e.exp_loc (Printf.sprintf "%s scans or builds a list" (dotted p));
     (* T3: instantiation type of a polymorphic comparison operator.
        The occurrence's own type is the instantiated arrow; its first
        argument type is the compared type, whether the operator is
@@ -388,7 +414,21 @@ let walk_unit t ui =
         | _ -> ())
     | None -> ()
   in
-  let expr it (e : expression) =
+  (* T5: a hash-order walk inside an output-named binding, unless its
+     three nearest enclosing expressions mention a sort. *)
+  let check_unordered e fn_name parents =
+    let sorted_nearby () =
+      List.exists
+        (mentions (fun p -> is_sort_path (path_parts p)))
+        (List.filteri (fun i _ -> i < 3) parents)
+    in
+    match List.find_opt is_output_name !binding_names with
+    | Some binding when not (sorted_nearby ()) ->
+        let u_file, u_line, u_col = loc_of e.exp_loc ~fallback_file:u.source in
+        t.unordered <- { u_file; u_line; u_col; u_fn = fn_name; u_binding = binding } :: t.unordered
+    | _ -> ()
+  in
+  let visit it (e : expression) parents =
     match e.exp_desc with
     | Texp_ident (p, _, _) -> ident_ref e p
     | Texp_ifthenelse (c, then_, else_opt) when cond_is_gate c ->
@@ -412,6 +452,9 @@ let walk_unit t ui =
         let fn_parts =
           match fn.exp_desc with Texp_ident (p, _, _) -> path_parts p | _ -> []
         in
+        (match fn_parts with
+        | [ "Hashtbl"; (("iter" | "fold") as fn_name) ] -> check_unordered e fn_name parents
+        | _ -> ());
         let boundary = is_worker_boundary fn_parts in
         let unboxer = match fn_parts with [ "Int32"; "to_int" ] -> true | _ -> false in
         it.Tast_iterator.expr it fn;
@@ -482,6 +525,12 @@ let walk_unit t ui =
         Tast_iterator.default_iterator.expr it e
     | _ -> Tast_iterator.default_iterator.expr it e
   in
+  let expr it (e : expression) =
+    let parents = !ancestors in
+    ancestors := e :: parents;
+    visit it e parents;
+    ancestors := parents
+  in
   (* Named let-bindings switch the owning node while their RHS is
      walked; nodes for locals are created here on first sight. *)
   let value_binding it (vb : value_binding) =
@@ -508,10 +557,12 @@ let walk_unit t ui =
           Callgraph.add_edge t.graph ~gated:(!gate_depth > 0) !current node;
         (* The RHS evaluates wherever the binding sits — keep the loop
            depth; a function RHS zeroes it in the [Texp_function] case. *)
-        let saved = !current in
+        let saved = !current and saved_names = !binding_names in
         current := node;
+        binding_names := Ident.name id :: saved_names;
         Tast_iterator.default_iterator.value_binding it vb;
-        current := saved
+        current := saved;
+        binding_names := saved_names
     | None -> Tast_iterator.default_iterator.value_binding it vb
   in
   let iter = { Tast_iterator.default_iterator with expr; value_binding } in
@@ -553,46 +604,58 @@ let t1_findings t =
       else None)
     (List.rev t.accesses)
 
-(* T2: toplevel functions transitively tainted by a nondeterminism
-   source. Direct uses are R1's findings; T2 reports the propagation. *)
+(* T2: toplevel bindings that read a nondeterminism source, and the
+   toplevel functions that reach one through the call graph. Module
+   initialisation has no binding to blame, so a read there is reported
+   at the read itself. *)
 let t2_findings t =
   let sources = List.rev t.taint_sources in
   let direct = Hashtbl.create 16 in
   List.iter (fun s -> Hashtbl.replace direct s.s_node s.s_what) sources;
   let seeds = List.sort_uniq Int.compare (List.map (fun s -> s.s_node) sources) in
   let visited, parent = Callgraph.bfs t.graph ~reverse:true seeds in
+  let advice = "thread an Ftr_prng.Rng or an injectable clock through the call chain instead" in
+  let in_init nd = Option.is_some (Suppress.find_sub (Callgraph.name t.graph nd) ".(init)") in
+  let init_reads =
+    List.filter_map
+      (fun s ->
+        if in_init s.s_node then
+          Some
+            (finding Finding.T2 s.s_file s.s_line s.s_col
+               (Printf.sprintf "%s runs in module initialisation; %s" s.s_what advice))
+        else None)
+      sources
+  in
   let findings = ref [] in
   for nd = 0 to Callgraph.node_count t.graph - 1 do
     let nm = Callgraph.name t.graph nd in
     if
       nd < Array.length visited
       && visited.(nd)
-      && (not (Hashtbl.mem direct nd))
       && Suppress.find_sub nm "/" = None (* locals: their toplevel owner reports *)
-      && not (Filename.check_suffix nm ".(init)")
+      && not (in_init nd)
     then begin
       let info = Callgraph.node t.graph nd in
-      (* The reverse-BFS parent chain runs source -> ... -> nd; reverse
-         it to read as a call chain nd -> ... -> source. *)
-      let chain = List.rev (Callgraph.chain t.graph parent nd) in
-      let src_name = match List.rev chain with s :: _ -> s | [] -> "?" in
-      let what =
-        match Hashtbl.fold (fun n w acc -> if Callgraph.name t.graph n = src_name then Some w else acc) direct None with
-        | Some w -> w
-        | None -> "a nondeterminism source"
+      let message =
+        match Hashtbl.find_opt direct nd with
+        | Some what -> Printf.sprintf "%s reads %s; %s" nm what advice
+        | None ->
+            (* The reverse-BFS parent chain runs source -> ... -> nd;
+               reverse it to read as a call chain nd -> ... -> source. *)
+            let chain = List.rev (Callgraph.chain t.graph parent nd) in
+            let src_name = match List.rev chain with s :: _ -> s | [] -> "?" in
+            let what =
+              Hashtbl.fold
+                (fun n w acc -> if String.equal (Callgraph.name t.graph n) src_name then w else acc)
+                direct "a nondeterminism source"
+            in
+            Printf.sprintf "%s is transitively nondeterministic: %s reaches %s; %s" nm
+              (String.concat " -> " chain) what advice
       in
-      findings :=
-        finding Finding.T2 info.file info.line info.col
-          (Printf.sprintf
-             "%s is transitively nondeterministic: %s reaches %s; thread an Ftr_prng.Rng or an \
-              injectable clock through the call chain instead"
-             (Callgraph.name t.graph nd)
-             (String.concat " -> " chain)
-             what)
-        :: !findings
+      findings := finding Finding.T2 info.file info.line info.col message :: !findings
     end
   done;
-  List.rev !findings
+  init_reads @ List.rev !findings
 
 let t3_findings t =
   List.rev_map
@@ -609,10 +672,20 @@ let t4_findings t =
     (fun l ->
       finding Finding.T4 l.l_file l.l_line l.l_col
         (Printf.sprintf
-           "allocates a %s inside a loop of a module tagged `ftr-lint: hot` (allocation-free \
-            hot path, docs/MEMORY_LAYOUT.md)"
+           "%s in a module tagged `ftr-lint: hot` (allocation-free hot path, \
+            docs/MEMORY_LAYOUT.md)"
            l.l_what))
     t.allocs
+
+let t5_findings t =
+  List.rev_map
+    (fun u ->
+      finding Finding.T5 u.u_file u.u_line u.u_col
+        (Printf.sprintf
+           "Hashtbl.%s inside %S feeds an output path in hash order; sort the entries first \
+            (byte-identical --jobs invariance, docs/PARALLELISM.md)"
+           u.u_fn u.u_binding))
+    t.unordered
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
@@ -635,6 +708,7 @@ let run ~hot_files units =
       taint_sources = [];
       allocs = [];
       cmps = [];
+      unordered = [];
       hot_files;
       units;
     }
@@ -645,5 +719,5 @@ let run ~hot_files units =
   for ui = 0 to Array.length units - 1 do
     walk_unit t ui
   done;
-  let findings = t1_findings t @ t2_findings t @ t3_findings t @ t4_findings t in
+  let findings = t1_findings t @ t2_findings t @ t3_findings t @ t4_findings t @ t5_findings t in
   (t, List.sort_uniq Finding.compare_findings findings)

@@ -8,7 +8,7 @@
    workload RNG uses index [line_size] and the overlay construction RNG
    uses index [line_size + 1], so no stream is ever shared. Wall-clock
    only feeds the requests/s figure, read through [Ftr_exec.Clock]
-   (rule R1); everything else in the report is deterministic, and
+   (rule T2); everything else in the report is deterministic, and
    [report_lines ~wall:false] renders exactly that deterministic subset
    for the byte-identity selfcheck. *)
 

@@ -1,8 +1,8 @@
 (* T1-positive: a genuine cross-function domain race. [run] hands [job]
    to the worker pool; [job] calls [bump]; [bump] mutates the toplevel
    [tally] table with no Atomic/Mutex/DLS seam anywhere on the path. No
-   single line here is suspicious to the syntactic rules R1-R5 — only
-   the call-graph analysis connects the pool boundary to the mutation. *)
+   single line here is suspicious on its own — only the call-graph
+   analysis connects the pool boundary to the mutation. *)
 
 let tally : (int, int) Hashtbl.t = Hashtbl.create 16
 

@@ -1,4 +1,3 @@
-(* ftr-lint: disable-file R2 test assertions compare small concrete values *)
 module Chord = Ftr_baselines.Chord
 module Kleinberg = Ftr_baselines.Kleinberg
 module Lattice = Ftr_baselines.Lattice

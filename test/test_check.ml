@@ -1,4 +1,4 @@
-(* ftr-lint: disable-file R2 T3 test assertions compare small concrete values; the comparator rules target runtime code *)
+(* ftr-lint: disable-file T3 test assertions compare small concrete values; the comparator rules target runtime code *)
 (* The sanitizer must stay quiet on healthy structures and loud on broken
    ones. Healthy halves are qcheck properties over the real builders and
    router; the loud halves inject specific corruptions — a missing ring

@@ -1,4 +1,3 @@
-(* ftr-lint: disable-file R2 test assertions compare small concrete values *)
 module Keyspace = Ftr_dht.Keyspace
 module Store = Ftr_dht.Store
 module Dynamic = Ftr_dht.Dynamic

@@ -1,4 +1,3 @@
-(* ftr-lint: disable-file R2 test assertions compare small concrete values *)
 (* The exec subsystem's contract: a sweep's merged output is a pure
    function of (seed, grid) — never of the worker count, the chunking or
    the FTR_EXEC_SEQ fallback. The qcheck property pins that down

@@ -1,4 +1,3 @@
-(* ftr-lint: disable-file R2 test assertions compare small concrete values *)
 module Bitset = Ftr_graph.Bitset
 module Csr = Ftr_graph.Adjacency.Csr
 module Bfs = Ftr_graph.Bfs

@@ -4,7 +4,8 @@
    one negative per rule, analyzed exactly as `dune build @lint-flow`
    analyzes the real tree. The suite also checks the baseline's flow
    namespace, stage-selective regeneration, the incremental cache (a
-   fully warm rerun analyzes zero units), the CLI's usage errors, the
+   fully warm rerun analyzes zero units; an entry written by another
+   analyzer version is never served), the CLI's usage errors, the
    byte-identity of lint.json, and — as a qcheck property — that the
    finding stream is byte-identical across --jobs 1/2/4, FTR_EXEC_SEQ=1
    and cache cold/warm. *)
@@ -46,8 +47,8 @@ let findings_of file =
 
 let test_corpus () =
   let _, (stats : Flow_driver.stats) = Lazy.force fixture in
-  Alcotest.(check int) "all thirteen fixture units loaded" 13 stats.Flow_driver.fl_units;
-  Alcotest.(check int) "all analyzed on a cache-less run" 13 stats.Flow_driver.fl_analyzed;
+  Alcotest.(check int) "all fourteen fixture units loaded" 14 stats.Flow_driver.fl_units;
+  Alcotest.(check int) "all analyzed on a cache-less run" 14 stats.Flow_driver.fl_analyzed;
   Alcotest.(check int) "nothing cached on a cache-less run" 0 stats.Flow_driver.fl_cached
 
 (* D1: the ungated write and the post-join write fire; the gated write,
@@ -101,24 +102,23 @@ let test_d4 () =
       Alcotest.(check bool) "suggests hoisting" true (contains m "hoist")
   | fs -> Alcotest.failf "expected exactly one D4 finding, got %d findings" (List.length fs)
 
-(* R3 has no flow-stage successor, so a `--stage all` run (syntactic +
-   flow) over a unit with a .cmt must still report it. *)
-let test_r3_with_flow () =
+(* T5 has no flow-stage counterpart, so a `--stage all` run over the
+   fixtures must report it beside the D-rules. *)
+let test_t5_with_flow () =
   let cwd = Sys.getcwd () in
   Fun.protect ~finally:(fun () -> Sys.chdir cwd) @@ fun () ->
   Sys.chdir (Lazy.force root);
-  let json = Filename.temp_file "ftr_lint_r3" ".json" in
-  let code =
-    Driver.run ~json ~quiet:true ~stages:[ Finding.Syntactic; Finding.Flow ]
-      ~dirs:[ "test/lint_fixture" ] ()
-  in
+  let json = Filename.temp_file "ftr_lint_t5" ".json" in
+  let code = Driver.run ~json ~quiet:true ~dirs:[ "test/lint_fixture" ] () in
   let ic = open_in_bin json in
   let text = really_input_string ic (in_channel_length ic) in
   close_in ic;
   Sys.remove json;
   Alcotest.(check int) "findings exit 1" 1 code;
-  Alcotest.(check bool) "R3 reported on the fixture" true
-    (contains text {|"file":"test/lint_fixture/r3_order.ml","line":7,"col":2,"rule":"R3"|})
+  Alcotest.(check bool) "T5 reported on the fixture" true
+    (contains text {|"file":"test/lint_fixture/t5_order.ml","line":10,"col":2,"rule":"T5"|});
+  Alcotest.(check bool) "beside the flow findings" true
+    (contains text {|"file":"test/lint_fixture/d1_gate.ml"|})
 
 (* Baseline: flow findings round-trip under the `flow:` namespace. *)
 let test_flow_baseline () =
@@ -154,7 +154,7 @@ let test_update_baseline () =
   let fake rule file = ({ Finding.file; line = 1; col = 0; rule; message = "m" }, "let x = 1") in
   let entry (f, l) = Baseline.entry_of_finding ~source_line:l f in
   let path = Filename.temp_file "ftr_lint_flow_regen" ".baseline" in
-  Baseline.save path [ entry (fake Finding.R1 "lib/a.ml"); entry (fake Finding.D1 "lib/b.ml") ];
+  Baseline.save path [ entry (fake Finding.T1 "lib/a.ml"); entry (fake Finding.D1 "lib/b.ml") ];
   let code =
     Driver.run ~write_baseline:path ~quiet:true ~stages:[ Finding.Flow ]
       ~dirs:[ "lib"; "bin"; "bench" ] ()
@@ -164,11 +164,12 @@ let test_update_baseline () =
   Alcotest.(check int) "regeneration exits 0" 0 code;
   match reloaded with
   | [ e ] ->
-      Alcotest.(check string) "stale flow entry dropped, syntactic entry kept" "syntactic"
+      Alcotest.(check string) "stale flow entry dropped, typed entry kept" "typed"
         (Finding.stage_id (Baseline.entry_stage e))
   | es -> Alcotest.failf "expected exactly the carried-over entry, got %d" (List.length es)
 
-(* The CLI exits 2 with a usage message on an unknown --stage. *)
+(* The CLI exits 2 with a usage message on an unknown --stage, the
+   retired syntactic stage included. *)
 let test_cli_unknown_stage () =
   let cwd = Sys.getcwd () in
   Fun.protect ~finally:(fun () -> Sys.chdir cwd) @@ fun () ->
@@ -180,15 +181,18 @@ let test_cli_unknown_stage () =
     List.find Sys.file_exists
       [ "bin/ftr_lint.exe"; Filename.concat "_build/default" "bin/ftr_lint.exe" ]
   in
-  let err = Filename.temp_file "ftr_lint_usage" ".err" in
-  let code = Sys.command (Printf.sprintf "%s --stage bogus lib 2> %s" exe err) in
-  let ic = open_in_bin err in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove err;
-  Alcotest.(check int) "exit status 2" 2 code;
-  Alcotest.(check bool) "names the bad stage" true (contains text "bogus");
-  Alcotest.(check bool) "prints usage" true (contains text "usage: ftr_lint")
+  List.iter
+    (fun stage ->
+      let err = Filename.temp_file "ftr_lint_usage" ".err" in
+      let code = Sys.command (Printf.sprintf "%s --stage %s lib 2> %s" exe stage err) in
+      let ic = open_in_bin err in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Sys.remove err;
+      Alcotest.(check int) (stage ^ ": exit status 2") 2 code;
+      Alcotest.(check bool) (stage ^ ": names the bad stage") true (contains text stage);
+      Alcotest.(check bool) (stage ^ ": prints usage") true (contains text "usage: ftr_lint"))
+    [ "bogus"; "syntactic" ]
 
 (* The incremental cache: a cold run analyzes everything and a warm
    rerun analyzes zero units, reproducing the exact finding stream. *)
@@ -196,20 +200,45 @@ let render findings =
   String.concat "\n"
     (List.map (fun ((f : Finding.t), line) -> Finding.to_string f ^ "\t" ^ line) findings)
 
-let test_cache_warm () =
+let with_cache_dir f =
   let dir = Filename.temp_file "ftr_lint_cache" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   Fun.protect ~finally:(fun () ->
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Unix.rmdir dir)
-  @@ fun () ->
+  @@ fun () -> f dir
+
+let test_cache_warm () =
+  with_cache_dir @@ fun dir ->
   let cold, (cs : Flow_driver.stats) = analyze_fixture ~cache_dir:dir () in
   let warm, (ws : Flow_driver.stats) = analyze_fixture ~cache_dir:dir () in
-  Alcotest.(check int) "cold run analyzes every unit" 13 cs.Flow_driver.fl_analyzed;
+  Alcotest.(check int) "cold run analyzes every unit" 14 cs.Flow_driver.fl_analyzed;
   Alcotest.(check int) "warm run analyzes zero units" 0 ws.Flow_driver.fl_analyzed;
-  Alcotest.(check int) "warm run serves every unit from cache" 13 ws.Flow_driver.fl_cached;
+  Alcotest.(check int) "warm run serves every unit from cache" 14 ws.Flow_driver.fl_cached;
   Alcotest.(check string) "identical finding streams" (render cold) (render warm)
+
+(* A cache entry records the analyzer version that wrote it: after the
+   version field of every warm entry is rewritten, as an older analyzer
+   would have left it, the rerun serves nothing from the cache. *)
+let test_cache_stale_version () =
+  with_cache_dir @@ fun dir ->
+  let cold, _ = analyze_fixture ~cache_dir:dir () in
+  Array.iter
+    (fun name ->
+      let path = Filename.concat dir name in
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let header = "ftr_lint-flow\t" ^ Finding.analyzer_version ^ "\t" in
+      Alcotest.(check bool) (name ^ " carries the version") true
+        (String.starts_with ~prefix:header text);
+      let n = String.length header in
+      let rest = String.sub text n (String.length text - n) in
+      Out_channel.with_open_bin path (fun oc -> output_string oc ("ftr_lint-flow\t3.1\t" ^ rest)))
+    (Sys.readdir dir);
+  let rerun, (rs : Flow_driver.stats) = analyze_fixture ~cache_dir:dir () in
+  Alcotest.(check int) "nothing served from the stale cache" 0 rs.Flow_driver.fl_cached;
+  Alcotest.(check int) "every unit re-analyzed" 14 rs.Flow_driver.fl_analyzed;
+  Alcotest.(check string) "identical finding streams" (render cold) (render rerun)
 
 (* qcheck: the rendered finding stream is byte-identical across
    --jobs 1/2/4, FTR_EXEC_SEQ=1 and cache cold/warm. *)
@@ -222,17 +251,10 @@ let prop_jobs_cache_identity =
       Ftr_exec.Pool.with_sequential_forced seq @@ fun () ->
       let run () =
         if not use_cache then render (fst (analyze_fixture ~jobs ()))
-        else begin
-          let dir = Filename.temp_file "ftr_lint_qc" "" in
-          Sys.remove dir;
-          Unix.mkdir dir 0o755;
-          Fun.protect ~finally:(fun () ->
-              Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-              Unix.rmdir dir)
-          @@ fun () ->
+        else
+          with_cache_dir @@ fun dir ->
           let _cold = analyze_fixture ~jobs ~cache_dir:dir () in
           render (fst (analyze_fixture ~jobs ~cache_dir:dir ()))
-        end
       in
       String.equal (Lazy.force reference) (run ()))
 
@@ -268,7 +290,7 @@ let () =
           Alcotest.test_case "D2 snapshot typestate" `Quick test_d2_snapshot;
           Alcotest.test_case "D3 message protocol" `Quick test_d3;
           Alcotest.test_case "D4 loop-invariant reload" `Quick test_d4;
-          Alcotest.test_case "R3 survives the flow stage" `Quick test_r3_with_flow;
+          Alcotest.test_case "T5 reported under --stage all" `Quick test_t5_with_flow;
         ] );
       ( "machinery",
         [
@@ -276,6 +298,7 @@ let () =
           Alcotest.test_case "stage-selective --update-baseline" `Quick test_update_baseline;
           Alcotest.test_case "CLI usage error on unknown stage" `Quick test_cli_unknown_stage;
           Alcotest.test_case "warm cache analyzes zero units" `Quick test_cache_warm;
+          Alcotest.test_case "stale analyzer version re-analyzes" `Quick test_cache_stale_version;
           QCheck_alcotest.to_alcotest prop_jobs_cache_identity;
         ] );
       ("self", [ Alcotest.test_case "flow stage clean on the tree" `Quick test_self_application ]);

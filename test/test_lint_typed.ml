@@ -1,12 +1,12 @@
-(* Typed-stage (T1-T4) analyzer tests. Unlike the syntactic stage, the
-   typed rules need real .cmt files, so the fixtures are a compiled
-   mini-library under test/lint_fixture/ — one positive and one negative
-   module per rule — analyzed exactly as `dune build @lint-typed`
-   analyzes the real tree. The suite also unit-tests the call graph,
-   checks the baseline's typed namespace, exercises stage-selective
-   baseline regeneration (--update-baseline), and self-applies the typed
-   stage to the committed tree, which must be clean modulo the typed
-   entries of lint.baseline. *)
+(* Typed-stage (T1-T5) analyzer tests. The typed rules need real .cmt
+   files, so the fixtures are a compiled mini-library under
+   test/lint_fixture/ — positives and negatives for every rule —
+   analyzed exactly as `dune build @lint-typed` analyzes the real tree.
+   The suite also unit-tests the call graph, checks the baseline's typed
+   namespace, exercises stage-selective baseline regeneration
+   (--update-baseline), and self-applies the typed stage to the
+   committed tree, which must be clean modulo the typed entries of
+   lint.baseline. *)
 
 module Finding = Ftr_lint.Finding
 module Driver = Ftr_lint.Driver
@@ -46,12 +46,11 @@ let rules_of file =
 let test_corpus () =
   let state, _ = Lazy.force fixture in
   Alcotest.(check int)
-    "all thirteen fixture units loaded (seven typed, five flow, one syntactic)" 13
+    "all fourteen fixture units loaded (nine typed, five flow)" 14
     (Array.length state.Typed_rules.units)
 
 (* T1: the cross-function race (run -> pool boundary -> job -> bump ->
-   tally) fires, and — the acceptance criterion for the typed stage —
-   the very same file is invisible to the syntactic rules. *)
+   tally) fires; the Atomic twin stays quiet. *)
 
 let test_t1 () =
   (match fixture_findings "t1_race.ml" with
@@ -81,42 +80,97 @@ let test_t1_mailbox_seam () =
             (contains f.message "queue" && not (contains f.message "T1_mailbox.mailbox")))
         fs)
 
-let test_t1_invisible_to_syntactic () =
-  let path = Filename.concat (Lazy.force root) "test/lint_fixture/t1_race.ml" in
-  Alcotest.(check (list string))
-    "R1-R5 see nothing in the race fixture" []
-    (List.map (fun ((f : Finding.t), _) -> Finding.rule_id f.rule) (Driver.lint_file path))
+(* Findings of [file] as (rule, line, message). *)
+let findings_of file =
+  List.map
+    (fun ((f : Finding.t), _) -> (Finding.rule_id f.rule, f.line, f.message))
+    (fixture_findings file)
 
-(* T2: the transitively tainted [sample] is flagged; the direct source
-   [jitter] is R1's job, and the seeded-generator path stays clean. *)
+(* T2: the direct readers of Random.int, Unix.gettimeofday and Sys.time
+   and the transitively tainted [sample] are flagged, each at its
+   binding, and the module-initialisation read at the read itself; the
+   seeded-generator path stays clean. *)
 
 let test_t2 () =
-  match fixture_findings "t2_taint.ml" with
-  | [ (f, _) ] ->
-      Alcotest.(check string) "rule is T2" "T2" (Finding.rule_id f.rule);
-      Alcotest.(check bool) "flags sample, not the direct source" true
-        (contains f.message "sample");
-      Alcotest.(check bool) "chain reaches the Random call" true (contains f.message "Random")
-  | fs -> Alcotest.failf "expected exactly one T2 finding, got %d" (List.length fs)
+  match findings_of "t2_taint.ml" with
+  | [ ("T2", 7, m1); ("T2", 9, m2); ("T2", 11, m3); ("T2", 13, m4); ("T2", 19, m5) ] ->
+      List.iter2
+        (fun m what -> Alcotest.(check bool) ("names " ^ what) true (contains m what))
+        [ m1; m2; m3 ] [ "Random.int"; "Unix.gettimeofday"; "Sys.time" ];
+      Alcotest.(check bool) "flags sample through jitter" true
+        (contains m4 "sample -> Lint_fixture.T2_taint.jitter");
+      Alcotest.(check bool) "chain reaches the Random call" true (contains m4 "Random");
+      Alcotest.(check bool) "init read blamed on itself" true
+        (contains m5 "Sys.time runs in module initialisation")
+  | fs -> Alcotest.failf "expected exactly the five T2 positives, got %d" (List.length fs)
 
-(* T3: poly [=] at a float-carrying record fires; at int it does not. *)
+(* T3: poly [=] at a float-carrying record and at a float pair fires; at
+   int, string, int pair, int option and a still-polymorphic [compare]
+   it does not. *)
 
 let test_t3 () =
-  match fixture_findings "t3_cmp.ml" with
-  | [ (f, _) ] ->
-      Alcotest.(check string) "rule is T3" "T3" (Finding.rule_id f.rule);
-      Alcotest.(check bool) "blames the float payload" true (contains f.message "float")
-  | fs -> Alcotest.failf "expected exactly one T3 finding, got %d" (List.length fs)
+  match findings_of "t3_cmp.ml" with
+  | [ ("T3", 9, m1); ("T3", 11, m2) ] ->
+      List.iter
+        (fun m -> Alcotest.(check bool) "blames the float payload" true (contains m "float"))
+        [ m1; m2 ]
+  | fs -> Alcotest.failf "expected exactly the two T3 positives, got %d" (List.length fs)
 
-(* T4: a tuple allocated in a loop of a hot module fires; the
-   allocation-free loop next to it does not. *)
+(* T4: a tuple allocated in a loop of a hot module fires, and so do a
+   [List.mem] and an [@] anywhere in it; the allocation-free loop and
+   the array read next to them do not, nor does the same list code in
+   the untagged t4_cold.ml. *)
 
 let test_t4 () =
-  match fixture_findings "t4_hot.ml" with
-  | [ (f, _) ] ->
-      Alcotest.(check string) "rule is T4" "T4" (Finding.rule_id f.rule);
-      Alcotest.(check bool) "names the tuple allocation" true (contains f.message "tuple")
-  | fs -> Alcotest.failf "expected exactly one T4 finding, got %d" (List.length fs)
+  (match findings_of "t4_hot.ml" with
+  | [ ("T4", 12, m1); ("T4", 25, m2); ("T4", 27, m3) ] ->
+      Alcotest.(check bool) "names the tuple allocation" true (contains m1 "tuple");
+      Alcotest.(check bool) "names List.mem" true (contains m2 "List.mem scans");
+      Alcotest.(check bool) "names @" true (contains m3 "@ scans")
+  | fs -> Alcotest.failf "expected exactly the three T4 positives, got %d" (List.length fs));
+  Alcotest.(check (list string)) "untagged module is quiet" [] (rules_of "t4_cold.ml")
+
+(* The samples of the retired Parsetree rules R1, R2 and R5, now in the
+   compiled fixtures, under the verdicts of their typed successors. *)
+
+let lines_of rule file =
+  List.filter_map
+    (fun ((f : Finding.t), _) ->
+      if String.equal (Finding.rule_id f.rule) rule then Some f.line else None)
+    (fixture_findings file)
+
+let check_line rule file what line expected =
+  Alcotest.(check bool) what expected (List.mem line (lines_of rule file))
+
+(* R1's direct reads of Random.int, Unix.gettimeofday and Sys.time fire
+   T2 at their bindings; the seeded generator stays clean. *)
+
+let test_r1 () =
+  check_line "T2" "t2_taint.ml" "Random.int fires" 7 true;
+  check_line "T2" "t2_taint.ml" "Unix.gettimeofday fires" 9 true;
+  check_line "T2" "t2_taint.ml" "Sys.time fires" 11 true;
+  check_line "T2" "t2_taint.ml" "seeded rng is fine" 15 false;
+  check_line "T2" "t2_taint.ml" "seeded rng caller is fine" 17 false
+
+(* R2's heuristic positives: T3 judges them by type. The int pair, the
+   string, the int option and the still-polymorphic [compare] are
+   silent; the float pair fires. *)
+
+let test_r2 () =
+  check_line "T3" "t3_cmp.ml" "poly = on float pair fires" 11 true;
+  check_line "T3" "t3_cmp.ml" "poly = on int tuple is fine" 15 false;
+  check_line "T3" "t3_cmp.ml" "poly <> on string literal is fine" 17 false;
+  check_line "T3" "t3_cmp.ml" "poly = on int option is fine" 19 false;
+  check_line "T3" "t3_cmp.ml" "bare polymorphic compare is judged at callers" 21 false
+
+(* R5's List.mem and @ in a hot module fire T4; the array read and the
+   same list code without the tag do not. *)
+
+let test_r5 () =
+  check_line "T4" "t4_hot.ml" "List.mem in a hot module fires" 25 true;
+  check_line "T4" "t4_hot.ml" "@ in a hot module fires" 27 true;
+  check_line "T4" "t4_hot.ml" "arrays in a hot module are fine" 29 false;
+  Alcotest.(check (list int)) "same code without the tag is fine" [] (lines_of "T4" "t4_cold.ml")
 
 (* The Bigarray seams: a bare int32 Bigarray read in a hot loop boxes
    its result and fires T4; the directly-wrapped [Int32.to_int (...)]
@@ -147,6 +201,19 @@ let test_t3_bigarray () =
       Alcotest.(check bool) "blames the Bigarray type" true (contains f.message "Bigarray")
   | fs -> Alcotest.failf "expected exactly one T3 finding, got %d" (List.length fs)
 
+(* T5: Hashtbl.iter inside [emit_counts] and Hashtbl.fold inside
+   [to_json] fire; the fold outside any output path, the one sorted
+   before rendering and the one under the [Export] module path do not. *)
+
+let test_t5 () =
+  match findings_of "t5_order.ml" with
+  | [ ("T5", 10, m1); ("T5", 13, m2) ] ->
+      Alcotest.(check bool) "names iter and its binding" true
+        (contains m1 {|Hashtbl.iter inside "emit_counts"|});
+      Alcotest.(check bool) "names fold and its binding" true
+        (contains m2 {|Hashtbl.fold inside "to_json"|})
+  | fs -> Alcotest.failf "expected exactly the two T5 positives, got %d" (List.length fs)
+
 (* Call graph: gated edges, forward/reverse BFS and witness chains. *)
 
 let test_callgraph () =
@@ -168,7 +235,7 @@ let test_callgraph () =
   Alcotest.(check bool) "reverse BFS skips the sibling" false rvisited.(d)
 
 (* Baseline: typed findings round-trip under the `typed:` rule
-   namespace and absorb like syntactic ones. *)
+   namespace. *)
 
 let test_typed_baseline () =
   let kept = fixture_findings "t1_race.ml" @ fixture_findings "t3_cmp.ml" in
@@ -204,7 +271,7 @@ let test_update_baseline () =
   let fake rule file = ({ Finding.file; line = 1; col = 0; rule; message = "m" }, "let x = 1") in
   let entry (f, l) = Baseline.entry_of_finding ~source_line:l f in
   let path = Filename.temp_file "ftr_lint_regen" ".baseline" in
-  Baseline.save path [ entry (fake Finding.R1 "lib/a.ml"); entry (fake Finding.T1 "lib/b.ml") ];
+  Baseline.save path [ entry (fake Finding.D1 "lib/a.ml"); entry (fake Finding.T1 "lib/b.ml") ];
   let code =
     Driver.run ~write_baseline:path ~quiet:true ~stages:[ Finding.Typed ]
       ~dirs:[ "lib"; "bin"; "bench" ] ()
@@ -214,7 +281,7 @@ let test_update_baseline () =
   Alcotest.(check int) "regeneration exits 0" 0 code;
   match reloaded with
   | [ e ] ->
-      Alcotest.(check string) "stale typed entry dropped, syntactic entry kept" "syntactic"
+      Alcotest.(check string) "stale typed entry dropped, flow entry kept" "flow"
         (Finding.stage_id (Baseline.entry_stage e))
   | es -> Alcotest.failf "expected exactly the carried-over entry, got %d" (List.length es)
 
@@ -243,13 +310,16 @@ let () =
         [
           Alcotest.test_case "fixture corpus loads" `Quick test_corpus;
           Alcotest.test_case "T1 domain-race" `Quick test_t1;
-          Alcotest.test_case "T1 race invisible to R1-R5" `Quick test_t1_invisible_to_syntactic;
           Alcotest.test_case "T1 mailbox seam sanctioned" `Quick test_t1_mailbox_seam;
           Alcotest.test_case "T2 nondeterminism-taint" `Quick test_t2;
           Alcotest.test_case "T3 typed-polymorphic-comparison" `Quick test_t3;
           Alcotest.test_case "T4 typed-hot-path-allocation" `Quick test_t4;
           Alcotest.test_case "T4 boxed int32 in a hot loop" `Quick test_t4_int32;
           Alcotest.test_case "T3 polymorphic compare at a Bigarray" `Quick test_t3_bigarray;
+          Alcotest.test_case "T5 typed-unordered-iteration-in-output" `Quick test_t5;
+          Alcotest.test_case "R1 nondeterminism-source" `Quick test_r1;
+          Alcotest.test_case "R2 polymorphic-comparison" `Quick test_r2;
+          Alcotest.test_case "R5 hot-path-allocation" `Quick test_r5;
         ] );
       ( "machinery",
         [

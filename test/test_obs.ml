@@ -1,4 +1,4 @@
-(* ftr-lint: disable-file D1 R2 T3 the suite deliberately drives Tracing/Events with the flag in every state (no-op asserts, with_recorder-gated bodies) and compares small concrete values *)
+(* ftr-lint: disable-file D1 T3 the suite deliberately drives Tracing/Events with the flag in every state (no-op asserts, with_recorder-gated bodies) and compares small concrete values *)
 module Flag = Ftr_obs.Flag
 module Json = Ftr_obs.Json
 module Metrics = Ftr_obs.Metrics

@@ -1,4 +1,3 @@
-(* ftr-lint: disable-file R2 test assertions compare small concrete values *)
 module Splitmix64 = Ftr_prng.Splitmix64
 module Xoshiro = Ftr_prng.Xoshiro
 module Rng = Ftr_prng.Rng

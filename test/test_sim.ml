@@ -1,4 +1,4 @@
-(* ftr-lint: disable-file R2 T3 test assertions compare small concrete values *)
+(* ftr-lint: disable-file T3 test assertions compare small concrete values *)
 module Heap = Ftr_sim.Heap
 module Engine = Ftr_sim.Engine
 

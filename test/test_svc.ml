@@ -1,4 +1,3 @@
-(* ftr-lint: disable-file R2 test assertions compare small concrete values *)
 (* The message-passing overlay service: deterministic mailboxes, the
    round scheduler's jobs-invariance (including under mid-run churn),
    agreement of the round transport with the event-engine transport on a
