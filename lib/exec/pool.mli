@@ -2,17 +2,24 @@
     deterministic contract: {!map} returns results in job-index order, so
     output never depends on how jobs landed on workers.
 
+    One scheduler serves both entry points: a crew of [jobs] workers is
+    the calling domain (worker 0) plus [jobs - 1] spawned domains, all
+    pulling chunks of indices from one atomic cursor. {!map} is one round
+    on a crew of its own (none when it runs inline, see below); a
+    {!resident} crew keeps its domains parked between rounds.
+
     Parallel execution only changes {e wall-clock}, never results,
     provided each job is a pure function of its index (and of a generator
-    derived from the index — see {!Seed}). Worker domains run with
-    {!Ftr_obs} telemetry suppressed ([Ftr_obs.Flag.suppress_in_domain]):
-    the registries are not domain-safe, so the coordinator records the
-    pool's own metrics ([exec_jobs_completed_total],
-    [exec_pool_workers], [exec_queue_depth], the per-worker
-    [exec_worker_busy_seconds] histogram and the [exec.pool.run] span)
-    on the workers' behalf. Consequence: per-hop metrics recorded inside
-    jobs only appear in sequential runs — the determinism contract covers
-    merged results, not telemetry (docs/PARALLELISM.md). *)
+    derived from the index — see {!Seed}). Every worker runs jobs with
+    {!Ftr_obs} telemetry suppressed ([Ftr_obs.Flag.suppress_in_domain]),
+    the caller included while it drains: the registries are not
+    domain-safe, so the caller records the pool's own metrics
+    ([exec_jobs_completed_total], [exec_pool_workers],
+    [exec_queue_depth], the per-worker [exec_worker_busy_seconds]
+    histogram and the [exec.pool.run] span) once the round is over.
+    Consequence: per-hop metrics recorded inside jobs only appear in
+    sequential runs — the determinism contract covers merged results, not
+    telemetry (docs/PARALLELISM.md). *)
 
 val sequential_forced : unit -> bool
 (** [true] when the environment demands the sequential fallback
@@ -32,47 +39,53 @@ val default_jobs : unit -> int
 
 val map : ?jobs:int -> count:int -> (int -> 'a) -> 'a array
 (** [map ~count f] evaluates [f i] for every [i] in [0, count) and
-    returns [[| f 0; ...; f (count-1) |]]. With [jobs <= 1] (or inside a
-    worker domain, or [count <= 1]) everything runs on the calling
-    domain; otherwise [min jobs count] worker domains pull chunks of
-    indices from a shared atomic cursor. A job's exception is re-raised
-    on the caller once all workers have joined.
+    returns [[| f 0; ...; f (count-1) |]]. With [jobs = 1], [count <= 1],
+    {!sequential_forced} (which wins over an explicit [~jobs]) or inside a
+    worker, everything runs on the calling domain; otherwise the caller
+    and [min jobs count - 1] spawned domains pull chunks of indices from
+    a shared atomic cursor. A job's exception is re-raised on the caller
+    once all workers have joined.
     @raise Invalid_argument if [count < 0] or [jobs < 1]. *)
 
 (** {1 Resident pool}
 
     {!map} spawns fresh domains per call — fine for sweeps, dominant for
     a serving loop that fans out thousands of sub-millisecond rounds. A
-    [resident] keeps its workers parked on a condition variable between
-    rounds. The mutex hand-offs at round start/end give happens-before
-    edges in both directions, so effects written by workers during a
-    round are visible to the coordinator when {!run_resident} returns —
-    the guarantee {!Ftr_svc}'s barrier-separated mailbox discipline is
-    built on (docs/SERVICE.md). *)
+    [resident] keeps its [jobs - 1] domains parked on a condition
+    variable between rounds, and the caller of {!run_resident} drains the
+    round as worker 0. The mutex hand-offs at round start/end give
+    happens-before edges in both directions, so effects written by
+    workers during a round are visible to the caller when {!run_resident}
+    returns — the guarantee {!Ftr_svc}'s barrier-separated mailbox
+    discipline is built on (docs/SERVICE.md). *)
 
 type resident
-(** A crew of parked worker domains. The worker count is fixed at
-    creation: {!sequential_forced}, a single-job request, or creation
-    from inside another pool's worker all degrade the crew to inline
-    sequential execution. *)
+(** A crew: the caller plus parked worker domains. The worker count is
+    fixed at creation: {!sequential_forced}, a single-job request, or
+    creation from inside another pool's worker all degrade the crew to
+    inline sequential execution. *)
 
 val create_resident : ?jobs:int -> unit -> resident
-(** Spawn the crew ([jobs] defaults to {!default_jobs}); the caller must
-    eventually {!shutdown_resident}. Prefer {!with_resident}.
+(** Spawn the crew's [jobs - 1] domains ([jobs] defaults to
+    {!default_jobs}); the caller must eventually {!shutdown_resident}.
+    Prefer {!with_resident}.
     @raise Invalid_argument if [jobs < 1]. *)
 
 val run_resident : resident -> count:int -> (int -> unit) -> unit
 (** One round: evaluate [f i] for every [i] in [0, count), effects only.
     Each index is run exactly once; which worker runs it is unspecified,
     so only effects keyed by index (e.g. writing slot [i] of a
-    caller-owned array) are deterministic. Blocks until every worker has
-    drained the round. A job's exception is re-raised here after the
-    round settles; indices not yet claimed when a job raised may be
-    skipped, so a raising round's effects are unspecified.
+    caller-owned array) are deterministic. The caller drains as worker 0
+    under the workers' domain state (telemetry suppressed, nested crews
+    inline), restored before this returns, then blocks until every
+    parked worker has drained the round. A job's exception is re-raised
+    here after the round settles; indices not yet claimed when a job
+    raised may be skipped, so a raising round's effects are unspecified.
     @raise Invalid_argument if [count < 0] or after shutdown. *)
 
 val resident_jobs : resident -> int
-(** Effective parallelism of the crew (1 when degraded to inline). *)
+(** Effective parallelism of the crew, the caller included (1 when
+    degraded to inline). *)
 
 val resident_rounds : resident -> int
 (** Rounds run so far (including inline ones), for reporting. *)

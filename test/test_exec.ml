@@ -70,22 +70,32 @@ let pool_exception () =
   | _ -> Alcotest.fail "a job raised but map returned"
   | exception Stdlib.Failure m -> Alcotest.(check string) "job's own exception surfaces" "boom" m
 
+let domain_id () = (Domain.self () :> int)
+
 (* A job that itself maps must degrade to the sequential path instead of
-   spawning a second generation of domains — and still merge correctly. *)
+   spawning a second generation of domains — and still merge correctly.
+   That holds for the jobs the caller drains as worker 0 too. *)
 let pool_nested () =
   let r =
     Pool.map ~jobs:2 ~count:4 (fun i ->
-        Array.to_list (Pool.map ~jobs:4 ~count:3 (fun j -> (10 * i) + j)))
+        let outer = domain_id () in
+        let inner = Pool.map ~jobs:4 ~count:3 (fun j -> ((10 * i) + j, domain_id ())) in
+        (Array.to_list (Array.map fst inner), Array.for_all (fun (_, d) -> d = outer) inner))
   in
   Alcotest.(check (array (list int)))
     "nested results intact"
     [| [ 0; 1; 2 ]; [ 10; 11; 12 ]; [ 20; 21; 22 ]; [ 30; 31; 32 ] |]
-    r
+    (Array.map fst r);
+  Alcotest.(check bool) "every inner job ran on its outer job's domain" true
+    (Array.for_all snd r)
 
 let pool_sequential_fallbacks () =
   Pool.with_sequential_forced true (fun () ->
       Alcotest.(check bool) "FTR_EXEC_SEQ forces the fallback" true (Pool.sequential_forced ());
-      Alcotest.(check int) "default_jobs is 1 under the fallback" 1 (Pool.default_jobs ()));
+      Alcotest.(check int) "default_jobs is 1 under the fallback" 1 (Pool.default_jobs ());
+      let caller = domain_id () in
+      Alcotest.(check bool) "an explicit ~jobs:4 map runs on the caller alone" true
+        (Array.for_all (fun d -> d = caller) (Pool.map ~jobs:4 ~count:8 (fun _ -> domain_id ()))));
   Pool.with_sequential_forced false (fun () ->
       Alcotest.(check bool) "fallback released" false (Pool.sequential_forced ());
       (try Pool.with_sequential_forced true (fun () -> failwith "body raised")
@@ -111,14 +121,100 @@ let pool_metrics () =
      domain-safe), so job-side metrics vanish on the parallel path... *)
   Alcotest.(check int) "worker-side telemetry suppressed" 0
     (Ftr_obs.Metrics.counter_value inside);
+  (* A resident round suppresses the caller too while it drains as worker
+     0, and hands its telemetry back before merging. *)
+  Pool.with_resident ~jobs:2 (fun r ->
+      Pool.run_resident r ~count:8 (fun i -> ignore (instrumented i)));
+  Alcotest.(check int) "resident round: job-side telemetry suppressed" 0
+    (Ftr_obs.Metrics.counter_value inside);
+  Alcotest.(check bool) "caller's telemetry restored after the round" true
+    (Ftr_obs.Flag.enabled ());
+  Alcotest.(check int) "resident round counted" 16
+    (Ftr_obs.Metrics.counter_value "exec_jobs_completed_total");
   (match Ftr_obs.Span.find "exec.pool.run" with
   | Some s -> Alcotest.(check bool) "pool span timed" true (s.Ftr_obs.Span.count >= 1)
   | None -> Alcotest.fail "no exec.pool.run span recorded");
   (* ...and is recorded as usual on the sequential path. The determinism
      contract covers merged results, not telemetry. *)
+  let pool_runs () =
+    match Ftr_obs.Span.find "exec.pool.run" with Some s -> s.Ftr_obs.Span.count | None -> 0
+  in
+  let runs = pool_runs () in
   ignore (Pool.map ~jobs:1 ~count:4 instrumented);
   Alcotest.(check int) "sequential path records job-side telemetry" 4
-    (Ftr_obs.Metrics.counter_value inside)
+    (Ftr_obs.Metrics.counter_value inside);
+  Alcotest.(check int) "sequential map runs inline, not as a pool run" runs (pool_runs ());
+  Alcotest.(check int) "sequential map counted" 20
+    (Ftr_obs.Metrics.counter_value "exec_jobs_completed_total")
+
+(* ------------------------------------------------------------------ *)
+(* Resident crews                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A jobs=2 crew is the caller plus one parked domain. Job 0 holds its
+   worker until a second domain has entered job 1 (bounded at about 5 s),
+   so the two indices run on two domains, and the caller must be one of
+   them. *)
+let resident_caller_drains () =
+  let ran_on = Array.make 2 (-1) in
+  let entered = Atomic.make 0 in
+  Pool.with_resident ~jobs:2 (fun r ->
+      Pool.run_resident r ~count:2 (fun i ->
+          ran_on.(i) <- domain_id ();
+          Atomic.incr entered;
+          if i = 0 then begin
+            let waits = ref 0 in
+            while Atomic.get entered < 2 && !waits < 5000 do
+              Unix.sleepf 0.001;
+              incr waits
+            done
+          end));
+  let caller = domain_id () in
+  Alcotest.(check bool) "every index ran" true (Array.for_all (fun d -> d >= 0) ran_on);
+  Alcotest.(check bool) "the caller drained as worker 0" true
+    (Array.exists (fun d -> d = caller) ran_on)
+
+let resident_error_then_reuse () =
+  Pool.with_resident ~jobs:2 (fun r ->
+      let running = Atomic.make 0 in
+      (match
+         Pool.run_resident r ~count:16 (fun i ->
+             Atomic.incr running;
+             Fun.protect ~finally:(fun () -> Atomic.decr running) (fun () ->
+                 if i = 3 then failwith "boom"))
+       with
+      | () -> Alcotest.fail "a job raised but the round returned"
+      | exception Failure m -> Alcotest.(check string) "job's own exception surfaces" "boom" m);
+      Alcotest.(check int) "the round settled before re-raising" 0 (Atomic.get running);
+      let hits = Array.make 16 0 in
+      Pool.run_resident r ~count:16 (fun i -> hits.(i) <- hits.(i) + 1);
+      Alcotest.(check (array int)) "the next round runs every index once" (Array.make 16 1) hits)
+
+let resident_shutdown () =
+  let r = Pool.create_resident ~jobs:2 () in
+  Pool.shutdown_resident r;
+  Alcotest.check_raises "round after shutdown"
+    (Invalid_argument "Pool.run_resident: pool already shut down") (fun () ->
+      Pool.run_resident r ~count:4 ignore);
+  Pool.shutdown_resident r
+
+let resident_degrades () =
+  Alcotest.(check int) "jobs:4 under FTR_EXEC_SEQ=1" 1
+    (Pool.with_sequential_forced true (fun () -> Pool.with_resident ~jobs:4 Pool.resident_jobs));
+  Alcotest.(check (array int)) "jobs:4 inside a map job" [| 1; 1 |]
+    (Pool.map ~jobs:2 ~count:2 (fun _ -> Pool.with_resident ~jobs:4 Pool.resident_jobs));
+  Alcotest.(check int) "jobs:2 otherwise" 2
+    (Pool.with_sequential_forced false (fun () -> Pool.with_resident ~jobs:2 Pool.resident_jobs))
+
+let resident_rounds () =
+  let count r =
+    Pool.run_resident r ~count:3 ignore;
+    Pool.run_resident r ~count:1 ignore;
+    Pool.run_resident r ~count:0 ignore;
+    Pool.resident_rounds r
+  in
+  Alcotest.(check int) "inline crew" 3 (Pool.with_resident ~jobs:1 count);
+  Alcotest.(check int) "jobs:2 crew, short rounds inline" 3 (Pool.with_resident ~jobs:2 count)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism (the headline property)                                 *)
@@ -305,6 +401,14 @@ let () =
           quick "FTR_EXEC_SEQ fallback" pool_sequential_fallbacks;
           quick "coordinator metrics, worker suppression" pool_metrics;
           quick "busy clock is injectable" pool_clock_injection;
+        ] );
+      ( "resident",
+        [
+          quick "the caller drains as worker 0" resident_caller_drains;
+          quick "a raising round settles, the crew runs on" resident_error_then_reuse;
+          quick "rounds after shutdown refused" resident_shutdown;
+          quick "sequential and nested crews degrade" resident_degrades;
+          quick "inline rounds counted" resident_rounds;
         ] );
       ("determinism", [ QCheck_alcotest.to_alcotest qcheck_determinism ]);
       ("sweep", [ quick "grids are row-major" grids ]);
