@@ -10,9 +10,9 @@ let copy = Xoshiro.copy
 
 let bits64 = Xoshiro.next_int64
 
-(* Non-negative 62-bit integer: drop the two top bits so the result always
-   fits OCaml's 63-bit int without sign surprises. *)
-let bits t = Int64.to_int (Int64.shift_right_logical (Xoshiro.next_int64 t) 2)
+(* Non-negative 62-bit integer: the output's top 62 bits, so the result
+   always fits OCaml's 63-bit int without sign surprises. *)
+let bits t = Xoshiro.next_bits t 2
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -20,11 +20,11 @@ let int t bound =
   else begin
     (* Rejection sampling to avoid modulo bias. *)
     let max_usable = 0x3FFF_FFFF_FFFF_FFFF / bound * bound in
-    let rec draw () =
-      let v = bits t in
-      if v >= max_usable then draw () else v mod bound
-    in
-    draw ()
+    let v = ref (bits t) in
+    while !v >= max_usable do
+      v := bits t
+    done;
+    !v mod bound
   end
 
 let int_in_range t ~lo ~hi =
@@ -33,12 +33,11 @@ let int_in_range t ~lo ~hi =
 
 let float t =
   (* 53 random bits scaled to [0,1). *)
-  let v = Int64.to_int (Int64.shift_right_logical (Xoshiro.next_int64 t) 11) in
-  float_of_int v *. 0x1.0p-53
+  float_of_int (Xoshiro.next_bits t 11) *. 0x1.0p-53
 
 let float_range t ~lo ~hi = lo +. ((hi -. lo) *. float t)
 
-let bool t = Int64.logand (Xoshiro.next_int64 t) 1L = 1L
+let bool t = Xoshiro.next_bits t 0 land 1 = 1
 
 let bernoulli t p =
   if p <= 0.0 then false else if p >= 1.0 then true else float t < p

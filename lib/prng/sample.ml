@@ -27,14 +27,12 @@ let cdf_size { cumulative } = Array.length cumulative
 (* First index i with cumulative.(i) > u; u in [0,1). *)
 let cdf_draw { cumulative } rng =
   let u = Rng.float rng in
-  let n = Array.length cumulative in
-  let rec search lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if cumulative.(mid) > u then search lo mid else search (mid + 1) hi
-  in
-  search 0 (n - 1)
+  let lo = ref 0 and hi = ref (Array.length cumulative - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if cumulative.(mid) > u then hi := mid else lo := mid + 1
+  done;
+  !lo
 
 let cdf_probability { cumulative } i =
   if i < 0 || i >= Array.length cumulative then
@@ -128,7 +126,15 @@ let binomial rng ~n ~p =
 type power_law = {
   max_length : int;
   prefix : float array; (* prefix.(i) = sum_{d=1..i+1} d^-exponent *)
+  exponent : float;
+  offset : float; (* C in prefix.(d-1) ~ F(d) + C, fitted at d = max_length *)
 }
+
+(* F, the antiderivative of x^-exponent: the prefix sum grows like F(d)
+   plus a constant. *)
+let antiderivative exponent x =
+  if Float.equal exponent 1.0 then log x
+  else Float.pow x (1.0 -. exponent) /. (1.0 -. exponent)
 
 let power_law ~exponent ~max_length =
   if max_length < 1 then invalid_arg "Sample.power_law: max_length must be >= 1";
@@ -138,25 +144,80 @@ let power_law ~exponent ~max_length =
     acc := !acc +. (1.0 /. Float.pow (float_of_int d) exponent);
     prefix.(d - 1) <- !acc
   done;
-  { max_length; prefix }
+  let offset = !acc -. antiderivative exponent (float_of_int max_length) in
+  { max_length; prefix; exponent; offset }
 
 let power_law_total t ~upto =
   if upto < 0 || upto > t.max_length then
     invalid_arg "Sample.power_law_total: out of range";
   if upto = 0 then 0.0 else t.prefix.(upto - 1)
 
-(* Inverse-CDF draw of a length d in [1, upto] with Pr[d] proportional to
-   d^-exponent, by binary search in the prefix table. *)
+(* Where the answer to [target] should be: the x solving F(x) + C = target,
+   less the half step that the Euler-Maclaurin term d^-exponent / 2 adds
+   to the prefix sum, as an index clamped to [0, last]. It only sets where
+   the search starts; a NaN or infinite x just starts it at an end. *)
+let[@inline] guess t target last =
+  let x =
+    if Float.equal t.exponent 1.0 then exp (target -. t.offset)
+    else
+      (* v <= 0 when the target lies outside F's range; pow (0, 1/e) is
+         then 0 for e > 0 and +inf for e < 0, the end it lies beyond. *)
+      let e = 1.0 -. t.exponent in
+      let v = (target -. t.offset) *. e in
+      Float.pow (if v > 0.0 then v else 0.0) (1.0 /. e)
+  in
+  let g = x -. 0.5 in
+  if g >= float_of_int last then last else if g >= 1.0 then int_of_float g else 0
+
+(* The answer is the first index i < last with prefix.(i) > target, or
+   [last] if there is none, plus one. Every probe tests that predicate and
+   the search narrows a bracket (lo, hi] that holds the answer: lo = -1
+   or fails it, hi = last or passes it. For a nondecreasing table the
+   predicate is monotone, so the answer is the one the plain binary search
+   over [0, last] finds; the guess only decides how many probes it takes.
+   From the guess, gallop outward by 1, 2, 4, ... until the bracket
+   closes, then bisect it. *)
+let power_law_quantile t ~upto u =
+  if upto < 1 || upto > t.max_length then
+    invalid_arg "Sample.power_law_quantile: upto out of range";
+  let prefix = t.prefix in
+  let last = upto - 1 in
+  let target = u *. prefix.(last) in
+  let g = guess t target last in
+  let lo = ref (-1) and hi = ref last in
+  if g = last || prefix.(g) > target then begin
+    hi := g;
+    let step = ref 1 in
+    while !lo < 0 && g - !step >= 0 do
+      let i = g - !step in
+      if prefix.(i) > target then begin
+        hi := i;
+        step := 2 * !step
+      end
+      else lo := i
+    done
+  end
+  else begin
+    lo := g;
+    let step = ref 1 in
+    while !hi = last && g + !step < last do
+      let i = g + !step in
+      if prefix.(i) > target then hi := i
+      else begin
+        lo := i;
+        step := 2 * !step
+      end
+    done
+  end;
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if prefix.(mid) > target then hi := mid else lo := mid
+  done;
+  !hi + 1
+
 let power_law_draw t rng ~upto =
   if upto < 1 || upto > t.max_length then
     invalid_arg "Sample.power_law_draw: upto out of range";
-  let target = Rng.float rng *. t.prefix.(upto - 1) in
-  let rec search lo hi =
-    if lo >= hi then lo + 1
-    else
-      let mid = (lo + hi) / 2 in
-      if t.prefix.(mid) > target then search lo mid else search (mid + 1) hi
-  in
-  search 0 (upto - 1)
+  power_law_quantile t ~upto (Rng.float rng)
 
 let power_law_max_length t = t.max_length

@@ -5,7 +5,9 @@
     platforms and OCaml versions, unlike [Stdlib.Random]. *)
 
 type t
-(** Mutable generator state; never all-zero. *)
+(** Mutable generator state; never all-zero. The four 64-bit words are
+    stored unboxed in one 32-byte buffer, so a step allocates nothing;
+    only {!next_int64} boxes its result. *)
 
 val create : int64 -> t
 (** [create seed] seeds the four state words from a SplitMix64 stream. *)
@@ -22,6 +24,13 @@ val of_splitmix : Splitmix64.t -> t
 
 val next_int64 : t -> int64
 (** Advance the state and return the next 64-bit output. *)
+
+val next_bits : t -> int -> int
+(** [next_bits t shift] advances the state exactly as {!next_int64} does
+    and returns that output shifted right (logically) by [shift] bits,
+    truncated to an OCaml [int]. It allocates nothing. For [shift >= 2]
+    the result is the top [64 - shift] bits of the output, non-negative;
+    for [shift = 0] its low bits are the output's low bits. *)
 
 val copy : t -> t
 (** Independent copy of the current state. *)

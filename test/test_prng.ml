@@ -219,6 +219,86 @@ let rng_split_streams_differ () =
   done;
   Alcotest.(check bool) "at most coincidences" true (!equal <= 2)
 
+(* The first 10^5 outputs of every helper for seed 2002, digested. The
+   digests were recorded when the state was four boxed int64 fields, so
+   they pin each helper's stream bit for bit across state layouts. *)
+let stream_digest ?(prepare = Fun.id) draw =
+  let rng = prepare (Rng.of_int 2002) in
+  let buf = Buffer.create (1 lsl 21) in
+  for _ = 1 to 100_000 do
+    Buffer.add_string buf (draw rng);
+    Buffer.add_char buf '\n'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let rng_stream_digests () =
+  let bits64 r = Int64.to_string (Rng.bits64 r) in
+  List.iter
+    (fun (name, expected, digest) -> Alcotest.(check string) name expected (digest ()))
+    [
+      ("bits64", "a05421bbaadac3b6e257e4de6e2745bb", fun () -> stream_digest bits64);
+      ( "bits",
+        "d36c3f1f627bd949fd3ac533db245bae",
+        fun () -> stream_digest (fun r -> string_of_int (Rng.bits r)) );
+      ( "float",
+        "1ec8e2885f1b18808af607144b74cb37",
+        fun () -> stream_digest (fun r -> Printf.sprintf "%h" (Rng.float r)) );
+      ( "int 1000",
+        "fbf9042b3139fa60a8c2e0c109b2b74b",
+        fun () -> stream_digest (fun r -> string_of_int (Rng.int r 1000)) );
+      ( "int 1024",
+        "5f31c68e5e942825d6230912eb361b60",
+        fun () -> stream_digest (fun r -> string_of_int (Rng.int r 1024)) );
+      ( "bool",
+        "aa50b645341626f0d32c772ddbd3ddfc",
+        fun () -> stream_digest (fun r -> string_of_bool (Rng.bool r)) );
+      ( "split child",
+        "2aca1b0e75edc6149bbab5776685d3ba",
+        fun () -> stream_digest ~prepare:Rng.split bits64 );
+      ( "copy",
+        "45d3d9a3e3c38012b8bfb968e97cca34",
+        fun () ->
+          stream_digest
+            ~prepare:(fun r ->
+              ignore (Rng.bits64 r);
+              Rng.copy r)
+            bits64 );
+    ]
+
+(* Minor words allocated by [k] calls of [f], after one warm-up call. *)
+let minor_words k f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to k do
+    f ()
+  done;
+  Gc.minor_words () -. before
+
+(* The generator step keeps its state unboxed: the int-returning helpers
+   allocate nothing, and a power-law draw at most the one boxed float it
+   hands to its quantile. The slack covers the measurement itself. *)
+let allocation_budget () =
+  let k = 100_000 and slack = 64.0 in
+  let rng = Rng.of_int 2002 in
+  let pl = Sample.power_law ~exponent:1.0 ~max_length:(1 lsl 16) in
+  List.iter
+    (fun (name, budget, f) ->
+      let words = minor_words k f in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words in %d calls (budget %.0f per call)" name words k
+           budget)
+        true
+        (words <= (budget *. float_of_int k) +. slack))
+    [
+      ("Rng.bits", 0.0, fun () -> ignore (Rng.bits rng));
+      ("Rng.int 1024", 0.0, fun () -> ignore (Rng.int rng 1024));
+      ("Rng.int 1000", 0.0, fun () -> ignore (Rng.int rng 1000));
+      ("Rng.bool", 0.0, fun () -> ignore (Rng.bool rng));
+      ( "Sample.power_law_draw",
+        2.0,
+        fun () -> ignore (Sample.power_law_draw pl rng ~upto:(1 lsl 16)) );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Samplers                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -404,6 +484,38 @@ let power_law_exponent2 () =
   let rate = float_of_int !short /. float_of_int trials in
   Alcotest.(check bool) "short fraction near 0.78" true (abs_float (rate -. 0.777) < 0.02)
 
+(* The draw's reference: the same prefix table, built by the same loop as
+   [Sample.power_law], searched by a plain binary search over
+   [0, upto - 1]. *)
+let reference_prefix ~exponent ~max_length =
+  let acc = ref 0.0 in
+  Array.init max_length (fun i ->
+      acc := !acc +. (1.0 /. Float.pow (float_of_int (i + 1)) exponent);
+      !acc)
+
+let reference_quantile prefix ~upto u =
+  let target = u *. prefix.(upto - 1) in
+  let rec search lo hi =
+    if lo >= hi then lo + 1
+    else
+      let mid = (lo + hi) / 2 in
+      if prefix.(mid) > target then search lo mid else search (mid + 1) hi
+  in
+  search 0 (upto - 1)
+
+let power_law_draw_is_its_quantile () =
+  let pl = Sample.power_law ~exponent:1.0 ~max_length:1000 in
+  let rng = Rng.of_int 113 in
+  for upto = 1 to 1000 do
+    let u = Rng.float (Rng.copy rng) in
+    Alcotest.(check int) "draw = quantile of one Rng.float"
+      (Sample.power_law_quantile pl ~upto u)
+      (Sample.power_law_draw pl rng ~upto)
+  done;
+  Alcotest.check_raises "upto 0"
+    (Invalid_argument "Sample.power_law_quantile: upto out of range") (fun () ->
+      ignore (Sample.power_law_quantile pl ~upto:0 0.5))
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -432,6 +544,42 @@ let prop_power_law_in_range =
       let pl = Sample.power_law ~exponent:1.0 ~max_length:512 in
       let d = Sample.power_law_draw pl (Rng.of_int seed) ~upto in
       d >= 1 && d <= upto)
+
+(* Exponent 6 adds prefixes that plateau in floating point: from d = 457
+   on, d^-6 is below half an ulp of the sum and every later entry equals
+   the last. Exponent 3's plateaus only start near d = 2^17.7, past the
+   sizes drawn here. *)
+let oracle_exponents = [| 0.0; 0.5; 1.0; 1.2; 2.0; 3.0; 6.0 |]
+
+(* Each case: an exponent, a max_length spread log-uniformly over
+   [1, 2^16], an upto that is 1, max_length or uniform in between, an
+   index j < upto and a uniform u. The property checks u itself and the
+   edge targets: u = 0, the largest u below 1 (a target just below
+   prefix.(upto-1)), and u = prefix.(j) / total with its two float
+   neighbours, which land on or next to the prefix value. *)
+let prop_power_law_quantile_exact =
+  let gen =
+    QCheck.Gen.(
+      int_bound (Array.length oracle_exponents - 1) >>= fun e ->
+      int_bound 16 >>= fun k ->
+      int_range (max 1 (1 lsl k / 2)) (1 lsl k) >>= fun max_length ->
+      oneof [ return 1; return max_length; int_range 1 max_length ] >>= fun upto ->
+      int_bound (upto - 1) >>= fun j ->
+      float_bound_exclusive 1.0 >>= fun u -> return (oracle_exponents.(e), max_length, upto, j, u))
+  in
+  let print (exponent, max_length, upto, j, u) =
+    Printf.sprintf "exponent %g max_length %d upto %d j %d u %h" exponent max_length upto j u
+  in
+  QCheck.Test.make ~name:"power_law_quantile = binary search over the prefix table" ~count:400
+    (QCheck.make ~print gen) (fun (exponent, max_length, upto, j, u) ->
+      let pl = Sample.power_law ~exponent ~max_length in
+      let prefix = reference_prefix ~exponent ~max_length in
+      let on_prefix = prefix.(j) /. prefix.(upto - 1) in
+      List.for_all
+        (fun u ->
+          u < 0.0 || u >= 1.0
+          || Sample.power_law_quantile pl ~upto u = reference_quantile prefix ~upto u)
+        [ u; 0.0; Float.pred 1.0; on_prefix; Float.pred on_prefix; Float.succ on_prefix ])
 
 let prop_cdf_draw_in_range =
   QCheck.Test.make ~name:"cdf_draw returns a valid index" ~count:300
@@ -477,6 +625,8 @@ let () =
           quick "split streams differ" rng_split_streams_differ;
           quick "float_range bounds" rng_float_range_bounds;
           quick "copy replays" rng_copy_replays;
+          quick "stream digests pinned (seed 2002)" rng_stream_digests;
+          quick "allocation budget" allocation_budget;
         ] );
       ( "samplers",
         [
@@ -501,9 +651,16 @@ let () =
           quick "power-law harmonic frequencies" power_law_harmonic_frequencies;
           quick "power-law totals are harmonic numbers" power_law_total_matches_harmonic;
           quick "power-law exponent 2" power_law_exponent2;
+          quick "power-law draw is its quantile" power_law_draw_is_its_quantile;
         ] );
       ( "properties",
         List.map (fun p -> QCheck_alcotest.to_alcotest p)
-          [ prop_int_in_bound; prop_permutation; prop_power_law_in_range; prop_cdf_draw_in_range ]
+          [
+            prop_int_in_bound;
+            prop_permutation;
+            prop_power_law_in_range;
+            prop_power_law_quantile_exact;
+            prop_cdf_draw_in_range;
+          ]
       );
     ]
