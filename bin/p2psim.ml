@@ -10,7 +10,8 @@
      dune exec bin/p2psim.exe -- recovery --kill 0.3
      dune exec bin/p2psim.exe -- anatomy
      dune exec bin/p2psim.exe -- dht --replicas 3 --fail 0.3
-     dune exec bin/p2psim.exe -- churn --duration 2000 *)
+     dune exec bin/p2psim.exe -- churn --duration 2000
+     dune exec bin/p2psim.exe -- paper --csv results   # the whole evaluation *)
 
 module E = Ftr_core.Experiment
 module Network = Ftr_core.Network
@@ -36,6 +37,7 @@ let checked conv ~expected valid =
   Arg.conv (parse, Arg.conv_printer conv)
 
 let nodes_conv = checked Arg.int ~expected:"a node count of at least 2" (fun n -> n >= 2)
+let positive_conv = checked Arg.int ~expected:"a positive count" (fun k -> k >= 1)
 
 let fraction_conv =
   checked Arg.float ~expected:"a fraction in [0, 1)" (fun p -> p >= 0.0 && p < 1.0)
@@ -53,12 +55,12 @@ let links_t =
 
 let networks_t default =
   Arg.(
-    value & opt int default
+    value & opt positive_conv default
     & info [ "networks" ] ~docv:"K" ~doc:"Independent networks to average over.")
 
 let messages_t default =
   Arg.(
-    value & opt int default
+    value & opt positive_conv default
     & info [ "messages" ] ~docv:"M" ~doc:"Messages routed per network and data point.")
 
 let resolve_links n = function Some l -> l | None -> int_of_float (Theory.lg n)
@@ -284,13 +286,7 @@ let figure5_cmd =
     let replacement =
       if oldest then Ftr_core.Heuristic.Oldest else Ftr_core.Heuristic.Proportional
     in
-    let r = E.figure5 ~replacement ~networks ~n ~links ~seed () in
-    Printf.printf "%10s %12s %12s %12s\n" "length" "derived" "ideal" "error";
-    List.iter
-      (fun p -> Printf.printf "%10d %12.6f %12.6f %+12.6f\n" p.E.length p.E.derived p.E.ideal p.E.error)
-      r.E.points;
-    Printf.printf "max |error| = %.4f at length %d; total variation = %.4f\n" r.E.max_abs_error
-      r.E.max_abs_error_length r.E.total_variation
+    Paper.print_figure5 (E.figure5 ~replacement ~networks ~n ~links ~seed ())
   in
   let oldest_t =
     Arg.(value & flag & info [ "oldest" ] ~doc:"Use the oldest-link replacement strategy.")
@@ -304,17 +300,7 @@ let figure5_cmd =
 let figure6_cmd =
   let run n links seed networks messages =
     let links = resolve_links n links in
-    Printf.printf "%8s | %18s | %18s | %26s\n" "p" "terminate" "re-route" "backtrack(5)";
-    Printf.printf "%8s | %8s %9s | %8s %9s | %8s %9s %7s\n" "" "failed" "hops" "failed" "hops"
-      "failed" "hops" "path";
-    List.iter
-      (fun r ->
-        Printf.printf "%8.2f | %8.4f %9.2f | %8.4f %9.2f | %8.4f %9.2f %7.2f\n" r.E.fail_fraction
-          r.E.terminate.E.failed_fraction r.E.terminate.E.mean_hops
-          r.E.reroute.E.failed_fraction r.E.reroute.E.mean_hops
-          r.E.backtrack.E.failed_fraction r.E.backtrack.E.mean_hops
-          r.E.backtrack.E.mean_path_hops)
-      (E.figure6 ~n ~links ~networks ~messages ~seed ())
+    Paper.print_figure6 (E.figure6 ~n ~links ~networks ~messages ~seed ())
   in
   Cmd.v
     (Cmd.info "figure6" ~doc:"Failure strategies under a sweep of node-failure fractions")
@@ -325,10 +311,7 @@ let figure6_cmd =
 let figure7_cmd =
   let run n links seed networks messages =
     let links = resolve_links n links in
-    Printf.printf "%12s %14s %18s\n" "p(node fail)" "ideal failed" "constructed failed";
-    List.iter
-      (fun r -> Printf.printf "%12.2f %14.4f %18.4f\n" r.E.death_p r.E.ideal_failed r.E.constructed_failed)
-      (E.figure7 ~n ~links ~networks ~messages ~seed ())
+    Paper.print_figure7 (E.figure7 ~n ~links ~networks ~messages ~seed ())
   in
   Cmd.v
     (Cmd.info "figure7" ~doc:"Ideal vs heuristically constructed network under failures")
@@ -338,72 +321,27 @@ let figure7_cmd =
 
 let table1_cmd =
   let run n seed networks messages json =
-    let ns = [ n / 64; n / 16; n / 4; n ] in
-    let sections =
-      [
-        ("Theorem 12 (1 link)", E.sweep_single_link ~ns ~networks ~messages ~seed ());
-        ( "Theorem 13 (l links)",
-          E.sweep_multi_link ~n ~links_list:[ 1; 2; 4; 8 ] ~networks ~messages ~seed () );
-        ("Theorem 14 (deterministic)", E.sweep_deterministic ~ns ~base:2 ~messages ~seed ());
-        ( "Theorem 15 (link failures)",
-          E.sweep_link_failure ~n ~probs:[ 1.0; 0.6; 0.2 ] ~networks ~messages ~seed () );
-        ( "Theorem 16 (geometric links)",
-          E.sweep_geometric_link_failure ~n ~base:2 ~probs:[ 1.0; 0.6 ] ~networks ~messages
-            ~seed () );
-        ( "Theorem 17 (binomial nodes)",
-          E.sweep_binomial_nodes ~n ~probs:[ 1.0; 0.5 ] ~networks ~messages ~seed () );
-        ( "Theorem 18 (node failures)",
-          E.sweep_node_failure ~n ~probs:[ 0.0; 0.3; 0.6 ] ~networks ~messages ~seed () );
-        ("Theorem 10 (lower bound)", E.sweep_lower_bound ~ns ~links:3 ~trials:300 ~seed ());
-      ]
-    in
-    if json then begin
-      let open Ftr_obs.Json in
-      let row r =
-        Obj
-          [
-            ("label", String r.E.label);
-            ("parameter", Float r.E.parameter);
-            ("measured", Float r.E.measured);
-            ("bound", Float r.E.bound);
-            ("ratio", Float r.E.ratio);
-          ]
-      in
-      print_endline
-        (to_string
-           (List
-              (List.map
-                 (fun (header, rows) ->
-                   Obj [ ("section", String header); ("rows", List (List.map row rows)) ])
-                 sections)))
-    end
-    else
-      List.iter
-        (fun (header, rows) ->
-          Printf.printf "\n-- %s --\n%24s %12s %12s %12s %8s\n" header "row" "param" "measured"
-            "bound" "ratio";
-          List.iter
-            (fun r ->
-              Printf.printf "%24s %12.3f %12.2f %12.2f %8.3f\n" r.E.label r.E.parameter
-                r.E.measured r.E.bound r.E.ratio)
-            rows)
-        sections
+    let sections = E.table1 ~n ~networks ~messages ~seed () in
+    if json then print_endline (Ftr_obs.Json.to_string (Paper.table1_json sections))
+    else List.iter Paper.print_scaling sections
+  in
+  (* The smallest N whose n/64 still spans the Theorem 10 chain. *)
+  let n_t =
+    Arg.(
+      value
+      & opt (checked int ~expected:"a node count of at least 128" (fun n -> n >= 128)) (1 lsl 14)
+      & info [ "n"; "nodes" ] ~docv:"N"
+          ~doc:"Largest node count; the battery runs at N/64, N/16, N/4 and N.")
   in
   Cmd.v
     (Cmd.info "table1" ~doc:"Every Table 1 bound against simulation")
-    Term.(const run $ n_t (1 lsl 14) $ seed_t $ networks_t 3 $ messages_t 200 $ json_t)
+    Term.(const run $ n_t $ seed_t $ networks_t 4 $ messages_t 200 $ json_t)
 
 (* adversary *)
 
 let adversary_cmd =
   let run n seed trials =
-    let r = Ftr_core.Adversary.isolation_experiment ~n ~trials ~seed () in
-    Printf.printf "adversary budget: %d kills (the structural positions target±2^i)\n"
-      r.Ftr_core.Adversary.kills;
-    Printf.printf "geometric (Theorem 16) network: %6.4f of searches to the target fail\n"
-      r.Ftr_core.Adversary.geometric_failed;
-    Printf.printf "randomized 1/d network:         %6.4f of searches to the target fail\n"
-      r.Ftr_core.Adversary.random_failed
+    Paper.print_isolation (Ftr_core.Adversary.isolation_experiment ~n ~trials ~seed ())
   in
   let trials_t =
     Arg.(value & opt int 100 & info [ "trials" ] ~docv:"T" ~doc:"Random targets to attack.")
@@ -417,15 +355,7 @@ let adversary_cmd =
 
 let byzantine_cmd =
   let run n seed networks messages =
-    Printf.printf "%10s %12s %12s %12s %14s\n" "byzantine" "naive" "retry" "backtrack"
-      "wasted/search";
-    List.iter
-      (fun r ->
-        Printf.printf "%10.2f %12.4f %12.4f %12.4f %14.2f\n"
-          r.Ftr_core.Byzantine.byzantine_fraction r.Ftr_core.Byzantine.naive_failed
-          r.Ftr_core.Byzantine.retry_failed r.Ftr_core.Byzantine.backtrack_failed
-          r.Ftr_core.Byzantine.retry_wasted)
-      (Ftr_core.Byzantine.sweep ~n ~networks ~messages ~seed ())
+    Paper.print_byzantine (Ftr_core.Byzantine.sweep ~n ~networks ~messages ~seed ())
   in
   Cmd.v
     (Cmd.info "byzantine" ~doc:"Blackhole adversary sweep with three defences")
@@ -435,18 +365,7 @@ let byzantine_cmd =
 
 let recovery_cmd =
   let run n seed kill samples =
-    let r =
-      Ftr_p2p.Recovery.run ~line_size:n ~kill_fraction:kill ~samples ~seed ()
-    in
-    Printf.printf "killed %d of %d nodes at t=0\n" r.Ftr_p2p.Recovery.killed
-      r.Ftr_p2p.Recovery.initial_nodes;
-    Printf.printf "%8s %10s %18s %10s %10s\n" "time" "success" "probes/lookup" "hops" "repairs";
-    List.iter
-      (fun sm ->
-        Printf.printf "%8.0f %10.3f %18.2f %10.2f %10d\n" sm.Ftr_p2p.Recovery.time
-          sm.Ftr_p2p.Recovery.success_rate sm.Ftr_p2p.Recovery.probes_per_lookup
-          sm.Ftr_p2p.Recovery.mean_hops sm.Ftr_p2p.Recovery.repairs_so_far)
-      r.Ftr_p2p.Recovery.samples
+    Paper.print_recovery (Ftr_p2p.Recovery.run ~line_size:n ~kill_fraction:kill ~samples ~seed ())
   in
   let kill_t =
     Arg.(value & opt float 0.3 & info [ "kill" ] ~docv:"P" ~doc:"Fraction crashed at t=0.")
@@ -461,27 +380,7 @@ let recovery_cmd =
 (* anatomy *)
 
 let anatomy_cmd =
-  let run n links seed =
-    let links = resolve_links n links in
-    let rng = Rng.of_int seed in
-    Printf.printf "%26s %8s %8s %10s %9s %8s %8s %10s\n" "network" "out" "in(max)" "hotspot"
-      "med.len" "p90" "p99" "boundary";
-    List.iter
-      (fun (name, net) ->
-        let a = Ftr_core.Network_stats.anatomy net in
-        Printf.printf "%26s %8.1f %8d %9.1fx %9.0f %8.0f %8.0f %9.2fx\n" name
-          a.Ftr_core.Network_stats.mean_out_degree a.Ftr_core.Network_stats.max_in_degree
-          a.Ftr_core.Network_stats.in_degree_hotspot a.Ftr_core.Network_stats.median_length
-          a.Ftr_core.Network_stats.p90_length a.Ftr_core.Network_stats.p99_length
-          a.Ftr_core.Network_stats.boundary_distortion)
-      [
-        ("ideal 1/d line", Network.build_ideal ~n ~links (Rng.split rng));
-        ("ideal 1/d circle", Network.build_ring ~n ~links (Rng.split rng));
-        ("heuristic construction", Ftr_core.Heuristic.build ~n ~links (Rng.split rng));
-        ("geometric base-2", Network.build_geometric ~n ~base:2);
-        ("chord-like", Network.build_chordlike ~n ());
-      ]
-  in
+  let run n links seed = Paper.print_anatomy ~n ~links:(resolve_links n links) ~seed in
   Cmd.v
     (Cmd.info "anatomy" ~doc:"Structural statistics of every network builder")
     Term.(const run $ n_t 4096 $ links_t $ seed_t)
@@ -503,12 +402,7 @@ let dht_cmd =
     in
     Printf.printf "universe %d keys, %d replicas, %d Zipf-popular requests, %.0f%% nodes dead\n"
       (Ftr_dht.Workload.universe w) replicas requests (100.0 *. fraction);
-    Printf.printf "hit rate          %8.4f\n" report.Ftr_dht.Workload.hit_rate;
-    Printf.printf "mean hops         %8.2f\n" report.Ftr_dht.Workload.mean_hops;
-    Printf.printf "serving hotspot   %8.1fx the mean serving load\n"
-      report.Ftr_dht.Workload.serve_max_over_mean;
-    Printf.printf "forwarding hotspot%8.1fx the mean forwarding load\n"
-      report.Ftr_dht.Workload.forward_max_over_mean
+    Paper.print_load report
   in
   let replicas_t =
     Arg.(value & opt int 3 & info [ "replicas" ] ~docv:"R" ~doc:"Salted replica count.")
@@ -525,27 +419,18 @@ let dht_cmd =
 let churn_cmd =
   let run line_size links seed duration initial =
     let links = resolve_links line_size (Some links) in
-    let report =
-      Ftr_p2p.Churn.run
-        ~config:
-          {
-            Ftr_p2p.Churn.duration;
-            join_rate = 0.05;
-            crash_rate = 0.03;
-            leave_rate = 0.02;
-            lookup_rate = 2.0;
-            min_nodes = 8;
-          }
-        ~seed ~line_size ~initial_nodes:initial ~links ()
-    in
-    let r = report in
-    Printf.printf "final live nodes     %8d\n" r.Ftr_p2p.Churn.final_nodes;
-    Printf.printf "joins/crashes/leaves %8d / %d / %d\n" r.Ftr_p2p.Churn.joins
-      r.Ftr_p2p.Churn.crashes r.Ftr_p2p.Churn.leaves;
-    Printf.printf "lookups (user)       %8d, success %.4f, mean hops %.2f\n"
-      r.Ftr_p2p.Churn.lookups_issued r.Ftr_p2p.Churn.success_rate r.Ftr_p2p.Churn.mean_hops;
-    Printf.printf "messages/probes/repairs %5d / %d / %d\n" r.Ftr_p2p.Churn.messages
-      r.Ftr_p2p.Churn.probes r.Ftr_p2p.Churn.repairs
+    Paper.print_churn
+      (Ftr_p2p.Churn.run
+         ~config:
+           {
+             Ftr_p2p.Churn.duration;
+             join_rate = 0.05;
+             crash_rate = 0.03;
+             leave_rate = 0.02;
+             lookup_rate = 2.0;
+             min_nodes = 8;
+           }
+         ~seed ~line_size ~initial_nodes:initial ~links ())
   in
   let duration_t =
     Arg.(value & opt float 1000.0 & info [ "duration" ] ~docv:"T" ~doc:"Virtual-time horizon.")
@@ -952,7 +837,6 @@ let check_cmd =
 
 module Sweep = Ftr_exec.Sweep
 module Json = Ftr_obs.Json
-module Summary = Ftr_stats.Summary
 
 (* The checkpoint codec renders floats by their IEEE-754 bit pattern so a
    resumed sweep decodes *exactly* what the interrupted run computed —
@@ -1069,23 +953,8 @@ let sweep_cmd =
       let rows =
         List.mapi
           (fun pi (n, links0, fraction) ->
-            let failed = Summary.create () in
-            let hops = Summary.create () in
-            let path_s = Summary.create () in
-            for k = 0 to networks - 1 do
-              let m = results.((pi * networks) + k) in
-              Summary.add failed m.E.failed_fraction;
-              if not (Float.is_nan m.E.mean_hops) then begin
-                Summary.add hops m.E.mean_hops;
-                Summary.add path_s m.E.mean_path_hops
-              end
-            done;
-            ( n,
-              resolve n links0,
-              fraction,
-              Summary.mean failed,
-              Summary.mean hops,
-              Summary.mean path_s ))
+            let m = E.average (List.init networks (fun k -> results.((pi * networks) + k))) in
+            (n, resolve n links0, fraction, m.E.failed_fraction, m.E.mean_hops, m.E.mean_path_hops))
           points
       in
       (match csv_path with
@@ -1542,4 +1411,5 @@ let () =
             sweep_cmd;
             serve_cmd;
             snapshot_cmd;
+            Paper.cmd;
           ]))

@@ -1,6 +1,14 @@
 module Rng = Ftr_prng.Rng
 module Summary = Ftr_stats.Summary
 module Gof = Ftr_stats.Gof
+module Pool = Ftr_exec.Pool
+
+(* The figure drivers run their per-network work as [Pool.map] jobs. The
+   root generator only ever splits, so the jobs' generators are split up
+   front in the order a sequential loop would split them: every stream,
+   and so every row, is the same for any [?jobs] and under
+   [FTR_EXEC_SEQ=1]. *)
+let split_n rng count = Array.init count (fun _ -> Rng.split rng)
 
 (* Shared measurement kernel: route [messages] messages between uniformly
    random live (src, dst) pairs and summarise failure fraction and the
@@ -22,23 +30,23 @@ let pick_live rng failures ~n =
   in
   attempt 0
 
+(* A (src, dst) pair of live nodes, distinct unless a thousand redraws
+   found no other. *)
+let live_pair rng failures ~n =
+  let src = pick_live rng failures ~n in
+  let rec dst_loop tries =
+    let d = pick_live rng failures ~n in
+    if d <> src || tries > 1000 then d else dst_loop (tries + 1)
+  in
+  (src, dst_loop 0)
+
 let measure ?(failures = Failure.none) ?(side = Route.Two_sided) ?(strategy = Route.Terminate)
     ?pairs ~messages ~rng net =
   let n = Network.size net in
   let hops = Summary.create () in
   let path_hops = Summary.create () in
   let failed = ref 0 in
-  let pair i =
-    match pairs with
-    | Some p -> p.(i)
-    | None ->
-        let src = pick_live rng failures ~n in
-        let rec dst_loop tries =
-          let d = pick_live rng failures ~n in
-          if d <> src || tries > 1000 then d else dst_loop (tries + 1)
-        in
-        (src, dst_loop 0)
-  in
+  let pair i = match pairs with Some p -> p.(i) | None -> live_pair rng failures ~n in
   (* One scratch for the whole batch keeps backtracking runs off the
      minor heap (see {!Route.scratch}). *)
   let scratch = Route.scratch net in
@@ -61,13 +69,25 @@ let measure ?(failures = Failure.none) ?(side = Route.Two_sided) ?(strategy = Ro
   }
 
 let random_live_pairs rng failures ~n ~messages =
-  Array.init messages (fun _ ->
-      let src = pick_live rng failures ~n in
-      let rec dst_loop tries =
-        let d = pick_live rng failures ~n in
-        if d <> src || tries > 1000 then d else dst_loop (tries + 1)
-      in
-      (src, dst_loop 0))
+  Array.init messages (fun _ -> live_pair rng failures ~n)
+
+let average ms =
+  let failed = Summary.create () and hops = Summary.create () and path = Summary.create () in
+  List.iter
+    (fun m ->
+      Summary.add failed m.failed_fraction;
+      if not (Float.is_nan m.mean_hops) then begin
+        Summary.add hops m.mean_hops;
+        Summary.add path m.mean_path_hops
+      end)
+    ms;
+  {
+    failed_fraction = Summary.mean failed;
+    mean_hops = Summary.mean hops;
+    hops_ci95 = Summary.ci95_halfwidth hops;
+    mean_path_hops = Summary.mean path;
+    messages = List.fold_left (fun acc m -> acc + m.messages) 0 ms;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Figure 5: link-length distribution of the Section 5 heuristic.      *)
@@ -89,9 +109,20 @@ let report_lengths ~n =
   let rec powers acc v = if v >= n then List.rev acc else powers (v :: acc) (v * 2) in
   List.sort_uniq Int.compare (3 :: 6 :: powers [] 1)
 
-(* Shared tail of the sequential and parallel drivers: average the
-   accumulated pmf mass and compare with the ideal 1/d law. *)
-let figure5_finish ~networks ~n sum =
+let figure5 ?(replacement = Heuristic.Proportional) ?(networks = 10) ?jobs ~n ~links ~seed () =
+  if networks < 1 then invalid_arg "Experiment.figure5: networks must be >= 1";
+  let rngs = split_n (Rng.of_int seed) networks in
+  let pmfs =
+    Pool.map ?jobs ~count:networks (fun i ->
+        Heuristic.length_distribution (Heuristic.build ~replacement ~n ~links rngs.(i)))
+  in
+  let sum = Array.make n 0.0 in
+  Array.iter
+    (fun pmf ->
+      for d = 0 to n - 1 do
+        sum.(d) <- sum.(d) +. pmf.(d)
+      done)
+    pmfs;
   let derived = Array.map (fun s -> s /. float_of_int networks) sum in
   let ideal = Heuristic.ideal_distribution ~n () in
   let max_abs_error, max_abs_error_length = Gof.max_abs_error ~empirical:derived ~model:ideal in
@@ -103,19 +134,6 @@ let figure5_finish ~networks ~n sum =
       (report_lengths ~n)
   in
   { points; max_abs_error; max_abs_error_length; total_variation; networks }
-
-let figure5 ?(replacement = Heuristic.Proportional) ?(networks = 10) ~n ~links ~seed () =
-  if networks < 1 then invalid_arg "Experiment.figure5: networks must be >= 1";
-  let rng = Rng.of_int seed in
-  let sum = Array.make n 0.0 in
-  for _ = 1 to networks do
-    let net = Heuristic.build ~replacement ~n ~links (Rng.split rng) in
-    let pmf = Heuristic.length_distribution net in
-    for d = 0 to n - 1 do
-      sum.(d) <- sum.(d) +. pmf.(d)
-    done
-  done;
-  figure5_finish ~networks ~n sum
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6: the three stuck-message strategies under node failures.   *)
@@ -129,45 +147,33 @@ type figure6_row = {
 }
 
 let figure6 ?(n = 1 lsl 15) ?links ?(networks = 10) ?(messages = 100)
-    ?(fractions = [ 0.0; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8 ]) ~seed () =
+    ?(fractions = [ 0.0; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8 ]) ?jobs ~seed () =
   let links = match links with Some l -> l | None -> int_of_float (Theory.lg n) in
-  let rng = Rng.of_int seed in
-  List.map
-    (fun fraction ->
-      let accum = Array.init 3 (fun _ -> (Summary.create (), Summary.create (), Summary.create ())) in
-      for _ = 1 to networks do
-        let net_rng = Rng.split rng in
+  let fractions = Array.of_list fractions in
+  (* One job per (fraction, network), fraction-major: it builds its own
+     overlay, failure mask and traffic, then routes the identical traffic
+     under all three strategies (the paper's variance-reduction pairing). *)
+  let rngs = split_n (Rng.of_int seed) (Array.length fractions * networks) in
+  let results =
+    Pool.map ?jobs ~count:(Array.length rngs) (fun j ->
+        let fraction = fractions.(j / networks) and net_rng = rngs.(j) in
         let net = Network.build_ideal ~n ~links net_rng in
         let mask = Failure.random_node_fraction net_rng ~n ~fraction in
         let failures = Failure.of_node_mask mask in
         let pairs = random_live_pairs net_rng failures ~n ~messages in
-        List.iteri
-          (fun si strategy ->
-            let m = measure ~failures ~strategy ~pairs ~messages ~rng:net_rng net in
-            let failed_s, hops_s, path_s = accum.(si) in
-            Summary.add failed_s m.failed_fraction;
-            if not (Float.is_nan m.mean_hops) then begin
-              Summary.add hops_s m.mean_hops;
-              Summary.add path_s m.mean_path_hops
-            end)
-          [
+        Array.map
+          (fun strategy -> measure ~failures ~strategy ~pairs ~messages ~rng:net_rng net)
+          [|
             Route.Terminate;
             Route.Random_reroute { attempts = 1 };
             Route.Backtrack { history = 5 };
-          ]
-      done;
-      let result si =
-        let failed_s, hops_s, path_s = accum.(si) in
-        {
-          failed_fraction = Summary.mean failed_s;
-          mean_hops = Summary.mean hops_s;
-          hops_ci95 = Summary.ci95_halfwidth hops_s;
-          mean_path_hops = Summary.mean path_s;
-          messages = networks * messages;
-        }
-      in
+          |])
+  in
+  List.mapi
+    (fun fi fraction ->
+      let result si = average (List.init networks (fun k -> results.((fi * networks) + k).(si))) in
       { fail_fraction = fraction; terminate = result 0; reroute = result 1; backtrack = result 2 })
-    fractions
+    (Array.to_list fractions)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 7: ideal vs heuristically constructed network.               *)
@@ -176,33 +182,42 @@ let figure6 ?(n = 1 lsl 15) ?links ?(networks = 10) ?(messages = 100)
 type figure7_row = { death_p : float; ideal_failed : float; constructed_failed : float }
 
 let figure7 ?(n = 16384) ?links ?(networks = 10) ?(messages = 1000)
-    ?(probs = [ 0.0; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9 ]) ~seed () =
+    ?(probs = [ 0.0; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9 ]) ?jobs ~seed () =
   let links = match links with Some l -> l | None -> int_of_float (Theory.lg n) in
   let rng = Rng.of_int seed in
   (* Build the networks once and reuse them across failure probabilities,
-     as the paper's "10 iterations" does. *)
+     as the paper's "10 iterations" does: [networks] build splits, then
+     probs x networks measure splits, prob-major. The networks are only
+     read by the measure jobs, and [measure] allocates its own scratch. *)
+  let build_rngs = split_n rng networks in
   let nets =
-    List.init networks (fun _ ->
-        let r = Rng.split rng in
+    Pool.map ?jobs ~count:networks (fun i ->
+        let r = build_rngs.(i) in
         (Network.build_ideal ~n ~links r, Heuristic.build ~n ~links r))
   in
-  List.map
-    (fun death_p ->
+  let probs = Array.of_list probs in
+  let measure_rngs = split_n rng (Array.length probs * networks) in
+  let failed =
+    Pool.map ?jobs ~count:(Array.length measure_rngs) (fun j ->
+        let r = measure_rngs.(j) and ideal_net, constructed_net = nets.(j mod networks) in
+        let fraction = Float.min probs.(j / networks) 0.99 in
+        let mask = Failure.random_node_fraction r ~n ~fraction in
+        let failures = Failure.of_node_mask mask in
+        let pairs = random_live_pairs r failures ~n ~messages in
+        let mi = measure ~failures ~pairs ~messages ~rng:r ideal_net in
+        let mc = measure ~failures ~pairs ~messages ~rng:r constructed_net in
+        (mi.failed_fraction, mc.failed_fraction))
+  in
+  List.mapi
+    (fun pi death_p ->
       let ideal_s = Summary.create () and constructed_s = Summary.create () in
-      List.iter
-        (fun (ideal_net, constructed_net) ->
-          let r = Rng.split rng in
-          let fraction = Float.min death_p 0.99 in
-          let mask = Failure.random_node_fraction r ~n ~fraction in
-          let failures = Failure.of_node_mask mask in
-          let pairs = random_live_pairs r failures ~n ~messages in
-          let mi = measure ~failures ~pairs ~messages ~rng:r ideal_net in
-          let mc = measure ~failures ~pairs ~messages ~rng:r constructed_net in
-          Summary.add ideal_s mi.failed_fraction;
-          Summary.add constructed_s mc.failed_fraction)
-        nets;
+      for k = 0 to networks - 1 do
+        let fi, fc = failed.((pi * networks) + k) in
+        Summary.add ideal_s fi;
+        Summary.add constructed_s fc
+      done;
       { death_p; ideal_failed = Summary.mean ideal_s; constructed_failed = Summary.mean constructed_s })
-    probs
+    (Array.to_list probs)
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: scaling sweeps against the closed-form bounds.             *)
@@ -222,18 +237,25 @@ let row ~label ~parameter ~measured ~bound =
 let mean_delivery ?failures ?side ?strategy ~messages ~rng net =
   (measure ?failures ?side ?strategy ~messages ~rng net).mean_hops
 
+(* The mean of [f r] over [networks] generators [r] split from [rng] in
+   turn: one sample per independently built network. *)
+let mean_over ~networks rng f =
+  let s = Summary.create () in
+  for _ = 1 to networks do
+    Summary.add s (f (Rng.split rng))
+  done;
+  Summary.mean s
+
 let sweep_single_link ?(ns = [ 256; 1024; 4096; 16384 ]) ?(networks = 5) ?(messages = 200) ~seed
     () =
   let rng = Rng.of_int seed in
   List.map
     (fun n ->
-      let s = Summary.create () in
-      for _ = 1 to networks do
-        let r = Rng.split rng in
-        let net = Network.build_ideal ~n ~links:1 r in
-        Summary.add s (mean_delivery ~messages ~rng:r net)
-      done;
-      row ~label:"single-link" ~parameter:(float_of_int n) ~measured:(Summary.mean s)
+      let measured =
+        mean_over ~networks rng (fun r ->
+            mean_delivery ~messages ~rng:r (Network.build_ideal ~n ~links:1 r))
+      in
+      row ~label:"single-link" ~parameter:(float_of_int n) ~measured
         ~bound:(Theory.upper_single_link n))
     ns
 
@@ -242,13 +264,11 @@ let sweep_multi_link ?(n = 16384) ?(links_list = [ 1; 2; 4; 8; 14 ]) ?(networks 
   let rng = Rng.of_int seed in
   List.map
     (fun links ->
-      let s = Summary.create () in
-      for _ = 1 to networks do
-        let r = Rng.split rng in
-        let net = Network.build_ideal ~n ~links r in
-        Summary.add s (mean_delivery ~messages ~rng:r net)
-      done;
-      row ~label:"multi-link" ~parameter:(float_of_int links) ~measured:(Summary.mean s)
+      let measured =
+        mean_over ~networks rng (fun r ->
+            mean_delivery ~messages ~rng:r (Network.build_ideal ~n ~links r))
+      in
+      row ~label:"multi-link" ~parameter:(float_of_int links) ~measured
         ~bound:(Theory.upper_multi_link ~links n))
     links_list
 
@@ -269,14 +289,13 @@ let sweep_link_failure ?(n = 16384) ?links ?(probs = [ 1.0; 0.8; 0.6; 0.4; 0.2 ]
   let rng = Rng.of_int seed in
   List.map
     (fun present_p ->
-      let s = Summary.create () in
-      for _ = 1 to networks do
-        let r = Rng.split rng in
-        let net = Network.build_ideal ~n ~links r in
-        let failures = Failure.of_link_mask (Failure.random_link_mask r net ~present_p) in
-        Summary.add s (mean_delivery ~failures ~messages ~rng:r net)
-      done;
-      row ~label:"link-failure" ~parameter:present_p ~measured:(Summary.mean s)
+      let measured =
+        mean_over ~networks rng (fun r ->
+            let net = Network.build_ideal ~n ~links r in
+            let failures = Failure.of_link_mask (Failure.random_link_mask r net ~present_p) in
+            mean_delivery ~failures ~messages ~rng:r net)
+      in
+      row ~label:"link-failure" ~parameter:present_p ~measured
         ~bound:(Theory.upper_link_failure ~links ~present_p n))
     probs
 
@@ -285,15 +304,13 @@ let sweep_geometric_link_failure ?(n = 16384) ?(base = 2) ?(probs = [ 1.0; 0.8; 
   let rng = Rng.of_int seed in
   List.map
     (fun present_p ->
-      let s = Summary.create () in
-      for _ = 1 to networks do
-        let r = Rng.split rng in
-        let net = Network.build_geometric ~n ~base in
-        let failures = Failure.of_link_mask (Failure.random_link_mask r net ~present_p) in
-        Summary.add s (mean_delivery ~failures ~messages ~rng:r net)
-      done;
-      row ~label:(Printf.sprintf "geometric-base-%d" base) ~parameter:present_p
-        ~measured:(Summary.mean s)
+      let measured =
+        mean_over ~networks rng (fun r ->
+            let net = Network.build_geometric ~n ~base in
+            let failures = Failure.of_link_mask (Failure.random_link_mask r net ~present_p) in
+            mean_delivery ~failures ~messages ~rng:r net)
+      in
+      row ~label:(Printf.sprintf "geometric-base-%d" base) ~parameter:present_p ~measured
         ~bound:(Theory.upper_geometric_link_failure ~base ~present_p n))
     probs
 
@@ -302,15 +319,13 @@ let sweep_binomial_nodes ?(n = 16384) ?(links = 1) ?(probs = [ 1.0; 0.7; 0.5; 0.
   let rng = Rng.of_int seed in
   List.map
     (fun present_p ->
-      let s = Summary.create () in
-      for _ = 1 to networks do
-        let r = Rng.split rng in
-        let net = Network.build_binomial ~n ~links ~present_p r in
-        Summary.add s (mean_delivery ~messages ~rng:r net)
-      done;
+      let measured =
+        mean_over ~networks rng (fun r ->
+            mean_delivery ~messages ~rng:r (Network.build_binomial ~n ~links ~present_p r))
+      in
       (* Theorem 17: the bound is the failure-free O(H_n²), independent of
          p — absent nodes just shrink the random graph. *)
-      row ~label:"binomial-nodes" ~parameter:present_p ~measured:(Summary.mean s)
+      row ~label:"binomial-nodes" ~parameter:present_p ~measured
         ~bound:(Theory.upper_single_link n))
     probs
 
@@ -320,20 +335,17 @@ let sweep_node_failure ?(n = 16384) ?links ?(probs = [ 0.0; 0.2; 0.4; 0.6 ]) ?(n
   let rng = Rng.of_int seed in
   List.map
     (fun death_p ->
-      let s = Summary.create () in
-      for _ = 1 to networks do
-        let r = Rng.split rng in
-        let net = Network.build_ideal ~n ~links r in
-        let mask = Failure.bernoulli_node_mask r ~n ~death_p in
-        let failures = Failure.of_node_mask mask in
-        (* Theorem 18 concerns delivery time; measure hops of successful
-           searches under the backtracking strategy so most messages make
-           it through. *)
-        Summary.add s
-          (mean_delivery ~failures ~strategy:(Route.Backtrack { history = 5 }) ~messages ~rng:r
-             net)
-      done;
-      row ~label:"node-failure" ~parameter:death_p ~measured:(Summary.mean s)
+      let measured =
+        mean_over ~networks rng (fun r ->
+            let net = Network.build_ideal ~n ~links r in
+            let failures = Failure.of_node_mask (Failure.bernoulli_node_mask r ~n ~death_p) in
+            (* Theorem 18 concerns delivery time; measure hops of successful
+               searches under the backtracking strategy so most messages
+               make it through. *)
+            mean_delivery ~failures ~strategy:(Route.Backtrack { history = 5 }) ~messages ~rng:r
+              net)
+      in
+      row ~label:"node-failure" ~parameter:death_p ~measured
         ~bound:(Theory.upper_node_failure ~links ~death_p n))
     probs
 
@@ -362,13 +374,11 @@ let sweep_exponent ?(n = 16384) ?(links = 2)
   let rng = Rng.of_int seed in
   List.map
     (fun exponent ->
-      let s = Summary.create () in
-      for _ = 1 to networks do
-        let r = Rng.split rng in
-        let net = Network.build_ideal ~exponent ~n ~links r in
-        Summary.add s (mean_delivery ~messages ~rng:r net)
-      done;
-      row ~label:"exponent" ~parameter:exponent ~measured:(Summary.mean s)
+      let measured =
+        mean_over ~networks rng (fun r ->
+            mean_delivery ~messages ~rng:r (Network.build_ideal ~exponent ~n ~links r))
+      in
+      row ~label:"exponent" ~parameter:exponent ~measured
         ~bound:(Theory.upper_multi_link ~links n))
     exponents
 
@@ -398,32 +408,15 @@ let sweep_backtrack_history ?(n = 1 lsl 14) ?links ?(fraction = 0.5)
   let rng = Rng.of_int seed in
   List.map
     (fun history ->
-      let failed = Summary.create () and hops = Summary.create () and path = Summary.create () in
-      for _ = 1 to networks do
-        let r = Rng.split rng in
-        let net = Network.build_ideal ~n ~links r in
-        let mask = Failure.random_node_fraction r ~n ~fraction in
-        let failures = Failure.of_node_mask mask in
-        let m =
-          measure ~failures ~strategy:(Route.Backtrack { history }) ~messages ~rng:r net
-        in
-        Summary.add failed m.failed_fraction;
-        if not (Float.is_nan m.mean_hops) then begin
-          Summary.add hops m.mean_hops;
-          Summary.add path m.mean_path_hops
-        end
-      done;
-      {
-        history;
-        result =
-          {
-            failed_fraction = Summary.mean failed;
-            mean_hops = Summary.mean hops;
-            hops_ci95 = Summary.ci95_halfwidth hops;
-            mean_path_hops = Summary.mean path;
-            messages = networks * messages;
-          };
-      })
+      let result =
+        average
+          (List.init networks (fun _ ->
+               let r = Rng.split rng in
+               let net = Network.build_ideal ~n ~links r in
+               let failures = Failure.of_node_mask (Failure.random_node_fraction r ~n ~fraction) in
+               measure ~failures ~strategy:(Route.Backtrack { history }) ~messages ~rng:r net))
+      in
+      { history; result })
     histories
 
 (* Extension: line vs circle at matched parameters (Section 7: "the line
@@ -531,146 +524,25 @@ let sweep_stretch ?(n = 4096) ?(links_list = [ 1; 4; 12 ]) ?(pairs = 100) ~seed 
       })
     links_list
 
+
 (* ------------------------------------------------------------------ *)
-(* Parallel variants (Ftr_exec): same row shapes, multicore execution. *)
+(* Table 1: the captioned sections, run as pool jobs.                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The drivers below never share a generator across jobs: each job gets a
-   Seed-derived stream keyed by its index, and results merge in index
-   order, so the output is a pure function of the arguments — identical
-   for any [?jobs] and for the FTR_EXEC_SEQ=1 fallback. They are siblings
-   of the sequential drivers above, not replacements: the sequential ones
-   thread one generator through the whole run and therefore produce
-   different (equally valid) samples. *)
-
-module Pool = Ftr_exec.Pool
-module Sweep = Ftr_exec.Sweep
-
-let measure_par ?(failures = Failure.none) ?(side = Route.Two_sided)
-    ?(strategy = Route.Terminate) ?(shards = 16) ?jobs ~pairs ~seed net =
-  let messages = Array.length pairs in
-  if messages = 0 then invalid_arg "Experiment.measure_par: pairs must be non-empty";
-  (* Shard boundaries are fixed by [shards] alone — never by the worker
-     count — so the job decomposition is part of the experiment
-     definition and the merged summary is scheduling-invariant. *)
-  let shards = max 1 (min shards messages) in
-  let shard_results =
-    Pool.map_seeded ?jobs ~seed ~count:shards (fun ~index ~rng ->
-        let lo = index * messages / shards and hi = (index + 1) * messages / shards in
-        let failed = ref 0 and hops = ref [] and path_hops = ref [] in
-        (* Per-shard scratch: jobs may run on different domains, and
-           scratch state must never be shared across them. *)
-        let scratch = Route.scratch net in
-        for i = lo to hi - 1 do
-          let src, dst = pairs.(i) in
-          let path = ref [ src ] in
-          let on_hop v = path := v :: !path in
-          (match Route.route ~failures ~side ~strategy ~rng ~on_hop ~scratch net ~src ~dst with
-          | Route.Delivered { hops = h } ->
-              hops := h :: !hops;
-              path_hops := Route.loop_erased_length (List.rev !path) :: !path_hops
-          | Route.Failed _ -> incr failed)
-        done;
-        (!failed, List.rev !hops, List.rev !path_hops))
-  in
-  let hops = Summary.create () and path_hops = Summary.create () in
-  let failed = ref 0 in
-  Array.iter
-    (fun (f, hs, ps) ->
-      failed := !failed + f;
-      List.iter (Summary.add_int hops) hs;
-      List.iter (Summary.add_int path_hops) ps)
-    shard_results;
-  {
-    failed_fraction = float_of_int !failed /. float_of_int messages;
-    mean_hops = Summary.mean hops;
-    hops_ci95 = Summary.ci95_halfwidth hops;
-    mean_path_hops = Summary.mean path_hops;
-    messages;
-  }
-
-let figure5_par ?(replacement = Heuristic.Proportional) ?(networks = 10) ?jobs ~n ~links ~seed ()
-    =
-  if networks < 1 then invalid_arg "Experiment.figure5_par: networks must be >= 1";
-  let pmfs =
-    Pool.map_seeded ?jobs ~seed ~count:networks (fun ~index:_ ~rng ->
-        Heuristic.length_distribution (Heuristic.build ~replacement ~n ~links rng))
-  in
-  let sum = Array.make n 0.0 in
-  Array.iter
-    (fun pmf ->
-      for d = 0 to n - 1 do
-        sum.(d) <- sum.(d) +. pmf.(d)
-      done)
-    pmfs;
-  figure5_finish ~networks ~n sum
-
-let figure6_par ?(n = 1 lsl 15) ?links ?(networks = 10) ?(messages = 100)
-    ?(fractions = [ 0.0; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8 ]) ?jobs ~seed () =
-  let links = match links with Some l -> l | None -> int_of_float (Theory.lg n) in
-  (* One job per (fraction, network): builds its own overlay, failure mask
-     and traffic, then routes the identical traffic under all three
-     strategies (the paper's variance-reduction pairing). *)
-  let sweep =
-    Sweep.create
-      ~run:(fun ~index:_ ~rng (fraction, _net) ->
-        let net = Network.build_ideal ~n ~links rng in
-        let mask = Failure.random_node_fraction rng ~n ~fraction in
-        let failures = Failure.of_node_mask mask in
-        let pairs = random_live_pairs rng failures ~n ~messages in
-        List.map
-          (fun strategy -> measure ~failures ~strategy ~pairs ~messages ~rng net)
-          [
-            Route.Terminate;
-            Route.Random_reroute { attempts = 1 };
-            Route.Backtrack { history = 5 };
-          ])
-      (Sweep.grid2 fractions (List.init networks Fun.id))
-  in
-  let results = Sweep.run ?jobs ~seed sweep in
-  (* grid2 is row-major, so a fraction's [networks] jobs are consecutive;
-     folding them in index order keeps the output jobs-invariant. *)
-  List.mapi
-    (fun fi fraction ->
-      let accum = Array.init 3 (fun _ -> (Summary.create (), Summary.create (), Summary.create ())) in
-      for k = 0 to networks - 1 do
-        List.iteri
-          (fun si m ->
-            let failed_s, hops_s, path_s = accum.(si) in
-            Summary.add failed_s m.failed_fraction;
-            if not (Float.is_nan m.mean_hops) then begin
-              Summary.add hops_s m.mean_hops;
-              Summary.add path_s m.mean_path_hops
-            end)
-          results.((fi * networks) + k)
-      done;
-      let result si =
-        let failed_s, hops_s, path_s = accum.(si) in
-        {
-          failed_fraction = Summary.mean failed_s;
-          mean_hops = Summary.mean hops_s;
-          hops_ci95 = Summary.ci95_halfwidth hops_s;
-          mean_path_hops = Summary.mean path_s;
-          messages = networks * messages;
-        }
-      in
-      { fail_fraction = fraction; terminate = result 0; reroute = result 1; backtrack = result 2 })
-    fractions
-
-let table1_grid ?jobs ?(ns = [ 256; 1024; 4096; 16384 ]) ?(big = 1 lsl 14) ?(networks = 4)
-    ?(messages = 200) ?(trials = 300) ~seed () =
-  (* Each section is a self-contained closure that derives its own
-     generator from [seed] (exactly as the sequential bench harness calls
-     it), so running sections on pool workers is byte-identical to running
-     them in a loop. *)
+let table1 ?jobs ?(n = 1 lsl 14) ?(networks = 4) ?(messages = 200) ?(trials = 300) ~seed () =
+  if n < 128 then invalid_arg "Experiment.table1: n must be >= 128";
+  let ns = [ n / 64; n / 16; n / 4; n ] in
+  (* Each section derives its own generator from [seed], so running the
+     sections on pool workers is byte-identical to running them in a
+     loop. *)
   let sections =
     [|
       (fun () ->
         ( "no failures, 1 link: T = O(H_n^2)  [Theorem 12]",
           sweep_single_link ~ns ~networks ~messages ~seed () ));
       (fun () ->
-        ( Printf.sprintf "no failures, l links, n=%d: T = O(log^2 n / l)  [Theorem 13]" big,
-          sweep_multi_link ~n:big ~links_list:[ 1; 2; 4; 8; 14 ] ~networks ~messages ~seed () ));
+        ( Printf.sprintf "no failures, l links, n=%d: T = O(log^2 n / l)  [Theorem 13]" n,
+          sweep_multi_link ~n ~links_list:[ 1; 2; 4; 8; 14 ] ~networks ~messages ~seed () ));
       (fun () ->
         ( "deterministic base-2 links: T <= ceil(log2 n)  [Theorem 14]",
           sweep_deterministic ~ns ~base:2 ~messages ~seed () ));
@@ -678,20 +550,19 @@ let table1_grid ?jobs ?(ns = [ 256; 1024; 4096; 16384 ]) ?(big = 1 lsl 14) ?(net
         ( "deterministic base-16 links: T <= ceil(log16 n)  [Theorem 14]",
           sweep_deterministic ~ns ~base:16 ~messages ~seed () ));
       (fun () ->
-        ( Printf.sprintf "link failures, n=%d: T = O(log^2 n / p l)  [Theorem 15]" big,
-          sweep_link_failure ~n:big ~probs:[ 1.0; 0.8; 0.6; 0.4; 0.2 ] ~networks ~messages ~seed
-            () ));
+        ( Printf.sprintf "link failures, n=%d: T = O(log^2 n / p l)  [Theorem 15]" n,
+          sweep_link_failure ~n ~probs:[ 1.0; 0.8; 0.6; 0.4; 0.2 ] ~networks ~messages ~seed () ));
       (fun () ->
-        ( Printf.sprintf "geometric links + failures, n=%d: T = O(b log n / p)  [Theorem 16]" big,
-          sweep_geometric_link_failure ~n:big ~base:2 ~probs:[ 1.0; 0.8; 0.6; 0.4 ] ~networks
+        ( Printf.sprintf "geometric links + failures, n=%d: T = O(b log n / p)  [Theorem 16]" n,
+          sweep_geometric_link_failure ~n ~base:2 ~probs:[ 1.0; 0.8; 0.6; 0.4 ] ~networks
             ~messages ~seed () ));
       (fun () ->
-        ( Printf.sprintf "binomial node presence, n=%d, 1 link: T = O(log^2 n)  [Theorem 17]" big,
-          sweep_binomial_nodes ~n:big ~links:1 ~probs:[ 1.0; 0.7; 0.5; 0.3 ] ~networks ~messages
+        ( Printf.sprintf "binomial node presence, n=%d, 1 link: T = O(log^2 n)  [Theorem 17]" n,
+          sweep_binomial_nodes ~n ~links:1 ~probs:[ 1.0; 0.7; 0.5; 0.3 ] ~networks ~messages
             ~seed () ));
       (fun () ->
-        ( Printf.sprintf "node failures, n=%d: T = O(log^2 n / (1-p) l)  [Theorem 18]" big,
-          sweep_node_failure ~n:big ~probs:[ 0.0; 0.2; 0.4; 0.6 ] ~networks ~messages ~seed () ));
+        ( Printf.sprintf "node failures, n=%d: T = O(log^2 n / (1-p) l)  [Theorem 18]" n,
+          sweep_node_failure ~n ~probs:[ 0.0; 0.2; 0.4; 0.6 ] ~networks ~messages ~seed () ));
       (fun () ->
         ( "one-sided greedy vs Omega(log^2 n / l loglog n)  [Theorem 10]",
           sweep_lower_bound ~ns ~links:3 ~trials ~seed () ));

@@ -1,7 +1,12 @@
 (** Experiment drivers for every table and figure in the paper's
-    evaluation. Each function returns structured rows; the bench harness
-    and the CLI do the printing. All randomness flows from the [seed]
-    argument, so every row is reproducible. *)
+    evaluation. Each function returns structured rows; the CLI does the
+    printing. All randomness flows from the [seed] argument, so every row
+    is reproducible.
+
+    The figure drivers and {!table1} take [?jobs] (default
+    [Ftr_exec.Pool.default_jobs ()]) and run their per-network work as
+    pool jobs on generators split from the root in loop order, so their
+    rows are byte-identical for any [?jobs] and under [FTR_EXEC_SEQ=1]. *)
 
 (** {1 Measurement kernel} *)
 
@@ -30,6 +35,11 @@ val measure :
 (** Route [messages] messages between random live pairs (or the supplied
     [pairs]) and summarise, as in Section 6. *)
 
+val average : measurement list -> measurement
+(** Average per-network measurements: the failed fraction over all of
+    them, the delivery times over those that delivered anything; the
+    message counts add up. *)
+
 val random_live_pairs :
   Ftr_prng.Rng.t -> Failure.t -> n:int -> messages:int -> (int * int) array
 (** Pre-draw (src, dst) pairs of live nodes, for variance reduction when
@@ -50,6 +60,7 @@ type figure5_result = {
 val figure5 :
   ?replacement:Heuristic.replacement ->
   ?networks:int ->
+  ?jobs:int ->
   n:int ->
   links:int ->
   seed:int ->
@@ -73,6 +84,7 @@ val figure6 :
   ?networks:int ->
   ?messages:int ->
   ?fractions:float list ->
+  ?jobs:int ->
   seed:int ->
   unit ->
   figure6_row list
@@ -90,6 +102,7 @@ val figure7 :
   ?networks:int ->
   ?messages:int ->
   ?probs:float list ->
+  ?jobs:int ->
   seed:int ->
   unit ->
   figure7_row list
@@ -199,61 +212,11 @@ val sweep_stretch :
 (** Ablation: the price of locality — greedy routing versus global
     shortest paths on the same overlays. *)
 
-(** {1 Parallel drivers}
+(** {1 Table 1 — the captioned battery} *)
 
-    Multicore siblings of the drivers above, built on {!Ftr_exec}. Each
-    job draws from its own [Ftr_exec.Seed]-derived stream keyed by job
-    index, and results merge in index order, so the output is a pure
-    function of the arguments — byte-identical for any [?jobs] (which
-    defaults to [Ftr_exec.Pool.default_jobs]) and for the
-    [FTR_EXEC_SEQ=1] sequential fallback. They are {e siblings}, not
-    drop-in equivalents, of the sequential drivers: those thread a single
-    generator through the run and so produce different (equally valid)
-    samples of the same distributions. *)
-
-val measure_par :
-  ?failures:Failure.t ->
-  ?side:Route.side ->
-  ?strategy:Route.strategy ->
-  ?shards:int ->
+val table1 :
   ?jobs:int ->
-  pairs:(int * int) array ->
-  seed:int ->
-  Network.t ->
-  measurement
-(** {!measure} over pre-drawn [pairs], split into [shards] fixed slices
-    (default 16) routed as independent jobs. Shard boundaries depend only
-    on [shards], never on [jobs]. *)
-
-val figure5_par :
-  ?replacement:Heuristic.replacement ->
-  ?networks:int ->
-  ?jobs:int ->
-  n:int ->
-  links:int ->
-  seed:int ->
-  unit ->
-  figure5_result
-(** {!figure5} with one job per network construction. *)
-
-val figure6_par :
   ?n:int ->
-  ?links:int ->
-  ?networks:int ->
-  ?messages:int ->
-  ?fractions:float list ->
-  ?jobs:int ->
-  seed:int ->
-  unit ->
-  figure6_row list
-(** {!figure6} as a [fractions × networks] sweep — one job per (fraction,
-    network) pair, each routing identical traffic under all three
-    strategies. *)
-
-val table1_grid :
-  ?jobs:int ->
-  ?ns:int list ->
-  ?big:int ->
   ?networks:int ->
   ?messages:int ->
   ?trials:int ->
@@ -261,7 +224,7 @@ val table1_grid :
   unit ->
   (string * scaling_row list) list
 (** The whole Table 1 battery (Theorems 12–18 and the Theorem 10 lower
-    bound) as captioned sections run as pool jobs. Every section derives
-    its own generator from [seed], exactly as the bench harness calls the
-    sequential sweeps, so the rows match a sequential run byte for
-    byte. *)
+    bound) as captioned sections, each a pool job, at node counts
+    [n/64; n/16; n/4; n] (default [n] = 2^14). Every section derives its
+    own generator from [seed].
+    @raise Invalid_argument if [n < 128]. *)

@@ -15,6 +15,14 @@ let cases =
     (* sweep's list axes are checked element by element. *)
     ([ "sweep"; "--fail"; "0.0,1.5" ], "--fail");
     ([ "sweep"; "--nodes"; "256,1" ], "--nodes");
+    (* The artefacts: counts must be positive, and table1's N/64 must
+       still span the Theorem 10 chain. *)
+    ([ "table1"; "--nodes"; "100" ], "--nodes");
+    ([ "figure5"; "--networks"; "0" ], "--networks");
+    ([ "figure6"; "--networks"; "0" ], "--networks");
+    ([ "figure7"; "--messages"; "0" ], "--messages");
+    ([ "byzantine"; "--networks"; "0" ], "--networks");
+    ([ "paper"; "nosuch" ], "nosuch");
   ]
 
 let contains s sub = Option.is_some (Ftr_lint.Suppress.find_sub s sub)

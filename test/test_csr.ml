@@ -101,9 +101,10 @@ let golden_route_outcomes_with_scratch () =
 (* ------------------------------------------------------------------ *)
 
 (* Full-precision (hex float) fractions recorded from the pre-refactor
-   tree at test scale. Compared as %h strings: bit-for-bit, no epsilon. *)
-let golden_figure6 () =
-  let rows = E.figure6 ~n:1024 ~links:10 ~networks:2 ~messages:60 ~fractions:[ 0.0; 0.3; 0.6 ] ~seed:5 () in
+   tree at test scale. Compared as %h strings: bit-for-bit, no epsilon.
+   The pooled run ([jobs] = Some 4) must reproduce the same bits. *)
+let golden_figure6 jobs () =
+  let rows = E.figure6 ?jobs ~n:1024 ~links:10 ~networks:2 ~messages:60 ~fractions:[ 0.0; 0.3; 0.6 ] ~seed:5 () in
   let line r =
     Printf.sprintf "p=%g term=%h rer=%h bt=%h bt_hops=%h bt_path=%h" r.E.fail_fraction
       r.E.terminate.E.failed_fraction r.E.reroute.E.failed_fraction
@@ -581,7 +582,9 @@ let () =
           Alcotest.test_case "route outcomes" `Quick golden_route_outcomes;
           Alcotest.test_case "route outcomes with shared scratch" `Quick
             golden_route_outcomes_with_scratch;
-          Alcotest.test_case "figure6 fractions (bit-exact)" `Quick golden_figure6;
+          Alcotest.test_case "figure6 fractions (bit-exact)" `Quick (golden_figure6 None);
+          Alcotest.test_case "figure6 fractions at jobs=4 (bit-exact)" `Quick
+            (golden_figure6 (Some 4));
           Alcotest.test_case "build_ideal CSR and route digests" `Quick pinned_ideal_digests;
           Alcotest.test_case "bench route stream digests" `Quick pinned_bench_stream_digests;
         ] );

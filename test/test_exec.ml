@@ -12,7 +12,6 @@ module Checkpoint = Ftr_exec.Checkpoint
 module Rng = Ftr_prng.Rng
 module Json = Ftr_obs.Json
 module E = Ftr_core.Experiment
-module Network = Ftr_core.Network
 
 let bytes_equal a b = Marshal.to_string a [] = Marshal.to_string b []
 
@@ -369,23 +368,30 @@ let pool_clock_injection () =
     busy
 
 (* ------------------------------------------------------------------ *)
-(* Experiment parallel drivers                                         *)
+(* Experiment drivers                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The figure drivers and the Table 1 battery are the functions every
+   user, golden and CSV runs: each must produce the same bytes for any
+   jobs count and under FTR_EXEC_SEQ=1. *)
 let experiment_parallel () =
-  let f5 jobs = E.figure5_par ~jobs ~networks:2 ~n:256 ~links:4 ~seed:3 () in
-  Alcotest.(check bool) "figure5_par jobs-invariant" true (bytes_equal (f5 1) (f5 3));
-  let rng = Rng.of_int 7 in
-  let net = Network.build_ideal ~n:512 ~links:6 rng in
-  let pairs = E.random_live_pairs rng Ftr_core.Failure.none ~n:512 ~messages:200 in
-  let m jobs = E.measure_par ~jobs ~pairs ~seed:11 net in
-  Alcotest.(check bool) "measure_par jobs-invariant" true (bytes_equal (m 1) (m 4));
-  let f6 jobs = E.figure6_par ~jobs ~n:256 ~networks:2 ~messages:40 ~fractions:[ 0.0; 0.4 ] ~seed:5 () in
-  Alcotest.(check bool) "figure6_par jobs-invariant" true (bytes_equal (f6 1) (f6 2));
-  let t1 jobs =
-    E.table1_grid ~jobs ~ns:[ 64; 128 ] ~big:256 ~networks:1 ~messages:30 ~trials:20 ~seed:2 ()
+  let invariant name run =
+    let reference = run 1 in
+    List.iter
+      (fun jobs ->
+        Alcotest.(check bool) (Printf.sprintf "%s jobs=%d" name jobs) true
+          (bytes_equal reference (run jobs)))
+      [ 2; 4 ];
+    Alcotest.(check bool) (name ^ " FTR_EXEC_SEQ=1") true
+      (Pool.with_sequential_forced true (fun () -> bytes_equal reference (run 4)))
   in
-  Alcotest.(check bool) "table1_grid jobs-invariant" true (bytes_equal (t1 1) (t1 3))
+  invariant "figure5" (fun jobs -> E.figure5 ~jobs ~networks:3 ~n:256 ~links:4 ~seed:3 ());
+  invariant "figure6" (fun jobs ->
+      E.figure6 ~jobs ~n:256 ~networks:2 ~messages:40 ~fractions:[ 0.0; 0.4 ] ~seed:5 ());
+  invariant "figure7" (fun jobs ->
+      E.figure7 ~jobs ~n:256 ~networks:2 ~messages:40 ~probs:[ 0.0; 0.5 ] ~seed:6 ());
+  invariant "table1" (fun jobs ->
+      E.table1 ~jobs ~n:256 ~networks:1 ~messages:30 ~trials:20 ~seed:2 ())
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
