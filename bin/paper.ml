@@ -337,7 +337,9 @@ let ablations ~full =
   let exponent =
     scaling
       ( Printf.sprintf
-          "link-distribution exponent at n=%d, 2 links (Kleinberg brittleness; 1 is optimal)" n,
+          "link-distribution exponent at n=%d, 2 links (Kleinberg brittleness; mean hops at this n, \
+           not the growth rate)"
+          n,
         E.sweep_exponent ~n ~links:2 ~exponents:[ 0.0; 0.5; 0.8; 1.0; 1.2; 1.5; 2.0 ] ~networks
           ~messages ~seed () )
   in

@@ -513,16 +513,12 @@ let overlay ?(strict_ring = false) (o : Overlay.t) =
               emit
                 (violation "overlay.unknown-endpoint" subject "right pointer %d was never a node" r)
         | None -> ());
-        (* Age bookkeeping rides along with the link list one-for-one; a
-           length drift means an add/remove path forgot one side. *)
-        let nl = List.length v.view_long and nb = List.length v.view_births in
-        if nl <> nb then
-          emit (violation "overlay.birth-order-skew" subject "%d long links but %d birth ticks" nl nb);
+        let nl = Array.length v.view_long in
         if nl > Overlay.links o then
           emit
             (violation "overlay.link-count" subject "%d long links exceed the budget l=%d" nl
                (Overlay.links o));
-        List.iter
+        Array.iter
           (fun t ->
             if t = pos then emit (violation "overlay.self-link" subject "long link to itself")
             else if t < 0 || t >= line_size then
@@ -753,12 +749,10 @@ let service (svc : Ftr_svc.Service.t) =
               (violation "svc.ring-order" subject "right pointer %d is not right of %d" r
                  v.S.av_pos)
         | Some _ | None -> ());
-        let nl = List.length v.S.av_long and nb = List.length v.S.av_births in
-        if nl <> nb then
-          emit (violation "svc.birth-order-skew" subject "%d long links but %d birth ticks" nl nb);
+        let nl = Array.length v.S.av_long in
         if nl > links then
           emit (violation "svc.link-count" subject "%d long links exceed the budget l=%d" nl links);
-        List.iter
+        Array.iter
           (fun tgt ->
             if tgt = v.S.av_pos then emit (violation "svc.self-link" subject "long link to itself")
             else if tgt < 0 || tgt >= line_size then

@@ -17,6 +17,41 @@ let nearest_present present w =
   | None, Some a -> Some a
   | Some b, Some a -> if w - b <= a - w then Some b else Some a
 
+(* Section 5's redirect rule, the one copy: [build] below and the served
+   protocol ([Ftr_p2p.Actor]) each apply its verdict their own way.
+
+   An accepted Proportional draw always finds a victim: the scan's
+   accumulator repeats [sum_old]'s additions in the same order (a hole
+   adds an exact 0.0), so it ends bitwise at [sum_old]; [Rng.float] is at
+   most 1 - 2^-53, so the rounded [r *. sum_old] is strictly below
+   [sum_old], and the last live slot at the latest passes [acc > target]. *)
+let redirect_victim replacement rng ?births ~pos ~newcomer slots count =
+  let weight i = if slots.(i) < 0 then 0.0 else 1.0 /. float_of_int (abs (pos - slots.(i))) in
+  let rec sum i acc = if i = count then acc else sum (i + 1) (acc +. weight i) in
+  let sum_old = if newcomer = pos then 0.0 else sum 0 0.0 in
+  if sum_old <= 0.0 then -1
+  else
+    let p_new = 1.0 /. float_of_int (abs (pos - newcomer)) in
+    if Rng.float rng >= p_new /. (sum_old +. p_new) then -1
+    else
+      match (replacement, births) with
+      | Oldest, None -> invalid_arg "Heuristic.redirect_victim: Oldest needs births"
+      | Oldest, Some births ->
+          let rec oldest i best =
+            if i = count then best
+            else if slots.(i) >= 0 && (best < 0 || births.(i) < births.(best)) then oldest (i + 1) i
+            else oldest (i + 1) best
+          in
+          oldest 0 (-1)
+      | Proportional, _ ->
+          let target = Rng.float rng *. sum_old in
+          let rec scan i acc =
+            assert (i < count);
+            let acc = acc +. weight i in
+            if acc > target then i else scan (i + 1) acc
+          in
+          scan 0 0.0
+
 let build ?(exponent = 1.0) ?(replacement = Proportional) ?(arrival = Random_order) ~n ~links rng
     =
   if n < 2 then invalid_arg "Heuristic.build: need at least two nodes";
@@ -41,64 +76,34 @@ let build ?(exponent = 1.0) ?(replacement = Proportional) ?(arrival = Random_ord
       nearest_present !present w
   in
   (* Node [u] is asked to redirect one of its existing long links to the
-     newly arrived [v] (Section 5). Acceptance probability p_{k+1}/sum p_j
-     preserves the 1/d invariant; the victim is chosen proportionally to
-     its own link probability, or by age under the Oldest strategy. *)
+     newly arrived [v]: the victim slot is overwritten in place and
+     re-stamped with the current tick. *)
   let consider_redirect ~u ~v =
-    let weights = Array.map (fun t -> if t < 0 then 0.0 else 1.0 /. float_of_int (abs (u - t))) long.(u) in
-    let sum_old = Array.fold_left ( +. ) 0.0 weights in
-    if sum_old > 0.0 then begin
-      let p_new = 1.0 /. float_of_int (abs (u - v)) in
-      if Rng.float rng < p_new /. (sum_old +. p_new) then begin
-        let victim =
-          match replacement with
-          | Oldest ->
-              let best = ref (-1) in
-              Array.iteri
-                (fun i t ->
-                  if t >= 0 && (!best < 0 || birth.(u).(i) < birth.(u).(!best)) then best := i)
-                long.(u);
-              !best
-          | Proportional ->
-              let target = Rng.float rng *. sum_old in
-              let acc = ref 0.0 and chosen = ref (-1) in
-              Array.iteri
-                (fun i w ->
-                  if !chosen < 0 && w > 0.0 then begin
-                    acc := !acc +. w;
-                    if !acc > target then chosen := i
-                  end)
-                weights;
-              if !chosen < 0 then
-                (* Floating-point slack at the top of the CDF: take the
-                   last live slot. *)
-                Array.iteri (fun i t -> if t >= 0 then chosen := i) long.(u);
-              !chosen
-        in
-        if victim >= 0 then begin
-          if Ftr_obs.Flag.enabled () then begin
-            Ftr_obs.Metrics.incr
-              ~labels:
-                [
-                  ( "replacement",
-                    match replacement with Proportional -> "proportional" | Oldest -> "oldest" );
-                ]
-              "heuristic_redirects_total";
-            (* Construction-phase forensics for the flight-recorder stream:
-               which link the Section 5 redirect rule rewired, and what it
-               evicted. *)
-            Ftr_obs.Events.emit ~kind:"heuristic.redirect"
-              [
-                ("node", Ftr_obs.Json.Int u);
-                ("newcomer", Ftr_obs.Json.Int v);
-                ("evicted", Ftr_obs.Json.Int long.(u).(victim));
-                ("slot", Ftr_obs.Json.Int victim);
-              ]
-          end;
-          long.(u).(victim) <- v;
-          birth.(u).(victim) <- next_tick ()
-        end
-      end
+    let victim =
+      redirect_victim replacement rng ~births:birth.(u) ~pos:u ~newcomer:v long.(u) links
+    in
+    if victim >= 0 then begin
+      if Ftr_obs.Flag.enabled () then begin
+        Ftr_obs.Metrics.incr
+          ~labels:
+            [
+              ( "replacement",
+                match replacement with Proportional -> "proportional" | Oldest -> "oldest" );
+            ]
+          "heuristic_redirects_total";
+        (* Construction-phase forensics for the flight-recorder stream:
+           which link the Section 5 redirect rule rewired, and what it
+           evicted. *)
+        Ftr_obs.Events.emit ~kind:"heuristic.redirect"
+          [
+            ("node", Ftr_obs.Json.Int u);
+            ("newcomer", Ftr_obs.Json.Int v);
+            ("evicted", Ftr_obs.Json.Int long.(u).(victim));
+            ("slot", Ftr_obs.Json.Int victim);
+          ]
+      end;
+      long.(u).(victim) <- v;
+      birth.(u).(victim) <- next_tick ()
     end
   in
   let order =
@@ -203,18 +208,15 @@ let repair ?(exponent = 1.0) ~alive net rng =
   Array.iteri (fun new_i old_i -> index_of.(old_i) <- new_i) live;
   let line_size = Network.line_size net in
   let pl = Sample.power_law ~exponent ~max_length:(line_size - 1) in
-  let present = Array.make line_size false in
-  Array.iter (fun old_i -> present.(Network.position net old_i) <- true) live;
-  let position_index = Hashtbl.create m in
-  Array.iteri (fun new_i old_i -> Hashtbl.replace position_index (Network.position net old_i) new_i)
-    live;
+  (* Line position -> new compacted index, -1 where no survivor sits. *)
+  let position_index = Array.make line_size (-1) in
+  Array.iteri (fun new_i old_i -> position_index.(Network.position net old_i) <- new_i) live;
   let sample_live_index ~src_pos ~self =
     let rec attempt tries =
-      let target = Network.sample_long_target pl rng ~n:line_size ~src:src_pos in
-      match Hashtbl.find_opt position_index target with
-      | Some j when j <> self -> j
-      | Some _ | None ->
-          if tries > 10_000 then (self + 1) mod m else attempt (tries + 1)
+      let j = position_index.(Network.sample_long_target pl rng ~n:line_size ~src:src_pos) in
+      if j >= 0 && j <> self then j
+      else if tries > 10_000 then (self + 1) mod m
+      else attempt (tries + 1)
     in
     attempt 0
   in

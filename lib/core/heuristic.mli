@@ -24,6 +24,18 @@ type arrival =
   | Random_order  (** nodes arrive in a uniformly random order *)
   | Sequential  (** nodes arrive in position order (worst case for basins) *)
 
+val redirect_victim :
+  replacement -> Ftr_prng.Rng.t -> ?births:int array -> pos:int -> newcomer:int -> int array ->
+  int -> int
+(** [redirect_victim replacement rng ?births ~pos ~newcomer slots count]
+    is the redirect rule above, for the node at [pos] whose long links are
+    [slots.(0 .. count-1)] (negative entries are empty slots): the slot to
+    hand to [newcomer], or [-1] when the node declines. It draws nothing
+    when [newcomer = pos] or no slot is live, else one float to accept and,
+    under {!Proportional}, one more to pick the victim. {!Oldest} evicts
+    the live slot with the smallest [births] tick.
+    @raise Invalid_argument under {!Oldest} without [births]. *)
+
 val build :
   ?exponent:float ->
   ?replacement:replacement ->

@@ -23,9 +23,8 @@ type t = {
   mutable alive : bool;
   mutable left : int option;
   mutable right : int option;
-  mutable long : int list;
-  mutable births : int list; (* local arrival order, aligned with [long] *)
-  mutable birth_tick : int; (* local counter feeding [births] *)
+  long : int array; (* long-link targets, newest first; capacity ℓ *)
+  mutable n_long : int; (* live prefix of [long]; the rest is stale *)
   rng : Rng.t;
 }
 
@@ -78,10 +77,8 @@ type ctx = {
 
 let view_alive ctx pos = pos >= 0 && pos < ctx.line_size && Bytes.get ctx.alive_view pos = '\001'
 
-let create ~pos ~rng () =
-  { pos; alive = true; left = None; right = None; long = []; births = []; birth_tick = 0; rng }
-
-let neighbors_of a = Option.to_list a.left @ Option.to_list a.right @ a.long
+let create ~pos ~links ~rng () =
+  { pos; alive = true; left = None; right = None; long = Array.make links (-1); n_long = 0; rng }
 
 (* ------------------------------------------------------------------ *)
 (* The pure routing rules                                              *)
@@ -104,71 +101,58 @@ let better ~pos ~target best cand =
     let d = abs (cand - target) and bd = abs (best - target) in
     if d < bd || (d = bd && cand < best) then cand else best
 
-let rec better_long ~pos ~target best = function
-  | [] -> best
-  | cand :: rest -> better_long ~pos ~target (better ~pos ~target best cand) rest
-
-(* One min-scan over the neighbour set — [left], [right], then [long],
-   read in place: the advancing candidate with minimal (distance,
-   position), or [-1] when this node owns the target's basin. Liveness is
-   deliberately not consulted: the caller probes the single chosen
-   candidate and, on a dead pick, repairs the link set and re-scans — the
-   paper's failure detection by probing. *)
-let best_candidate ~pos ~target ~left ~right ~long =
+(* One min-scan over the neighbour set — [left], [right], then
+   [long.(0 .. n_long-1)], read in place: the advancing candidate with
+   minimal (distance, position), or [-1] when this node owns the target's
+   basin. Liveness is deliberately not consulted: the caller probes the
+   single chosen candidate and, on a dead pick, repairs the link set and
+   re-scans — the paper's failure detection by probing. *)
+let best_candidate ~pos ~target ~left ~right ~long ~n_long =
   let best = match left with Some v -> better ~pos ~target (-1) v | None -> -1 in
-  let best = match right with Some v -> better ~pos ~target best v | None -> best in
-  better_long ~pos ~target best long
+  let best = ref (match right with Some v -> better ~pos ~target best v | None -> best) in
+  for i = 0 to n_long - 1 do
+    best := better ~pos ~target !best long.(i)
+  done;
+  !best
 
 (* ------------------------------------------------------------------ *)
 (* Link bookkeeping                                                    *)
 (* ------------------------------------------------------------------ *)
 
+let index_long a target =
+  let rec find i = if i = a.n_long then -1 else if a.long.(i) = target then i else find (i + 1) in
+  find 0
+
+(* Drop the first link to [target] (a link can be held twice), keeping
+   the others in order; false when there is none. *)
 let remove_long a target =
-  let rec drop ls bs =
-    match (ls, bs) with
-    | [], [] -> ([], [])
-    | l :: ls', b :: bs' ->
-        if l = target then (ls', bs')
-        else
-          let ls'', bs'' = drop ls' bs' in
-          (l :: ls'', b :: bs'')
-    | _ -> (ls, bs)
-  in
-  let ls, bs = drop a.long a.births in
-  a.long <- ls;
-  a.births <- bs
+  let i = index_long a target in
+  if i >= 0 then begin
+    Array.blit a.long (i + 1) a.long i (a.n_long - i - 1);
+    a.n_long <- a.n_long - 1
+  end;
+  i >= 0
 
+(* A copy of the live links, newest first, for introspection. *)
+let long_links a = Array.sub a.long 0 a.n_long
+
+(* The newest link goes first; the caller keeps [n_long] under ℓ. *)
 let add_long a target =
-  a.birth_tick <- a.birth_tick + 1;
-  a.long <- target :: a.long;
-  a.births <- a.birth_tick :: a.births
+  Array.blit a.long 0 a.long 1 a.n_long;
+  a.long.(0) <- target;
+  a.n_long <- a.n_long + 1
 
-(* Section 5's replacement rule, applied when [newcomer] solicits a link
-   from this actor: accept with probability p_{k+1}/sum, evict
-   proportionally. *)
+(* Section 5's redirect rule ([Heuristic.redirect_victim]), applied when
+   [newcomer] solicits a link from this actor: the evicted link leaves,
+   the newcomer's becomes the newest. *)
 let consider_redirect ctx a ~newcomer =
-  if newcomer <> a.pos then begin
-    let weights = List.map (fun l -> 1.0 /. float_of_int (abs (a.pos - l))) a.long in
-    let sum_old = List.fold_left ( +. ) 0.0 weights in
-    if sum_old > 0.0 then begin
-      let p_new = 1.0 /. float_of_int (abs (a.pos - newcomer)) in
-      if Rng.float a.rng < p_new /. (sum_old +. p_new) then begin
-        let target = Rng.float a.rng *. sum_old in
-        let victim =
-          let rec scan acc = function
-            | [] -> None
-            | (l, w) :: rest -> if acc +. w > target then Some l else scan (acc +. w) rest
-          in
-          scan 0.0 (List.combine a.long weights)
-        in
-        match victim with
-        | Some v ->
-            remove_long a v;
-            add_long a newcomer;
-            ctx.counters.c_redirects <- ctx.counters.c_redirects + 1
-        | None -> ()
-      end
-    end
+  let victim =
+    Ftr_core.Heuristic.(redirect_victim Proportional) a.rng ~pos:a.pos ~newcomer a.long a.n_long
+  in
+  if victim >= 0 then begin
+    ignore (remove_long a a.long.(victim));
+    add_long a newcomer;
+    ctx.counters.c_redirects <- ctx.counters.c_redirects + 1
   end
 
 (* Ring repair: walk the line away from [from], one probe per grid point,
@@ -206,7 +190,11 @@ let log_candidates a l ~best =
            })
   in
   let log_opt l = function Some v -> log l v | None -> l in
-  let l = List.fold_left log (log_opt (log_opt l a.left) a.right) a.long in
+  let l = ref (log_opt (log_opt l a.left) a.right) in
+  for i = 0 to a.n_long - 1 do
+    l := log !l a.long.(i)
+  done;
+  let l = !l in
   if best < 0 then l
   else tlog l (T_cand { cur = a.pos; cand = best; dist = abs (best - l.target); verdict = V_chosen })
 
@@ -226,6 +214,7 @@ and enter ctx a l =
 and scan ctx a l =
   let best =
     best_candidate ~pos:a.pos ~target:l.target ~left:a.left ~right:a.right ~long:a.long
+      ~n_long:a.n_long
   in
   let l = if l.traced then log_candidates a l ~best else l in
   if best < 0 then deliver ctx a l
@@ -335,8 +324,7 @@ and continue_join ctx a =
    regeneration of links when a node crashes"); re-probe ring pointers
    that named the dead node. *)
 and repair ctx a ~dead =
-  if List.mem dead a.long then begin
-    remove_long a dead;
+  if remove_long a dead then begin
     ctx.counters.c_repairs <- ctx.counters.c_repairs + 1;
     if ctx.regenerate then begin
       let sink = Ftr_core.Network.sample_long_target ctx.pl a.rng ~n:ctx.line_size ~src:a.pos in
@@ -364,8 +352,7 @@ let handle ctx a (payload : payload) =
   | Resolved { owner; kind = Link; _ } ->
       (* Claim the long link the routed lookup found, under the budget;
          dead origins never get here (see [dead_mail]). *)
-      if owner <> a.pos && (not (List.mem owner a.long)) && List.length a.long < ctx.links then
-        add_long a owner
+      if owner <> a.pos && index_long a owner < 0 && a.n_long < ctx.links then add_long a owner
   | Resolved _ -> ()
   | Splice { left; right } ->
       a.left <- left;
@@ -374,9 +361,15 @@ let handle ctx a (payload : payload) =
   | Set_left v -> a.left <- v
   | Set_right v -> a.right <- v
   | Stabilize ->
-      let candidates = Array.of_list (neighbors_of a) in
-      if Array.length candidates > 0 then begin
-        let v = candidates.(Rng.int a.rng (Array.length candidates)) in
+      (* One neighbour, uniform over left, right, then the long links. *)
+      let ring = Bool.to_int (Option.is_some a.left) + Bool.to_int (Option.is_some a.right) in
+      if ring + a.n_long > 0 then begin
+        let v =
+          match (a.left, a.right, Rng.int a.rng (ring + a.n_long)) with
+          | Some l, _, 0 -> l
+          | Some _, Some r, 1 | None, Some r, 0 -> r
+          | _, _, i -> a.long.(i - ring)
+        in
         ctx.counters.c_probes <- ctx.counters.c_probes + 1;
         if not (view_alive ctx v) then repair ctx a ~dead:v
       end

@@ -63,8 +63,8 @@ let live_positions t =
 
 (* Sanitizer hook: per-node structural invariants, re-checked after every
    handled message when FTR_CHECK is on. The ring pointers must frame the
-   node, the age bookkeeping must stay aligned with the link list, and
-   the link list must respect the budget ℓ. *)
+   node, and the long links must respect the budget ℓ and never name
+   the node itself. *)
 let debug_check t (a : Actor.t) =
   (match a.left with
   | Some l when l >= a.pos ->
@@ -74,12 +74,10 @@ let debug_check t (a : Actor.t) =
   | Some r when r <= a.pos ->
       Ftr_debug.Debug.failf "Overlay: node %d has right pointer %d on its left" a.pos r
   | Some _ | None -> ());
-  let nl = List.length a.long and nb = List.length a.births in
-  if nl <> nb then
-    Ftr_debug.Debug.failf "Overlay: node %d has %d long links but %d birth ticks" a.pos nl nb;
-  if nl > links t then
-    Ftr_debug.Debug.failf "Overlay: node %d holds %d long links, budget is %d" a.pos nl (links t);
-  if List.mem a.pos a.long then
+  if a.n_long > links t then
+    Ftr_debug.Debug.failf "Overlay: node %d holds %d long links, budget is %d" a.pos a.n_long
+      (links t);
+  if Actor.index_long a a.pos >= 0 then
     Ftr_debug.Debug.failf "Overlay: node %d holds a long link to itself" a.pos
 
 (* ------------------------------------------------------------------ *)
@@ -213,7 +211,7 @@ let create ?(latency_model = Ftr_sim.Latency.constant 1.0) ?(ttl = 256) ?(regene
 (* ------------------------------------------------------------------ *)
 
 let register t ~pos =
-  let a = Actor.create ~pos ~rng:t.rng () in
+  let a = Actor.create ~pos ~links:(links t) ~rng:t.rng () in
   Hashtbl.replace t.actors pos a;
   Bytes.set t.ctx.Actor.alive_view pos '\001';
   t.stats.joins <- t.stats.joins + 1;
@@ -324,8 +322,7 @@ type node_view = {
   view_alive : bool;
   view_left : int option;
   view_right : int option;
-  view_long : int list;
-  view_births : int list;
+  view_long : int array;
 }
 
 let iter_nodes t f =
@@ -337,8 +334,7 @@ let iter_nodes t f =
           view_alive = a.alive;
           view_left = a.left;
           view_right = a.right;
-          view_long = a.long;
-          view_births = a.births;
+          view_long = Actor.long_links a;
         })
     t.actors
 

@@ -108,8 +108,7 @@ type node_view = {
   view_alive : bool;
   view_left : int option;  (** nearest known live node to the left *)
   view_right : int option;
-  view_long : int list;  (** long-distance link targets (positions) *)
-  view_births : int list;  (** arrival ticks, aligned with [view_long] *)
+  view_long : int array;  (** long-distance link targets (positions), newest first *)
 }
 
 val line_size : t -> int

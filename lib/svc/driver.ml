@@ -339,7 +339,7 @@ let invariant_problems res =
       if v.Service.av_mail_high_water > v.Service.av_mail_capacity then
         bad "actor %d mailbox high water %d exceeds capacity %d" v.Service.av_pos
           v.Service.av_mail_high_water v.Service.av_mail_capacity;
-      if List.length v.Service.av_long > Service.links svc then
+      if Array.length v.Service.av_long > Service.links svc then
         bad "actor %d carries %d long links (budget %d)" v.Service.av_pos
-          (List.length v.Service.av_long) (Service.links svc));
+          (Array.length v.Service.av_long) (Service.links svc));
   List.rev !problems

@@ -227,7 +227,7 @@ let add_slot t ~pos ~alive =
   if pos < 0 || pos >= t.line_size then invalid_arg "Service.register: position off the line";
   if Option.is_some t.slots.(pos) then
     invalid_arg "Service.register: position already registered";
-  let a = Actor.create ~pos ~rng:(Seed.rng_for ~seed:t.seed ~index:pos) () in
+  let a = Actor.create ~pos ~links:t.links ~rng:(Seed.rng_for ~seed:t.seed ~index:pos) () in
   a.Actor.alive <- alive;
   let s = { actor = a; mailbox = Mailbox.create ?capacity:t.capacity ~owner:pos (); next_seq = 0 } in
   t.slots.(pos) <- Some s;
@@ -266,9 +266,8 @@ let of_overlay ?capacity ?ttl ?(regenerate = true) ?shards ?record ~seed ov =
       let a = (add_slot t ~pos:v.O.view_pos ~alive:v.O.view_alive).actor in
       a.Actor.left <- v.O.view_left;
       a.Actor.right <- v.O.view_right;
-      a.Actor.long <- v.O.view_long;
-      a.Actor.births <- v.O.view_births;
-      a.Actor.birth_tick <- List.fold_left max 0 v.O.view_births);
+      Array.blit v.O.view_long 0 a.Actor.long 0 (Array.length v.O.view_long);
+      a.Actor.n_long <- Array.length v.O.view_long);
   let order = ref [] in
   for pos = t.line_size - 1 downto 0 do
     match t.slots.(pos) with Some s -> order := s :: !order | None -> ()
@@ -590,8 +589,7 @@ type actor_view = {
   av_alive : bool;
   av_left : int option;
   av_right : int option;
-  av_long : int list;
-  av_births : int list;
+  av_long : int array;
   av_mail_length : int;
   av_mail_capacity : int;
   av_mail_dropped : int;
@@ -609,8 +607,7 @@ let iter_actors t f =
           av_alive = a.Actor.alive;
           av_left = a.Actor.left;
           av_right = a.Actor.right;
-          av_long = a.Actor.long;
-          av_births = a.Actor.births;
+          av_long = Actor.long_links a;
           av_mail_length = Mailbox.length mailbox;
           av_mail_capacity = Mailbox.capacity mailbox;
           av_mail_dropped = Mailbox.dropped mailbox;

@@ -169,6 +169,133 @@ let constructed_routes_about_as_fast_as_ideal () =
     true (mc < 2.0 *. mi)
 
 (* ------------------------------------------------------------------ *)
+(* The redirect rule itself                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A node at 100 with five live links, one empty slot and a stale entry
+   past the live count; the stale 101 would dominate any sum that read it. *)
+let rule_pos = 100
+let rule_slots = [| 112; 70; -1; 96; 150; 104; 101 |]
+let rule_count = 6
+let rule_newcomer = 108
+let rule_weight t = if t < 0 then 0.0 else 1.0 /. float_of_int (abs (rule_pos - t))
+
+(* How many floats [after] has drawn since [before] (up to 3), read off
+   the next output of advanced copies. *)
+let floats_drawn ~before ~after =
+  let probe = Rng.copy before in
+  let rec count k =
+    if k > 2 || Rng.bits (Rng.copy probe) = Rng.bits (Rng.copy after) then k
+    else begin
+      ignore (Rng.float probe);
+      count (k + 1)
+    end
+  in
+  count 0
+
+(* Pearson chi-square critical values at alpha = 0.001. *)
+let chi2_crit_df1 = 10.828
+let chi2_crit_df4 = 18.467
+
+(* The paper's frequencies: accept with p_{k+1} / (p_1 + ... + p_{k+1}),
+   then evict slot i with p_i / (p_1 + ... + p_k). *)
+let redirect_frequencies_match_the_law () =
+  let draws = 40_000 in
+  let rng = Rng.of_int 2002 in
+  let victims = Array.make rule_count 0 and declined = ref 0 in
+  for _ = 1 to draws do
+    match
+      Heuristic.redirect_victim Heuristic.Proportional rng ~pos:rule_pos ~newcomer:rule_newcomer
+        rule_slots rule_count
+    with
+    | -1 -> incr declined
+    | i -> victims.(i) <- victims.(i) + 1
+  done;
+  let sum_old =
+    Array.fold_left ( +. ) 0.0 (Array.map rule_weight (Array.sub rule_slots 0 rule_count))
+  in
+  let p_new = rule_weight rule_newcomer in
+  let accept = p_new /. (sum_old +. p_new) in
+  let accepted = draws - !declined in
+  let chi_accept =
+    Gof.chi_square ~observed:[| accepted; !declined |]
+      ~expected:[| accept *. float_of_int draws; (1.0 -. accept) *. float_of_int draws |]
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "acceptance chi2 %.2f (df 1) below %.3f" chi_accept chi2_crit_df1)
+    true (chi_accept < chi2_crit_df1);
+  (* The empty slot is never evicted; its expected count is zero. *)
+  let chi_victim =
+    Gof.chi_square ~observed:victims
+      ~expected:
+        (Array.init rule_count (fun i ->
+             rule_weight rule_slots.(i) /. sum_old *. float_of_int accepted))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "victim chi2 %.2f (df 4) below %.3f" chi_victim chi2_crit_df4)
+    true (chi_victim < chi2_crit_df4)
+
+(* Under Oldest an accepted redirect always evicts the smallest birth tick
+   among the live slots, and draws one float, not two. *)
+let redirect_oldest_evicts_smallest_birth () =
+  let births = [| 5; 2; 1; 9; 4; 7; 0 |] in
+  let rng = Rng.of_int 7 in
+  let accepted = ref 0 in
+  for _ = 1 to 2_000 do
+    let before = Rng.copy rng in
+    match
+      Heuristic.redirect_victim Heuristic.Oldest rng ~births ~pos:rule_pos
+        ~newcomer:rule_newcomer rule_slots rule_count
+    with
+    | -1 -> ()
+    | i ->
+        incr accepted;
+        Alcotest.(check int) "oldest live slot" 1 i;
+        Alcotest.(check int) "one draw" 1 (floats_drawn ~before ~after:rng)
+  done;
+  Alcotest.(check bool) "some redirects accepted" true (!accepted > 100);
+  Alcotest.check_raises "Oldest needs births"
+    (Invalid_argument "Heuristic.redirect_victim: Oldest needs births") (fun () ->
+      ignore
+        (Heuristic.redirect_victim Heuristic.Oldest (Rng.of_int 1) ~pos:0 ~newcomer:1 [| 5 |] 1))
+
+(* The newcomer itself, or a node with no live link, declines without
+   drawing. *)
+let redirect_declines_without_drawing () =
+  let rng = Rng.of_int 3 in
+  let before = Rng.copy rng in
+  Alcotest.(check int) "self" (-1)
+    (Heuristic.redirect_victim Heuristic.Proportional rng ~pos:5 ~newcomer:5 [| 9 |] 1);
+  Alcotest.(check int) "no live link" (-1)
+    (Heuristic.redirect_victim Heuristic.Proportional rng ~pos:5 ~newcomer:6 [| -1; 7 |] 1);
+  Alcotest.(check int) "no draw" 0 (floats_drawn ~before ~after:rng)
+
+(* An accepted Proportional draw always finds a victim: the scan's
+   accumulator ends bitwise at the sum it scales, and a scaled draw stays
+   strictly below it. Acceptance is read off the stream: an accepted draw
+   takes two floats, a declined one takes one or none. *)
+let prop_accepted_redirect_has_victim =
+  QCheck.Test.make ~name:"an accepted proportional redirect always names a live slot" ~count:500
+    QCheck.(
+      make
+        Gen.(
+          quad (int_bound 1_000_000) (int_range 1 8) (int_bound 4095)
+            (array_size (return 8) (int_range (-1) 4095))))
+    (fun (seed, count, pos, slots) ->
+      let rng = Rng.of_int seed in
+      let ok = ref true in
+      for newcomer = 0 to 63 do
+        let before = Rng.copy rng in
+        let v =
+          Heuristic.redirect_victim Heuristic.Proportional rng ~pos ~newcomer:(newcomer * 64) slots
+            count
+        in
+        let accepted = floats_drawn ~before ~after:rng = 2 in
+        if accepted <> (v >= 0) || (accepted && not (v < count && slots.(v) >= 0)) then ok := false
+      done;
+      !ok)
+
+(* ------------------------------------------------------------------ *)
 (* Repair (Section 5 regeneration)                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -279,6 +406,12 @@ let () =
           quick "routes about as fast as ideal (fig 7 spirit)"
             constructed_routes_about_as_fast_as_ideal;
         ] );
+      ( "redirect",
+        [
+          quick "frequencies match the 1/d law" redirect_frequencies_match_the_law;
+          quick "oldest evicts the smallest birth" redirect_oldest_evicts_smallest_birth;
+          quick "declines without drawing" redirect_declines_without_drawing;
+        ] );
       ( "repair",
         [
           quick "restores full delivery" repair_restores_full_delivery;
@@ -287,5 +420,6 @@ let () =
         ] );
       ( "properties",
         List.map (fun p -> QCheck_alcotest.to_alcotest p)
-          [ prop_constructed_degrees; prop_constructed_connected ] );
+          [ prop_constructed_degrees; prop_constructed_connected; prop_accepted_redirect_has_victim ]
+      );
     ]

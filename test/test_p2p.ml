@@ -220,7 +220,9 @@ let view_of overlay pos =
 
 let neighbours_of overlay pos =
   let v = view_of overlay pos in
-  Option.to_list v.Overlay.view_left @ Option.to_list v.Overlay.view_right @ v.Overlay.view_long
+  Option.to_list v.Overlay.view_left
+  @ Option.to_list v.Overlay.view_right
+  @ Array.to_list v.Overlay.view_long
 
 (* A lookup from 0 for point 200 (constant latency 1.0), with the first
    hop's node crashed while the message is on the wire to it. *)
@@ -235,6 +237,7 @@ let lookup_into_crash ?callback ~seed () =
     match
       Actor.best_candidate ~pos:0 ~target:200 ~left:v.Overlay.view_left
         ~right:v.Overlay.view_right ~long:v.Overlay.view_long
+        ~n_long:(Array.length v.Overlay.view_long)
     with
     | -1 -> Alcotest.fail "the lookup would resolve at its origin"
     | next -> next
@@ -602,7 +605,12 @@ let prop_best_candidate_matches_oracle =
         | (_, c) :: _ -> c
         | [] -> -1
       in
-      Actor.best_candidate ~pos ~target ~left ~right ~long = oracle)
+      (* A stale slot past [n_long] holding the target itself, which would
+         win every scan that read it. *)
+      Actor.best_candidate ~pos ~target ~left ~right
+        ~long:(Array.of_list (long @ [ target ]))
+        ~n_long:(List.length long)
+      = oracle)
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
