@@ -5,9 +5,13 @@
    [Unix.map_file] produces exactly this type — lets a serialized network
    snapshot be mapped straight into the working representation
    (Ftr_core.Snapshot). The accessors compose [Int32.to_int] directly with
-   the Bigarray read so the boxed intermediate cancels in cmmgen: reads
-   are allocation-free even without flambda (pinned by the Gc budgets in
-   test_csr.ml). *)
+   the Bigarray read so the boxed intermediate cancels in cmmgen, inside
+   the accessor: reads are allocation-free even without flambda (pinned
+   by the Gc budgets in test_csr.ml). The call itself goes away only in a
+   caller compiled without -opaque, which is the default build
+   (dune-workspace); under dune's dev profile each read from another
+   module is an indirect call through this module's block. The "Rng.float"
+   row of test_prng.ml's allocation budget is the canary for that. *)
 module I32 = struct
   type t = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 

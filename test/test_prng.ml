@@ -276,11 +276,19 @@ let minor_words k f =
 
 (* The generator step keeps its state unboxed: the int-returning helpers
    allocate nothing, and a power-law draw at most the one boxed float it
-   hands to its quantile. The slack covers the measurement itself. *)
+   hands to its quantile. The slack covers the measurement itself.
+
+   The [Rng.float] row is the canary for cross-module inlining: used
+   unboxed (compared, not [ignore]d, which boxes in any build), it
+   allocates nothing only when this module is compiled against rng.cmx.
+   Under dune's dev profile every module is compiled with -opaque, the
+   call goes through the module block and returns a boxed float: 2 minor
+   words per call (see dune-workspace). *)
 let allocation_budget () =
   let k = 100_000 and slack = 64.0 in
   let rng = Rng.of_int 2002 in
   let pl = Sample.power_law ~exponent:1.0 ~max_length:(1 lsl 16) in
+  let low = ref 0 in
   List.iter
     (fun (name, budget, f) ->
       let words = minor_words k f in
@@ -294,6 +302,7 @@ let allocation_budget () =
       ("Rng.int 1024", 0.0, fun () -> ignore (Rng.int rng 1024));
       ("Rng.int 1000", 0.0, fun () -> ignore (Rng.int rng 1000));
       ("Rng.bool", 0.0, fun () -> ignore (Rng.bool rng));
+      ("Rng.float", 0.0, fun () -> if Rng.float rng < 0.5 then incr low);
       ( "Sample.power_law_draw",
         2.0,
         fun () -> ignore (Sample.power_law_draw pl rng ~upto:(1 lsl 16)) );
