@@ -364,12 +364,13 @@ let run_route_throughput () =
 (* Scale: compact CSR footprint, streaming build, batch routing        *)
 (* ------------------------------------------------------------------ *)
 
-(* The gate for the int32/Bigarray core: per network size, streaming
-   construction throughput, bytes/node against the 8-byte int-array
-   baseline the refactor replaced, batch route throughput on the exec
-   pool, jobs-invariance of the merged outcome vector (--jobs 1/2/4 and
-   FTR_EXEC_SEQ=1 must agree byte for byte), and snapshot save + mmap
-   load round-trip timing. One JSON row per size lands in
+(* The gate for the int32/Bigarray core: per network size, construction
+   time at the default job count and at jobs=1 (the two builds must agree
+   byte for byte, and so must their generators afterwards), bytes/node
+   against the 8-byte int-array baseline the refactor replaced, batch
+   route throughput on the exec pool, jobs-invariance of the merged
+   outcome vector (--jobs 1/2/4 and FTR_EXEC_SEQ=1 must agree byte for
+   byte), and snapshot save + mmap load round-trip timing. One JSON row per size lands in
    BENCH_scale.json (docs/MEMORY_LAYOUT.md). *)
 let run_scale () =
   let module Route_batch = Ftr_core.Route_batch in
@@ -393,7 +394,17 @@ let run_scale () =
       (fun n ->
         subsection (Printf.sprintf "n = %d" n);
         let rng = Rng.of_int (seed + n) in
-        let net, build_dt = timed (fun () -> Network.build_ideal ~n ~links (Rng.split rng)) in
+        (* The build at the default job count, then from a copy of its
+           generator on one domain: the chunked fill must give the same
+           CSR and leave the generator at the same place. *)
+        let build_rng = Rng.split rng in
+        let build_rng1 = Rng.copy build_rng in
+        let net, build_dt = timed (fun () -> Network.build_ideal ~n ~links build_rng) in
+        let build_identical, build_dt1 =
+          Ftr_exec.Pool.with_sequential_forced true (fun () ->
+              let net1, dt = timed (fun () -> Network.build_ideal ~n ~links build_rng1) in
+              (Network.equal net net1 && Rng.bits64 build_rng = Rng.bits64 build_rng1, dt))
+        in
         let edges = Csr.edge_count (Network.csr net) in
         (* Footprint accounting: the vectors the network holds — an ideal
            network is full, so offsets (n+1) and targets (E) but no positions
@@ -404,8 +415,8 @@ let run_scale () =
         let bytes_int32 = 4 * (n + 1 + edges) and bytes_int_array = 8 * (n + (n + 1) + edges) in
         let per_node b = float_of_int b /. float_of_int n in
         let ratio = per_node bytes_int32 /. per_node bytes_int_array in
-        Printf.printf "build: %.3f s (%.0f nodes/s), %d edges\n" build_dt
-          (float_of_int n /. build_dt) edges;
+        Printf.printf "build: %.3f s (%.0f nodes/s), %d edges; jobs=1 %.3f s, identical: %b\n"
+          build_dt (float_of_int n /. build_dt) edges build_dt1 build_identical;
         Printf.printf "footprint: %.1f bytes/node (int-array baseline %.1f, ratio %.2f)\n"
           (per_node bytes_int32) (per_node bytes_int_array) ratio;
         (* Batch routing: healthy Terminate for throughput; the identity
@@ -478,6 +489,8 @@ let run_scale () =
               ("n", Int n);
               ("edges", Int edges);
               ("build_seconds", Float build_dt);
+              ("build_seconds_jobs1", Float build_dt1);
+              ("build_identical_across_jobs", Bool build_identical);
               ("build_nodes_per_second", Float (float_of_int n /. build_dt));
               ("bytes_per_node_int32", Float (per_node bytes_int32));
               ("bytes_per_node_int_array", Float (per_node bytes_int_array));
@@ -493,6 +506,7 @@ let run_scale () =
               ("snapshot_load_seconds", Float load_dt);
             ],
           [
+            (Printf.sprintf "n=%d build_identical_across_jobs" n, build_identical);
             (Printf.sprintf "n=%d outcomes_identical_across_jobs" n, identical);
             (Printf.sprintf "n=%d lockstep_outcomes_identical" n, lockstep_identical);
           ] ))

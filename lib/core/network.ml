@@ -233,78 +233,123 @@ let of_neighbor_indices ?(geometry = Line) ~line_size ~positions ~neighbors ~lin
     neighbors;
   make ~geometry ~line_size ~positions ~rows:neighbors ~links ()
 
-(* Draw a long-distance target for the node at position [src]: a point [v]
-   distinct from [src] with Pr[v] proportional to 1/d(src,v)^exponent,
-   normalised over the whole line (Section 4.3). Side is chosen with
-   probability proportional to that side's total mass, then the length by
-   inverse-CDF within the side. *)
+(* The 1/d mass of the first [upto] lengths: a node's mass on one side. *)
+let[@inline] side_mass pl upto =
+  if upto = 0 then 0.0 else Ftr_prng.Sample.power_law_total pl ~upto
+
+(* The one copy of the long-link draw rule (Section 4.3): a point [v]
+   distinct from the node at position [src] on a line of [n] points, with
+   Pr[v] proportional to 1/d(src,v)^exponent, normalised over the whole
+   line. The side is chosen with probability proportional to its mass,
+   then the length by inverse CDF within the side: exactly two
+   [Rng.float] draws. [t_left] and [t_right] are the node's side masses,
+   which a caller drawing many links from one node computes once. *)
+let[@inline] long_step pl rng ~n ~src ~t_left ~t_right =
+  if Ftr_prng.Rng.float rng *. (t_left +. t_right) < t_left then
+    src - Ftr_prng.Sample.power_law_draw pl rng ~upto:src
+  else src + Ftr_prng.Sample.power_law_draw pl rng ~upto:(n - 1 - src)
+
 let sample_long_target pl rng ~n ~src =
-  let left = src and right = n - 1 - src in
-  let t_left = if left = 0 then 0.0 else Ftr_prng.Sample.power_law_total pl ~upto:left in
-  let t_right = if right = 0 then 0.0 else Ftr_prng.Sample.power_law_total pl ~upto:right in
-  let total = t_left +. t_right in
-  if total <= 0.0 then invalid_arg "Network.sample_long_target: isolated node";
-  if Ftr_prng.Rng.float rng *. total < t_left then
-    src - Ftr_prng.Sample.power_law_draw pl rng ~upto:left
-  else src + Ftr_prng.Sample.power_law_draw pl rng ~upto:right
+  let t_left = side_mass pl src and t_right = side_mass pl (n - 1 - src) in
+  if t_left +. t_right <= 0.0 then invalid_arg "Network.sample_long_target: isolated node";
+  long_step pl rng ~n ~src ~t_left ~t_right
 
 let finish_node ~immediate ~long =
   let arr = Array.of_list (List.rev_append immediate long) in
   Array.sort Int.compare arr;
   arr
 
-(* In-place insertion sort of [arr.(0 .. len-1)] — the streaming builder
-   sorts each short row (links + 2 entries) in its reusable scratch array
-   without allocating. *)
-let sort_prefix arr len =
-  for i = 1 to len - 1 do
-    let x = arr.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && arr.(!j) > x do
-      arr.(!j + 1) <- arr.(!j);
-      decr j
+(* Rows per chunk of the parallel fill hold about [chunk_links] long links.
+   The chunking is a pure function of (n, links), never of the host or the
+   job count, so each chunk's rows and its place in the stream are fixed. *)
+let chunk_links = 1 lsl 20
+
+(* Row kernel: fills rows [lo, hi) of a full network, drawing from [rng].
+   A full network's rows sit at arithmetic offsets ([row_start]), so each
+   row is written straight into its final slots. Left draws (<= u-1) fill
+   the row from its start and right draws (>= u+1) from its end, each
+   block insertion-sorted as it grows; the ring links take the gap left
+   between them. The row is then sorted, so one check of its first and
+   last entries range-checks all of it. *)
+let fill_rows pl rng ~n ~links ~row_start ~offsets ~targets ~lo ~hi =
+  for u = lo to hi - 1 do
+    let start = row_start u and stop = row_start (u + 1) in
+    I32.unsafe_set offsets u start;
+    let t_left = side_mass pl u and t_right = side_mass pl (n - 1 - u) in
+    let nl = ref 0 and nr = ref 0 in
+    for _ = 1 to links do
+      let v = long_step pl rng ~n ~src:u ~t_left ~t_right in
+      if v < u then begin
+        let j = ref (start + !nl) in
+        while !j > start && I32.unsafe_get targets (!j - 1) > v do
+          I32.unsafe_set targets !j (I32.unsafe_get targets (!j - 1));
+          decr j
+        done;
+        I32.unsafe_set targets !j v;
+        incr nl
+      end
+      else begin
+        let j = ref (stop - !nr - 1) in
+        while !j < stop - 1 && I32.unsafe_get targets (!j + 1) < v do
+          I32.unsafe_set targets !j (I32.unsafe_get targets (!j + 1));
+          incr j
+        done;
+        I32.unsafe_set targets !j v;
+        incr nr
+      end
     done;
-    arr.(!j + 1) <- x
+    if u > 0 then I32.unsafe_set targets (start + !nl) (u - 1);
+    if u < n - 1 then I32.unsafe_set targets (stop - !nr - 1) (u + 1);
+    if I32.unsafe_get targets start < 0 || I32.unsafe_get targets (stop - 1) >= n then
+      invalid_arg (Printf.sprintf "Network.build_ideal: row %d links off the line" u)
   done
 
-(* Streaming construction: one pass over the nodes, each row assembled in a
-   reused scratch array and appended straight to the CSR builder — O(n)
-   with O(links) transient state, never a jagged intermediate. The CSR it
-   emits for a table of (n, links, seed) triples is pinned by digest in
-   the test suite. *)
+(* The rows are cut into chunks of [chunk_links] long links and filled on
+   the pool. Every long link takes exactly two [Rng.float] draws, so the
+   rows of chunk [c] start at step [2 * links * rows * c] of [rng]'s
+   stream: the calling domain places a copy of [rng] there for each chunk
+   by skip-ahead ([Rng.advance]) before the fill, as the figure drivers
+   pre-split theirs, and moves [rng] past the last chunk afterwards. The
+   CSR is therefore the sequential fill's under any job count, and [rng]
+   ends where the sequential fill leaves it. A single chunk runs inline
+   on [rng] itself. *)
 let build_ideal ?(exponent = 1.0) ~n ~links rng =
   if n < 2 then invalid_arg "Network.build_ideal: need at least two nodes";
   if links < 0 then invalid_arg "Network.build_ideal: negative link count";
+  let row = links + 2 in
+  (* Exact edge count: [links] long links per node plus the two ring links,
+     minus the one each end node lacks. *)
+  if n > (I32.max_value + 2) / row then
+    invalid_arg "Network.build_ideal: edge count exceeds the int32 range";
   (* Every builder times its construction phase under a [Ftr_obs.Span]; a
      no-op (beyond the closure) unless FTR_OBS is on. *)
   Ftr_obs.Span.time "network.build_ideal" @@ fun () ->
-  let pl = Ftr_prng.Sample.power_law ~exponent ~max_length:(n - 1) in
-  (* Exact edge count: [links] long links per node plus the two ring links,
-     minus the one each end node lacks. *)
-  let b = Csr.Builder.create ~edges_hint:((n * (links + 2)) - 2) ~n () in
-  let scratch = Array.make (links + 2) 0 in
-  for u = 0 to n - 1 do
-    let len = ref 0 in
-    let push v =
-      scratch.(!len) <- v;
-      incr len
-    in
-    if u > 0 then push (u - 1);
-    if u < n - 1 then push (u + 1);
-    for _ = 1 to links do
-      push (sample_long_target pl rng ~n ~src:u)
-    done;
-    sort_prefix scratch !len;
-    Csr.Builder.append_row b scratch ~len:!len
-  done;
+  let pl =
+    Ftr_obs.Span.time "network.build_ideal.table" (fun () ->
+        Ftr_prng.Sample.power_law ~exponent ~max_length:(n - 1))
+  in
+  let row_start u = (u * row) - if u = 0 then 0 else if u = n then 2 else 1 in
+  let offsets = I32.create (n + 1) and targets = I32.create (row_start n) in
+  I32.unsafe_set offsets n (row_start n);
+  let rows = if links = 0 then n else max 1 (chunk_links / links) in
+  let chunks = (n + rows - 1) / rows in
+  let fill rng c =
+    fill_rows pl rng ~n ~links ~row_start ~offsets ~targets ~lo:(c * rows)
+      ~hi:(min n ((c + 1) * rows))
+  in
+  Ftr_obs.Span.time "network.build_ideal.rows" (fun () ->
+      if chunks = 1 then fill rng 0
+      else begin
+        let rngs =
+          Array.init chunks (fun c ->
+              if c > 0 then Ftr_prng.Rng.advance rng (2 * links * rows);
+              Ftr_prng.Rng.copy rng)
+        in
+        ignore (Ftr_exec.Pool.map ~count:chunks (fun c -> fill rngs.(c) c));
+        Ftr_prng.Rng.advance rng (2 * links * (n - ((chunks - 1) * rows)))
+      end);
   checked
-    {
-      geometry = Line;
-      line_size = n;
-      positions = None;
-      adj = Csr.Builder.finish b;
-      links;
-    }
+    { geometry = Line; line_size = n; positions = None; adj = { Csr.offsets; targets }; links }
 
 let build_binomial ?(exponent = 1.0) ~n ~links ~present_p rng =
   if n < 2 then invalid_arg "Network.build_binomial: need at least two positions";
@@ -346,9 +391,9 @@ let build_binomial ?(exponent = 1.0) ~n ~links ~present_p rng =
      node" exactly. *)
   let index_of = Array.make n (-1) in
   Array.iteri (fun i p -> index_of.(p) <- i) positions;
-  let sample_present_index ~src_pos ~src_idx =
+  let sample_present_index ~src_pos ~src_idx ~t_left ~t_right =
     let rec attempt tries =
-      let target = sample_long_target pl rng ~n ~src:src_pos in
+      let target = long_step pl rng ~n ~src:src_pos ~t_left ~t_right in
       if target >= 0 && target < n && present.(target) && index_of.(target) <> src_idx then
         index_of.(target)
       else if tries > 10_000 then
@@ -365,9 +410,11 @@ let build_binomial ?(exponent = 1.0) ~n ~links ~present_p rng =
   let neighbors =
     Array.init m (fun i ->
         let immediate = (if i > 0 then [ i - 1 ] else []) @ if i < m - 1 then [ i + 1 ] else [] in
+        let src_pos = positions.(i) in
+        let t_left = side_mass pl src_pos and t_right = side_mass pl (n - 1 - src_pos) in
         let long = ref [] in
         for _ = 1 to links do
-          long := sample_present_index ~src_pos:positions.(i) ~src_idx:i :: !long
+          long := sample_present_index ~src_pos ~src_idx:i ~t_left ~t_right :: !long
         done;
         finish_node ~immediate ~long:!long)
   in

@@ -147,9 +147,14 @@ val of_flat :
 val build_ideal : ?exponent:float -> n:int -> links:int -> Ftr_prng.Rng.t -> t
 (** Full network of [n] nodes: immediate neighbours plus [links] draws per
     node with Pr[length d] proportional to [1/d^exponent] (default 1, the
-    paper's law). Streams rows straight into the CSR builder — O(n) time,
-    O(links) transient state beyond the result itself.
-    @raise Invalid_argument if [n < 2] or [links < 0]. *)
+    paper's law). Rows are written straight into exact-size CSR vectors
+    at their arithmetic offsets — O(n) time, no transient state beyond the
+    result and the power-law table. A build of more than 2^20 long links
+    is filled in chunks on {!Ftr_exec.Pool}, each chunk's generator placed
+    on [rng]'s stream by {!Ftr_prng.Rng.advance}: the network, and where
+    [rng] is left, are the single-pass build's under any job count.
+    @raise Invalid_argument if [n < 2], [links < 0], or the edge count
+    exceeds the int32 range. *)
 
 val build_binomial :
   ?exponent:float -> n:int -> links:int -> present_p:float -> Ftr_prng.Rng.t -> t
@@ -180,8 +185,11 @@ val long_link_lengths : t -> int list
 val sample_long_target : Ftr_prng.Sample.power_law -> Ftr_prng.Rng.t -> n:int -> src:int -> int
 (** One draw of a long-link target for a node at position [src] on a line
     of [n] points: Pr[target v] proportional to [1/d(src,v)^exponent]
-    (the exponent is baked into the prefix table). Exposed for the
-    Section 5 heuristic, which uses the same law to pick sinks. *)
+    (the exponent is baked into the prefix table), from exactly two
+    [Rng.float] draws. It is the draw rule {!build_ideal} and
+    {!build_binomial} use for every link. Exposed for the Section 5
+    heuristic and the protocol, which use the same law to pick sinks.
+    @raise Invalid_argument if the line has a single point. *)
 
 val build_chordlike : ?base:int -> ?predecessor:bool -> n:int -> unit -> t
 (** Chord inside this framework (Section 3): a circle with clockwise links

@@ -113,7 +113,8 @@ module Csr = struct
   (* Streaming construction: rows appended one at a time (or one target at
      a time) into a doubling flat buffer, so building an n-node network
      needs O(row) transient state instead of materializing [n] jagged
-     rows. The network builders' streaming paths feed this directly. *)
+     rows. [of_rows] feeds it; [Network.build_ideal], whose rows sit at
+     offsets known in advance, writes the flat vectors itself. *)
   module Builder = struct
     type csr = t
 

@@ -8,6 +8,8 @@ let split = Xoshiro.split
 
 let copy = Xoshiro.copy
 
+let advance = Xoshiro.advance
+
 let bits64 = Xoshiro.next_int64
 
 (* Non-negative 62-bit integer: the output's top 62 bits, so the result

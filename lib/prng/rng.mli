@@ -30,6 +30,15 @@ val split : t -> t
 val copy : t -> t
 (** Copy of the current state (same future stream). *)
 
+val advance : t -> int -> unit
+(** [advance t k] moves [t] exactly [k] raw outputs forward in place
+    ({!Xoshiro.advance}, O(log k)): afterwards [t] draws what it would
+    have drawn after [k] calls of {!bits64}. A helper that consumes one
+    output per call ({!bits}, {!float}, {!bool}) is skipped by its call
+    count; {!int} on a non-power-of-two bound can reject, so it has no
+    fixed count.
+    @raise Invalid_argument if [k < 0]. *)
+
 val bits64 : t -> int64
 (** Raw 64-bit output. *)
 

@@ -140,8 +140,12 @@ let power_law ~exponent ~max_length =
   if max_length < 1 then invalid_arg "Sample.power_law: max_length must be >= 1";
   let prefix = Array.make max_length 0.0 in
   let acc = ref 0.0 in
+  (* pow d 1 is d exactly, so the harmonic table skips the [pow] call,
+     most of the table's cost, and stays bit for bit the same. *)
+  let harmonic = Float.equal exponent 1.0 in
   for d = 1 to max_length do
-    acc := !acc +. (1.0 /. Float.pow (float_of_int d) exponent);
+    let x = float_of_int d in
+    acc := !acc +. (1.0 /. if harmonic then x else Float.pow x exponent);
     prefix.(d - 1) <- !acc
   done;
   let offset = !acc -. antiderivative exponent (float_of_int max_length) in

@@ -70,7 +70,8 @@ type power_law
 
 val power_law : exponent:float -> max_length:int -> power_law
 (** Build the table. With [exponent = 1.0] this is the paper's harmonic
-    link-length distribution.
+    link-length distribution; its terms are [1 /. d], bit for bit the
+    [1 /. Float.pow d 1.0] of the general case without the [pow] call.
     @raise Invalid_argument if [max_length < 1]. *)
 
 val power_law_draw : power_law -> Rng.t -> upto:int -> int

@@ -39,3 +39,21 @@ val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     decorrelated from [t]'s. Used to give each simulated entity its own
     stream so that adding draws in one place does not perturb another. *)
+
+val advance : t -> int -> unit
+(** [advance t k] moves [t] exactly [k] steps forward in place, to the
+    state that [k] calls of {!next_int64} would leave, in O(log k)
+    polynomial squarings mod the transition's characteristic polynomial
+    (the state transition is linear over GF(2)). Lets a caller place
+    generators at known offsets of one stream, for example one per chunk
+    of a parallel fill.
+    @raise Invalid_argument if [k < 0]. *)
+
+val jump_poly : int -> int64 array
+(** [jump_poly j] is x{^2{^j}} mod p, p the characteristic polynomial of
+    the state transition, as four 64-bit words: bit [b] of word [w] is the
+    coefficient of x{^64w+b}. That is the format of the reference
+    implementation's jump constants: [jump_poly 128] is its [JUMP] and
+    [jump_poly 192] its [LONG_JUMP]. Exposed so the polynomial can be
+    checked against them.
+    @raise Invalid_argument if [j < 0]. *)

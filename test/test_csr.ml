@@ -244,6 +244,63 @@ let pinned_ideal_digests () =
         (route_digest ~route:(fun side -> batched ~side net) ~n ~seed))
     ideal_digests
 
+(* A build of more than 2^20 long links is filled in
+   chunks, each from a generator placed by skip-ahead. n = 2^19 with 8
+   links is four chunks. Pinned from the single-pass builder that the
+   chunked fill replaced: the CSR digest, and an FNV-1a 64 digest of the
+   next 1,000 [Rng.bits64] outputs of the caller's generator (each as 8
+   little-endian bytes), which must continue exactly where the
+   single-pass build left it. Both hold at the default job count and
+   under FTR_EXEC_SEQ=1. *)
+let fnv_int64 h x =
+  let h = ref h in
+  for b = 0 to 7 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.logand (Int64.shift_right_logical x (8 * b)) 0xFFL))
+        0x100000001B3L
+  done;
+  !h
+
+let pinned_chunked_build () =
+  let n = 1 lsl 19 and links = 8 and seed = 2002 in
+  let check label =
+    let rng = Rng.of_int seed in
+    let net = Network.build_ideal ~n ~links rng in
+    let after = ref fnv_basis in
+    for _ = 1 to 1000 do
+      after := fnv_int64 !after (Rng.bits64 rng)
+    done;
+    Alcotest.(check int64) (label ^ ": CSR digest") 0xB376FDD5082C931EL (csr_digest net);
+    Alcotest.(check int64) (label ^ ": caller's stream after the build") 0x50637436636E3C98L !after
+  in
+  check "default jobs";
+  Ftr_exec.Pool.with_sequential_forced true (fun () -> check "FTR_EXEC_SEQ=1")
+
+(* The chunked fill places chunk [c] by skip-ahead on the premise that
+   every long link takes exactly two draws: a build must leave its
+   generator exactly [2 * links * n] steps on. n = 700,001 with 3 links
+   is three chunks whose last is shorter than the others; it must also
+   match its build under FTR_EXEC_SEQ=1. *)
+let build_consumes_two_draws_per_link () =
+  List.iter
+    (fun (n, links) ->
+      let build () =
+        let rng = Rng.of_int 5 in
+        let net = Network.build_ideal ~n ~links rng in
+        (net, Rng.bits64 rng)
+      in
+      let net, next = build () in
+      let skipped = Rng.of_int 5 in
+      Rng.advance skipped (2 * links * n);
+      let label = Printf.sprintf "n=%d links=%d" n links in
+      Alcotest.(check int64) (label ^ ": generator 2*links*n steps on") (Rng.bits64 skipped) next;
+      let seq_net, seq_next = Ftr_exec.Pool.with_sequential_forced true build in
+      Alcotest.(check bool) (label ^ ": same CSR under FTR_EXEC_SEQ=1") true
+        (Network.equal net seq_net);
+      Alcotest.(check int64) (label ^ ": same generator under FTR_EXEC_SEQ=1") next seq_next)
+    [ (2, 0); (2, 5); (1000, 7); (700_001, 3) ]
+
 (* The route section of bench/main.ml as data. Its two streams share one
    network (n=8192, links=14, seed 0xF7A, built from the first split of
    [Rng.of_int seed], the 30% failure mask from the second) and draw
@@ -586,6 +643,10 @@ let () =
           Alcotest.test_case "figure6 fractions at jobs=4 (bit-exact)" `Quick
             (golden_figure6 (Some 4));
           Alcotest.test_case "build_ideal CSR and route digests" `Quick pinned_ideal_digests;
+          Alcotest.test_case "chunked build_ideal CSR and caller stream" `Quick
+            pinned_chunked_build;
+          Alcotest.test_case "build_ideal takes two draws per long link" `Quick
+            build_consumes_two_draws_per_link;
           Alcotest.test_case "bench route stream digests" `Quick pinned_bench_stream_digests;
         ] );
       ( "duplicates",

@@ -401,6 +401,10 @@ let route_instrumentation () =
   Alcotest.(check bool) "network build span recorded" true
     (Span.find "network.build_ideal" <> None);
   List.iter
+    (fun layer ->
+      Alcotest.(check bool) (layer ^ " span recorded") true (Span.find layer <> None))
+    [ "network.build_ideal.table"; "network.build_ideal.rows" ];
+  List.iter
     (fun line ->
       match Json.parse line with
       | Json.Obj _ -> ()

@@ -70,6 +70,56 @@ let xoshiro_copy () =
   let b = Xoshiro.copy a in
   Alcotest.(check int64) "copy replays" (Xoshiro.next_int64 a) (Xoshiro.next_int64 b)
 
+(* Skip-ahead. The reference implementation's jump functions apply a
+   fixed polynomial in the transition, x^(2^128) (JUMP) and x^(2^192)
+   (LONG_JUMP) mod the characteristic polynomial, as four words: the
+   polynomial [Xoshiro.advance] reduces by must reproduce them. *)
+let xoshiro_jump_constants () =
+  let words = Alcotest.(array int64) in
+  Alcotest.check words "x^(2^128) mod p is JUMP"
+    [| 0x180ec6d33cfd0abaL; 0xd5a61266f0c9392cL; 0xa9582618e03fc9aaL; 0x39abdc4529b1661cL |]
+    (Xoshiro.jump_poly 128);
+  Alcotest.check words "x^(2^192) mod p is LONG_JUMP"
+    [| 0x76e15d3efefdcbbfL; 0xc5004e441c522fb3L; 0x77710069854ee241L; 0x39109bb02acbe635L |]
+    (Xoshiro.jump_poly 192);
+  Alcotest.check words "x^(2^0) is x" [| 2L; 0L; 0L; 0L |] (Xoshiro.jump_poly 0)
+
+(* The next four outputs of a copy: they pin the state without advancing
+   the generator itself. *)
+let peek t =
+  let c = Xoshiro.copy t in
+  List.init 4 (fun _ -> Xoshiro.next_int64 c)
+
+let xoshiro_advance_rejects_negative () =
+  Alcotest.check_raises "negative" (Invalid_argument "Xoshiro.advance: negative step count")
+    (fun () -> Xoshiro.advance (Xoshiro.of_int 1) (-1))
+
+let prop_advance_is_steps =
+  QCheck.Test.make ~name:"Xoshiro.advance k = k single steps" ~count:60
+    QCheck.(pair small_int (int_bound 100_000))
+    (fun (seed, k) ->
+      let a = Xoshiro.of_int seed in
+      let b = Xoshiro.copy a in
+      Xoshiro.advance a k;
+      for _ = 1 to k do
+        ignore (Xoshiro.next_int64 b)
+      done;
+      peek a = peek b)
+
+let prop_advance_composes =
+  QCheck.Test.make ~name:"Xoshiro.advance a; advance b = advance (a+b); advance 0 = id"
+    ~count:200
+    QCheck.(triple small_int (int_bound (1 lsl 40)) (int_bound (1 lsl 40)))
+    (fun (seed, a, b) ->
+      let x = Xoshiro.of_int seed in
+      let y = Xoshiro.copy x and z = Xoshiro.copy x in
+      Xoshiro.advance x a;
+      Xoshiro.advance x b;
+      Xoshiro.advance y (a + b);
+      let before = peek z in
+      Xoshiro.advance z 0;
+      peek x = peek y && peek z = before)
+
 (* ------------------------------------------------------------------ *)
 (* Rng helpers                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -512,6 +562,23 @@ let reference_quantile prefix ~upto u =
   in
   search 0 (upto - 1)
 
+(* The harmonic table skips [pow]: its prefix sums must be bit for bit
+   the ones the general [pow] loop gives. *)
+let power_law_harmonic_table_is_pow_table () =
+  let max_length = 1 lsl 20 in
+  let pl = Sample.power_law ~exponent:1.0 ~max_length in
+  let reference = reference_prefix ~exponent:1.0 ~max_length in
+  let first_mismatch = ref None in
+  Array.iteri
+    (fun i want ->
+      if
+        Option.is_none !first_mismatch
+        && Int64.bits_of_float (Sample.power_law_total pl ~upto:(i + 1))
+           <> Int64.bits_of_float want
+      then first_mismatch := Some (i + 1))
+    reference;
+  Alcotest.(check (option int)) "first length whose prefix differs" None !first_mismatch
+
 let power_law_draw_is_its_quantile () =
   let pl = Sample.power_law ~exponent:1.0 ~max_length:1000 in
   let rng = Rng.of_int 113 in
@@ -616,6 +683,8 @@ let () =
           quick "determinism" xoshiro_determinism;
           quick "split decorrelates" xoshiro_split_decorrelates;
           quick "copy replays" xoshiro_copy;
+          quick "jump constants from the characteristic polynomial" xoshiro_jump_constants;
+          quick "advance rejects a negative count" xoshiro_advance_rejects_negative;
         ] );
       ( "rng",
         [
@@ -661,10 +730,13 @@ let () =
           quick "power-law totals are harmonic numbers" power_law_total_matches_harmonic;
           quick "power-law exponent 2" power_law_exponent2;
           quick "power-law draw is its quantile" power_law_draw_is_its_quantile;
+          quick "power-law harmonic table is the pow table" power_law_harmonic_table_is_pow_table;
         ] );
       ( "properties",
         List.map (fun p -> QCheck_alcotest.to_alcotest p)
           [
+            prop_advance_is_steps;
+            prop_advance_composes;
             prop_int_in_bound;
             prop_permutation;
             prop_power_law_in_range;
