@@ -370,8 +370,9 @@ let run_route_throughput () =
    against the 8-byte int-array baseline the refactor replaced, batch
    route throughput on the exec pool, jobs-invariance of the merged
    outcome vector (--jobs 1/2/4 and FTR_EXEC_SEQ=1 must agree byte for
-   byte), and snapshot save + mmap load round-trip timing. One JSON row per size lands in
-   BENCH_scale.json (docs/MEMORY_LAYOUT.md). *)
+   byte), the bytes of a fresh [Route.scratch] (asserted equal at every
+   n), and snapshot save + mmap load round-trip timing. One JSON row per
+   size lands in BENCH_scale.json (docs/MEMORY_LAYOUT.md). *)
 let run_scale () =
   let module Route_batch = Ftr_core.Route_batch in
   let module Snapshot = Ftr_core.Snapshot in
@@ -389,6 +390,12 @@ let run_scale () =
         (links=%d, %d messages per size; sizes up to n=%d)" links messages
        (List.fold_left max 0 sizes));
   Ftr_obs.Flag.with_mode false @@ fun () ->
+  (* The router's working state is sized to one route, not to the
+     network: a fresh scratch is as big at every n as on two nodes. *)
+  let scratch_bytes net =
+    Obj.reachable_words (Obj.repr (Route.scratch net)) * (Sys.word_size / 8)
+  in
+  let scratch_bytes_2 = scratch_bytes (Network.build_ideal ~n:2 ~links:0 (Rng.of_int seed)) in
   let rows =
     List.map
       (fun n ->
@@ -419,6 +426,9 @@ let run_scale () =
           build_dt (float_of_int n /. build_dt) edges build_dt1 build_identical;
         Printf.printf "footprint: %.1f bytes/node (int-array baseline %.1f, ratio %.2f)\n"
           (per_node bytes_int32) (per_node bytes_int_array) ratio;
+        let route_scratch_bytes = scratch_bytes net in
+        Printf.printf "route scratch: %d bytes (%d on a 2-node network)\n" route_scratch_bytes
+          scratch_bytes_2;
         (* Batch routing: healthy Terminate for throughput; the identity
            check below re-routes the same pairs under failures with the
            seeded Random_reroute strategy, the case where per-route rng
@@ -495,6 +505,7 @@ let run_scale () =
               ("bytes_per_node_int32", Float (per_node bytes_int32));
               ("bytes_per_node_int_array", Float (per_node bytes_int_array));
               ("footprint_ratio", Float ratio);
+              ("route_scratch_bytes", Int route_scratch_bytes);
               ("batch_hops_per_second_jobs1", Float hps1);
               ("batch_hops_per_second", Float hps);
               ("route_hops_per_second", Float route_hps);
@@ -509,6 +520,8 @@ let run_scale () =
             (Printf.sprintf "n=%d build_identical_across_jobs" n, build_identical);
             (Printf.sprintf "n=%d outcomes_identical_across_jobs" n, identical);
             (Printf.sprintf "n=%d lockstep_outcomes_identical" n, lockstep_identical);
+            ( Printf.sprintf "n=%d route_scratch_bytes independent of n" n,
+              route_scratch_bytes = scratch_bytes_2 );
           ] ))
       sizes
   in

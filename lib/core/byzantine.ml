@@ -78,12 +78,12 @@ let route ?(defense = Naive) ?(max_hops = 1_000_000) net ~byzantine ~src ~dst =
   if src < 0 || src >= Network.size net || dst < 0 || dst >= Network.size net then
     invalid_arg "Byzantine.route: node out of range";
   if byzantine src || byzantine dst then invalid_arg "Byzantine.route: endpoint is Byzantine";
-  (* Tried links keyed by their CSR slot — a flat int key per (node, idx)
-     pair, so membership is one hash probe instead of a List.mem walk. *)
+  (* Tried links keyed by their CSR slot, in the set {!Route} keeps them
+     in. *)
   let { Ftr_graph.Adjacency.Csr.offsets; targets } = Network.csr net in
   let module I32 = Ftr_graph.Adjacency.I32 in
-  let tried : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let record cur idx = Hashtbl.replace tried (I32.get offsets cur + idx) () in
+  let tried = Tried.create () in
+  let record cur idx = Tried.add tried (I32.get offsets cur + idx) in
   let dist v = Network.distance net v dst in
   (* Senders cannot see who is Byzantine, so candidates include them. *)
   let best ~any cur =
@@ -92,7 +92,7 @@ let route ?(defense = Naive) ?(max_hops = 1_000_000) net ~byzantine ~src ~dst =
     let best = ref (-1) and best_idx = ref (-1) and best_d = ref limit in
     for k = 0 to I32.get offsets (cur + 1) - base - 1 do
       let v = I32.get targets (base + k) in
-      if not (Hashtbl.mem tried (base + k)) then begin
+      if not (Tried.mem tried (base + k)) then begin
         let d = dist v in
         if d < !best_d then begin
           best := v;

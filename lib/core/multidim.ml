@@ -89,17 +89,17 @@ let route ?(alive = fun _ -> true) ?(strategy = Terminate) ?(max_hops = 1_000_00
     invalid_arg "Multidim.route: node off the torus";
   if not (alive src && alive dst) then invalid_arg "Multidim.route: endpoint is dead";
   let dist u = Torus.distance t.torus u dst in
-  (* Tried links keyed by their flat CSR slot: one hash probe per
-     candidate instead of a List.mem walk over a per-node list. *)
+  (* Tried links keyed by their flat CSR slot, in the set {!Route} keeps
+     them in. *)
   let { Csr.offsets; targets } = t.adj in
-  let tried : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  let tried = Tried.create () in
   let best ~any cur =
     let limit = if any then max_int else dist cur in
     let base = I32.get offsets cur in
     let best = ref (-1) and best_idx = ref (-1) and best_d = ref limit in
     for k = 0 to I32.get offsets (cur + 1) - base - 1 do
       let v = I32.get targets (base + k) in
-      if alive v && not (Hashtbl.mem tried (base + k)) then begin
+      if alive v && not (Tried.mem tried (base + k)) then begin
         let d = dist v in
         if d < !best_d then begin
           best := v;
@@ -112,7 +112,7 @@ let route ?(alive = fun _ -> true) ?(strategy = Terminate) ?(max_hops = 1_000_00
   in
   let record cur idx =
     match strategy with
-    | Backtrack _ -> Hashtbl.replace tried (I32.get offsets cur + idx) ()
+    | Backtrack _ -> Tried.add tried (I32.get offsets cur + idx)
     | Terminate -> ()
   in
   match strategy with

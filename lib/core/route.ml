@@ -30,39 +30,29 @@ let strategy_label = function
   | Random_reroute _ -> "random_reroute"
   | Backtrack _ -> "backtrack"
 
-(* Reusable per-route working state, sized to a network's CSR edge count.
-   [stamps] has one slot per CSR edge; slot [offsets.(u) + k] equal to
-   [epoch] means "link k of node u was tried during the current route" —
-   the O(1) replacement for the old per-node exclusion lists (a Hashtbl of
-   int lists scanned with List.mem, quadratic in backtrack depth).
-   [bt_hist] is the bounded backtrack window as a ring buffer. Routing with
-   a caller-held scratch performs zero minor allocations per hop in steady
-   state; without one, a fresh scratch is allocated per call (still
-   allocation-free per hop). *)
-type scratch = {
-  mutable stamps : int array;
-  mutable epoch : int;
-  mutable bt_hist : int array;
-}
+(* Reusable per-route working state, sized to what one route holds:
+   [tried] is the set of CSR slots ([offsets.(u) + k] for link [k] of
+   node [u]) the current route has tried, a small open-addressing table
+   ({!Tried}) that starts at 64 cells and doubles as a long route fills
+   it, whatever the size of the network. [bt_hist] is the bounded
+   backtrack window as a ring buffer. Routing with a caller-held scratch
+   performs zero minor allocations per hop once the table has grown to
+   the longest route; without one, the domain-local scratch below is
+   borrowed. *)
+type scratch = { tried : Tried.t; mutable bt_hist : int array }
 
-let scratch net =
-  let c = Network.csr net in
-  {
-    stamps = Array.make (max 1 (Ftr_graph.Adjacency.Csr.edge_count c)) 0;
-    epoch = 0;
-    bt_hist = [||];
-  }
+let scratch (_ : Network.t) = { tried = Tried.create (); bt_hist = [||] }
 
 (* Stand-in for strategies that never record tried links ({!Terminate},
    {!Random_reroute}) when the caller supplied no scratch: never read or
    written, so sharing one global is safe. *)
-let dummy_scratch = { stamps = [||]; epoch = 0; bt_hist = [||] }
+let dummy_scratch = { tried = Tried.create (); bt_hist = [||] }
 
 (* Fallback scratch for backtracking callers that pass none, cached per
    domain so repeated routing stays allocation-free without an API change.
    The cell is emptied while a route borrows it, so a nested [route] call
    from an [on_hop] callback allocates its own scratch instead of
-   corrupting the outer route's stamps. *)
+   corrupting the outer route's tried links. *)
 let dls_scratch : scratch option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
@@ -111,8 +101,8 @@ let no_positions = I32.create 0
      when the view has one, link liveness skipped entirely when
      everything is statically alive, the general closure forms as the
      fallback;
-   - the tried-link stamps ([epoch] 0 is the "no tracking" sentinel) and
-     the flight-recorder handle, live only when [tracing]. *)
+   - the tried-link set, read only when [tracking], and the
+     flight-recorder handle, live only when [tracing]. *)
 type view = {
   net : Network.t;
   offsets : I32.t;
@@ -127,13 +117,13 @@ type view = {
   node_bits : Bitset.t option;
   node_all : bool;
   link_all : bool;
-  stamps : int array;
-  epoch : int;
+  tried : Tried.t;
+  tracking : bool;
   tr : Ftr_obs.Tracing.t;
   tracing : bool;
 }
 
-let view ~failures ~side ~stamps ~epoch ~tr ~tracing net =
+let view ~failures ~side ~tried ~tracking ~tr ~tracing net =
   let { Ftr_graph.Adjacency.Csr.offsets; targets } = Network.csr net in
   let identity, positions =
     match Network.positions net with None -> (true, no_positions) | Some p -> (false, p)
@@ -152,8 +142,8 @@ let view ~failures ~side ~stamps ~epoch ~tr ~tracing net =
     node_bits = Failure.node_alive_bits failures;
     node_all = Failure.node_all_alive failures;
     link_all = Failure.link_all_alive failures;
-    stamps;
-    epoch;
+    tried;
+    tracking;
     tr;
     tracing;
   }
@@ -167,10 +157,10 @@ let[@inline] nth_target rv ~cur k = I32.unsafe_get rv.targets (I32.unsafe_get rv
 
 (* Unsafe I32/array reads below are justified by construction-time CSR
    validation ([Adjacency.Csr.validate], re-checked by the Check
-   battery): every target is a node index in [0, n), every slot is below
-   [offsets.(n)], and [stamps] is kept at least that long. The I32 reads
-   are allocation-free: the [Int32.to_int] in the accessor cancels the
-   Bigarray box (see Adjacency.I32). *)
+   battery): every target is a node index in [0, n) and every slot is
+   below [offsets.(n)]. The I32 reads are allocation-free: the
+   [Int32.to_int] in the accessor cancels the Bigarray box (see
+   Adjacency.I32). *)
 let dist_to rv ~dst_pos v =
   let d = pos rv v - dst_pos in
   let d = if d < 0 then -d else d in
@@ -188,7 +178,7 @@ let[@inline] usable rv ~cur ~base ~k v =
   && (match rv.node_bits with
      | Some b -> Bitset.unsafe_get b v
      | None -> rv.node_all || Failure.node_alive rv.failures v)
-  && (rv.epoch = 0 || Array.unsafe_get rv.stamps (base + k) <> rv.epoch)
+  && not (rv.tracking && Tried.mem rv.tried (base + k))
 
 (* Flight-recorder verdict for a candidate [usable] rejected: re-run the
    conjuncts one by one to name the first that failed. The gate is
@@ -206,7 +196,7 @@ let record_excluded rv ~cur ~base ~k ~v ~dist =
           | Some b -> Bitset.unsafe_get b v
           | None -> rv.node_all || Failure.node_alive rv.failures v)
       then Ftr_obs.Tracing.Dead_node
-      else if rv.epoch <> 0 && Array.unsafe_get rv.stamps (base + k) = rv.epoch then
+      else if rv.tracking && Tried.mem rv.tried (base + k) then
         Ftr_obs.Tracing.Already_tried
       else Ftr_obs.Tracing.Not_closer
     in
@@ -240,8 +230,8 @@ let best_hop rv ~mode ~cur ~dst =
        minimum-distance live candidate, ties to the earliest row entry —
        i.e. the smaller position, which is exactly the left bracket this
        merge prefers on ties ([dl <= dr]). (When duplicate row entries
-       name one node, the two orders can record a different *slot* in
-       [stamps], but the slots alias the same node with the same
+       name one node, the two orders can record a different *slot* as
+       tried, but the slots alias the same node with the same
        remaining multiplicity, so the visited-node sequence — and the
        outcome — is unchanged.) *)
     let lo = ref 0 and hi = ref deg in
@@ -368,30 +358,18 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
     else on_hop
   in
   let offsets = (Network.csr net).Ftr_graph.Adjacency.Csr.offsets in
-  (* Only {!Backtrack} records tried links; the other strategies skip both
-     the stamp array (epoch 0 is the "no tracking" sentinel below) and its
-     allocation when the caller supplied no scratch. *)
+  (* Only {!Backtrack} records tried links; the other strategies never
+     read the set, and borrow no scratch when the caller supplied none. *)
   let tracking = match strategy with Backtrack _ -> true | Terminate | Random_reroute _ -> false in
   let borrowed = borrow_scratch ?scr ~tracking net in
   let s = borrowed.bs in
-  let stamps, epoch =
-    if tracking then begin
-      if Array.length s.stamps < I32.get offsets n then begin
-        (* Scratch carried over from a smaller network: regrow. A fresh
-           array is all-zero, which no live epoch ever equals. *)
-        s.stamps <- Array.make (I32.get offsets n) 0;
-        s.epoch <- 0
-      end;
-      s.epoch <- s.epoch + 1;
-      (s.stamps, s.epoch)
-    end
-    else ([||], 0)
-  in
-  let rv = view ~failures ~side ~stamps ~epoch ~tr ~tracing net in
+  let tried = s.tried in
+  if tracking then Tried.clear tried;
+  let rv = view ~failures ~side ~tried ~tracking ~tr ~tracing net in
   let rd = rv.rd in
   let record_tried cur idx =
     match strategy with
-    | Backtrack _ -> stamps.(I32.unsafe_get offsets cur + idx) <- epoch
+    | Backtrack _ -> Tried.add tried (I32.unsafe_get offsets cur + idx)
     | Terminate | Random_reroute _ -> ()
   in
   (* Greedy leg toward [target]; stops at the target, at a stuck node, or at
@@ -580,7 +558,8 @@ let lockstep_terminate ~failures ~side ~max_hops net ~pairs =
   let n = Network.size net in
   Array.iter (fun (src, dst) -> check_endpoints failures ~n ~src ~dst) pairs;
   let rv =
-    view ~failures ~side ~stamps:[||] ~epoch:0 ~tr:Ftr_obs.Tracing.null ~tracing:false net
+    view ~failures ~side ~tried:dummy_scratch.tried ~tracking:false ~tr:Ftr_obs.Tracing.null
+      ~tracing:false net
   in
   let count = Array.length pairs in
   let out = Array.make count (Delivered { hops = 0 }) in

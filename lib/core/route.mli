@@ -55,15 +55,16 @@ val hops : outcome -> int
 (** Hops consumed, delivered or not (backtracking steps count). *)
 
 type scratch
-(** Reusable working state for {!route}: the epoch-stamped per-link
-    "tried" array and the preallocated backtrack window, sized to a
-    network's CSR edge count. With a caller-held scratch, routing performs
-    zero minor-heap allocations per hop in steady state; a scratch passed
-    for a larger network than it was built for is regrown transparently.
-    Not thread-safe: one scratch per domain. *)
+(** Reusable working state for {!route}: the set of links the current
+    route has tried (a {!Tried.t}, cleared in O(1) per route) and the
+    backtrack window. Its size follows the longest route it has served,
+    not the network: a few hundred words to start, whatever the edge
+    count. With a caller-held scratch, routing performs zero minor-heap
+    allocations per hop once the set has grown; one scratch serves
+    networks of any size. Not thread-safe: one scratch per domain. *)
 
 val scratch : Network.t -> scratch
-(** Fresh scratch sized for [net]. *)
+(** Fresh scratch for routing on [net] (or on any other network). *)
 
 val route :
   ?failures:Failure.t ->

@@ -13,13 +13,13 @@ module Seed = Ftr_exec.Seed
    (with telemetry off in the running domain) keeps several routes in
    flight so their cache misses overlap; its routes share only read-only
    state, so the contract above holds unchanged. The other strategies
-   route one pair at a time: backtracking routes share one epoch-stamped
-   scratch (interleaved routes would overwrite each other's tried-link
-   marks), and rerouting draws from a per-route generator across several
-   legs. Scratch is per domain, not per route: [Route.route] with no
-   explicit scratch borrows the Domain.DLS-cached one, so a chunk of
-   backtracking routes costs one scratch per worker domain, amortized to
-   nothing. *)
+   route one pair at a time: backtracking routes share one scratch,
+   whose tried-link set is cleared at the start of each route
+   (interleaved routes would mix their tried links), and rerouting draws
+   from a per-route generator across several legs. Scratch is per
+   domain, not per route: [Route.route] with no explicit scratch borrows
+   the Domain.DLS-cached one, so a chunk of backtracking routes costs one
+   scratch per worker domain, amortized to nothing. *)
 
 let default_chunk = 1024
 

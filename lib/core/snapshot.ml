@@ -102,8 +102,7 @@ let decode_header ~file_bytes b =
       (if file_bytes < expected then "truncated" else "trailing garbage");
   { version; geometry; line_size; nodes; edges; links; file_bytes }
 
-let write_fully fd b =
-  let len = Bytes.length b in
+let write_fully fd b len =
   let sent = ref 0 in
   while !sent < len do
     sent := !sent + Unix.write fd b !sent (len - !sent)
@@ -128,25 +127,76 @@ let with_fd path ~flags ~perm f =
   let fd = Unix.openfile path flags perm in
   Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f fd)
 
-let map_payload fd ~shared ~words =
-  Bigarray.array1_of_genarray
-    (Unix.map_file fd ~pos:(Int64.of_int header_bytes) Bigarray.int32 Bigarray.c_layout shared
-       [| words |])
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+(* The save buffer: a multiple of 8 bytes, large enough that the write
+   calls cost little next to the copy. *)
+let save_buffer_bytes = 1 lsl 20
+
+(* Two adjacent int32 entries as the int64 whose native-order bytes are
+   theirs: entry [a] first in memory. *)
+let[@inline] pack (a : int32) (b : int32) =
+  let lo = if Sys.big_endian then b else a and hi = if Sys.big_endian then a else b in
+  Int64.logor
+    (Int64.logand (Int64.of_int32 lo) 0xFFFF_FFFFL)
+    (Int64.shift_left (Int64.of_int32 hi) 32)
+
+(* Append vector [v] to the file through [buf], whose first [!fill]
+   bytes are pending: two entries per unchecked 64-bit store, flushing
+   with [Unix.write] whenever the buffer is full. *)
+let write_vector fd buf fill (v : I32.t) =
+  let cap = Bytes.length buf and len = I32.length v in
+  let i = ref 0 in
+  while !i < len do
+    if !fill > cap - 8 then begin
+      write_fully fd buf !fill;
+      fill := 0
+    end;
+    let pairs = min ((len - !i) / 2) ((cap - !fill) / 8) in
+    if pairs = 0 then begin
+      (* The vector's odd last entry. *)
+      set32u buf !fill (Bigarray.Array1.unsafe_get v !i);
+      fill := !fill + 4;
+      incr i
+    end
+    else begin
+      let f = !fill and s = !i in
+      for j = 0 to pairs - 1 do
+        set64u buf (f + (8 * j))
+          (pack
+             (Bigarray.Array1.unsafe_get v (s + (2 * j)))
+             (Bigarray.Array1.unsafe_get v (s + (2 * j) + 1)))
+      done;
+      fill := f + (8 * pairs);
+      i := s + (2 * pairs)
+    end
+  done
+
+(* The header, then the payload sections copied through one bounded
+   buffer with [Unix.write]. Writing through a shared mapping of the file
+   instead would leave every payload page dirty in this process's memory
+   until the GC finalizes the mapping, so a save followed by a load would
+   hold the payload twice.
+
+   An existing file is unlinked, not truncated. A network loaded from it
+   keeps the old contents in its mapping (truncating would cut the pages
+   from under it), and the new file is a fresh inode: on ext4 a file
+   truncated to zero has its delayed allocations flushed at close
+   (replace-via-truncate), which took 20 ms at n = 2^20. *)
 let save net ~path =
   Ftr_obs.Span.time "snapshot.save" @@ fun () ->
-  let nodes = Network.size net and line_size = Network.line_size net in
   let adj = Network.csr net in
-  let edges = Csr.edge_count adj in
-  let skip = position_words ~line_size ~nodes in
-  with_fd path ~flags:[ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] ~perm:0o644 @@ fun fd ->
-  write_fully fd (encode_header net);
-  (* A shared mapping extends the file to its full size; the payload
-     sections are then memcpy-speed blits of the in-memory vectors. *)
-  let payload = map_payload fd ~shared:true ~words:(payload_words ~line_size ~nodes ~edges) in
-  Option.iter (fun p -> I32.blit p (I32.sub payload 0 nodes)) (Network.positions net);
-  I32.blit adj.Csr.offsets (I32.sub payload skip (nodes + 1));
-  if edges > 0 then I32.blit adj.Csr.targets (I32.sub payload (skip + nodes + 1) edges)
+  (try Unix.unlink path with Unix.Unix_error (Unix.ENOENT, _, _) -> ());
+  with_fd path ~flags:[ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] ~perm:0o644 @@ fun fd ->
+  let header = encode_header net in
+  write_fully fd header header_bytes;
+  let buf = Bytes.create save_buffer_bytes and fill = ref 0 in
+  Option.iter (write_vector fd buf fill) (Network.positions net);
+  write_vector fd buf fill adj.Csr.offsets;
+  write_vector fd buf fill adj.Csr.targets;
+  write_fully fd buf !fill
 
 let info ~path =
   with_fd path ~flags:[ Unix.O_RDONLY ] ~perm:0 @@ fun fd ->
@@ -159,11 +209,13 @@ let load ?(mmap = true) ?(validate = true) ~path () =
   let file_bytes = (Unix.fstat fd).Unix.st_size in
   let h = decode_header ~file_bytes (read_header fd ~file_bytes) in
   let nodes = h.nodes and edges = h.edges in
-  (* shared:false — a private copy-on-write mapping: read-only use serves
-     straight from the page cache, and nothing this process does can write
-     back to the file. *)
+  (* A private copy-on-write mapping: read-only use serves straight from
+     the page cache, and nothing this process does can write back to the
+     file. *)
   let payload =
-    map_payload fd ~shared:false ~words:(payload_words ~line_size:h.line_size ~nodes ~edges)
+    Bigarray.array1_of_genarray
+      (Unix.map_file fd ~pos:(Int64.of_int header_bytes) Bigarray.int32 Bigarray.c_layout false
+         [| payload_words ~line_size:h.line_size ~nodes ~edges |])
   in
   let view off len = I32.sub payload off len in
   let copy off len =

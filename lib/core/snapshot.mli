@@ -57,9 +57,12 @@ val expected_bytes : line_size:int -> nodes:int -> edges:int -> int
     [nodes < line_size]. *)
 
 val save : Network.t -> path:string -> unit
-(** Write the network to [path] (created or truncated). The payload is
-    blitted from the in-memory vectors through a shared mapping — no
-    per-element serialization. *)
+(** Write the network to a new file at [path], replacing (unlinking) any
+    file there, so a network loaded from the old file keeps its contents.
+    The header is written first, then the payload vectors, copied through
+    one 1 MiB buffer with [Unix.write], two entries per store. The file
+    is never mapped while it is written, so saving leaves no dirty
+    payload pages in the process. *)
 
 val load : ?mmap:bool -> ?validate:bool -> path:string -> unit -> Network.t
 (** Read a snapshot. [mmap] (default true) backs the network by a private

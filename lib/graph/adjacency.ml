@@ -110,76 +110,29 @@ module Csr = struct
     if n < 0 || n >= I32.max_value then
       invalid_arg (Printf.sprintf "Csr: node count %d outside the int32-indexable range" n)
 
-  (* Streaming construction: rows appended one at a time (or one target at
-     a time) into a doubling flat buffer, so building an n-node network
-     needs O(row) transient state instead of materializing [n] jagged
-     rows. [of_rows] feeds it; [Network.build_ideal], whose rows sit at
-     offsets known in advance, writes the flat vectors itself. *)
-  module Builder = struct
-    type csr = t
-
-    type t = {
-      n : int;
-      offsets : I32.t;
-      mutable targets : I32.t;
-      mutable len : int; (* targets filled so far *)
-      mutable rows_done : int;
-    }
-
-    let create ?(edges_hint = 0) ~n () =
-      check_node_count n;
-      let cap = max 16 edges_hint in
-      let offsets = I32.create (n + 1) in
-      I32.unsafe_set offsets 0 0;
-      { n; offsets; targets = I32.create cap; len = 0; rows_done = 0 }
-
-    let grow b needed =
-      let cap = max needed (max 16 (2 * I32.length b.targets)) in
-      let cap = min cap I32.max_value in
-      if cap < needed then invalid_arg "Csr.Builder: edge count exceeds the int32 range";
-      let bigger = I32.create cap in
-      if b.len > 0 then I32.blit (I32.sub b.targets 0 b.len) (I32.sub bigger 0 b.len);
-      b.targets <- bigger
-
-    let add_target b v =
-      if b.rows_done >= b.n then invalid_arg "Csr.Builder: all rows already closed";
-      if v < 0 || v >= b.n then
-        invalid_arg (Printf.sprintf "Csr.Builder: target %d out of range" v);
-      if b.len >= I32.length b.targets then grow b (b.len + 1);
-      I32.unsafe_set b.targets b.len v;
-      b.len <- b.len + 1
-
-    let end_row b =
-      if b.rows_done >= b.n then invalid_arg "Csr.Builder: all rows already closed";
-      b.rows_done <- b.rows_done + 1;
-      I32.unsafe_set b.offsets b.rows_done b.len
-
-    let append_row b arr ~len =
-      for k = 0 to len - 1 do
-        add_target b arr.(k)
-      done;
-      end_row b
-
-    let finish b =
-      if b.rows_done <> b.n then
-        invalid_arg
-          (Printf.sprintf "Csr.Builder: %d of %d rows closed at finish" b.rows_done b.n);
-      (* A view, not a copy: the buffer is sized by [edges_hint], and a copy
-         would hold a second edge-sized buffer until the GC finalizes the
-         first. A caller without an exact hint pins the doubling slack. *)
-      let targets = I32.sub b.targets 0 b.len in
-      { offsets = b.offsets; targets }
-  end
-
+  (* Both vectors at their exact size, filled row by row: no growth and
+     no slack. [Network.build_ideal], whose rows sit at offsets known in
+     advance, writes its vectors itself. *)
   let of_rows rows =
     let n = Array.length rows in
     check_node_count n;
     let edges = Array.fold_left (fun acc r -> acc + Array.length r) 0 rows in
-    let b = Builder.create ~edges_hint:edges ~n () in
-    Array.iter (fun r -> Builder.append_row b r ~len:(Array.length r)) rows;
-    let t = Builder.finish b in
-    validate t;
-    t
+    if edges > I32.max_value then invalid_arg "Csr.of_rows: edge count exceeds the int32 range";
+    let offsets = I32.create (n + 1) and targets = I32.create edges in
+    I32.unsafe_set offsets 0 0;
+    let e = ref 0 in
+    Array.iteri
+      (fun u row ->
+        Array.iter
+          (fun v ->
+            if v < 0 || v >= n then
+              invalid_arg (Printf.sprintf "Csr.of_rows: target %d out of range" v);
+            I32.unsafe_set targets !e v;
+            incr e)
+          row;
+        I32.unsafe_set offsets (u + 1) !e)
+      rows;
+    { offsets; targets }
 
   (* Transpose: row [v] lists every [u] with an edge [u -> v], ascending
      (with multiplicity). *)

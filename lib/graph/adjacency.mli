@@ -48,7 +48,7 @@ end
 (** Compressed sparse row (struct-of-arrays) form: all rows concatenated
     into one flat [targets] vector indexed through [offsets]. Row [u] is
     [targets.(offsets.(u)) .. targets.(offsets.(u+1) - 1)]. Invariants
-    (established by {!Csr.of_rows}/{!Csr.Builder.finish}, re-checkable
+    (established by {!Csr.of_rows} and [Network]'s builders, re-checkable
     with {!Csr.validate}): [offsets] is monotone non-decreasing, starts
     at 0, ends at [I32.length targets]; every target is a valid node
     index. The record is exposed so hot loops can scan the vectors
@@ -56,38 +56,10 @@ end
 module Csr : sig
   type t = { offsets : I32.t; targets : I32.t }
 
-  (** Streaming construction: append rows (or single targets) in node
-      order into a doubling flat buffer — O(current row) transient state,
-      never a jagged intermediate. *)
-  module Builder : sig
-    type csr = t
-    type t
-
-    val create : ?edges_hint:int -> n:int -> unit -> t
-    (** Builder for an [n]-node graph; [edges_hint] presizes the target
-        buffer. @raise Invalid_argument if [n] exceeds the int32-indexable
-        range. *)
-
-    val add_target : t -> int -> unit
-    (** Append one out-neighbour to the current (unfinished) row.
-        @raise Invalid_argument if out of range or all rows are closed. *)
-
-    val end_row : t -> unit
-    (** Close the current row and advance to the next node. *)
-
-    val append_row : t -> int array -> len:int -> unit
-    (** [append_row b scratch ~len]: add the first [len] entries of
-        [scratch] as one full row — the scratch array can be reused. *)
-
-    val finish : t -> csr
-    (** Seal into a CSR. [targets] is a view of the builder's buffer, so
-        it pins the whole buffer: pass the exact edge count as
-        [edges_hint] to leave no slack.
-        @raise Invalid_argument unless exactly [n] rows were closed. *)
-  end
-
   val of_rows : int array array -> t
-  (** Flatten per-node rows; validates targets are in range. *)
+  (** Flatten per-node rows into vectors of exactly the edge count.
+      @raise Invalid_argument if a target is out of range or the node or
+      edge count exceeds the int32-indexable range. *)
 
   val size : t -> int
   (** Number of nodes (rows). *)

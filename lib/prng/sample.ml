@@ -180,13 +180,10 @@ let[@inline] guess t target last =
    predicate is monotone, so the answer is the one the plain binary search
    over [0, last] finds; the guess only decides how many probes it takes.
    From the guess, gallop outward by 1, 2, 4, ... until the bracket
-   closes, then bisect it. *)
-let power_law_quantile t ~upto u =
-  if upto < 1 || upto > t.max_length then
-    invalid_arg "Sample.power_law_quantile: upto out of range";
+   closes, then bisect it. Inlined into both entry points, so [target]
+   is never boxed: a draw allocates nothing. *)
+let[@inline] search t ~last target =
   let prefix = t.prefix in
-  let last = upto - 1 in
-  let target = u *. prefix.(last) in
   let g = guess t target last in
   let lo = ref (-1) and hi = ref last in
   if g = last || prefix.(g) > target then begin
@@ -219,9 +216,14 @@ let power_law_quantile t ~upto u =
   done;
   !hi + 1
 
+let power_law_quantile t ~upto u =
+  if upto < 1 || upto > t.max_length then
+    invalid_arg "Sample.power_law_quantile: upto out of range";
+  search t ~last:(upto - 1) (u *. t.prefix.(upto - 1))
+
 let power_law_draw t rng ~upto =
   if upto < 1 || upto > t.max_length then
     invalid_arg "Sample.power_law_draw: upto out of range";
-  power_law_quantile t ~upto (Rng.float rng)
+  search t ~last:(upto - 1) (Rng.float rng *. t.prefix.(upto - 1))
 
 let power_law_max_length t = t.max_length

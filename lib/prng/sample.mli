@@ -78,7 +78,7 @@ val power_law_draw : power_law -> Rng.t -> upto:int -> int
 (** Draw a length in [1, upto] with probability proportional to
     [d^-exponent], restricted to the first [upto] lengths (used to condition
     on staying inside the line segment). It is
-    [power_law_quantile t ~upto (Rng.float rng)].
+    [power_law_quantile t ~upto (Rng.float rng)], and allocates nothing.
     @raise Invalid_argument if [upto] is out of range. *)
 
 val power_law_quantile : power_law -> upto:int -> float -> int

@@ -342,6 +342,46 @@ let pinned_bench_stream_digests () =
         Alcotest.(check int64) (label ^ ", batched") want (digest (batched ~failures net pairs)))
     bench_stream_digests
 
+(* Backtracking routes that try many more links than the tried-link
+   table's 64 initial cells hold (32 links before the first doubling):
+   64 live pairs on an n = 2048, 3-link network with half its nodes
+   failed (network, mask and pairs all from [Rng.of_int 5]), no binding
+   hop budget. The longest route takes 674 hops; at least half of a
+   route's hops are forward moves, and each records one tried link. The
+   digest was recorded from the router that kept one epoch stamp per CSR
+   slot. It holds with one scratch shared by every route and with the
+   domain-local scratch. *)
+let pinned_long_backtrack () =
+  let n = 2048 in
+  let rng = Rng.of_int 5 in
+  let net = Network.build_ideal ~n ~links:3 rng in
+  let mask = Failure.random_node_fraction rng ~n ~fraction:0.5 in
+  let failures = Failure.of_node_mask mask in
+  let rec live () =
+    let v = Rng.int rng n in
+    if Ftr_graph.Bitset.get mask v then v else live ()
+  in
+  let pairs =
+    Array.init 64 (fun _ ->
+        let src = live () in
+        (src, live ()))
+  in
+  let strategy = Route.Backtrack { history = 5 } and max_hops = 1_000_000 in
+  let scratch = Route.scratch net in
+  let shared =
+    Array.map
+      (fun (src, dst) -> Route.route ~failures ~strategy ~max_hops ~scratch net ~src ~dst)
+      pairs
+  in
+  let own =
+    Array.map (fun (src, dst) -> Route.route ~failures ~strategy ~max_hops net ~src ~dst) pairs
+  in
+  let digest outs = Array.fold_left fnv_outcome fnv_basis outs in
+  Alcotest.(check int) "longest route" 674
+    (Array.fold_left (fun m o -> max m (Route.hops o)) 0 shared);
+  Alcotest.(check int64) "shared scratch" 0xF0935DFE21D1CC03L (digest shared);
+  Alcotest.(check int64) "domain-local scratch" 0xF0935DFE21D1CC03L (digest own)
+
 (* ------------------------------------------------------------------ *)
 (* Batch routing: jobs-invariance                                      *)
 (* ------------------------------------------------------------------ *)
@@ -648,6 +688,8 @@ let () =
           Alcotest.test_case "build_ideal takes two draws per long link" `Quick
             build_consumes_two_draws_per_link;
           Alcotest.test_case "bench route stream digests" `Quick pinned_bench_stream_digests;
+          Alcotest.test_case "backtracking past the tried-link table's first size" `Quick
+            pinned_long_backtrack;
         ] );
       ( "duplicates",
         [ Alcotest.test_case "random builders keep duplicates" `Quick random_builder_keeps_duplicates ]

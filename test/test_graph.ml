@@ -93,7 +93,7 @@ let adjacency_reverse () =
 
 let adjacency_validates () =
   Alcotest.check_raises "edge out of range"
-    (Invalid_argument "Csr.Builder: target 5 out of range") (fun () ->
+    (Invalid_argument "Csr.of_rows: target 5 out of range") (fun () ->
       ignore (Csr.of_rows [| [| 5 |]; [||] |]))
 
 let adjacency_iter_row () =

@@ -754,6 +754,63 @@ let prop_backtrack_never_worse_than_terminate =
       let b = Route.route ~failures ~strategy:(Route.Backtrack { history = 5 }) net ~src ~dst in
       (not (Route.delivered t)) || Route.delivered b)
 
+(* ------------------------------------------------------------------ *)
+(* Tried-link table                                                    *)
+(* ------------------------------------------------------------------ *)
+
+module Tried = Ftr_core.Tried
+
+type tried_op = Add of int | Mem of int | Clear
+
+let show_tried_op = function
+  | Add k -> Printf.sprintf "add %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Clear -> "clear"
+
+(* Sequences long enough to double the 64-cell table several times
+   between clears (one op in 400 is a clear): keys from a small range (repeats), a CSR-sized range
+   and the whole int32-indexable range. *)
+let tried_ops =
+  let key =
+    QCheck.Gen.(
+      oneof [ int_range 0 63; int_range 0 200_000; int_range 0 Ftr_graph.Adjacency.I32.max_value ])
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_tried_op ops))
+    QCheck.Gen.(
+      list_size (int_range 1 1500)
+        (frequency
+           [
+             (240, map (fun k -> Add k) key);
+             (160, map (fun k -> Mem k) key);
+             (1, return Clear);
+           ]))
+
+let prop_tried_matches_hashtbl =
+  QCheck.Test.make ~name:"tried-link table agrees with a Hashtbl model" ~count:200 tried_ops
+    (fun ops ->
+      let t = Tried.create () and model = Hashtbl.create 64 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add k ->
+              Tried.add t k;
+              Hashtbl.replace model k ()
+          | Mem _ -> ()
+          | Clear ->
+              Tried.clear t;
+              Hashtbl.reset model);
+          (match op with Add k | Mem k -> Tried.mem t k = Hashtbl.mem model k | Clear -> true)
+          && Tried.length t = Hashtbl.length model
+          && Hashtbl.fold (fun k () ok -> ok && Tried.mem t k) model true)
+        ops)
+
+(* The scratch holds one route's working state, not one stamp per link:
+   a fresh one is the same size on a 2^10-node and a 2^16-node network. *)
+let scratch_size_independent_of_n () =
+  let words n = Obj.reachable_words (Obj.repr (Route.scratch (build ~n ~links:8 n))) in
+  Alcotest.(check int) "reachable words, n = 2^10 vs 2^16" (words (1 lsl 10)) (words (1 lsl 16))
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "route"
@@ -828,6 +885,11 @@ let () =
           quick "zero fraction" fraction_zero_kills_nobody;
           quick "bernoulli rate" bernoulli_mask_rate;
           quick "compose" compose_masks;
+        ] );
+      ( "tried-link table",
+        [
+          quick "scratch size independent of n" scratch_size_independent_of_n;
+          QCheck_alcotest.to_alcotest prop_tried_matches_hashtbl;
         ] );
       ( "properties",
         List.map (fun p -> QCheck_alcotest.to_alcotest p)

@@ -128,6 +128,48 @@ let set_int32 s off v =
 
 let get_int32 s off = Int32.to_int (Bytes.get_int32_ne (Bytes.of_string s) off)
 
+(* The file bytes, pinned as FNV-1a 64 digests recorded from the writer
+   that blitted the payload into a shared mapping of the file. The full
+   networks' offsets vectors have an odd length (n + 1), so the targets
+   section starts half-way through a 64-bit store. The two large files
+   are bigger than the 1 MiB save buffer. *)
+let fnv_bytes s =
+  let h = ref 0xCBF29CE484222325L in
+  String.iter
+    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
+    s;
+  !h
+
+let pinned_file_bytes () =
+  List.iter
+    (fun (label, net, size, digest) ->
+      with_snapshot net @@ fun path ->
+      let contents = read_file path in
+      Alcotest.(check int) (label ^ " size") size (String.length contents);
+      Alcotest.(check int64) (label ^ " digest") digest (fnv_bytes contents))
+    [
+      ("full n=384", build (), 10_812, 0xDB69B37A23A1864EL);
+      ("full n=2^16", build ~n:(1 lsl 16) (), 1_835_068, 0xB9724251925C1BFFL);
+      ("sparse n=256", sparse (), 2_868, 0xCF8483648659C84BL);
+      ( "sparse n=2^17",
+        Network.build_binomial ~n:(1 lsl 17) ~links:3 ~present_p:0.5 (Rng.of_int 12345),
+        1_831_204,
+        0x7D2842BA2A6AFF27L );
+    ]
+
+(* Saving over a snapshot replaces the file instead of truncating it: a
+   network mapped from the old file keeps its contents, and the path
+   then loads the new network. *)
+let save_replaces_mapped_file () =
+  let old_net = build () and new_net = sparse () in
+  with_snapshot old_net @@ fun path ->
+  let mapped = Snapshot.load ~path () in
+  Snapshot.save new_net ~path;
+  Alcotest.(check bool) "mapped network unchanged" true (Network.equal old_net mapped);
+  check_routes_agree old_net mapped;
+  Alcotest.(check bool) "path holds the new network" true
+    (Network.equal new_net (Snapshot.load ~path ()))
+
 (* Each row: a label, the pristine snapshot it mutates (the ideal network,
    or the sparse one, which stores positions from byte 64 on), and a
    mutation of its bytes. Both [load] and [info] must refuse the mutant with
@@ -224,6 +266,8 @@ let () =
           Alcotest.test_case "load without validation" `Quick roundtrip_no_validate;
           Alcotest.test_case "info fields" `Quick info_fields;
           Alcotest.test_case "file size and stored positions" `Quick file_sizes_and_positions;
+          Alcotest.test_case "file bytes pinned" `Quick pinned_file_bytes;
+          Alcotest.test_case "save replaces a mapped file" `Quick save_replaces_mapped_file;
         ] );
       ( "corruption",
         [
