@@ -886,7 +886,7 @@ let () =
           quick "bernoulli rate" bernoulli_mask_rate;
           quick "compose" compose_masks;
         ] );
-      ( "tried-link table",
+      ( "tried-links",
         [
           quick "scratch size independent of n" scratch_size_independent_of_n;
           QCheck_alcotest.to_alcotest prop_tried_matches_hashtbl;
