@@ -480,10 +480,10 @@ let byzantine ~full =
         let src = honest () in
         let dst = honest () in
         let m = Byz.route_misroute net ~byzantine ~src ~dst in
-        if Byz.delivered m then begin
+        if Route.delivered m.Byz.outcome then begin
           incr delivered;
-          Summary.add_int hops (Byz.hops m);
-          Summary.add_int sab (Byz.wasted m)
+          Summary.add_int hops (Route.hops m.Byz.outcome);
+          Summary.add_int sab m.Byz.wasted
         end
       done;
       Printf.printf "%10.2f %12.3f %14.1f %16.2f\n" fraction

@@ -22,8 +22,8 @@ let route ?max_hops t ~src ~dst =
           && Ftr_metric.Torus.contains (Multidim.torus t) dst)
   then invalid_arg "Kleinberg.route: node off the torus";
   match Multidim.route ?max_hops t ~src ~dst with
-  | Multidim.Delivered { hops } -> Some hops
-  | Multidim.Failed _ -> None
+  | Ftr_core.Route.Delivered { hops } -> Some hops
+  | Ftr_core.Route.Failed _ -> None
 
 let route_hops t ~src ~dst =
   match route t ~src ~dst with

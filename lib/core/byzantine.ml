@@ -9,15 +9,7 @@
    its next-best neighbour — the same machinery that routes around crashed
    nodes, at one wasted message per Byzantine encounter. *)
 
-type outcome =
-  | Delivered of { hops : int; wasted : int }  (** [wasted] = messages eaten by blackholes *)
-  | Failed of { hops : int; wasted : int }
-
-let delivered = function Delivered _ -> true | Failed _ -> false
-
-let hops = function Delivered { hops; _ } | Failed { hops; _ } -> hops
-
-let wasted = function Delivered { wasted; _ } | Failed { wasted; _ } -> wasted
+type outcome = { outcome : Route.outcome; wasted : int }
 
 type defense =
   | Naive  (** senders never learn; the first blackhole on the path wins *)
@@ -38,9 +30,12 @@ let route_misroute ?(max_hops = 1_000) net ~byzantine ~src ~dst =
   let dist v = Network.distance net v dst in
   let { Ftr_graph.Adjacency.Csr.offsets; targets } = Network.csr net in
   let module I32 = Ftr_graph.Adjacency.I32 in
+  let failed h sabotaged cur reason =
+    { outcome = Failed { hops = h; stuck_at = cur; reason }; wasted = sabotaged }
+  in
   let rec go cur h sabotaged =
-    if cur = dst then Delivered { hops = h; wasted = sabotaged }
-    else if h >= max_hops then Failed { hops = h; wasted = sabotaged }
+    if cur = dst then { outcome = Delivered { hops = h }; wasted = sabotaged }
+    else if h >= max_hops then failed h sabotaged cur Hop_limit
     else if byzantine cur then begin
       (* Sabotage: hand the message to the worst neighbour. *)
       if I32.get offsets (cur + 1) = I32.get offsets cur then
@@ -69,7 +64,7 @@ let route_misroute ?(max_hops = 1_000) net ~byzantine ~src ~dst =
           best_d := d
         end
       done;
-      if !best < 0 then Failed { hops = h; wasted = sabotaged } else go !best (h + 1) sabotaged
+      if !best < 0 then failed h sabotaged cur No_live_neighbor else go !best (h + 1) sabotaged
     end
   in
   go src 0 0
@@ -78,89 +73,51 @@ let route ?(defense = Naive) ?(max_hops = 1_000_000) net ~byzantine ~src ~dst =
   if src < 0 || src >= Network.size net || dst < 0 || dst >= Network.size net then
     invalid_arg "Byzantine.route: node out of range";
   if byzantine src || byzantine dst then invalid_arg "Byzantine.route: endpoint is Byzantine";
-  (* Tried links keyed by their CSR slot, in the set {!Route} keeps them
-     in. *)
-  let { Ftr_graph.Adjacency.Csr.offsets; targets } = Network.csr net in
-  let module I32 = Ftr_graph.Adjacency.I32 in
-  let tried = Tried.create () in
-  let record cur idx = Tried.add tried (I32.get offsets cur + idx) in
-  let dist v = Network.distance net v dst in
-  (* Senders cannot see who is Byzantine, so candidates include them. *)
-  let best ~any cur =
-    let limit = if any then max_int else dist cur in
-    let base = I32.get offsets cur in
-    let best = ref (-1) and best_idx = ref (-1) and best_d = ref limit in
-    for k = 0 to I32.get offsets (cur + 1) - base - 1 do
-      let v = I32.get targets (base + k) in
-      if not (Tried.mem tried (base + k)) then begin
-        let d = dist v in
-        if d < !best_d then begin
-          best := v;
-          best_idx := k;
-          best_d := d
-        end
-      end
-    done;
-    if !best < 0 then None else Some (!best_idx, !best)
+  let naive, history =
+    match defense with
+    | Naive -> (true, 0)
+    | Retry -> (false, 0)
+    | Retry_backtrack { history } ->
+        if history < 1 then invalid_arg "Byzantine.route: history must be >= 1";
+        (false, history)
   in
-  match defense with
-  | Naive ->
-      (* Pure greedy; stepping onto a blackhole ends the search. *)
-      let rec go cur h =
-        if cur = dst then Delivered { hops = h; wasted = 0 }
-        else if h >= max_hops then Failed { hops = h; wasted = 0 }
-        else
-          match best ~any:false cur with
-          | None -> Failed { hops = h; wasted = 0 }
-          | Some (_, v) ->
-              if byzantine v then Failed { hops = h + 1; wasted = 1 } else go v (h + 1)
-      in
-      go src 0
-  | Retry | Retry_backtrack _ ->
-      let history_limit =
-        match defense with Retry_backtrack { history } -> history | Retry | Naive -> 0
-      in
-      let trim l =
-        let rec take k = function
-          | [] -> []
-          | x :: rest -> if k = 0 then [] else x :: take (k - 1) rest
-        in
-        take history_limit l
-      in
-      let wasted = ref 0 in
-      let rec forward cur h hist =
-        if cur = dst then Delivered { hops = h; wasted = !wasted }
-        else if h >= max_hops then Failed { hops = h; wasted = !wasted }
-        else
-          match best ~any:false cur with
-          | Some (idx, v) ->
-              record cur idx;
-              if byzantine v then begin
-                (* The blackhole ate one message; the sender times out and
-                   tries its next candidate. *)
-                incr wasted;
-                forward cur (h + 1) hist
-              end
-              else forward v (h + 1) (trim (cur :: hist))
-          | None -> backtrack cur h hist
-      and backtrack stuck h = function
-        | [] -> Failed { hops = h; wasted = !wasted }
-        | y :: rest ->
-            let h = h + 1 in
-            if h >= max_hops then Failed { hops = h; wasted = !wasted }
-            else begin
-              match best ~any:true y with
-              | Some (idx, v) ->
-                  record y idx;
-                  if byzantine v then begin
-                    incr wasted;
-                    backtrack stuck h (y :: rest)
-                  end
-                  else forward v (h + 1) (trim (y :: rest))
-              | None -> backtrack y h rest
-            end
-      in
-      forward src 0 []
+  let csr = Network.csr net in
+  let { Ftr_graph.Adjacency.Csr.offsets; targets } = csr in
+  let module I32 = Ftr_graph.Adjacency.I32 in
+  let state = Stuck.create () in
+  let tried = Stuck.tried state in
+  let dist v = Network.distance net v dst in
+  let wasted = ref 0 in
+  (* Senders cannot see who is Byzantine, so candidates include them. A
+     naive sender learns nothing from a lost message, so after one it has
+     nowhere left to send. *)
+  let scan mode cur =
+    let base = I32.get offsets cur in
+    let best_idx = ref (-1)
+    and best_d = ref (match mode with `Strict -> dist cur | `Any -> max_int) in
+    if not (naive && !wasted > 0) then
+      for k = 0 to I32.get offsets (cur + 1) - base - 1 do
+        if not (Tried.mem tried (base + k)) then begin
+          let d = dist (I32.get targets (base + k)) in
+          if d < !best_d then begin
+            best_idx := k;
+            best_d := d
+          end
+        end
+      done;
+    !best_idx
+  in
+  (* The blackhole eats the message; a defended sender times out and
+     tries its next candidate. *)
+  let eaten v =
+    byzantine v
+    && begin
+         incr wasted;
+         true
+       end
+  in
+  let outcome = Stuck.search ~eaten state ~history ~max_hops ~csr ~scan ~src ~dst in
+  { outcome; wasted = !wasted }
 
 type sweep_row = {
   byzantine_fraction : float;
@@ -195,15 +152,14 @@ let sweep ?(n = 4096) ?links ?(fractions = [ 0.0; 0.05; 0.1; 0.2; 0.3; 0.4 ]) ?(
         for _ = 1 to messages do
           let src = honest () and dst = honest () in
           incr total;
-          if not (delivered (route ~defense:Naive net ~byzantine ~src ~dst)) then incr naive;
+          let failed defense =
+            not (Route.delivered (route ~defense net ~byzantine ~src ~dst).outcome)
+          in
+          if failed Naive then incr naive;
           let rr = route ~defense:Retry net ~byzantine ~src ~dst in
-          if not (delivered rr) then incr retry;
-          eaten := !eaten + wasted rr;
-          if
-            not
-              (delivered
-                 (route ~defense:(Retry_backtrack { history = 5 }) net ~byzantine ~src ~dst))
-          then incr back
+          if not (Route.delivered rr.outcome) then incr retry;
+          eaten := !eaten + rr.wasted;
+          if failed (Retry_backtrack { history = 5 }) then incr back
         done
       done;
       let frac x = float_of_int x /. float_of_int !total in

@@ -10,20 +10,20 @@
       search, and forwards to its next-best neighbour (one wasted message
       per encounter);
     - {!Retry_backtrack}: {!Retry} plus Section 6 backtracking when a
-      node's closer candidates are exhausted. *)
+      node's closer candidates are exhausted.
 
-type outcome =
-  | Delivered of { hops : int; wasted : int }
-  | Failed of { hops : int; wasted : int }
+    All three are {!Stuck.search}, the backtracking search {!Route} runs,
+    over a scan blind to who is Byzantine, with a blackhole as its
+    lost-message hook; a naive sender's scan offers nothing once a
+    message is lost. *)
 
-val delivered : outcome -> bool
-(** Whether the message arrived. *)
-
-val hops : outcome -> int
-(** All messages sent, wasted ones included. *)
-
-val wasted : outcome -> int
-(** Messages eaten by blackholes. *)
+type outcome = {
+  outcome : Route.outcome;
+      (** [hops] counts every message sent, wasted ones included. A
+          {!Naive} search fails at the sender whose message a blackhole
+          ate. *)
+  wasted : int;  (** messages eaten by blackholes *)
+}
 
 type defense =
   | Naive
@@ -48,7 +48,8 @@ val route :
   dst:int ->
   outcome
 (** Route under the blackhole adversary.
-    @raise Invalid_argument if an endpoint is out of range or Byzantine. *)
+    @raise Invalid_argument if an endpoint is out of range or Byzantine,
+    or a {!Retry_backtrack} history is below 1. *)
 
 type sweep_row = {
   byzantine_fraction : float;

@@ -463,10 +463,10 @@ let sweep_dimensions ?(configs = [ (1, 4096); (2, 64); (3, 16) ]) ?(links = 4)
           match
             Multidim.route ~alive ~strategy:(Multidim.Backtrack { history = 5 }) m ~src ~dst
           with
-          | Multidim.Delivered { hops = h } ->
+          | Route.Delivered { hops = h } ->
               incr ok;
               hops := !hops + h
-          | Multidim.Failed _ -> incr failed
+          | Route.Failed _ -> incr failed
         done;
         Summary.add failed_s (float_of_int !failed /. float_of_int messages);
         if !ok > 0 then Summary.add hops_s (float_of_int !hops /. float_of_int !ok)

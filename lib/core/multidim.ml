@@ -71,95 +71,49 @@ let build ?alpha ?(links = 1) ~dims ~side rng =
   in
   { torus; adj = Csr.of_rows rows; links; alpha }
 
-type outcome = Delivered of { hops : int } | Failed of { hops : int; stuck_at : int }
-
-let delivered = function Delivered _ -> true | Failed _ -> false
-
-let hops = function Delivered { hops } -> hops | Failed { hops; _ } -> hops
+let csr t = t.adj
 
 type strategy = Terminate | Backtrack of { history : int }
 
 (* Greedy routing with node failures and the Section 6 stuck-message
-   strategies, lifted to the torus. The same semantics as {!Route} on the
-   line: forward to the live neighbour closest to the target; when stuck,
-   terminate or backtrack through a bounded history (where a backtracked
-   node may route around a hole through a farther neighbour). *)
+   strategies, lifted to the torus: {!Stuck.search} over the torus
+   distance, where Terminate is the search without a window. *)
 let route ?(alive = fun _ -> true) ?(strategy = Terminate) ?(max_hops = 1_000_000) t ~src ~dst =
   if not (Torus.contains t.torus src && Torus.contains t.torus dst) then
     invalid_arg "Multidim.route: node off the torus";
   if not (alive src && alive dst) then invalid_arg "Multidim.route: endpoint is dead";
+  let history =
+    match strategy with
+    | Terminate -> 0
+    | Backtrack { history } ->
+        if history < 1 then invalid_arg "Multidim.route: history must be >= 1";
+        history
+  in
   let dist u = Torus.distance t.torus u dst in
-  (* Tried links keyed by their flat CSR slot, in the set {!Route} keeps
-     them in. *)
   let { Csr.offsets; targets } = t.adj in
-  let tried = Tried.create () in
-  let best ~any cur =
-    let limit = if any then max_int else dist cur in
+  let state = Stuck.create () in
+  let tried = Stuck.tried state in
+  (* The live untried neighbour closest to [dst], first in row order on
+     ties; strictly closer than [cur] in [`Strict] mode. *)
+  let scan mode cur =
     let base = I32.get offsets cur in
-    let best = ref (-1) and best_idx = ref (-1) and best_d = ref limit in
+    let best_idx = ref (-1)
+    and best_d = ref (match mode with `Strict -> dist cur | `Any -> max_int) in
     for k = 0 to I32.get offsets (cur + 1) - base - 1 do
       let v = I32.get targets (base + k) in
       if alive v && not (Tried.mem tried (base + k)) then begin
         let d = dist v in
         if d < !best_d then begin
-          best := v;
           best_idx := k;
           best_d := d
         end
       end
     done;
-    if !best < 0 then None else Some (!best_idx, !best)
+    !best_idx
   in
-  let record cur idx =
-    match strategy with
-    | Backtrack _ -> Tried.add tried (I32.get offsets cur + idx)
-    | Terminate -> ()
-  in
-  match strategy with
-  | Terminate ->
-      let rec go cur h =
-        if cur = dst then Delivered { hops = h }
-        else if h >= max_hops then Failed { hops = h; stuck_at = cur }
-        else
-          match best ~any:false cur with
-          | Some (_, v) -> go v (h + 1)
-          | None -> Failed { hops = h; stuck_at = cur }
-      in
-      go src 0
-  | Backtrack { history = limit } ->
-      if limit < 1 then invalid_arg "Multidim.route: history must be >= 1";
-      let trim l =
-        let rec take k = function
-          | [] -> []
-          | x :: rest -> if k = 0 then [] else x :: take (k - 1) rest
-        in
-        take limit l
-      in
-      let rec forward cur h hist =
-        if cur = dst then Delivered { hops = h }
-        else if h >= max_hops then Failed { hops = h; stuck_at = cur }
-        else
-          match best ~any:false cur with
-          | Some (idx, v) ->
-              record cur idx;
-              forward v (h + 1) (trim (cur :: hist))
-          | None -> backtrack cur h hist
-      and backtrack stuck h = function
-        | [] -> Failed { hops = h; stuck_at = stuck }
-        | y :: rest ->
-            let h = h + 1 in
-            if h >= max_hops then Failed { hops = h; stuck_at = y }
-            else begin
-              match best ~any:true y with
-              | Some (idx, v) ->
-                  record y idx;
-                  forward v (h + 1) (trim (y :: rest))
-              | None -> backtrack y h rest
-            end
-      in
-      forward src 0 []
+  Stuck.search state ~history ~max_hops ~csr:t.adj ~scan ~src ~dst
 
 let route_hops ?alive ?strategy ?max_hops t ~src ~dst =
   match route ?alive ?strategy ?max_hops t ~src ~dst with
-  | Delivered { hops } -> hops
-  | Failed _ -> invalid_arg "Multidim.route_hops: routing failed"
+  | Stuck.Delivered { hops } -> hops
+  | Stuck.Failed _ -> invalid_arg "Multidim.route_hops: routing failed"

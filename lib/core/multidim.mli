@@ -7,7 +7,7 @@
     proportional to [distance^-alpha] (default [alpha = dims], Kleinberg's
     optimal exponent, which coincides with the paper's exponent-1 law when
     [dims = 1]). Greedy routing and the failure strategies carry over
-    unchanged. *)
+    unchanged, through the line router's own search ({!route}). *)
 
 type t
 
@@ -35,13 +35,10 @@ val degree : t -> int -> int
 (** Number of entries in a node's neighbour row (lattice plus long links,
     duplicates counted). *)
 
-type outcome = Delivered of { hops : int } | Failed of { hops : int; stuck_at : int }
-
-val delivered : outcome -> bool
-(** Whether the message arrived. *)
-
-val hops : outcome -> int
-(** Hops consumed either way. *)
+val csr : t -> Ftr_graph.Adjacency.Csr.t
+(** The neighbour rows as a flat CSR pair (no copy — do not mutate): node
+    [u]'s row lists its lattice neighbours and long links by node index,
+    sorted non-decreasing, duplicates kept. *)
 
 type strategy = Terminate | Backtrack of { history : int }
 
@@ -52,11 +49,13 @@ val route :
   t ->
   src:int ->
   dst:int ->
-  outcome
-(** Greedy routing toward [dst] over live nodes, with the line model's
-    stuck-message semantics (terminate, or backtrack through a bounded
-    history with hole-circumvention).
-    @raise Invalid_argument on off-torus or dead endpoints. *)
+  Route.outcome
+(** Greedy routing toward [dst] over live nodes with the line model's
+    stuck-message semantics: {!Stuck.search} over the torus distance, with
+    no window for [Terminate]. On a [dims = 1] torus it gives the outcome
+    {!Route.route} gives on the same rows as a circle network.
+    @raise Invalid_argument on off-torus or dead endpoints, or a
+    [Backtrack] history below 1. *)
 
 val route_hops : ?alive:(int -> bool) -> ?strategy:strategy -> ?max_hops:int -> t -> src:int -> dst:int -> int
-(** As {!route} but raising on failure (for benchmarks). *)
+(** As {!route} but returning the hop count, raising on failure. *)

@@ -10,9 +10,9 @@ type strategy =
   | Random_reroute of { attempts : int }
   | Backtrack of { history : int }
 
-type reason = No_live_neighbor | Hop_limit | No_live_reroute_target
+type reason = Stuck.reason = No_live_neighbor | Hop_limit | No_live_reroute_target
 
-type outcome =
+type outcome = Stuck.outcome =
   | Delivered of { hops : int }
   | Failed of { hops : int; stuck_at : int; reason : reason }
 
@@ -30,23 +30,18 @@ let strategy_label = function
   | Random_reroute _ -> "random_reroute"
   | Backtrack _ -> "backtrack"
 
-(* Reusable per-route working state, sized to what one route holds:
-   [tried] is the set of CSR slots ([offsets.(u) + k] for link [k] of
-   node [u]) the current route has tried, a small open-addressing table
-   ({!Tried}) that starts at 64 cells and doubles as a long route fills
-   it, whatever the size of the network. [bt_hist] is the bounded
-   backtrack window as a ring buffer. Routing with a caller-held scratch
-   performs zero minor allocations per hop once the table has grown to
-   the longest route; without one, the domain-local scratch below is
-   borrowed. *)
-type scratch = { tried : Tried.t; mutable bt_hist : int array }
+(* Reusable per-route working state: the backtracking search's tried
+   links and window ({!Stuck.t}), sized to what one route holds whatever
+   the size of the network. Without a caller-held one, the domain-local
+   scratch below is borrowed. *)
+type scratch = Stuck.t
 
-let scratch (_ : Network.t) = { tried = Tried.create (); bt_hist = [||] }
+let scratch (_ : Network.t) = Stuck.create ()
 
 (* Stand-in for strategies that never record tried links ({!Terminate},
    {!Random_reroute}) when the caller supplied no scratch: never read or
    written, so sharing one global is safe. *)
-let dummy_scratch = { tried = Tried.create (); bt_hist = [||] }
+let dummy_scratch = Stuck.create ()
 
 (* Fallback scratch for backtracking callers that pass none, cached per
    domain so repeated routing stays allocation-free without an API change.
@@ -357,20 +352,16 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
     end
     else on_hop
   in
-  let offsets = (Network.csr net).Ftr_graph.Adjacency.Csr.offsets in
   (* Only {!Backtrack} records tried links; the other strategies never
      read the set, and borrow no scratch when the caller supplied none. *)
   let tracking = match strategy with Backtrack _ -> true | Terminate | Random_reroute _ -> false in
   let borrowed = borrow_scratch ?scr ~tracking net in
-  let s = borrowed.bs in
-  let tried = s.tried in
-  if tracking then Tried.clear tried;
-  let rv = view ~failures ~side ~tried ~tracking ~tr ~tracing net in
-  let rd = rv.rd in
-  let record_tried cur idx =
-    match strategy with
-    | Backtrack _ -> Tried.add tried (I32.unsafe_get offsets cur + idx)
-    | Terminate | Random_reroute _ -> ()
+  let rv = view ~failures ~side ~tried:(Stuck.tried borrowed.bs) ~tracking ~tr ~tracing net in
+  let trace_chosen ~cur ~v ~target =
+    if tracing then
+      Ftr_obs.Tracing.candidate tr ~cur ~cand:v
+        ~dist:(Network.routing_distance net ~side:rv.rd ~src:v ~dst:target)
+        Ftr_obs.Tracing.Chosen
   in
   (* Greedy leg toward [target]; stops at the target, at a stuck node, or at
      the hop budget. Returns (terminus, hops_so_far, ran_out_of_budget). *)
@@ -381,11 +372,7 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
       if k >= 0 then begin
         let v = nth_target rv ~cur:!cur k in
         debug_check_strict_hop net ~side ~cur:!cur ~v ~dst:target;
-        if tracing then
-          Ftr_obs.Tracing.candidate tr ~cur:!cur ~cand:v
-            ~dist:(Network.routing_distance net ~side:rd ~src:v ~dst:target)
-            Ftr_obs.Tracing.Chosen;
-        record_tried !cur k;
+        if tracing then trace_chosen ~cur:!cur ~v ~target;
         cur := v;
         incr h;
         on_hop v
@@ -417,6 +404,7 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
       else if out_of_budget then Failed { hops = h; stuck_at = terminus; reason = Hop_limit }
       else Failed { hops = h; stuck_at = terminus; reason = No_live_neighbor }
   | Random_reroute { attempts } ->
+      if attempts < 0 then invalid_arg "Route.route: attempts must be >= 0";
       let rec go cur h attempts_left =
         let terminus, h, out_of_budget = greedy_leg ~start:cur ~target:dst ~hops:h in
         if terminus = dst then Delivered { hops = h }
@@ -435,81 +423,34 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
               else go mid h (attempts_left - 1)
       in
       go src 0 attempts
-  | Backtrack { history = history_limit } ->
-      if history_limit < 1 then invalid_arg "Route.route: history must be >= 1";
-      (* The most recently visited nodes, newest first, in a preallocated
-         ring buffer bounded by the configured window. Every forward move
-         pushes the departing node — including moves made after a
-         backtrack, so a node's remaining untried links stay reachable
-         while it is within the window (depth-first search with a bounded
-         backtrack stack). [hist_start] indexes the newest entry; pushing
-         at capacity lets the oldest entry fall out of the window, exactly
-         the semantics of consing onto a list trimmed to [history_limit]. *)
-      if Array.length s.bt_hist < history_limit then s.bt_hist <- Array.make history_limit 0;
-      let hist = s.bt_hist in
-      let cap = Array.length hist in
-      let hist_start = ref 0 and hist_len = ref 0 in
-      let push x =
-        hist_start := (!hist_start - 1 + cap) mod cap;
-        hist.(!hist_start) <- x;
-        if !hist_len < history_limit then incr hist_len
+  | Backtrack { history } ->
+      if history < 1 then invalid_arg "Route.route: history must be >= 1";
+      (* The hooks stay absent unless tracing, the sanitizer or telemetry
+         needs them, so the step makes one indirect call per hop beyond
+         [on_hop]: the scan. *)
+      let moved =
+        if tracing || Ftr_debug.Debug.enabled () then
+          Some
+            (fun cur v strict ->
+              if strict then debug_check_strict_hop net ~side ~cur ~v ~dst;
+              trace_chosen ~cur ~v ~target:dst)
+        else None
+      and backtracked =
+        if obs then
+          Some
+            (fun from_node to_node ->
+              Ftr_obs.Metrics.incr "route_backtracks_total";
+              if tracing then Ftr_obs.Tracing.backtrack tr ~from_node ~to_node)
+        else None
       in
-      let pop () =
-        let y = hist.(!hist_start) in
-        hist_start := (!hist_start + 1) mod cap;
-        decr hist_len;
-        y
-      in
-      let rec forward cur h =
-        if cur = dst then Delivered { hops = h }
-        else if h >= max_hops then Failed { hops = h; stuck_at = cur; reason = Hop_limit }
-        else
-          let k = best_hop rv ~mode:`Strict ~cur ~dst in
-          if k < 0 then backtrack cur h
-          else begin
-            let v = nth_target rv ~cur k in
-            debug_check_strict_hop net ~side ~cur ~v ~dst;
-            if tracing then
-              Ftr_obs.Tracing.candidate tr ~cur ~cand:v
-                ~dist:(Network.routing_distance net ~side:rd ~src:v ~dst)
-                Ftr_obs.Tracing.Chosen;
-            record_tried cur k;
-            on_hop v;
-            push cur;
-            forward v (h + 1)
-          end
-      and backtrack stuck h =
-        if !hist_len = 0 then Failed { hops = h; stuck_at = stuck; reason = No_live_neighbor }
-        else begin
-          let y = pop () in
-          (* Travelling back to the previous node costs a hop. *)
-          if obs then Ftr_obs.Metrics.incr "route_backtracks_total";
-          if tracing then Ftr_obs.Tracing.backtrack tr ~from_node:stuck ~to_node:y;
-          let h = h + 1 in
-          on_hop y;
-          if h >= max_hops then Failed { hops = h; stuck_at = y; reason = Hop_limit }
-          else
-            (* "Chooses the next best neighbour": once the strictly closer
-               options of [y] are exhausted, the search is allowed to route
-               around the hole through a farther neighbour — without this,
-               delivery would require a monotone live path, and the failure
-               fractions of Figure 6 are unreachable. *)
-            let k = best_hop rv ~mode:`Any ~cur:y ~dst in
-            if k < 0 then backtrack y h
-            else begin
-              let v = nth_target rv ~cur:y k in
-              if tracing then
-                Ftr_obs.Tracing.candidate tr ~cur:y ~cand:v
-                  ~dist:(Network.routing_distance net ~side:rd ~src:v ~dst)
-                  Ftr_obs.Tracing.Chosen;
-              record_tried y k;
-              on_hop v;
-              push y;
-              forward v (h + 1)
-            end
-        end
-      in
-      forward src 0
+      (* A backtracked node's [`Any] scan is the "next best neighbour":
+         once its strictly closer options are exhausted, the search may
+         route around the hole through a farther neighbour. Without
+         this, delivery would require a monotone live path, and the
+         failure fractions of Figure 6 are unreachable. *)
+      Stuck.search borrowed.bs ~history ~max_hops ~csr:(Network.csr net)
+        ~scan:(fun mode cur -> best_hop rv ~mode ~cur ~dst)
+        ?moved ?backtracked ~on_hop ~src ~dst
   in
   if obs then begin
     (match outcome with
@@ -558,7 +499,7 @@ let lockstep_terminate ~failures ~side ~max_hops net ~pairs =
   let n = Network.size net in
   Array.iter (fun (src, dst) -> check_endpoints failures ~n ~src ~dst) pairs;
   let rv =
-    view ~failures ~side ~tried:dummy_scratch.tried ~tracking:false ~tr:Ftr_obs.Tracing.null
+    view ~failures ~side ~tried:(Stuck.tried dummy_scratch) ~tracking:false ~tr:Ftr_obs.Tracing.null
       ~tracing:false net
   in
   let count = Array.length pairs in

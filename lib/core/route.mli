@@ -29,12 +29,12 @@ type strategy =
   | Random_reroute of { attempts : int }
   | Backtrack of { history : int }
 
-type reason =
-  | No_live_neighbor  (** stuck: no live neighbour closer to the target *)
-  | Hop_limit  (** exceeded [max_hops] *)
-  | No_live_reroute_target  (** reroute could not find a live node *)
+(** The result of a route, shared with {!Multidim} and {!Byzantine}: the
+    types live in {!Stuck}, which runs the {!Backtrack} search. *)
 
-type outcome =
+type reason = Stuck.reason = No_live_neighbor | Hop_limit | No_live_reroute_target
+
+type outcome = Stuck.outcome =
   | Delivered of { hops : int }
   | Failed of { hops : int; stuck_at : int; reason : reason }
 
@@ -46,17 +46,12 @@ val reason_label : reason -> string
     labels (e.g. route_stuck_total{reason="no_live_neighbor"}) and the
     [--json] CLI outputs. *)
 
-val strategy_label : strategy -> string
-(** Stable snake_case name of a recovery strategy (["terminate"],
-    ["random_reroute"], ["backtrack"]), as printed in flight-recorder
-    trace headers and CLI output. *)
-
 val hops : outcome -> int
 (** Hops consumed, delivered or not (backtracking steps count). *)
 
 type scratch
-(** Reusable working state for {!route}: the set of links the current
-    route has tried (a {!Tried.t}, cleared in O(1) per route) and the
+(** Reusable working state for {!route}: the {!Backtrack} search's
+    {!Stuck.t}, which holds the links the current route has tried and the
     backtrack window. Its size follows the longest route it has served,
     not the network: a few hundred words to start, whatever the edge
     count. With a caller-held scratch, routing performs zero minor-heap
@@ -83,7 +78,9 @@ val route :
     {!Random_reroute}; [on_hop] observes every node the message visits.
     [scratch] lets callers routing many messages reuse the working arrays
     (outcomes are identical with or without it).
-    @raise Invalid_argument if an endpoint is out of range or dead. *)
+    @raise Invalid_argument if an endpoint is out of range or dead, if a
+    {!Backtrack} history is below 1, or if {!Random_reroute} allows a
+    negative number of attempts. *)
 
 val route_lockstep :
   ?failures:Failure.t ->

@@ -1,7 +1,7 @@
 (** The set of links one route has tried: CSR slot indices ([offsets.(u)
     + k] for link [k] of node [u]), as the Section 6 backtracking strategy
-    needs them. {!Route}, {!Multidim} and {!Byzantine} keep their tried
-    links in one of these.
+    needs them. {!Stuck.t} holds one for the search {!Route}, {!Multidim}
+    and {!Byzantine} run.
 
     Its size follows the route, not the network: 64 cells to start, doubled
     whenever more than half are full. Once grown, {!add} and {!mem}

@@ -41,7 +41,7 @@ let multidim_delivers_every_dimension () =
         Alcotest.(check bool)
           (Printf.sprintf "delivered in %dd" dims)
           true
-          (Multidim.delivered (Multidim.route m ~src ~dst))
+          (Route.delivered (Multidim.route m ~src ~dst))
       done)
     [ (1, 512); (2, 24); (3, 8) ]
 
@@ -114,13 +114,13 @@ let multidim_backtracking_survives_failures () =
   for _ = 1 to 200 do
     let src = live () and dst = live () in
     (match Multidim.route ~alive m ~src ~dst with
-    | Multidim.Delivered _ -> ()
-    | Multidim.Failed _ -> incr terminate_fails);
+    | Route.Delivered _ -> ()
+    | Route.Failed _ -> incr terminate_fails);
     match
       Multidim.route ~alive ~strategy:(Multidim.Backtrack { history = 5 }) m ~src ~dst
     with
-    | Multidim.Delivered _ -> ()
-    | Multidim.Failed _ -> incr backtrack_fails
+    | Route.Delivered _ -> ()
+    | Route.Failed _ -> incr backtrack_fails
   done;
   Alcotest.(check bool)
     (Printf.sprintf "backtrack %d <= terminate %d" !backtrack_fails !terminate_fails)
@@ -128,12 +128,63 @@ let multidim_backtracking_survives_failures () =
     (!backtrack_fails <= !terminate_fails);
   Alcotest.(check bool) "backtracking nearly always delivers" true (!backtrack_fails < 10)
 
+(* One link set, two routers: the rows of a [dims = 1] torus wrapped as a
+   circle network must route exactly alike under [Multidim.route] and
+   [Route.route], for every live pair, under Terminate and Backtrack 1..5.
+   Both scan a row in order and keep the first strict minimum, and Route
+   takes no bisect path on a circle, so ties need no exclusion. *)
+let prop_torus_matches_circle =
+  QCheck.Test.make ~name:"1-d torus and circle network route alike" ~count:60
+    QCheck.(quad (int_range 3 40) (int_range 0 4) (int_range 0 60) small_int)
+    (fun (n, links, percent_failed, seed) ->
+      let m = Multidim.build ~dims:1 ~side:n ~links (Rng.of_int seed) in
+      let csr = Multidim.csr m in
+      let module Csr = Ftr_graph.Adjacency.Csr in
+      let rows = Array.init n (fun u -> Array.init (Csr.degree csr u) (Csr.nth csr u)) in
+      let net =
+        Network.of_neighbor_indices ~geometry:Network.Circle ~line_size:n
+          ~positions:(Array.init n Fun.id) ~neighbors:rows ~links ()
+      in
+      let r = Rng.of_int (seed + 1) in
+      let mask = Bitset.create n in
+      for v = 0 to n - 1 do
+        if Rng.int r 100 >= percent_failed then Bitset.set mask v
+      done;
+      let alive = Bitset.get mask and failures = Ftr_core.Failure.of_node_mask mask in
+      let code = function
+        | Route.Delivered { hops } -> Printf.sprintf "D%d" hops
+        | Route.Failed { hops; stuck_at; reason } ->
+            Printf.sprintf "F%d@%d:%s" hops stuck_at (Route.reason_label reason)
+      in
+      let strategies =
+        (Multidim.Terminate, Route.Terminate)
+        :: List.map
+             (fun history -> (Multidim.Backtrack { history }, Route.Backtrack { history }))
+             [ 1; 2; 3; 4; 5 ]
+      in
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          if alive src && alive dst then
+            List.iter
+              (fun (ms, rs) ->
+                let a = code (Multidim.route ~alive ~strategy:ms m ~src ~dst)
+                and b = code (Route.route ~failures ~strategy:rs net ~src ~dst) in
+                if not (String.equal a b) then
+                  QCheck.Test.fail_reportf "%d -> %d: torus %s, circle %s" src dst a b)
+              strategies
+        done
+      done;
+      true)
+
 let multidim_rejects () =
   Alcotest.check_raises "bad dims" (Invalid_argument "Multidim.build: dims must be >= 1")
     (fun () -> ignore (Multidim.build ~dims:0 ~side:8 (rng ())));
   let m = Multidim.build ~dims:2 ~side:8 (rng ()) in
   Alcotest.check_raises "off torus" (Invalid_argument "Multidim.route: node off the torus")
-    (fun () -> ignore (Multidim.route m ~src:0 ~dst:999))
+    (fun () -> ignore (Multidim.route m ~src:0 ~dst:999));
+  Alcotest.check_raises "history 0" (Invalid_argument "Multidim.route: history must be >= 1")
+    (fun () ->
+      ignore (Multidim.route ~strategy:(Multidim.Backtrack { history = 0 }) m ~src:0 ~dst:5))
 
 (* ------------------------------------------------------------------ *)
 (* Adversarial failures (Section 4.3.4.2)                              *)
@@ -268,6 +319,7 @@ let () =
           quick "optimal exponent equals dimension" multidim_optimal_alpha_is_dims;
           quick "backtracking under failures" multidim_backtracking_survives_failures;
           quick "rejects bad input" multidim_rejects;
+          QCheck_alcotest.to_alcotest prop_torus_matches_circle;
         ] );
       ( "adversary",
         [

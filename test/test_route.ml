@@ -401,6 +401,16 @@ let backtrack_requires_positive_history () =
     (fun () ->
       ignore (Route.route ~strategy:(Route.Backtrack { history = 0 }) net ~src:0 ~dst:5))
 
+let reroute_requires_nonnegative_attempts () =
+  (* A negative count never reaches zero: it would reroute until the hop
+     budget ran out. *)
+  let net = build 10 in
+  Alcotest.check_raises "attempts -1" (Invalid_argument "Route.route: attempts must be >= 0")
+    (fun () ->
+      ignore
+        (Route.route ~strategy:(Route.Random_reroute { attempts = -1 }) ~rng:(rng ()) net ~src:0
+           ~dst:5))
+
 let dead_nodes_never_visited () =
   let n = 2048 in
   let net = Network.build_ideal ~n ~links:6 (Rng.of_int 11) in
@@ -538,9 +548,10 @@ let byzantine_free_network_is_greedy () =
     let src = Rng.int r 512 and dst = Rng.int r 512 in
     let b = Byzantine.route ~defense:Byzantine.Naive net ~byzantine ~src ~dst in
     let g = Route.route net ~src ~dst in
-    Alcotest.(check bool) "delivered" true (Byzantine.delivered b);
-    Alcotest.(check int) "same hops as plain greedy" (Route.hops g) (Byzantine.hops b);
-    Alcotest.(check int) "nothing wasted" 0 (Byzantine.wasted b)
+    Alcotest.(check bool) "delivered" true (Route.delivered b.Byzantine.outcome);
+    Alcotest.(check int) "same hops as plain greedy" (Route.hops g)
+      (Route.hops b.Byzantine.outcome);
+    Alcotest.(check int) "nothing wasted" 0 b.Byzantine.wasted
   done
 
 let byzantine_naive_dies_at_first_blackhole () =
@@ -548,8 +559,9 @@ let byzantine_naive_dies_at_first_blackhole () =
   let net = Network.build_ideal ~n:64 ~links:0 (rng ()) in
   let byzantine v = v = 20 in
   match Byzantine.route ~defense:Byzantine.Naive net ~byzantine ~src:5 ~dst:40 with
-  | Byzantine.Failed { wasted; _ } -> Alcotest.(check int) "one message eaten" 1 wasted
-  | Byzantine.Delivered _ -> Alcotest.fail "must fail on the chain"
+  | { Byzantine.outcome = Route.Failed _; wasted } ->
+      Alcotest.(check int) "one message eaten" 1 wasted
+  | { Byzantine.outcome = Route.Delivered _; _ } -> Alcotest.fail "must fail on the chain"
 
 let byzantine_retry_routes_around () =
   let n = 2048 in
@@ -567,17 +579,12 @@ let byzantine_retry_routes_around () =
       go ()
     in
     let src = honest () and dst = honest () in
-    if not (Byzantine.delivered (Byzantine.route ~defense:Byzantine.Naive net ~byzantine ~src ~dst))
-    then incr naive_f;
-    if not (Byzantine.delivered (Byzantine.route ~defense:Byzantine.Retry net ~byzantine ~src ~dst))
-    then incr retry_f;
-    if
-      not
-        (Byzantine.delivered
-           (Byzantine.route
-              ~defense:(Byzantine.Retry_backtrack { history = 5 })
-              net ~byzantine ~src ~dst))
-    then incr back_f
+    let failed defense =
+      not (Route.delivered (Byzantine.route ~defense net ~byzantine ~src ~dst).Byzantine.outcome)
+    in
+    if failed Byzantine.Naive then incr naive_f;
+    if failed Byzantine.Retry then incr retry_f;
+    if failed (Byzantine.Retry_backtrack { history = 5 }) then incr back_f
   done;
   Alcotest.(check bool)
     (Printf.sprintf "retry (%d) beats naive (%d)" !retry_f !naive_f)
@@ -593,8 +600,9 @@ let byzantine_wasted_counts_blackhole_hits () =
      then the search is stuck (one-sided chain) and fails with 1 waste. *)
   let byzantine v = v = 6 in
   match Byzantine.route ~defense:Byzantine.Retry net ~byzantine ~src:5 ~dst:40 with
-  | Byzantine.Failed { wasted; _ } -> Alcotest.(check int) "counted" 1 wasted
-  | Byzantine.Delivered _ -> Alcotest.fail "chain cannot avoid the blackhole"
+  | { Byzantine.outcome = Route.Failed _; wasted } -> Alcotest.(check int) "counted" 1 wasted
+  | { Byzantine.outcome = Route.Delivered _; _ } ->
+      Alcotest.fail "chain cannot avoid the blackhole"
 
 let byzantine_misroute_clean_network () =
   (* Without Byzantine nodes, misroute-routing is plain greedy. *)
@@ -603,10 +611,10 @@ let byzantine_misroute_clean_network () =
   for _ = 1 to 100 do
     let src = Rng.int r 512 and dst = Rng.int r 512 in
     let m = Byzantine.route_misroute net ~byzantine:(fun _ -> false) ~src ~dst in
-    Alcotest.(check bool) "delivered" true (Byzantine.delivered m);
+    Alcotest.(check bool) "delivered" true (Route.delivered m.Byzantine.outcome);
     Alcotest.(check int) "greedy hops" (Route.hops (Route.route net ~src ~dst))
-      (Byzantine.hops m);
-    Alcotest.(check int) "no sabotage" 0 (Byzantine.wasted m)
+      (Route.hops m.Byzantine.outcome);
+    Alcotest.(check int) "no sabotage" 0 m.Byzantine.wasted
   done
 
 let byzantine_misroute_inflates_hops () =
@@ -627,9 +635,9 @@ let byzantine_misroute_inflates_hops () =
     let src = honest () and dst = honest () in
     clean := !clean + Route.hops (Route.route net ~src ~dst);
     let m = Byzantine.route_misroute net ~byzantine ~src ~dst in
-    if Byzantine.delivered m then begin
+    if Route.delivered m.Byzantine.outcome then begin
       incr delivered;
-      dirty := !dirty + Byzantine.hops m
+      dirty := !dirty + Route.hops m.Byzantine.outcome
     end
   done;
   Alcotest.(check bool)
@@ -646,6 +654,21 @@ let byzantine_rejects_bad_endpoints () =
   Alcotest.check_raises "byzantine endpoint"
     (Invalid_argument "Byzantine.route: endpoint is Byzantine") (fun () ->
       ignore (Byzantine.route net ~byzantine:(fun v -> v = 0) ~src:0 ~dst:5))
+
+let byzantine_rejects_bad_history () =
+  (* A negative window was unbounded and a zero one was Retry; both are
+     refused, as Route and Multidim refuse them. *)
+  let net = build 63 in
+  List.iter
+    (fun history ->
+      Alcotest.check_raises
+        (Printf.sprintf "history %d" history)
+        (Invalid_argument "Byzantine.route: history must be >= 1")
+        (fun () ->
+          ignore
+            (Byzantine.route ~defense:(Byzantine.Retry_backtrack { history }) net
+               ~byzantine:(fun _ -> false) ~src:0 ~dst:5)))
+    [ -1; 0 ]
 
 let byzantine_sweep_shapes () =
   let rows = Byzantine.sweep ~n:1024 ~fractions:[ 0.0; 0.2 ] ~networks:2 ~messages:100 ~seed:64 () in
@@ -728,7 +751,8 @@ let prop_byzantine_retry_dominates_naive =
       let retry =
         Ftr_core.Byzantine.route ~defense:Ftr_core.Byzantine.Retry net ~byzantine ~src ~dst
       in
-      (not (Ftr_core.Byzantine.delivered naive)) || Ftr_core.Byzantine.delivered retry)
+      (not (Route.delivered naive.Ftr_core.Byzantine.outcome))
+      || Route.delivered retry.Ftr_core.Byzantine.outcome)
 
 let prop_loop_erased_bounded =
   QCheck.Test.make ~name:"loop-erased length bounded by walk length" ~count:200
@@ -838,6 +862,7 @@ let () =
           quick "reroute without rng" reroute_requires_rng_gracefully;
           quick "backtrack validates history" backtrack_requires_positive_history;
           quick "dead nodes never visited" dead_nodes_never_visited;
+          quick "reroute validates attempts" reroute_requires_nonnegative_attempts;
         ] );
       ( "link-failures",
         [
@@ -878,6 +903,7 @@ let () =
           quick "misroute: sabotage inflates hops" byzantine_misroute_inflates_hops;
           quick "rejects byzantine endpoints" byzantine_rejects_bad_endpoints;
           quick "sweep shapes" byzantine_sweep_shapes;
+          quick "rejects a history below 1" byzantine_rejects_bad_history;
         ] );
       ( "failure-masks",
         [
