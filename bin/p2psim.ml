@@ -791,7 +791,7 @@ let check_cmd =
     let svc_res = Ftr_svc.Driver.run svc_cfg in
     report "service: post-churn invariants"
       (Check.service svc_res.Ftr_svc.Driver.res_service);
-    let mb = Ftr_svc.Mailbox.create ~capacity:4 ~owner:0 () in
+    let mb = Ftr_svc.Mailbox.create ~capacity:4 () in
     List.iter
       (fun (time, src, seq) -> ignore (Ftr_svc.Mailbox.post mb ~time ~src ~seq ()))
       [ (3, 1, 0); (1, 2, 0); (1, 1, 1); (2, 0, 0); (9, 9, 9) ];
@@ -818,11 +818,12 @@ let check_cmd =
            `P
              "Static properties are covered separately by the two-stage $(b,ftr_lint) \
               analyzer (docs/LINTING.md): $(b,dune build @lint) runs this battery, then \
-              lints lib/, bin/ and bench/ with the typed interprocedural stage \
-              ($(b,@lint-typed), rules T1-T5) over the compiled .cmt files — a \
+              lints lib/, bin/, bench/ and examples/ with the typed interprocedural \
+              stage ($(b,@lint-typed), rules T1-T6) over the compiled .cmt files — a \
               call-graph analysis catching cross-function domain races reachable from \
               Ftr_exec.Pool worker jobs, direct and transitive nondeterminism, typed \
-              comparison hazards, hot-path allocation and hash-order output — and the \
+              comparison hazards, hot-path allocation, hash-order output and lib/ \
+              exports nothing references — and the \
               flow-sensitive stage \
               ($(b,@lint-flow), rules D1-D4): per-function control-flow graphs and \
               typestate dataflow proving telemetry writes gated on every path, \

@@ -9,10 +9,6 @@ type t = {
 
 let ring_size t = Ring.size t.ring
 
-let node_count t = Array.length t.nodes
-
-let nodes t = t.nodes
-
 (* Index of the first node whose identifier is >= id, wrapping to 0. *)
 let successor_index nodes ring_size id =
   let id = ((id mod ring_size) + ring_size) mod ring_size in

@@ -16,15 +16,6 @@ val create_full : n:int -> t
 (** Every identifier of a size-[n] ring occupied — the densest instance,
     directly comparable to the paper's full line. *)
 
-val ring_size : t -> int
-(** Size of the identifier circle. *)
-
-val node_count : t -> int
-(** Number of present nodes. *)
-
-val nodes : t -> int array
-(** Sorted identifiers of present nodes (do not mutate). *)
-
 val successor : t -> int -> int
 (** Identifier of the node responsible for a key (first node at or after
     it, clockwise). *)

@@ -46,5 +46,3 @@ let route_hops t ~src ~dst =
   match route t ~src ~dst with
   | Some h -> h
   | None -> invalid_arg "Lattice.route_hops: routing failed"
-
-let expected_hops t = float_of_int (Torus.dims t.torus) *. float_of_int (Torus.side t.torus) /. 4.0

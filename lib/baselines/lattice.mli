@@ -14,11 +14,6 @@ val torus : t -> Ftr_metric.Torus.t
 val size : t -> int
 (** Number of nodes. *)
 
-val route : ?max_hops:int -> t -> src:int -> dst:int -> int option
-(** Greedy lattice hops (always exactly the L1 distance). *)
-
 val route_hops : t -> src:int -> dst:int -> int
-(** As {!route} but raising on failure. *)
-
-val expected_hops : t -> float
-(** Mean L1 distance between uniform pairs: [d · side / 4]. *)
+(** Greedy lattice hops, always exactly the L1 distance.
+    @raise Invalid_argument on an endpoint off the torus. *)

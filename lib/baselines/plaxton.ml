@@ -26,12 +26,6 @@ let create ~base ~digits =
 
 let size t = t.size
 
-let base t = t.base
-
-let digits t = t.digits
-
-let table_entries t = (t.base - 1) * t.digits
-
 let digit t id ~position =
   if position < 0 || position >= t.digits then invalid_arg "Plaxton.digit: bad position";
   (* position 0 is the most significant digit. *)

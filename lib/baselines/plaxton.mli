@@ -14,25 +14,12 @@ val create : base:int -> digits:int -> t
 val size : t -> int
 (** Number of identifiers. *)
 
-val base : t -> int
-(** Digit radix. *)
-
-val digits : t -> int
-(** Identifier length in digits. *)
-
-val table_entries : t -> int
-(** Routing-table entries a node holds: [(base-1) · digits]. *)
-
 val digit : t -> int -> position:int -> int
 (** Digit of an identifier; position 0 is most significant.
     @raise Invalid_argument on a bad position. *)
 
 val shared_prefix : t -> int -> int -> int
 (** Leading digits two identifiers share. *)
-
-val next_hop : t -> cur:int -> dst:int -> int option
-(** The routing-table hop that fixes the first differing digit; [None] at
-    the destination. @raise Invalid_argument off the namespace. *)
 
 val route : t -> src:int -> dst:int -> int * int list
 (** (hops, full path) of prefix routing. *)

@@ -44,13 +44,6 @@ let pp_report ?(label = "check") ppf = function
         (if List.length vs = 1 then "" else "s");
       List.iter (fun x -> Format.fprintf ppf "  %a@." pp_violation x) vs
 
-(* Re-export the runtime switch so callers only need one module. *)
-let set_mode = Ftr_debug.Debug.set_mode
-
-let mode_enabled = Ftr_debug.Debug.enabled
-
-let with_mode = Ftr_debug.Debug.with_mode
-
 (* ------------------------------------------------------------------ *)
 (* Network structure (Sections 3-4: the ring plus 1/d long links)       *)
 (* ------------------------------------------------------------------ *)

@@ -14,10 +14,6 @@ val structural_positions : n:int -> base:int -> target:int -> int list
 val structural_mask : n:int -> base:int -> target:int -> Ftr_graph.Bitset.t
 (** Aliveness mask with exactly those positions dead (the target lives). *)
 
-val blockade_positions : n:int -> target:int -> radius:int -> int list
-(** Every position within [radius] of the target — the "stuck in a local
-    neighborhood" variant. @raise Invalid_argument if [radius < 1]. *)
-
 val blockade_mask : n:int -> target:int -> radius:int -> Ftr_graph.Bitset.t
 (** Aliveness mask for the blockade. *)
 

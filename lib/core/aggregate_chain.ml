@@ -253,5 +253,3 @@ let simulate_two_sided dist rng ~start =
     incr steps
   done;
   !steps
-
-let mean_two_sided = mean_steps ~simulate:simulate_two_sided

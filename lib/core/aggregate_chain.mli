@@ -60,7 +60,3 @@ val sample_full : dist -> Ftr_prng.Rng.t -> int array
 val simulate_two_sided : dist -> Ftr_prng.Rng.t -> start:int -> int
 (** Steps for two-sided greedy routing from [start] to 0 with fresh ∆
     draws at every node (the Section 4.2.1 two-sided model). *)
-
-val mean_two_sided :
-  dist -> Ftr_prng.Rng.t -> start:int -> trials:int -> Ftr_stats.Summary.t
-(** Summary of {!simulate_two_sided} over repeated trials. *)

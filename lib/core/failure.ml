@@ -103,6 +103,4 @@ let node_alive_bits t = match t.node_view with N_bits b -> Some b | N_all | N_pr
 
 let node_all_alive t = match t.node_view with N_all -> true | N_bits _ | N_pred _ -> false
 
-let link_alive_mask t = match t.link_view with L_mask m -> Some m | L_all | L_pred _ -> None
-
 let link_all_alive t = match t.link_view with L_all -> true | L_mask _ | L_pred _ -> false

@@ -68,9 +68,6 @@ val node_alive_bits : t -> Ftr_graph.Bitset.t option
 val node_all_alive : t -> bool
 (** Whether the node view is statically "everything alive". *)
 
-val link_alive_mask : t -> link_mask option
-(** The per-link mask behind {!of_link_mask} views. *)
-
 val link_all_alive : t -> bool
 (** Whether the link view is statically "everything alive". *)
 

@@ -88,9 +88,6 @@ val distance : t -> int -> int -> int
 (** Metric distance between two node indices: absolute difference on the
     line, shorter arc on the circle. *)
 
-val point_distance : t -> int -> int -> int
-(** Metric distance between two raw points of the space. *)
-
 val clockwise_distance : t -> src:int -> dst:int -> int
 (** Arc length from [src] to [dst] in the increasing direction — the
     one-sided metric on the circle.

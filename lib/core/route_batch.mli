@@ -15,9 +15,6 @@
     {!Route.Random_reroute} chunks call {!Route.route} once per pair. The
     outcomes are the same either way. *)
 
-val default_chunk : int
-(** Routes per pool job when [?chunk] is omitted (1024). *)
-
 val run :
   ?jobs:int ->
   ?chunk:int ->
@@ -31,7 +28,7 @@ val run :
   Route.outcome array
 (** [run net ~pairs] routes every [(src, dst)] pair and returns the
     outcomes in request order. [jobs] defaults to
-    {!Ftr_exec.Pool.default_jobs}; [chunk] (default {!default_chunk})
+    {!Ftr_exec.Pool.default_jobs}; [chunk] (default 1024)
     trades scheduling overhead against load balance; [seed] (default 0)
     feeds the per-route generator derivation used by
     {!Route.Random_reroute}. Route options mean exactly what they mean on

@@ -5,7 +5,7 @@
    depends on every layer; this module is the part both sides can see.
 
    Enable with the environment variable FTR_CHECK=1 (read once at start-up)
-   or programmatically via [set_mode]. *)
+   or programmatically via [with_mode]. *)
 
 exception Invariant_violation of string
 
@@ -16,11 +16,9 @@ let env_enabled =
 
 let enabled_ref = ref env_enabled
 
-(* Workers only read; [set_mode] is harness-side and runs before the pool
+(* Workers only read; [with_mode] is harness-side and runs before the pool
    spawns domains. ftr-lint: disable T1 *)
 let enabled () = !enabled_ref
-
-let set_mode on = enabled_ref := on
 
 (* Run [f] with checking forced on, restoring the previous mode. *)
 let with_mode on f =

@@ -21,8 +21,6 @@ let create ?(replicas = 1) ~line_size overlay =
   if replicas < 1 then invalid_arg "Dynamic.create: need at least one replica";
   { overlay; line_size; replicas; data = Hashtbl.create 256; puts = 0; gets = 0; get_hits = 0 }
 
-let overlay t = t.overlay
-
 let table_of t pos =
   match Hashtbl.find_opt t.data pos with
   | Some table -> table

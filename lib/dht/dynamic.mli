@@ -12,9 +12,6 @@ val create : ?replicas:int -> line_size:int -> Ftr_p2p.Overlay.t -> t
 (** Empty store bound to an overlay (default: one replica).
     @raise Invalid_argument if [replicas < 1]. *)
 
-val overlay : t -> Ftr_p2p.Overlay.t
-(** The protocol underneath. *)
-
 val put : t -> from:int -> key:string -> value:string -> unit
 (** Store the pair at the current owner of every replica point, located by
     routed lookups issued from the live node [from]. *)

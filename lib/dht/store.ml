@@ -18,8 +18,6 @@ let create ?(replicas = 1) net =
 
 let network t = t.net
 
-let replicas t = t.replicas
-
 (* The node responsible for a key's [salt]-th replica: the present node
    nearest to the hashed point (its basin owner). *)
 let replica_owner t ~salt key =

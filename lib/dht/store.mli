@@ -17,9 +17,6 @@ val create : ?replicas:int -> Ftr_core.Network.t -> t
 val network : t -> Ftr_core.Network.t
 (** The underlying overlay. *)
 
-val replicas : t -> int
-(** Configured replica count. *)
-
 val owner : t -> string -> int
 (** Node index responsible for a key's primary point. *)
 

@@ -16,9 +16,6 @@ val create : run:(index:int -> rng:Ftr_prng.Rng.t -> 'p -> 'r) -> 'p list -> ('p
 
 val size : ('p, 'r) t -> int
 
-val params : ('p, 'r) t -> 'p array
-(** The expanded grid, in job order (the array is the sweep's own). *)
-
 val grid2 : 'a list -> 'b list -> ('a * 'b) list
 (** Cartesian product in row-major order: the first axis varies
     slowest. *)

@@ -39,13 +39,9 @@ module I32 = struct
     Array.iteri (fun i v -> set a i v) xs;
     a
 
-  let to_int_array (a : t) = Array.init (length a) (fun i -> get a i)
-
   let sub (a : t) off len : t = Bigarray.Array1.sub a off len
 
   let blit (src : t) (dst : t) = Bigarray.Array1.blit src dst
-
-  let fill (a : t) v = Bigarray.Array1.fill a (Int32.of_int v)
 
   let equal (a : t) (b : t) =
     length a = length b

@@ -27,21 +27,15 @@ module I32 : sig
   val unsafe_get : t -> int -> int
   (** Unchecked read — hot loops over validated structures only. *)
 
-  val set : t -> int -> int -> unit
-  (** Bounds- and range-checked write.
-      @raise Invalid_argument if the value does not fit. *)
-
   val unsafe_set : t -> int -> int -> unit
   (** Unchecked write for producers that have already range-checked. *)
 
   val of_int_array : int array -> t
-  val to_int_array : t -> int array
 
   val sub : t -> int -> int -> t
   (** [sub a off len] is a shared view (no copy). *)
 
   val blit : t -> t -> unit
-  val fill : t -> int -> unit
   val equal : t -> t -> bool
 end
 

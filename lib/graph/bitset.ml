@@ -6,8 +6,6 @@ let create size =
   if size < 0 then invalid_arg "Bitset.create: negative size";
   { size; words = Bytes.make ((size + bits_per_word - 1) / bits_per_word) '\000' }
 
-let size t = t.size
-
 let check t i = if i < 0 || i >= t.size then invalid_arg "Bitset: index out of range"
 
 let get t i =

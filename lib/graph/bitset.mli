@@ -9,9 +9,6 @@ val create : int -> t
 (** All-clear bitset of the given size.
     @raise Invalid_argument on a negative size. *)
 
-val size : t -> int
-(** Capacity in bits. *)
-
 val get : t -> int -> bool
 (** Read one bit. @raise Invalid_argument when out of range. *)
 

@@ -80,13 +80,6 @@ and t = { blocks : block array; entry : int; exit_ : int; loops : loop list }
    writes the flag (then hoisting would change behaviour). *)
 and loop = { lp_loc : loc; mutable lp_flag_reads : loc list; mutable lp_dirty : bool }
 
-let successors b =
-  match b.b_term with
-  | Jump j -> [ j ]
-  | Branch { br_true; br_false; _ } -> [ br_true; br_false ]
-  | Multi js -> js
-  | Stop -> []
-
 let events b = List.rev b.b_events
 
 (* ------------------------------------------------------------------ *)

@@ -13,7 +13,8 @@
 
    Only implementation units with a real [.ml] source are kept: dune's
    generated wrapper modules ([ftr_core.ml-gen]) carry nothing but
-   module aliases, and .cmti interfaces carry no code. *)
+   module aliases. A unit's .cmti, when it has an .mli, sits next to its
+   .cmt; only T6 reads it. *)
 
 type unit_info = {
   modname : string; (* compilation unit name, e.g. "Ftr_core__Route" *)
@@ -51,6 +52,13 @@ let find_cmts dir =
   if Sys.file_exists dir then walk dir;
   List.rev !acc
 
+(* The signature of the unit's .mli; [None] without one. *)
+let load_interface cmt_path =
+  let path = Filename.remove_extension cmt_path ^ ".cmti" in
+  match Cmt_format.read_cmt path with
+  | { cmt_annots = Cmt_format.Interface sg; _ } -> Some sg
+  | _ | (exception _) -> None
+
 (* Read one cmt; [None] for wrappers, interfaces and partial units. *)
 let load_cmt path =
   match Cmt_format.read_cmt path with
@@ -62,28 +70,35 @@ let load_cmt path =
           Some { modname = cmt.cmt_modname; source; structure; cmt_path = path }
       | _ -> None)
 
-(* Load every unit under [dirs] (resolved against [root]). A directory
-   with no artifacts of its own falls back to [_build/default/<dir>].
-   Units are deduplicated by module name (first wins, in sorted-path
-   order) and returned sorted by module name. *)
-let load_dirs ~root dirs =
-  let paths =
-    List.concat_map
-      (fun dir ->
-        let direct = find_cmts (Filename.concat root dir) in
-        if direct <> [] then direct
-        else find_cmts (Filename.concat root (Filename.concat "_build/default" dir)))
-      dirs
-  in
+(* The .cmt files under [dirs] (resolved against [root]). A directory
+   with no artifacts of its own falls back to [_build/default/<dir>]. *)
+let cmt_paths ~root dirs =
+  List.concat_map
+    (fun dir ->
+      let direct = find_cmts (Filename.concat root dir) in
+      if direct <> [] then direct
+      else find_cmts (Filename.concat root (Filename.concat "_build/default" dir)))
+    dirs
+
+(* Read [paths] on the pool, in order: unmarshalling the Typedtrees is
+   most of a lint stage's load time. *)
+let load_paths paths =
+  let paths = Array.of_list paths in
+  Ftr_exec.Pool.map ~count:(Array.length paths) (fun i -> load_cmt paths.(i))
+  |> Array.to_list |> List.filter_map Fun.id
+
+(* Units deduplicated by module name (first wins, in sorted-path order)
+   and sorted by module name. *)
+let dedup units =
   let seen = Hashtbl.create 64 in
-  let units =
-    List.filter_map
-      (fun path ->
-        match load_cmt path with
-        | Some u when not (Hashtbl.mem seen u.modname) ->
-            Hashtbl.add seen u.modname ();
-            Some u
-        | _ -> None)
-      paths
-  in
-  List.sort (fun a b -> String.compare a.modname b.modname) units
+  List.filter
+    (fun u ->
+      (not (Hashtbl.mem seen u.modname))
+      &&
+      (Hashtbl.add seen u.modname ();
+       true))
+    units
+  |> List.sort (fun a b -> String.compare a.modname b.modname)
+
+(* Load every unit under [dirs]. *)
+let load_dirs ~root dirs = dedup (load_paths (cmt_paths ~root dirs))

@@ -2,7 +2,7 @@
    the CLI entry point wired into `dune build @lint`.
 
    Two stages share one finding stream: the typed interprocedural rules
-   (T1-T5, a call-graph analysis over the .cmt corpus —
+   (T1-T6, a call-graph analysis over the .cmt corpus —
    typed_rules.ml) and the flow-sensitive rules (D1-D4 —
    flow_rules.ml). [run] selects stages, merges and sorts their
    findings, then applies the shared baseline. *)
@@ -10,8 +10,11 @@
 (* [timings] is opt-in (the --timings flag): wall time varies run to
    run, and @lint-report's lint.json must stay byte-identical under
    --force. The flow cache counters are deterministic for a fixed
-   invocation, so they always appear when the flow stage ran. *)
-let write_json_report path ~stages ~files ~fresh ~baselined ~stale ~flow_stats ~timings =
+   invocation, so they always appear when the flow stage ran, and so
+   does T6's review list (exports that only test/ names) when the typed
+   stage ran. *)
+let write_json_report path ~stages ~files ~fresh ~baselined ~stale ~flow_stats ~test_only
+    ~timings =
   let oc = open_out_bin path in
   Printf.fprintf oc
     {|{"tool":"ftr_lint","analyzer_version":"%s","stages":[%s],"files":%d,"baselined":%d,"stale_baseline":%d,|}
@@ -22,6 +25,16 @@ let write_json_report path ~stages ~files ~fresh ~baselined ~stale ~flow_stats ~
   | Some (s : Flow_driver.stats) ->
       Printf.fprintf oc {|"flow_units":%d,"flow_analyzed":%d,"flow_cached":%d,|}
         s.Flow_driver.fl_units s.Flow_driver.fl_analyzed s.Flow_driver.fl_cached
+  | None -> ());
+  (match test_only with
+  | Some es ->
+      Printf.fprintf oc {|"test_only":[%s],|}
+        (String.concat ","
+           (List.map
+              (fun (e : Typed_rules.export) ->
+                Printf.sprintf {|{"name":"%s","file":"%s","line":%d}|}
+                  (Finding.json_escape e.e_name) (Finding.json_escape e.e_file) e.e_line)
+              es))
   | None -> ());
   (match timings with
   | Some ts ->
@@ -76,7 +89,7 @@ let run ?baseline ?write_baseline ?json ?(quiet = false)
         if not (List.mem Finding.Typed stages) then (None, [])
         else
           timed Finding.Typed (fun () ->
-              let state, found = Typed_driver.analyze ~root:"." ~dirs in
+              let state, found = Typed_driver.analyze ~root:"." ~dirs () in
               (Some state, found))
       in
       let flow_stats, flow =
@@ -125,6 +138,7 @@ let run ?baseline ?write_baseline ?json ?(quiet = false)
           (match json with
           | Some path ->
               write_json_report path ~stages ~files ~fresh ~baselined ~stale ~flow_stats
+                ~test_only:(Option.map (fun (s : Typed_rules.t) -> s.test_only) typed_state)
                 ~timings:(if timings then Some (List.rev !stage_seconds) else None)
           | None -> ());
           if not quiet then List.iter (fun (f, _) -> print_endline (Finding.to_string f)) fresh;

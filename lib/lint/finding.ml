@@ -3,15 +3,15 @@
    reproduction depends on (docs/LINTING.md maps rule -> property).
 
    Rules come in two stages over the .cmt files dune already produces.
-   T1-T5 are typed and interprocedural: they build a call graph over the
+   T1-T6 are typed and interprocedural: they build a call graph over the
    Typedtree and reason about worker-domain reachability, taint, real
-   instantiation types, hot-module allocation and hash-order output
-   (typed_rules.ml). D1-D4 are flow-sensitive: per-function control-flow
+   instantiation types, hot-module allocation, hash-order output and
+   exports nothing references (typed_rules.ml). D1-D4 are flow-sensitive: per-function control-flow
    graphs over the same Typedtree, a forward dataflow engine run to
    fixpoint, and declarative typestate automata (cfg.ml, dataflow.ml,
    typestate.ml, flow_rules.ml). *)
 
-type rule = T1 | T2 | T3 | T4 | T5 | D1 | D2 | D3 | D4
+type rule = T1 | T2 | T3 | T4 | T5 | T6 | D1 | D2 | D3 | D4
 
 type stage = Typed | Flow
 
@@ -20,9 +20,9 @@ let all_stages = [ Typed; Flow ]
 (* Bumped whenever a rule's detection logic changes enough that recorded
    reports are no longer comparable run-to-run; surfaced in lint.json and
    part of every flow-cache key. *)
-let analyzer_version = "4.0"
+let analyzer_version = "4.1"
 
-let all_rules = [ T1; T2; T3; T4; T5; D1; D2; D3; D4 ]
+let all_rules = [ T1; T2; T3; T4; T5; T6; D1; D2; D3; D4 ]
 
 let rule_id = function
   | T1 -> "T1"
@@ -30,6 +30,7 @@ let rule_id = function
   | T3 -> "T3"
   | T4 -> "T4"
   | T5 -> "T5"
+  | T6 -> "T6"
   | D1 -> "D1"
   | D2 -> "D2"
   | D3 -> "D3"
@@ -41,13 +42,14 @@ let rule_name = function
   | T3 -> "typed-polymorphic-comparison"
   | T4 -> "typed-hot-path-allocation"
   | T5 -> "typed-unordered-iteration-in-output"
+  | T6 -> "unreferenced-export"
   | D1 -> "gate-dominance"
   | D2 -> "resource-typestate"
   | D3 -> "message-protocol"
   | D4 -> "loop-invariant-flag-reload"
 
 let stage_of_rule = function
-  | T1 | T2 | T3 | T4 | T5 -> Typed
+  | T1 | T2 | T3 | T4 | T5 | T6 -> Typed
   | D1 | D2 | D3 | D4 -> Flow
 
 (* Also the baseline's rule-namespace prefix ("typed:T1", "flow:D2"). *)

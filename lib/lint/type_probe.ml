@@ -59,18 +59,27 @@ let decl_of_type_declaration (td : Types.type_declaration) =
       match td.type_manifest with Some ty -> Alias ty | None -> Opaque)
   | Types.Type_open -> Opaque
 
-(* Register [decl] under every name a use site may carry: the mangled
-   unit ("Ftr_core__Route.outcome"), the wrapper alias spelling
-   ("Ftr_core.Route.outcome") and, for unprefixed units, the bare one. *)
-let decl_keys ~modname ~subpath tyname =
-  let inner = String.concat "." (subpath @ [ tyname ]) in
-  let keys = [ modname ^ "." ^ inner ] in
-  match Suppress.find_sub modname "__" with
+(* The spellings of module [subpath] of unit [modname] at a use site:
+   the mangled unit ("Ftr_core__Route") and the wrapper alias spelling
+   ("Ftr_core.Route"). The wrapper is everything before the last "__",
+   so "Dune__exe__Paper" is "Dune__exe.Paper". *)
+let module_keys ~modname subpath =
+  let spell head = String.concat "." (head :: subpath) in
+  let rec last_sep i =
+    if i < 1 then None
+    else if modname.[i] = '_' && modname.[i - 1] = '_' then Some (i - 1)
+    else last_sep (i - 1)
+  in
+  match last_sep (String.length modname - 1) with
   | Some i ->
       let lib = String.sub modname 0 i in
       let sub = String.sub modname (i + 2) (String.length modname - i - 2) in
-      (lib ^ "." ^ sub ^ "." ^ inner) :: keys
-  | None -> keys
+      [ spell (lib ^ "." ^ sub); spell modname ]
+  | None -> [ spell modname ]
+
+(* Every name a use site may carry for [name] in that module. *)
+let decl_keys ~modname ~subpath name =
+  List.map (fun k -> k ^ "." ^ name) (module_keys ~modname subpath)
 
 let add_unit_decls (table : table) (u : Cmt_loader.unit_info) =
   let rec items subpath (its : Typedtree.structure_item list) =

@@ -32,12 +32,29 @@ let line_text (si : source_info option) l =
   | Some { lines; _ } when l >= 1 && l <= Array.length lines -> String.trim lines.(l - 1)
   | _ -> ""
 
-(* Run T1-T5 over every compilation unit found under [dirs] (resolved
+(* Run T1-T6 over every compilation unit found under [dirs] (resolved
    against [root]); returns surviving findings with their baseline key
    text, sorted. [units] and the callgraph are also returned so tests
-   can assert on reachability directly. *)
-let analyze ~root ~dirs =
-  let units = Cmt_loader.load_dirs ~root dirs in
+   can assert on reachability directly. Unless [dirs] holds test/, its
+   units are read too, only for what they name: an export only they
+   use is on T6's review list, not a finding. [exported] narrows the
+   units whose exports T6 judges. *)
+let analyze ?exported ~root ~dirs () =
+  (* The corpus is some 90 MB of Typedtrees that stay live to the end,
+     so at the default overhead most major GC work re-marks them; a
+     larger overhead leaves the peak heap about where it was. *)
+  let gc = Gc.get () in
+  Gc.set { gc with space_overhead = 1000 };
+  Fun.protect ~finally:(fun () -> Gc.set gc) @@ fun () ->
+  (* One parallel read for both sets. *)
+  let corpus = Cmt_loader.cmt_paths ~root dirs in
+  let observers = Cmt_loader.cmt_paths ~root (if List.mem "test" dirs then [] else [ "test" ]) in
+  let units, observers =
+    List.partition
+      (fun (u : Cmt_loader.unit_info) -> List.mem u.cmt_path corpus)
+      (Cmt_loader.load_paths (corpus @ observers))
+  in
+  let units = Cmt_loader.dedup units in
   let sources = Hashtbl.create 64 in
   let source_for file =
     match Hashtbl.find_opt sources file with
@@ -55,7 +72,7 @@ let analyze ~root ~dirs =
         | _ -> None)
       units
   in
-  let state, findings = Typed_rules.run ~hot_files units in
+  let state, findings = Typed_rules.run ?exported ~observers ~hot_files units in
   let kept =
     List.filter_map
       (fun (f : Finding.t) ->
@@ -66,5 +83,3 @@ let analyze ~root ~dirs =
       findings
   in
   (state, kept)
-
-let findings ~root ~dirs = snd (analyze ~root ~dirs)

@@ -1,5 +1,5 @@
 (* The typed, interprocedural rule engine: two passes over every loaded
-   Typedtree, one shared call graph, five rules.
+   Typedtree, one shared call graph, six rules.
 
    T1 domain-race           -- toplevel mutable state reachable from a
       function transitively invoked inside an [Ftr_exec.Pool] worker job
@@ -35,6 +35,15 @@
       breaking byte-identical --jobs invariance. Only the chain of
       binding names counts, never the module path; an iteration whose
       result is visibly sorted nearby is accepted.
+   T6 unreferenced-export   -- a value a lib/ unit exports that no other
+      unit of the analyzed tree references. With an .mli the exports are
+      the [val]s of its .cmti, and a use inside the unit itself does not
+      count (the finding then sits on the .mli line: drop the line, keep
+      the value). Without one, every value bound at the unit's top level
+      is exported, and any use but a binding's own recursion counts.
+      Uses reach through module aliases and [include], and module
+      initialisation code is a user like any other. Values that only
+      test/ names are not findings: they go to lint.json's review list.
 
    Pass 1 registers nodes for every toplevel binding (with cross-unit
    names) and classifies toplevel globals; pass 2 walks bodies adding
@@ -137,6 +146,9 @@ type cmp = { c_file : string; c_line : int; c_col : int; c_op : string; c_why : 
 
 type unordered = { u_file : string; u_line : int; u_col : int; u_fn : string; u_binding : string }
 
+(* An exported value, at its .mli line when the unit has one. *)
+type export = { e_name : string; e_file : string; e_line : int; e_col : int }
+
 type t = {
   graph : Callgraph.t;
   decls : Type_probe.table;
@@ -148,6 +160,20 @@ type t = {
      "Ftr_core.Route.route". *)
   by_name : (string, int) Hashtbl.t;
   globals : (int, global) Hashtbl.t; (* node id -> global info *)
+  (* (unit index, Ident.unique_name) of a module binding -> the module
+     path it stands for: an alias's target, or a nested structure's
+     unit-qualified path. *)
+  mod_paths : (int * string, string) Hashtbl.t;
+  (* module path -> the module paths that also answer for it: a
+     toplevel alias's target, and every module it includes. Tried only
+     when the direct name is unknown. *)
+  forwards : (string, string) Hashtbl.t;
+  (* toplevel node -> (unit index, bound at the unit's top level) *)
+  toplevel_of : (int, int * bool) Hashtbl.t;
+  (* toplevel node -> who names it (T6): [other_unit], [own_unit],
+     [test_unit] bits *)
+  uses : (int, int) Hashtbl.t;
+  mutable test_only : export list; (* T6's review list, in unit order *)
   mutable worker_roots : int list; (* reversed; order fixed before use *)
   mutable accesses : access list;
   mutable taint_sources : taint_src list;
@@ -185,17 +211,67 @@ let loc_of (loc : Location.t) ~fallback_file =
 (* Pass 1: toplevel nodes, globals, declaration table                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Cross-unit spellings under which other units may reference a
-   toplevel binding (mirrors Type_probe.decl_keys). *)
-let name_keys ~modname ~subpath name =
-  let inner = String.concat "." (subpath @ [ name ]) in
-  let keys = [ modname ^ "." ^ inner ] in
-  match Suppress.find_sub modname "__" with
-  | Some i ->
-      let lib = String.sub modname 0 i in
-      let sub = String.sub modname (i + 2) (String.length modname - i - 2) in
-      (lib ^ "." ^ sub ^ "." ^ inner) :: keys
-  | None -> keys
+(* The module a module expression names, through constraints. *)
+let rec alias_target (me : module_expr) =
+  match me.mod_desc with
+  | Tmod_ident (p, _) -> Some p
+  | Tmod_constraint (me, _, _, _) -> alias_target me
+  | _ -> None
+
+(* [p] with its head expanded through the unit's module bindings:
+   [Rng.int] under [module Rng = Ftr_prng.Rng] is "Ftr_prng.Rng.int". *)
+let rec module_path t ui (p : Path.t) =
+  match p with
+  | Pident id -> (
+      match Hashtbl.find_opt t.mod_paths (ui, Ident.unique_name id) with
+      | Some m -> m
+      | None -> Ident.name id)
+  | Pdot (m, s) -> module_path t ui m ^ "." ^ s
+  | _ -> Path.name p
+
+(* Every module alias in a unit, [let module] ones included, in
+   textual order so that an alias of an alias expands fully. *)
+let collect_aliases t ui (str : structure) =
+  let add id me =
+    match alias_target me with
+    | Some p -> Hashtbl.replace t.mod_paths (ui, Ident.unique_name id) (module_path t ui p)
+    | None -> ()
+  in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      module_binding =
+        (fun it mb ->
+          Option.iter (fun id -> add id mb.mb_expr) mb.mb_id;
+          Tast_iterator.default_iterator.module_binding it mb);
+      expr =
+        (fun it e ->
+          (match e.exp_desc with Texp_letmodule (Some id, _, _, me, _) -> add id me | _ -> ());
+          Tast_iterator.default_iterator.expr it e);
+    }
+  in
+  it.structure it str
+
+(* Node of value [v] of module path [m], else of a module [m] forwards to. *)
+let rec lookup ?(depth = 0) t m v =
+  match Hashtbl.find_opt t.by_name (m ^ "." ^ v) with
+  | Some n -> Some n
+  | None when depth >= 8 -> None
+  | None -> List.find_map (fun fw -> lookup ~depth:(depth + 1) t fw v) (Hashtbl.find_all t.forwards m)
+
+let resolve_path t ui (p : Path.t) =
+  match p with
+  | Pident id -> Hashtbl.find_opt t.by_stamp (ui, Ident.unique_name id)
+  | Pdot (m, v) -> lookup t (module_path t ui m) v
+  | _ -> None
+
+let other_unit = 1
+let own_unit = 2
+let test_unit = 4
+
+let mark_use t node bit =
+  if Hashtbl.mem t.toplevel_of node then
+    Hashtbl.replace t.uses node (bit lor Option.value ~default:0 (Hashtbl.find_opt t.uses node))
 
 (* A type-level [Mutable] verdict can overshoot the value: [Failure.none]
    has a type that *may* carry a Bitset, but the constant
@@ -249,9 +325,10 @@ let register_toplevels t ui =
                     in
                     let node = Callgraph.add_node t.graph ~name:disp ~file ~line ~col in
                     Hashtbl.replace t.by_stamp (ui, Ident.unique_name id) node;
+                    Hashtbl.replace t.toplevel_of node (ui, subpath = []);
                     List.iter
                       (fun k -> if not (Hashtbl.mem t.by_name k) then Hashtbl.add t.by_name k node)
-                      (name_keys ~modname:u.modname ~subpath (Ident.name id));
+                      (Type_probe.decl_keys ~modname:u.modname ~subpath (Ident.name id));
                     (* A non-function toplevel whose type carries
                        unsanctioned mutable state is a shared global. *)
                     (match Types.get_desc vb.vb_expr.exp_type with
@@ -270,18 +347,32 @@ let register_toplevels t ui =
               vbs
         | Tstr_module mb -> module_binding subpath mb
         | Tstr_recmodule mbs -> List.iter (module_binding subpath) mbs
+        | Tstr_include { incl_mod; _ } ->
+            (* [include M] answers for M's values under this path. *)
+            Option.iter (forward subpath) (alias_target incl_mod)
         | _ -> ())
       its
+  and forward subpath target =
+    let m = module_path t ui target in
+    List.iter (fun k -> Hashtbl.add t.forwards k m) (Type_probe.module_keys ~modname:u.modname subpath)
   and module_binding subpath (mb : module_binding) =
     let name = match mb.mb_name.txt with Some n -> n | None -> "_" in
     let rec of_expr (me : module_expr) =
       match me.mod_desc with
-      | Tmod_structure str -> items (subpath @ [ name ]) str.str_items
+      | Tmod_structure str ->
+          Option.iter
+            (fun id ->
+              Hashtbl.replace t.mod_paths (ui, Ident.unique_name id)
+                (String.concat "." ((u.modname :: subpath) @ [ name ])))
+            mb.mb_id;
+          items (subpath @ [ name ]) str.str_items
       | Tmod_constraint (me, _, _, _) -> of_expr me
+      | Tmod_ident (p, _) -> forward (subpath @ [ name ]) p
       | _ -> ()
     in
     of_expr mb.mb_expr
   in
+  collect_aliases t ui u.structure;
   items [] u.structure.str_items
 
 (* ------------------------------------------------------------------ *)
@@ -335,6 +426,9 @@ let walk_unit t ui =
     Callgraph.add_node t.graph ~name:(unit_disp ^ ".(init)") ~file:u.source ~line:1 ~col:0
   in
   let current = ref init_node in
+  (* The toplevel binding whose body is being walked: T6 ignores a
+     binding's references to itself. *)
+  let owner = ref init_node in
   let gate_depth = ref 0 in
   let loop_depth = ref 0 in
   let worker_arg_depth = ref 0 in
@@ -343,11 +437,6 @@ let walk_unit t ui =
      so the boxed-int32 check skips exactly that node (physical
      equality — nested applications inside it still report). *)
   let exempt_int32 : expression option ref = ref None in
-  let resolve_path p =
-    match p with
-    | Path.Pident id -> Hashtbl.find_opt t.by_stamp (ui, Ident.unique_name id)
-    | _ -> Hashtbl.find_opt t.by_name (Path.name p)
-  in
   let cond_is_gate =
     mentions (function
       | Path.Pident id when Hashtbl.mem gate_vars (Ident.unique_name id) -> true
@@ -370,8 +459,12 @@ let walk_unit t ui =
     let parts = path_parts p in
     let file, line, col = loc_of e.exp_loc ~fallback_file:u.source in
     (* Call-graph edge and worker roots. *)
-    (match resolve_path p with
+    (match resolve_path t ui p with
     | Some target ->
+        (match Hashtbl.find_opt t.toplevel_of target with
+        | Some (tu, _) when tu <> ui -> mark_use t target other_unit
+        | Some _ when target <> !owner -> mark_use t target own_unit
+        | _ -> ());
         if target <> !current then
           Callgraph.add_edge t.graph ~gated:(!gate_depth > 0) !current target;
         if !worker_arg_depth > 0 then t.worker_roots <- target :: t.worker_roots;
@@ -557,11 +650,13 @@ let walk_unit t ui =
           Callgraph.add_edge t.graph ~gated:(!gate_depth > 0) !current node;
         (* The RHS evaluates wherever the binding sits — keep the loop
            depth; a function RHS zeroes it in the [Texp_function] case. *)
-        let saved = !current and saved_names = !binding_names in
+        let saved = !current and saved_owner = !owner and saved_names = !binding_names in
         current := node;
+        if Hashtbl.mem t.toplevel_of node then owner := node;
         binding_names := Ident.name id :: saved_names;
         Tast_iterator.default_iterator.value_binding it vb;
         current := saved;
+        owner := saved_owner;
         binding_names := saved_names
     | None -> Tast_iterator.default_iterator.value_binding it vb
   in
@@ -687,14 +782,97 @@ let t5_findings t =
            u.u_fn u.u_binding))
     t.unordered
 
+(* T6. An observer (a test/ unit) only marks what it names. *)
+let scan_observer t oi (u : Cmt_loader.unit_info) =
+  collect_aliases t oi u.structure;
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      expr =
+        (fun it e ->
+          (match e.exp_desc with
+          | Texp_ident ((Pdot _ as p), _, _) ->
+              Option.iter (fun n -> mark_use t n test_unit) (resolve_path t oi p)
+          | _ -> ());
+          Tast_iterator.default_iterator.expr it e);
+    }
+  in
+  it.structure it u.structure
+
+(* The [val]s of an interface, nested signatures included, in order, as
+   (module subpath, name, location). *)
+let rec sig_values subpath (items : signature_item list) =
+  List.concat_map
+    (fun (it : signature_item) ->
+      match it.sig_desc with
+      | Tsig_value vd -> [ (subpath, vd.val_name.txt, vd.val_name.loc) ]
+      | Tsig_module
+          { md_name = { txt = Some name; _ }; md_type = { mty_desc = Tmty_signature sg; _ }; _ }
+        ->
+          sig_values (subpath @ [ name ]) sg.sig_items
+      | _ -> [])
+    items
+
+let t6_findings t ~exported =
+  let tops = Array.make (Array.length t.units) [] in
+  for nd = Callgraph.node_count t.graph - 1 downto 0 do
+    match Hashtbl.find_opt t.toplevel_of nd with
+    | Some (ui, true) -> tops.(ui) <- nd :: tops.(ui)
+    | _ -> ()
+  done;
+  let findings = ref [] in
+  let judge ~name ~file ~line ~col ~used ~bits message =
+    if not used then
+      if bits land test_unit <> 0 then
+        t.test_only <- { e_name = name; e_file = file; e_line = line; e_col = col } :: t.test_only
+      else findings := finding Finding.T6 file line col (Printf.sprintf message name) :: !findings
+  in
+  let bits_of node = Option.value ~default:0 (Hashtbl.find_opt t.uses node) in
+  Array.iteri
+    (fun ui (u : Cmt_loader.unit_info) ->
+      if exported u.source then
+        match Cmt_loader.load_interface u.cmt_path with
+        | Some sg ->
+            List.iter
+              (fun (subpath, v, loc) ->
+                let file, line, col = loc_of loc ~fallback_file:u.source in
+                let bits =
+                  Option.fold ~none:0 ~some:bits_of
+                    (Hashtbl.find_opt t.by_name (String.concat "." ((u.modname :: subpath) @ [ v ])))
+                in
+                judge
+                  ~name:(String.concat "." ((display_unit u.modname :: subpath) @ [ v ]))
+                  ~file ~line ~col ~bits
+                  ~used:(bits land other_unit <> 0)
+                  (if bits land own_unit <> 0 then
+                     "%s is exported, but only its own unit uses it; drop its line from the .mli"
+                   else "%s is exported, but no other unit references it; delete it"))
+              (sig_values [] sg.sig_items)
+        | None ->
+            List.iter
+              (fun nd ->
+                let n = Callgraph.node t.graph nd in
+                let bits = bits_of nd in
+                if not (String.starts_with ~prefix:"._" (Filename.extension n.name)) then
+                  judge ~name:n.name ~file:n.file ~line:n.line ~col:n.col ~bits
+                    ~used:(bits land (other_unit lor own_unit) <> 0)
+                    "%s is a toplevel value of a unit without an .mli, and nothing references \
+                     it; delete it")
+              tops.(ui))
+    t.units;
+  t.test_only <- List.rev t.test_only;
+  List.rev !findings
+
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
 (* [hot_files]: build-relative sources carrying the [ftr-lint: hot] tag
    (the driver scans sources for directives anyway and passes the list
-   down). *)
-let run ~hot_files units =
+   down). [exported] selects the units whose exports T6 judges (by
+   source path; lib/ by default), and [observers] are the units (test/)
+   whose references only place a value on T6's review list. *)
+let run ?(exported = String.starts_with ~prefix:"lib/") ~observers ~hot_files units =
   let units = Array.of_list units in
   let t =
     {
@@ -703,6 +881,11 @@ let run ~hot_files units =
       by_stamp = Hashtbl.create 1024;
       by_name = Hashtbl.create 1024;
       globals = Hashtbl.create 64;
+      mod_paths = Hashtbl.create 256;
+      forwards = Hashtbl.create 16;
+      toplevel_of = Hashtbl.create 1024;
+      uses = Hashtbl.create 1024;
+      test_only = [];
       worker_roots = [];
       accesses = [];
       taint_sources = [];
@@ -719,5 +902,9 @@ let run ~hot_files units =
   for ui = 0 to Array.length units - 1 do
     walk_unit t ui
   done;
-  let findings = t1_findings t @ t2_findings t @ t3_findings t @ t4_findings t @ t5_findings t in
+  List.iteri (fun j u -> scan_observer t (Array.length units + j) u) observers;
+  let findings =
+    t1_findings t @ t2_findings t @ t3_findings t @ t4_findings t @ t5_findings t
+    @ t6_findings t ~exported
+  in
   (t, List.sort_uniq Finding.compare_findings findings)

@@ -4,8 +4,6 @@ let create size =
   if size < 1 then invalid_arg "Line.create: size must be >= 1";
   { size }
 
-let size t = t.size
-
 let contains t p = p >= 0 && p < t.size
 
 let check t p = if not (contains t p) then invalid_arg "Line: point out of range"

@@ -7,9 +7,6 @@ val create : int -> t
 (** A line of the given number of grid points.
     @raise Invalid_argument if the size is not positive. *)
 
-val size : t -> int
-(** Number of grid points. *)
-
 val contains : t -> int -> bool
 (** Whether the point lies on the line. *)
 

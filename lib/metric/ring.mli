@@ -13,9 +13,6 @@ val size : t -> int
 val normalize : t -> int -> int
 (** Map any integer onto the ring (mod size, non-negative). *)
 
-val contains : t -> int -> bool
-(** Whether the point is a canonical ring position. *)
-
 val distance : t -> int -> int -> int
 (** Shorter-arc distance.
     @raise Invalid_argument if a point is out of range. *)

@@ -40,15 +40,20 @@ let index t c =
 
 let axis_distance t a b =
   let d = abs (a - b) in
-  min d (t.side - d)
+  if d <= t.side - d then d else t.side - d
 
 (* L1 (Manhattan) distance with per-axis wraparound: the lattice distance of
-   Kleinberg's grid, made toroidal so every node is symmetric. *)
+   Kleinberg's grid, made toroidal so every node is symmetric. Peels one
+   coordinate of each index per axis, as [coords] does, without building
+   the arrays: routers call this once per candidate link. *)
 let distance t a b =
-  let ca = coords t a and cb = coords t b in
-  let acc = ref 0 in
-  for i = 0 to t.dims - 1 do
-    acc := !acc + axis_distance t ca.(i) cb.(i)
+  check t a;
+  check t b;
+  let a = ref a and b = ref b and acc = ref 0 in
+  for _ = 1 to t.dims do
+    acc := !acc + axis_distance t (!a mod t.side) (!b mod t.side);
+    a := !a / t.side;
+    b := !b / t.side
   done;
   !acc
 

@@ -11,10 +11,6 @@ type config = {
   min_nodes : int;  (** never shrink below this population *)
 }
 
-val default_config : config
-(** A mild-churn default: 1 lookup and ~0.09 membership events per unit
-    time for 1000 units. *)
-
 val install : ?config:config -> line_size:int -> Overlay.t -> Ftr_prng.Rng.t -> float
 (** Schedule all four Poisson processes on the overlay's engine; returns
     the virtual-time horizon to run until. *)

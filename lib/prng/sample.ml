@@ -39,37 +39,6 @@ let cdf_probability { cumulative } i =
     invalid_arg "Sample.cdf_probability: index out of range";
   if i = 0 then cumulative.(0) else cumulative.(i) -. cumulative.(i - 1)
 
-type alias = { prob : float array; alias_of : int array }
-
-(* Vose's alias method: O(n) construction, O(1) draws. *)
-let alias_of_weights weights =
-  let n = Array.length weights in
-  if n = 0 then invalid_arg "Sample.alias_of_weights: empty weights";
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  if total <= 0.0 || Float.is_nan total then
-    invalid_arg "Sample.alias_of_weights: non-positive total weight";
-  let scaled = Array.map (fun w -> w *. float_of_int n /. total) weights in
-  let prob = Array.make n 0.0 in
-  let alias_of = Array.make n 0 in
-  let small = Queue.create () in
-  let large = Queue.create () in
-  Array.iteri (fun i p -> if p < 1.0 then Queue.add i small else Queue.add i large) scaled;
-  while (not (Queue.is_empty small)) && not (Queue.is_empty large) do
-    let s = Queue.pop small in
-    let l = Queue.pop large in
-    prob.(s) <- scaled.(s);
-    alias_of.(s) <- l;
-    scaled.(l) <- scaled.(l) +. scaled.(s) -. 1.0;
-    if scaled.(l) < 1.0 then Queue.add l small else Queue.add l large
-  done;
-  Queue.iter (fun i -> prob.(i) <- 1.0) small;
-  Queue.iter (fun i -> prob.(i) <- 1.0) large;
-  { prob; alias_of }
-
-let alias_draw { prob; alias_of } rng =
-  let i = Rng.int rng (Array.length prob) in
-  if Rng.float rng < prob.(i) then i else alias_of.(i)
-
 let exponential rng ~rate =
   if rate <= 0.0 then invalid_arg "Sample.exponential: rate must be positive";
   (* 1 - u avoids log 0. *)
@@ -225,5 +194,3 @@ let power_law_draw t rng ~upto =
   if upto < 1 || upto > t.max_length then
     invalid_arg "Sample.power_law_draw: upto out of range";
   search t ~last:(upto - 1) (Rng.float rng *. t.prefix.(upto - 1))
-
-let power_law_max_length t = t.max_length

@@ -34,16 +34,6 @@ val cdf_probability : cdf -> int -> float
 (** Normalised probability of index [i].
     @raise Invalid_argument if out of range. *)
 
-type alias
-(** Alias table (Vose's method) for O(1) draws. *)
-
-val alias_of_weights : float array -> alias
-(** Build the alias table; O(n).
-    @raise Invalid_argument on empty or non-positive total weight. *)
-
-val alias_draw : alias -> Rng.t -> int
-(** Draw an index in O(1). *)
-
 (** {1 Classical distributions} *)
 
 val exponential : Rng.t -> rate:float -> float
@@ -89,6 +79,3 @@ val power_law_quantile : power_law -> upto:int -> float -> int
 
 val power_law_total : power_law -> upto:int -> float
 (** Normalising constant [sum_{d=1..upto} d^-exponent]. *)
-
-val power_law_max_length : power_law -> int
-(** Largest supported length. *)

@@ -19,9 +19,6 @@ val of_state : int64 -> int64 -> int64 -> int64 -> t
 (** Build from four raw state words.
     @raise Invalid_argument if all four words are zero. *)
 
-val of_splitmix : Splitmix64.t -> t
-(** Seed the state from an existing SplitMix64 stream (advances it). *)
-
 val next_int64 : t -> int64
 (** Advance the state and return the next 64-bit output. *)
 

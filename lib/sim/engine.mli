@@ -28,9 +28,6 @@ val schedule_after : t -> delay:float -> (unit -> unit) -> handle
 val cancel : t -> handle -> unit
 (** Cancel a scheduled event (no-op if it already ran). *)
 
-val step : t -> bool
-(** Execute the next event; [false] when the queue is empty. *)
-
 val run : ?max_events:int -> ?until:float -> t -> unit
 (** Run until the queue empties, [max_events] events have executed, or the
     next event lies beyond [until]. *)

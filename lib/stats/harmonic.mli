@@ -17,6 +17,3 @@ val table : int -> float array
 
 val generalized : exponent:float -> int -> float
 (** Generalized harmonic number [sum_{k=1..n} k^-exponent]. *)
-
-val euler_mascheroni : float
-(** The Euler–Mascheroni constant γ. *)

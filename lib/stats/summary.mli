@@ -27,9 +27,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; [nan] with fewer than two observations. *)
 
-val stddev : t -> float
-(** Sample standard deviation. *)
-
 val sem : t -> float
 (** Standard error of the mean. *)
 

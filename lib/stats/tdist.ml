@@ -12,6 +12,7 @@ let table =
 
 let critical95 ~df =
   if df < 1 then invalid_arg "Tdist.critical95: df must be >= 1";
+  (* ftr-lint: disable T1 -- read-only: nothing writes the table after initialisation *)
   if df <= 30 then table.(df - 1)
   else if df <= 60 then 2.000
   else if df <= 120 then 1.980

@@ -16,7 +16,6 @@
 type 'a entry = { e_time : int; e_src : int; e_seq : int; e_msg : 'a }
 
 type 'a t = {
-  owner : int;
   capacity : int;
   mutable entries : 'a entry list; (* sorted by (e_time, e_src, e_seq) *)
   mutable length : int;
@@ -26,11 +25,9 @@ type 'a t = {
 
 let default_capacity = 4096
 
-let create ?(capacity = default_capacity) ~owner () =
+let create ?(capacity = default_capacity) () =
   if capacity < 1 then invalid_arg "Mailbox.create: capacity must be >= 1";
-  { owner; capacity; entries = []; length = 0; dropped = 0; high_water = 0 }
-
-let owner t = t.owner
+  { capacity; entries = []; length = 0; dropped = 0; high_water = 0 }
 
 let capacity t = t.capacity
 

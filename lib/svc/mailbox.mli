@@ -16,11 +16,8 @@ type 'a entry = { e_time : int; e_src : int; e_seq : int; e_msg : 'a }
 
 type 'a t
 
-val default_capacity : int
-(** 4096 entries. *)
-
-val create : ?capacity:int -> owner:int -> unit -> 'a t
-(** An empty mailbox for the actor at position [owner].
+val create : ?capacity:int -> unit -> 'a t
+(** An empty mailbox holding at most [capacity] (default 4096) entries.
     @raise Invalid_argument if [capacity < 1]. *)
 
 val post : 'a t -> time:int -> src:int -> seq:int -> 'a -> bool
@@ -36,8 +33,6 @@ val drain_due : 'a t -> now:int -> ('a entry -> unit) -> unit
     order, and hand each to the callback after it has left the mailbox
     (so {!length} already excludes it). An entry the callback posts
     that is itself due is drained by the same call. *)
-
-val owner : 'a t -> int
 
 val capacity : 'a t -> int
 

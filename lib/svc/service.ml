@@ -173,13 +173,9 @@ let create ?capacity ?(ttl = 256) ?(regenerate = true) ?(shards = 8) ?(record = 
 
 let stats t = t.stats
 
-let now t = t.now
-
 let line_size t = t.line_size
 
 let links t = t.links
-
-let seed t = t.seed
 
 let next_request_id t = t.next_request
 
@@ -229,7 +225,7 @@ let add_slot t ~pos ~alive =
     invalid_arg "Service.register: position already registered";
   let a = Actor.create ~pos ~links:t.links ~rng:(Seed.rng_for ~seed:t.seed ~index:pos) () in
   a.Actor.alive <- alive;
-  let s = { actor = a; mailbox = Mailbox.create ?capacity:t.capacity ~owner:pos (); next_seq = 0 } in
+  let s = { actor = a; mailbox = Mailbox.create ?capacity:t.capacity (); next_seq = 0 } in
   t.slots.(pos) <- Some s;
   if alive then Bytes.set t.alive_view pos '\001';
   s

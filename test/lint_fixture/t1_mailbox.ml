@@ -6,7 +6,7 @@
    [Queue.t] twin right next to it is the same shape with an unsanctioned
    container and must still fire. *)
 
-let mailbox : int Ftr_svc.Mailbox.t = Ftr_svc.Mailbox.create ~owner:0 ()
+let mailbox : int Ftr_svc.Mailbox.t = Ftr_svc.Mailbox.create ()
 
 let drain_one i =
   Ftr_svc.Mailbox.drain_due mailbox ~now:i ignore;

@@ -36,7 +36,7 @@ let expect_code label code vs =
 
 (* Corruption constructors must not trip the in-path FTR_CHECK hooks when
    the suite runs with the flag exported; build them with the mode off. *)
-let quietly f = Check.with_mode false f
+let quietly f = Ftr_debug.Debug.with_mode false f
 
 (* A clean line network where every node links only to its ring
    neighbours, with one optional extra directed link. *)

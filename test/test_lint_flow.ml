@@ -47,8 +47,8 @@ let findings_of file =
 
 let test_corpus () =
   let _, (stats : Flow_driver.stats) = Lazy.force fixture in
-  Alcotest.(check int) "all fourteen fixture units loaded" 14 stats.Flow_driver.fl_units;
-  Alcotest.(check int) "all analyzed on a cache-less run" 14 stats.Flow_driver.fl_analyzed;
+  Alcotest.(check int) "all eighteen fixture units loaded" 18 stats.Flow_driver.fl_units;
+  Alcotest.(check int) "all analyzed on a cache-less run" 18 stats.Flow_driver.fl_analyzed;
   Alcotest.(check int) "nothing cached on a cache-less run" 0 stats.Flow_driver.fl_cached
 
 (* D1: the ungated write and the post-join write fire; the gated write,
@@ -213,9 +213,9 @@ let test_cache_warm () =
   with_cache_dir @@ fun dir ->
   let cold, (cs : Flow_driver.stats) = analyze_fixture ~cache_dir:dir () in
   let warm, (ws : Flow_driver.stats) = analyze_fixture ~cache_dir:dir () in
-  Alcotest.(check int) "cold run analyzes every unit" 14 cs.Flow_driver.fl_analyzed;
+  Alcotest.(check int) "cold run analyzes every unit" 18 cs.Flow_driver.fl_analyzed;
   Alcotest.(check int) "warm run analyzes zero units" 0 ws.Flow_driver.fl_analyzed;
-  Alcotest.(check int) "warm run serves every unit from cache" 14 ws.Flow_driver.fl_cached;
+  Alcotest.(check int) "warm run serves every unit from cache" 18 ws.Flow_driver.fl_cached;
   Alcotest.(check string) "identical finding streams" (render cold) (render warm)
 
 (* A cache entry records the analyzer version that wrote it: after the
@@ -237,7 +237,7 @@ let test_cache_stale_version () =
     (Sys.readdir dir);
   let rerun, (rs : Flow_driver.stats) = analyze_fixture ~cache_dir:dir () in
   Alcotest.(check int) "nothing served from the stale cache" 0 rs.Flow_driver.fl_cached;
-  Alcotest.(check int) "every unit re-analyzed" 14 rs.Flow_driver.fl_analyzed;
+  Alcotest.(check int) "every unit re-analyzed" 18 rs.Flow_driver.fl_analyzed;
   Alcotest.(check string) "identical finding streams" (render cold) (render rerun)
 
 (* qcheck: the rendered finding stream is byte-identical across

@@ -1,7 +1,8 @@
-(* Typed-stage (T1-T5) analyzer tests. The typed rules need real .cmt
+(* Typed-stage (T1-T6) analyzer tests. The typed rules need real .cmt
    files, so the fixtures are a compiled mini-library under
    test/lint_fixture/ — positives and negatives for every rule —
-   analyzed exactly as `dune build @lint-typed` analyzes the real tree.
+   analyzed exactly as `dune build @lint-typed` analyzes the real tree,
+   with this directory's units as T6's test-only observers.
    The suite also unit-tests the call graph, checks the baseline's typed
    namespace, exercises stage-selective baseline regeneration
    (--update-baseline), and self-applies the typed stage to the
@@ -33,8 +34,13 @@ let root =
      up (Sys.getcwd ()))
 
 (* The fixture corpus is analyzed once; each rule test filters the
-   shared finding stream by file. *)
-let fixture = lazy (Typed_driver.analyze ~root:(Lazy.force root) ~dirs:[ "test/lint_fixture" ])
+   shared finding stream by file. T6 judges the exports of the t6_*
+   fixtures (on the real tree, of lib/). *)
+let fixture =
+  lazy
+    (Typed_driver.analyze
+       ~exported:(fun source -> String.starts_with ~prefix:"t6_" (Filename.basename source))
+       ~root:(Lazy.force root) ~dirs:[ "test/lint_fixture" ] ())
 
 let fixture_findings file =
   let _, kept = Lazy.force fixture in
@@ -46,7 +52,7 @@ let rules_of file =
 let test_corpus () =
   let state, _ = Lazy.force fixture in
   Alcotest.(check int)
-    "all fourteen fixture units loaded (nine typed, five flow)" 14
+    "all eighteen fixture units loaded (thirteen typed, five flow)" 18
     (Array.length state.Typed_rules.units)
 
 (* T1: the cross-function race (run -> pool boundary -> job -> bump ->
@@ -214,6 +220,34 @@ let test_t5 () =
         (contains m2 {|Hashtbl.fold inside "to_json"|})
   | fs -> Alcotest.failf "expected exactly the two T5 positives, got %d" (List.length fs)
 
+(* T6: in t6_export.mli, the export no unit names and the one only its
+   own unit names fire on their .mli lines; the one t6_noint.ml names,
+   the one only this test names (below) and the suppressed one do not.
+   In t6_noint.ml (no .mli) the unnamed and the only self-recursive
+   toplevels fire; the one its initialisation code names does not.
+   T6_base.included is named only through t6_via.ml's include. *)
+
+let test_t6 () =
+  (match findings_of "t6_export.mli" with
+  | [ ("T6", 7, m1); ("T6", 9, m2) ] ->
+      Alcotest.(check bool) "unused: delete it" true
+        (contains m1 "Lint_fixture.T6_export.unused" && contains m1 "delete it");
+      Alcotest.(check bool) "own_only: drop the .mli line" true
+        (contains m2 "Lint_fixture.T6_export.own_only" && contains m2 "only its own unit")
+  | fs -> Alcotest.failf "expected exactly the two t6_export.mli positives, got %d" (List.length fs));
+  (match findings_of "t6_noint.ml" with
+  | [ ("T6", 6, m1); ("T6", 8, m2) ] ->
+      Alcotest.(check bool) "names dead" true (contains m1 "T6_noint.dead");
+      Alcotest.(check bool) "names spin" true (contains m2 "T6_noint.spin")
+  | fs -> Alcotest.failf "expected exactly the two t6_noint.ml positives, got %d" (List.length fs));
+  Alcotest.(check (list string)) "the export used through include is quiet" []
+    (rules_of "t6_base.mli");
+  let state, _ = Lazy.force fixture in
+  Alcotest.(check (list string))
+    "the export only a test names is listed for review" [ "Lint_fixture.T6_export.tested" ]
+    (List.map (fun (e : Typed_rules.export) -> e.e_name) state.Typed_rules.test_only);
+  Alcotest.(check int) "the listed export, called" 1 (Lint_fixture.T6_export.tested 2)
+
 (* Call graph: gated edges, forward/reverse BFS and witness chains. *)
 
 let test_callgraph () =
@@ -274,7 +308,7 @@ let test_update_baseline () =
   Baseline.save path [ entry (fake Finding.D1 "lib/a.ml"); entry (fake Finding.T1 "lib/b.ml") ];
   let code =
     Driver.run ~write_baseline:path ~quiet:true ~stages:[ Finding.Typed ]
-      ~dirs:[ "lib"; "bin"; "bench" ] ()
+      ~dirs:[ "lib"; "bin"; "bench"; "examples" ] ()
   in
   let reloaded = Baseline.load path in
   Sys.remove path;
@@ -290,7 +324,7 @@ let test_update_baseline () =
 
 let test_self_application () =
   let root = Lazy.force root in
-  let state, findings = Typed_driver.analyze ~root ~dirs:[ "lib"; "bin"; "bench" ] in
+  let state, findings = Typed_driver.analyze ~root ~dirs:[ "lib"; "bin"; "bench"; "examples" ] () in
   Alcotest.(check bool) "a real corpus loaded" true (Array.length state.Typed_rules.units >= 40);
   let entries =
     List.filter
@@ -317,6 +351,7 @@ let () =
           Alcotest.test_case "T4 boxed int32 in a hot loop" `Quick test_t4_int32;
           Alcotest.test_case "T3 polymorphic compare at a Bigarray" `Quick test_t3_bigarray;
           Alcotest.test_case "T5 typed-unordered-iteration-in-output" `Quick test_t5;
+          Alcotest.test_case "T6 unreferenced-export" `Quick test_t6;
           Alcotest.test_case "R1 nondeterminism-source" `Quick test_r1;
           Alcotest.test_case "R2 polymorphic-comparison" `Quick test_r2;
           Alcotest.test_case "R5 hot-path-allocation" `Quick test_r5;

@@ -138,6 +138,29 @@ let torus_rejects () =
   Alcotest.check_raises "bad coords" (Invalid_argument "Torus.index: wrong dimensionality")
     (fun () -> ignore (Torus.index t [| 1 |]))
 
+(* The distance decodes both indices in place: no coordinate arrays.
+   The slack covers the measurement itself. *)
+let torus_distance_allocates_nothing () =
+  let t = Torus.create ~dims:2 ~side:64 in
+  let k = 10_000 and sum = ref 0 in
+  ignore (Torus.distance t 0 1);
+  let before = Gc.minor_words () in
+  for i = 1 to k do
+    sum := !sum + Torus.distance t (i land 4095) ((i * 97) land 4095)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words in %d calls" words k)
+    true (words <= 8.0);
+  Alcotest.(check bool) "distances were summed" true (!sum > 0)
+
+let torus_distance_range_checked () =
+  let t = Torus.create ~dims:2 ~side:4 in
+  Alcotest.check_raises "past the end" (Invalid_argument "Torus: point out of range") (fun () ->
+      ignore (Torus.distance t 0 16));
+  Alcotest.check_raises "negative" (Invalid_argument "Torus: point out of range") (fun () ->
+      ignore (Torus.distance t (-1) 0))
+
 (* ------------------------------------------------------------------ *)
 (* Properties: all three spaces are metrics                            *)
 (* ------------------------------------------------------------------ *)
@@ -169,6 +192,22 @@ let prop_torus_symmetry =
     (fun (a, b) ->
       let t = Torus.create ~dims:2 ~side:8 in
       Torus.distance t a b = Torus.distance t b a)
+
+(* The reference: decode both points into coordinates and sum the
+   per-axis wraparound distances. *)
+let prop_torus_distance_matches_coords =
+  QCheck.Test.make ~name:"torus distance matches the coordinate-wise sum" ~count:500
+    QCheck.(quad (int_range 1 4) (int_range 1 9) small_nat small_nat)
+    (fun (dims, side, a, b) ->
+      let t = Torus.create ~dims ~side in
+      let a = a mod Torus.size t and b = b mod Torus.size t in
+      let ca = Torus.coords t a and cb = Torus.coords t b in
+      let reference = ref 0 in
+      for i = 0 to dims - 1 do
+        let d = abs (ca.(i) - cb.(i)) in
+        reference := !reference + Int.min d (side - d)
+      done;
+      Torus.distance t a b = !reference)
 
 let prop_ring_clockwise_consistent =
   QCheck.Test.make ~name:"ring distance = min of both arcs" ~count:500
@@ -209,6 +248,8 @@ let () =
           quick "move" torus_move;
           quick "tiny sides" torus_tiny_sides;
           quick "rejects bad input" torus_rejects;
+          quick "distance allocates nothing" torus_distance_allocates_nothing;
+          quick "distance range-checked" torus_distance_range_checked;
         ] );
       ( "properties",
         List.map (fun p -> QCheck_alcotest.to_alcotest p)
@@ -218,5 +259,6 @@ let () =
             prop_torus_triangle;
             prop_torus_symmetry;
             prop_ring_clockwise_consistent;
+            prop_torus_distance_matches_coords;
           ] );
     ]

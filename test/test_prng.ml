@@ -251,15 +251,6 @@ let cdf_probability_bounds () =
     (Invalid_argument "Sample.cdf_probability: index out of range") (fun () ->
       ignore (Sample.cdf_probability cdf 2))
 
-let alias_with_zero_weights () =
-  (* Zero-weight categories must never be drawn. *)
-  let alias = Sample.alias_of_weights [| 0.0; 5.0; 0.0; 5.0 |] in
-  let rng = Rng.of_int 46 in
-  for _ = 1 to 2000 do
-    let i = Sample.alias_draw alias rng in
-    Alcotest.(check bool) "only positive cells" true (i = 1 || i = 3)
-  done
-
 let rng_split_streams_differ () =
   let parent = Rng.of_int 41 in
   let child = Rng.split parent in
@@ -394,31 +385,6 @@ let cdf_rejects_bad_weights () =
   Alcotest.check_raises "negative"
     (Invalid_argument "Sample.cdf_of_weights: negative or NaN weight") (fun () ->
       ignore (Sample.cdf_of_weights [| 1.0; -1.0 |]))
-
-let alias_matches_cdf () =
-  let weights = [| 0.5; 2.5; 4.0; 1.0; 2.0 |] in
-  let alias = Sample.alias_of_weights weights in
-  let rng = Rng.of_int 47 in
-  let counts = Array.make 5 0 in
-  let trials = 100_000 in
-  for _ = 1 to trials do
-    let i = Sample.alias_draw alias rng in
-    counts.(i) <- counts.(i) + 1
-  done;
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  Array.iteri
-    (fun i w ->
-      let rate = float_of_int counts.(i) /. float_of_int trials in
-      Alcotest.(check bool) (Printf.sprintf "alias cell %d" i) true
-        (abs_float (rate -. (w /. total)) < 0.01))
-    weights
-
-let alias_single_category () =
-  let alias = Sample.alias_of_weights [| 42.0 |] in
-  let rng = Rng.of_int 53 in
-  for _ = 1 to 100 do
-    Alcotest.(check int) "only index" 0 (Sample.alias_draw alias rng)
-  done
 
 let exponential_mean () =
   let rng = Rng.of_int 59 in
@@ -713,9 +679,6 @@ let () =
           quick "cdf draw frequencies" cdf_draw_frequencies;
           quick "cdf rejects bad weights" cdf_rejects_bad_weights;
           quick "cdf probability bounds" cdf_probability_bounds;
-          quick "alias never draws zero-weight cells" alias_with_zero_weights;
-          quick "alias frequencies" alias_matches_cdf;
-          quick "alias single category" alias_single_category;
           quick "exponential mean" exponential_mean;
           quick "exponential positive" exponential_positive;
           quick "geometric mean" geometric_mean;

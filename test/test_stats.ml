@@ -1,7 +1,6 @@
 module Harmonic = Ftr_stats.Harmonic
 module Summary = Ftr_stats.Summary
 module Quantile = Ftr_stats.Quantile
-module Histogram = Ftr_stats.Histogram
 module Linreg = Ftr_stats.Linreg
 module Gof = Ftr_stats.Gof
 
@@ -161,69 +160,6 @@ let quantile_rejects () =
       ignore (Quantile.compute [||] 0.5));
   Alcotest.check_raises "bad q" (Invalid_argument "Quantile.of_sorted: q must be in [0,1]")
     (fun () -> ignore (Quantile.compute [| 1.0 |] 1.5))
-
-(* ------------------------------------------------------------------ *)
-(* Histogram                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let histogram_binning () =
-  let h = Histogram.uniform ~lo:0.0 ~hi:10.0 ~bins:5 in
-  List.iter (Histogram.add h) [ 0.0; 1.9; 2.0; 5.5; 9.99 ];
-  Alcotest.(check int) "bin 0" 2 (Histogram.count h 0);
-  Alcotest.(check int) "bin 1" 1 (Histogram.count h 1);
-  Alcotest.(check int) "bin 2" 1 (Histogram.count h 2);
-  Alcotest.(check int) "bin 4" 1 (Histogram.count h 4);
-  Alcotest.(check int) "total" 5 (Histogram.total h)
-
-let histogram_overflow () =
-  let h = Histogram.uniform ~lo:0.0 ~hi:1.0 ~bins:2 in
-  Histogram.add h (-0.5);
-  Histogram.add h 1.0;
-  Histogram.add h 99.0;
-  Alcotest.(check int) "underflow" 1 (Histogram.underflow h);
-  Alcotest.(check int) "overflow" 2 (Histogram.overflow h);
-  Alcotest.(check int) "total includes both" 3 (Histogram.total h)
-
-let histogram_log2 () =
-  let h = Histogram.log2_bins ~max_value:16.0 in
-  Histogram.add_int h 1;
-  Histogram.add_int h 3;
-  Histogram.add_int h 4;
-  Histogram.add_int h 15;
-  Alcotest.(check int) "bin [1,2)" 1 (Histogram.count h 0);
-  Alcotest.(check int) "bin [2,4)" 1 (Histogram.count h 1);
-  Alcotest.(check int) "bin [4,8)" 1 (Histogram.count h 2);
-  Alcotest.(check int) "bin [8,16)" 1 (Histogram.count h 3)
-
-let histogram_frequency () =
-  let h = Histogram.uniform ~lo:0.0 ~hi:4.0 ~bins:4 in
-  List.iter (Histogram.add h) [ 0.5; 0.6; 1.5; 3.2 ];
-  check_float "freq bin 0" 0.5 (Histogram.frequency h 0);
-  check_float "freq bin 3" 0.25 (Histogram.frequency h 3)
-
-let histogram_bin_range () =
-  let h = Histogram.uniform ~lo:0.0 ~hi:10.0 ~bins:5 in
-  let lo, hi = Histogram.bin_range h 2 in
-  check_float "lo" 4.0 lo;
-  check_float "hi" 6.0 hi
-
-let histogram_to_list () =
-  let h = Histogram.uniform ~lo:0.0 ~hi:3.0 ~bins:3 in
-  List.iter (Histogram.add h) [ 0.5; 1.5; 1.6 ];
-  Alcotest.(check int) "three entries" 3 (List.length (Histogram.to_list h));
-  match Histogram.to_list h with
-  | [ ((l0, _), c0); (_, c1); (_, c2) ] ->
-      Alcotest.(check (float 1e-9)) "first lo" 0.0 l0;
-      Alcotest.(check (list int)) "counts" [ 1; 2; 0 ] [ c0; c1; c2 ]
-  | _ -> Alcotest.fail "unexpected shape"
-
-let histogram_rejects () =
-  Alcotest.check_raises "one edge"
-    (Invalid_argument "Histogram.create: need at least two edges") (fun () ->
-      ignore (Histogram.create ~edges:[| 1.0 |]));
-  Alcotest.check_raises "non-increasing"
-    (Invalid_argument "Histogram.create: edges must be strictly increasing") (fun () ->
-      ignore (Histogram.create ~edges:[| 1.0; 1.0 |]))
 
 (* ------------------------------------------------------------------ *)
 (* Linear regression                                                   *)
@@ -411,16 +347,6 @@ let prop_quantile_monotone =
       let q75 = Quantile.compute xs 0.75 in
       q25 <= q50 +. 1e-9 && q50 <= q75 +. 1e-9)
 
-let prop_histogram_conserves_total =
-  QCheck.Test.make ~name:"histogram total counts every observation" ~count:200
-    QCheck.(list_of_size (Gen.int_range 0 100) (float_range (-5.0) 15.0))
-    (fun xs ->
-      let h = Histogram.uniform ~lo:0.0 ~hi:10.0 ~bins:7 in
-      List.iter (Histogram.add h) xs;
-      let binned = List.fold_left (fun acc i -> acc + Histogram.count h i) 0
-          (List.init (Histogram.bins h) Fun.id) in
-      binned + Histogram.underflow h + Histogram.overflow h = List.length xs)
-
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "stats"
@@ -453,16 +379,6 @@ let () =
           quick "unsorted input" quantile_unsorted_input;
           quick "five-number summary" quantile_five_number;
           quick "rejects bad input" quantile_rejects;
-        ] );
-      ( "histogram",
-        [
-          quick "binning" histogram_binning;
-          quick "under/overflow" histogram_overflow;
-          quick "log2 bins" histogram_log2;
-          quick "frequency" histogram_frequency;
-          quick "bin range" histogram_bin_range;
-          quick "rejects bad edges" histogram_rejects;
-          quick "to_list" histogram_to_list;
         ] );
       ( "linreg",
         [
@@ -503,6 +419,5 @@ let () =
             prop_summary_mean_in_range;
             prop_merge_commutes;
             prop_quantile_monotone;
-            prop_histogram_conserves_total;
           ] );
     ]

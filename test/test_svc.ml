@@ -25,7 +25,7 @@ let drain mb ~now =
 let key (e : _ Mailbox.entry) = (e.Mailbox.e_time, e.Mailbox.e_src, e.Mailbox.e_seq)
 
 let mailbox_delivery_order () =
-  let mb = Mailbox.create ~owner:0 () in
+  let mb = Mailbox.create () in
   (* Posted out of order on every key component. *)
   assert (Mailbox.post mb ~time:5 ~src:9 ~seq:0 "t5s9");
   assert (Mailbox.post mb ~time:3 ~src:2 ~seq:1 "t3s2q1");
@@ -49,7 +49,7 @@ let mailbox_delivery_order () =
   Alcotest.(check bool) "an empty mailbox is never due" false (Mailbox.due mb ~now:max_int)
 
 let mailbox_capacity_drops () =
-  let mb = Mailbox.create ~capacity:2 ~owner:3 () in
+  let mb = Mailbox.create ~capacity:2 () in
   assert (Mailbox.post mb ~time:1 ~src:0 ~seq:0 0);
   assert (Mailbox.post mb ~time:1 ~src:0 ~seq:1 1);
   Alcotest.(check bool) "third refused" false (Mailbox.post mb ~time:1 ~src:0 ~seq:2 2);
@@ -63,7 +63,7 @@ let mailbox_order_qcheck =
   QCheck.Test.make ~count:200 ~name:"mailbox drains in sorted key order"
     QCheck.(list (tup3 (int_bound 7) (int_bound 5) (int_bound 1000)))
     (fun posts ->
-      let mb = Mailbox.create ~owner:0 () in
+      let mb = Mailbox.create () in
       List.iteri (fun seq (time, src, msg) -> ignore (Mailbox.post mb ~time ~src ~seq msg)) posts;
       let ok_sorted = Mailbox.well_ordered mb in
       let keys = Mailbox.keys mb in
@@ -78,7 +78,7 @@ let mailbox_partial_drain_qcheck =
   QCheck.Test.make ~count:300 ~name:"drain_due takes exactly the due prefix"
     QCheck.(pair (int_bound 9) (small_list (pair (int_bound 7) (int_bound 5))))
     (fun (now, posts) ->
-      let mb = Mailbox.create ~owner:0 () in
+      let mb = Mailbox.create () in
       List.iteri (fun seq (time, src) -> ignore (Mailbox.post mb ~time ~src ~seq ())) posts;
       let sorted = List.sort compare (List.mapi (fun seq (time, src) -> (time, src, seq)) posts) in
       let expect_due, expect_rest = List.partition (fun (time, _, _) -> time <= now) sorted in
