@@ -60,7 +60,7 @@ let timed f =
 
 (* Every machine-readable file the harness writes goes through here.
    [asserts] are the section's identity contracts (outputs identical
-   across jobs, a warm cache analyzing nothing): the file is written
+   across jobs): the file is written
    first, so the evidence survives, then any false one fails the run. *)
 let write_report ?(asserts = []) path json =
   Out_channel.with_open_text path (fun oc ->
@@ -208,18 +208,18 @@ let run_serve () =
         ])
 
 (* ------------------------------------------------------------------ *)
-(* Lint: analyzer throughput, typed stage and flow cold vs warm cache  *)
+(* Lint: analyzer throughput, typed stage and flow stage               *)
 (* ------------------------------------------------------------------ *)
 
-(* The typed stage (T1-T6) has no cache: every run loads the .cmt
-   corpus (plus test/'s, which T6 reads for its review list), builds the
-   call graph and walks every body, so it is timed once. The flow stage (D1-D4) is the expensive lint pass: it loads
-   every .cmt, builds per-function CFGs and runs the dataflow engine to
-   fixpoint. This section times it over the real tree twice against one
-   cache directory — the cold run analyzes every unit, the warm rerun
-   must analyze zero — and asserts the jobs-invariance contract (the
-   rendered finding stream at --jobs 1 and --jobs 4 must agree byte for
-   byte). The numbers land in BENCH_lint.json for machines to read. *)
+(* Both stages load the .cmt corpus on every run (the typed stage also
+   test/'s, which T6 reads for its messages) and have no cache of their
+   own: dune reruns a lint rule only when a .cmt changed. The typed
+   stage (T1-T6) builds the call graph and walks every body; the flow
+   stage (D1-D4) builds per-function CFGs and runs the dataflow engine
+   to fixpoint. Each is timed once over the real tree, and the section
+   asserts the flow stage's jobs-invariance contract (the rendered
+   finding stream at --jobs 1 and --jobs 4 must agree byte for byte).
+   The numbers land in BENCH_lint.json for machines to read. *)
 let run_lint () =
   let module Flow_driver = Ftr_lint.Flow_driver in
   let root =
@@ -238,64 +238,36 @@ let run_lint () =
       write_report "BENCH_lint.json" Ftr_obs.Json.(Obj [ ("skipped", Bool true) ])
   | Some root ->
       section
-        "LINT — typed stage (T1-T6), and flow stage (D1-D4) cold vs warm incremental cache\n\
-         the finding stream is jobs-invariant by contract; the cache only moves the wall clock";
+        "LINT — typed stage (T1-T6) and flow stage (D1-D4)\n\
+         the finding stream is jobs-invariant by contract";
       let (typed_state, typed), t_typed =
         timed (fun () -> Ftr_lint.Typed_driver.analyze ~root ~dirs ())
       in
       Printf.printf "%28s: %d units, %d findings, %7.2f s\n%!" "typed stage"
         (Array.length typed_state.Ftr_lint.Typed_rules.units)
         (List.length typed) t_typed;
-      let cache = Filename.temp_file "ftr_lint_bench" "" in
-      Sys.remove cache;
-      Unix.mkdir cache 0o755;
-      let ((cold, cs), t_cold), ((warm, ws), t_warm) =
-        Fun.protect ~finally:(fun () ->
-            Array.iter (fun f -> Sys.remove (Filename.concat cache f)) (Sys.readdir cache);
-            Unix.rmdir cache)
-        @@ fun () ->
-        let analyze () = timed (fun () -> Flow_driver.analyze ~cache_dir:cache ~root ~dirs ()) in
-        let cold = analyze () in
-        (cold, analyze ())
-      in
+      let (flow, units), t_flow = timed (fun () -> Flow_driver.analyze ~root ~dirs ()) in
       let render fs =
         String.concat "\n" (List.map (fun (f, _) -> Ftr_lint.Finding.to_string f) fs)
       in
       let j1, _ = Flow_driver.analyze ~jobs:1 ~root ~dirs () in
       let j4, _ = Flow_driver.analyze ~jobs:4 ~root ~dirs () in
       let jobs_identical = String.equal (render j1) (render j4) in
-      let warm_identical = String.equal (render cold) (render warm) in
-      Printf.printf "%28s: %d units, %d analyzed, %d findings, %7.2f s\n%!" "cold cache"
-        cs.Flow_driver.fl_units cs.Flow_driver.fl_analyzed (List.length cold) t_cold;
-      Printf.printf "%28s: %d units, %d analyzed, %d cached, %7.2f s, speedup %5.2fx%s\n%!"
-        "warm cache" ws.Flow_driver.fl_units ws.Flow_driver.fl_analyzed ws.Flow_driver.fl_cached
-        t_warm (t_cold /. t_warm)
-        (if warm_identical && ws.Flow_driver.fl_analyzed = 0 then ""
-         else "  [CACHE CONTRACT BROKEN]");
+      Printf.printf "%28s: %d units, %d findings, %7.2f s\n%!" "flow stage" units
+        (List.length flow) t_flow;
       Printf.printf "%28s: --jobs 1 vs --jobs 4 streams %s\n%!" "jobs invariance"
         (if jobs_identical then "identical" else "DIFFER");
       write_report "BENCH_lint.json"
-        ~asserts:
-          [
-            ("jobs_identical", jobs_identical);
-            ("warm_identical", warm_identical);
-            ("warm_analyzed = 0", ws.Flow_driver.fl_analyzed = 0);
-          ]
+        ~asserts:[ ("jobs_identical", jobs_identical) ]
         Ftr_obs.Json.(
           Obj
             [
-              ("units", Int cs.Flow_driver.fl_units);
+              ("units", Int units);
               ("typed_findings", Int (List.length typed));
               ("typed_cold_seconds", Float t_typed);
-              ("findings", Int (List.length cold));
-              ("cold_analyzed", Int cs.Flow_driver.fl_analyzed);
-              ("warm_analyzed", Int ws.Flow_driver.fl_analyzed);
-              ("warm_cached", Int ws.Flow_driver.fl_cached);
-              ("cold_seconds", Float t_cold);
-              ("warm_seconds", Float t_warm);
-              ("warm_speedup", Float (t_cold /. t_warm));
+              ("findings", Int (List.length flow));
+              ("cold_seconds", Float t_flow);
               ("jobs_identical", Bool jobs_identical);
-              ("warm_identical", Bool warm_identical);
             ])
 
 (* ------------------------------------------------------------------ *)

@@ -3,7 +3,7 @@
    interprocedural rules T1-T6 and the flow-sensitive rules D1-D4 live
    in lib/lint.
 
-     ftr_lint [DIR ...] [--stage typed|flow|all] [--jobs N] [--cache DIR]
+     ftr_lint [DIR ...] [--stage typed|flow|all] [--jobs N]
               [--profile default|test]
               [--baseline FILE] [--update-baseline] [--write-baseline FILE]
               [--json FILE] [--timings] [--quiet]
@@ -11,8 +11,9 @@
    Both stages read the .cmt files a prior `dune build` produced (under
    the scanned directories in a build context, or under _build/default
    from a checkout). The flow stage fans per-unit analysis out over
-   Ftr_exec.Pool (--jobs, FTR_EXEC_SEQ honoured) and caches per-unit
-   results keyed by .cmt digest + analyzer version (--cache DIR).
+   Ftr_exec.Pool (--jobs, FTR_EXEC_SEQ honoured). The typed stage also
+   reads test/'s .cmt files, only so that T6 can say when test/ alone
+   names an export.
 
    Exit status: 0 clean (modulo baseline), 1 findings, 2 usage or parse
    error (including a baseline line that does not parse). *)
@@ -26,7 +27,6 @@ let () =
   let quiet = ref false in
   let timings = ref false in
   let jobs = ref None in
-  let cache_dir = ref None in
   let profile_test = ref false in
   let stages = ref Ftr_lint.Finding.all_stages in
   let usage = "usage: ftr_lint [DIR ...] [options]" in
@@ -54,9 +54,6 @@ let () =
         Arg.Int (fun n -> jobs := Some n),
         "N flow-stage worker domains (default: pool default; FTR_EXEC_SEQ=1 forces sequential)"
       );
-      ( "--cache",
-        Arg.String (fun d -> cache_dir := Some d),
-        "DIR incremental flow-stage cache keyed by .cmt digest + analyzer version" );
       ( "--profile",
         Arg.String set_profile,
         "PROFILE `default`, or `test` (T2 tolerated — tests drive clocks and randomness)" );
@@ -87,5 +84,5 @@ let () =
   in
   exit
     (Ftr_lint.Driver.run ?baseline:!baseline ?write_baseline ?json:!json ~quiet:!quiet
-       ~stages:!stages ?jobs:!jobs ?cache_dir:!cache_dir ~profile_test:!profile_test
+       ~stages:!stages ?jobs:!jobs ~profile_test:!profile_test
        ~timings:!timings ~dirs ())

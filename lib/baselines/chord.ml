@@ -57,66 +57,30 @@ let create_full ~n =
   if n < 2 then invalid_arg "Chord.create_full: need at least two nodes";
   create ~ring_size:n ~node_ids:(Array.init n (fun i -> i))
 
-let fingers_of t ~id =
-  let i = successor_index t.nodes (ring_size t) id in
-  Array.sub t.fingers (i * t.finger_stride) t.finger_stride
-
-(* Greedy clockwise routing: forward to the finger that gets farthest
-   around the ring without passing the target's node. One-sided by
-   construction, like the paper's Chord discussion. *)
-let route ?(max_hops = 1_000_000) t ~src ~key =
-  let target = successor t key in
-  let rec go cur hops =
-    if cur = target then Some hops
-    else if hops >= max_hops then None
-    else begin
-      let remaining = Ring.clockwise_distance t.ring ~src:cur ~dst:target in
-      let base = successor_index t.nodes (ring_size t) cur * t.finger_stride in
-      let best = ref cur and best_gain = ref 0 in
-      for j = 0 to t.finger_stride - 1 do
-        let f = t.fingers.(base + j) in
-        let gain = Ring.clockwise_distance t.ring ~src:cur ~dst:f in
-        if gain > !best_gain && gain <= remaining then begin
-          best := f;
-          best_gain := gain
-        end
-      done;
-      if !best = cur then None (* cannot happen with finger 0 present *)
-      else go !best (hops + 1)
-    end
-  in
-  go src 0
-
-let route_hops t ~src ~key =
-  match route t ~src ~key with
-  | Some h -> h
-  | None -> invalid_arg "Chord.route_hops: routing failed"
-
-(* ------------------------------------------------------------------ *)
-(* Routing under node failures                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Chord's fault tolerance rests on two mechanisms the paper's Section 6
-   alludes to when it says its results "appear to perform as well" as
-   Chord's: fingers are skipped when dead, and a successor list of [r]
-   live fallbacks guarantees clockwise progress unless all r die at once. *)
-
 let successor_list t ~id ~r =
   let n = Array.length t.nodes in
   let start = successor_index t.nodes (ring_size t) id in
   List.init (min r n) (fun k -> t.nodes.((start + k) mod n))
 
-let route_with_failures ?(max_hops = 1_000_000) ?(successors = 1) t ~alive ~src ~key =
-  if successors < 1 then invalid_arg "Chord.route_with_failures: successors must be >= 1";
+(* Greedy clockwise routing: forward to the live finger that gets
+   farthest around the ring without passing the target's node. One-sided
+   by construction, like the paper's Chord discussion.
+
+   Chord's fault tolerance rests on two mechanisms the paper's Section 6
+   alludes to when it says its results "appear to perform as well" as
+   Chord's: dead fingers are skipped, and a successor list of
+   [successors] live fallbacks guarantees clockwise progress unless all
+   of them die at once. Finger 0 is the immediate successor, so with
+   every node alive the fallback is never taken. Each hop shortens the
+   clockwise distance to the target, so a route ends within n hops. *)
+let route ?(alive = fun _ -> true) ?(successors = 1) t ~src ~key =
+  if successors < 1 then invalid_arg "Chord.route: successors must be >= 1";
   let target = successor t key in
-  if not (alive src && alive target) then
-    invalid_arg "Chord.route_with_failures: endpoint is dead";
+  if not (alive src && alive target) then invalid_arg "Chord.route: endpoint is dead";
   let rec go cur hops =
     if cur = target then Some hops
-    else if hops >= max_hops then None
     else begin
       let remaining = Ring.clockwise_distance t.ring ~src:cur ~dst:target in
-      (* Farthest live finger that does not overshoot. *)
       let base = successor_index t.nodes (ring_size t) cur * t.finger_stride in
       let best = ref cur and best_gain = ref 0 in
       for j = 0 to t.finger_stride - 1 do
@@ -130,21 +94,23 @@ let route_with_failures ?(max_hops = 1_000_000) ?(successors = 1) t ~alive ~src 
         end
       done;
       if !best <> cur then go !best (hops + 1)
-      else begin
-        (* Every useful finger is dead: fall back to the successor list. *)
-        let fallback =
+      else
+        match
           List.find_opt
             (fun s ->
-              alive s
-              && s <> cur
-              && Ring.clockwise_distance t.ring ~src:cur ~dst:s <= remaining)
+              alive s && s <> cur && Ring.clockwise_distance t.ring ~src:cur ~dst:s <= remaining)
             (successor_list t ~id:((cur + 1) mod ring_size t) ~r:successors)
-        in
-        match fallback with None -> None | Some s -> go s (hops + 1)
-      end
+        with
+        | Some s -> go s (hops + 1)
+        | None -> None
     end
   in
   go src 0
+
+let route_hops t ~src ~key =
+  match route t ~src ~key with
+  | Some h -> h
+  | None -> invalid_arg "Chord.route_hops: routing failed"
 
 type failure_row = {
   fail_fraction : float;
@@ -172,10 +138,10 @@ let failure_sweep ?(n = 4096) ?(fractions = [ 0.0; 0.2; 0.4; 0.6; 0.8 ]) ?(messa
       let f1 = ref 0 and f4 = ref 0 and hops4 = ref 0 and ok4 = ref 0 in
       for _ = 1 to messages do
         let src = live () and key = live () in
-        (match route_with_failures ~successors:1 t ~alive ~src ~key with
+        (match route ~successors:1 t ~alive ~src ~key with
         | Some _ -> ()
         | None -> incr f1);
-        match route_with_failures ~successors:4 t ~alive ~src ~key with
+        match route ~successors:4 t ~alive ~src ~key with
         | Some h ->
             incr ok4;
             hops4 := !hops4 + h

@@ -8,6 +8,7 @@
 
 type t
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_baselines builds sparse rings *)
 val create : ring_size:int -> node_ids:int array -> t
 (** Ring of the given size populated by the given (distinct) identifiers.
     @raise Invalid_argument on duplicates or out-of-range ids. *)
@@ -16,33 +17,30 @@ val create_full : n:int -> t
 (** Every identifier of a size-[n] ring occupied — the densest instance,
     directly comparable to the paper's full line. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_baselines uses it *)
 val successor : t -> int -> int
 (** Identifier of the node responsible for a key (first node at or after
     it, clockwise). *)
 
-val fingers_of : t -> id:int -> int array
-(** The finger table of the node responsible for [id]. *)
-
-val route : ?max_hops:int -> t -> src:int -> key:int -> int option
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_baselines routes with a failure set *)
+val route : ?alive:(int -> bool) -> ?successors:int -> t -> src:int -> key:int -> int option
 (** Hops for greedy clockwise routing from the node at [src] to the node
-    responsible for [key]; [None] only if the hop budget is exhausted. *)
+    responsible for [key], skipping dead fingers (default: every node
+    alive) and falling back to the first live entry of a
+    [successors]-long successor list (default 1); [None] when even the
+    fallbacks are all dead.
+    @raise Invalid_argument if an endpoint is dead or [successors < 1]. *)
 
 val route_hops : t -> src:int -> key:int -> int
-(** As {!route} but raising on failure (for benchmarks). *)
+(** As {!route} with every node alive, but raising on failure (for
+    benchmarks). *)
 
 (** {1 Routing under node failures} *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_baselines uses it *)
 val successor_list : t -> id:int -> r:int -> int list
 (** The first [r] nodes at or after [id], clockwise — Chord's successor
     list, its fallback when fingers die. *)
-
-val route_with_failures :
-  ?max_hops:int -> ?successors:int -> t -> alive:(int -> bool) -> src:int -> key:int ->
-  int option
-(** Greedy finger routing that skips dead fingers and falls back to the
-    first live entry of an [successors]-long successor list; [None] when
-    even the fallbacks are all dead (or the hop budget runs out).
-    @raise Invalid_argument if an endpoint is dead or [successors < 1]. *)
 
 type failure_row = {
   fail_fraction : float;

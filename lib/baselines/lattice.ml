@@ -13,10 +13,6 @@ let create ~dims ~side =
   let rows = Array.init (Torus.size torus) (fun u -> Array.of_list (Torus.neighbors torus u)) in
   { torus; adj = Csr.of_rows rows }
 
-let torus t = t.torus
-
-let size t = Torus.size t.torus
-
 (* CAN-style greedy: only lattice neighbours, pick any that strictly
    reduces L1 distance (first axis with a gap). Hop count equals the L1
    distance, i.e. Θ(d · n^{1/d}) in the worst case. *)

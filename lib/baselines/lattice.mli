@@ -8,12 +8,6 @@ type t
 val create : dims:int -> side:int -> t
 (** Torus of [side^dims] nodes. @raise Invalid_argument if [side < 3]. *)
 
-val torus : t -> Ftr_metric.Torus.t
-(** The underlying metric space. *)
-
-val size : t -> int
-(** Number of nodes. *)
-
 val route_hops : t -> src:int -> dst:int -> int
 (** Greedy lattice hops, always exactly the L1 distance.
     @raise Invalid_argument on an endpoint off the torus. *)

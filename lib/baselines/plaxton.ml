@@ -24,8 +24,6 @@ let create ~base ~digits =
   let weights = Array.init digits (fun pos -> pow 1 (digits - 1 - pos)) in
   { base; digits; size; weights }
 
-let size t = t.size
-
 let digit t id ~position =
   if position < 0 || position >= t.digits then invalid_arg "Plaxton.digit: bad position";
   (* position 0 is the most significant digit. *)
@@ -69,14 +67,3 @@ let route t ~src ~dst =
   go src 0 [ src ]
 
 let route_hops t ~src ~dst = fst (route t ~src ~dst)
-
-(* The exact delivery time: the number of digit positions where src and
-   dst disagree — at most [digits]. *)
-let differing_digits t a b =
-  check t a;
-  check t b;
-  let count = ref 0 in
-  for pos = 0 to t.digits - 1 do
-    if digit t a ~position:pos <> digit t b ~position:pos then incr count
-  done;
-  !count

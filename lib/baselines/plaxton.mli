@@ -11,22 +11,18 @@ val create : base:int -> digits:int -> t
     @raise Invalid_argument on degenerate parameters or namespaces over
     2^30 identifiers. *)
 
-val size : t -> int
-(** Number of identifiers. *)
-
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_baselines uses it *)
 val digit : t -> int -> position:int -> int
 (** Digit of an identifier; position 0 is most significant.
     @raise Invalid_argument on a bad position. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_baselines uses it *)
 val shared_prefix : t -> int -> int -> int
 (** Leading digits two identifiers share. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_baselines uses the path *)
 val route : t -> src:int -> dst:int -> int * int list
 (** (hops, full path) of prefix routing. *)
 
 val route_hops : t -> src:int -> dst:int -> int
 (** Just the hop count. *)
-
-val differing_digits : t -> int -> int -> int
-(** Positions where two identifiers disagree — provably the exact hop
-    count of {!route}. *)

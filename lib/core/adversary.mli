@@ -6,14 +6,17 @@
     links come from, while the randomized 1/d network hides its links
     behind coin flips. This module makes that conjecture executable. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_multidim uses it *)
 val structural_positions : n:int -> base:int -> target:int -> int list
 (** The positions [target ± base^i] on the line — every in-neighbour of
     [target] in a {!Network.build_geometric} network.
     @raise Invalid_argument on bad parameters. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_multidim uses it *)
 val structural_mask : n:int -> base:int -> target:int -> Ftr_graph.Bitset.t
 (** Aliveness mask with exactly those positions dead (the target lives). *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_multidim uses it *)
 val blockade_mask : n:int -> target:int -> radius:int -> Ftr_graph.Bitset.t
 (** Aliveness mask for the blockade. *)
 
@@ -31,6 +34,7 @@ val isolation_experiment :
     network fails essentially always, the random network essentially
     never. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_multidim uses it *)
 val highest_in_degree_mask : Network.t -> kills:int -> Ftr_graph.Bitset.t
 (** Aliveness mask with the [kills] highest-in-degree nodes dead — the
     classic hub attack. @raise Invalid_argument on a bad kill count. *)

@@ -14,6 +14,7 @@ type dist
 (** A ∆ distribution: ±1 always present, each ±d included independently
     with probability [p d], offsets bounded by [max_offset]. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 5: the exact chain takes the same inclusion probabilities *)
 val make : max_offset:int -> p:(int -> float) -> dist
 (** Arbitrary inclusion probabilities. [p 1] is treated as 1.
     @raise Invalid_argument if [max_offset < 1]. *)
@@ -22,6 +23,7 @@ val harmonic : links:int -> max_offset:int -> dist
 (** Inclusion probability proportional to 1/d, scaled to about [links]
     long offsets per side — the distribution the upper bounds use. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_aggregate uses it *)
 val uniform : links:int -> max_offset:int -> dist
 (** Constant inclusion probability with the same expected size, a
     deliberately bad distribution for contrast. *)
@@ -29,6 +31,7 @@ val uniform : links:int -> max_offset:int -> dist
 val mean_size : dist -> float
 (** E[|∆|] counting both signs (the paper's ℓ). *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_aggregate uses it *)
 val sample_positive : dist -> Ftr_prng.Rng.t -> int array
 (** One draw of the positive offsets, sorted ascending, always containing
     1. *)
@@ -37,6 +40,7 @@ val simulate_single_point : dist -> Ftr_prng.Rng.t -> start:int -> int
 (** Steps for one-sided greedy routing from [start] to 0 with fresh ∆ draws
     at every node. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 5: Lemma 4's sampled chain, checked against the exact one *)
 val simulate_aggregate : dist -> Ftr_prng.Rng.t -> start:int -> int
 (** Steps to absorption of the aggregate chain started at [{1..start}]. *)
 
@@ -53,10 +57,12 @@ val mean_aggregate :
   dist -> Ftr_prng.Rng.t -> start:int -> trials:int -> Ftr_stats.Summary.t
 (** Summary of {!simulate_aggregate} over repeated trials. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_aggregate uses it *)
 val sample_full : dist -> Ftr_prng.Rng.t -> int array
 (** One draw of the whole offset set (both signs), sorted ascending,
     always containing ±1. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 5: the sampled two-sided chain of its step 2 *)
 val simulate_two_sided : dist -> Ftr_prng.Rng.t -> start:int -> int
 (** Steps for two-sided greedy routing from [start] to 0 with fresh ∆
     draws at every node (the Section 4.2.1 two-sided model). *)

@@ -39,6 +39,7 @@ val route_misroute :
     budget (default 1000).
     @raise Invalid_argument on out-of-range or Byzantine endpoints. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_route drives single routes *)
 val route :
   ?defense:defense ->
   ?max_hops:int ->

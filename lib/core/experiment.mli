@@ -120,44 +120,6 @@ type scaling_row = {
   ratio : float;  (** measured / bound *)
 }
 
-val sweep_single_link :
-  ?ns:int list -> ?networks:int -> ?messages:int -> seed:int -> unit -> scaling_row list
-(** Theorem 12: ℓ = 1, bound 2H_n². *)
-
-val sweep_multi_link :
-  ?n:int -> ?links_list:int list -> ?networks:int -> ?messages:int -> seed:int -> unit ->
-  scaling_row list
-(** Theorem 13: delivery time scales as log²n / ℓ. *)
-
-val sweep_deterministic :
-  ?ns:int list -> ?base:int -> ?messages:int -> seed:int -> unit -> scaling_row list
-(** Theorem 14: digit-fixing delivers in ≤ ⌈log_b n⌉ hops. *)
-
-val sweep_link_failure :
-  ?n:int -> ?links:int -> ?probs:float list -> ?networks:int -> ?messages:int -> seed:int ->
-  unit -> scaling_row list
-(** Theorem 15: randomized links, survival probability p. *)
-
-val sweep_geometric_link_failure :
-  ?n:int -> ?base:int -> ?probs:float list -> ?networks:int -> ?messages:int -> seed:int ->
-  unit -> scaling_row list
-(** Theorem 16: geometric links, survival probability p. *)
-
-val sweep_binomial_nodes :
-  ?n:int -> ?links:int -> ?probs:float list -> ?networks:int -> ?messages:int -> seed:int ->
-  unit -> scaling_row list
-(** Theorem 17: binomially present nodes; delivery time is unchanged. *)
-
-val sweep_node_failure :
-  ?n:int -> ?links:int -> ?probs:float list -> ?networks:int -> ?messages:int -> seed:int ->
-  unit -> scaling_row list
-(** Theorem 18: nodes die with probability p after linking. *)
-
-val sweep_lower_bound :
-  ?ns:int list -> ?links:int -> ?trials:int -> seed:int -> unit -> scaling_row list
-(** Theorem 10: simulated one-sided routing vs the Ω(log²n / ℓ loglog n)
-    leading term; ratios ≥ 1 support the bound. *)
-
 val sweep_exponent :
   ?n:int -> ?links:int -> ?exponents:float list -> ?networks:int -> ?messages:int -> seed:int ->
   unit -> scaling_row list

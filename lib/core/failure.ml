@@ -85,12 +85,6 @@ let compose a b =
   in
   { node_view; link_view }
 
-let make ?node_alive ?link_alive () =
-  {
-    node_view = (match node_alive with None -> N_all | Some f -> N_pred f);
-    link_view = (match link_alive with None -> L_all | Some f -> L_pred f);
-  }
-
 (* Constant-string names of the resolved views, for trace headers and
    report lines; allocation-free by construction. *)
 let node_view_label t =

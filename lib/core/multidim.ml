@@ -6,21 +6,9 @@ module I32 = Ftr_graph.Adjacency.I32
 type t = {
   torus : Torus.t;
   adj : Csr.t; (* sorted per-row neighbour indices, flat form *)
-  links : int;
-  alpha : float;
 }
 
-let torus t = t.torus
-
 let size t = Torus.size t.torus
-
-let dims t = Torus.dims t.torus
-
-let links t = t.links
-
-let alpha t = t.alpha
-
-let degree t u = Csr.degree t.adj u
 
 (* Offset table shared by all nodes: every non-zero offset vector weighted
    by d(offset)^-alpha, where d is the wraparound L1 distance. Kleinberg's
@@ -69,7 +57,7 @@ let build ?alpha ?(links = 1) ~dims ~side rng =
         Array.sort Int.compare arr;
         arr)
   in
-  { torus; adj = Csr.of_rows rows; links; alpha }
+  { torus; adj = Csr.of_rows rows }
 
 let csr t = t.adj
 
@@ -112,8 +100,3 @@ let route ?(alive = fun _ -> true) ?(strategy = Terminate) ?(max_hops = 1_000_00
     !best_idx
   in
   Stuck.search state ~history ~max_hops ~csr:t.adj ~scan ~src ~dst
-
-let route_hops ?alive ?strategy ?max_hops t ~src ~dst =
-  match route ?alive ?strategy ?max_hops t ~src ~dst with
-  | Stuck.Delivered { hops } -> hops
-  | Stuck.Failed _ -> invalid_arg "Multidim.route_hops: routing failed"

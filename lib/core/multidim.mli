@@ -16,25 +16,10 @@ val build : ?alpha:float -> ?links:int -> dims:int -> side:int -> Ftr_prng.Rng.t
     link. @raise Invalid_argument if [dims < 1], [side < 3] or
     [links < 0]. *)
 
-val torus : t -> Ftr_metric.Torus.t
-(** The underlying metric space. *)
-
 val size : t -> int
 (** Number of nodes. *)
 
-val dims : t -> int
-(** Dimensionality. *)
-
-val links : t -> int
-(** Long links per node. *)
-
-val alpha : t -> float
-(** Exponent of the link-length law. *)
-
-val degree : t -> int -> int
-(** Number of entries in a node's neighbour row (lattice plus long links,
-    duplicates counted). *)
-
+(* ftr-lint: disable T6 -- oracle: test_multidim routes these rows as a circle network *)
 val csr : t -> Ftr_graph.Adjacency.Csr.t
 (** The neighbour rows as a flat CSR pair (no copy — do not mutate): node
     [u]'s row lists its lattice neighbours and long links by node index,
@@ -56,6 +41,3 @@ val route :
     {!Route.route} gives on the same rows as a circle network.
     @raise Invalid_argument on off-torus or dead endpoints, or a
     [Backtrack] history below 1. *)
-
-val route_hops : ?alive:(int -> bool) -> ?strategy:strategy -> ?max_hops:int -> t -> src:int -> dst:int -> int
-(** As {!route} but returning the hop count, raising on failure. *)

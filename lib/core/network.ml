@@ -113,10 +113,6 @@ let nearest_index t ~position:target =
         candidates;
       !best
 
-let index_of_position t ~position:target =
-  let i = nearest_index t ~position:target in
-  if position t i = target then Some i else None
-
 (* Sanitizer hook: structural invariants every builder must establish —
    sorted in-range neighbour lists without self-links, and the short-link
    ring that keeps greedy routing total (both sides on the line; at least

@@ -88,6 +88,7 @@ val distance : t -> int -> int -> int
 (** Metric distance between two node indices: absolute difference on the
     line, shorter arc on the circle. *)
 
+(* ftr-lint: disable T6 -- oracle: test_route checks one-sided progress against it *)
 val clockwise_distance : t -> src:int -> dst:int -> int
 (** Arc length from [src] to [dst] in the increasing direction — the
     one-sided metric on the circle.
@@ -106,9 +107,6 @@ val one_sided_admissible : t -> cur:int -> v:int -> dst:int -> bool
 val nearest_index : t -> position:int -> int
 (** Node index whose position is closest to the given line position (ties
     to the left). *)
-
-val index_of_position : t -> position:int -> int option
-(** Node index exactly at the given position, if present. *)
 
 val of_neighbor_indices :
   ?geometry:geometry ->

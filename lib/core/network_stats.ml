@@ -22,13 +22,6 @@ let in_degrees net =
 
 let in_degree_summary net = Summary.of_array (Array.map float_of_int (in_degrees net))
 
-(* The heaviest in-degree relative to the mean: >1 means some node is a
-   disproportionate routing target. For the 1/d network this stays small;
-   nothing concentrates. *)
-let in_degree_hotspot net =
-  let s = in_degree_summary net in
-  Summary.max_value s /. Summary.mean s
-
 let length_percentiles net =
   let lengths =
     Array.of_list (List.map float_of_int (Network.long_link_lengths net))
@@ -101,6 +94,8 @@ let anatomy net =
     mean_out_degree = Summary.mean (out_degree_summary net);
     mean_in_degree = Summary.mean in_s;
     max_in_degree = int_of_float (Summary.max_value in_s);
+    (* >1 means some node is a disproportionate routing target. For the
+       1/d network this stays small; nothing concentrates. *)
     in_degree_hotspot = Summary.max_value in_s /. Summary.mean in_s;
     median_length = med;
     p90_length = p90;

@@ -3,37 +3,23 @@
     them; tests pin the invariants (e.g. the 1/d network concentrates
     in-degree nowhere). *)
 
-val out_degree_summary : Network.t -> Ftr_stats.Summary.t
-(** Out-degrees over all nodes. *)
-
 val in_degrees : Network.t -> int array
 (** Per-node in-degree (how many nodes link to each). *)
-
-val in_degree_summary : Network.t -> Ftr_stats.Summary.t
-(** In-degrees over all nodes. *)
-
-val in_degree_hotspot : Network.t -> float
-(** Largest in-degree over the mean in-degree. *)
-
-val length_percentiles : Network.t -> (float * float * float) option
-(** (median, p90, p99) of long-link lengths; [None] without long links. *)
-
-val boundary_distortion : Network.t -> float
-(** Mean long-link length of edge nodes over that of middle nodes; 1.0 on
-    a boundary-free circle. @raise Invalid_argument on networks under 6
-    nodes. *)
 
 type anatomy = {
   nodes : int;
   mean_out_degree : float;
   mean_in_degree : float;
   max_in_degree : int;
-  in_degree_hotspot : float;
-  median_length : float;
+  in_degree_hotspot : float;  (** largest in-degree over the mean *)
+  median_length : float;  (** long-link lengths; nan without long links *)
   p90_length : float;
   p99_length : float;
   boundary_distortion : float;
+      (** mean long-link length of edge nodes over that of middle nodes;
+          1.0 on a boundary-free circle *)
 }
 
 val anatomy : Network.t -> anatomy
-(** Everything above in one record. *)
+(** Degree balance, link-length spread and boundary effect in one record.
+    @raise Invalid_argument on networks under 6 nodes. *)

@@ -48,9 +48,6 @@ exception Corrupt of string
     (truncation, bad magic, version/endianness mismatch, invalid
     structure). *)
 
-val format_version : int
-(** The version this build writes and accepts (2). *)
-
 val expected_bytes : line_size:int -> nodes:int -> edges:int -> int
 (** Size of a valid snapshot file with the given header fields: the header
     plus the payload sections, the positions section counted only when

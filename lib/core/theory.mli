@@ -8,9 +8,6 @@
 val lg : int -> float
 (** Base-2 logarithm. @raise Invalid_argument if [n <= 0]. *)
 
-val log_base : base:int -> int -> float
-(** Logarithm in an integer base. @raise Invalid_argument if [base < 2]. *)
-
 val upper_single_link : int -> float
 (** Theorem 12: [2 H_n²] with one long link per node. *)
 
@@ -35,6 +32,7 @@ val upper_node_failure : links:int -> death_p:float -> int -> float
 val lower_one_sided : links:int -> int -> float
 (** Theorem 10, one-sided: [log²n / (ℓ log log n)]. *)
 
+(* ftr-lint: disable T6 -- oracle: test_aggregate bounds the two-sided chain by it *)
 val lower_two_sided : links:int -> int -> float
 (** Theorem 10, two-sided: [log²n / (ℓ² log log n)]. *)
 

@@ -33,7 +33,6 @@ let clear t =
   t.gen <- t.gen + 1;
   t.count <- 0
 
-let length t = t.count
 
 (* Fibonacci hashing: the top bits of the key times an odd constant (the
    64-bit golden-ratio multiplier, cut to fit an int). The slots of one

@@ -20,6 +20,3 @@ val add : t -> int -> unit
 
 val mem : t -> int -> bool
 (** Whether the slot index was added since the last {!clear}. *)
-
-val length : t -> int
-(** Distinct slot indices added since the last {!clear}. *)

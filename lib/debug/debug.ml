@@ -21,6 +21,7 @@ let enabled_ref = ref env_enabled
 let enabled () = !enabled_ref
 
 (* Run [f] with checking forced on, restoring the previous mode. *)
+(* ftr-lint: disable T6 -- seam: tests scope the sanitizer mode through it *)
 let with_mode on f =
   let saved = !enabled_ref in
   enabled_ref := on;

@@ -20,12 +20,6 @@ val get : t -> from:int -> key:string -> callback:(string option -> unit) -> uni
 (** Look replica points up in salt order; the callback fires with the
     first value found, or [None] once every replica has missed. *)
 
-val leave_with_handoff : t -> pos:int -> int
-(** Graceful departure: splice the node out of the ring, then re-put every
-    pair it held so the data survives the departure (unlike a crash).
-    Returns the number of pairs handed off; their lookups resolve as the
-    engine runs. *)
-
 val rebalance : t -> int
 (** Anti-entropy sweep: every stored pair is re-put from its holder,
     repairing ownership drift and replica counts after churn. Returns the
@@ -36,9 +30,3 @@ val rebalance : t -> int
 
 val stored_pairs : t -> int
 (** Pairs currently held by live nodes (replicas count). *)
-
-type stats = { puts : int; gets : int; get_hits : int }
-
-val stats : t -> stats
-(** Operation counters ([get_hits] counts gets whose callback received a
-    value). *)

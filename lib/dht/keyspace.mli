@@ -5,9 +5,11 @@
     Replication uses domain-separated salts so each replica lands at an
     independent point. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_dht pins its vectors *)
 val fnv1a64 : string -> int64
 (** Raw FNV-1a 64-bit hash. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_dht uses it *)
 val hash64 : string -> int64
 (** FNV-1a with a SplitMix64 finaliser (well-mixed in every bit). *)
 

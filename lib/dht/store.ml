@@ -69,14 +69,6 @@ let get t ~key =
       "store_get_total";
   result
 
-let remove t ~key =
-  List.iter (fun o -> Hashtbl.remove t.tables.(o) key) (replica_owners t key)
-
-let stored_pairs t =
-  Array.fold_left (fun acc table -> acc + Hashtbl.length table) 0 t.tables
-
-let keys_at t node = Hashtbl.fold (fun k _ acc -> k :: acc) t.tables.(node) []
-
 let iter_stored t f =
   Array.iteri (fun node table -> Hashtbl.iter (fun key value -> f ~node ~key ~value) table)
     t.tables
@@ -95,23 +87,6 @@ let route_to t ~failures ~strategy ~rng ~src ~dst ~hops =
   match Route.route ~failures ~strategy ?rng t.net ~src ~dst with
   | Route.Delivered { hops = h } -> (true, hops + h)
   | Route.Failed { hops = h; _ } -> (false, hops + h)
-
-let routed_put ?(failures = Failure.none) ?(strategy = Route.Terminate) ?rng t ~src ~key ~value
-    =
-  if not (Failure.node_alive failures src) then invalid_arg "Store.routed_put: source is dead";
-  let hops = ref 0 and reached = ref [] in
-  List.iter
-    (fun o ->
-      if Failure.node_alive failures o then begin
-        let ok, h = route_to t ~failures ~strategy ~rng ~src ~dst:o ~hops:!hops in
-        hops := h;
-        if ok then begin
-          Hashtbl.replace t.tables.(o) key value;
-          reached := o :: !reached
-        end
-      end)
-    (replica_owners t key);
-  { value = None; hops = !hops; reached = List.rev !reached }
 
 let routed_get ?(failures = Failure.none) ?(strategy = Route.Terminate) ?rng t ~src ~key =
   if not (Failure.node_alive failures src) then invalid_arg "Store.routed_get: source is dead";

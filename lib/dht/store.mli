@@ -17,9 +17,6 @@ val create : ?replicas:int -> Ftr_core.Network.t -> t
 val network : t -> Ftr_core.Network.t
 (** The underlying overlay. *)
 
-val owner : t -> string -> int
-(** Node index responsible for a key's primary point. *)
-
 val replica_owners : t -> string -> int list
 (** Distinct owners of all the key's replica points, primary first. *)
 
@@ -29,15 +26,6 @@ val put : t -> key:string -> value:string -> unit
 
 val get : t -> key:string -> string option
 (** Read from the first replica owner holding the key. *)
-
-val remove : t -> key:string -> unit
-(** Delete the key from every replica owner. *)
-
-val stored_pairs : t -> int
-(** Total key-value pairs held across all nodes (replicas count). *)
-
-val keys_at : t -> int -> string list
-(** Keys stored at one node. *)
 
 val iter_stored : t -> (node:int -> key:string -> value:string -> unit) -> unit
 (** Visit every stored (node, key, value) triple — replicas included — so
@@ -50,18 +38,6 @@ type routed = {
   hops : int;  (** total message hops spent, over all attempted replicas *)
   reached : int list;  (** replica owners actually reached *)
 }
-
-val routed_put :
-  ?failures:Ftr_core.Failure.t ->
-  ?strategy:Ftr_core.Route.strategy ->
-  ?rng:Ftr_prng.Rng.t ->
-  t ->
-  src:int ->
-  key:string ->
-  value:string ->
-  routed
-(** Route from [src] to every live replica owner and store where routing
-    succeeds. @raise Invalid_argument if [src] is dead. *)
 
 val routed_get :
   ?failures:Ftr_core.Failure.t ->

@@ -13,6 +13,7 @@ val universe : t -> int
 val keys : t -> string array
 (** All keys in popularity-rank order (do not mutate). *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_dht samples it directly *)
 val draw : t -> Ftr_prng.Rng.t -> string
 (** One key, rank sampled with probability proportional to rank^-exponent. *)
 

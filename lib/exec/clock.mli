@@ -14,10 +14,12 @@ val now : unit -> float
     [Unix.gettimeofday], the finest-grained clock the stdlib toolchain
     offers here. *)
 
+(* ftr-lint: disable T6 -- seam: tests drive deterministic busy times through it *)
 val set : (unit -> float) -> unit
 (** Replace the clock. The injected function may be called from worker
     domains concurrently; injecting while a pool is running is a race and
     is only meant for tests. *)
 
+(* ftr-lint: disable T6 -- seam: restores the clock a test replaced *)
 val reset : unit -> unit
 (** Restore the default wall clock. *)

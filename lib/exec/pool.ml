@@ -76,7 +76,6 @@ type resident = {
 
 let resident_jobs r = r.r_jobs
 
-let resident_rounds r = r.r_rounds
 
 (* The one cursor loop. Chunks: enough per worker (4x) that an uneven job
    mix still balances, big enough that the atomic cursor is not
@@ -151,7 +150,7 @@ let stop r =
 
 let create_resident ?jobs () =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  if jobs < 1 then invalid_arg "Pool.create_resident: jobs must be >= 1";
+  if jobs < 1 then invalid_arg "Pool.with_resident: jobs must be >= 1";
   let r = crew (effective jobs) in
   if r.r_jobs > 1 && Flag.enabled () then
     Metrics.set_gauge "exec_resident_workers" (float_of_int r.r_jobs);

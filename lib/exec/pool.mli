@@ -21,6 +21,7 @@
     sequential runs — the determinism contract covers merged results, not
     telemetry (docs/PARALLELISM.md). *)
 
+(* ftr-lint: disable T6 -- seam: test_exec reads the fallback flag with_sequential_forced sets *)
 val sequential_forced : unit -> bool
 (** [true] when the environment demands the sequential fallback
     ([FTR_EXEC_SEQ] set to [1], [true], [on] or [yes]). Read per call, so
@@ -65,12 +66,6 @@ type resident
     creation from inside another pool's worker all degrade the crew to
     inline sequential execution. *)
 
-val create_resident : ?jobs:int -> unit -> resident
-(** Spawn the crew's [jobs - 1] domains ([jobs] defaults to
-    {!default_jobs}); the caller must eventually {!shutdown_resident}.
-    Prefer {!with_resident}.
-    @raise Invalid_argument if [jobs < 1]. *)
-
 val run_resident : resident -> count:int -> (int -> unit) -> unit
 (** One round: evaluate [f i] for every [i] in [0, count), effects only.
     Each index is run exactly once; which worker runs it is unspecified,
@@ -87,14 +82,13 @@ val resident_jobs : resident -> int
 (** Effective parallelism of the crew, the caller included (1 when
     degraded to inline). *)
 
-val resident_rounds : resident -> int
-(** Rounds run so far (including inline ones), for reporting. *)
-
-val shutdown_resident : resident -> unit
-(** Stop and join the workers; idempotent. Further rounds raise. *)
-
 val with_resident : ?jobs:int -> (resident -> 'a) -> 'a
-(** [create_resident] / run [f] / [shutdown_resident], exception-safe. *)
+(** Spawn the crew's [jobs - 1] domains ([jobs] defaults to
+    {!default_jobs}), run [f] on it, then stop and join the workers,
+    exception-safe. Rounds on the crew after [f] returns raise. With
+    telemetry on, shutdown adds the crew's rounds (inline ones included)
+    to [exec_resident_rounds_total].
+    @raise Invalid_argument if [jobs < 1]. *)
 
 val map_seeded :
   ?jobs:int -> seed:int -> count:int -> (index:int -> rng:Ftr_prng.Rng.t -> 'a) -> 'a array

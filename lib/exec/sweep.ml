@@ -6,8 +6,6 @@ let create ~run params = { grid = Array.of_list params; job = run }
 
 let size t = Array.length t.grid
 
-let grid2 xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
-
 let grid3 xs ys zs =
   List.concat_map (fun x -> List.concat_map (fun y -> List.map (fun z -> (x, y, z)) zs) ys) xs
 

@@ -16,11 +16,9 @@ val create : run:(index:int -> rng:Ftr_prng.Rng.t -> 'p -> 'r) -> 'p list -> ('p
 
 val size : ('p, 'r) t -> int
 
-val grid2 : 'a list -> 'b list -> ('a * 'b) list
+val grid3 : 'a list -> 'b list -> 'c list -> ('a * 'b * 'c) list
 (** Cartesian product in row-major order: the first axis varies
     slowest. *)
-
-val grid3 : 'a list -> 'b list -> 'c list -> ('a * 'b * 'c) list
 
 val grid4 : 'a list -> 'b list -> 'c list -> 'd list -> ('a * 'b * 'c * 'd) list
 

@@ -25,33 +25,3 @@ let is_strongly_connected graph =
   n = 0
   || (reachable_count graph ~src:0 = n
      && reachable_count (Csr.reverse graph) ~src:0 = n)
-
-let eccentricity graph ~src =
-  Array.fold_left max 0 (distances graph ~src)
-
-let weakly_connected_components graph =
-  let n = Csr.size graph in
-  let rev = Csr.reverse graph in
-  let comp = Array.make n (-1) in
-  let next = ref 0 in
-  let queue = Queue.create () in
-  for start = 0 to n - 1 do
-    if comp.(start) < 0 then begin
-      let c = !next in
-      incr next;
-      comp.(start) <- c;
-      Queue.add start queue;
-      while not (Queue.is_empty queue) do
-        let u = Queue.pop queue in
-        let visit v =
-          if comp.(v) < 0 then begin
-            comp.(v) <- c;
-            Queue.add v queue
-          end
-        in
-        Csr.iter_row graph u visit;
-        Csr.iter_row rev u visit
-      done
-    end
-  done;
-  (!next, comp)

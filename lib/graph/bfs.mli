@@ -7,14 +7,6 @@ val distances : Adjacency.Csr.t -> src:int -> int array
 (** Hop distance from [src] to every node; -1 when unreachable.
     @raise Invalid_argument if [src] is out of range. *)
 
-val reachable_count : Adjacency.Csr.t -> src:int -> int
-(** Number of nodes reachable from [src] (including itself). *)
-
+(* ftr-lint: disable T6 -- oracle: the builder tests check overlays against it *)
 val is_strongly_connected : Adjacency.Csr.t -> bool
 (** Whether every node reaches every other along directed edges. *)
-
-val eccentricity : Adjacency.Csr.t -> src:int -> int
-(** Largest finite hop distance from [src]. *)
-
-val weakly_connected_components : Adjacency.Csr.t -> int * int array
-(** Component count and a per-node component label, ignoring direction. *)

@@ -27,8 +27,6 @@ let clear t i =
   Bytes.unsafe_set t.words w
     (Char.chr (Char.code (Bytes.unsafe_get t.words w) land lnot (1 lsl (i mod bits_per_word)) land 0xFF))
 
-let assign t i v = if v then set t i else clear t i
-
 let fill t v =
   Bytes.fill t.words 0 (Bytes.length t.words) (if v then '\255' else '\000');
   (* Keep trailing padding bits clear so popcount stays exact. *)
@@ -39,8 +37,6 @@ let fill t v =
         (Char.chr
            (Char.code (Bytes.unsafe_get t.words w) land lnot (1 lsl (i mod bits_per_word)) land 0xFF))
     done
-
-let copy t = { size = t.size; words = Bytes.copy t.words }
 
 let popcount_byte =
   let table = Array.make 256 0 in
@@ -53,8 +49,3 @@ let count t =
   let acc = ref 0 in
   Bytes.iter (fun c -> acc := !acc + popcount_byte c) t.words;
   !acc
-
-let iter_set t f =
-  for i = 0 to t.size - 1 do
-    if get t i then f i
-  done

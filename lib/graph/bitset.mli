@@ -23,17 +23,9 @@ val set : t -> int -> unit
 val clear : t -> int -> unit
 (** Clear one bit. *)
 
-val assign : t -> int -> bool -> unit
-(** Set or clear according to the boolean. *)
-
 val fill : t -> bool -> unit
 (** Set or clear every bit. *)
 
-val copy : t -> t
-(** Independent copy. *)
-
+(* ftr-lint: disable T6 -- oracle: the failure and heuristic tests count live nodes with it *)
 val count : t -> int
 (** Number of set bits. *)
-
-val iter_set : t -> (int -> unit) -> unit
-(** Apply to every set index in increasing order. *)

@@ -97,8 +97,6 @@ let bfs g ?(reverse = false) ?(through_gated = true) seeds =
   done;
   (visited, parent)
 
-let reachable g ?reverse ?through_gated seeds = fst (bfs g ?reverse ?through_gated seeds)
-
 (* The discovery chain seed -> ... -> v recorded by a [bfs] parent
    array, as display names. *)
 let chain g parent v =

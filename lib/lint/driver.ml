@@ -9,33 +9,16 @@
 
 (* [timings] is opt-in (the --timings flag): wall time varies run to
    run, and @lint-report's lint.json must stay byte-identical under
-   --force. The flow cache counters are deterministic for a fixed
-   invocation, so they always appear when the flow stage ran, and so
-   does T6's review list (exports that only test/ names) when the typed
-   stage ran. *)
-let write_json_report path ~stages ~files ~fresh ~baselined ~stale ~flow_stats ~test_only
-    ~timings =
+   --force. The flow stage's unit count is deterministic, so it always
+   appears when that stage ran. *)
+let write_json_report path ~stages ~files ~fresh ~baselined ~stale ~flow_units ~timings =
   let oc = open_out_bin path in
   Printf.fprintf oc
     {|{"tool":"ftr_lint","analyzer_version":"%s","stages":[%s],"files":%d,"baselined":%d,"stale_baseline":%d,|}
     Finding.analyzer_version
     (String.concat "," (List.map (fun s -> "\"" ^ Finding.stage_id s ^ "\"") stages))
     files baselined stale;
-  (match flow_stats with
-  | Some (s : Flow_driver.stats) ->
-      Printf.fprintf oc {|"flow_units":%d,"flow_analyzed":%d,"flow_cached":%d,|}
-        s.Flow_driver.fl_units s.Flow_driver.fl_analyzed s.Flow_driver.fl_cached
-  | None -> ());
-  (match test_only with
-  | Some es ->
-      Printf.fprintf oc {|"test_only":[%s],|}
-        (String.concat ","
-           (List.map
-              (fun (e : Typed_rules.export) ->
-                Printf.sprintf {|{"name":"%s","file":"%s","line":%d}|}
-                  (Finding.json_escape e.e_name) (Finding.json_escape e.e_file) e.e_line)
-              es))
-  | None -> ());
+  Option.iter (Printf.fprintf oc {|"flow_units":%d,|}) flow_units;
   (match timings with
   | Some ts ->
       Printf.fprintf oc {|"stage_seconds":{%s},|}
@@ -61,10 +44,9 @@ let write_json_report path ~stages ~files ~fresh ~baselined ~stale ~flow_stats ~
 
    [profile_test] is the relaxed test profile: T2 findings are dropped
    (tests drive wall clocks and randomness freely), everything else is
-   enforced. [jobs]/[cache_dir] thread through to
-   the flow stage's pool fan-out and incremental cache. *)
+   enforced. [jobs] threads through to the flow stage's pool fan-out. *)
 let run ?baseline ?write_baseline ?json ?(quiet = false)
-    ?(stages = Finding.all_stages) ?jobs ?cache_dir ?(profile_test = false)
+    ?(stages = Finding.all_stages) ?jobs ?(profile_test = false)
     ?(timings = false) ~dirs () =
   let baseline_file = match write_baseline with Some p -> Some p | None -> baseline in
   match
@@ -92,12 +74,12 @@ let run ?baseline ?write_baseline ?json ?(quiet = false)
               let state, found = Typed_driver.analyze ~root:"." ~dirs () in
               (Some state, found))
       in
-      let flow_stats, flow =
+      let flow_units, flow =
         if not (List.mem Finding.Flow stages) then (None, [])
         else
           timed Finding.Flow (fun () ->
-              let found, stats = Flow_driver.analyze ?jobs ?cache_dir ~root:"." ~dirs () in
-              (Some stats, found))
+              let found, units = Flow_driver.analyze ?jobs ~root:"." ~dirs () in
+              (Some units, found))
       in
       let profile_drop (f : Finding.t) =
         profile_test && match f.rule with Finding.T2 -> true | _ -> false
@@ -108,9 +90,9 @@ let run ?baseline ?write_baseline ?json ?(quiet = false)
           (List.filter (fun (f, _) -> not (profile_drop f)) (typed @ flow))
       in
       let files =
-        match (typed_state, flow_stats) with
+        match (typed_state, flow_units) with
         | Some s, _ -> Array.length s.Typed_rules.units
-        | None, Some s -> s.Flow_driver.fl_units
+        | None, Some n -> n
         | None, None -> 0
       in
       match write_baseline with
@@ -137,8 +119,7 @@ let run ?baseline ?write_baseline ?json ?(quiet = false)
           let fresh, baselined, stale = Baseline.apply entries all in
           (match json with
           | Some path ->
-              write_json_report path ~stages ~files ~fresh ~baselined ~stale ~flow_stats
-                ~test_only:(Option.map (fun (s : Typed_rules.t) -> s.test_only) typed_state)
+              write_json_report path ~stages ~files ~fresh ~baselined ~stale ~flow_units
                 ~timings:(if timings then Some (List.rev !stage_seconds) else None)
           | None -> ());
           if not quiet then List.iter (fun (f, _) -> print_endline (Finding.to_string f)) fresh;
@@ -148,11 +129,7 @@ let run ?baseline ?write_baseline ?json ?(quiet = false)
                --update-baseline)\n"
               stale
               (if stale = 1 then "y" else "ies");
-          (match flow_stats with
-          | Some s ->
-              Printf.printf "ftr_lint: flow stage %d unit(s), %d analyzed, %d cached\n"
-                s.Flow_driver.fl_units s.Flow_driver.fl_analyzed s.Flow_driver.fl_cached
-          | None -> ());
+          Option.iter (Printf.printf "ftr_lint: flow stage %d unit(s)\n") flow_units;
           Printf.printf "ftr_lint: %d file(s), %d finding(s), %d baselined\n" files
             (List.length fresh) baselined;
           (match fresh with [] -> 0 | _ -> 1))

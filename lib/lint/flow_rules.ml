@@ -587,7 +587,6 @@ let analyze_unit ~hot (u : Cmt_loader.unit_info) =
                           add (finding Finding.D2 c.Cfg.c_loc p.Typestate.p_use_msg)
                       | _ -> ())
                     c.Cfg.c_args)
-              (* ftr-lint: disable T1 -- read-only: nothing writes the protocol table *)
               D2_dom.protocols
         | _ -> ());
     (match D2_flow.exit_fact cfg d2_facts with
@@ -596,7 +595,6 @@ let analyze_unit ~hot (u : Cmt_loader.unit_info) =
         List.iter
           (fun (i : D2_dom.inst) ->
             if i.D2_dom.i_state = D2_dom.Held then
-              (* ftr-lint: disable T1 -- read-only: nothing writes the protocol table *)
               let p = D2_dom.protocols.(i.D2_dom.i_proto) in
               add (finding Finding.D2 i.D2_dom.i_loc p.Typestate.p_leak_msg))
           at_exit);

@@ -36,9 +36,9 @@ let line_text (si : source_info option) l =
    against [root]); returns surviving findings with their baseline key
    text, sorted. [units] and the callgraph are also returned so tests
    can assert on reachability directly. Unless [dirs] holds test/, its
-   units are read too, only for what they name: an export only they
-   use is on T6's review list, not a finding. [exported] narrows the
-   units whose exports T6 judges. *)
+   units are read too, only for what they name: T6's finding on an
+   export only they use says so. [exported] narrows the units whose
+   exports T6 judges. *)
 let analyze ?exported ~root ~dirs () =
   (* The corpus is some 90 MB of Typedtrees that stay live to the end,
      so at the default overhead most major GC work re-marks them; a

@@ -1,13 +1,16 @@
 (* The typed, interprocedural rule engine: two passes over every loaded
    Typedtree, one shared call graph, six rules.
 
-   T1 domain-race           -- toplevel mutable state reachable from a
-      function transitively invoked inside an [Ftr_exec.Pool] worker job
-      (or a bare [Domain.spawn] closure) without passing through the
-      sanctioned seams: Atomic/Mutex/Domain.DLS-typed state, and
-      branches dominated by [Ftr_obs.Flag.enabled] — the one gate that
-      consults [Flag.suppress_in_domain]'s domain-local flag, so code
-      behind it never runs inside a worker.
+   T1 domain-race           -- toplevel mutable state that something
+      writes, touched by a function transitively invoked inside an
+      [Ftr_exec.Pool] worker job (or a bare [Domain.spawn] closure)
+      without passing through the sanctioned seams: Atomic/Mutex/
+      Domain.DLS-typed state, and branches dominated by
+      [Ftr_obs.Flag.enabled] — the one gate that consults
+      [Flag.suppress_in_domain]'s domain-local flag, so code behind it
+      never runs inside a worker. A write is a field set, or any use of
+      the global other than a field read, a call of it, or an argument
+      to a known read-only accessor ([.(i)], [!], [Array.length], ...).
    T2 nondeterminism-taint  -- a toplevel binding that reads
       [Random.*]/[Sys.time]/[Unix.time]/[Unix.gettimeofday], and every
       toplevel function that calls (transitively) into one, with the
@@ -42,8 +45,8 @@
       the value). Without one, every value bound at the unit's top level
       is exported, and any use but a binding's own recursion counts.
       Uses reach through module aliases and [include], and module
-      initialisation code is a user like any other. Values that only
-      test/ names are not findings: they go to lint.json's review list.
+      initialisation code is a user like any other. test/ units count as
+      no user: a value only they name is a finding whose message says so.
 
    Pass 1 registers nodes for every toplevel binding (with cross-unit
    names) and classifies toplevel globals; pass 2 walks bodies adding
@@ -77,6 +80,36 @@ let is_worker_boundary parts =
      any Pool-headed spelling — there is exactly one Pool. *)
   | ("map" | "map_seeded") :: m :: _ -> module_head m "Pool"
   | "spawn" :: "Domain" :: _ -> true
+  | _ -> false
+
+(* T1's read-only calls: those that return only a size, a flag or a
+   copy of immutable data... *)
+let reads_shape parts =
+  match parts with
+  | [ ("Array" | "Hashtbl" | "Bytes" | "Buffer" | "Queue"); "length" ]
+  | [ "Hashtbl"; "mem" ]
+  | [ "Bytes"; "get" ]
+  | [ "Buffer"; "contents" ]
+  | [ "Queue"; "is_empty" ] ->
+      true
+  | _ -> false
+
+(* ... those whose result is one element of the container, read-only if
+   that element is ... *)
+let projects parts =
+  match parts with
+  | [ "!" ] | [ "Array"; ("get" | "unsafe_get") ] | [ "Hashtbl"; ("find" | "find_opt") ] -> true
+  | _ -> false
+
+(* ... and those that hand its elements on, read-only if every element
+   type is immutable. *)
+let reads_elements parts =
+  match parts with
+  | [ "Array";
+      ( "iter" | "iteri" | "fold_left" | "fold_right" | "exists" | "for_all" | "mem" | "to_list"
+      | "copy" | "sub" | "map" | "mapi" ) ]
+  | [ "Hashtbl"; ("find_all" | "iter" | "fold") ] ->
+      true
   | _ -> false
 
 let is_flag_enabled parts =
@@ -146,9 +179,6 @@ type cmp = { c_file : string; c_line : int; c_col : int; c_op : string; c_why : 
 
 type unordered = { u_file : string; u_line : int; u_col : int; u_fn : string; u_binding : string }
 
-(* An exported value, at its .mli line when the unit has one. *)
-type export = { e_name : string; e_file : string; e_line : int; e_col : int }
-
 type t = {
   graph : Callgraph.t;
   decls : Type_probe.table;
@@ -160,6 +190,7 @@ type t = {
      "Ftr_core.Route.route". *)
   by_name : (string, int) Hashtbl.t;
   globals : (int, global) Hashtbl.t; (* node id -> global info *)
+  written : (int, unit) Hashtbl.t; (* globals something writes (T1) *)
   (* (unit index, Ident.unique_name) of a module binding -> the module
      path it stands for: an alias's target, or a nested structure's
      unit-qualified path. *)
@@ -173,7 +204,6 @@ type t = {
   (* toplevel node -> who names it (T6): [other_unit], [own_unit],
      [test_unit] bits *)
   uses : (int, int) Hashtbl.t;
-  mutable test_only : export list; (* T6's review list, in unit order *)
   mutable worker_roots : int list; (* reversed; order fixed before use *)
   mutable accesses : access list;
   mutable taint_sources : taint_src list;
@@ -455,7 +485,36 @@ let walk_unit t ui =
   let record_alloc loc what =
     if !loop_depth > 0 then record_hot loc (Printf.sprintf "allocates a %s inside a loop" what)
   in
-  let ident_ref e p =
+  (* T1: whether the global (or a part of it) at [e] may be written
+     where it occurs, judged by the expressions around it. A projected
+     element that can hold mutable state is judged in turn where it is
+     used, so [g.(i).(j) <- v] writes [g]. Any use T1 cannot classify
+     counts as a write. *)
+  let immutable ty =
+    match Type_probe.mutability t.decls ~modname:u.modname ty with
+    | Type_probe.Mutable _ -> false
+    | Type_probe.Immutable | Type_probe.Sanctioned -> true
+  in
+  let rec writes (e : expression) parents =
+    match parents with
+    | ({ exp_desc = Texp_apply (fn, args); _ } as app) :: rest when fn != e -> (
+        List.exists (fun (_, a) -> match a with Some a -> a == e | None -> false) args
+        &&
+        match fn.exp_desc with
+        | Texp_ident (p, _, _) when reads_shape (path_parts p) -> false
+        | Texp_ident (p, _, _) when projects (path_parts p) ->
+            (not (immutable app.exp_type)) && writes app rest
+        | Texp_ident (p, _, _) when reads_elements (path_parts p) -> (
+            match Types.get_desc e.exp_type with
+            | Types.Tconstr (_, elements, _) -> not (List.for_all immutable elements)
+            | _ -> true)
+        | _ -> true)
+    | { exp_desc = Texp_apply _; _ } :: _ -> false
+    | ({ exp_desc = Texp_field _; _ } as field) :: rest ->
+        (not (immutable field.exp_type)) && writes field rest
+    | _ -> true
+  in
+  let ident_ref e p parents =
     let parts = path_parts p in
     let file, line, col = loc_of e.exp_loc ~fallback_file:u.source in
     (* Call-graph edge and worker roots. *)
@@ -471,6 +530,7 @@ let walk_unit t ui =
         (* Access to a toplevel mutable global. *)
         (match Hashtbl.find_opt t.globals target with
         | Some g ->
+            if writes e parents then Hashtbl.replace t.written g.g_node ();
             t.accesses <-
               {
                 a_node = !current;
@@ -523,7 +583,7 @@ let walk_unit t ui =
   in
   let visit it (e : expression) parents =
     match e.exp_desc with
-    | Texp_ident (p, _, _) -> ident_ref e p
+    | Texp_ident (p, _, _) -> ident_ref e p parents
     | Texp_ifthenelse (c, then_, else_opt) when cond_is_gate c ->
         it.Tast_iterator.expr it c;
         incr gate_depth;
@@ -674,8 +734,8 @@ let chain_suffix names =
   | [] -> ""
   | _ -> Printf.sprintf " (worker job -> %s)" (String.concat " -> " names)
 
-(* T1: unsanctioned toplevel mutable state touched by worker-reachable
-   code, ungated accesses only. *)
+(* T1: unsanctioned toplevel mutable state that something writes, touched
+   by worker-reachable code, ungated accesses only. *)
 let t1_findings t =
   let roots = List.sort_uniq Int.compare (List.rev t.worker_roots) in
   let visited, parent = Callgraph.bfs t.graph ~through_gated:false roots in
@@ -684,7 +744,7 @@ let t1_findings t =
       let reachable =
         a.a_in_worker_arg || (a.a_node < Array.length visited && visited.(a.a_node))
       in
-      if reachable && not a.a_gated then
+      if reachable && (not a.a_gated) && Hashtbl.mem t.written a.a_global.g_node then
         let via =
           if a.a_in_worker_arg then []
           else Callgraph.chain t.graph parent a.a_node
@@ -821,11 +881,20 @@ let t6_findings t ~exported =
     | _ -> ()
   done;
   let findings = ref [] in
-  let judge ~name ~file ~line ~col ~used ~bits message =
+  let judge ~name ~file ~line ~col ~used ~bits (message : (string -> string, unit, string) format)
+      =
     if not used then
-      if bits land test_unit <> 0 then
-        t.test_only <- { e_name = name; e_file = file; e_line = line; e_col = col } :: t.test_only
-      else findings := finding Finding.T6 file line col (Printf.sprintf message name) :: !findings
+      let message : (string -> string, unit, string) format =
+        if bits land test_unit = 0 then message
+        else if bits land own_unit <> 0 then
+          "%s is exported, but only its own unit and test/ use it; drop its line from the .mli \
+           with the tests that call it, or suppress T6 with the reason it stays (an oracle, a \
+           seam, an open ROADMAP item)"
+        else
+          "%s is exported, but only test/ names it; delete it with the tests of it alone, or \
+           suppress T6 with the reason it stays (an oracle, a seam, an open ROADMAP item)"
+      in
+      findings := finding Finding.T6 file line col (Printf.sprintf message name) :: !findings
   in
   let bits_of node = Option.value ~default:0 (Hashtbl.find_opt t.uses node) in
   Array.iteri
@@ -860,7 +929,6 @@ let t6_findings t ~exported =
                      it; delete it")
               tops.(ui))
     t.units;
-  t.test_only <- List.rev t.test_only;
   List.rev !findings
 
 (* ------------------------------------------------------------------ *)
@@ -871,7 +939,7 @@ let t6_findings t ~exported =
    (the driver scans sources for directives anyway and passes the list
    down). [exported] selects the units whose exports T6 judges (by
    source path; lib/ by default), and [observers] are the units (test/)
-   whose references only place a value on T6's review list. *)
+   whose references only change the wording of a T6 finding. *)
 let run ?(exported = String.starts_with ~prefix:"lib/") ~observers ~hot_files units =
   let units = Array.of_list units in
   let t =
@@ -881,11 +949,11 @@ let run ?(exported = String.starts_with ~prefix:"lib/") ~observers ~hot_files un
       by_stamp = Hashtbl.create 1024;
       by_name = Hashtbl.create 1024;
       globals = Hashtbl.create 64;
+      written = Hashtbl.create 64;
       mod_paths = Hashtbl.create 256;
       forwards = Hashtbl.create 16;
       toplevel_of = Hashtbl.create 1024;
       uses = Hashtbl.create 1024;
-      test_only = [];
       worker_roots = [];
       accesses = [];
       taint_sources = [];

@@ -1,3 +1,5 @@
+(* ftr-lint: disable-file T6 -- ROADMAP item 19: only test_metric uses this module *)
+
 (** The paper's primary metric space: [size] grid points 0..size-1 on a
     one-dimensional real line, with absolute-difference distance. *)
 

@@ -10,9 +10,11 @@ val create : int -> t
 val size : t -> int
 (** Number of points. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_metric uses it *)
 val normalize : t -> int -> int
 (** Map any integer onto the ring (mod size, non-negative). *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_metric uses it *)
 val distance : t -> int -> int -> int
 (** Shorter-arc distance.
     @raise Invalid_argument if a point is out of range. *)
@@ -21,5 +23,6 @@ val clockwise_distance : t -> src:int -> dst:int -> int
 (** Arc length from [src] to [dst] in the increasing direction; this is the
     one-sided metric Chord's fingers route over. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_metric uses it *)
 val add : t -> int -> int -> int
 (** [add t p delta] moves [delta] steps around the ring. *)

@@ -29,6 +29,7 @@ val index : t -> int array -> int
 (** Encode coordinates into a linear index.
     @raise Invalid_argument on wrong dimensionality or range. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_metric uses it *)
 val axis_distance : t -> int -> int -> int
 (** Wraparound distance along a single axis. *)
 
@@ -38,5 +39,6 @@ val distance : t -> int -> int -> int
 val neighbors : t -> int -> int list
 (** Lattice neighbours (distance exactly 1), deduplicated. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_metric uses it *)
 val move : t -> int -> axis:int -> delta:int -> int
 (** Step [delta] along one axis with wraparound. *)

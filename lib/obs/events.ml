@@ -34,6 +34,7 @@ let env_sink =
 
 let current_sink () = if !explicit_set then !explicit else Lazy.force env_sink
 
+(* ftr-lint: disable T6 -- seam: tests capture the event stream through it *)
 let set_sink s =
   explicit := s;
   explicit_set := true
@@ -61,6 +62,7 @@ let install_exit_flush () =
 
 let every = ref 1
 
+(* ftr-lint: disable T6 -- seam: tests make event sampling deterministic through it *)
 let set_sampling ~every:k =
   if k < 1 then invalid_arg "Events.set_sampling: every must be >= 1";
   every := k

@@ -124,6 +124,7 @@ let lookup t ~name ~labels =
   let labels = List.sort compare_label labels in
   Hashtbl.find_opt t.table (name ^ "{" ^ labels_key labels ^ "}")
 
+(* ftr-lint: disable T6 -- oracle: the exec and obs tests read counters through it *)
 let counter_value ?(registry = default) ?(labels = []) name =
   match lookup registry ~name ~labels with
   | Some { metric = Counter r; _ } -> r.c

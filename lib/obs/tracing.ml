@@ -151,12 +151,14 @@ let set_next_index i =
   if i < 0 then invalid_arg "Tracing.set_next_index: index must be non-negative";
   next_index := i
 
+(* ftr-lint: disable T6 -- seam: tests make trace sampling deterministic through it *)
 let set_sampling ~every =
   if every < 1 then invalid_arg "Tracing.set_sampling: every must be >= 1";
   sample_every := every
 
 let force_full on = force_full_ref := on
 
+(* ftr-lint: disable T6 -- seam: tests shrink the recorder's bounds through it *)
 let set_capacity ?ring ?pinned ?steps () =
   (match ring with
   | Some r when r < 1 -> invalid_arg "Tracing.set_capacity: ring must be >= 1"
@@ -214,8 +216,6 @@ let latest () = match !retained with [] -> None | tr :: _ -> Some tr
 let steps tr = List.rev tr.rev_steps
 
 let step_count tr = tr.n_steps
-
-let dropped_steps tr = tr.dropped_steps
 
 (* ------------------------------------------------------------------ *)
 (* Trace identity and lifecycle                                        *)
@@ -487,17 +487,6 @@ let to_json tr =
         ("steps", Json.List (List.map (fun s -> Json.Obj (step_json tr s)) (steps tr)));
         ("dropped_steps", Json.Int tr.dropped_steps);
       ])
-
-(* Replay a completed trace into the [Events] sink as trace.begin /
-   trace.step / trace.done JSONL lines. Emission is gated and sampled by
-   [Events] itself; per-kind sampling applies to trace.step like any
-   other kind. *)
-let emit_events tr =
-  if tr.live && Flag.enabled () then begin
-    Events.emit ~kind:"trace.begin" (header_fields tr);
-    List.iter (fun s -> Events.emit ~kind:"trace.step" (step_json tr s)) (steps tr);
-    Events.emit ~kind:"trace.done" (("trace", Json.String (id_hex tr)) :: status_json tr)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export                                           *)

@@ -71,6 +71,7 @@ val is_alive : t -> int -> bool
 val live_positions : t -> int list
 (** Sorted positions of live nodes. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 15: leaves with the engine overlay *)
 val bootstrap_node : t -> pos:int -> int
 (** Place the very first node without any protocol traffic; returns its
     position. @raise Invalid_argument if the position is occupied. *)

@@ -49,6 +49,7 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound), bias-free.
     @raise Invalid_argument if [bound <= 0]. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_prng uses it *)
 val int_in_range : t -> lo:int -> hi:int -> int
 (** Uniform in the inclusive range [lo, hi].
     @raise Invalid_argument if [lo > hi]. *)

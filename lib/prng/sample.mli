@@ -27,9 +27,11 @@ val cdf_of_weights : float array -> cdf
 val cdf_draw : cdf -> Rng.t -> int
 (** Draw an index with probability proportional to its weight; O(log n). *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_prng uses it *)
 val cdf_size : cdf -> int
 (** Number of categories. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_prng uses it *)
 val cdf_probability : cdf -> int -> float
 (** Normalised probability of index [i].
     @raise Invalid_argument if out of range. *)
@@ -40,6 +42,7 @@ val exponential : Rng.t -> rate:float -> float
 (** Exponential variate with the given rate.
     @raise Invalid_argument if [rate <= 0]. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_prng uses it *)
 val geometric : Rng.t -> p:float -> int
 (** Trials up to and including the first success; support [1, 2, ...].
     @raise Invalid_argument unless [0 < p <= 1]. *)
@@ -49,6 +52,7 @@ val poisson : Rng.t -> lambda:float -> int
     of incoming links a new node should solicit.
     @raise Invalid_argument if [lambda < 0]. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_prng uses it *)
 val binomial : Rng.t -> n:int -> p:float -> int
 (** Binomial(n, p) variate.
     @raise Invalid_argument if [n < 0] or [p] outside [0,1]. *)
@@ -71,6 +75,7 @@ val power_law_draw : power_law -> Rng.t -> upto:int -> int
     [power_law_quantile t ~upto (Rng.float rng)], and allocates nothing.
     @raise Invalid_argument if [upto] is out of range. *)
 
+(* ftr-lint: disable T6 -- oracle: test_prng checks power_law_draw against it *)
 val power_law_quantile : power_law -> upto:int -> float -> int
 (** [power_law_quantile t ~upto u], for [u] in [\[0, 1)], is the draw's
     deterministic core: the smallest length [d < upto] whose prefix sum

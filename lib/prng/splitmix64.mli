@@ -17,8 +17,10 @@ val of_int : int -> t
 val next_int64 : t -> int64
 (** Advance the state and return the next 64-bit output. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_prng uses it *)
 val copy : t -> t
 (** Independent copy of the current state. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_prng uses it *)
 val state : t -> int64
 (** Current raw state (for debugging and tests). *)

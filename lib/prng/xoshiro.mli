@@ -15,6 +15,7 @@ val create : int64 -> t
 val of_int : int -> t
 (** [of_int seed] is [create (Int64.of_int seed)]. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_prng uses it *)
 val of_state : int64 -> int64 -> int64 -> int64 -> t
 (** Build from four raw state words.
     @raise Invalid_argument if all four words are zero. *)
@@ -46,6 +47,7 @@ val advance : t -> int -> unit
     of a parallel fill.
     @raise Invalid_argument if [k < 0]. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_prng uses it *)
 val jump_poly : int -> int64 array
 (** [jump_poly j] is x{^2{^j}} mod p, p the characteristic polynomial of
     the state transition, as four 64-bit words: bit [b] of word [w] is the

@@ -25,6 +25,7 @@ val schedule_after : t -> delay:float -> (unit -> unit) -> handle
 (** Schedule an action [delay] after the current time.
     @raise Invalid_argument on a negative delay. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 15: leaves with lib/sim *)
 val cancel : t -> handle -> unit
 (** Cancel a scheduled event (no-op if it already ran). *)
 
@@ -38,6 +39,7 @@ val pending_events : t -> int
 val executed_events : t -> int
 (** Total events executed so far. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 15: leaves with lib/sim *)
 val drain : t -> unit
 (** Discard all pending events. *)
 

@@ -17,12 +17,14 @@ val peek : 'a t -> 'a option
 val length : 'a t -> int
 (** Number of elements. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 15: leaves with lib/sim *)
 val is_empty : 'a t -> bool
 (** Whether the heap holds no elements. *)
 
 val clear : 'a t -> unit
 (** Drop all elements. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 15: leaves with lib/sim *)
 val to_sorted_list : 'a t -> 'a list
 (** Non-destructive sorted drain (for tests and debugging). *)
 

@@ -10,10 +10,12 @@ type t =
 val constant : float -> t
 (** Fixed delay. @raise Invalid_argument unless positive. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 15: the two asynchrony tests it names *)
 val uniform : lo:float -> hi:float -> t
 (** Uniform jitter in [lo, hi]. @raise Invalid_argument unless
     [0 < lo <= hi]. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 15: the two asynchrony tests it names *)
 val exponential : mean:float -> t
 (** Heavy-ish tail with the given mean (clamped away from zero).
     @raise Invalid_argument unless the mean is positive. *)
@@ -21,5 +23,6 @@ val exponential : mean:float -> t
 val sample : t -> Ftr_prng.Rng.t -> float
 (** One delay draw; always strictly positive. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 15: leaves with lib/sim *)
 val mean : t -> float
 (** Expected delay of the model. *)

@@ -1,22 +1,14 @@
 (** RFC-4180 CSV output for experiment tables. *)
 
-val escape_field : string -> string
-(** Quote a field if it contains commas, quotes or newlines; double the
-    embedded quotes. *)
-
-val row_to_string : string list -> string
-(** One CSV line, without the trailing newline. *)
-
-val to_string : header:string list -> rows:string list list -> string
-(** The whole document, header first.
-    @raise Invalid_argument if any row's width differs from the header's. *)
-
 val mkdir_p : string -> unit
 (** Create a directory and its missing ancestors ([mkdir -p]); existing
     directories (including races with concurrent creators) are fine. *)
 
 val write_file : path:string -> header:string list -> rows:string list list -> unit
-(** Write the document to a file. *)
+(** Write the document to a file, header first, one line per row. A field
+    that contains commas, quotes or newlines is quoted, its quotes
+    doubled.
+    @raise Invalid_argument if any row's width differs from the header's. *)
 
 val float_field : float -> string
 (** Compact float rendering ([%.6g]). *)

@@ -17,6 +17,7 @@ val chi_square : observed:int array -> expected:float array -> float
     have zero observations.
     @raise Invalid_argument otherwise or on mismatched lengths. *)
 
+(* ftr-lint: disable T6 -- oracle: test_aggregate compares Lemma 4's two chains with it *)
 val ks_two_sample : float array -> float array -> float
 (** Two-sample KS statistic between raw samples.
     @raise Invalid_argument on an empty sample. *)

@@ -16,19 +16,3 @@ let compute xs q =
   let sorted = Array.copy xs in
   Array.sort Float.compare sorted;
   of_sorted sorted q
-
-let median xs = compute xs 0.5
-
-let iqr xs =
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
-  of_sorted sorted 0.75 -. of_sorted sorted 0.25
-
-let five_number xs =
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
-  ( of_sorted sorted 0.0,
-    of_sorted sorted 0.25,
-    of_sorted sorted 0.5,
-    of_sorted sorted 0.75,
-    of_sorted sorted 1.0 )

@@ -7,12 +7,3 @@ val of_sorted : float array -> float -> float
 
 val compute : float array -> float -> float
 (** As {!of_sorted} but sorts a copy first. *)
-
-val median : float array -> float
-(** The 0.5 quantile. *)
-
-val iqr : float array -> float
-(** Interquartile range (Q3 - Q1). *)
-
-val five_number : float array -> float * float * float * float * float
-(** (min, Q1, median, Q3, max). *)

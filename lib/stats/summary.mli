@@ -24,15 +24,13 @@ val count : t -> int
 val mean : t -> float
 (** Sample mean; [nan] when empty. *)
 
+(* ftr-lint: disable T6 -- oracle: test_prng checks sampler variances with it *)
 val variance : t -> float
 (** Unbiased sample variance; [nan] with fewer than two observations. *)
 
-val sem : t -> float
-(** Standard error of the mean. *)
-
 val ci95_halfwidth : t -> float
-(** Half-width of the 95% confidence interval for the mean, using the
-    Student-t critical value for the sample size (matters for experiment
+(** Half-width of the 95% confidence interval for the mean: the standard
+    error times the Student-t critical value for the sample size (matters for experiment
     means averaged over a handful of networks). *)
 
 val min_value : t -> float
@@ -44,8 +42,10 @@ val max_value : t -> float
 val total : t -> float
 (** Sum of all observations. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_stats uses it *)
 val merge : t -> t -> t
 (** Combine two accumulators as if their samples were pooled. *)
 
+(* ftr-lint: disable T6 -- ROADMAP item 19: only test_stats uses it *)
 val pp : Format.formatter -> t -> unit
 (** Human-readable one-line rendering. *)

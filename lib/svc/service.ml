@@ -622,9 +622,6 @@ type request_view = {
   rv_outcome : outcome option;
 }
 
-let request_outcome t ~request =
-  if is_request t request then t.requests.(request).rq_outcome else None
-
 let iter_requests t f =
   for id = 0 to t.next_request - 1 do
     let rq = t.requests.(id) in

@@ -7,3 +7,5 @@ let used x = own_only x + 1
 let tested x = x - 1
 
 let kept x = x
+
+let tested_kept x = x + 2

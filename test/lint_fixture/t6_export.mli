@@ -1,8 +1,8 @@
 (* T6 fixtures for a unit with an .mli: [unused] is named by no other
-   unit and [own_only] only by t6_export.ml itself (two findings, on
-   their lines here); [used] is named by t6_noint.ml, [tested] only by
-   test/test_lint_typed.ml (the review list, not a finding), and [kept]
-   by no one, under a suppression. *)
+   unit, [own_only] only by t6_export.ml itself and [tested] only by
+   test/test_lint_typed.ml (three findings, on their lines here);
+   [used] is named by t6_noint.ml, and [kept] (by no one) and
+   [tested_kept] (by the test alone) sit under suppressions. *)
 
 val unused : int -> int
 
@@ -14,3 +14,6 @@ val tested : int -> int
 
 (* ftr-lint: disable T6 -- the fixture's suppressed export *)
 val kept : int -> int
+
+(* ftr-lint: disable T6 -- the fixture's suppressed test-only export *)
+val tested_kept : int -> int

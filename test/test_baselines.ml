@@ -1,5 +1,6 @@
 module Chord = Ftr_baselines.Chord
 module Kleinberg = Ftr_baselines.Kleinberg
+module Multidim = Ftr_core.Multidim
 module Lattice = Ftr_baselines.Lattice
 module Flooding = Ftr_baselines.Flooding
 module Torus = Ftr_metric.Torus
@@ -22,12 +23,6 @@ let chord_successor_sparse () =
   Alcotest.(check int) "key 5 -> 5" 5 (Chord.successor c 5);
   Alcotest.(check int) "key 12 wraps to 2" 2 (Chord.successor c 12);
   Alcotest.(check int) "key 0 -> 2" 2 (Chord.successor c 0)
-
-let chord_fingers_full () =
-  let c = Chord.create_full ~n:16 in
-  (* Node 0's fingers: successor of 1, 2, 4, 8. *)
-  Alcotest.(check (array int)) "fingers of 0" [| 1; 2; 4; 8 |] (Chord.fingers_of c ~id:0);
-  Alcotest.(check (array int)) "fingers of 10" [| 11; 12; 14; 2 |] (Chord.fingers_of c ~id:10)
 
 let chord_routes_correctly () =
   let c = Chord.create_full ~n:256 in
@@ -78,7 +73,7 @@ let chord_failures_skip_dead_fingers () =
       if alive v then v else live ()
     in
     let src = live () and key = live () in
-    match Chord.route_with_failures ~successors:4 c ~alive ~src ~key with
+    match Chord.route ~successors:4 c ~alive ~src ~key with
     | Some _ -> incr delivered
     | None -> ()
   done;
@@ -94,7 +89,7 @@ let chord_failures_no_failures_matches_plain () =
   for _ = 1 to 100 do
     let src = Rng.int r 512 and key = Rng.int r 512 in
     let plain = Chord.route c ~src ~key in
-    let fancy = Chord.route_with_failures c ~alive ~src ~key in
+    let fancy = Chord.route c ~alive ~src ~key in
     Alcotest.(check (option int)) "identical without failures" plain fancy
   done
 
@@ -117,8 +112,8 @@ let chord_longer_successor_list_helps () =
 let chord_failures_rejects_dead_endpoint () =
   let c = Chord.create_full ~n:64 in
   Alcotest.check_raises "dead endpoint"
-    (Invalid_argument "Chord.route_with_failures: endpoint is dead") (fun () ->
-      ignore (Chord.route_with_failures c ~alive:(fun v -> v <> 0) ~src:0 ~key:5))
+    (Invalid_argument "Chord.route: endpoint is dead") (fun () ->
+      ignore (Chord.route c ~alive:(fun v -> v <> 0) ~src:0 ~key:5))
 
 let chord_rejects_duplicates () =
   Alcotest.check_raises "duplicate ids" (Invalid_argument "Chord.create: duplicate identifier")
@@ -130,10 +125,10 @@ let chord_rejects_duplicates () =
 
 let kleinberg_structure () =
   let k = Kleinberg.build ~side:16 (rng ()) in
-  Alcotest.(check int) "size" 256 (Kleinberg.size k);
+  Alcotest.(check int) "size" 256 (Multidim.size k);
   (* Every node has 4 lattice neighbours plus one long link. *)
   for u = 0 to 255 do
-    Alcotest.(check int) "degree" 5 (Kleinberg.degree k u)
+    Alcotest.(check int) "degree" 5 (Ftr_graph.Adjacency.Csr.degree (Multidim.csr k) u)
   done
 
 let kleinberg_delivers () =
@@ -141,14 +136,14 @@ let kleinberg_delivers () =
   let r = rng () in
   for _ = 1 to 300 do
     let src = Rng.int r 1024 and dst = Rng.int r 1024 in
-    match Kleinberg.route k ~src ~dst with
-    | Some _ -> ()
-    | None -> Alcotest.fail "kleinberg routing failed"
+    match Kleinberg.route_hops k ~src ~dst with
+    | _ -> ()
+    | exception Invalid_argument _ -> Alcotest.fail "kleinberg routing failed"
   done
 
 let kleinberg_hops_bounded_by_l1 () =
   let k = Kleinberg.build ~side:32 (rng ()) in
-  let t = Kleinberg.torus k in
+  let t = Torus.create ~dims:2 ~side:32 in
   let r = rng () in
   for _ = 1 to 200 do
     let src = Rng.int r 1024 and dst = Rng.int r 1024 in
@@ -198,7 +193,7 @@ let kleinberg_more_links_faster () =
 
 let lattice_hops_equal_l1 () =
   let l = Lattice.create ~dims:2 ~side:16 in
-  let t = Lattice.torus l in
+  let t = Torus.create ~dims:2 ~side:16 in
   let r = rng () in
   for _ = 1 to 300 do
     let src = Rng.int r 256 and dst = Rng.int r 256 in
@@ -207,8 +202,7 @@ let lattice_hops_equal_l1 () =
 
 let lattice_3d () =
   let l = Lattice.create ~dims:3 ~side:8 in
-  Alcotest.(check int) "size" 512 (Lattice.size l);
-  let t = Lattice.torus l in
+  let t = Torus.create ~dims:3 ~side:8 in
   let r = rng () in
   for _ = 1 to 100 do
     let src = Rng.int r 512 and dst = Rng.int r 512 in
@@ -291,7 +285,6 @@ module Plaxton = Ftr_baselines.Plaxton
 
 let plaxton_digits () =
   let t = Plaxton.create ~base:4 ~digits:3 in
-  Alcotest.(check int) "size" 64 (Plaxton.size t);
   (* 39 in base 4 is 213. *)
   Alcotest.(check int) "msd" 2 (Plaxton.digit t 39 ~position:0);
   Alcotest.(check int) "mid" 1 (Plaxton.digit t 39 ~position:1);
@@ -306,10 +299,16 @@ let plaxton_shared_prefix () =
 
 let plaxton_hops_equal_differing_digits () =
   let t = Plaxton.create ~base:4 ~digits:5 in
+  let differing a b =
+    List.length
+      (List.filter
+         (fun position -> Plaxton.digit t a ~position <> Plaxton.digit t b ~position)
+         [ 0; 1; 2; 3; 4 ])
+  in
   let r = rng () in
   for _ = 1 to 300 do
-    let src = Rng.int r (Plaxton.size t) and dst = Rng.int r (Plaxton.size t) in
-    Alcotest.(check int) "hops = differing digits" (Plaxton.differing_digits t src dst)
+    let src = Rng.int r 1024 and dst = Rng.int r 1024 in
+    Alcotest.(check int) "hops = differing digits" (differing src dst)
       (Plaxton.route_hops t ~src ~dst)
   done
 
@@ -317,7 +316,7 @@ let plaxton_hops_bounded_by_digits () =
   let t = Plaxton.create ~base:2 ~digits:12 in
   let r = rng () in
   for _ = 1 to 300 do
-    let src = Rng.int r (Plaxton.size t) and dst = Rng.int r (Plaxton.size t) in
+    let src = Rng.int r 4096 and dst = Rng.int r 4096 in
     Alcotest.(check bool) "<= digits" true (Plaxton.route_hops t ~src ~dst <= 12)
   done
 
@@ -326,7 +325,7 @@ let plaxton_path_prefix_monotone () =
   let t = Plaxton.create ~base:3 ~digits:6 in
   let r = rng () in
   for _ = 1 to 100 do
-    let src = Rng.int r (Plaxton.size t) and dst = Rng.int r (Plaxton.size t) in
+    let src = Rng.int r 729 and dst = Rng.int r 729 in
     let _, path = Plaxton.route t ~src ~dst in
     let rec check prev = function
       | [] -> ()
@@ -344,7 +343,7 @@ let plaxton_mean_hops_formula () =
   let r = rng () in
   let s = Ftr_stats.Summary.create () in
   for _ = 1 to 3000 do
-    let src = Rng.int r (Plaxton.size t) and dst = Rng.int r (Plaxton.size t) in
+    let src = Rng.int r 4096 and dst = Rng.int r 4096 in
     Ftr_stats.Summary.add_int s (Plaxton.route_hops t ~src ~dst)
   done;
   let expected = 6.0 *. 0.75 in
@@ -436,7 +435,7 @@ let prop_lattice_hops_exact =
     QCheck.(pair (int_range 0 224) (int_range 0 224))
     (fun (src, dst) ->
       let l = Lattice.create ~dims:2 ~side:15 in
-      Lattice.route_hops l ~src ~dst = Torus.distance (Lattice.torus l) src dst)
+      Lattice.route_hops l ~src ~dst = Torus.distance (Torus.create ~dims:2 ~side:15) src dst)
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -446,7 +445,6 @@ let () =
         [
           quick "successor on full ring" chord_successor_full;
           quick "successor on sparse ring" chord_successor_sparse;
-          quick "finger tables" chord_fingers_full;
           quick "routes correctly" chord_routes_correctly;
           quick "O(log n) hops" chord_log_hops;
           quick "zero hops to self" chord_zero_hops_to_self;

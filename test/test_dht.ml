@@ -108,30 +108,25 @@ let store_overwrite () =
   Store.put store ~key:"k" ~value:"v2";
   Alcotest.(check (option string)) "overwritten" (Some "v2") (Store.get store ~key:"k")
 
-let store_remove () =
-  let store = make_store 4 in
-  Store.put store ~key:"k" ~value:"v";
-  Store.remove store ~key:"k";
-  Alcotest.(check (option string)) "removed" None (Store.get store ~key:"k");
-  Alcotest.(check int) "empty" 0 (Store.stored_pairs store)
-
 let store_owner_is_nearest () =
   let store = make_store 5 in
   let net = Store.network store in
   let key = "some-key" in
   let point = Keyspace.point ~line_size:(Network.line_size net) key in
-  Alcotest.(check int) "owner" (Network.nearest_index net ~position:point)
-    (Store.owner store key)
+  Alcotest.(check (list int)) "owner" [ Network.nearest_index net ~position:point ]
+    (Store.replica_owners store key)
 
 let store_replica_count () =
   let store = make_store ~replicas:3 6 in
   Store.put store ~key:"k" ~value:"v";
   let owners = Store.replica_owners store "k" in
   Alcotest.(check bool) "replicas distinct" true (List.length owners >= 2);
-  Alcotest.(check int) "stored at each owner" (List.length owners) (Store.stored_pairs store);
-  List.iter
-    (fun o -> Alcotest.(check bool) "key present" true (List.mem "k" (Store.keys_at store o)))
-    owners
+  let holders = ref [] in
+  Store.iter_stored store (fun ~node ~key ~value:_ ->
+      Alcotest.(check string) "the one key" "k" key;
+      holders := node :: !holders);
+  Alcotest.(check (list int)) "stored at each owner" (List.sort compare owners)
+    (List.sort compare !holders)
 
 let store_load_balanced () =
   (* With an even hash, no node should hold vastly more than its share. *)
@@ -141,11 +136,10 @@ let store_load_balanced () =
   for i = 0 to keys - 1 do
     Store.put store ~key:(Printf.sprintf "key-%d" i) ~value:"x"
   done;
+  let load = Array.make n 0 in
+  Store.iter_stored store (fun ~node ~key:_ ~value:_ -> load.(node) <- load.(node) + 1);
   let worst = ref 0 in
-  for node = 0 to n - 1 do
-    let load = List.length (Store.keys_at store node) in
-    if load > !worst then worst := load
-  done;
+  Array.iter (fun l -> if l > !worst then worst := l) load;
   (* Mean load is 100; the max of 256 Poisson(100) draws is ~140. *)
   Alcotest.(check bool) (Printf.sprintf "worst load %d" !worst) true (!worst < 180)
 
@@ -156,13 +150,6 @@ let store_routed_get_pays_hops () =
   Alcotest.(check (option string)) "found" (Some "v") r.Store.value;
   Alcotest.(check bool) "hops counted" true (r.Store.hops >= 0);
   Alcotest.(check int) "one owner reached" 1 (List.length r.Store.reached)
-
-let store_routed_put_then_routed_get () =
-  let store = make_store 9 in
-  let rp = Store.routed_put store ~src:17 ~key:"routed" ~value:"value" in
-  Alcotest.(check bool) "stored somewhere" true (rp.Store.reached <> []);
-  let rg = Store.routed_get store ~src:900 ~key:"routed" in
-  Alcotest.(check (option string)) "readable from elsewhere" (Some "value") rg.Store.value
 
 let store_survives_failures_with_replicas () =
   (* Kill 40% of nodes including (often) primaries: replicated reads keep
@@ -382,37 +369,7 @@ let dynamic_rebalance_restores_replicas () =
   Alcotest.(check bool)
     (Printf.sprintf "restored %d -> %d" after_crash after_rebalance)
     true
-    (after_rebalance > after_crash);
-  let s = Dynamic.stats dht in
-  Alcotest.(check bool) "puts counted" true (s.Dynamic.puts >= 50)
-
-let dynamic_handoff_saves_data () =
-  let engine, overlay, dht = make_dynamic 27 in
-  Dynamic.put dht ~from:0 ~key:"survivor" ~value:"carried";
-  Engine.run engine;
-  (* Find the holder and have it leave gracefully with a handoff. *)
-  let point = Keyspace.point ~line_size:1024 "survivor" in
-  let owner =
-    List.fold_left
-      (fun best pos -> if abs (pos - point) < abs (best - point) then pos else best)
-      (List.hd (Overlay.live_positions overlay))
-      (Overlay.live_positions overlay)
-  in
-  let moved = Dynamic.leave_with_handoff dht ~pos:owner in
-  Engine.run engine;
-  Alcotest.(check int) "one pair handed off" 1 moved;
-  Alcotest.(check bool) "node gone" false (Overlay.is_alive overlay owner);
-  let result = ref None in
-  Dynamic.get dht ~from:0 ~key:"survivor" ~callback:(fun v -> result := v);
-  Engine.run engine;
-  Alcotest.(check (option string)) "data survived the departure" (Some "carried") !result
-
-let dynamic_handoff_of_empty_node () =
-  let engine, overlay, dht = make_dynamic 28 in
-  ignore engine;
-  let victim = List.nth (Overlay.live_positions overlay) 3 in
-  Alcotest.(check int) "nothing to move" 0 (Dynamic.leave_with_handoff dht ~pos:victim);
-  Alcotest.(check bool) "still leaves" false (Overlay.is_alive overlay victim)
+    (after_rebalance > after_crash)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -443,12 +400,12 @@ let prop_routed_get_finds_stored =
       (Store.routed_get store ~src ~key:"k").Store.value = Some "v")
 
 let prop_store_model_based =
-  (* Random put/get/remove sequences against a plain Hashtbl model. *)
+  (* Random put/get sequences against a plain Hashtbl model. *)
   QCheck.Test.make ~name:"store agrees with a hashtable model" ~count:60
     QCheck.(
       pair small_int
         (list_of_size (Gen.int_range 1 60)
-           (triple (int_range 0 2) (int_range 0 9) (int_range 0 99))))
+           (triple (int_range 0 1) (int_range 0 9) (int_range 0 99))))
     (fun (seed, ops) ->
       let store =
         Store.create ~replicas:2 (Network.build_ideal ~n:128 ~links:2 (Rng.of_int seed))
@@ -462,10 +419,6 @@ let prop_store_model_based =
               let value = Printf.sprintf "v%d" v in
               Store.put store ~key ~value;
               Hashtbl.replace model key value;
-              true
-          | 1 ->
-              Store.remove store ~key;
-              Hashtbl.remove model key;
               true
           | _ -> Store.get store ~key = Hashtbl.find_opt model key)
         ops)
@@ -496,12 +449,10 @@ let () =
           quick "put/get roundtrip" store_put_get_roundtrip;
           quick "missing key" store_missing_key;
           quick "overwrite" store_overwrite;
-          quick "remove" store_remove;
           quick "owner is nearest node" store_owner_is_nearest;
           quick "replica placement" store_replica_count;
           quick "load balanced" store_load_balanced;
           quick "routed get" store_routed_get_pays_hops;
-          quick "routed put then get" store_routed_put_then_routed_get;
           quick "replicas survive failures" store_survives_failures_with_replicas;
           quick "rejects zero replicas" store_rejects;
         ] );
@@ -521,8 +472,6 @@ let () =
           quick "crash loses unreplicated data" dynamic_crash_loses_unreplicated;
           quick "replicas survive a crash" dynamic_replicas_survive_crash;
           quick "rebalance restores copies" dynamic_rebalance_restores_replicas;
-          quick "graceful handoff saves data" dynamic_handoff_saves_data;
-          quick "handoff of an empty node" dynamic_handoff_of_empty_node;
         ] );
       ( "properties",
         List.map (fun p -> QCheck_alcotest.to_alcotest p)

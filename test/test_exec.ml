@@ -190,12 +190,10 @@ let resident_error_then_reuse () =
       Alcotest.(check (array int)) "the next round runs every index once" (Array.make 16 1) hits)
 
 let resident_shutdown () =
-  let r = Pool.create_resident ~jobs:2 () in
-  Pool.shutdown_resident r;
+  let r = Pool.with_resident ~jobs:2 Fun.id in
   Alcotest.check_raises "round after shutdown"
     (Invalid_argument "Pool.run_resident: pool already shut down") (fun () ->
-      Pool.run_resident r ~count:4 ignore);
-  Pool.shutdown_resident r
+      Pool.run_resident r ~count:4 ignore)
 
 let resident_degrades () =
   Alcotest.(check int) "jobs:4 under FTR_EXEC_SEQ=1" 1
@@ -205,15 +203,19 @@ let resident_degrades () =
   Alcotest.(check int) "jobs:2 otherwise" 2
     (Pool.with_sequential_forced false (fun () -> Pool.with_resident ~jobs:2 Pool.resident_jobs))
 
+(* A crew reports its rounds to exec_resident_rounds_total at shutdown. *)
 let resident_rounds () =
-  let count r =
-    Pool.run_resident r ~count:3 ignore;
-    Pool.run_resident r ~count:1 ignore;
-    Pool.run_resident r ~count:0 ignore;
-    Pool.resident_rounds r
+  Ftr_obs.Flag.with_mode true @@ fun () ->
+  let count jobs =
+    Ftr_obs.Metrics.reset Ftr_obs.Metrics.default;
+    Pool.with_resident ~jobs (fun r ->
+        Pool.run_resident r ~count:3 ignore;
+        Pool.run_resident r ~count:1 ignore;
+        Pool.run_resident r ~count:0 ignore);
+    Ftr_obs.Metrics.counter_value "exec_resident_rounds_total"
   in
-  Alcotest.(check int) "inline crew" 3 (Pool.with_resident ~jobs:1 count);
-  Alcotest.(check int) "jobs:2 crew, short rounds inline" 3 (Pool.with_resident ~jobs:2 count)
+  Alcotest.(check int) "inline crew" 3 (count 1);
+  Alcotest.(check int) "jobs:2 crew, short rounds inline" 3 (count 2)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism (the headline property)                                 *)
@@ -238,10 +240,6 @@ let qcheck_determinism =
 (* ------------------------------------------------------------------ *)
 
 let grids () =
-  Alcotest.(check (list (pair int string)))
-    "grid2 row-major"
-    [ (1, "a"); (1, "b"); (2, "a"); (2, "b") ]
-    (Sweep.grid2 [ 1; 2 ] [ "a"; "b" ]);
   let g3 = Sweep.grid3 [ 1; 2 ] [ 3; 4 ] [ 5; 6; 7 ] in
   Alcotest.(check int) "grid3 size" 12 (List.length g3);
   Alcotest.(check bool) "grid3 first/last" true

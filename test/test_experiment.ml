@@ -119,60 +119,48 @@ let all_ratios_below_one rows =
         true (r.E.ratio <= 1.0))
     rows
 
-let sweep_single_link_bounded () =
-  all_ratios_below_one (E.sweep_single_link ~ns:[ 256; 1024 ] ~networks:2 ~messages:150 ~seed:11 ())
+(* Theorems 10-18 are checked on one run of the battery `p2psim table1`
+   and `paper table1` run, at a small scale. Its sections, in order:
+   single link, multi link, deterministic base 2 and base 16, link
+   failures, geometric link failures, binomial nodes, node failures and
+   the lower bound. *)
+let table1 = lazy (Array.of_list (E.table1 ~n:2048 ~networks:2 ~messages:150 ~seed:11 ()))
 
-let sweep_multi_link_bounded () =
-  all_ratios_below_one
-    (E.sweep_multi_link ~n:2048 ~links_list:[ 1; 4; 8 ] ~networks:2 ~messages:150 ~seed:12 ())
+let section i = snd (Lazy.force table1).(i)
+
+let rec strictly_monotone cmp = function
+  | a :: (b :: _ as rest) -> cmp a.E.measured b.E.measured && strictly_monotone cmp rest
+  | _ -> true
+
+let sweep_single_link_bounded () = all_ratios_below_one (section 0)
+
+let sweep_multi_link_bounded () = all_ratios_below_one (section 1)
 
 let sweep_multi_link_monotone () =
-  let rows = E.sweep_multi_link ~n:4096 ~links_list:[ 1; 4; 11 ] ~networks:3 ~messages:200 ~seed:13 () in
-  match rows with
-  | [ a; b; c ] ->
-      Alcotest.(check bool) "more links, fewer hops" true
-        (a.E.measured > b.E.measured && b.E.measured > c.E.measured)
-  | _ -> Alcotest.fail "expected three rows"
+  Alcotest.(check bool) "more links, fewer hops" true (strictly_monotone ( > ) (section 1))
 
 let sweep_deterministic_bounded () =
-  all_ratios_below_one (E.sweep_deterministic ~ns:[ 256; 4096 ] ~base:2 ~messages:200 ~seed:14 ())
+  all_ratios_below_one (section 2);
+  all_ratios_below_one (section 3)
 
-let sweep_link_failure_bounded () =
-  all_ratios_below_one
-    (E.sweep_link_failure ~n:2048 ~links:8 ~probs:[ 1.0; 0.5 ] ~networks:2 ~messages:150 ~seed:15 ())
+let sweep_link_failure_bounded () = all_ratios_below_one (section 4)
 
 let sweep_link_failure_monotone () =
-  let rows =
-    E.sweep_link_failure ~n:4096 ~links:8 ~probs:[ 1.0; 0.4 ] ~networks:3 ~messages:200 ~seed:16 ()
-  in
-  match rows with
-  | [ full; degraded ] ->
-      Alcotest.(check bool) "fewer live links, more hops" true
-        (degraded.E.measured > full.E.measured)
-  | _ -> Alcotest.fail "expected two rows"
+  Alcotest.(check bool) "fewer live links, more hops" true (strictly_monotone ( < ) (section 4))
 
-let sweep_geometric_bounded () =
-  all_ratios_below_one
-    (E.sweep_geometric_link_failure ~n:2048 ~base:2 ~probs:[ 1.0; 0.6 ] ~networks:2 ~messages:150
-       ~seed:17 ())
+let sweep_geometric_bounded () = all_ratios_below_one (section 5)
 
-let sweep_binomial_bounded () =
-  all_ratios_below_one
-    (E.sweep_binomial_nodes ~n:2048 ~links:1 ~probs:[ 1.0; 0.5 ] ~networks:2 ~messages:150
-       ~seed:18 ())
+let sweep_binomial_bounded () = all_ratios_below_one (section 6)
 
-let sweep_node_failure_bounded () =
-  all_ratios_below_one
-    (E.sweep_node_failure ~n:2048 ~links:8 ~probs:[ 0.0; 0.3 ] ~networks:2 ~messages:150 ~seed:19 ())
+let sweep_node_failure_bounded () = all_ratios_below_one (section 7)
 
 let sweep_lower_bound_above_one () =
-  let rows = E.sweep_lower_bound ~ns:[ 1024; 8192 ] ~links:3 ~trials:150 ~seed:20 () in
   List.iter
     (fun r ->
       Alcotest.(check bool)
         (Printf.sprintf "measured %.1f >= bound %.1f" r.E.measured r.E.bound)
         true (r.E.ratio >= 1.0))
-    rows
+    (section 8)
 
 let sweep_exponent_one_is_best () =
   let rows =

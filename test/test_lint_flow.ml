@@ -3,12 +3,10 @@
    the compiled fixtures under test/lint_fixture/ carry one positive and
    one negative per rule, analyzed exactly as `dune build @lint-flow`
    analyzes the real tree. The suite also checks the baseline's flow
-   namespace, stage-selective regeneration, the incremental cache (a
-   fully warm rerun analyzes zero units; an entry written by another
-   analyzer version is never served), the CLI's usage errors, the
+   namespace, stage-selective regeneration, the CLI's usage errors, the
    byte-identity of lint.json, and — as a qcheck property — that the
-   finding stream is byte-identical across --jobs 1/2/4, FTR_EXEC_SEQ=1
-   and cache cold/warm. *)
+   finding stream is byte-identical across --jobs 1/2/4 and
+   FTR_EXEC_SEQ=1. *)
 
 module Finding = Ftr_lint.Finding
 module Driver = Ftr_lint.Driver
@@ -29,8 +27,8 @@ let root =
      in
      up (Sys.getcwd ()))
 
-let analyze_fixture ?jobs ?cache_dir () =
-  Flow_driver.analyze ?jobs ?cache_dir ~root:(Lazy.force root) ~dirs:[ "test/lint_fixture" ] ()
+let analyze_fixture ?jobs () =
+  Flow_driver.analyze ?jobs ~root:(Lazy.force root) ~dirs:[ "test/lint_fixture" ] ()
 
 (* The fixture corpus is analyzed once; each rule test filters the
    shared finding stream by file. *)
@@ -46,10 +44,8 @@ let findings_of file =
     (fixture_findings file)
 
 let test_corpus () =
-  let _, (stats : Flow_driver.stats) = Lazy.force fixture in
-  Alcotest.(check int) "all eighteen fixture units loaded" 18 stats.Flow_driver.fl_units;
-  Alcotest.(check int) "all analyzed on a cache-less run" 18 stats.Flow_driver.fl_analyzed;
-  Alcotest.(check int) "nothing cached on a cache-less run" 0 stats.Flow_driver.fl_cached
+  let _, units = Lazy.force fixture in
+  Alcotest.(check int) "all nineteen fixture units loaded" 19 units
 
 (* D1: the ungated write and the post-join write fire; the gated write,
    the gate-variable conjunction and the closure capturing it do not. *)
@@ -194,79 +190,28 @@ let test_cli_unknown_stage () =
       Alcotest.(check bool) (stage ^ ": prints usage") true (contains text "usage: ftr_lint"))
     [ "bogus"; "syntactic" ]
 
-(* The incremental cache: a cold run analyzes everything and a warm
-   rerun analyzes zero units, reproducing the exact finding stream. *)
 let render findings =
   String.concat "\n"
     (List.map (fun ((f : Finding.t), line) -> Finding.to_string f ^ "\t" ^ line) findings)
 
-let with_cache_dir f =
-  let dir = Filename.temp_file "ftr_lint_cache" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Unix.rmdir dir)
-  @@ fun () -> f dir
-
-let test_cache_warm () =
-  with_cache_dir @@ fun dir ->
-  let cold, (cs : Flow_driver.stats) = analyze_fixture ~cache_dir:dir () in
-  let warm, (ws : Flow_driver.stats) = analyze_fixture ~cache_dir:dir () in
-  Alcotest.(check int) "cold run analyzes every unit" 18 cs.Flow_driver.fl_analyzed;
-  Alcotest.(check int) "warm run analyzes zero units" 0 ws.Flow_driver.fl_analyzed;
-  Alcotest.(check int) "warm run serves every unit from cache" 18 ws.Flow_driver.fl_cached;
-  Alcotest.(check string) "identical finding streams" (render cold) (render warm)
-
-(* A cache entry records the analyzer version that wrote it: after the
-   version field of every warm entry is rewritten, as an older analyzer
-   would have left it, the rerun serves nothing from the cache. *)
-let test_cache_stale_version () =
-  with_cache_dir @@ fun dir ->
-  let cold, _ = analyze_fixture ~cache_dir:dir () in
-  Array.iter
-    (fun name ->
-      let path = Filename.concat dir name in
-      let text = In_channel.with_open_bin path In_channel.input_all in
-      let header = "ftr_lint-flow\t" ^ Finding.analyzer_version ^ "\t" in
-      Alcotest.(check bool) (name ^ " carries the version") true
-        (String.starts_with ~prefix:header text);
-      let n = String.length header in
-      let rest = String.sub text n (String.length text - n) in
-      Out_channel.with_open_bin path (fun oc -> output_string oc ("ftr_lint-flow\t3.1\t" ^ rest)))
-    (Sys.readdir dir);
-  let rerun, (rs : Flow_driver.stats) = analyze_fixture ~cache_dir:dir () in
-  Alcotest.(check int) "nothing served from the stale cache" 0 rs.Flow_driver.fl_cached;
-  Alcotest.(check int) "every unit re-analyzed" 18 rs.Flow_driver.fl_analyzed;
-  Alcotest.(check string) "identical finding streams" (render cold) (render rerun)
-
 (* qcheck: the rendered finding stream is byte-identical across
-   --jobs 1/2/4, FTR_EXEC_SEQ=1 and cache cold/warm. *)
-let prop_jobs_cache_identity =
+   --jobs 1/2/4 and FTR_EXEC_SEQ=1. *)
+let prop_jobs_identity =
   let reference = lazy (render (fst (analyze_fixture ~jobs:1 ()))) in
-  QCheck.Test.make ~name:"flow findings byte-identical across jobs/seq/cache" ~count:8
-    QCheck.(triple (int_range 0 2) bool bool)
-    (fun (jobs_idx, seq, use_cache) ->
+  QCheck.Test.make ~name:"flow findings byte-identical across jobs/seq" ~count:8
+    QCheck.(pair (int_range 0 2) bool)
+    (fun (jobs_idx, seq) ->
       let jobs = [| 1; 2; 4 |].(jobs_idx) in
       Ftr_exec.Pool.with_sequential_forced seq @@ fun () ->
-      let run () =
-        if not use_cache then render (fst (analyze_fixture ~jobs ()))
-        else
-          with_cache_dir @@ fun dir ->
-          let _cold = analyze_fixture ~jobs ~cache_dir:dir () in
-          render (fst (analyze_fixture ~jobs ~cache_dir:dir ()))
-      in
-      String.equal (Lazy.force reference) (run ()))
+      String.equal (Lazy.force reference) (render (fst (analyze_fixture ~jobs ()))))
 
 (* Self-application: the flow stage over the real tree is clean modulo
    the flow entries of the committed baseline (of which there are none —
    the flow baseline ships empty). *)
 let test_self_application () =
   let root = Lazy.force root in
-  let findings, (stats : Flow_driver.stats) =
-    Flow_driver.analyze ~root ~dirs:[ "lib"; "bin"; "bench" ] ()
-  in
-  Alcotest.(check bool) "a real corpus loaded" true (stats.Flow_driver.fl_units >= 40);
+  let findings, units = Flow_driver.analyze ~root ~dirs:[ "lib"; "bin"; "bench" ] () in
+  Alcotest.(check bool) "a real corpus loaded" true (units >= 40);
   let entries =
     List.filter
       (fun e -> match Baseline.entry_stage e with Finding.Flow -> true | _ -> false)
@@ -297,9 +242,7 @@ let () =
           Alcotest.test_case "flow baseline namespace" `Quick test_flow_baseline;
           Alcotest.test_case "stage-selective --update-baseline" `Quick test_update_baseline;
           Alcotest.test_case "CLI usage error on unknown stage" `Quick test_cli_unknown_stage;
-          Alcotest.test_case "warm cache analyzes zero units" `Quick test_cache_warm;
-          Alcotest.test_case "stale analyzer version re-analyzes" `Quick test_cache_stale_version;
-          QCheck_alcotest.to_alcotest prop_jobs_cache_identity;
+          QCheck_alcotest.to_alcotest prop_jobs_identity;
         ] );
       ("self", [ Alcotest.test_case "flow stage clean on the tree" `Quick test_self_application ]);
     ]

@@ -2,7 +2,7 @@
    files, so the fixtures are a compiled mini-library under
    test/lint_fixture/ — positives and negatives for every rule —
    analyzed exactly as `dune build @lint-typed` analyzes the real tree,
-   with this directory's units as T6's test-only observers.
+   with this directory's units as T6's test/ observers.
    The suite also unit-tests the call graph, checks the baseline's typed
    namespace, exercises stage-selective baseline regeneration
    (--update-baseline), and self-applies the typed stage to the
@@ -52,7 +52,7 @@ let rules_of file =
 let test_corpus () =
   let state, _ = Lazy.force fixture in
   Alcotest.(check int)
-    "all eighteen fixture units loaded (thirteen typed, five flow)" 18
+    "all nineteen fixture units loaded (fourteen typed, five flow)" 19
     (Array.length state.Typed_rules.units)
 
 (* T1: the cross-function race (run -> pool boundary -> job -> bump ->
@@ -69,7 +69,21 @@ let test_t1 () =
           Alcotest.(check bool) "witness chain passes through bump" true
             (contains f.message "bump"))
         fs);
-  Alcotest.(check (list string)) "atomic counter variant is clean" [] (rules_of "t1_clean.ml")
+  Alcotest.(check (list string)) "atomic counter variant is clean" [] (rules_of "t1_clean.ml");
+  (* Only written globals race: the table nothing writes is quiet, its
+     twin passed to an unknown function fires at both reads. *)
+  match
+    List.map
+      (fun ((f : Finding.t), _) -> (Finding.rule_id f.rule, f.line, f.message))
+      (fixture_findings "t1_readonly.ml")
+  with
+  | [ ("T1", 19, m1); ("T1", 19, m2) ] ->
+      List.iter
+        (fun m ->
+          Alcotest.(check bool) "names the written table" true
+            (contains m "limits" && not (contains m "weights")))
+        [ m1; m2 ]
+  | fs -> Alcotest.failf "expected the two reads of limits, got %d T1 finding(s)" (List.length fs)
 
 (* The service's mailbox seam: draining a toplevel [Ftr_svc.Mailbox.t]
    from pool workers is sanctioned (the round barrier sequences posts
@@ -220,21 +234,25 @@ let test_t5 () =
         (contains m2 {|Hashtbl.fold inside "to_json"|})
   | fs -> Alcotest.failf "expected exactly the two T5 positives, got %d" (List.length fs)
 
-(* T6: in t6_export.mli, the export no unit names and the one only its
-   own unit names fire on their .mli lines; the one t6_noint.ml names,
-   the one only this test names (below) and the suppressed one do not.
-   In t6_noint.ml (no .mli) the unnamed and the only self-recursive
-   toplevels fire; the one its initialisation code names does not.
-   T6_base.included is named only through t6_via.ml's include. *)
+(* T6: in t6_export.mli, the export no unit names, the one only its
+   own unit names and the one only this test names (below) fire on
+   their .mli lines; the one t6_noint.ml names and the two suppressed
+   ones, one of them named by this test, do not. In t6_noint.ml (no
+   .mli) the unnamed and the only self-recursive toplevels fire; the one
+   its initialisation code names does not. T6_base.included is named
+   only through t6_via.ml's include. *)
 
 let test_t6 () =
   (match findings_of "t6_export.mli" with
-  | [ ("T6", 7, m1); ("T6", 9, m2) ] ->
+  | [ ("T6", 7, m1); ("T6", 9, m2); ("T6", 13, m3) ] ->
       Alcotest.(check bool) "unused: delete it" true
         (contains m1 "Lint_fixture.T6_export.unused" && contains m1 "delete it");
       Alcotest.(check bool) "own_only: drop the .mli line" true
-        (contains m2 "Lint_fixture.T6_export.own_only" && contains m2 "only its own unit")
-  | fs -> Alcotest.failf "expected exactly the two t6_export.mli positives, got %d" (List.length fs));
+        (contains m2 "Lint_fixture.T6_export.own_only" && contains m2 "only its own unit");
+      Alcotest.(check bool) "tested: only test/ names it" true
+        (contains m3 "Lint_fixture.T6_export.tested" && contains m3 "only test/ names it")
+  | fs ->
+      Alcotest.failf "expected exactly the three t6_export.mli positives, got %d" (List.length fs));
   (match findings_of "t6_noint.ml" with
   | [ ("T6", 6, m1); ("T6", 8, m2) ] ->
       Alcotest.(check bool) "names dead" true (contains m1 "T6_noint.dead");
@@ -242,11 +260,8 @@ let test_t6 () =
   | fs -> Alcotest.failf "expected exactly the two t6_noint.ml positives, got %d" (List.length fs));
   Alcotest.(check (list string)) "the export used through include is quiet" []
     (rules_of "t6_base.mli");
-  let state, _ = Lazy.force fixture in
-  Alcotest.(check (list string))
-    "the export only a test names is listed for review" [ "Lint_fixture.T6_export.tested" ]
-    (List.map (fun (e : Typed_rules.export) -> e.e_name) state.Typed_rules.test_only);
-  Alcotest.(check int) "the listed export, called" 1 (Lint_fixture.T6_export.tested 2)
+  Alcotest.(check int) "the test-only exports, called" 7
+    (Lint_fixture.T6_export.tested 2 + Lint_fixture.T6_export.tested_kept 4)
 
 (* Call graph: gated edges, forward/reverse BFS and witness chains. *)
 
@@ -258,13 +273,13 @@ let test_callgraph () =
   Callgraph.add_edge g ~gated:true b c;
   Callgraph.add_edge g b d;
   Alcotest.(check int) "node count" 4 (Callgraph.node_count g);
-  let visited = Callgraph.reachable g ~through_gated:false [ a ] in
+  let visited, _ = Callgraph.bfs g ~through_gated:false [ a ] in
   Alcotest.(check bool) "ungated path A->B->D crossed" true visited.(d);
   Alcotest.(check bool) "gated edge B->C refused" false visited.(c);
   let visited, parent = Callgraph.bfs g ~through_gated:true [ a ] in
   Alcotest.(check bool) "gated edge crossed when allowed" true visited.(c);
   Alcotest.(check (list string)) "witness chain" [ "A"; "B"; "C" ] (Callgraph.chain g parent c);
-  let rvisited = Callgraph.reachable g ~reverse:true [ c ] in
+  let rvisited, _ = Callgraph.bfs g ~reverse:true [ c ] in
   Alcotest.(check bool) "reverse BFS reaches the caller" true rvisited.(a);
   Alcotest.(check bool) "reverse BFS skips the sibling" false rvisited.(d)
 

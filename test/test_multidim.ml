@@ -5,6 +5,7 @@ module Route = Ftr_core.Route
 module Torus = Ftr_metric.Torus
 module Rng = Ftr_prng.Rng
 module Bitset = Ftr_graph.Bitset
+module Csr = Ftr_graph.Adjacency.Csr
 
 let rng () = Rng.of_int 6174
 
@@ -12,14 +13,16 @@ let rng () = Rng.of_int 6174
 (* Higher-dimensional overlays (Section 7 future work)                 *)
 (* ------------------------------------------------------------------ *)
 
+let hops m ~src ~dst =
+  match Multidim.route m ~src ~dst with
+  | Route.Delivered { hops } -> hops
+  | Route.Failed _ -> Alcotest.fail "multidim routing failed"
+
 let multidim_structure () =
   let m = Multidim.build ~dims:2 ~side:16 ~links:3 (rng ()) in
   Alcotest.(check int) "size" 256 (Multidim.size m);
-  Alcotest.(check int) "dims" 2 (Multidim.dims m);
-  Alcotest.(check int) "links" 3 (Multidim.links m);
-  Alcotest.(check (float 1e-9)) "default alpha = dims" 2.0 (Multidim.alpha m);
   for u = 0 to 255 do
-    Alcotest.(check int) "degree" 7 (Multidim.degree m u)
+    Alcotest.(check int) "degree" 7 (Csr.degree (Multidim.csr m) u)
   done
 
 let multidim_3d_structure () =
@@ -27,7 +30,7 @@ let multidim_3d_structure () =
   Alcotest.(check int) "size" 512 (Multidim.size m);
   for u = 0 to 511 do
     (* 6 lattice + 2 long. *)
-    Alcotest.(check int) "degree" 8 (Multidim.degree m u)
+    Alcotest.(check int) "degree" 8 (Csr.degree (Multidim.csr m) u)
   done
 
 let multidim_delivers_every_dimension () =
@@ -47,12 +50,12 @@ let multidim_delivers_every_dimension () =
 
 let multidim_hops_bounded_by_l1 () =
   let m = Multidim.build ~dims:2 ~side:32 ~links:2 (rng ()) in
-  let t = Multidim.torus m in
+  let t = Torus.create ~dims:2 ~side:32 in
   let r = rng () in
   for _ = 1 to 200 do
     let src = Rng.int r 1024 and dst = Rng.int r 1024 in
     Alcotest.(check bool) "hops <= L1" true
-      (Multidim.route_hops m ~src ~dst <= Torus.distance t src dst)
+      (hops m ~src ~dst <= Torus.distance t src dst)
   done
 
 let multidim_matches_line_at_dims1 () =
@@ -65,7 +68,7 @@ let multidim_matches_line_at_dims1 () =
   let mean_m = ref 0 and mean_r = ref 0 in
   for _ = 1 to 300 do
     let src = Rng.int r n and dst = Rng.int r n in
-    mean_m := !mean_m + Multidim.route_hops m ~src ~dst;
+    mean_m := !mean_m + hops m ~src ~dst;
     mean_r := !mean_r + Route.hops (Route.route ring ~src ~dst)
   done;
   let a = float_of_int !mean_m and b = float_of_int !mean_r in
@@ -84,7 +87,7 @@ let multidim_optimal_alpha_is_dims () =
     let total = ref 0 in
     for _ = 1 to 300 do
       let src = Rng.int r n and dst = Rng.int r n in
-      total := !total + Multidim.route_hops m ~src ~dst
+      total := !total + hops m ~src ~dst
     done;
     float_of_int !total /. 300.0
   in

@@ -254,9 +254,7 @@ let nearest_index_sparse () =
   Alcotest.(check int) "below first" 0 (Network.nearest_index net ~position:0);
   Alcotest.(check int) "nearest left wins ties" 0 (Network.nearest_index net ~position:6);
   Alcotest.(check int) "nearest right" 1 (Network.nearest_index net ~position:9);
-  Alcotest.(check int) "above last" 2 (Network.nearest_index net ~position:63);
-  Alcotest.(check (option int)) "exact hit" (Some 1) (Network.index_of_position net ~position:10);
-  Alcotest.(check (option int)) "miss" None (Network.index_of_position net ~position:11)
+  Alcotest.(check int) "above last" 2 (Network.nearest_index net ~position:63)
 
 let of_neighbor_indices_validates () =
   Alcotest.check_raises "unsorted positions"

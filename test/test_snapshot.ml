@@ -70,7 +70,7 @@ let info_fields () =
   let net = build ~n:200 ~links:3 () in
   with_snapshot net @@ fun path ->
   let i = Snapshot.info ~path in
-  Alcotest.(check int) "version" Snapshot.format_version i.Snapshot.version;
+  Alcotest.(check int) "version" 2 i.Snapshot.version;
   Alcotest.(check int) "nodes" 200 i.Snapshot.nodes;
   Alcotest.(check int) "line_size" (Network.line_size net) i.Snapshot.line_size;
   Alcotest.(check int) "links" 3 i.Snapshot.links;

@@ -10,7 +10,7 @@ let check_close eps = Alcotest.(check (float eps))
 let lg_values () =
   check_close 1e-9 "lg 1024" 10.0 (Theory.lg 1024);
   check_close 1e-9 "lg 1" 0.0 (Theory.lg 1);
-  check_close 1e-9 "log_4 256" 4.0 (Theory.log_base ~base:4 256)
+  check_close 1e-9 "log_4 256" 4.0 (Theory.upper_deterministic ~base:4 256)
 
 let lg_rejects () =
   Alcotest.check_raises "lg 0" (Invalid_argument "Theory.lg: n must be positive") (fun () ->
