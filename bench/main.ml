@@ -1,5 +1,3 @@
-(* ftr-lint: disable-file T2 -- benchmark wall-clock timing is the measurement itself *)
-
 (* Benchmark harness: times the hot paths — the router, the int32 CSR
    core at scale, the flight recorder, the multicore executor on the
    experiment drivers, the message-passing service, the lint analyzer —
@@ -52,11 +50,11 @@ let rec draw_alive rng ~n alive =
   let v = Rng.int rng n in
   if alive v then v else draw_alive rng ~n alive
 
-(* [f ()] and the wall-clock seconds it took. *)
+(* [f ()] and the seconds it took, on the monotonic clock. *)
 let timed f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ftr_obs.Span.now () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Ftr_obs.Span.elapsed t0)
 
 (* Every machine-readable file the harness writes goes through here.
    [asserts] are the section's identity contracts (outputs identical
@@ -681,7 +679,7 @@ let run_section name f =
   end
 
 let () =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ftr_obs.Span.now () in
   (* The harness is an observability consumer: telemetry is on regardless
      of FTR_OBS, so every section feeds the final snapshot. *)
   Ftr_obs.Flag.set_mode true;
@@ -698,4 +696,4 @@ let () =
   (* Closing metrics snapshot: one line of JSON on stdout. *)
   Printf.printf "\n[obs] metrics snapshot: %s\n"
     (Ftr_obs.Json.to_string (Ftr_obs.Export.json_snapshot ()));
-  Printf.printf "\ntotal wall time: %.1f s\n%!" (Unix.gettimeofday () -. t0)
+  Printf.printf "\ntotal wall time: %.1f s\n%!" (Ftr_obs.Span.elapsed t0)

@@ -31,9 +31,9 @@ let strategy_label = function
   | Backtrack _ -> "backtrack"
 
 (* Reusable per-route working state: the backtracking search's tried
-   links and window ({!Stuck.t}), sized to what one route holds whatever
-   the size of the network. Without a caller-held one, the domain-local
-   scratch below is borrowed. *)
+   links and window ({!Stuck.t}), 1 KiB to start whatever the size of the
+   network, grown by the longest route it serves. A backtracking route
+   without a caller-held one creates its own. *)
 type scratch = Stuck.t
 
 let scratch (_ : Network.t) = Stuck.create ()
@@ -42,42 +42,6 @@ let scratch (_ : Network.t) = Stuck.create ()
    {!Random_reroute}) when the caller supplied no scratch: never read or
    written, so sharing one global is safe. *)
 let dummy_scratch = Stuck.create ()
-
-(* Fallback scratch for backtracking callers that pass none, cached per
-   domain so repeated routing stays allocation-free without an API change.
-   The cell is emptied while a route borrows it, so a nested [route] call
-   from an [on_hop] callback allocates its own scratch instead of
-   corrupting the outer route's tried links. *)
-let dls_scratch : scratch option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-(* A borrowed scratch: the working state plus the domain-local cell it
-   must be returned to, when it came from one. [borrow_scratch] and
-   [restore_scratch] are the named seams the flow lint's route-scratch
-   typestate rule (D2, docs/LINTING.md) tracks: every borrow must reach
-   [restore_scratch] on all paths, which the [Fun.protect] in [route]
-   guarantees even on the sanitizer's exception paths. *)
-type borrowed = { bs : scratch; bs_home : scratch option ref option }
-
-let borrow_scratch ?scr ~tracking net =
-  match scr with
-  | Some s -> { bs = s; bs_home = None }
-  (* Selected only when tracking is off, and every scratch write in
-     [route] is tracking-guarded: a shared read-only sentinel.
-     ftr-lint: disable T1 *)
-  | None when not tracking -> { bs = dummy_scratch; bs_home = None }
-  | None ->
-      let cell = Domain.DLS.get dls_scratch in
-      let s =
-        match !cell with
-        | Some s ->
-            cell := None;
-            s
-        | None -> scratch net
-      in
-      { bs = s; bs_home = Some cell }
-
-let restore_scratch b = match b.bs_home with Some cell -> cell := Some b.bs | None -> ()
 
 (* Stand-in position vector for full networks, whose positions are the
    identity and are not stored: every read goes through [pos] below with
@@ -353,10 +317,18 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
     else on_hop
   in
   (* Only {!Backtrack} records tried links; the other strategies never
-     read the set, and borrow no scratch when the caller supplied none. *)
+     read the set, and create no scratch when the caller supplied none. *)
   let tracking = match strategy with Backtrack _ -> true | Terminate | Random_reroute _ -> false in
-  let borrowed = borrow_scratch ?scr ~tracking net in
-  let rv = view ~failures ~side ~tried:(Stuck.tried borrowed.bs) ~tracking ~tr ~tracing net in
+  let scr =
+    match scr with
+    | Some s -> s
+    | None when tracking -> Stuck.create ()
+    (* Selected only when tracking is off, and every scratch write in
+       [route] is tracking-guarded: a shared read-only sentinel.
+       ftr-lint: disable T1 *)
+    | None -> dummy_scratch
+  in
+  let rv = view ~failures ~side ~tried:(Stuck.tried scr) ~tracking ~tr ~tracing net in
   let trace_chosen ~cur ~v ~target =
     if tracing then
       Ftr_obs.Tracing.candidate tr ~cur ~cand:v
@@ -394,9 +366,6 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
         attempt 0
   in
   let outcome =
-  (* [finally] returns the borrowed domain-local scratch even on the
-     sanitizer's exception paths. *)
-  Fun.protect ~finally:(fun () -> restore_scratch borrowed) @@ fun () ->
   match strategy with
   | Terminate ->
       let terminus, h, out_of_budget = greedy_leg ~start:src ~target:dst ~hops:0 in
@@ -448,7 +417,7 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
          route around the hole through a farther neighbour. Without
          this, delivery would require a monotone live path, and the
          failure fractions of Figure 6 are unreachable. *)
-      Stuck.search borrowed.bs ~history ~max_hops ~csr:(Network.csr net)
+      Stuck.search scr ~history ~max_hops ~csr:(Network.csr net)
         ~scan:(fun mode cur -> best_hop rv ~mode ~cur ~dst)
         ?moved ?backtracked ~on_hop ~src ~dst
   in

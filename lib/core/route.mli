@@ -49,7 +49,7 @@ val reason_label : reason -> string
 val hops : outcome -> int
 (** Hops consumed, delivered or not (backtracking steps count). *)
 
-type scratch
+type scratch = Stuck.t
 (** Reusable working state for {!route}: the {!Backtrack} search's
     {!Stuck.t}, which holds the links the current route has tried and the
     backtrack window. Its size follows the longest route it has served,
@@ -77,7 +77,8 @@ val route :
     terminate-on-stuck, one million hop budget. [rng] is required only by
     {!Random_reroute}; [on_hop] observes every node the message visits.
     [scratch] lets callers routing many messages reuse the working arrays
-    (outcomes are identical with or without it).
+    (outcomes are identical with or without it); without one, a
+    {!Backtrack} route creates its own.
     @raise Invalid_argument if an endpoint is out of range or dead, if a
     {!Backtrack} history is below 1, or if {!Random_reroute} allows a
     negative number of attempts. *)

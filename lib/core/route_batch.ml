@@ -13,15 +13,20 @@ module Seed = Ftr_exec.Seed
    (with telemetry off in the running domain) keeps several routes in
    flight so their cache misses overlap; its routes share only read-only
    state, so the contract above holds unchanged. The other strategies
-   route one pair at a time: backtracking routes share one scratch,
-   whose tried-link set is cleared at the start of each route
-   (interleaved routes would mix their tried links), and rerouting draws
-   from a per-route generator across several legs. Scratch is per
-   domain, not per route: [Route.route] with no explicit scratch borrows
-   the Domain.DLS-cached one, so a chunk of backtracking routes costs one
-   scratch per worker domain, amortized to nothing. *)
+   route one pair at a time: rerouting draws from a per-route generator
+   across several legs, and backtracking routes share their domain's
+   scratch, whose tried-link set is cleared at the start of each route
+   (interleaved routes would mix their tried links). *)
 
 let default_chunk = 1024
+
+(* One scratch per domain, kept across calls. A route that tries many
+   links grows the scratch's table; a fresh scratch per chunk would grow
+   it again on every call, and ftrbench's route_faulty (64-pair calls,
+   40% of nodes failed) pays for that garbage in peak RSS and p99
+   latency. A chunk runs on one domain and [Route.route] calls nothing
+   back, so no two routes ever hold the scratch at once. *)
+let scratch_key = Domain.DLS.new_key Stuck.create
 
 let run ?jobs ?(chunk = default_chunk) ?failures ?side ?strategy ?max_hops ?(seed = 0) net
     ~pairs =
@@ -41,7 +46,8 @@ let run ?jobs ?(chunk = default_chunk) ?failures ?side ?strategy ?max_hops ?(see
     let route_one i =
       let src, dst = pairs.(i) in
       let rng = if needs_rng then Some (Seed.rng_for ~seed ~index:i) else None in
-      Route.route ?failures ?side ?strategy ?max_hops ?rng net ~src ~dst
+      let scratch = Domain.DLS.get scratch_key in
+      Route.route ?failures ?side ?strategy ?max_hops ?rng ~scratch net ~src ~dst
     in
     let per_chunk =
       Pool.map ?jobs ~count:chunks (fun c ->

@@ -3,7 +3,7 @@
 
     [run] partitions the request vector into fixed-size chunks (a pure
     function of the pair count, never of the worker count), routes each
-    chunk as one pool job with per-domain scratch, and merges the results
+    chunk as one pool job with its domain's scratch, and merges the results
     in request order. The merged outcome vector is byte-identical across
     [--jobs 1/2/4] and [FTR_EXEC_SEQ=1]: per-route generators are derived
     from [(seed, route index)] with {!Ftr_exec.Seed.rng_for}, so no route

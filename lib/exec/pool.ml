@@ -69,7 +69,7 @@ type resident = {
   mutable r_checked_in : int;
   mutable r_stop : bool;
   r_error : exn option Atomic.t; (* the round's first job exception *)
-  r_busy : float array; (* worker [w]'s busy seconds in the last round *)
+  r_busy : int array; (* worker [w]'s busy nanoseconds in the last round *)
   mutable r_domains : unit Domain.t array;
   mutable r_rounds : int;
 }
@@ -83,7 +83,7 @@ let resident_jobs r = r.r_jobs
    caller; the other workers finish the round. *)
 let drain r w =
   let chunk = max 1 (r.r_count / (r.r_jobs * 4)) in
-  let t0 = Clock.now () in
+  let t0 = Span.now () in
   (try
      let lo = ref (Atomic.fetch_and_add r.r_cursor chunk) in
      while !lo < r.r_count do
@@ -93,7 +93,7 @@ let drain r w =
        lo := Atomic.fetch_and_add r.r_cursor chunk
      done
    with e -> ignore (Atomic.compare_and_set r.r_error None (Some e)));
-  r.r_busy.(w) <- Clock.now () -. t0
+  r.r_busy.(w) <- Span.now () - t0
 
 let parked_worker r w () =
   enter_worker true;
@@ -133,7 +133,7 @@ let crew jobs =
       r_checked_in = 0;
       r_stop = false;
       r_error = Atomic.make None;
-      r_busy = Array.make jobs 0.0;
+      r_busy = Array.make jobs 0;
       r_domains = [||];
       r_rounds = 0;
     }
@@ -225,7 +225,8 @@ let map ?jobs ~count f =
             Metrics.set_gauge "exec_pool_workers" (float_of_int jobs);
             Array.iteri
               (fun w t ->
-                Metrics.observe ~labels:[ ("worker", string_of_int w) ] "exec_worker_busy_seconds" t)
+                Metrics.observe ~labels:[ ("worker", string_of_int w) ] "exec_worker_busy_seconds"
+                  (Span.seconds t))
               r.r_busy
           end
         in

@@ -7,7 +7,7 @@
    lines are comments; any other line that does not parse is an error):
 
      typed:T1<TAB>lib/foo/baz.ml<TAB>Hashtbl.replace table k v
-     flow:D2<TAB>lib/foo/bar.ml<TAB>let s = Route.borrow_scratch () in
+     flow:D2<TAB>lib/foo/bar.ml<TAB>Route.route net ~src ~dst
 
    The rule field carries its stage namespace ([typed:] or [flow:]) so
    entries from both stages coexist unambiguously in one file. Matching

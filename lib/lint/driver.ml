@@ -62,9 +62,9 @@ let run ?baseline ?write_baseline ?json ?(quiet = false)
   | [], loaded -> (
       let stage_seconds = ref [] in
       let timed stage f =
-        let t0 = Ftr_exec.Clock.now () in
+        let t0 = Ftr_obs.Span.now () in
         let r = f () in
-        stage_seconds := (stage, Ftr_exec.Clock.now () -. t0) :: !stage_seconds;
+        stage_seconds := (stage, Ftr_obs.Span.elapsed t0) :: !stage_seconds;
         r
       in
       let typed_state, typed =

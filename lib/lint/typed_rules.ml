@@ -12,12 +12,12 @@
       the global other than a field read, a call of it, or an argument
       to a known read-only accessor ([.(i)], [!], [Array.length], ...).
    T2 nondeterminism-taint  -- a toplevel binding that reads
-      [Random.*]/[Sys.time]/[Unix.time]/[Unix.gettimeofday], and every
-      toplevel function that calls (transitively) into one, with the
-      call chain to the source. A read in module-initialisation code is
-      reported where it happens. The injectable clock seams
-      (lib/obs/span.ml, lib/exec/clock.ml) are declared sanitizers:
-      sources inside them taint nothing.
+      [Random.*]/[Sys.time]/[Unix.time]/[Unix.gettimeofday]/
+      [Monotonic_clock.*], and every toplevel function that calls
+      (transitively) into one, with the call chain to the source. A read
+      in module-initialisation code is reported where it happens. The
+      injectable clock seam (lib/obs/span.ml) is a declared sanitizer:
+      sources inside it taint nothing.
    T3 typed-polymorphic-comparison -- the real instantiation type of
       every [compare]/[=]/[<]/[min]/... occurrence: floats buried in
       structures, closures and abstract types are caught even through
@@ -54,10 +54,9 @@
 
 open Typedtree
 
-(* Wall-clock seam files: sources inside them are the sanctioned
-   injection points. *)
-let is_clock_seam file =
-  List.exists (Filename.check_suffix file) [ "lib/obs/span.ml"; "lib/exec/clock.ml" ]
+(* The clock seam file: sources inside it are the sanctioned injection
+   point. *)
+let is_clock_seam file = Filename.check_suffix file "lib/obs/span.ml"
 
 (* ------------------------------------------------------------------ *)
 (* Paths                                                               *)
@@ -118,7 +117,7 @@ let is_flag_enabled parts =
 (* T2's taint seeds. *)
 let is_nondet_source parts =
   match parts with
-  | "Random" :: _ :: _ -> true
+  | ("Random" | "Monotonic_clock") :: _ :: _ -> true
   | [ "Sys"; "time" ] | [ "Unix"; "gettimeofday" ] | [ "Unix"; "time" ] -> true
   | _ -> false
 

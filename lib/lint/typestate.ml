@@ -32,7 +32,7 @@
 type kind = Must_release | Validate_before_use
 
 type proto = {
-  p_id : string; (* short id used in messages, e.g. "route-scratch" *)
+  p_id : string; (* short id used in messages, e.g. "events-sink" *)
   p_kind : kind;
   p_acquire : string list list; (* suffix patterns *)
   p_acquire_label_false : string option;
@@ -45,19 +45,6 @@ type proto = {
 
 let protocols =
   [
-    {
-      p_id = "route-scratch";
-      p_kind = Must_release;
-      p_acquire = [ [ "borrow_scratch" ] ];
-      p_acquire_label_false = None;
-      p_acquire_skip_none = false;
-      p_release = [ [ "restore_scratch" ] ];
-      p_use = [];
-      p_leak_msg =
-        "route scratch borrowed from the domain-local cell is not restored on every path to \
-         exit; wrap the body in Fun.protect ~finally:(restore_scratch ...) (lib/core/route.ml)";
-      p_use_msg = "";
-    };
     {
       p_id = "snapshot-unvalidated";
       p_kind = Validate_before_use;

@@ -30,13 +30,13 @@ let span_report () =
   if List.is_empty stats then Buffer.add_string buf "spans: none recorded\n"
   else begin
     Buffer.add_string buf
-      (Printf.sprintf "%-28s %8s %12s %12s %12s %12s %12s\n" "span" "count" "total(s)" "min(s)"
-         "p50(s)" "p99(s)" "max(s)");
+      (Printf.sprintf "%-28s %8s %12s %12s %12s %12s %12s %12s\n" "span" "count" "total(s)"
+         "self(s)" "min(s)" "p50(s)" "p99(s)" "max(s)");
     List.iter
       (fun (s : Span.stat) ->
         Buffer.add_string buf
-          (Printf.sprintf "%-28s %8d %12.6f %12.6f %12.6f %12.6f %12.6f\n" s.Span.span_name
-             s.Span.count s.Span.total s.Span.min_s s.Span.p50 s.Span.p99 s.Span.max_s))
+          (Printf.sprintf "%-28s %8d %12.6f %12.6f %12.6f %12.6f %12.6f %12.6f\n" s.Span.span_name
+             s.Span.count s.Span.total s.Span.self s.Span.min_s s.Span.p50 s.Span.p99 s.Span.max_s))
       stats
   end;
   Buffer.contents buf
@@ -107,6 +107,7 @@ let json_snapshot ?registry () =
             ("name", Json.String s.Span.span_name);
             ("count", Json.Int s.Span.count);
             ("total", Json.Float s.Span.total);
+            ("self", Json.Float s.Span.self);
             ("min", Json.Float s.Span.min_s);
             ("p50", Json.Float s.Span.p50);
             ("p99", Json.Float s.Span.p99);
@@ -165,6 +166,7 @@ let prometheus ?registry () =
           Buffer.add_string buf
             (Printf.sprintf "%s_count%s %d\n" name (labels_string labels) h.Metrics.h_count))
     (Metrics.snapshot ?registry ());
+  let spans = Span.stats () in
   List.iter
     (fun (s : Span.stat) ->
       declare "ftr_span_seconds" "summary";
@@ -181,5 +183,14 @@ let prometheus ?registry () =
         (Printf.sprintf "ftr_span_seconds_count%s %d\n"
            (labels_string [ ("name", s.Span.span_name) ])
            s.Span.count))
-    (Span.stats ());
+    spans;
+  (* Self time is its own family: a summary's lines must stay together. *)
+  List.iter
+    (fun (s : Span.stat) ->
+      declare "ftr_span_self_seconds_total" "counter";
+      Buffer.add_string buf
+        (Printf.sprintf "ftr_span_self_seconds_total%s %s\n"
+           (labels_string [ ("name", s.Span.span_name) ])
+           (Json.float_repr s.Span.self)))
+    spans;
   Buffer.contents buf

@@ -1,126 +1,160 @@
-(* Span profiler: wall-clock timers with nesting, aggregated per span name
-   into count / total / min / max / p50 / p99. Aggregation reuses
-   [Ftr_stats.Summary] (count, total, min, max) and [Ftr_stats.Quantile]
-   (exact percentiles over a bounded ring of the most recent durations —
-   recent-window percentiles, not lifetime, once a span exceeds
-   [sample_capacity] recordings).
+(* Span profiler: timers with nesting, aggregated per span name into
+   count / total / self / min / max / p50 / p99. Self time is a span's
+   duration minus the part its closed children cover, so the selves of
+   a nested stack add up to the root's total. Percentiles are exact over
+   a ring of the [sample_capacity] most recent durations (recent-window
+   percentiles, not lifetime, once a span exceeds it).
 
-   The clock is injectable ([set_clock]) so tests drive deterministic
-   durations; the default is [Unix.gettimeofday], the finest-grained clock
-   the stdlib toolchain offers here. Spans instrument coarse operations
-   (engine runs, network builds, bench sections), not per-hop paths, so a
-   closure per [time] call is acceptable; the per-hop layers use the
-   [Metrics] counters behind a [Flag.enabled] guard instead. *)
+   Each name is resolved to an int id once per [time] call; the open
+   spans sit on preallocated id/start/child arrays and the aggregates are
+   int fields, so a [time] pair allocates nothing on the minor heap,
+   with telemetry on or off. Only the stack's growth past its deepest
+   nesting so far and a name's first recording allocate. *)
 
-module Summary = Ftr_stats.Summary
 module Quantile = Ftr_stats.Quantile
 
 let sample_capacity = 4096
 
-type record = {
-  summary : Summary.t;
-  samples : float array; (* ring buffer of the most recent durations *)
-  mutable filled : int;
-  mutable next : int;
-}
+(* The one clock reader of lib/ (ftr_lint T2 allowlists this file):
+   monotonic nanoseconds. Tests inject a deterministic clock. *)
+let monotonic () = Int64.to_int (Monotonic_clock.clock_linux_get_time ())
 
-let records : (string, record) Hashtbl.t = Hashtbl.create 16
+let clock = ref monotonic
 
-(* Open spans, innermost first: (name, start time). *)
-let stack : (string * float) list ref = ref []
-
-let clock = ref (fun () -> Unix.gettimeofday ())
-
-(* ftr-lint: disable T6 -- seam: tests drive deterministic span durations through it *)
+(* ftr-lint: disable T6 -- seam: tests drive deterministic durations through it *)
 let set_clock f = clock := f
 
-let reset () =
-  Hashtbl.reset records;
-  stack := []
+(* The injection point is written by [set_clock]/[reset] before the pool
+   spawns domains; workers only dereference. ftr-lint: disable T1 *)
+let now () = !clock ()
 
-(* ftr-lint: disable T6 -- ROADMAP item 1: the recorder rewrite replaces the span stack *)
-let depth () = List.length !stack
+let seconds ns = float_of_int ns /. 1e9
 
-let record_duration name dt =
-  let r =
-    match Hashtbl.find_opt records name with
-    | Some r -> r
-    | None ->
-        let r =
-          { summary = Summary.create (); samples = Array.make sample_capacity 0.0; filled = 0; next = 0 }
-        in
-        Hashtbl.replace records name r;
-        r
-  in
-  Summary.add r.summary dt;
-  r.samples.(r.next) <- dt;
-  r.next <- (r.next + 1) mod sample_capacity;
-  if r.filled < sample_capacity then r.filled <- r.filled + 1
+(* Seconds since [t0], an earlier [now ()]. *)
+let elapsed t0 = seconds (now () - t0)
 
-let enter_always name =
-  if String.equal name "" then invalid_arg "Span.enter: span name must be non-empty";
-  stack := (name, !clock ()) :: !stack
+type record = {
+  name : string;
+  mutable count : int;
+  mutable total : int; (* ns, as every field below *)
+  mutable self : int;
+  mutable min : int;
+  mutable max : int;
+  samples : int array; (* ring: duration [k] at [k mod sample_capacity] *)
+}
 
-let leave_always name =
-  match !stack with
-  | (top, t0) :: rest when top = name ->
-      stack := rest;
-      record_duration name (!clock () -. t0)
-  | (top, _) :: _ ->
-      invalid_arg (Printf.sprintf "Span.leave: closing %S but innermost open span is %S" name top)
-  | [] -> invalid_arg (Printf.sprintf "Span.leave: closing %S with no span open" name)
+let ids : (string, int) Hashtbl.t = Hashtbl.create 16
 
-(* ftr-lint: disable T6 -- ROADMAP item 1: the recorder rewrite replaces the span stack *)
-let enter name = if Flag.enabled () then enter_always name
+let records : record array ref = ref [||]
 
-(* ftr-lint: disable T6 -- ROADMAP item 1: the recorder rewrite replaces the span stack *)
-let leave name = if Flag.enabled () then leave_always name
+let id_of name =
+  match Hashtbl.find ids name with
+  | i -> i
+  | exception Not_found ->
+      if String.equal name "" then invalid_arg "Span.time: span name must be non-empty";
+      let i = Array.length !records in
+      let r =
+        { name; count = 0; total = 0; self = 0; min = 0; max = 0; samples = Array.make sample_capacity 0 }
+      in
+      records := Array.append !records [| r |];
+      Hashtbl.replace ids name i;
+      i
+
+(* Open spans, outermost first: id, start, and the time their closed
+   children covered. *)
+let open_spans = ref 0
+
+let stack_id = ref (Array.make 16 0)
+
+let stack_start = ref (Array.make 16 0)
+
+let stack_child = ref (Array.make 16 0)
+
+let push i =
+  let d = !open_spans in
+  if d = Array.length !stack_id then begin
+    let grow a = a := Array.append !a (Array.make d 0) in
+    grow stack_id;
+    grow stack_start;
+    grow stack_child
+  end;
+  !stack_id.(d) <- i;
+  !stack_child.(d) <- 0;
+  open_spans := d + 1;
+  !stack_start.(d) <- now ()
+
+let pop () =
+  let stop = now () in
+  let d = !open_spans - 1 in
+  open_spans := d;
+  let dur = stop - !stack_start.(d) in
+  let r = !records.(!stack_id.(d)) in
+  let k = r.count in
+  r.count <- k + 1;
+  r.total <- r.total + dur;
+  r.self <- r.self + dur - !stack_child.(d);
+  if k = 0 || dur < r.min then r.min <- dur;
+  if k = 0 || dur > r.max then r.max <- dur;
+  r.samples.(k mod sample_capacity) <- dur;
+  if d > 0 then !stack_child.(d - 1) <- !stack_child.(d - 1) + dur
 
 (* Time [f] under [name]. The enabled decision is taken once, so a mode
    flip inside [f] cannot unbalance the stack. *)
 let time name f =
   if not (Flag.enabled ()) then f ()
   else begin
-    enter_always name;
+    push (id_of name);
     match f () with
     | v ->
-        leave_always name;
+        pop ();
         v
     | exception e ->
-        leave_always name;
+        pop ();
         raise e
   end
 
+(* Forget every aggregate and restore the monotonic clock. Names keep
+   their ids, so spans open across a reset still close cleanly. *)
+let reset () =
+  clock := monotonic;
+  Array.iter (fun (r : record) -> r.count <- 0; r.total <- 0; r.self <- 0) !records
+
 (* ------------------------------------------------------------------ *)
-(* Aggregated statistics                                               *)
+(* Aggregated statistics, in seconds                                   *)
 (* ------------------------------------------------------------------ *)
 
 type stat = {
   span_name : string;
   count : int;
-  total : float;
+  total : float; (* inclusive of children *)
+  self : float; (* exclusive: total minus the closed children *)
   min_s : float;
   max_s : float;
   p50 : float;
   p99 : float;
 }
 
-let stat_of name r =
-  let window = Array.sub r.samples 0 r.filled in
+let stat_of (r : record) =
+  let window = Array.init (min r.count sample_capacity) (fun k -> seconds r.samples.(k)) in
   Array.sort Float.compare window;
   {
-    span_name = name;
-    count = Summary.count r.summary;
-    total = Summary.total r.summary;
-    min_s = Summary.min_value r.summary;
-    max_s = Summary.max_value r.summary;
-    p50 = (if r.filled = 0 then nan else Quantile.of_sorted window 0.5);
-    p99 = (if r.filled = 0 then nan else Quantile.of_sorted window 0.99);
+    span_name = r.name;
+    count = r.count;
+    total = seconds r.total;
+    self = seconds r.self;
+    min_s = seconds r.min;
+    max_s = seconds r.max;
+    p50 = Quantile.of_sorted window 0.5;
+    p99 = Quantile.of_sorted window 0.99;
   }
 
 let find name =
-  Option.map (stat_of name) (Hashtbl.find_opt records name)
+  match Hashtbl.find_opt ids name with
+  | Some i when !records.(i).count > 0 -> Some (stat_of !records.(i))
+  | Some _ | None -> None
 
 let stats () =
-  Hashtbl.fold (fun name r acc -> stat_of name r :: acc) records []
+  Array.to_list !records
+  |> List.filter (fun (r : record) -> r.count > 0)
+  |> List.map stat_of
   |> List.sort (fun a b -> String.compare a.span_name b.span_name)

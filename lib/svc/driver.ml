@@ -7,7 +7,7 @@
    the actor's line position as the stream index, the driver's own
    workload RNG uses index [line_size] and the overlay construction RNG
    uses index [line_size + 1], so no stream is ever shared. Wall-clock
-   only feeds the requests/s figure, read through [Ftr_exec.Clock]
+   only feeds the requests/s figure, read through [Ftr_obs.Span.now]
    (rule T2); everything else in the report is deterministic, and
    [report_lines ~wall:false] renders exactly that deterministic subset
    for the byte-identity selfcheck. *)
@@ -295,7 +295,7 @@ let run cfg =
       ~shards:cfg.shards ~record:cfg.record ~seed:cfg.seed ov
   in
   let rng = Seed.rng_for ~seed:cfg.seed ~index:cfg.line_size in
-  let wall0 = Ftr_exec.Clock.now () in
+  let wall0 = Ftr_obs.Span.now () in
   Pool.with_resident ?jobs:cfg.jobs (fun pool ->
       for _tick = 1 to cfg.ticks do
         control cfg rng svc;
@@ -303,7 +303,7 @@ let run cfg =
       done;
       ignore (Service.drain svc ~pool));
   Service.force_timeouts svc;
-  let wall = Ftr_exec.Clock.now () -. wall0 in
+  let wall = Ftr_obs.Span.elapsed wall0 in
   if Ftr_obs.Flag.enabled () then begin
     Ftr_obs.Metrics.incr_by "svc_rounds_total" (Service.stats svc).Service.rounds;
     Ftr_obs.Metrics.set_gauge "svc_live_nodes" (float_of_int (Service.live_count svc))

@@ -1,8 +1,8 @@
-(* T2 fixtures. [jitter], [stamp] and [cpu] read a nondeterminism
-   source directly; [sample] is transitively nondeterministic through
-   the call graph; the module-initialisation read at the bottom has no
-   binding and is flagged where it happens (five positives).
-   [draw]/[sample_det] use the seeded generator and stay clean. *)
+(* T2 fixtures. [jitter], [stamp], [cpu] and [tick] read a source
+   directly; [sample] is tainted through the call graph; the
+   module-initialisation read has no binding and is flagged where it
+   happens (six positives). [draw]/[sample_det] use the seeded
+   generator and stay clean. *)
 
 let jitter () = Random.int 1000
 
@@ -17,3 +17,5 @@ let draw rng = Ftr_prng.Rng.int rng 10
 let sample_det rng x = x + draw rng
 
 let () = ignore (Sys.time ())
+
+let tick () = Monotonic_clock.clock_linux_get_time ()

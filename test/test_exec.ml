@@ -336,16 +336,16 @@ let checkpoint_tolerates_garbage () =
   Checkpoint.close t2;
   Sys.remove path
 
-(* The busy-time clock is injectable (Clock.set); with a constant clock
-   every worker's busy span collapses to exactly 0.0, which only happens
-   if the pool reads time through the seam and not Unix.gettimeofday
-   directly. The injected function must be domain-safe — here it is
+(* The busy-time clock is injectable (Span.set_clock); with a constant
+   clock every worker's busy span collapses to exactly 0.0, which only
+   happens if the pool reads time through the seam and not the monotonic
+   clock directly. The injected function must be domain-safe — here it is
    pure. *)
 let pool_clock_injection () =
   Ftr_obs.Flag.with_mode true @@ fun () ->
   Ftr_obs.Metrics.reset Ftr_obs.Metrics.default;
-  Ftr_exec.Clock.set (fun () -> 42.0);
-  Fun.protect ~finally:Ftr_exec.Clock.reset @@ fun () ->
+  Ftr_obs.Span.set_clock (fun () -> 42);
+  Fun.protect ~finally:Ftr_obs.Span.reset @@ fun () ->
   ignore (Pool.map ~jobs:2 ~count:8 (fun i -> i * i));
   let busy =
     List.filter_map

@@ -45,7 +45,7 @@ let findings_of file =
 
 let test_corpus () =
   let _, units = Lazy.force fixture in
-  Alcotest.(check int) "all nineteen fixture units loaded" 19 units
+  Alcotest.(check int) "all eighteen fixture units loaded" 18 units
 
 (* D1: the ungated write and the post-join write fire; the gated write,
    the gate-variable conjunction and the closure capturing it do not. *)
@@ -59,14 +59,6 @@ let test_d1 () =
           Alcotest.(check bool) "message points at the gate" true (contains m "Flag.enabled"))
         [ m1; m2 ]
   | fs -> Alcotest.failf "expected exactly the two D1 positives, got %d findings" (List.length fs)
-
-(* D2 route-scratch: the leak on the tracking path fires; the
-   Fun.protect ~finally idiom is recognized as releasing on all paths. *)
-let test_d2_scratch () =
-  match findings_of "d2_scratch.ml" with
-  | [ ("D2", 23, m) ] ->
-      Alcotest.(check bool) "message names the restore seam" true (contains m "restore_scratch")
-  | fs -> Alcotest.failf "expected exactly one D2 leak, got %d findings" (List.length fs)
 
 (* D2 snapshot typestate: routing an unvalidated load fires at the use
    site, through Route.route and the lockstep batch entry alike;
@@ -231,7 +223,6 @@ let () =
         [
           Alcotest.test_case "fixture corpus loads" `Quick test_corpus;
           Alcotest.test_case "D1 gate-dominance" `Quick test_d1;
-          Alcotest.test_case "D2 route-scratch leak" `Quick test_d2_scratch;
           Alcotest.test_case "D2 snapshot typestate" `Quick test_d2_snapshot;
           Alcotest.test_case "D3 message protocol" `Quick test_d3;
           Alcotest.test_case "D4 loop-invariant reload" `Quick test_d4;

@@ -52,7 +52,7 @@ let rules_of file =
 let test_corpus () =
   let state, _ = Lazy.force fixture in
   Alcotest.(check int)
-    "all nineteen fixture units loaded (fourteen typed, five flow)" 19
+    "all eighteen fixture units loaded (fourteen typed, four flow)" 18
     (Array.length state.Typed_rules.units)
 
 (* T1: the cross-function race (run -> pool boundary -> job -> bump ->
@@ -106,23 +106,26 @@ let findings_of file =
     (fun ((f : Finding.t), _) -> (Finding.rule_id f.rule, f.line, f.message))
     (fixture_findings file)
 
-(* T2: the direct readers of Random.int, Unix.gettimeofday and Sys.time
-   and the transitively tainted [sample] are flagged, each at its
-   binding, and the module-initialisation read at the read itself; the
-   seeded-generator path stays clean. *)
+(* T2: the direct readers of Random.int, Unix.gettimeofday, Sys.time and
+   the monotonic clock outside the one seam, and the transitively tainted
+   [sample], are flagged, each at its binding, and the
+   module-initialisation read at the read itself; the seeded-generator
+   path stays clean. *)
 
 let test_t2 () =
   match findings_of "t2_taint.ml" with
-  | [ ("T2", 7, m1); ("T2", 9, m2); ("T2", 11, m3); ("T2", 13, m4); ("T2", 19, m5) ] ->
+  | [ ("T2", 7, m1); ("T2", 9, m2); ("T2", 11, m3); ("T2", 13, m4); ("T2", 19, m5); ("T2", 21, m6) ]
+    ->
       List.iter2
         (fun m what -> Alcotest.(check bool) ("names " ^ what) true (contains m what))
-        [ m1; m2; m3 ] [ "Random.int"; "Unix.gettimeofday"; "Sys.time" ];
+        [ m1; m2; m3; m6 ]
+        [ "Random.int"; "Unix.gettimeofday"; "Sys.time"; "Monotonic_clock.clock_linux_get_time" ];
       Alcotest.(check bool) "flags sample through jitter" true
         (contains m4 "sample -> Lint_fixture.T2_taint.jitter");
       Alcotest.(check bool) "chain reaches the Random call" true (contains m4 "Random");
       Alcotest.(check bool) "init read blamed on itself" true
         (contains m5 "Sys.time runs in module initialisation")
-  | fs -> Alcotest.failf "expected exactly the five T2 positives, got %d" (List.length fs)
+  | fs -> Alcotest.failf "expected exactly the six T2 positives, got %d" (List.length fs)
 
 (* T3: poly [=] at a float-carrying record and at a float pair fires; at
    int, string, int pair, int option and a still-polymorphic [compare]

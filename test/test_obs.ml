@@ -141,51 +141,75 @@ let quantile_single_bucket () =
 (* Span profiler                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let with_fake_clock f =
-  let fake = ref 0.0 in
-  Span.set_clock (fun () -> !fake);
-  Span.reset ();
-  let finally () =
-    Span.reset ();
-    Span.set_clock (fun () -> Unix.gettimeofday ())
-  in
-  Fun.protect ~finally (fun () -> f fake)
+(* The injected clock counts nanoseconds; [sec] of them read back as one
+   second, so the assertions below are in seconds. *)
+let sec = 1_000_000_000
 
+let with_fake_clock f =
+  let fake = ref 0 in
+  Span.reset ();
+  Span.set_clock (fun () -> !fake);
+  Fun.protect ~finally:Span.reset (fun () -> f fake)
+
+let span_stat name =
+  match Span.find name with Some s -> s | None -> Alcotest.failf "%s span not recorded" name
+
+(* An outer span of 6 with a child of 2 has self 4; the child closed
+   inside the outer one, so both were open at once. *)
 let span_nesting () =
   with_fake_clock @@ fun fake ->
   Flag.with_mode true @@ fun () ->
-  Span.enter "outer";
-  fake := 1.0;
-  Span.enter "inner";
-  Alcotest.(check int) "two open spans" 2 (Span.depth ());
-  fake := 3.0;
-  Span.leave "inner";
-  fake := 6.0;
-  Span.leave "outer";
-  Alcotest.(check int) "all closed" 0 (Span.depth ());
-  (match Span.find "inner" with
-  | Some s ->
-      Alcotest.(check int) "inner count" 1 s.Span.count;
-      Alcotest.(check (float 1e-9)) "inner total" 2.0 s.Span.total
-  | None -> Alcotest.fail "inner span not recorded");
-  match Span.find "outer" with
-  | Some s -> Alcotest.(check (float 1e-9)) "outer total includes inner" 6.0 s.Span.total
-  | None -> Alcotest.fail "outer span not recorded"
+  Span.time "outer" (fun () ->
+      fake := 1 * sec;
+      Span.time "inner" (fun () -> fake := 3 * sec);
+      fake := 6 * sec);
+  let inner = span_stat "inner" and outer = span_stat "outer" in
+  Alcotest.(check int) "inner count" 1 inner.Span.count;
+  Alcotest.(check (float 1e-9)) "inner total" 2.0 inner.Span.total;
+  Alcotest.(check (float 1e-9)) "inner self is its total" 2.0 inner.Span.self;
+  Alcotest.(check (float 1e-9)) "outer total includes inner" 6.0 outer.Span.total;
+  Alcotest.(check (float 1e-9)) "outer self excludes inner" 4.0 outer.Span.self;
+  (* Every export prints the self column. *)
+  let header = List.hd (String.split_on_char '\n' (Export.span_report ())) in
+  Alcotest.(check bool) "text report has self" true
+    (List.mem "self(s)" (String.split_on_char ' ' header));
+  let registry = Metrics.create () in
+  (match Export.json_snapshot ~registry () with
+  | Json.Obj fields -> (
+      match List.assoc "spans" fields with
+      | Json.List [ Json.Obj _; Json.Obj o ] ->
+          Alcotest.(check bool) "json has self" true (List.assoc "self" o = Json.Float 4.0)
+      | _ -> Alcotest.fail "expected two spans")
+  | _ -> Alcotest.fail "snapshot is not an object");
+  Alcotest.(check bool) "prometheus has self" true
+    (List.mem "ftr_span_self_seconds_total{name=\"outer\"} 4"
+       (String.split_on_char '\n' (Export.prometheus ~registry ())))
 
-let span_mismatch () =
-  with_fake_clock @@ fun _fake ->
+(* The selves of a nested stack sum to the root's total, whatever the
+   shape: here a root with two children, one of which has a child. *)
+let span_self_sums () =
+  with_fake_clock @@ fun fake ->
   Flag.with_mode true @@ fun () ->
-  Span.enter "a";
-  match Span.leave "b" with
-  | () -> Alcotest.fail "mismatched leave must raise"
-  | exception Invalid_argument _ -> ()
+  let tick k = fake := !fake + (k * sec) in
+  Span.time "root" (fun () ->
+      tick 1;
+      Span.time "a" (fun () ->
+          tick 2;
+          Span.time "a.leaf" (fun () -> tick 3);
+          tick 1);
+      Span.time "b" (fun () -> tick 4);
+      tick 5);
+  let selves = List.fold_left (fun acc s -> acc +. s.Span.self) 0.0 (Span.stats ()) in
+  Alcotest.(check (float 1e-9)) "root total" 16.0 (span_stat "root").Span.total;
+  Alcotest.(check (float 1e-9)) "selves sum to the root's total" 16.0 selves;
+  Alcotest.(check (float 1e-9)) "a's self" 3.0 (span_stat "a").Span.self
 
 let span_percentiles () =
   with_fake_clock @@ fun fake ->
   Flag.with_mode true @@ fun () ->
   for i = 1 to 100 do
     let start = !fake in
-    Span.time "work" (fun () -> fake := start +. float_of_int i)
+    Span.time "work" (fun () -> fake := start + (i * sec))
   done;
   match Span.find "work" with
   | None -> Alcotest.fail "span not recorded"
@@ -198,14 +222,42 @@ let span_percentiles () =
       Alcotest.(check bool) "p99 near the top" true (s.Span.p99 >= 95.0 && s.Span.p99 <= 100.0);
       Alcotest.(check bool) "p50 below p99" true (s.Span.p50 < s.Span.p99)
 
+(* A raising body still closes its span, as a child of the span around
+   it: the stack unwinds with the exception. *)
 let span_time_propagates () =
-  with_fake_clock @@ fun _fake ->
+  with_fake_clock @@ fun fake ->
   Flag.with_mode true @@ fun () ->
   Alcotest.(check int) "returns the body's value" 41 (Span.time "ret" (fun () -> 41));
-  (match Span.time "boom" (fun () -> failwith "inner") with
-  | _ -> Alcotest.fail "exception must propagate"
-  | exception Failure m -> Alcotest.(check string) "original exception" "inner" m);
-  Alcotest.(check int) "stack unwound after the exception" 0 (Span.depth ())
+  Span.time "root" (fun () ->
+      (match
+         Span.time "boom" (fun () ->
+             fake := 2 * sec;
+             failwith "inner")
+       with
+      | _ -> Alcotest.fail "exception must propagate"
+      | exception Failure m -> Alcotest.(check string) "original exception" "inner" m);
+      fake := 5 * sec);
+  Alcotest.(check int) "raising span recorded" 1 (span_stat "boom").Span.count;
+  Alcotest.(check (float 1e-9)) "stack unwound after the exception" 3.0
+    (span_stat "root").Span.self
+
+(* 10,000 nested [time] pairs over preallocated closures allocate nothing
+   on the minor heap, telemetry on or off. *)
+let span_no_allocation () =
+  Fun.protect ~finally:Span.reset @@ fun () ->
+  let inner () = () in
+  let outer () = Span.time "alloc.inner" inner in
+  let words on =
+    Flag.with_mode on @@ fun () ->
+    Span.time "alloc.outer" outer;
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      Span.time "alloc.outer" outer
+    done;
+    Gc.minor_words () -. before
+  in
+  Alcotest.(check (float 0.0)) "telemetry off" 0.0 (words false);
+  Alcotest.(check (float 0.0)) "telemetry on" 0.0 (words true)
 
 (* ------------------------------------------------------------------ *)
 (* Event sink                                                          *)
@@ -351,8 +403,7 @@ let disabled_overhead () =
   let before = Gc.minor_words () in
   for _ = 1 to 50_000 do
     if Flag.enabled () then Metrics.incr "never";
-    Span.enter "never";
-    Span.leave "never"
+    Span.time "never" ignore
   done;
   let delta = Gc.minor_words () -. before in
   Alcotest.(check bool)
@@ -687,9 +738,10 @@ let () =
       ( "span",
         [
           quick "nesting" span_nesting;
-          quick "mismatched leave" span_mismatch;
+          quick "self times sum to the root" span_self_sums;
           quick "percentiles" span_percentiles;
           quick "time returns and unwinds" span_time_propagates;
+          quick "time pairs allocate nothing" span_no_allocation;
         ] );
       ( "events",
         [
