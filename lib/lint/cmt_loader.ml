@@ -35,40 +35,55 @@ let is_objs_byte_dir path =
 (* Every .cmt under [dir], depth-first with children in sorted order, so
    unit lists (and therefore node ids, reports and witness chains) are
    deterministic. The walk descends into dot-directories: that is where
-   dune keeps the artifacts. *)
+   dune keeps the artifacts. An entry that vanishes between its
+   directory's listing and its visit (dune replacing a stale artifact
+   while the lint rule runs) is skipped. *)
 let find_cmts dir =
   let acc = ref [] in
   let rec walk path =
-    if Sys.is_directory path then
-      Sys.readdir path |> Array.to_list |> List.sort String.compare
-      |> List.iter (fun name ->
-             (* Fixture units violate rules on purpose; they only load
-                when named directly. *)
-             if not (String.equal name "_build" || String.equal name "lint_fixture") then
-               walk (Filename.concat path name))
-    else if Filename.check_suffix path ".cmt" && is_objs_byte_dir (Filename.dirname path) then
-      acc := path :: !acc
+    match Sys.is_directory path with
+    | exception Sys_error _ -> ()
+    | true ->
+        (match Sys.readdir path with exception Sys_error _ -> [||] | names -> names)
+        |> Array.to_list |> List.sort String.compare
+        |> List.iter (fun name ->
+               (* Fixture units violate rules on purpose; they only load
+                  when named directly. *)
+               if not (String.equal name "_build" || String.equal name "lint_fixture") then
+                 walk (Filename.concat path name))
+    | false ->
+        if Filename.check_suffix path ".cmt" && is_objs_byte_dir (Filename.dirname path) then
+          acc := path :: !acc
   in
-  if Sys.file_exists dir then walk dir;
+  walk dir;
   List.rev !acc
+
+(* A .cmt or .cmti that exists but does not read back (truncated, or
+   from another compiler): the run stops with its path rather than
+   judge a corpus that silently lacks a unit or an interface. *)
+exception Unreadable of string * string
+
+let read path =
+  match Cmt_format.read_cmt path with
+  | cmt -> cmt
+  | exception e -> raise (Unreadable (path, Printexc.to_string e))
 
 (* The signature of the unit's .mli; [None] without one. *)
 let load_interface cmt_path =
   let path = Filename.remove_extension cmt_path ^ ".cmti" in
-  match Cmt_format.read_cmt path with
-  | { cmt_annots = Cmt_format.Interface sg; _ } -> Some sg
-  | _ | (exception _) -> None
+  if not (Sys.file_exists path) then None
+  else
+    match (read path).cmt_annots with
+    | Cmt_format.Interface sg -> Some sg
+    | _ -> raise (Unreadable (path, "not a complete interface"))
 
 (* Read one cmt; [None] for wrappers, interfaces and partial units. *)
 let load_cmt path =
-  match Cmt_format.read_cmt path with
-  | exception _ -> None
-  | cmt -> (
-      match (cmt.cmt_annots, cmt.cmt_sourcefile) with
-      | Cmt_format.Implementation structure, Some source when Filename.check_suffix source ".ml"
-        ->
-          Some { modname = cmt.cmt_modname; source; structure; cmt_path = path }
-      | _ -> None)
+  let cmt = read path in
+  match (cmt.cmt_annots, cmt.cmt_sourcefile) with
+  | Cmt_format.Implementation structure, Some source when Filename.check_suffix source ".ml" ->
+      Some { modname = cmt.cmt_modname; source; structure; cmt_path = path }
+  | _ -> None
 
 (* The .cmt files under [dirs] (resolved against [root]). A directory
    with no artifacts of its own falls back to [_build/default/<dir>]. *)

@@ -34,9 +34,10 @@ let write_json_report path ~stages ~files ~fresh ~baselined ~stale ~flow_units ~
   close_out oc
 
 (* Exit status: 0 clean (modulo baseline), 1 findings, 2 usage/parse
-   error (a malformed baseline included). [stages] selects which
-   analyses run; findings from all of them are merged into one sorted
-   stream before the baseline applies.
+   error (a malformed baseline included; [run] adds an unreadable
+   .cmt/.cmti). [stages] selects which analyses run; findings from all
+   of them are merged into one sorted stream before the baseline
+   applies.
    [write_baseline] regenerates the baseline file mechanically from the
    current findings of the *selected* stages — entries belonging to
    unselected stages are carried over from the existing file untouched,
@@ -45,7 +46,7 @@ let write_json_report path ~stages ~files ~fresh ~baselined ~stale ~flow_units ~
    [profile_test] is the relaxed test profile: T2 findings are dropped
    (tests drive wall clocks and randomness freely), everything else is
    enforced. [jobs] threads through to the flow stage's pool fan-out. *)
-let run ?baseline ?write_baseline ?json ?(quiet = false)
+let run_stages ?baseline ?write_baseline ?json ?(quiet = false)
     ?(stages = Finding.all_stages) ?jobs ?(profile_test = false)
     ?(timings = false) ~dirs () =
   let baseline_file = match write_baseline with Some p -> Some p | None -> baseline in
@@ -133,3 +134,11 @@ let run ?baseline ?write_baseline ?json ?(quiet = false)
           Printf.printf "ftr_lint: %d file(s), %d finding(s), %d baselined\n" files
             (List.length fresh) baselined;
           (match fresh with [] -> 0 | _ -> 1))
+
+let run ?baseline ?write_baseline ?json ?quiet ?stages ?jobs ?profile_test ?timings ~dirs () =
+  try
+    run_stages ?baseline ?write_baseline ?json ?quiet ?stages ?jobs ?profile_test ?timings ~dirs
+      ()
+  with Cmt_loader.Unreadable (path, why) ->
+    Printf.eprintf "ftr_lint: cannot read %s: %s\n" path why;
+    2

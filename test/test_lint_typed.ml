@@ -337,6 +337,62 @@ let test_update_baseline () =
         (Finding.stage_id (Baseline.entry_stage e))
   | es -> Alcotest.failf "expected exactly the carried-over entry, got %d" (List.length es)
 
+(* An artifact that does not read back is a named error (exit 2), not a
+   unit or an interface quietly dropped; a missing .cmti still means "no
+   .mli". The corpus is a copy of one real unit (Ftr_metric.Ring) beside
+   a truncated copy of its .cmt. *)
+let test_unreadable_artifacts () =
+  let root = Lazy.force root in
+  let exe =
+    List.find Sys.file_exists
+      (List.map (Filename.concat root) [ "bin/ftr_lint.exe"; "_build/default/bin/ftr_lint.exe" ])
+  in
+  let cmt =
+    List.find
+      (fun p -> String.equal (Filename.basename p) "ftr_metric__Ring.cmt")
+      (Ftr_lint.Cmt_loader.cmt_paths ~root [ "lib/metric" ])
+  in
+  let tmp = Filename.temp_file "ftr_lint_corpus" "" in
+  Sys.remove tmp;
+  Sys.mkdir tmp 0o755;
+  Fun.protect ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote tmp)))
+  @@ fun () ->
+  let byte =
+    List.fold_left
+      (fun d name ->
+        let d = Filename.concat d name in
+        Sys.mkdir d 0o755;
+        d)
+      tmp [ "lib"; ".corpus.objs"; "byte" ]
+  in
+  let read p = In_channel.with_open_bin p In_channel.input_all in
+  let write p s = Out_channel.with_open_bin p (fun oc -> output_string oc s) in
+  let half s = String.sub s 0 (String.length s / 2) in
+  let interface = Filename.concat byte "ring.cmti" and broken = Filename.concat byte "broken.cmt" in
+  write (Filename.concat byte "ring.cmt") (read cmt);
+  write interface (read (Filename.remove_extension cmt ^ ".cmti"));
+  write broken (half (read cmt));
+  let lint () =
+    let out = Filename.concat tmp "out" and err = Filename.concat tmp "err" in
+    let code =
+      Sys.command
+        (Printf.sprintf "cd %s && %s lib > %s 2> %s" (Filename.quote tmp) exe out err)
+    in
+    (code, read out, read err)
+  in
+  let code, _, err = lint () in
+  Alcotest.(check int) "a truncated .cmt exits 2" 2 code;
+  Alcotest.(check bool) ("names the .cmt: " ^ err) true (contains err "broken.cmt");
+  Sys.remove broken;
+  write interface (half (read interface));
+  let code, _, err = lint () in
+  Alcotest.(check int) "a truncated .cmti exits 2" 2 code;
+  Alcotest.(check bool) ("names the .cmti: " ^ err) true (contains err "ring.cmti");
+  Sys.remove interface;
+  let code, out, _ = lint () in
+  Alcotest.(check int) "without a .cmti, T6 judges the toplevels" 1 code;
+  Alcotest.(check bool) "as a unit without an .mli" true (contains out "without an .mli")
+
 (* Self-application: the typed stage over the real tree is clean modulo
    the typed entries of the committed baseline. *)
 
@@ -379,6 +435,8 @@ let () =
           Alcotest.test_case "callgraph BFS and gating" `Quick test_callgraph;
           Alcotest.test_case "typed baseline namespace" `Quick test_typed_baseline;
           Alcotest.test_case "stage-selective --update-baseline" `Quick test_update_baseline;
+          Alcotest.test_case "unreadable .cmt and .cmti are named errors" `Quick
+            test_unreadable_artifacts;
         ] );
       ("self", [ Alcotest.test_case "typed stage clean on the tree" `Quick test_self_application ]);
     ]

@@ -1,41 +1,5 @@
-module Line = Ftr_metric.Line
 module Ring = Ftr_metric.Ring
 module Torus = Ftr_metric.Torus
-
-(* ------------------------------------------------------------------ *)
-(* Line                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let line_distance () =
-  let l = Line.create 100 in
-  Alcotest.(check int) "|3-10|" 7 (Line.distance l 3 10);
-  Alcotest.(check int) "|10-3|" 7 (Line.distance l 10 3);
-  Alcotest.(check int) "zero" 0 (Line.distance l 42 42)
-
-let line_directed () =
-  let l = Line.create 100 in
-  Alcotest.(check int) "forward" 7 (Line.directed l ~src:3 ~dst:10);
-  Alcotest.(check int) "backward" (-7) (Line.directed l ~src:10 ~dst:3)
-
-let line_bounds () =
-  let l = Line.create 10 in
-  Alcotest.(check bool) "contains 0" true (Line.contains l 0);
-  Alcotest.(check bool) "contains 9" true (Line.contains l 9);
-  Alcotest.(check bool) "excludes 10" false (Line.contains l 10);
-  Alcotest.(check bool) "excludes -1" false (Line.contains l (-1));
-  Alcotest.check_raises "distance out of range" (Invalid_argument "Line: point out of range")
-    (fun () -> ignore (Line.distance l 0 10))
-
-let line_clamp_midpoint () =
-  let l = Line.create 10 in
-  Alcotest.(check int) "clamp low" 0 (Line.clamp l (-5));
-  Alcotest.(check int) "clamp high" 9 (Line.clamp l 50);
-  Alcotest.(check int) "clamp inside" 4 (Line.clamp l 4);
-  Alcotest.(check int) "midpoint" 4 (Line.midpoint l 2 7)
-
-let line_rejects_empty () =
-  Alcotest.check_raises "size 0" (Invalid_argument "Line.create: size must be >= 1") (fun () ->
-      ignore (Line.create 0))
 
 (* ------------------------------------------------------------------ *)
 (* Ring                                                                *)
@@ -162,15 +126,8 @@ let torus_distance_range_checked () =
       ignore (Torus.distance t (-1) 0))
 
 (* ------------------------------------------------------------------ *)
-(* Properties: all three spaces are metrics                            *)
+(* Properties: both spaces are metrics                                 *)
 (* ------------------------------------------------------------------ *)
-
-let prop_line_triangle =
-  QCheck.Test.make ~name:"line triangle inequality" ~count:500
-    QCheck.(triple (int_range 0 99) (int_range 0 99) (int_range 0 99))
-    (fun (a, b, c) ->
-      let l = Line.create 100 in
-      Line.distance l a c <= Line.distance l a b + Line.distance l b c)
 
 let prop_ring_triangle =
   QCheck.Test.make ~name:"ring triangle inequality" ~count:500
@@ -222,14 +179,6 @@ let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "metric"
     [
-      ( "line",
-        [
-          quick "distance" line_distance;
-          quick "directed offset" line_directed;
-          quick "bounds" line_bounds;
-          quick "clamp and midpoint" line_clamp_midpoint;
-          quick "rejects empty" line_rejects_empty;
-        ] );
       ( "ring",
         [
           quick "distance" ring_distance;
@@ -254,7 +203,6 @@ let () =
       ( "properties",
         List.map (fun p -> QCheck_alcotest.to_alcotest p)
           [
-            prop_line_triangle;
             prop_ring_triangle;
             prop_torus_triangle;
             prop_torus_symmetry;

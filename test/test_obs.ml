@@ -719,6 +719,61 @@ let json_rejects () =
       | Some _ -> Alcotest.fail (Printf.sprintf "parser accepted %S" s))
     [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated"; "{\"a\" 1}" ]
 
+(* ------------------------------------------------------------------ *)
+(* Committed bench reports                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Every timed section of bench/main.exe commits BENCH_<section>.json in
+   one shape; a stale, truncated or hand-edited file fails here. *)
+let bench_reports () =
+  List.iter
+    (fun section ->
+      let file = "BENCH_" ^ section ^ ".json" in
+      let json =
+        Json.parse (In_channel.with_open_text (Filename.concat ".." file) In_channel.input_all)
+      in
+      let field key =
+        match Json.member key json with Some v -> v | None -> Alcotest.failf "%s: no %S" file key
+      in
+      let list key =
+        match field key with Json.List l -> l | _ -> Alcotest.failf "%s: %s is not a list" file key
+      in
+      let text key v =
+        match Json.member key v with
+        | Some (Json.String s) -> s
+        | _ -> Alcotest.failf "%s: an entry without a %s" file key
+      in
+      let number key row =
+        match Json.member key row with
+        | Some (Json.Int i) -> float_of_int i
+        | Some (Json.Float x) -> x
+        | _ -> Alcotest.failf "%s: %s has no %s" file (text "name" row) key
+      in
+      Alcotest.(check (list string))
+        (file ^ ": the report keys")
+        [ "section"; "passes"; "params"; "rows"; "spans"; "asserts" ]
+        (match json with Json.Obj fields -> List.map fst fields | _ -> []);
+      Alcotest.(check string) (file ^ ": its section") section (text "section" json);
+      (match field "passes" with
+      | Json.Int p when p >= 1 -> ()
+      | _ -> Alcotest.failf "%s: passes is not a count >= 1" file);
+      (match field "params" with Json.Obj _ -> () | _ -> Alcotest.failf "%s: params" file);
+      if list "rows" = [] then Alcotest.failf "%s: no rows" file;
+      List.iter
+        (fun row ->
+          ignore (text "unit" row);
+          let q1 = number "q1" row and median = number "median" row and q3 = number "q3" row in
+          if not (q1 <= median && median <= q3) then
+            Alcotest.failf "%s: %s has q1 %g, median %g, q3 %g" file (text "name" row) q1 median q3)
+        (list "rows");
+      List.iter (fun span -> ignore (text "name" span, number "self" span)) (list "spans");
+      List.iter
+        (fun a ->
+          if Json.member "holds" a <> Some (Json.Bool true) then
+            Alcotest.failf "%s: assert %S does not hold" file (text "name" a))
+        (list "asserts"))
+    [ "route"; "scale"; "tracing"; "exec"; "serve"; "lint" ]
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "obs"
@@ -771,4 +826,5 @@ let () =
       ("overlay", [ quick "membership events" overlay_membership_events ]);
       ( "json",
         [ json_rejects |> quick "parser rejects malformed"; QCheck_alcotest.to_alcotest json_round_trip ] );
+      ("bench", [ quick "committed reports share one schema" bench_reports ]);
     ]
