@@ -535,7 +535,7 @@ let run_serve () =
    test/'s, which T6 reads for its messages) and have no cache of their
    own: dune reruns a lint rule only when a .cmt changed. The typed
    stage (T1-T6) builds the call graph and walks every body; the flow
-   stage (D1-D4) builds per-function CFGs and runs the dataflow engine
+   stage (D1, D2, D4) builds per-function CFGs and runs the dataflow engine
    to fixpoint, at jobs=1 and jobs=4, whose rendered finding streams
    must agree byte for byte. *)
 let run_lint () =

@@ -1,6 +1,6 @@
 (* ftr_lint: the project static analyzer (docs/LINTING.md). Wired into
    `dune build @lint` alongside the runtime sanitizer battery; the typed
-   interprocedural rules T1-T6 and the flow-sensitive rules D1-D4 live
+   interprocedural rules T1-T6 and the flow-sensitive rules D1, D2, D4 live
    in lib/lint.
 
      ftr_lint [DIR ...] [--stage typed|flow|all] [--jobs N]
@@ -49,7 +49,7 @@ let () =
     [
       ( "--stage",
         Arg.String set_stage,
-        "STAGE run `typed` (T1-T6), `flow` (D1-D4) or `all` (default)" );
+        "STAGE run `typed` (T1-T6), `flow` (D1, D2, D4) or `all` (default)" );
       ( "--jobs",
         Arg.Int (fun n -> jobs := Some n),
         "N flow-stage worker domains (default: pool default; FTR_EXEC_SEQ=1 forces sequential)"

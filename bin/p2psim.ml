@@ -38,6 +38,11 @@ let checked conv ~expected valid =
 
 let nodes_conv = checked Arg.int ~expected:"a node count of at least 2" (fun n -> n >= 2)
 let positive_conv = checked Arg.int ~expected:"a positive count" (fun k -> k >= 1)
+let count_conv = checked Arg.int ~expected:"a non-negative count" (fun k -> k >= 0)
+
+let mean_conv =
+  checked Arg.float ~expected:"a finite non-negative mean" (fun m ->
+      Float.is_finite m && m >= 0.0)
 
 let fraction_conv =
   checked Arg.float ~expected:"a fraction in [0, 1)" (fun p -> p >= 0.0 && p < 1.0)
@@ -47,11 +52,13 @@ let n_t default =
     value & opt nodes_conv default
     & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes on the line.")
 
-let links_t =
+let links_of c =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some c) None
     & info [ "links" ] ~docv:"L" ~doc:"Long links per node (default: lg N).")
+
+let links_t = links_of Arg.int
 
 let networks_t default =
   Arg.(
@@ -825,10 +832,10 @@ let check_cmd =
               comparison hazards, hot-path allocation, hash-order output and lib/ \
               exports nothing references — and the \
               flow-sensitive stage \
-              ($(b,@lint-flow), rules D1-D4): per-function control-flow graphs and \
-              typestate dataflow proving telemetry writes gated on every path, \
-              resources released or validated on every path, message dispatches \
-              exhaustive, and hot loops free of invariant flag reloads, with \
+              ($(b,@lint-flow), rules D1, D2, D4): per-function control-flow graphs \
+              and dataflow proving telemetry writes gated on every path, unchecked \
+              snapshots validated before routing, and hot loops free of invariant \
+              flag reloads, with \
               incremental caching and deterministic parallel analysis. \
               $(b,@lint-tests) lints test/ under a relaxed profile.";
          ])
@@ -1161,39 +1168,39 @@ let serve_cmd =
   in
   let ticks_t =
     Arg.(
-      value & opt int 64
+      value & opt count_conv 64
       & info [ "ticks" ] ~docv:"T" ~doc:"Control horizon in logical ticks; draining adds rounds.")
   in
   let rate_t =
-    Arg.(value & opt int 8 & info [ "rate" ] ~docv:"R" ~doc:"User lookups issued per tick.")
+    Arg.(value & opt count_conv 8 & info [ "rate" ] ~docv:"R" ~doc:"User lookups issued per tick.")
   in
   let join_rate_t =
     Arg.(
-      value & opt float 0.0
+      value & opt mean_conv 0.0
       & info [ "join-rate" ] ~docv:"MEAN" ~doc:"Poisson mean of joins injected per tick.")
   in
   let crash_rate_t =
     Arg.(
-      value & opt float 0.0
+      value & opt mean_conv 0.0
       & info [ "crash-rate" ] ~docv:"MEAN" ~doc:"Poisson mean of crashes injected per tick.")
   in
   let leave_rate_t =
     Arg.(
-      value & opt float 0.0
+      value & opt mean_conv 0.0
       & info [ "leave-rate" ] ~docv:"MEAN"
           ~doc:"Poisson mean of graceful leaves injected per tick.")
   in
   let stabilize_t =
     Arg.(
-      value & opt int 0
+      value & opt count_conv 0
       & info [ "stabilize" ] ~docv:"K" ~doc:"Stabilization pulses issued per tick.")
   in
   let ttl_t =
-    Arg.(value & opt int 256 & info [ "ttl" ] ~docv:"H" ~doc:"Lookup hop budget.")
+    Arg.(value & opt positive_conv 256 & info [ "ttl" ] ~docv:"H" ~doc:"Lookup hop budget.")
   in
   let shards_t =
     Arg.(
-      value & opt int 8
+      value & opt positive_conv 8
       & info [ "shards" ] ~docv:"S"
           ~doc:
             "Fixed shard count the due actors are cut into each round; part of the \
@@ -1235,8 +1242,8 @@ let serve_cmd =
          "Run the overlay as a message-passing service: actor nodes, deterministic mailboxes, \
           multi-hop lookups under churn")
     Term.(
-      const run $ n_t 4096 $ initial_t $ links_t $ seed_t $ ticks_t $ rate_t $ join_rate_t
-      $ crash_rate_t $ leave_rate_t $ stabilize_t $ ttl_t
+      const run $ n_t 4096 $ initial_t $ links_of positive_conv $ seed_t $ ticks_t $ rate_t
+      $ join_rate_t $ crash_rate_t $ leave_rate_t $ stabilize_t $ ttl_t
       $ jobs_t
           ~doc:
             "Worker domains (default: the recommended domain count; never changes the \

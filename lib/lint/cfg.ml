@@ -1,5 +1,5 @@
 (* Per-function control-flow graphs over the Typedtree, for the
-   flow-sensitive lint stage (rules D1-D4, flow_rules.ml).
+   flow-sensitive lint stage (rules D1, D2, D4, flow_rules.ml).
 
    A CFG is built for every toplevel binding RHS and module-init
    expression; function bodies are *not* flattened into their definer.
@@ -14,9 +14,8 @@
    and end in one terminator: an unconditional jump, a two-way branch
    annotated with the gates its condition consults, a multi-way branch
    (match cases, try handlers, for-loops), or a stop (function exit, or
-   a diverging call such as [raise]/[failwith], which deliberately does
-   NOT flow to the exit block: a path that raises cannot leak a
-   must-release resource past the function).
+   a diverging call such as [raise]/[failwith]: nothing after it on
+   that path is reachable).
 
    [&&]/[||]/[not] in branch conditions are expanded into short-circuit
    edges, so [if gate || x then ...] gates only the paths that actually
@@ -30,8 +29,9 @@
 
    Known path-sensitivity limits (also in docs/LINTING.md): exceptions
    are modelled only at try-entry (a handler is entered with the state
-   from *before* the body, so a leak on a mid-body raise into a local
-   handler is missed); values escaping into closures are not tracked;
+   from *before* the body, so a validation made mid-body before a raise
+   into a local handler is not seen by the handler); values escaping
+   into closures are not tracked;
    module expressions inside function bodies are skipped. *)
 
 open Typedtree
@@ -50,7 +50,6 @@ type arg = {
   a_label : string; (* "" for unlabeled *)
   a_ident : string option; (* Ident.unique_name of a bare local identifier *)
   a_bool : bool option; (* Some b for a literal (optionally Some-wrapped) bool *)
-  a_none : bool; (* the literal constructor [None] *)
 }
 
 type call = { c_parts : string list; c_args : arg list; c_loc : loc }
@@ -59,8 +58,8 @@ type event =
   | Call of call
   | Bind of { bv_id : string; bv_rhs : loc option; bv_loc : loc }
       (* [bv_rhs] is the location of the RHS's outermost call event when
-         the RHS is an application — typestate rules use it to rebind an
-         anonymous acquisition to the variable. *)
+         the RHS is an application — D2 uses it to rebind an unchecked
+         load to the variable. *)
   | Closure of closure
 
 and closure = { cl_cfg : t; cl_loc : loc }
@@ -73,7 +72,7 @@ and terminator =
 
 and block = { b_id : int; mutable b_events : event list (* reversed while building *); mutable b_term : terminator }
 
-and t = { blocks : block array; entry : int; exit_ : int; loops : loop list }
+and t = { blocks : block array; entry : int; loops : loop list }
 
 (* One source-level loop in this CFG (not in nested closures), for D4:
    the [Flag.enabled] reads its body performs and whether the body also
@@ -161,12 +160,7 @@ let arg_summary label (e : expression) =
     | Texp_ident (Path.Pident id, _, _) -> Some (Ident.unique_name id)
     | _ -> None
   in
-  let a_none =
-    match e.exp_desc with
-    | Texp_construct (_, cd, []) -> String.equal cd.Types.cstr_name "None"
-    | _ -> false
-  in
-  { a_label; a_ident; a_bool = literal_bool e; a_none }
+  { a_label; a_ident; a_bool = literal_bool e }
 
 (* A unit thunk we can inline as straight-line control flow. *)
 let thunk_body (e : expression) =
@@ -406,7 +400,7 @@ and build_apply b cur (e : expression) fn args =
                   (Call
                      {
                        c_parts = [ "Flag"; "set_mode" ];
-                       c_args = [ { a_label = ""; a_ident = None; a_bool = mode; a_none = false } ];
+                       c_args = [ { a_label = ""; a_ident = None; a_bool = mode } ];
                        c_loc = l;
                      });
                 List.iter (fun lp -> lp.lp_dirty <- true) b.loop_stack;
@@ -469,11 +463,9 @@ and build_closure_of_body ctx body = build_with ctx (fun b entry -> build_expr b
 and build_with ctx f =
   let b = { ctx; blocks_rev = []; nb = 0; loops_rev = []; loop_stack = [] } in
   let entry = new_block b in
-  let last = f b entry in
-  let exit_ = new_block b in
-  set_term b last (Jump exit_);
+  ignore (f b entry : int);
   let blocks = Array.of_list (List.rev b.blocks_rev) in
-  { blocks; entry; exit_; loops = List.rev b.loops_rev }
+  { blocks; entry; loops = List.rev b.loops_rev }
 
 (* CFG of one toplevel expression (binding RHS or [Tstr_eval]). *)
 let build ctx (e : expression) = build_with ctx (fun b entry -> build_expr b entry e)

@@ -11,8 +11,7 @@
    [join] must be the conservative combiner for the rule's direction:
    D1 uses must-analysis (joining Gated with Ungated yields Ungated — a
    write is clean only if EVERY path passed the gate), D2 uses
-   may-analysis on typestate maps (an instance held on SOME incoming
-   path is still held). Unreachable blocks have no fact and are skipped
+   may-analysis (a load unvalidated on SOME incoming path still is). Unreachable blocks have no fact and are skipped
    ([solve] returns [None] for them). *)
 
 module type DOMAIN = sig
@@ -88,8 +87,4 @@ module Forward (D : DOMAIN) = struct
                    D.event ev fact)
                  entry (Cfg.events blk)))
       cfg.Cfg.blocks
-
-  (* Fact at function exit, [None] when the exit block is unreachable
-     (every path diverges). *)
-  let exit_fact (cfg : Cfg.t) facts = facts.(cfg.Cfg.exit_)
 end

@@ -3,7 +3,7 @@
 
    Two stages share one finding stream: the typed interprocedural rules
    (T1-T6, a call-graph analysis over the .cmt corpus —
-   typed_rules.ml) and the flow-sensitive rules (D1-D4 —
+   typed_rules.ml) and the flow-sensitive rules (D1, D2, D4 —
    flow_rules.ml). [run] selects stages, merges and sorts their
    findings, then applies the shared baseline. *)
 

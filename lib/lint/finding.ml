@@ -6,12 +6,13 @@
    T1-T6 are typed and interprocedural: they build a call graph over the
    Typedtree and reason about worker-domain reachability, taint, real
    instantiation types, hot-module allocation, hash-order output and
-   exports nothing references (typed_rules.ml). D1-D4 are flow-sensitive: per-function control-flow
-   graphs over the same Typedtree, a forward dataflow engine run to
-   fixpoint, and declarative typestate automata (cfg.ml, dataflow.ml,
-   typestate.ml, flow_rules.ml). *)
+   exports nothing references (typed_rules.ml). D1, D2 and D4 are
+   flow-sensitive: per-function control-flow graphs over the same
+   Typedtree and a forward dataflow engine run to fixpoint (cfg.ml,
+   dataflow.ml, flow_rules.ml). D3 (message-protocol) is retired: the
+   compiler now checks what it checked (docs/LINTING.md). *)
 
-type rule = T1 | T2 | T3 | T4 | T5 | T6 | D1 | D2 | D3 | D4
+type rule = T1 | T2 | T3 | T4 | T5 | T6 | D1 | D2 | D4
 
 type stage = Typed | Flow
 
@@ -19,9 +20,9 @@ let all_stages = [ Typed; Flow ]
 
 (* Bumped whenever a rule's detection logic changes enough that recorded
    reports are no longer comparable run-to-run; surfaced in lint.json. *)
-let analyzer_version = "4.2"
+let analyzer_version = "4.3"
 
-let all_rules = [ T1; T2; T3; T4; T5; T6; D1; D2; D3; D4 ]
+let all_rules = [ T1; T2; T3; T4; T5; T6; D1; D2; D4 ]
 
 let rule_id = function
   | T1 -> "T1"
@@ -32,7 +33,6 @@ let rule_id = function
   | T6 -> "T6"
   | D1 -> "D1"
   | D2 -> "D2"
-  | D3 -> "D3"
   | D4 -> "D4"
 
 let rule_name = function
@@ -44,12 +44,11 @@ let rule_name = function
   | T6 -> "unreferenced-export"
   | D1 -> "gate-dominance"
   | D2 -> "resource-typestate"
-  | D3 -> "message-protocol"
   | D4 -> "loop-invariant-flag-reload"
 
 let stage_of_rule = function
   | T1 | T2 | T3 | T4 | T5 | T6 -> Typed
-  | D1 | D2 | D3 | D4 -> Flow
+  | D1 | D2 | D4 -> Flow
 
 (* Also the baseline's rule-namespace prefix ("typed:T1", "flow:D2"). *)
 let stage_id = function Typed -> "typed" | Flow -> "flow"

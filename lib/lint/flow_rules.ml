@@ -10,20 +10,12 @@
       Closures inherit the fact at their definition site: a callback
       built under [if obs then ...] keeps the gate (route.ml's
       [on_hop]). This is the tree's only telemetry-gating rule.
-   D2 resource-typestate    -- the lifecycle automata of typestate.ml,
-      checked path-sensitively: scratch restored on every path after
-      borrow, [Snapshot.load ~validate:false] results validated before
-      routing, programmatic [Events] sinks flushed.
-   D3 message-protocol      -- every [Ftr_p2p.Message.payload]
-      constructor must be explicitly headed in some dispatch match
-      outside the Message unit itself when any dispatch carries a
-      catch-all (the catch-all would silently swallow a new
-      constructor); and mailbox envelopes must move through
-      [Mailbox.post] — raw mutation of envelope-carrying storage
-      outside lib/svc/mailbox.ml / lib/svc/service.ml is flagged.
-      Constructor coverage is a whole-corpus fact, so the per-unit pass
-      only collects declarations/heads/catch-alls; the driver merges
-      them ([d3_findings]).
+   D2 resource-typestate    -- a network loaded with
+      [Snapshot.load ~validate:false] must flow through [Check.snapshot]
+      or [Csr.validate] before any path hands it to a routing entry
+      point ([Route.route], [Route.route_lockstep], [Route_batch.run]).
+      Reaching exit unvalidated is not flagged, only actual use is (a
+      load-validate helper returning the network is legitimate).
    D4 loop-invariant-flag-reload -- in a [ftr-lint: hot] module, a
       [Flag.enabled] re-read inside a loop whose body provably does not
       write the flag (no set_mode/with_mode/suppress_in_domain). *)
@@ -192,309 +184,84 @@ end
 module D1_flow = Dataflow.Forward (D1_dom)
 
 (* ------------------------------------------------------------------ *)
-(* D2: typestate                                                       *)
+(* D2: validate before use                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Dotted-path suffix patterns, matched against alias-normalised call
+   paths: [["Snapshot"; "load"]] matches [Ftr_core.Snapshot.load],
+   [Ftr_core__Snapshot.load] and a local [Snapshot.load] alike. *)
+let matches parts patterns =
+  let rec go rp rq =
+    match (rp, rq) with
+    | _, [] -> true
+    | p :: rp', q :: rq' -> (String.equal p q || Typed_rules.module_head p q) && go rp' rq'
+    | [], _ :: _ -> false
+  in
+  List.exists (fun pattern -> go (List.rev parts) (List.rev pattern)) patterns
+
+let d2_validators = [ [ "Check"; "snapshot" ]; [ "Csr"; "validate" ] ]
+let d2_uses = [ [ "Route"; "route" ]; [ "Route"; "route_lockstep" ]; [ "Route_batch"; "run" ] ]
+
+(* Only a literal [~validate:false] loads an unchecked network; a
+   default or non-literal [~validate] does not. *)
+let d2_acquires (c : Cfg.call) =
+  matches c.Cfg.c_parts [ [ "Snapshot"; "load" ] ]
+  && List.exists
+       (fun (a : Cfg.arg) -> String.equal a.Cfg.a_label "validate" && a.Cfg.a_bool = Some false)
+       c.Cfg.c_args
+
 module D2_dom = struct
-  type state = Held | Released | Unvalidated | Validated
-  type owner = Anon | Var of string
+  (* One unchecked load: its call site, the variable it was bound to
+     ([None] until a [let] binds it) and whether a validator has seen
+     it. A fact is kept sorted by (owner, site). *)
+  type inst = { owner : string option; site : Cfg.loc; validated : bool }
 
-  type inst = { i_proto : int; i_owner : owner; i_loc : Cfg.loc; i_state : state }
+  type fact = inst list
 
-  type fact = inst list (* sorted by key *)
+  let key i = (i.owner, i.site)
+  let sort = List.sort (fun x y -> compare (key x) (key y))
+  let equal (a : fact) b = a = b
 
-  let compare_owner a b =
-    match (a, b) with
-    | Anon, Anon -> 0
-    | Anon, Var _ -> -1
-    | Var _, Anon -> 1
-    | Var x, Var y -> String.compare x y
-
-  let compare_loc (a : Cfg.loc) (b : Cfg.loc) =
-    let c = String.compare a.Cfg.l_file b.Cfg.l_file in
-    if c <> 0 then c
-    else
-      let c = Int.compare a.Cfg.l_line b.Cfg.l_line in
-      if c <> 0 then c else Int.compare a.Cfg.l_col b.Cfg.l_col
-
-  let compare_inst a b =
-    let c = Int.compare a.i_proto b.i_proto in
-    if c <> 0 then c
-    else
-      let c = compare_owner a.i_owner b.i_owner in
-      if c <> 0 then c else compare_loc a.i_loc b.i_loc
-
-  let sort = List.sort compare_inst
-
-  let state_rank = function Held -> 0 | Released -> 1 | Unvalidated -> 2 | Validated -> 3
-
-  let equal_inst a b =
-    compare_inst a b = 0 && Int.equal (state_rank a.i_state) (state_rank b.i_state)
-
-  let equal (a : fact) b = List.equal equal_inst a b
-
-  let worse a b =
-    match (a, b) with
-    | Held, _ | _, Held -> Held
-    | Unvalidated, _ | _, Unvalidated -> Unvalidated
-    | Released, Released -> Released
-    | Validated, x | x, Validated -> x
-
+  (* May-analysis: a load unvalidated on some incoming path still is. *)
   let rec join (a : fact) (b : fact) =
     match (a, b) with
     | [], r | r, [] -> r
     | x :: a', y :: b' ->
-        let c = compare_inst x y in
-        if c = 0 then { x with i_state = worse x.i_state y.i_state } :: join a' b'
+        let c = compare (key x) (key y) in
+        if c = 0 then { x with validated = x.validated && y.validated } :: join a' b'
         else if c < 0 then x :: join a' b'
         else y :: join a b'
 
-  let protocols = Array.of_list Typestate.protocols
-
   let event ev (fact : fact) =
     match ev with
-    | Cfg.Closure _ -> fact
+    | Cfg.Closure _ | Cfg.Bind { bv_rhs = None; _ } -> fact
     | Cfg.Bind { bv_id; bv_rhs = Some l; _ } ->
-        (* Rebind the acquisition the RHS just produced to the variable. *)
-        if List.exists (fun i -> i.i_owner = Anon && i.i_loc = l) fact then
-          sort
-            (List.map
-               (fun i -> if i.i_owner = Anon && i.i_loc = l then { i with i_owner = Var bv_id } else i)
-               fact)
-        else fact
-    | Cfg.Bind _ -> fact
+        (* Rebind the load the RHS just made to the variable. *)
+        sort
+          (List.map
+             (fun i -> if i.owner = None && i.site = l then { i with owner = Some bv_id } else i)
+             fact)
     | Cfg.Call c ->
-        let fact = ref fact in
-        Array.iteri
-          (fun pi (p : Typestate.proto) ->
-            let idents =
-              List.filter_map (fun (a : Cfg.arg) -> a.Cfg.a_ident) c.Cfg.c_args
+        let fact =
+          if matches c.Cfg.c_parts d2_validators then
+            (* A validator checks the loads it names, or every load when
+               it names none (conservative: it never adds a finding). *)
+            let named i =
+              i.owner <> None && List.exists (fun (a : Cfg.arg) -> a.Cfg.a_ident = i.owner) c.Cfg.c_args
             in
-            if Typestate.matches c.Cfg.c_parts p.Typestate.p_release then begin
-              let to_state =
-                match p.Typestate.p_kind with
-                | Typestate.Must_release -> Released
-                | Typestate.Validate_before_use -> Validated
-              in
-              let by_ident i =
-                match i.i_owner with Var v -> List.mem v idents | Anon -> false
-              in
-              let any_by_ident = List.exists (fun i -> i.i_proto = pi && by_ident i) !fact in
-              fact :=
-                List.map
-                  (fun i ->
-                    if i.i_proto = pi && (by_ident i || not any_by_ident) then
-                      { i with i_state = to_state }
-                    else i)
-                  !fact
-            end;
-            if Typestate.acquires p c then begin
-              let init =
-                match p.Typestate.p_kind with
-                | Typestate.Must_release -> Held
-                | Typestate.Validate_before_use -> Unvalidated
-              in
-              let i = { i_proto = pi; i_owner = Anon; i_loc = c.Cfg.c_loc; i_state = init } in
-              fact := sort (i :: List.filter (fun j -> compare_inst i j <> 0) !fact)
-            end)
-          protocols;
-        !fact
+            let any = List.exists named fact in
+            List.map (fun i -> if named i || not any then { i with validated = true } else i) fact
+          else fact
+        in
+        if d2_acquires c then
+          let i = { owner = None; site = c.Cfg.c_loc; validated = false } in
+          sort (i :: List.filter (fun j -> key j <> key i) fact)
+        else fact
 
   let branch _ ~taken:_ fact = fact
 end
 
 module D2_flow = Dataflow.Forward (D2_dom)
-
-(* ------------------------------------------------------------------ *)
-(* D3: protocol facts (merged across units by the driver)              *)
-(* ------------------------------------------------------------------ *)
-
-type d3 = {
-  d3_ctors : (string * Cfg.loc) list; (* payload constructor declarations *)
-  d3_explicit : string list; (* constructors explicitly headed in a dispatch *)
-  d3_catchall : Cfg.loc list; (* dispatch sites with a wildcard arm *)
-}
-
-let is_message_unit modname = Typed_rules.module_head modname "Message"
-
-(* The scrutinee type of a payload dispatch, under any spelling. *)
-let is_payload_type (ty : Types.type_expr) =
-  match Types.get_desc ty with
-  | Types.Tconstr (p, _, _) -> (
-      match List.rev (String.split_on_char '.' (Path.name p)) with
-      | "payload" :: m :: _ -> Typed_rules.module_head m "Message"
-      | [ "payload" ] -> true (* inside the Message unit itself; excluded by scope *)
-      | _ -> false)
-  | _ -> false
-
-(* Top-level constructor heads of one arm; wildcard/variable arms count
-   as a catch-all. Nested patterns (payload arguments) are not heads. *)
-let rec pattern_heads : type k. k general_pattern -> string list * bool =
- fun p ->
-  match p.pat_desc with
-  | Tpat_construct (_, cd, _, _) -> ([ cd.Types.cstr_name ], false)
-  | Tpat_or (a, b, _) ->
-      let ha, wa = pattern_heads a and hb, wb = pattern_heads b in
-      (ha @ hb, wa || wb)
-  | Tpat_alias (p, _, _) -> pattern_heads p
-  | Tpat_value v -> pattern_heads (v :> value general_pattern)
-  | Tpat_var _ | Tpat_any -> ([], true)
-  | _ -> ([], false)
-
-let loc_to (file : string) (loc : Location.t) =
-  let pos = loc.Location.loc_start in
-  let f = if String.equal pos.Lexing.pos_fname "" then file else pos.Lexing.pos_fname in
-  { Cfg.l_file = f; l_line = pos.Lexing.pos_lnum; l_col = pos.Lexing.pos_cnum - pos.Lexing.pos_bol }
-
-let collect_d3 (u : Cmt_loader.unit_info) =
-  let ctors = ref [] and explicit = ref [] and catchall = ref [] in
-  let in_message_module = ref (is_message_unit u.modname) in
-  let record_cases : type k. string -> Location.t -> k case list -> unit =
-   fun file loc cases ->
-    let heads, wild =
-      List.fold_left
-        (fun (hs, w) (c : k case) ->
-          let h, cw = pattern_heads c.c_lhs in
-          (* A guarded wildcard still falls through, but a guarded arm
-             never completes coverage either way; count heads only. *)
-          (hs @ h, w || (cw && Option.is_none c.c_guard)))
-        ([], false) cases
-    in
-    explicit := heads @ !explicit;
-    if wild then catchall := loc_to file loc :: !catchall
-  in
-  let expr (it : Tast_iterator.iterator) (e : expression) =
-    (if not !in_message_module then
-       match e.exp_desc with
-       | Texp_match (scrut, cases, _) when is_payload_type scrut.exp_type ->
-           record_cases u.source e.exp_loc cases
-       | Texp_function { cases = (_ :: _ :: _ as cases); _ }
-         when is_payload_type (List.hd cases).c_lhs.pat_type ->
-           record_cases u.source e.exp_loc cases
-       | _ -> ());
-    Tast_iterator.default_iterator.expr it e
-  in
-  let structure_item (it : Tast_iterator.iterator) (si : structure_item) =
-    match si.str_desc with
-    | Tstr_type (_, tds) ->
-        List.iter
-          (fun (td : type_declaration) ->
-            if
-              String.equal td.typ_name.txt "payload"
-              && (!in_message_module || is_message_unit u.modname)
-            then
-              match td.typ_kind with
-              | Ttype_variant cds ->
-                  List.iter
-                    (fun (cd : constructor_declaration) ->
-                      ctors := (cd.cd_name.txt, loc_to u.source cd.cd_loc) :: !ctors)
-                    cds
-              | _ -> ())
-          tds;
-        Tast_iterator.default_iterator.structure_item it si
-    | Tstr_module mb ->
-        let saved = !in_message_module in
-        (match mb.mb_name.txt with
-        | Some n when Typed_rules.module_head n "Message" -> in_message_module := true
-        | _ -> ());
-        Tast_iterator.default_iterator.structure_item it si;
-        in_message_module := saved
-    | _ -> Tast_iterator.default_iterator.structure_item it si
-  in
-  let it = { Tast_iterator.default_iterator with expr; structure_item } in
-  it.structure it u.structure;
-  {
-    d3_ctors = List.rev !ctors;
-    d3_explicit = List.sort_uniq String.compare !explicit;
-    d3_catchall = List.rev !catchall;
-  }
-
-(* Coordinator-side D3a: a constructor no dispatch heads explicitly,
-   while some dispatch carries a catch-all that would swallow it. *)
-let d3_findings (per_unit : d3 list) =
-  let explicit =
-    List.sort_uniq String.compare (List.concat_map (fun d -> d.d3_explicit) per_unit)
-  in
-  let catchalls = List.concat_map (fun d -> d.d3_catchall) per_unit in
-  let ctors = List.concat_map (fun d -> d.d3_ctors) per_unit in
-  match catchalls with
-  | [] -> []
-  | ca :: _ ->
-      List.filter_map
-        (fun (name, loc) ->
-          if List.mem name explicit then None
-          else
-            Some
-              (finding Finding.D3 loc
-                 (Printf.sprintf
-                    "payload constructor %s is never matched explicitly in any dispatch; the \
-                     catch-all arm at %s:%d would silently swallow it — head it explicitly in \
-                     Actor's dispatch"
-                    name ca.Cfg.l_file ca.Cfg.l_line)))
-        ctors
-
-(* ------------------------------------------------------------------ *)
-(* D3b: raw mutation of envelope-carrying storage                      *)
-(* ------------------------------------------------------------------ *)
-
-let sanctioned_mailbox_files = [ "lib/svc/mailbox.ml"; "lib/svc/service.ml" ]
-
-let rec type_mentions_envelope depth (ty : Types.type_expr) =
-  depth > 0
-  &&
-  match Types.get_desc ty with
-  | Types.Tconstr (p, args, _) ->
-      (match List.rev (String.split_on_char '.' (Path.name p)) with
-      | "envelope" :: m :: _ -> Typed_rules.module_head m "Message"
-      | _ -> false)
-      || List.exists (type_mentions_envelope (depth - 1)) args
-  | Types.Ttuple ts -> List.exists (type_mentions_envelope (depth - 1)) ts
-  | _ -> false
-
-let is_raw_mutator parts =
-  match List.rev parts with
-  | ":=" :: _ -> true
-  | ("add" | "push") :: m :: _ when Typed_rules.module_head m "Queue" || Typed_rules.module_head m "Stack"
-    ->
-      true
-  | ("add" | "replace") :: m :: _ when Typed_rules.module_head m "Hashtbl" -> true
-  | ("set" | "unsafe_set") :: m :: _ when Typed_rules.module_head m "Array" -> true
-  | _ -> false
-
-let collect_d3b aliases (u : Cmt_loader.unit_info) =
-  if List.exists (fun sfx -> Filename.check_suffix u.source sfx) sanctioned_mailbox_files then []
-  else begin
-    let acc = ref [] in
-    let flag loc =
-      acc :=
-        finding Finding.D3 (loc_to u.source loc)
-          "raw mutation of Message.envelope-carrying storage outside Mailbox; sends must go \
-           through Mailbox.post so delivery order stays a pure function of (seed, time, src, \
-           seq) (docs/SERVICE.md)"
-        :: !acc
-    in
-    let expr (it : Tast_iterator.iterator) (e : expression) =
-      (match e.exp_desc with
-      | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args)
-        when is_raw_mutator (norm_parts aliases p) ->
-          if
-            List.exists
-              (fun (_, a) ->
-                match a with
-                | Some (a : expression) -> type_mentions_envelope 5 a.exp_type
-                | None -> false)
-              args
-          then flag e.exp_loc
-      | Texp_setfield (_, _, ld, v) ->
-          if type_mentions_envelope 5 v.exp_type || type_mentions_envelope 5 ld.Types.lbl_arg
-          then flag e.exp_loc
-      | _ -> ());
-      Tast_iterator.default_iterator.expr it e
-    in
-    let it = { Tast_iterator.default_iterator with expr } in
-    it.structure it u.structure;
-    List.rev !acc
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Per-unit driver                                                     *)
@@ -559,45 +326,27 @@ let analyze_unit ~hot (u : Cmt_loader.unit_info) =
                         (String.concat "." c.Cfg.c_parts)))
             | _ -> ())
         | _ -> ());
-    (* D2: typestate, fresh per function body. *)
+    (* D2: fresh per function body. *)
     let d2_facts = D2_flow.solve cfg ~entry_fact:[] in
     D2_flow.iter_events cfg d2_facts (fun ev fact ->
         match ev with
-        | Cfg.Call c ->
-            Array.iteri
-              (fun pi (p : Typestate.proto) ->
-                if p.Typestate.p_kind = Typestate.Validate_before_use
-                   && Typestate.matches c.Cfg.c_parts p.Typestate.p_use
+        | Cfg.Call c when matches c.Cfg.c_parts d2_uses ->
+            List.iter
+              (fun (a : Cfg.arg) ->
+                if
+                  List.exists
+                    (fun (i : D2_dom.inst) ->
+                      (not i.D2_dom.validated) && i.D2_dom.owner <> None
+                      && i.D2_dom.owner = a.Cfg.a_ident)
+                    fact
                 then
-                  List.iter
-                    (fun (a : Cfg.arg) ->
-                      match a.Cfg.a_ident with
-                      | Some v
-                        when List.exists
-                               (fun (i : D2_dom.inst) ->
-                                 Int.equal i.D2_dom.i_proto pi
-                                 && (match i.D2_dom.i_owner with
-                                    | D2_dom.Var w -> String.equal w v
-                                    | D2_dom.Anon -> false)
-                                 &&
-                                 match i.D2_dom.i_state with
-                                 | D2_dom.Unvalidated -> true
-                                 | _ -> false)
-                               fact ->
-                          add (finding Finding.D2 c.Cfg.c_loc p.Typestate.p_use_msg)
-                      | _ -> ())
-                    c.Cfg.c_args)
-              D2_dom.protocols
+                  add
+                    (finding Finding.D2 c.Cfg.c_loc
+                       "network loaded with Snapshot.load ~validate:false is routed before \
+                        flowing through Check.snapshot/Csr.validate; validate it first or load \
+                        with the default ~validate:true"))
+              c.Cfg.c_args
         | _ -> ());
-    (match D2_flow.exit_fact cfg d2_facts with
-    | None -> ()
-    | Some at_exit ->
-        List.iter
-          (fun (i : D2_dom.inst) ->
-            if i.D2_dom.i_state = D2_dom.Held then
-              let p = D2_dom.protocols.(i.D2_dom.i_proto) in
-              add (finding Finding.D2 i.D2_dom.i_loc p.Typestate.p_leak_msg))
-          at_exit);
     (* D4: loop-invariant flag reloads, hot modules only. *)
     if hot then
       List.iter
@@ -616,5 +365,4 @@ let analyze_unit ~hot (u : Cmt_loader.unit_info) =
     List.iter (fun (cl, fact) -> analyze_cfg ~d1:fact cl.Cfg.cl_cfg) (List.rev !closures)
   in
   List.iter (analyze_cfg ~d1:Cfg.no_gates) (toplevel_cfgs ctx u);
-  let d3b = collect_d3b aliases u in
-  (List.rev !findings @ d3b, collect_d3 u)
+  List.rev !findings

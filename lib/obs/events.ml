@@ -11,17 +11,15 @@
 
 type sink = To_buffer of Buffer.t | To_channel of out_channel
 
-(* Destination resolution, in precedence order: a programmatic [set_sink]
-   (including [set_sink None] — "explicitly nowhere") always wins; absent
-   one, FTR_OBS_SINK=<path> names a file the JSONL stream (route events,
-   trace replays, everything) is appended to. The env sink is opened
-   lazily on the first emission that needs it, so a run that never emits —
-   FTR_OBS off, or telemetry on but eventless — never creates the file.
-   FTR_OBS remains the master gate either way: with the flag off no sink,
-   env or programmatic, sees a single byte. *)
-let explicit : sink option ref = ref None
-
-let explicit_set = ref false
+(* Destination resolution, in precedence order: the innermost active
+   [with_sink] bracket (including [with_sink None] — "explicitly
+   nowhere") always wins; absent one, FTR_OBS_SINK=<path> names a file
+   the JSONL stream (route events, trace replays, everything) is appended
+   to. The env sink is opened lazily on the first emission that needs it,
+   so a run that never emits — FTR_OBS off, or telemetry on but eventless
+   — never creates the file. FTR_OBS remains the master gate either way:
+   with the flag off no sink, env or bracketed, sees a single byte. *)
+let bracketed : sink option option ref = ref None
 
 let env_sink =
   lazy
@@ -32,12 +30,7 @@ let env_sink =
         Some (To_channel oc)
     | Some _ | None -> None)
 
-let current_sink () = if !explicit_set then !explicit else Lazy.force env_sink
-
-(* ftr-lint: disable T6 -- seam: tests capture the event stream through it *)
-let set_sink s =
-  explicit := s;
-  explicit_set := true
+let current_sink () = match !bracketed with Some s -> s | None -> Lazy.force env_sink
 
 (* Push buffered bytes through a channel sink (the env-redirect file is
    otherwise only flushed at exit); a no-op for buffers and no-sink. *)
@@ -48,10 +41,10 @@ let flush_sink () =
 
 (* One process-wide exit hook that flushes whatever sink is current at
    exit time. The env sink's own lazy [at_exit] only covers the channel
-   it opened; a programmatic [set_sink (To_channel ...)] installed later
-   had no such cover, so a CLI that exits early (usage error, selfcheck
-   failure) could lose its tail. Idempotent: one hook however often the
-   entry point calls it. *)
+   it opened, and [exit] inside a [with_sink] bracket skips the
+   bracket's own flush, so a CLI that exits early (usage error,
+   selfcheck failure) could lose its tail. Idempotent: one hook however
+   often the entry point calls it. *)
 let exit_flush_installed = ref false
 
 let install_exit_flush () =
@@ -114,16 +107,21 @@ let emit ?time ~kind fields =
         end
         else incr suppressed_count
 
-(* Run [f] with events captured into a fresh buffer, restoring the
-   previous sink; returns [f]'s result and the captured JSONL. *)
+(* Run [f] with [s] as the sink, then restore the previous one and
+   flush [s] if it is a channel, whether [f] returns or raises: the
+   bracket is the only way to install a sink, so none is left installed
+   or unflushed past its extent. *)
+let with_sink s f =
+  let saved = !bracketed in
+  bracketed := Some s;
+  let finally () =
+    bracketed := saved;
+    match s with Some (To_channel oc) -> flush oc | Some (To_buffer _) | None -> ()
+  in
+  Fun.protect ~finally f
+
+(* [f]'s result and the JSONL it emitted, captured into a fresh buffer. *)
 let with_buffer f =
   let buf = Buffer.create 1024 in
-  let saved = !explicit and saved_set = !explicit_set in
-  explicit := Some (To_buffer buf);
-  explicit_set := true;
-  let finally () =
-    explicit := saved;
-    explicit_set := saved_set
-  in
-  let v = Fun.protect ~finally f in
+  let v = with_sink (Some (To_buffer buf)) f in
   (v, Buffer.contents buf)

@@ -353,7 +353,7 @@ let handle ctx a (payload : payload) =
       (* Claim the long link the routed lookup found, under the budget;
          dead origins never get here (see [dead_mail]). *)
       if owner <> a.pos && index_long a owner < 0 && a.n_long < ctx.links then add_long a owner
-  | Resolved _ -> ()
+  | Resolved { kind = User | Placement _ | Solicit _; _ } -> ()
   | Splice { left; right } ->
       a.left <- left;
       a.right <- right;

@@ -12,11 +12,11 @@
    - [Stabilize] is the background repair pulse ("trying to heal the
      damage"), [Leave_now] the graceful departure splice.
 
-   The round transport's envelopes carry the deterministic delivery key:
-   messages are delivered in (deliver_at, sender, per-sender sequence)
-   order, which is what makes the merged service transcript a pure
-   function of (seed, logical time, sender id, sequence number) — see
-   [Ftr_svc.Mailbox]. *)
+   The round transport wraps each payload in an envelope carrying the
+   deterministic delivery key (deliver_at, sender, per-sender sequence);
+   [Ftr_svc.Mailbox.post] is the only way to deliver one, which is what
+   makes the merged service transcript a pure function of (seed, logical
+   time, sender id, sequence number). *)
 
 (* Why a routed lookup is in flight. [User] requests are driver traffic
    accounted by the transport; the other three are protocol-internal
@@ -60,14 +60,6 @@ type payload =
 type outcome =
   | Delivered of { owner : int; hops : int }
   | Failed of { stuck_at : int; hops : int; reason : string }
-
-type envelope = {
-  src : int;  (* sending actor's position; -1 = the coordinator/driver *)
-  dst : int;
-  seq : int;  (* per-sender sequence number *)
-  deliver_at : int;
-  payload : payload;
-}
 
 (* A lookup about to take its first hop. *)
 let fresh_lookup ?(traced = false) ~request ~origin ~target kind =

@@ -197,7 +197,9 @@ let create ?(latency_model = Ftr_sim.Latency.constant 1.0) ?(ttl = 256) ?(regene
                      counted but never scheduled: one engine event less
                      per remote lookup. *)
                   ()
-              | _ -> post t ~src (Hashtbl.find t.actors dst) payload);
+              | Resolved { kind = Placement _ | Link | Solicit _; _ }
+              | Lookup _ | Splice _ | Set_left _ | Set_right _ | Stabilize | Leave_now | Bounce _ ->
+                  post t ~src (Hashtbl.find t.actors dst) payload);
           complete = (fun l o -> complete t l o);
           depart = (fun pos -> depart t pos);
         };

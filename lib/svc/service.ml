@@ -66,6 +66,17 @@ type request_state = {
   mutable rq_done_at : int;
 }
 
+(* A payload in flight on this transport, with its delivery key. Only
+   this module can name it; [Mailbox.post] is its one way into a
+   mailbox, so nothing can deliver out of key order. *)
+type envelope = {
+  src : int; (* sending actor's position; -1 = the coordinator/driver *)
+  dst : int;
+  seq : int; (* per-sender sequence number *)
+  deliver_at : int;
+  payload : payload;
+}
+
 (* One registered actor with the delivery state this transport keeps
    beside it: its mailbox and its per-sender sequence counter. *)
 type slot = { actor : Actor.t; mailbox : payload Mailbox.t; mutable next_seq : int }

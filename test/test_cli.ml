@@ -23,6 +23,16 @@ let cases =
     ([ "figure7"; "--messages"; "0" ], "--messages");
     ([ "byzantine"; "--networks"; "0" ], "--networks");
     ([ "paper"; "nosuch" ], "nosuch");
+    (* serve: every numeric option has a domain. *)
+    ([ "serve"; "--shards=0" ], "--shards");
+    ([ "serve"; "--links=0" ], "--links");
+    ([ "serve"; "--ticks=-5" ], "--ticks");
+    ([ "serve"; "--rate=-1" ], "--rate");
+    ([ "serve"; "--stabilize=-1" ], "--stabilize");
+    ([ "serve"; "--ttl=0" ], "--ttl");
+    ([ "serve"; "--join-rate=-1" ], "--join-rate");
+    ([ "serve"; "--crash-rate=-1" ], "--crash-rate");
+    ([ "serve"; "--leave-rate=nan" ], "--leave-rate");
   ]
 
 let contains s sub = Option.is_some (Ftr_lint.Suppress.find_sub s sub)

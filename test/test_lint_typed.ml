@@ -52,7 +52,7 @@ let rules_of file =
 let test_corpus () =
   let state, _ = Lazy.force fixture in
   Alcotest.(check int)
-    "all eighteen fixture units loaded (fourteen typed, four flow)" 18
+    "all seventeen fixture units loaded (fourteen typed, three flow)" 17
     (Array.length state.Typed_rules.units)
 
 (* T1: the cross-function race (run -> pool boundary -> job -> bump ->

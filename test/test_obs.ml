@@ -316,10 +316,8 @@ let events_sampling () =
   Alcotest.(check (list int)) "deterministic choice" [ 1; 4; 7 ] kept
 
 (* FTR_OBS_SINK=<path> redirects the JSONL stream to a file when no
-   programmatic sink is installed; [with_buffer] (and any [set_sink])
-   takes precedence while active. Must run before any test that installs
-   a sink via [set_sink], because an explicit installation permanently
-   outranks the env redirect. *)
+   [with_sink] bracket is active; a bracket, [with_buffer]'s or an
+   explicit [None], takes precedence for its extent only. *)
 let events_env_sink () =
   Flag.with_mode true @@ fun () ->
   Events.reset ();
@@ -336,24 +334,27 @@ let events_env_sink () =
   in
   (* ...and the env sink takes back over once it is gone. *)
   Events.emit ~kind:"env_redirect" [ ("n", Json.Int 4) ];
+  (* [with_sink None] silences the file for the bracket's extent only. *)
+  Events.with_sink None (fun () -> Events.emit ~kind:"env_redirect" [ ("n", Json.Int 5) ]);
+  Events.emit ~kind:"env_redirect" [ ("n", Json.Int 6) ];
   Events.flush_sink ();
   let lines =
     List.filter (fun l -> l <> "") (In_channel.with_open_text path In_channel.input_lines)
   in
   Sys.remove path;
-  Alcotest.(check int) "env file got the unbuffered events" 3 (List.length lines);
+  Alcotest.(check int) "env file got the unbracketed events" 4 (List.length lines);
   let ns =
     List.map
       (fun line ->
         match Json.member "n" (Json.parse line) with Some (Json.Int i) -> i | _ -> -1)
       lines
   in
-  Alcotest.(check (list int)) "buffered event bypassed the file" [ 1; 2; 4 ] ns;
+  Alcotest.(check (list int)) "bracketed events bypassed the file" [ 1; 2; 4; 6 ] ns;
   match Json.member "n" (Json.parse (String.trim buffered)) with
   | Some (Json.Int 3) -> ()
   | _ -> Alcotest.fail "with_buffer did not capture the bracketed event"
 
-(* The exit hook entry points install: a programmatic channel sink gets
+(* The exit hook entry points install: a bracketed channel sink gets
    its tail flushed by the same [flush_sink] the hook runs, and the hook
    installs exactly once however often it is requested. The at_exit
    behaviour itself can't be observed inside the test process, so the
@@ -365,13 +366,12 @@ let events_exit_flush () =
   Events.set_sampling ~every:1;
   let path = Filename.temp_file "ftr_obs_exitflush" ".jsonl" in
   let oc = open_out path in
-  Events.set_sink (Some (Events.To_channel oc));
   let finally () =
-    Events.set_sink None;
     close_out_noerr oc;
     Sys.remove path
   in
   Fun.protect ~finally @@ fun () ->
+  Events.with_sink (Some (Events.To_channel oc)) @@ fun () ->
   Events.install_exit_flush ();
   Events.install_exit_flush ();
   (* idempotent: still one hook *)
@@ -386,9 +386,54 @@ let events_exit_flush () =
 let events_off_without_sink () =
   Flag.with_mode true @@ fun () ->
   Events.reset ();
-  Events.set_sink None;
+  Events.with_sink None @@ fun () ->
   Events.emit ~kind:"void" [];
   Alcotest.(check int) "nothing emitted without a sink" 0 (Events.emitted ())
+
+let ns_of jsonl =
+  List.filter_map
+    (fun line ->
+      if line = "" then None
+      else match Json.member "n" (Json.parse line) with Some (Json.Int i) -> Some i | _ -> None)
+    (String.split_on_char '\n' jsonl)
+
+(* A bracket whose function raises still restores the sink it shadowed:
+   the event after the escape lands in the outer buffer, not the inner. *)
+let with_sink_restores_on_raise () =
+  Flag.with_mode true @@ fun () ->
+  Events.reset ();
+  Events.set_sampling ~every:1;
+  let inner = Buffer.create 64 in
+  let (), outer =
+    Events.with_buffer (fun () ->
+        (try
+           Events.with_sink (Some (Events.To_buffer inner)) (fun () ->
+               Events.emit ~kind:"raise" [ ("n", Json.Int 1) ];
+               raise Exit)
+         with Exit -> ());
+        Events.emit ~kind:"raise" [ ("n", Json.Int 2) ])
+  in
+  Alcotest.(check (list int)) "inner bracket saw its event" [ 1 ] (ns_of (Buffer.contents inner));
+  Alcotest.(check (list int)) "outer sink restored after the raise" [ 2 ] (ns_of outer)
+
+(* Leaving the bracket flushes a channel sink: its lines are on disk
+   while the channel is still open, with no explicit flush. *)
+let with_sink_flushes_channel () =
+  Flag.with_mode true @@ fun () ->
+  Events.reset ();
+  Events.set_sampling ~every:1;
+  let path = Filename.temp_file "ftr_obs_bracket" ".jsonl" in
+  let oc = open_out path in
+  let finally () =
+    close_out_noerr oc;
+    Sys.remove path
+  in
+  Fun.protect ~finally @@ fun () ->
+  Events.with_sink (Some (Events.To_channel oc)) (fun () ->
+      Events.emit ~kind:"bracket" [ ("n", Json.Int 1) ];
+      Events.emit ~kind:"bracket" [ ("n", Json.Int 2) ]);
+  let on_disk = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check (list int)) "both lines on disk before close" [ 1; 2 ] (ns_of on_disk)
 
 (* ------------------------------------------------------------------ *)
 (* Disabled-overhead smoke check                                       *)
@@ -802,11 +847,11 @@ let () =
         [
           quick "jsonl well-formed" events_jsonl;
           quick "deterministic sampling" events_sampling;
-          (* must precede any set_sink: an explicit installation
-             permanently outranks the FTR_OBS_SINK redirect *)
           quick "env sink redirect and precedence" events_env_sink;
           quick "exit hook flushes programmatic channel sinks" events_exit_flush;
           quick "silent without sink" events_off_without_sink;
+          quick "with_sink restores the previous sink on raise" with_sink_restores_on_raise;
+          quick "with_sink flushes a channel sink on the way out" with_sink_flushes_channel;
         ] );
       ( "overhead",
         [ quick "disabled paths do not allocate or record" disabled_overhead ] );
