@@ -470,7 +470,10 @@ let run_exec () =
    jobs=N on identical arguments. The scheduler guarantees an identical
    deterministic report (asserted here, byte for byte by @serve), so
    only the wall clock differs. The rate is the service run's own:
-   lookups over the rounds' wall time, set-up excluded. *)
+   lookups over the rounds' wall time, set-up excluded. The round's own
+   allocation is counted apart: the same workload at jobs=1 with
+   telemetry off, minor words taken around [Service.step] alone, so
+   set-up and the control calls between rounds are left out. *)
 let run_serve () =
   let module D = Ftr_svc.Driver in
   let cfg =
@@ -502,6 +505,28 @@ let run_serve () =
         ("serve (churny workload), jobs=N", serve jobs);
       ]
   in
+  let round_words =
+    Ftr_obs.Flag.with_mode false @@ fun () ->
+    let module S = Ftr_svc.Service in
+    let svc =
+      S.of_overlay ?capacity:cfg.D.capacity ~ttl:cfg.D.ttl ~regenerate:cfg.D.regenerate
+        ~shards:cfg.D.shards ~seed:cfg.D.seed (D.build_overlay cfg)
+    in
+    let rng = Ftr_exec.Seed.rng_for ~seed:cfg.D.seed ~index:cfg.D.line_size in
+    let words = ref 0.0 in
+    let round f =
+      let w = Gc.minor_words () in
+      f ();
+      words := !words +. (Gc.minor_words () -. w)
+    in
+    Ftr_exec.Pool.with_resident ~jobs:1 (fun pool ->
+        for _ = 1 to cfg.D.ticks do
+          D.control cfg rng svc;
+          round (fun () -> S.step svc ~pool)
+        done;
+        round (fun () -> ignore (S.drain svc ~pool)));
+    !words /. float_of_int (max 1 (S.stats svc).S.handled)
+  in
   let count name unit v = exact name unit (float_of_int v) in
   {
     params =
@@ -523,6 +548,7 @@ let run_serve () =
           (* jobs=1's first pass, set-up included. *)
           exact "minor words per lookup, jobs=1" "words"
             (words /. float_of_int (max 1 r.D.rp_issued));
+          exact "minor words per handled envelope, round only" "words" round_words;
         ];
     asserts = [ ("report identical across jobs", same) ];
   }

@@ -351,7 +351,8 @@ let adversary_cmd =
     Paper.print_isolation (Ftr_core.Adversary.isolation_experiment ~n ~trials ~seed ())
   in
   let trials_t =
-    Arg.(value & opt int 100 & info [ "trials" ] ~docv:"T" ~doc:"Random targets to attack.")
+    Arg.(
+      value & opt positive_conv 100 & info [ "trials" ] ~docv:"T" ~doc:"Random targets to attack.")
   in
   Cmd.v
     (Cmd.info "adversary"
@@ -375,7 +376,7 @@ let recovery_cmd =
     Paper.print_recovery (Ftr_p2p.Recovery.run ~line_size:n ~kill_fraction:kill ~samples ~seed ())
   in
   let kill_t =
-    Arg.(value & opt float 0.3 & info [ "kill" ] ~docv:"P" ~doc:"Fraction crashed at t=0.")
+    Arg.(value & opt fraction_conv 0.3 & info [ "kill" ] ~docv:"P" ~doc:"Fraction crashed at t=0.")
   in
   let samples_t =
     Arg.(value & opt int 10 & info [ "samples" ] ~docv:"K" ~doc:"Recovery curve samples.")
@@ -390,7 +391,7 @@ let anatomy_cmd =
   let run n links seed = Paper.print_anatomy ~n ~links:(resolve_links n links) ~seed in
   Cmd.v
     (Cmd.info "anatomy" ~doc:"Structural statistics of every network builder")
-    Term.(const run $ n_t 4096 $ links_t $ seed_t)
+    Term.(const run $ n_t 4096 $ links_of positive_conv $ seed_t)
 
 (* dht *)
 
@@ -412,10 +413,11 @@ let dht_cmd =
     Paper.print_load report
   in
   let replicas_t =
-    Arg.(value & opt int 3 & info [ "replicas" ] ~docv:"R" ~doc:"Salted replica count.")
+    Arg.(value & opt positive_conv 3 & info [ "replicas" ] ~docv:"R" ~doc:"Salted replica count.")
   in
   let requests_t =
-    Arg.(value & opt int 1000 & info [ "requests" ] ~docv:"Q" ~doc:"Zipf-popular requests.")
+    Arg.(
+      value & opt positive_conv 1000 & info [ "requests" ] ~docv:"Q" ~doc:"Zipf-popular requests.")
   in
   Cmd.v
     (Cmd.info "dht" ~doc:"Resource layer under a Zipf workload, with failures")
@@ -440,11 +442,21 @@ let churn_cmd =
          ~seed ~line_size ~initial_nodes:initial ~links ())
   in
   let duration_t =
-    Arg.(value & opt float 1000.0 & info [ "duration" ] ~docv:"T" ~doc:"Virtual-time horizon.")
+    let duration_conv =
+      checked Arg.float ~expected:"a finite positive duration" (fun d ->
+          Float.is_finite d && d > 0.0)
+    in
+    Arg.(
+      value & opt duration_conv 1000.0 & info [ "duration" ] ~docv:"T" ~doc:"Virtual-time horizon.")
   in
-  let links_t = Arg.(value & opt int 8 & info [ "links" ] ~docv:"L" ~doc:"Long links per node.") in
+  let links_t =
+    Arg.(value & opt positive_conv 8 & info [ "links" ] ~docv:"L" ~doc:"Long links per node.")
+  in
   let initial_t =
-    Arg.(value & opt int 128 & info [ "initial" ] ~docv:"I" ~doc:"Initial population.")
+    let initial_conv =
+      checked Arg.int ~expected:"an initial population of at least 2" (fun k -> k >= 2)
+    in
+    Arg.(value & opt initial_conv 128 & info [ "initial" ] ~docv:"I" ~doc:"Initial population.")
   in
   Cmd.v
     (Cmd.info "churn" ~doc:"Run the dynamic protocol under churn and report")
@@ -798,7 +810,7 @@ let check_cmd =
     let svc_res = Ftr_svc.Driver.run svc_cfg in
     report "service: post-churn invariants"
       (Check.service svc_res.Ftr_svc.Driver.res_service);
-    let mb = Ftr_svc.Mailbox.create ~capacity:4 () in
+    let mb = Ftr_svc.Mailbox.create ~capacity:4 ~vacant:() () in
     List.iter
       (fun (time, src, seq) -> ignore (Ftr_svc.Mailbox.post mb ~time ~src ~seq ()))
       [ (3, 1, 0); (1, 2, 0); (1, 1, 1); (2, 0, 0); (9, 9, 9) ];

@@ -12,17 +12,33 @@
      counters, completions, departures).
    Nothing else: no other actor's state, no global registries, no wall
    clock. That confinement is what makes the service's merged transcript
-   a pure function of (seed, logical time, sender, sequence). *)
+   a pure function of (seed, logical time, sender, sequence).
+
+   One owner per lookup: a forwarded lookup is the same record with
+   [hops] incremented in place ([scan]), so whoever sends one gives it
+   up — neither the handler nor the transport may read or keep a lookup
+   once it is handed to [ctx.send]. Both transports deliver each
+   message exactly once, which keeps the owner unique; [dead_mail]'s
+   bounce copies the record it returns. *)
 
 module Rng = Ftr_prng.Rng
 module Sample = Ftr_prng.Sample
 open Message
 
+(* Ring pointers are positions, [none] when there is no neighbour on that
+   side: a plain int keeps the neighbour scan off a separate [Some] box
+   per pointer. *)
+let none = -1
+
+let pointer = function Some v -> v | None -> none
+
+let pointer_opt v = if v = none then None else Some v
+
 type t = {
   pos : int;
   mutable alive : bool;
-  mutable left : int option;
-  mutable right : int option;
+  mutable left : int; (* ring predecessor, or [none] *)
+  mutable right : int; (* ring successor, or [none] *)
   long : int array; (* long-link targets, newest first; capacity ℓ *)
   mutable n_long : int; (* live prefix of [long]; the rest is stale *)
   rng : Rng.t;
@@ -75,10 +91,11 @@ type ctx = {
   depart : int -> unit;
 }
 
-let view_alive ctx pos = pos >= 0 && pos < ctx.line_size && Bytes.get ctx.alive_view pos = '\001'
+let[@inline] view_alive ctx pos =
+  pos >= 0 && pos < ctx.line_size && Bytes.get ctx.alive_view pos = '\001'
 
 let create ~pos ~links ~rng () =
-  { pos; alive = true; left = None; right = None; long = Array.make links (-1); n_long = 0; rng }
+  { pos; alive = true; left = none; right = none; long = Array.make links (-1); n_long = 0; rng }
 
 (* ------------------------------------------------------------------ *)
 (* The pure routing rules                                              *)
@@ -88,28 +105,29 @@ let create ~pos ~links ~rng () =
    advances the lookup; an equidistant neighbour at a smaller position
    also does, so a point midway between two nodes resolves to the same
    owner from either direction. *)
-let advances ~pos ~target ~cand =
+let[@inline] advances ~pos ~target ~cand =
   let my_dist = abs (pos - target) and d = abs (cand - target) in
   d < my_dist || (d = my_dist && cand < pos)
 
 (* Fold one candidate into a running pick ([-1] for none so far): keep
    the advancing candidate with minimal (distance, position). *)
-let better ~pos ~target best cand =
+let[@inline] better ~pos ~target best cand =
   if not (advances ~pos ~target ~cand) then best
   else if best < 0 then cand
   else
     let d = abs (cand - target) and bd = abs (best - target) in
     if d < bd || (d = bd && cand < best) then cand else best
 
-(* One min-scan over the neighbour set — [left], [right], then
-   [long.(0 .. n_long-1)], read in place: the advancing candidate with
-   minimal (distance, position), or [-1] when this node owns the target's
-   basin. Liveness is deliberately not consulted: the caller probes the
-   single chosen candidate and, on a dead pick, repairs the link set and
-   re-scans — the paper's failure detection by probing. *)
+(* One min-scan over the neighbour set — [left] and [right] (each
+   skipped when [none]), then [long.(0 .. n_long-1)], read in place: the
+   advancing candidate with minimal (distance, position), or [-1] when
+   this node owns the target's basin. Liveness is deliberately not
+   consulted: the caller probes the single chosen candidate and, on a
+   dead pick, repairs the link set and re-scans — the paper's failure
+   detection by probing. *)
 let best_candidate ~pos ~target ~left ~right ~long ~n_long =
-  let best = match left with Some v -> better ~pos ~target (-1) v | None -> -1 in
-  let best = ref (match right with Some v -> better ~pos ~target best v | None -> best) in
+  let best = if left = none then -1 else better ~pos ~target (-1) left in
+  let best = ref (if right = none then best else better ~pos ~target best right) in
   for i = 0 to n_long - 1 do
     best := better ~pos ~target !best long.(i)
   done;
@@ -156,13 +174,14 @@ let consider_redirect ctx a ~newcomer =
   end
 
 (* Ring repair: walk the line away from [from], one probe per grid point,
-   until a live node other than this actor answers or the line ends. *)
+   until a live node other than this actor answers ([none] when the line
+   ends first). *)
 let probe_ring ctx a ~from ~dir =
   let rec walk pos =
-    if pos < 0 || pos >= ctx.line_size then None
+    if pos < 0 || pos >= ctx.line_size then none
     else begin
       ctx.counters.c_probes <- ctx.counters.c_probes + 1;
-      if view_alive ctx pos && pos <> a.pos then Some pos else walk (pos + dir)
+      if view_alive ctx pos && pos <> a.pos then pos else walk (pos + dir)
     end
   in
   walk (from + dir)
@@ -171,7 +190,15 @@ let probe_ring ctx a ~from ~dir =
 (* Lookup processing                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let tlog l step = if l.traced then { l with tlog_rev = step :: l.tlog_rev } else l
+(* Append one step to a traced lookup's flight-recorder log. An
+   untraced lookup comes back as is, and the step is built only when
+   logged, so an untraced hop allocates nothing here. *)
+let log_hop l ~cur = if l.traced then { l with tlog_rev = T_hop cur :: l.tlog_rev } else l
+
+let log_cand l ~cur ~cand verdict =
+  if l.traced then
+    { l with tlog_rev = T_cand { cur; cand; dist = abs (cand - l.target); verdict } :: l.tlog_rev }
+  else l
 
 (* The traced half of a scan: every neighbour but the pick, in the scan's
    order, with why it lost, then the pick itself. *)
@@ -179,24 +206,17 @@ let log_candidates a l ~best =
   let log l v =
     if v = best then l
     else
-      tlog l
-        (T_cand
-           {
-             cur = a.pos;
-             cand = v;
-             dist = abs (v - l.target);
-             verdict =
-               (if advances ~pos:a.pos ~target:l.target ~cand:v then V_not_best else V_not_closer);
-           })
+      log_cand l ~cur:a.pos ~cand:v
+        (if advances ~pos:a.pos ~target:l.target ~cand:v then V_not_best else V_not_closer)
   in
-  let log_opt l = function Some v -> log l v | None -> l in
-  let l = ref (log_opt (log_opt l a.left) a.right) in
+  let log_ring l v = if v = none then l else log l v in
+  let l = ref (log_ring (log_ring l a.left) a.right) in
   for i = 0 to a.n_long - 1 do
     l := log !l a.long.(i)
   done;
   let l = !l in
   if best < 0 then l
-  else tlog l (T_cand { cur = a.pos; cand = best; dist = abs (best - l.target); verdict = V_chosen })
+  else log_cand l ~cur:a.pos ~cand:best V_chosen
 
 (* A fresh maintenance lookup starts inline at its issuing actor. *)
 let rec start_lookup ctx a ~kind ~target =
@@ -206,7 +226,7 @@ let rec start_lookup ctx a ~kind ~target =
 (* Arrival at a decision point: record the hop, check the TTL, scan.
    Re-entries after a repair come back here with unchanged hops. *)
 and enter ctx a l =
-  let l = tlog l (T_hop a.pos) in
+  let l = log_hop l ~cur:a.pos in
   if l.hops >= ctx.ttl then
     ctx.complete l (Failed { stuck_at = a.pos; hops = l.hops; reason = "ttl_exceeded" })
   else scan ctx a l
@@ -220,15 +240,14 @@ and scan ctx a l =
   if best < 0 then deliver ctx a l
   else if view_alive ctx best then begin
     ctx.counters.c_messages <- ctx.counters.c_messages + 1;
-    ctx.send ~src:a ~dst:best (Lookup { l with hops = l.hops + 1 })
+    l.hops <- l.hops + 1;
+    ctx.send ~src:a ~dst:best (Lookup l)
   end
   else begin
     (* The probe discovers the pick is already dead: zero-latency
        repair, then re-enter with unchanged hops. *)
     ctx.counters.c_probes <- ctx.counters.c_probes + 1;
-    let l =
-      tlog l (T_cand { cur = a.pos; cand = best; dist = abs (best - l.target); verdict = V_dead })
-    in
+    let l = log_cand l ~cur:a.pos ~cand:best V_dead in
     repair ctx a ~dead:best;
     enter ctx a l
   end
@@ -260,50 +279,38 @@ and splice_in ctx a ~joiner =
   if joiner = a.pos then begin
     a.left <- probe_ring ctx a ~from:a.pos ~dir:(-1);
     a.right <- probe_ring ctx a ~from:a.pos ~dir:1;
-    (match a.left with
-    | Some l ->
-        ctx.counters.c_replies <- ctx.counters.c_replies + 1;
-        ctx.send ~src:a ~dst:l (Set_right (Some a.pos))
-    | None -> ());
-    (match a.right with
-    | Some r ->
-        ctx.counters.c_replies <- ctx.counters.c_replies + 1;
-        ctx.send ~src:a ~dst:r (Set_left (Some a.pos))
-    | None -> ());
+    if a.left <> none then begin
+      ctx.counters.c_replies <- ctx.counters.c_replies + 1;
+      ctx.send ~src:a ~dst:a.left (Set_right (Some a.pos))
+    end;
+    if a.right <> none then begin
+      ctx.counters.c_replies <- ctx.counters.c_replies + 1;
+      ctx.send ~src:a ~dst:a.right (Set_left (Some a.pos))
+    end;
     continue_join ctx a
   end
   else if a.pos < joiner then begin
     (* The stale-pointer case: our right pointer may still name a dead
        previous occupant of the joiner's own position; re-probe past it
        rather than handing the joiner a self-loop. *)
-    let succ =
-      match a.right with
-      | Some r when r = joiner -> probe_ring ctx a ~from:joiner ~dir:1
-      | r -> r
-    in
-    a.right <- Some joiner;
+    let succ = if a.right = joiner then probe_ring ctx a ~from:joiner ~dir:1 else a.right in
+    a.right <- joiner;
     ctx.counters.c_replies <- ctx.counters.c_replies + 1;
-    ctx.send ~src:a ~dst:joiner (Splice { left = Some a.pos; right = succ });
-    match succ with
-    | Some s ->
-        ctx.counters.c_replies <- ctx.counters.c_replies + 1;
-        ctx.send ~src:a ~dst:s (Set_left (Some joiner))
-    | None -> ()
+    ctx.send ~src:a ~dst:joiner (Splice { left = Some a.pos; right = pointer_opt succ });
+    if succ <> none then begin
+      ctx.counters.c_replies <- ctx.counters.c_replies + 1;
+      ctx.send ~src:a ~dst:succ (Set_left (Some joiner))
+    end
   end
   else begin
-    let pred =
-      match a.left with
-      | Some lp when lp = joiner -> probe_ring ctx a ~from:joiner ~dir:(-1)
-      | lp -> lp
-    in
-    a.left <- Some joiner;
+    let pred = if a.left = joiner then probe_ring ctx a ~from:joiner ~dir:(-1) else a.left in
+    a.left <- joiner;
     ctx.counters.c_replies <- ctx.counters.c_replies + 1;
-    ctx.send ~src:a ~dst:joiner (Splice { left = pred; right = Some a.pos });
-    match pred with
-    | Some p ->
-        ctx.counters.c_replies <- ctx.counters.c_replies + 1;
-        ctx.send ~src:a ~dst:p (Set_right (Some joiner))
-    | None -> ()
+    ctx.send ~src:a ~dst:joiner (Splice { left = pointer_opt pred; right = Some a.pos });
+    if pred <> none then begin
+      ctx.counters.c_replies <- ctx.counters.c_replies + 1;
+      ctx.send ~src:a ~dst:pred (Set_right (Some joiner))
+    end
   end
 
 (* Spliced in: build ℓ outgoing links through routed lookups and solicit
@@ -331,12 +338,11 @@ and repair ctx a ~dead =
       start_lookup ctx a ~kind:Link ~target:sink
     end
   end;
-  let points_at o = match o with Some p -> p = dead | None -> false in
-  if points_at a.left then begin
+  if a.left = dead then begin
     a.left <- probe_ring ctx a ~from:dead ~dir:(-1);
     ctx.counters.c_repairs <- ctx.counters.c_repairs + 1
   end;
-  if points_at a.right then begin
+  if a.right = dead then begin
     a.right <- probe_ring ctx a ~from:dead ~dir:1;
     ctx.counters.c_repairs <- ctx.counters.c_repairs + 1
   end
@@ -355,41 +361,39 @@ let handle ctx a (payload : payload) =
       if owner <> a.pos && index_long a owner < 0 && a.n_long < ctx.links then add_long a owner
   | Resolved { kind = User | Placement _ | Solicit _; _ } -> ()
   | Splice { left; right } ->
-      a.left <- left;
-      a.right <- right;
+      a.left <- pointer left;
+      a.right <- pointer right;
       continue_join ctx a
-  | Set_left v -> a.left <- v
-  | Set_right v -> a.right <- v
+  | Set_left v -> a.left <- pointer v
+  | Set_right v -> a.right <- pointer v
   | Stabilize ->
       (* One neighbour, uniform over left, right, then the long links. *)
-      let ring = Bool.to_int (Option.is_some a.left) + Bool.to_int (Option.is_some a.right) in
+      let ring = Bool.to_int (a.left <> none) + Bool.to_int (a.right <> none) in
       if ring + a.n_long > 0 then begin
+        let i = Rng.int a.rng (ring + a.n_long) in
         let v =
-          match (a.left, a.right, Rng.int a.rng (ring + a.n_long)) with
-          | Some l, _, 0 -> l
-          | Some _, Some r, 1 | None, Some r, 0 -> r
-          | _, _, i -> a.long.(i - ring)
+          if i = 0 && a.left <> none then a.left
+          else if i = ring - 1 && a.right <> none then a.right
+          else a.long.(i - ring)
         in
         ctx.counters.c_probes <- ctx.counters.c_probes + 1;
         if not (view_alive ctx v) then repair ctx a ~dead:v
       end
   | Leave_now ->
-      (match a.left with
-      | Some l when view_alive ctx l ->
-          ctx.counters.c_replies <- ctx.counters.c_replies + 1;
-          ctx.send ~src:a ~dst:l (Set_right a.right)
-      | Some _ | None -> ());
-      (match a.right with
-      | Some r when view_alive ctx r ->
-          ctx.counters.c_replies <- ctx.counters.c_replies + 1;
-          ctx.send ~src:a ~dst:r (Set_left a.left)
-      | Some _ | None -> ());
+      if a.left <> none && view_alive ctx a.left then begin
+        ctx.counters.c_replies <- ctx.counters.c_replies + 1;
+        ctx.send ~src:a ~dst:a.left (Set_right (pointer_opt a.right))
+      end;
+      if a.right <> none && view_alive ctx a.right then begin
+        ctx.counters.c_replies <- ctx.counters.c_replies + 1;
+        ctx.send ~src:a ~dst:a.right (Set_left (pointer_opt a.left))
+      end;
       a.alive <- false;
       ctx.depart a.pos
   | Bounce { dead; lookup = l } ->
       (* Our chosen candidate crashed with the lookup in flight: record
          the dead pick, repair, re-scan with unchanged hops. *)
-      let l = tlog l (T_cand { cur = a.pos; cand = dead; dist = abs (dead - l.target); verdict = V_dead }) in
+      let l = log_cand l ~cur:a.pos ~cand:dead V_dead in
       repair ctx a ~dead;
       enter ctx a l
 

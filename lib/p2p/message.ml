@@ -12,8 +12,8 @@
    - [Stabilize] is the background repair pulse ("trying to heal the
      damage"), [Leave_now] the graceful departure splice.
 
-   The round transport wraps each payload in an envelope carrying the
-   deterministic delivery key (deliver_at, sender, per-sender sequence);
+   The round transport queues each payload with the deterministic
+   delivery key (deliver_at, sender, per-sender sequence);
    [Ftr_svc.Mailbox.post] is the only way to deliver one, which is what
    makes the merged service transcript a pure function of (seed, logical
    time, sender id, sequence number). *)
@@ -35,11 +35,17 @@ type verdict = V_chosen | V_not_best | V_not_closer | V_dead
    no matter which worker domain ran each hop. *)
 type trace_step = T_hop of int | T_cand of { cur : int; cand : int; dist : int; verdict : verdict }
 
+(* A lookup in flight has one owner at a time: the actor handling it,
+   or the transport carrying it. Each forward increments [hops] and
+   sends the same record on ([Actor.scan]); the sender gives it up on
+   send and never reads it again, so the next owner is the only one to
+   see the change. A record that must outlive the send is copied first
+   ([Actor.dead_mail]'s bounce keeps its own). *)
 type lookup = {
   request : int;  (* driver-assigned id for [User], -1 for maintenance *)
   origin : int;  (* who wants the answer *)
   target : int;  (* line point being claimed *)
-  hops : int;
+  mutable hops : int;
   kind : lookup_kind;
   traced : bool;
   tlog_rev : trace_step list;  (* flight-recorder log, newest first; empty unless traced *)

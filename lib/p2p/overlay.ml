@@ -66,14 +66,10 @@ let live_positions t =
    node, and the long links must respect the budget ℓ and never name
    the node itself. *)
 let debug_check t (a : Actor.t) =
-  (match a.left with
-  | Some l when l >= a.pos ->
-      Ftr_debug.Debug.failf "Overlay: node %d has left pointer %d on its right" a.pos l
-  | Some _ | None -> ());
-  (match a.right with
-  | Some r when r <= a.pos ->
-      Ftr_debug.Debug.failf "Overlay: node %d has right pointer %d on its left" a.pos r
-  | Some _ | None -> ());
+  if a.left <> Actor.none && a.left >= a.pos then
+    Ftr_debug.Debug.failf "Overlay: node %d has left pointer %d on its right" a.pos a.left;
+  if a.right <> Actor.none && a.right <= a.pos then
+    Ftr_debug.Debug.failf "Overlay: node %d has right pointer %d on its left" a.pos a.right;
   if a.n_long > links t then
     Ftr_debug.Debug.failf "Overlay: node %d holds %d long links, budget is %d" a.pos a.n_long
       (links t);
@@ -290,8 +286,8 @@ let populate t ~positions =
       Array.iteri
         (fun i pos ->
           let a = Hashtbl.find t.actors pos in
-          if i > 0 then a.left <- Some arr.(i - 1);
-          if i < Array.length arr - 1 then a.right <- Some arr.(i + 1))
+          if i > 0 then a.left <- arr.(i - 1);
+          if i < Array.length arr - 1 then a.right <- arr.(i + 1))
         arr;
       (* Long links by direct sampling (the ideal distribution). *)
       Array.iter
@@ -334,8 +330,8 @@ let iter_nodes t f =
         {
           view_pos = a.pos;
           view_alive = a.alive;
-          view_left = a.left;
-          view_right = a.right;
+          view_left = Actor.pointer_opt a.left;
+          view_right = Actor.pointer_opt a.right;
           view_long = Actor.long_links a;
         })
     t.actors

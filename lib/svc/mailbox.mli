@@ -12,12 +12,12 @@
     hand-off, or [Domain.join] under [Pool.map]) sequences the two, so
     the mailbox needs no lock (docs/SERVICE.md). *)
 
-type 'a entry = { e_time : int; e_src : int; e_seq : int; e_msg : 'a }
-
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
+val create : ?capacity:int -> vacant:'a -> unit -> 'a t
 (** An empty mailbox holding at most [capacity] (default 4096) entries.
+    [vacant] fills the payload cells no entry holds; it is never handed
+    to a handler.
     @raise Invalid_argument if [capacity < 1]. *)
 
 val post : 'a t -> time:int -> src:int -> seq:int -> 'a -> bool
@@ -28,11 +28,13 @@ val post : 'a t -> time:int -> src:int -> seq:int -> 'a -> bool
 val due : 'a t -> now:int -> bool
 (** Whether the earliest pending entry is due at or before [now]. *)
 
-val drain_due : 'a t -> now:int -> ('a entry -> unit) -> unit
-(** Pop every entry due at or before [now] off the head, in delivery
-    order, and hand each to the callback after it has left the mailbox
-    (so {!length} already excludes it). An entry the callback posts
-    that is itself due is drained by the same call. *)
+val drain_due : 'a t -> now:int -> ('b -> src:int -> seq:int -> 'a -> unit) -> 'b -> unit
+(** [drain_due t ~now f x] pops every entry due at or before [now] off
+    the head, in delivery order, and calls [f x ~src ~seq payload] for
+    each after it has left the mailbox (so {!length} already excludes
+    it). [x] carries the caller's context, so a drain needs no closure.
+    An entry the callback posts that is itself due is drained by the
+    same call. *)
 
 val capacity : 'a t -> int
 

@@ -33,6 +33,16 @@ let cases =
     ([ "serve"; "--join-rate=-1" ], "--join-rate");
     ([ "serve"; "--crash-rate=-1" ], "--crash-rate");
     ([ "serve"; "--leave-rate=nan" ], "--leave-rate");
+    (* Options that used to reach a library [Invalid_argument] (exit 125)
+       or run to a [nan] report. *)
+    ([ "recovery"; "--kill=2.0" ], "--kill");
+    ([ "dht"; "--replicas=0" ], "--replicas");
+    ([ "dht"; "--requests=-5" ], "--requests");
+    ([ "churn"; "--links=-3" ], "--links");
+    ([ "churn"; "--initial=0" ], "--initial");
+    ([ "churn"; "--duration=-1" ], "--duration");
+    ([ "anatomy"; "--links=-1" ], "--links");
+    ([ "adversary"; "--trials=-2" ], "--trials");
   ]
 
 let contains s sub = Option.is_some (Ftr_lint.Suppress.find_sub s sub)

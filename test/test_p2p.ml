@@ -235,8 +235,9 @@ let lookup_into_crash ?callback ~seed () =
   let next =
     let v = view_of overlay 0 in
     match
-      Actor.best_candidate ~pos:0 ~target:200 ~left:v.Overlay.view_left
-        ~right:v.Overlay.view_right ~long:v.Overlay.view_long
+      Actor.best_candidate ~pos:0 ~target:200
+        ~left:(Actor.pointer v.Overlay.view_left)
+        ~right:(Actor.pointer v.Overlay.view_right) ~long:v.Overlay.view_long
         ~n_long:(Array.length v.Overlay.view_long)
     with
     | -1 -> Alcotest.fail "the lookup would resolve at its origin"
@@ -607,7 +608,7 @@ let prop_best_candidate_matches_oracle =
       in
       (* A stale slot past [n_long] holding the target itself, which would
          win every scan that read it. *)
-      Actor.best_candidate ~pos ~target ~left ~right
+      Actor.best_candidate ~pos ~target ~left:(Actor.pointer left) ~right:(Actor.pointer right)
         ~long:(Array.of_list (long @ [ target ]))
         ~n_long:(List.length long)
       = oracle)
