@@ -47,6 +47,16 @@ let mean_conv =
 let fraction_conv =
   checked Arg.float ~expected:"a fraction in [0, 1)" (fun p -> p >= 0.0 && p < 1.0)
 
+let initial_conv = checked Arg.int ~expected:"an initial population of at least 2" (fun k -> k >= 2)
+
+(* A bound across two options, which no converter sees: [value] of
+   [option] above [--nodes] is a usage error (exit 124, through
+   [Term.ret]) that names [option]; otherwise the result of [k ()]. *)
+let at_most_nodes ~option value ~nodes k =
+  if value > nodes then
+    `Error (true, Printf.sprintf "option '%s': %d is above --nodes %d" option value nodes)
+  else `Ok (k ())
+
 let n_t default =
   Arg.(
     value & opt nodes_conv default
@@ -58,7 +68,7 @@ let links_of c =
     & opt (some c) None
     & info [ "links" ] ~docv:"L" ~doc:"Long links per node (default: lg N).")
 
-let links_t = links_of Arg.int
+let links_t = links_of count_conv
 
 let networks_t default =
   Arg.(
@@ -379,7 +389,8 @@ let recovery_cmd =
     Arg.(value & opt fraction_conv 0.3 & info [ "kill" ] ~docv:"P" ~doc:"Fraction crashed at t=0.")
   in
   let samples_t =
-    Arg.(value & opt int 10 & info [ "samples" ] ~docv:"K" ~doc:"Recovery curve samples.")
+    Arg.(
+      value & opt positive_conv 10 & info [ "samples" ] ~docv:"K" ~doc:"Recovery curve samples.")
   in
   Cmd.v
     (Cmd.info "recovery" ~doc:"Self-healing curve after a mass crash")
@@ -427,6 +438,7 @@ let dht_cmd =
 
 let churn_cmd =
   let run line_size links seed duration initial =
+    at_most_nodes ~option:"--initial" initial ~nodes:line_size @@ fun () ->
     let links = resolve_links line_size (Some links) in
     Paper.print_churn
       (Ftr_p2p.Churn.run
@@ -453,14 +465,11 @@ let churn_cmd =
     Arg.(value & opt positive_conv 8 & info [ "links" ] ~docv:"L" ~doc:"Long links per node.")
   in
   let initial_t =
-    let initial_conv =
-      checked Arg.int ~expected:"an initial population of at least 2" (fun k -> k >= 2)
-    in
     Arg.(value & opt initial_conv 128 & info [ "initial" ] ~docv:"I" ~doc:"Initial population.")
   in
   Cmd.v
     (Cmd.info "churn" ~doc:"Run the dynamic protocol under churn and report")
-    Term.(const run $ n_t 1024 $ links_t $ seed_t $ duration_t $ initial_t)
+    Term.(ret (const run $ n_t 1024 $ links_t $ seed_t $ duration_t $ initial_t))
 
 (* report *)
 
@@ -810,10 +819,17 @@ let check_cmd =
     let svc_res = Ftr_svc.Driver.run svc_cfg in
     report "service: post-churn invariants"
       (Check.service svc_res.Ftr_svc.Driver.res_service);
-    let mb = Ftr_svc.Mailbox.create ~capacity:4 ~vacant:() () in
+    (* Posts out of key order through two lanes to three destinations,
+       one post past the capacity of 2; delivered, each destination's
+       mail must sit in (src, seq) order within the bound. *)
+    let mb = Ftr_svc.Mailbox.create ~capacity:2 ~lanes:2 ~vacant:() () in
     List.iter
-      (fun (time, src, seq) -> ignore (Ftr_svc.Mailbox.post mb ~time ~src ~seq ()))
-      [ (3, 1, 0); (1, 2, 0); (1, 1, 1); (2, 0, 0); (9, 9, 9) ];
+      (fun (lane, dst, src, seq) -> Ftr_svc.Mailbox.post mb ~lane ~dst ~src ~seq ())
+      [ (1, 1, 3, 0); (1, 0, 2, 0); (0, 1, 1, 1); (0, 2, -1, 0); (1, 1, 1, 0); (0, 0, -1, 1) ];
+    List.iter
+      (fun lane -> Ftr_svc.Mailbox.admit mb ~lane (fun () ~dst:_ ~src:_ ~seq:_ () -> ()) ())
+      [ 0; 1 ];
+    Ftr_svc.Mailbox.deliver mb;
     report "service: mailbox discipline" (Check.mailbox mb);
     if !total = 0 then
       Printf.printf "all %d check sections passed (0 violations)\n" !sections
@@ -1089,11 +1105,8 @@ let serve_cmd =
   let module D = Ftr_svc.Driver in
   let run nodes initial links seed ticks rate join_rate crash_rate leave_rate stabilize ttl jobs
       shards json transcript explain no_wall selfcheck =
+    at_most_nodes ~option:"--initial" initial ~nodes @@ fun () ->
     let links = resolve_links nodes links in
-    if initial < 2 || initial > nodes then begin
-      Printf.eprintf "p2psim serve: --initial must be in [2, nodes]\n";
-      exit 2
-    end;
     let cfg =
       {
         D.default_config with
@@ -1175,7 +1188,7 @@ let serve_cmd =
   in
   let initial_t =
     Arg.(
-      value & opt int 256
+      value & opt initial_conv 256
       & info [ "initial" ] ~docv:"K" ~doc:"Nodes populated before the service starts.")
   in
   let ticks_t =
@@ -1254,14 +1267,15 @@ let serve_cmd =
          "Run the overlay as a message-passing service: actor nodes, deterministic mailboxes, \
           multi-hop lookups under churn")
     Term.(
-      const run $ n_t 4096 $ initial_t $ links_of positive_conv $ seed_t $ ticks_t $ rate_t
-      $ join_rate_t $ crash_rate_t $ leave_rate_t $ stabilize_t $ ttl_t
-      $ jobs_t
-          ~doc:
-            "Worker domains (default: the recommended domain count; never changes the \
-             transcript)."
-      $ shards_t $ json_t
-      $ transcript_t $ explain_t $ no_wall_t $ selfcheck_t)
+      ret
+        (const run $ n_t 4096 $ initial_t $ links_of positive_conv $ seed_t $ ticks_t $ rate_t
+        $ join_rate_t $ crash_rate_t $ leave_rate_t $ stabilize_t $ ttl_t
+        $ jobs_t
+            ~doc:
+              "Worker domains (default: the recommended domain count; never changes the \
+               transcript)."
+        $ shards_t $ json_t
+        $ transcript_t $ explain_t $ no_wall_t $ selfcheck_t))
 
 (* snapshot *)
 

@@ -674,35 +674,50 @@ let store ?(complete = false) (s : Store.t) =
   List.rev !out
 
 (* ------------------------------------------------------------------ *)
-(* Service subsystem (Ftr_svc): deterministic mailboxes and actors      *)
+(* Service subsystem (Ftr_svc): the tick inbox and the actors          *)
 (* ------------------------------------------------------------------ *)
 
-(* The bounded-mailbox rule and the delivery order. [well_ordered] is the
-   load-bearing one: a mailbox out of delivery order means some post or
-   drain bypassed the sorted insert, and the scheduler's jobs-invariance
-   claim is void. *)
-let mailbox ?(subject = "mailbox") (mb : _ Ftr_svc.Mailbox.t) =
+(* The bounded-inbox rule and the delivery order, destination by
+   destination. The order is the load-bearing one: a destination whose
+   delivered mail is not strictly increasing in (src, seq) means the
+   delivery sort was bypassed or a sender reused a sequence number, and
+   the scheduler's jobs-invariance claim is void. The order is re-derived
+   here from the stored keys, not taken from [Mailbox.well_ordered]. *)
+let mailbox ?(subject = "inbox") (mb : _ Ftr_svc.Mailbox.t) =
   let out = ref [] in
   let emit x = out := x :: !out in
   let module M = Ftr_svc.Mailbox in
-  if M.length mb > M.capacity mb then
+  let cap = M.capacity mb in
+  if M.high_water mb > cap then
     emit
-      (violation "svc.mailbox-bound" subject "length %d exceeds capacity %d" (M.length mb)
-         (M.capacity mb));
-  if M.high_water mb > M.capacity mb then
+      (violation "svc.mailbox-bound" subject "high water %d exceeds capacity %d" (M.high_water mb)
+         cap);
+  let queued = ref 0 in
+  for d = 0 to M.destinations mb - 1 do
+    let dest = Printf.sprintf "%s destination %d" subject d in
+    queued := !queued + M.pending mb d;
+    if M.pending mb d > cap then
+      emit
+        (violation "svc.mailbox-bound" dest "%d posts queued exceed capacity %d" (M.pending mb d)
+           cap);
+    if M.length mb d > cap then
+      emit
+        (violation "svc.mailbox-bound" dest "%d deliveries exceed capacity %d" (M.length mb d) cap);
+    let rec increasing = function
+      | a :: (b :: _ as rest) -> compare a b < 0 && increasing rest
+      | [ _ ] | [] -> true
+    in
+    if not (increasing (M.keys mb d)) then
+      emit (violation "svc.mailbox-order" dest "delivered mail is not in (src, seq) order")
+  done;
+  if !queued <> M.posted mb then
     emit
-      (violation "svc.mailbox-bound" subject "high water %d exceeds capacity %d"
-         (M.high_water mb) (M.capacity mb));
-  if M.length mb <> List.length (M.keys mb) then
-    emit
-      (violation "svc.mailbox-count" subject "length %d disagrees with %d stored keys"
-         (M.length mb) (List.length (M.keys mb)));
-  if not (M.well_ordered mb) then
-    emit (violation "svc.mailbox-order" subject "entries are not in delivery order");
+      (violation "svc.mailbox-count" subject "%d posts queued by destination, %d in all" !queued
+         (M.posted mb));
   List.rev !out
 
 (* Structural invariants of a running (or finished) service: request
-   conservation, ring sanity, link budgets and every actor's mailbox.
+   conservation, ring sanity, link budgets and the inbox.
    Sorted actor order comes from [iter_actors], so the report is
    deterministic. *)
 let service (svc : Ftr_svc.Service.t) =
@@ -751,17 +766,13 @@ let service (svc : Ftr_svc.Service.t) =
             else if tgt < 0 || tgt >= line_size then
               emit (violation "svc.off-line" subject "long link to %d outside [0,%d)" tgt line_size))
           v.S.av_long
-      end;
-      if v.S.av_mail_length > v.S.av_mail_capacity then
-        emit
-          (violation "svc.mailbox-bound" subject "length %d exceeds capacity %d"
-             v.S.av_mail_length v.S.av_mail_capacity);
-      if v.S.av_mail_high_water > v.S.av_mail_capacity then
-        emit
-          (violation "svc.mailbox-bound" subject "high water %d exceeds capacity %d"
-             v.S.av_mail_high_water v.S.av_mail_capacity);
-      if not v.S.av_mail_well_ordered then
-        emit (violation "svc.mailbox-order" subject "entries are not in delivery order"));
+      end);
+  let inbox = S.inbox svc in
+  if stats.S.dropped <> Ftr_svc.Mailbox.dropped inbox then
+    emit
+      (violation "svc.mailbox-count" "service" "%d drops counted, but the inbox refused %d"
+         stats.S.dropped (Ftr_svc.Mailbox.dropped inbox));
+  List.iter emit (mailbox ~subject:"service inbox" inbox);
   List.rev !out
 
 (* ------------------------------------------------------------------ *)

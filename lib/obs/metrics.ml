@@ -103,16 +103,28 @@ let set_gauge ?(registry = default) ?(labels = []) name v =
   | Gauge r -> r.g <- v
   | Counter _ | Histogram _ -> assert false
 
-let observe ?(registry = default) ?(labels = []) name v =
+let histogram registry ~labels name =
   match
     find_or_create registry ~name ~labels ~kind:Histogram_kind (fun () ->
         Histogram { buckets = Array.make bucket_count 0; summary = Summary.create () })
   with
-  | Histogram h ->
-      let i = bucket_index v in
-      h.buckets.(i) <- h.buckets.(i) + 1;
-      Summary.add h.summary v
+  | Histogram h -> h
   | Counter _ | Gauge _ -> assert false
+
+let record h v =
+  let i = bucket_index v in
+  h.buckets.(i) <- h.buckets.(i) + 1;
+  Summary.add h.summary v
+
+let observe ?(registry = default) ?(labels = []) name v = record (histogram registry ~labels name) v
+
+(* [observe] of [values.(0)] to [values.(n - 1)], in that order, for one
+   registry lookup: a hot caller batches its observations per round. *)
+let observe_ints ?(registry = default) ?(labels = []) name values n =
+  let h = histogram registry ~labels name in
+  for i = 0 to n - 1 do
+    record h (float_of_int values.(i))
+  done
 
 let observe_int ?registry ?labels name v = observe ?registry ?labels name (float_of_int v)
 

@@ -1,7 +1,7 @@
 (* One overlay node as an actor: the single implementation of the paper's
    Section 5 protocol. Two transports carry its messages — [Overlay]
    delivers them as [Ftr_sim.Engine] events with a latency model,
-   [Ftr_svc.Service] through deterministic mailboxes on a round scheduler
+   [Ftr_svc.Service] through a deterministic tick inbox on a round scheduler
    — and both call the same handler, the same dead-carrier rule
    ([dead_mail]) and the same trace replay ([replay_trace]).
 

@@ -12,8 +12,8 @@
    - [Stabilize] is the background repair pulse ("trying to heal the
      damage"), [Leave_now] the graceful departure splice.
 
-   The round transport queues each payload with the deterministic
-   delivery key (deliver_at, sender, per-sender sequence);
+   The round transport delivers each payload at the next tick under the
+   deterministic delivery key (sender, per-sender sequence);
    [Ftr_svc.Mailbox.post] is the only way to deliver one, which is what
    makes the merged service transcript a pure function of (seed, logical
    time, sender id, sequence number). *)

@@ -231,12 +231,12 @@ let build_overlay cfg =
   Ftr_sim.Engine.run engine;
   ov
 
+(* A live actor's position, uniform over the live ones in one draw of
+   [rng], or -1 when none is left. Nothing is allocated: the draw is an
+   index into the live actors in position order, walked in the registry. *)
 let pick_live rng svc =
-  match Service.live_positions svc with
-  | [] -> None
-  | live ->
-      let arr = Array.of_list live in
-      Some arr.(Rng.int rng (Array.length arr))
+  let n = Service.live_count svc in
+  if n = 0 then -1 else Service.nth_live svc (Rng.int rng n)
 
 (* One tick's control inputs, in a fixed order (crashes, leaves, joins,
    stabilize pulses, user requests) so the control stream is part of the
@@ -245,47 +245,41 @@ let control cfg rng svc =
   let live_floor = 2 in
   if cfg.crash_rate > 0.0 then
     for _ = 1 to Sample.poisson rng ~lambda:cfg.crash_rate do
-      if Service.live_count svc > live_floor then
-        match pick_live rng svc with
-        | Some pos -> Service.crash svc ~pos
-        | None -> ()
+      if Service.live_count svc > live_floor then Service.crash svc ~pos:(pick_live rng svc)
     done;
   if cfg.leave_rate > 0.0 then
     for _ = 1 to Sample.poisson rng ~lambda:cfg.leave_rate do
-      if Service.live_count svc > live_floor then
-        match pick_live rng svc with
-        | Some pos -> Service.leave svc ~pos
-        | None -> ()
+      if Service.live_count svc > live_floor then Service.leave svc ~pos:(pick_live rng svc)
     done;
   if cfg.join_rate > 0.0 then
     for _ = 1 to Sample.poisson rng ~lambda:cfg.join_rate do
-      match pick_live rng svc with
-      | Some via ->
-          (* A fresh position: never-occupied grid points keep the
-             registry conservation exact (a position is one actor, ever). *)
-          let rec fresh tries =
-            if tries = 0 then None
-            else
-              let pos = Rng.int rng cfg.line_size in
-              if Service.known svc pos then fresh (tries - 1) else Some pos
-          in
-          (match fresh 64 with Some pos -> Service.join svc ~pos ~via | None -> ())
-      | None -> ()
+      let via = pick_live rng svc in
+      if via >= 0 then begin
+        (* A fresh position: never-occupied grid points keep the
+           registry conservation exact (a position is one actor, ever). *)
+        let rec fresh tries =
+          if tries = 0 then -1
+          else
+            let pos = Rng.int rng cfg.line_size in
+            if Service.known svc pos then fresh (tries - 1) else pos
+        in
+        let pos = fresh 64 in
+        if pos >= 0 then Service.join svc ~pos ~via
+      end
     done;
   for _ = 1 to cfg.stabilize do
-    match pick_live rng svc with
-    | Some pos -> Service.stabilize svc ~pos
-    | None -> ()
+    let pos = pick_live rng svc in
+    if pos >= 0 then Service.stabilize svc ~pos
   done;
   for _ = 1 to cfg.rate do
-    match pick_live rng svc with
-    | Some src ->
-        let target = Rng.int rng cfg.line_size in
-        let traced =
-          match cfg.explain with Some k -> k = Service.next_request_id svc | None -> false
-        in
-        ignore (Service.request ~traced svc ~src ~target)
-    | None -> ()
+    let src = pick_live rng svc in
+    if src >= 0 then begin
+      let target = Rng.int rng cfg.line_size in
+      let traced =
+        match cfg.explain with Some k -> k = Service.next_request_id svc | None -> false
+      in
+      ignore (Service.request ~traced svc ~src ~target)
+    end
   done
 
 let run cfg =
@@ -329,16 +323,16 @@ let invariant_problems res =
   if r.rp_issued <> r.rp_delivered + r.rp_failed + r.rp_timed_out then
     bad "request conservation: issued %d <> delivered %d + failed %d + timed_out %d"
       r.rp_issued r.rp_delivered r.rp_failed r.rp_timed_out;
-  if r.rp_dropped <> 0 then bad "mailbox overflow dropped %d messages" r.rp_dropped;
+  if r.rp_dropped <> 0 then bad "inbox overflow dropped %d messages" r.rp_dropped;
+  let inbox = Service.inbox svc in
+  if not (Mailbox.well_ordered inbox) then bad "the inbox violates the delivery order";
+  if Mailbox.high_water inbox > Mailbox.capacity inbox then
+    bad "inbox high water %d exceeds capacity %d" (Mailbox.high_water inbox)
+      (Mailbox.capacity inbox);
   Service.iter_actors svc (fun v ->
       if v.Service.av_mail_length <> 0 && v.Service.av_alive then
         bad "actor %d still holds %d undrained messages" v.Service.av_pos
           v.Service.av_mail_length;
-      if not v.Service.av_mail_well_ordered then
-        bad "actor %d mailbox violates the delivery order" v.Service.av_pos;
-      if v.Service.av_mail_high_water > v.Service.av_mail_capacity then
-        bad "actor %d mailbox high water %d exceeds capacity %d" v.Service.av_pos
-          v.Service.av_mail_high_water v.Service.av_mail_capacity;
       if Array.length v.Service.av_long > Service.links svc then
         bad "actor %d carries %d long links (budget %d)" v.Service.av_pos
           (Array.length v.Service.av_long) (Service.links svc));

@@ -13,16 +13,25 @@
       the per-slice event order is jobs-invariant too. Handlers write
       only their own actor plus per-shard accumulators.
    3. (coordinator) accumulators are merged in slice order: transcript
-      chunks appended, counters added, completions applied, outboxes
-      posted into mailboxes (delivery at now+latency), departures
-      folded into the liveness view. Since slices partition the sorted
-      due list, the merged order equals the order a single worker would
-      have produced: delivery order is a pure function of
+      chunks appended, counters added, completions applied, each
+      shard's inbox lane admitted for the next tick, departures folded
+      into the liveness view. Since slices partition the sorted due list,
+      the merged order equals the order a single worker would have
+      produced: delivery order is a pure function of
       (seed, logical time, sender id, sequence number).
+
+   Every message is delivered at the next tick: control posts at the
+   round that follows them, shard sends and bounces at the round after
+   theirs. So one [Mailbox.t] inbox holds all the mail: the shards post
+   into their own lanes of it during the round, the coordinator into
+   lane 0, and the scan opens each round by delivering it, sorted by
+   destination and then by (sender, sequence). Destinations are dense
+   slot ids fixed at registration, so the inbox's per-destination arrays
+   are as long as the registry, not the line.
 
    The liveness view is a frozen byte per line position: written by the
    coordinator between rounds, read-only inside one — the second half of
-   the barrier discipline that makes the mailboxes safe without locks. *)
+   the barrier discipline that makes the inbox safe without locks. *)
 
 module Rng = Ftr_prng.Rng
 module Sample = Ftr_prng.Sample
@@ -50,7 +59,7 @@ type stats = {
   mutable crashes : int;
   mutable leaves : int;
   mutable bounces : int; (* lookups bounced off dead carriers *)
-  mutable dropped : int; (* mailbox-capacity drops *)
+  mutable dropped : int; (* inbox-capacity drops *)
   mutable dead_letters : int; (* non-lookup mail to dead actors, dropped by protocol *)
   mutable handled : int; (* envelopes processed *)
   mutable rounds : int;
@@ -67,29 +76,28 @@ type request_state = {
 }
 
 (* One registered actor with the delivery state this transport keeps
-   beside it: its mailbox and its per-sender sequence counter. *)
-type slot = { actor : Actor.t; mailbox : payload Mailbox.t; mutable next_seq : int }
+   beside it: its inbox destination id (dense, in registration order)
+   and its per-sender sequence counter. *)
+type slot = { actor : Actor.t; id : int; mutable next_seq : int }
 
-(* What fills a payload cell that holds no message, in the mailboxes and
-   the outboxes alike: a constant constructor, so it keeps nothing
-   alive. *)
+(* What fills an inbox payload cell that holds no message: a constant
+   constructor, so it keeps nothing alive. *)
 let vacant = Stabilize
 
+(* The inbox lane the coordinator posts into; shard [s] posts into lane
+   [s + 1]. *)
+let coord_lane = 0
+
 (* Per-shard accumulator: everything a worker produces besides its own
-   actors' state, merged by the coordinator in shard order, and the
-   handler context that writes it, built once with the service. The outbox
-   is flat — entry [i] < [n_out] is [out_msg.(i)] from [out_src.(i)] to
-   [out_dst.(i)] with sequence number [out_seq.(i)], all delivered at
-   the next tick — so sending allocates nothing once the arrays have
-   grown to the shard's traffic. *)
+   actors' state and its inbox lane, merged by the coordinator in shard
+   order, and the handler context that writes it, built once with the
+   service. A send goes straight into the shard's lane of the inbox,
+   addressed by slot id, so it allocates nothing once the lane has grown
+   to the shard's traffic. *)
 type shard_acc = {
   ctx : Actor.ctx;
   buf : Buffer.t;
-  mutable out_src : int array; (* sending actor's position *)
-  mutable out_dst : int array;
-  mutable out_seq : int array; (* per-sender sequence number *)
-  mutable out_msg : payload array;
-  mutable n_out : int;
+  mutable strays : int; (* sends to unregistered positions *)
   mutable completions_rev : (lookup * outcome) list;
   mutable departs_rev : int list;
 }
@@ -99,79 +107,73 @@ type t = {
   links : int;
   ttl : int;
   seed : int;
-  capacity : int option;
   regenerate : bool;
   nshards : int;
-  latency : int;
-  slots : slot option array; (* by line position; [None] = never registered *)
-  mutable order : slot array; (* every registered actor by position, in [0, registered) *)
+  ids : int array; (* by line position: the slot id, -1 = never registered *)
+  mutable order : int array; (* every registered actor's slot id by position, in [0, registered) *)
+  mutable by_id : slot array; (* every registered actor by slot id, in [0, registered) *)
   mutable registered : int;
-  mutable due : slot array; (* this round's due live actors, in [0, ndue); reused *)
+  inbox : payload Mailbox.t; (* destinations are slot ids *)
+  mutable due : int array; (* this round's due live actors' slot ids, in [0, ndue) *)
   mutable ndue : int;
-  accs : shard_acc array; (* one per shard, cleared every round *)
+  mutable accs : shard_acc array; (* one per shard, cleared every round *)
   alive_view : Bytes.t;
+  mutable live : int; (* registered positions the view marks alive *)
   pl : Sample.power_law;
   mutable now : int;
   mutable next_request : int;
   mutable coord_seq : int;
   mutable requests : request_state array; (* by request id, in [0, next_request) *)
   hops_hist : int array; (* per-success hop counts, exact *)
+  (* Telemetry on: the user lookups completed since the last
+     [report_requests], the delivered ones' hop counts in
+     [unreported_hops.(0 .. n_unreported - 1)]. *)
+  mutable unreported_hops : int array;
+  mutable n_unreported : int;
+  mutable unreported_failed : int;
   stats : stats;
   transcript : Buffer.t;
   record : bool;
 }
 
-(* Queue [payload] in the shard's outbox, growing the four arrays
-   together when they are full. *)
-let push_out acc ~src ~dst ~seq payload =
-  let i = acc.n_out in
-  if i = Array.length acc.out_msg then begin
-    let size = max 16 (2 * i) in
-    let grow a fill =
-      let b = Array.make size fill in
-      Array.blit a 0 b 0 i;
-      b
-    in
-    acc.out_src <- grow acc.out_src 0;
-    acc.out_dst <- grow acc.out_dst 0;
-    acc.out_seq <- grow acc.out_seq 0;
-    acc.out_msg <- grow acc.out_msg vacant
-  end;
-  acc.out_src.(i) <- src;
-  acc.out_dst.(i) <- dst;
-  acc.out_seq.(i) <- seq;
-  acc.out_msg.(i) <- payload;
-  acc.n_out <- i + 1
+(* The slot id at line position [pos], -1 when none is registered there. *)
+let[@inline] id_of t pos = if pos >= 0 && pos < t.line_size then t.ids.(pos) else -1
 
-let fresh_acc ~record ~slots ~line_size ~links ~ttl ~regenerate ~alive_view ~pl =
+(* Shard [shard]'s accumulator and handler context; its sends go into
+   inbox lane [shard + 1]. *)
+let fresh_acc t shard =
+  let lane = shard + 1 in
   let rec acc =
     {
       ctx =
         {
-          Actor.line_size;
-          links;
-          ttl;
-          regenerate;
-          alive_view;
-          pl;
+          Actor.line_size = t.line_size;
+          links = t.links;
+          ttl = t.ttl;
+          regenerate = t.regenerate;
+          alive_view = t.alive_view;
+          pl = t.pl;
           counters = Actor.fresh_counters ();
           send =
             (fun ~src ~dst payload ->
-              match slots.(src.Actor.pos) with
-              | Some s ->
-                  let seq = s.next_seq in
-                  s.next_seq <- seq + 1;
-                  push_out acc ~src:src.Actor.pos ~dst ~seq payload
-              | None -> invalid_arg "Service: send from an unregistered actor");
+              let sid = id_of t src.Actor.pos in
+              if sid < 0 then invalid_arg "Service: send from an unregistered actor";
+              let s = t.by_id.(sid) in
+              let seq = s.next_seq in
+              s.next_seq <- seq + 1;
+              let id = id_of t dst in
+              if id >= 0 then Mailbox.post t.inbox ~lane ~dst:id ~src:src.Actor.pos ~seq payload
+              else if Debug.enabled () then
+                (* Every destination comes out of the registry, so this
+                   is a scheduler bug, not load. *)
+                Debug.failf "Service: message for unregistered position %d (from %d)" dst
+                  src.Actor.pos
+              else acc.strays <- acc.strays + 1);
           complete = (fun l o -> acc.completions_rev <- (l, o) :: acc.completions_rev);
           depart = (fun pos -> acc.departs_rev <- pos :: acc.departs_rev);
         };
-      buf = Buffer.create (if record then 1024 else 1);
-      out_src = [||];
-      out_dst = [||];
-      out_seq = [||];
-      out_msg = [||];
-      n_out = 0;
+      buf = Buffer.create (if t.record then 1024 else 1);
+      strays = 0;
       completions_rev = [];
       departs_rev = [];
     }
@@ -183,59 +185,63 @@ let create ?capacity ?(ttl = 256) ?(regenerate = true) ?(shards = 8) ?(record = 
   if line_size < 2 then invalid_arg "Service.create: line_size must be >= 2";
   if links < 1 then invalid_arg "Service.create: links must be >= 1";
   if shards < 1 then invalid_arg "Service.create: shards must be >= 1";
-  let slots = Array.make line_size None and alive_view = Bytes.make line_size '\000' in
-  let pl = Sample.power_law ~exponent:1.0 ~max_length:(line_size - 1) in
-  {
-    line_size;
-    links;
-    ttl;
-    seed;
-    capacity;
-    regenerate;
-    nshards = shards;
-    latency = 1;
-    slots;
-    order = [||];
-    registered = 0;
-    due = [||];
-    ndue = 0;
-    accs =
-      Array.init shards (fun _ ->
-          fresh_acc ~record ~slots ~line_size ~links ~ttl ~regenerate ~alive_view ~pl);
-    alive_view;
-    pl;
-    now = 0;
-    next_request = 0;
-    coord_seq = 0;
-    requests = [||];
-    hops_hist = Array.make (ttl + 2) 0;
-    stats =
-      {
-        issued = 0;
-        ok = 0;
-        failed = 0;
-        timed_out = 0;
-        hops_total = 0;
-        maint_issued = 0;
-        maint_ok = 0;
-        maint_failed = 0;
-        messages = 0;
-        replies = 0;
-        probes = 0;
-        repairs = 0;
-        redirects = 0;
-        joins = 0;
-        crashes = 0;
-        leaves = 0;
-        bounces = 0;
-        dropped = 0;
-        dead_letters = 0;
-        handled = 0;
-        rounds = 0;
-      };
-    transcript = Buffer.create (if record then 65536 else 16);
-    record;
-  }
+  let t =
+    {
+      line_size;
+      links;
+      ttl;
+      seed;
+      regenerate;
+      nshards = shards;
+      ids = Array.make line_size (-1);
+      order = [||];
+      by_id = [||];
+      registered = 0;
+      inbox = Mailbox.create ?capacity ~lanes:(shards + 1) ~vacant ();
+      due = [||];
+      ndue = 0;
+      accs = [||];
+      alive_view = Bytes.make line_size '\000';
+      live = 0;
+      pl = Sample.power_law ~exponent:1.0 ~max_length:(line_size - 1);
+      now = 0;
+      next_request = 0;
+      coord_seq = 0;
+      requests = [||];
+      hops_hist = Array.make (ttl + 2) 0;
+      unreported_hops = [||];
+      n_unreported = 0;
+      unreported_failed = 0;
+      stats =
+        {
+          issued = 0;
+          ok = 0;
+          failed = 0;
+          timed_out = 0;
+          hops_total = 0;
+          maint_issued = 0;
+          maint_ok = 0;
+          maint_failed = 0;
+          messages = 0;
+          replies = 0;
+          probes = 0;
+          repairs = 0;
+          redirects = 0;
+          joins = 0;
+          crashes = 0;
+          leaves = 0;
+          bounces = 0;
+          dropped = 0;
+          dead_letters = 0;
+          handled = 0;
+          rounds = 0;
+        };
+      transcript = Buffer.create (if record then 65536 else 16);
+      record;
+    }
+  in
+  t.accs <- Array.init shards (fresh_acc t);
+  t
 
 let stats t = t.stats
 
@@ -255,24 +261,28 @@ let linef t fmt = Printf.ksprintf (fun s -> Buffer.add_string t.transcript s; Bu
 (* Membership and registry                                             *)
 (* ------------------------------------------------------------------ *)
 
-let slot t pos = if pos >= 0 && pos < t.line_size then t.slots.(pos) else None
-
 let view_alive t pos = pos >= 0 && pos < t.line_size && Bytes.get t.alive_view pos = '\001'
 
-let known t pos = Option.is_some (slot t pos)
+let known t pos = id_of t pos >= 0
 
-let live_positions t =
-  let acc = ref [] in
-  for i = t.registered - 1 downto 0 do
-    let pos = t.order.(i).actor.Actor.pos in
-    if view_alive t pos then acc := pos :: !acc
-  done;
-  !acc
+let live_count t = t.live
 
-let live_count t =
-  let n = ref 0 in
-  Bytes.iter (fun c -> if c = '\001' then incr n) t.alive_view;
-  !n
+(* The [k]-th live actor's position, counting from 0 in position order. *)
+let nth_live t k =
+  if k < 0 || k >= t.live then invalid_arg "Service.nth_live: no such live actor";
+  let rec from i k =
+    let pos = t.by_id.(t.order.(i)).actor.Actor.pos in
+    if not (view_alive t pos) then from (i + 1) k else if k = 0 then pos else from (i + 1) (k - 1)
+  in
+  from 0 k
+
+(* The view's one writer besides registration: marks [pos] departed and
+   keeps [live] counting the marked bytes. *)
+let mark_dead t pos =
+  if view_alive t pos then begin
+    Bytes.set t.alive_view pos '\000';
+    t.live <- t.live - 1
+  end
 
 (* [arr], or a copy of twice the size when index [n] is past its end.
    The new cells hold [x] — the element about to be stored at [n] — so
@@ -285,28 +295,32 @@ let room arr n x =
     a
   end
 
-let add_slot t ~pos ~alive =
+let add_slot t ~pos ~alive ~id =
   if pos < 0 || pos >= t.line_size then invalid_arg "Service.register: position off the line";
-  if Option.is_some t.slots.(pos) then
-    invalid_arg "Service.register: position already registered";
+  if t.ids.(pos) >= 0 then invalid_arg "Service.register: position already registered";
   let a = Actor.create ~pos ~links:t.links ~rng:(Seed.rng_for ~seed:t.seed ~index:pos) () in
   a.Actor.alive <- alive;
-  let s = { actor = a; mailbox = Mailbox.create ?capacity:t.capacity ~vacant (); next_seq = 0 } in
-  t.slots.(pos) <- Some s;
-  if alive then Bytes.set t.alive_view pos '\001';
+  let s = { actor = a; id; next_seq = 0 } in
+  t.ids.(pos) <- id;
+  t.by_id <- room t.by_id id s;
+  t.by_id.(id) <- s;
+  if alive then begin
+    Bytes.set t.alive_view pos '\001';
+    t.live <- t.live + 1
+  end;
   s
 
 (* Registration keeps [order] sorted by shifting the larger positions up
    one cell: a join costs one insertion, never a rescan of the line. *)
 let register t ~pos ~alive =
-  let s = add_slot t ~pos ~alive in
-  let order = room t.order t.registered s in
+  let s = add_slot t ~pos ~alive ~id:t.registered in
+  let order = room t.order t.registered s.id in
   let i = ref t.registered in
-  while !i > 0 && order.(!i - 1).actor.Actor.pos > pos do
+  while !i > 0 && t.by_id.(order.(!i - 1)).actor.Actor.pos > pos do
     order.(!i) <- order.(!i - 1);
     decr i
   done;
-  order.(!i) <- s;
+  order.(!i) <- s.id;
   t.order <- order;
   t.registered <- t.registered + 1;
   s.actor
@@ -314,12 +328,13 @@ let register t ~pos ~alive =
 (* Snapshot constructor: the service starts from exactly the link state
    the engine transport reached (populate, joins, crashes...), so the two
    transports can be compared on the same (seed, network, failure set).
-   Dead registry entries come along too — their mailboxes are what in-
-   flight mail bounces off. The overlay hands its nodes over unsorted;
-   they are registered in position order, which is [order] itself, and
-   which allocates each actor's records in the order the scan and the
-   shards walk them: a steady round ran about a tenth faster than with
-   the records allocated in the overlay's hash order. *)
+   Dead registry entries come along too — they are what in-flight mail
+   bounces off. The overlay hands its nodes over unsorted; they are
+   registered in position order, so slot ids follow positions and
+   [order] is the identity. That allocates each actor's records, and
+   lays out the inbox's per-destination arrays, in the order the scan
+   and the shards walk them: a steady round ran about a tenth faster
+   than with the records allocated in the overlay's hash order. *)
 let of_overlay ?capacity ?ttl ?(regenerate = true) ?shards ?record ~seed ov =
   let module O = Ftr_p2p.Overlay in
   let t =
@@ -329,51 +344,51 @@ let of_overlay ?capacity ?ttl ?(regenerate = true) ?shards ?record ~seed ov =
   in
   let views = ref [] in
   O.iter_nodes ov (fun v -> views := v :: !views);
-  let register v =
-    let s = add_slot t ~pos:v.O.view_pos ~alive:v.O.view_alive in
+  let register id v =
+    let s = add_slot t ~pos:v.O.view_pos ~alive:v.O.view_alive ~id in
     let a = s.actor in
     a.Actor.left <- Actor.pointer v.O.view_left;
     a.Actor.right <- Actor.pointer v.O.view_right;
     Array.blit v.O.view_long 0 a.Actor.long 0 (Array.length v.O.view_long);
-    a.Actor.n_long <- Array.length v.O.view_long;
-    s
+    a.Actor.n_long <- Array.length v.O.view_long
   in
-  t.order <-
-    Array.of_list
-      (List.map register (List.sort (fun v w -> Int.compare v.O.view_pos w.O.view_pos) !views));
-  t.registered <- Array.length t.order;
+  List.iteri register (List.sort (fun v w -> Int.compare v.O.view_pos w.O.view_pos) !views);
+  t.registered <- List.length !views;
+  t.order <- Array.init t.registered Fun.id;
   t
 
 (* ------------------------------------------------------------------ *)
 (* Posting                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Deliver [payload] from [src] (an actor's position; -1 = the
-   coordinator/driver) into [dst]'s mailbox under the key
-   (deliver_at, src, seq). [Mailbox.post] is a payload's one way into a
-   mailbox, so nothing can deliver out of key order. *)
-let post t ~src ~dst ~seq ~deliver_at payload =
-  match slot t dst with
-  | None ->
-      (* Every destination comes out of the registry (neighbour sets,
-         origins, join targets), so this is a scheduler bug, not load. *)
-      if Debug.enabled () then
-        Debug.failf "Service: message for unregistered position %d (from %d)" dst src
-      else t.stats.dead_letters <- t.stats.dead_letters + 1
-  | Some s ->
-      if Debug.enabled () && deliver_at < t.now then
-        Debug.failf "Service: delivery time %d before now %d" deliver_at t.now;
-      if not (Mailbox.post s.mailbox ~time:deliver_at ~src ~seq payload) then begin
-        t.stats.dropped <- t.stats.dropped + 1;
-        if t.record then linef t "t=%d drop %d<-%d#%d %s" t.now dst src seq (describe payload)
-      end
-      else if Debug.enabled () && not (Mailbox.well_ordered s.mailbox) then
-        Debug.failf "Service: mailbox %d lost its delivery order" dst
+(* A post the inbox refused at capacity: counted, and named in the
+   transcript. *)
+let refuse t ~dst ~src ~seq payload =
+  t.stats.dropped <- t.stats.dropped + 1;
+  if t.record then
+    linef t "t=%d drop %d<-%d#%d %s" t.now t.by_id.(dst).actor.Actor.pos src seq (describe payload)
 
-let coord_send t ~dst ~deliver_at payload =
+(* Post [payload] from [src] (an actor's position; -1 = the
+   coordinator/driver) to [dst] for the next round, under the key
+   (src, seq), and admit it at once. [Mailbox.post] is a payload's one
+   way into the inbox, and the inbox hands each destination its mail in
+   key order. *)
+let post t ~src ~dst ~seq payload =
+  let id = id_of t dst in
+  if id >= 0 then begin
+    Mailbox.post t.inbox ~lane:coord_lane ~dst:id ~src ~seq payload;
+    Mailbox.admit t.inbox ~lane:coord_lane refuse t
+  end
+  else if Debug.enabled () then
+    (* Every destination comes out of the registry (neighbour sets,
+       origins, join targets), so this is a scheduler bug, not load. *)
+    Debug.failf "Service: message for unregistered position %d (from %d)" dst src
+  else t.stats.dead_letters <- t.stats.dead_letters + 1
+
+let coord_send t ~dst payload =
   let seq = t.coord_seq in
   t.coord_seq <- seq + 1;
-  post t ~src:(-1) ~dst ~seq ~deliver_at payload
+  post t ~src:(-1) ~dst ~seq payload
 
 (* ------------------------------------------------------------------ *)
 (* Completion accounting (coordinator only)                            *)
@@ -397,12 +412,12 @@ let complete t (l : lookup) (o : outcome) =
         | Failed _ -> t.stats.failed <- t.stats.failed + 1);
         if t.record then linef t "t=%d req %d %s" t.now l.request (describe_outcome o);
         if Ftr_obs.Flag.enabled () then begin
-          Ftr_obs.Metrics.incr
-            ~labels:[ ("outcome", match o with Delivered _ -> "delivered" | Failed _ -> "failed") ]
-            "svc_requests_total";
           (match o with
-          | Delivered { hops; _ } -> Ftr_obs.Metrics.observe "svc_request_hops" (float_of_int hops)
-          | Failed _ -> ());
+          | Delivered { hops; _ } ->
+              t.unreported_hops <- room t.unreported_hops t.n_unreported hops;
+              t.unreported_hops.(t.n_unreported) <- hops;
+              t.n_unreported <- t.n_unreported + 1
+          | Failed _ -> t.unreported_failed <- t.unreported_failed + 1);
           if rq.rq_traced then begin
             (* Trace ids pure in the request id, whatever the completion order. *)
             Ftr_obs.Tracing.set_next_index rq.rq_id;
@@ -414,6 +429,24 @@ let complete t (l : lookup) (o : outcome) =
       match o with
       | Delivered _ -> t.stats.maint_ok <- t.stats.maint_ok + 1
       | Failed _ -> t.stats.maint_failed <- t.stats.maint_failed + 1)
+
+(* The user lookups completed since the last call, into
+   [svc_requests_total{outcome}] and [svc_request_hops]: one registry
+   update per metric per round, not one per completion. *)
+let report_requests t =
+  if Ftr_obs.Flag.enabled () then begin
+    if t.n_unreported > 0 then begin
+      Ftr_obs.Metrics.incr_by ~labels:[ ("outcome", "delivered") ] "svc_requests_total"
+        t.n_unreported;
+      Ftr_obs.Metrics.observe_ints "svc_request_hops" t.unreported_hops t.n_unreported;
+      t.n_unreported <- 0
+    end;
+    if t.unreported_failed > 0 then begin
+      Ftr_obs.Metrics.incr_by ~labels:[ ("outcome", "failed") ] "svc_requests_total"
+        t.unreported_failed;
+      t.unreported_failed <- 0
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Control operations (between rounds)                                 *)
@@ -439,7 +472,7 @@ let request ?(traced = false) t ~src ~target =
   t.next_request <- id + 1;
   t.stats.issued <- t.stats.issued + 1;
   if t.record then linef t "t=%d req %d %d->%d" t.now id src target;
-  coord_send t ~dst:src ~deliver_at:t.now
+  coord_send t ~dst:src
     (Lookup (fresh_lookup ~traced ~request:id ~origin:src ~target User));
   id
 
@@ -452,41 +485,41 @@ let join t ~pos ~via =
   t.stats.maint_issued <- t.stats.maint_issued + 1;
   if t.record then linef t "t=%d join %d via %d" t.now pos via;
   if Ftr_obs.Flag.enabled () then Ftr_obs.Metrics.incr "svc_joins_total";
-  coord_send t ~dst:via ~deliver_at:t.now
+  coord_send t ~dst:via
     (Lookup (fresh_lookup ~request:(-1) ~origin:pos ~target:pos (Placement { joiner = pos })))
 
 let crash t ~pos =
-  match slot t pos with
-  | Some { actor = a; _ } when a.Actor.alive ->
-      a.Actor.alive <- false;
-      Bytes.set t.alive_view pos '\000';
-      t.stats.crashes <- t.stats.crashes + 1;
-      if t.record then linef t "t=%d crash %d" t.now pos;
-      if Ftr_obs.Flag.enabled () then Ftr_obs.Metrics.incr "svc_crashes_total"
-  | Some _ | None -> ()
+  let id = id_of t pos in
+  if id >= 0 && t.by_id.(id).actor.Actor.alive then begin
+    t.by_id.(id).actor.Actor.alive <- false;
+    mark_dead t pos;
+    t.stats.crashes <- t.stats.crashes + 1;
+    if t.record then linef t "t=%d crash %d" t.now pos;
+    if Ftr_obs.Flag.enabled () then Ftr_obs.Metrics.incr "svc_crashes_total"
+  end
 
 let leave t ~pos =
   if view_alive t pos then begin
     if t.record then linef t "t=%d leave %d" t.now pos;
-    coord_send t ~dst:pos ~deliver_at:t.now Leave_now
+    coord_send t ~dst:pos Leave_now
   end
 
 let stabilize t ~pos =
   if view_alive t pos then begin
     if t.record then linef t "t=%d stab %d" t.now pos;
-    coord_send t ~dst:pos ~deliver_at:t.now Stabilize
+    coord_send t ~dst:pos Stabilize
   end
 
 (* ------------------------------------------------------------------ *)
 (* The round                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Mail due at a dead actor, drained by the coordinator in sorted order
-   under the shared dead-carrier rule ([Actor.dead_mail]): a returned
-   lookup travels back to its sender as a [Bounce] after one more
-   latency. *)
+(* Mail delivered to a dead actor, drained by the coordinator in key
+   order under the shared dead-carrier rule ([Actor.dead_mail]): a
+   returned lookup travels back to its sender as a [Bounce] at the next
+   tick. *)
 let drain_dead t (s : slot) =
-  Mailbox.drain_due s.mailbox ~now:t.now
+  Mailbox.drain t.inbox s.id
     (fun (s : slot) ~src ~seq msg ->
       let pos = s.actor.Actor.pos in
       t.stats.handled <- t.stats.handled + 1;
@@ -496,26 +529,32 @@ let drain_dead t (s : slot) =
           t.stats.bounces <- t.stats.bounces + 1;
           let bounce_seq = s.next_seq in
           s.next_seq <- bounce_seq + 1;
-          post t ~src:pos ~dst:src ~seq:bounce_seq ~deliver_at:(t.now + t.latency) payload
+          post t ~src:pos ~dst:src ~seq:bounce_seq payload
       | Actor.Lost (l, o) -> complete t l o
       | Actor.Dead_letter -> t.stats.dead_letters <- t.stats.dead_letters + 1)
     s
 
-(* Phase 1, one pass over the registry in position order: a due dead
-   actor's mail is drained on the spot, a due live actor is queued in
-   the reusable due buffer for the shards. Dead drains only post mail
-   for the next tick, so they cannot change which live actors are due. *)
+(* Phase 1: deliver the mail posted since the last round, then one pass
+   over the registry in position order. An actor with mail is due: a
+   dead one's mail is drained on the spot, a live one is queued in the
+   reusable due buffer for the shards. Dead drains only post mail for
+   the next tick, so they cannot change which live actors are due. *)
 let scan t =
+  Mailbox.deliver t.inbox;
+  if Debug.enabled () && not (Mailbox.well_ordered t.inbox) then
+    Debug.failf "Service: the inbox lost its delivery order at t=%d" t.now;
   t.ndue <- 0;
   for i = 0 to t.registered - 1 do
-    let s = t.order.(i) in
-    if Mailbox.due s.mailbox ~now:t.now then
+    let id = t.order.(i) in
+    if Mailbox.length t.inbox id > 0 then begin
+      let s = t.by_id.(id) in
       if s.actor.Actor.alive then begin
-        t.due <- room t.due t.ndue s;
-        t.due.(t.ndue) <- s;
+        if t.ndue = Array.length t.due then t.due <- room t.due t.ndue id;
+        t.due.(t.ndue) <- id;
         t.ndue <- t.ndue + 1
       end
       else drain_dead t s
+    end
   done
 
 let process_shard t acc shard =
@@ -529,13 +568,13 @@ let process_shard t acc shard =
     Actor.handle acc.ctx a msg
   in
   for i = lo to hi - 1 do
-    let { actor; mailbox; _ } = t.due.(i) in
-    Mailbox.drain_due mailbox ~now:t.now handle actor
+    let id = t.due.(i) in
+    Mailbox.drain t.inbox id handle t.by_id.(id).actor
   done
 
-(* Fold one shard's accumulator into the service and leave it empty for
+(* Fold shard [s]'s accumulator into the service and leave it empty for
    the next round. *)
-let merge_acc t acc =
+let merge_acc t s acc =
   let c = acc.ctx.Actor.counters in
   t.stats.messages <- t.stats.messages + c.Actor.c_messages;
   t.stats.replies <- t.stats.replies + c.Actor.c_replies;
@@ -550,26 +589,21 @@ let merge_acc t acc =
     Buffer.clear acc.buf
   end;
   List.iter (fun (l, o) -> complete t l o) (List.rev acc.completions_rev);
-  (* Everything a shard sent this round is delivered at the next tick;
-     the posted cells are then cleared so the outbox keeps no payload
-     alive. *)
-  let deliver_at = t.now + t.latency in
-  for i = 0 to acc.n_out - 1 do
-    post t ~src:acc.out_src.(i) ~dst:acc.out_dst.(i) ~seq:acc.out_seq.(i) ~deliver_at
-      acc.out_msg.(i)
-  done;
-  Array.fill acc.out_msg 0 acc.n_out vacant;
-  acc.n_out <- 0;
+  (* Everything the shard sent this round is delivered at the next tick,
+     within the inbox's bound: its lane is counted here, in shard order. *)
+  Mailbox.admit t.inbox ~lane:(s + 1) refuse t;
+  t.stats.dead_letters <- t.stats.dead_letters + acc.strays;
+  acc.strays <- 0;
   List.iter
     (fun pos ->
-      Bytes.set t.alive_view pos '\000';
+      mark_dead t pos;
       t.stats.leaves <- t.stats.leaves + 1;
       if Ftr_obs.Flag.enabled () then Ftr_obs.Metrics.incr "svc_leaves_total")
     (List.rev acc.departs_rev);
   acc.completions_rev <- [];
   acc.departs_rev <- []
 
-let merge t = Array.iter (merge_acc t) t.accs
+let merge t = Array.iteri (merge_acc t) t.accs
 
 (* One round: scan (drain the dead, collect the due), fan the due live
    actors out over the shards, merge. Advances the logical clock by one
@@ -584,15 +618,14 @@ let step t ~pool =
     if spans then Ftr_obs.Span.time "svc.round" run else run ();
     if spans then Ftr_obs.Span.time "svc.merge" (fun () -> merge t) else merge t
   end;
+  report_requests t;
   t.now <- t.now + 1
 
-let mail_pending t =
-  let rec from i =
-    i < t.registered && ((not (Mailbox.is_empty t.order.(i).mailbox)) || from (i + 1))
-  in
-  from 0
+(* Between rounds all delivered mail has been drained, so what is left
+   is what waits for the next delivery. *)
+let mail_pending t = Mailbox.posted t.inbox > 0
 
-(* Run rounds with no new control input until every mailbox is empty (or
+(* Run rounds with no new control input until the inbox is empty (or
    the safety cap trips — which the selfcheck would then report as
    leftover mail). Returns the number of rounds it took. *)
 let drain ?cap t ~pool =
@@ -634,17 +667,14 @@ type actor_view = {
   av_left : int option;
   av_right : int option;
   av_long : int array;
-  av_mail_length : int;
-  av_mail_capacity : int;
-  av_mail_dropped : int;
-  av_mail_high_water : int;
-  av_mail_well_ordered : bool;
-  av_mail_keys : (int * int * int) list;
+  av_mail_length : int; (* mail waiting for the actor: delivered or posted *)
 }
+
+let inbox t = t.inbox
 
 let iter_actors t f =
   for i = 0 to t.registered - 1 do
-    let { actor = a; mailbox; _ } = t.order.(i) in
+    let { actor = a; id; _ } = t.by_id.(t.order.(i)) in
     f
         {
           av_pos = a.Actor.pos;
@@ -652,12 +682,7 @@ let iter_actors t f =
           av_left = Actor.pointer_opt a.Actor.left;
           av_right = Actor.pointer_opt a.Actor.right;
           av_long = Actor.long_links a;
-          av_mail_length = Mailbox.length mailbox;
-          av_mail_capacity = Mailbox.capacity mailbox;
-          av_mail_dropped = Mailbox.dropped mailbox;
-          av_mail_high_water = Mailbox.high_water mailbox;
-          av_mail_well_ordered = Mailbox.well_ordered mailbox;
-          av_mail_keys = Mailbox.keys mailbox;
+          av_mail_length = Mailbox.length t.inbox id + Mailbox.pending t.inbox id;
         }
   done
 

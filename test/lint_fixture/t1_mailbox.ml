@@ -6,10 +6,10 @@
    [Queue.t] twin right next to it is the same shape with an unsanctioned
    container and must still fire. *)
 
-let mailbox : int Ftr_svc.Mailbox.t = Ftr_svc.Mailbox.create ~vacant:0 ()
+let mailbox : int Ftr_svc.Mailbox.t = Ftr_svc.Mailbox.create ~lanes:1 ~vacant:0 ()
 
 let drain_one i =
-  Ftr_svc.Mailbox.drain_due mailbox ~now:i (fun () ~src:_ ~seq:_ _ -> ()) ();
+  Ftr_svc.Mailbox.drain mailbox i (fun () ~src:_ ~seq:_ _ -> ()) ();
   i
 
 let drain_all n = Ftr_exec.Pool.map ~count:n drain_one

@@ -43,6 +43,13 @@ let cases =
     ([ "churn"; "--duration=-1" ], "--duration");
     ([ "anatomy"; "--links=-1" ], "--links");
     ([ "adversary"; "--trials=-2" ], "--trials");
+    ([ "recovery"; "--samples=0" ], "--samples");
+    ([ "route"; "--links=-1" ], "--links");
+    ([ "dht"; "--links=-1" ], "--links");
+    (* A bound across two options: the population must fit the line. *)
+    ([ "churn"; "--nodes=256"; "--initial=300" ], "--initial");
+    ([ "serve"; "--nodes=256"; "--initial=300" ], "--initial");
+    ([ "serve"; "--initial=1" ], "--initial");
   ]
 
 let contains s sub = Option.is_some (Ftr_lint.Suppress.find_sub s sub)

@@ -16,171 +16,253 @@ module Pool = Ftr_exec.Pool
 (* Mailbox                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything [drain_due] hands out, in the order it hands it out, as
+(* Everything [drain] hands [dst], in the order it hands it out, as
    (src, seq, payload). *)
-let drain mb ~now =
+let drain mb dst =
   let out = ref [] in
-  Mailbox.drain_due mb ~now (fun () ~src ~seq msg -> out := (src, seq, msg) :: !out) ();
+  Mailbox.drain mb dst (fun () ~src ~seq msg -> out := (src, seq, msg) :: !out) ();
   List.rev !out
+
+(* Admit [lane]'s new posts; the refused ones, as (dst, src, seq,
+   payload). *)
+let admit mb lane =
+  let refused = ref [] in
+  Mailbox.admit mb ~lane (fun () ~dst ~src ~seq msg -> refused := (dst, src, seq, msg) :: !refused) ();
+  List.rev !refused
 
 let payload (_, _, msg) = msg
 
-(* The full key of a drained entry whose payload starts with its
-   delivery time. *)
-let key (src, seq, (time, _)) = (time, src, seq)
-
 let mailbox_delivery_order () =
-  let mb = Mailbox.create ~vacant:"" () in
-  (* Posted out of order on every key component. *)
-  assert (Mailbox.post mb ~time:5 ~src:9 ~seq:0 "t5s9");
-  assert (Mailbox.post mb ~time:3 ~src:2 ~seq:1 "t3s2q1");
-  assert (Mailbox.post mb ~time:3 ~src:2 ~seq:0 "t3s2q0");
-  assert (Mailbox.post mb ~time:3 ~src:1 ~seq:7 "t3s1");
-  assert (Mailbox.post mb ~time:4 ~src:0 ~seq:0 "t4");
+  let mb = Mailbox.create ~lanes:2 ~vacant:"" () in
+  (* Posted out of order on both key components, to two destinations,
+     through two lanes, with the control post (src -1) in lane 0. *)
+  let post lane dst src seq msg = Mailbox.post mb ~lane ~dst ~src ~seq msg in
+  post 1 2 9 0 "d2s9";
+  post 1 0 2 1 "d0s2q1";
+  post 1 0 2 0 "d0s2q0";
+  post 0 0 (-1) 3 "d0ctl";
+  post 1 0 1 7 "d0s1";
+  post 1 2 4 0 "d2s4";
+  Alcotest.(check int) "posts count once admitted" 0 (Mailbox.posted mb);
+  Alcotest.check_raises "lane 1 is not admitted"
+    (Invalid_argument "Mailbox.deliver: a lane holds unadmitted posts") (fun () ->
+      Mailbox.deliver mb);
+  Alcotest.(check int) "nothing refused" 0 (List.length (admit mb 1) + List.length (admit mb 0));
+  Alcotest.(check int) "four queued for 0" 4 (Mailbox.pending mb 0);
+  Alcotest.(check int) "six queued" 6 (Mailbox.posted mb);
+  Alcotest.(check int) "nothing delivered yet" 0 (Mailbox.length mb 0);
+  Mailbox.deliver mb;
+  Alcotest.(check int) "nothing queued after the delivery" 0 (Mailbox.posted mb);
   Alcotest.(check bool) "well ordered" true (Mailbox.well_ordered mb);
-  Alcotest.(check bool) "due at 3" true (Mailbox.due mb ~now:3);
-  Alcotest.(check bool) "nothing due at 2" false (Mailbox.due mb ~now:2);
-  let due = drain mb ~now:3 in
+  Alcotest.(check (list (pair int int))) "keys of 2" [ (4, 0); (9, 0) ] (Mailbox.keys mb 2);
+  Alcotest.(check int) "nothing for 1" 0 (Mailbox.length mb 1);
+  (* A post made while draining waits for the next delivery. *)
+  post 0 0 5 0 "next";
+  ignore (admit mb 0);
   Alcotest.(check (list string))
-    "due at 3, in (time, src, seq) order"
-    [ "t3s1"; "t3s2q0"; "t3s2q1" ]
-    (List.map payload due);
-  Alcotest.(check int) "rest stays" 2 (Mailbox.length mb);
-  Alcotest.(check bool) "nothing more due at 3" false (Mailbox.due mb ~now:3);
-  let rest = drain mb ~now:99 in
-  Alcotest.(check (list string)) "rest in order" [ "t4"; "t5s9" ]
-    (List.map payload rest);
-  Alcotest.(check bool) "empty" true (Mailbox.is_empty mb);
-  Alcotest.(check bool) "an empty mailbox is never due" false (Mailbox.due mb ~now:max_int)
+    "0's mail in (src, seq) order"
+    [ "d0ctl"; "d0s1"; "d0s2q0"; "d0s2q1" ]
+    (List.map payload (drain mb 0));
+  Alcotest.(check int) "drained" 0 (Mailbox.length mb 0);
+  Alcotest.(check int) "a second drain finds nothing" 0 (List.length (drain mb 0));
+  Alcotest.check_raises "2 is not drained yet"
+    (Invalid_argument "Mailbox.deliver: the last tick is not drained") (fun () ->
+      Mailbox.deliver mb);
+  Alcotest.(check (list string)) "2's mail" [ "d2s4"; "d2s9" ] (List.map payload (drain mb 2));
+  Mailbox.deliver mb;
+  Alcotest.(check (list string)) "the next tick" [ "next" ] (List.map payload (drain mb 0));
+  Alcotest.(check int) "an unseen destination has nothing" 0 (List.length (drain mb 99))
 
 let mailbox_capacity_drops () =
-  let mb = Mailbox.create ~capacity:2 ~vacant:(-1) () in
-  assert (Mailbox.post mb ~time:1 ~src:0 ~seq:0 0);
-  assert (Mailbox.post mb ~time:1 ~src:0 ~seq:1 1);
-  Alcotest.(check bool) "third refused" false (Mailbox.post mb ~time:1 ~src:0 ~seq:2 2);
+  let mb = Mailbox.create ~capacity:2 ~lanes:2 ~vacant:(-1) () in
+  Mailbox.post mb ~lane:1 ~dst:0 ~src:3 ~seq:0 0;
+  Mailbox.post mb ~lane:1 ~dst:0 ~src:3 ~seq:1 1;
+  Mailbox.post mb ~lane:1 ~dst:1 ~src:3 ~seq:2 2;
+  Mailbox.post mb ~lane:0 ~dst:0 ~src:(-1) ~seq:0 3;
+  (* Lane 0 is admitted first, so its post arrives first and the
+     second of lane 1's posts to 0 is the one past the bound. *)
+  Alcotest.(check int) "lane 0 fits" 0 (List.length (admit mb 0));
+  Alcotest.(check (list (pair int int))) "lane 1's newcomer refused" [ (0, 1) ]
+    (List.map (fun (dst, _, _, msg) -> (dst, msg)) (admit mb 1));
   Alcotest.(check int) "drop counted" 1 (Mailbox.dropped mb);
   Alcotest.(check int) "high water" 2 (Mailbox.high_water mb);
-  Alcotest.(check int) "length bounded" 2 (Mailbox.length mb)
+  Alcotest.(check int) "queue bounded" 2 (Mailbox.pending mb 0);
+  Mailbox.deliver mb;
+  Alcotest.(check (list int)) "the admitted two delivered" [ 3; 0 ] (List.map payload (drain mb 0));
+  Alcotest.(check (list int)) "another destination takes mail" [ 2 ] (List.map payload (drain mb 1));
+  (* The bound is per tick: delivered mail no longer counts. *)
+  List.iter (fun seq -> Mailbox.post mb ~lane:1 ~dst:0 ~src:3 ~seq seq) [ 4; 5; 6 ];
+  Alcotest.(check (list int)) "the next tick's third refused" [ 6 ]
+    (List.map (fun (_, _, _, msg) -> msg) (admit mb 1));
+  Alcotest.(check int) "two drops" 2 (Mailbox.dropped mb);
+  Alcotest.(check int) "high water stays" 2 (Mailbox.high_water mb)
 
-(* Any post sequence leaves the mailbox well ordered, and a full drain
-   hands back exactly the sorted keys. *)
+(* Any posts, through any lanes to any destinations, are delivered to
+   each destination sorted by (src, seq). *)
 let mailbox_order_qcheck =
   QCheck.Test.make ~count:200 ~name:"mailbox drains in sorted key order"
-    QCheck.(list (tup3 (int_bound 7) (int_bound 5) (int_bound 1000)))
+    QCheck.(list (quad (int_bound 2) (int_bound 7) (int_range (-1) 5) (int_bound 1000)))
     (fun posts ->
-      let mb = Mailbox.create ~vacant:(0, 0) () in
-      List.iteri
-        (fun seq (time, src, msg) -> ignore (Mailbox.post mb ~time ~src ~seq (time, msg)))
-        posts;
-      let ok_sorted = Mailbox.well_ordered mb in
-      let keys = Mailbox.keys mb in
-      let drained_keys = List.map key (drain mb ~now:max_int) in
-      ok_sorted && drained_keys = keys
-      && drained_keys = List.sort compare drained_keys
-      && Mailbox.is_empty mb)
+      let mb = Mailbox.create ~lanes:3 ~vacant:0 () in
+      List.iteri (fun seq (lane, dst, src, msg) -> Mailbox.post mb ~lane ~dst ~src ~seq msg) posts;
+      List.iter (fun lane -> ignore (admit mb lane)) [ 2; 0; 1 ];
+      Mailbox.deliver mb;
+      let ordered = Mailbox.well_ordered mb in
+      let sent_to dst =
+        List.sort compare
+          (List.concat
+             (List.mapi
+                (fun seq (_, d, src, msg) -> if d = dst then [ (src, seq, msg) ] else [])
+                posts))
+      in
+      ordered && List.for_all (fun dst -> drain mb dst = sent_to dst) (List.init 8 Fun.id))
 
-(* A drain at any [now] takes exactly the sorted prefix due by [now] and
-   leaves the rest stored, still in order and still counted. *)
-let mailbox_partial_drain_qcheck =
-  QCheck.Test.make ~count:300 ~name:"drain_due takes exactly the due prefix"
-    QCheck.(pair (int_bound 9) (small_list (pair (int_bound 7) (int_bound 5))))
-    (fun (now, posts) ->
-      let mb = Mailbox.create ~vacant:(0, ()) () in
-      List.iteri (fun seq (time, src) -> ignore (Mailbox.post mb ~time ~src ~seq (time, ()))) posts;
-      let sorted = List.sort compare (List.mapi (fun seq (time, src) -> (time, src, seq)) posts) in
-      let expect_due, expect_rest = List.partition (fun (time, _, _) -> time <= now) sorted in
-      let drained = List.map key (drain mb ~now) in
-      drained = expect_due
-      && Mailbox.keys mb = expect_rest
-      && Mailbox.well_ordered mb
-      && Mailbox.length mb = List.length (Mailbox.keys mb)
-      && not (Mailbox.due mb ~now))
-
-(* The flat mailbox against a reference model: a sorted list of
-   (time, src, seq, payload) under the same capacity. Random posts near
-   a moving clock, interleaved with drains, under a capacity of 1 to 12,
-   take the flat arrays through growth (4 cells, doubling up to the
-   capacity), sliding the window down over a drained prefix, and
-   capacity drops. After every operation the two agree on what a drain
-   hands out (and in which order), which posts were refused, [length],
-   [dropped], [high_water], [keys] and [well_ordered]. *)
-type mailbox_op = Post of int * int (* time ahead of the clock, src *) | Drain of int (* ticks *)
+(* The inbox against a reference model: per lane, the posts not admitted
+   yet; per destination, the admitted posts in arrival order and the
+   sorted list of the mail delivered and not drained yet. Random posts
+   (senders -1 to 3) through two lanes to four destinations, admissions,
+   partial drains and ticks, under a capacity of 1 to 12, take the flat
+   arrays through growth, capacity drops and the swap of each lane's
+   payload arrays. A tick admits both lanes, drains what is left of the
+   last tick destination by destination, then delivers. After every
+   operation the two agree on what a drain hands out (and in which
+   order), which posts an admission refuses, [length], [pending],
+   [posted], [dropped], [high_water], [keys] and [well_ordered]. *)
+type mailbox_op =
+  | Post of int * int * int (* lane, destination, sender *)
+  | Admit of int (* lane *)
+  | Drain of int (* destination *)
+  | Tick
 
 let mailbox_model_qcheck =
+  let lanes = 2 and dsts = 4 in
   let op =
     QCheck.Gen.(
       frequency
         [
-          (3, map2 (fun dt src -> Post (dt, src)) (int_bound 3) (int_bound 3));
-          (1, map (fun dt -> Drain dt) (int_bound 2));
+          ( 8,
+            map3
+              (fun lane dst src -> Post (lane, dst, src))
+              (int_bound (lanes - 1)) (int_bound (dsts - 1)) (int_range (-1) 3) );
+          (2, map (fun lane -> Admit lane) (int_bound (lanes - 1)));
+          (1, map (fun dst -> Drain dst) (int_bound (dsts - 1)));
+          (1, return Tick);
         ])
   in
   let print_op = function
-    | Post (dt, src) -> Printf.sprintf "Post(+%d, %d)" dt src
-    | Drain dt -> Printf.sprintf "Drain(+%d)" dt
+    | Post (lane, dst, src) -> Printf.sprintf "Post(%d: %d<-%d)" lane dst src
+    | Admit lane -> Printf.sprintf "Admit %d" lane
+    | Drain dst -> Printf.sprintf "Drain %d" dst
+    | Tick -> "Tick"
   in
   QCheck.Test.make ~count:500 ~name:"flat mailbox agrees with a sorted-list model"
     QCheck.(
       pair (int_range 1 12)
         (make
            ~print:(fun ops -> String.concat "; " (List.map print_op ops))
-           Gen.(list_size (int_bound 80) op)))
+           Gen.(list_size (int_bound 160) op)))
     (fun (capacity, ops) ->
-      let mb = Mailbox.create ~capacity ~vacant:"" () in
-      let model = ref [] and dropped = ref 0 and high = ref 0 and now = ref 0 in
+      let mb = Mailbox.create ~capacity ~lanes ~vacant:"" () in
+      let unadmitted = Array.make lanes [] in
+      let queued = Array.make dsts [] and delivered = Array.make dsts [] in
+      let dropped = ref 0 and high = ref 0 in
       let agree = ref true in
       let check b = agree := !agree && b in
+      let admit_model lane =
+        let refused =
+          List.filter
+            (fun (dst, src, seq, msg) ->
+              let fits = List.length queued.(dst) < capacity in
+              if fits then begin
+                queued.(dst) <- queued.(dst) @ [ (src, seq, msg) ];
+                high := max !high (List.length queued.(dst))
+              end
+              else incr dropped;
+              not fits)
+            unadmitted.(lane)
+        in
+        unadmitted.(lane) <- [];
+        check (admit mb lane = refused)
+      in
+      let drain_model dst =
+        check (drain mb dst = delivered.(dst));
+        delivered.(dst) <- []
+      in
       List.iteri
         (fun seq op ->
           (match op with
-          | Post (dt, src) ->
-              let time = !now + dt and msg = string_of_int seq in
-              let fits = List.length !model < capacity in
-              if fits then begin
-                model := List.merge compare !model [ (time, src, seq, msg) ];
-                high := max !high (List.length !model)
-              end
-              else incr dropped;
-              check (Mailbox.post mb ~time ~src ~seq msg = fits)
-          | Drain dt ->
-              now := !now + dt;
-              let due, rest = List.partition (fun (time, _, _, _) -> time <= !now) !model in
-              model := rest;
-              let expect = List.map (fun (_, src, seq, msg) -> (src, seq, msg)) due in
-              check (drain mb ~now:!now = expect));
-          check (Mailbox.length mb = List.length !model);
+          | Post (lane, dst, src) ->
+              let msg = string_of_int seq in
+              unadmitted.(lane) <- unadmitted.(lane) @ [ (dst, src, seq, msg) ];
+              Mailbox.post mb ~lane ~dst ~src ~seq msg
+          | Admit lane -> admit_model lane
+          | Drain dst -> drain_model dst
+          | Tick ->
+              for lane = 0 to lanes - 1 do
+                admit_model lane
+              done;
+              for dst = 0 to dsts - 1 do
+                drain_model dst
+              done;
+              Mailbox.deliver mb;
+              for dst = 0 to dsts - 1 do
+                delivered.(dst) <- List.sort compare queued.(dst);
+                queued.(dst) <- []
+              done);
+          for dst = 0 to dsts - 1 do
+            check (Mailbox.length mb dst = List.length delivered.(dst));
+            check (Mailbox.pending mb dst = List.length queued.(dst));
+            check (Mailbox.keys mb dst = List.map (fun (src, seq, _) -> (src, seq)) delivered.(dst))
+          done;
+          check (Mailbox.posted mb = Array.fold_left (fun n q -> n + List.length q) 0 queued);
           check (Mailbox.dropped mb = !dropped);
           check (Mailbox.high_water mb = !high);
-          check (Mailbox.keys mb = List.map (fun (time, src, seq, _) -> (time, src, seq)) !model);
           check (Mailbox.well_ordered mb))
         ops;
       !agree)
 
-(* Draining clears the payload's cell: once handed out, a payload is
-   garbage as soon as the handler drops it, even while the mailbox is
-   still in use. The posts below take the arrays through a growth (four
-   cells to eight) and a slide of the window down over a drained
-   prefix; the payloads still stored stay reachable, the drained ones
-   are collected. *)
+(* Draining clears the payload's cell, and so does a refusal: once
+   handed out, a payload is garbage as soon as the handler drops it,
+   while the inbox is still in use. Three ticks of posts through two
+   lanes to three destinations, one of them refused at capacity, take
+   the arrays through growth and through the swap of each lane's posted
+   and delivered payload arrays. Once a tick is drained nothing it
+   delivered or refused stays reachable, and only the payloads queued
+   for the next tick do. *)
 let mailbox_drained_payload_collectable () =
-  let weak = Weak.create 10 in
-  let mb = Mailbox.create ~capacity:8 ~vacant:(ref (-1)) () in
+  let count = 40 in
+  let weak = Weak.create count in
+  let mb = Mailbox.create ~capacity:9 ~lanes:2 ~vacant:(ref (-1)) () in
   let post i =
     let msg = ref i in
     Weak.set weak i (Some msg);
-    assert (Mailbox.post mb ~time:i ~src:0 ~seq:i msg)
+    (* The first tick's ten posts all go to destination 0, one past the
+       capacity. *)
+    let dst = if i < 10 then 0 else i mod 3 in
+    Mailbox.post mb ~lane:(i mod 2) ~dst ~src:(i mod 5) ~seq:i msg
   in
-  let drain_to now = Mailbox.drain_due mb ~now (fun () ~src:_ ~seq:_ _ -> ()) () in
-  for i = 0 to 5 do post i done;
-  drain_to 3;
-  (* Two of six left in arrays of eight: posts 6 and 7 fill them to the
-     end, and post 8 slides the window down to the front. *)
-  for i = 6 to 9 do post i done;
-  drain_to 7;
-  Gc.full_major ();
-  let live = List.filter (fun i -> Option.is_some (Weak.get weak i)) (List.init 10 Fun.id) in
-  Alcotest.(check (list int)) "only the stored payloads survive" [ 8; 9 ] live;
-  Alcotest.(check int) "two stored" 2 (Mailbox.length mb)
+  let tick () =
+    let refused = admit mb 0 @ admit mb 1 in
+    Mailbox.deliver mb;
+    for dst = 0 to 2 do
+      Mailbox.drain mb dst (fun () ~src:_ ~seq:_ _ -> ()) ()
+    done;
+    List.length refused
+  in
+  let live () =
+    Gc.full_major ();
+    List.filter (fun i -> Option.is_some (Weak.get weak i)) (List.init count Fun.id)
+  in
+  for i = 0 to 9 do post i done;
+  Alcotest.(check int) "one refused" 1 (tick ());
+  for i = 10 to 29 do post i done;
+  Alcotest.(check int) "none refused" 0 (tick ());
+  Alcotest.(check (list int)) "every delivered or refused payload is collected" [] (live ());
+  for i = 30 to count - 1 do post i done;
+  ignore (admit mb 0 @ admit mb 1);
+  Alcotest.(check (list int)) "only the queued payloads survive" (List.init 10 (fun i -> 30 + i))
+    (live ());
+  Alcotest.(check int) "ten queued" 10 (Mailbox.posted mb)
 
 (* ------------------------------------------------------------------ *)
 (* Registry and request table                                          *)
@@ -491,10 +573,42 @@ let kill_mid_churn_drains_clean () =
   Service.iter_actors svc (fun v ->
       Alcotest.(check int)
         (Printf.sprintf "actor %d mailbox empty" v.Service.av_pos)
-        0 v.Service.av_mail_length;
-      Alcotest.(check bool)
-        (Printf.sprintf "actor %d mailbox ordered" v.Service.av_pos)
-        true v.Service.av_mail_well_ordered)
+        0 v.Service.av_mail_length);
+  Alcotest.(check bool) "inbox ordered" true (Mailbox.well_ordered (Service.inbox svc))
+
+(* The bounded-inbox rule in a running service: at most [capacity]
+   deliveries per actor per tick, the newcomer dropped in arrival order.
+   A churny service with a capacity of 2 drops mail; every drop is
+   counted and named in the transcript, every request still ends in
+   exactly one outcome (a dropped lookup times out at shutdown), and the
+   transcript, drops included, is byte-identical across worker counts. *)
+let overflow_accounted () =
+  let cfg = { churn_config with Driver.seed = 13; capacity = Some 2; rate = 12 } in
+  let run jobs = Driver.run { cfg with Driver.jobs } in
+  let res = run (Some 1) in
+  let s = Service.stats res.Driver.res_service in
+  let drop_lines =
+    List.length
+      (List.filter
+         (fun l -> Option.is_some (Ftr_lint.Suppress.find_sub l " drop "))
+         (String.split_on_char '\n' res.Driver.res_transcript))
+  in
+  Alcotest.(check bool) "mail was dropped" true (s.Service.dropped > 0);
+  Alcotest.(check int) "one transcript line per drop" s.Service.dropped drop_lines;
+  Alcotest.(check int) "the inbox counts the same drops" s.Service.dropped
+    (Mailbox.dropped (Service.inbox res.Driver.res_service));
+  Alcotest.(check int) "request conservation" s.Service.issued
+    (s.Service.ok + s.Service.failed + s.Service.timed_out);
+  Alcotest.(check bool) "high water at the bound" true
+    (Mailbox.high_water (Service.inbox res.Driver.res_service) = 2);
+  let reference = serialize res in
+  List.iter
+    (fun j ->
+      Alcotest.(check string) (Printf.sprintf "jobs=%d byte-identical" j) reference
+        (serialize (run (Some j))))
+    [ 2; 4 ];
+  Alcotest.(check string) "FTR_EXEC_SEQ=1 byte-identical" reference
+    (Ftr_exec.Pool.with_sequential_forced true (fun () -> serialize (run None)))
 
 (* ------------------------------------------------------------------ *)
 
@@ -506,7 +620,6 @@ let () =
           Alcotest.test_case "delivery order" `Quick mailbox_delivery_order;
           Alcotest.test_case "capacity drops" `Quick mailbox_capacity_drops;
           QCheck_alcotest.to_alcotest mailbox_order_qcheck;
-          QCheck_alcotest.to_alcotest mailbox_partial_drain_qcheck;
           QCheck_alcotest.to_alcotest mailbox_model_qcheck;
           Alcotest.test_case "drained payload is collectable" `Quick
             mailbox_drained_payload_collectable;
@@ -526,6 +639,7 @@ let () =
           Alcotest.test_case "transcript jobs-invariant under churn" `Slow
             transcript_jobs_invariant;
           Alcotest.test_case "invariants hold after churn" `Quick invariants_hold_after_churn;
+          Alcotest.test_case "inbox overflow is accounted" `Quick overflow_accounted;
         ] );
       ( "drain",
         [ Alcotest.test_case "kill mid-churn drains clean" `Quick kill_mid_churn_drains_clean ]
