@@ -427,6 +427,55 @@ let run_tracing () =
 (* Exec subsystem: multicore speedup on the experiment drivers          *)
 (* ------------------------------------------------------------------ *)
 
+(* [Pool.run_resident]'s own cost, with nothing of the service in it:
+   rounds of 8 jobs of pure arithmetic, about 45 µs each on a 2-vCPU
+   host, on a resident crew of 1 and of N, in µs per round. Each side
+   counts the jobs run off the caller's domain, so the jobs=N row tells
+   a crew whose parked workers took no share (it never ran in
+   parallel) from one whose workers took their share and still did not
+   gain (the host held it back). Each job writes its own slot; the
+   sums must agree. *)
+let resident_rows () =
+  let module Pool = Ftr_exec.Pool in
+  let rounds = if smoke then 50 else 400 and count = 8 in
+  let job out i =
+    let x = ref (i + 1) in
+    for _ = 1 to 20_000 do
+      x := (!x * 0x2545F491) lxor (!x lsr 29)
+    done;
+    out.(i) <- !x
+  in
+  let side pool parked () =
+    let caller = (Domain.self () :> int) and out = Array.make count 0 and sum = ref 0 in
+    let f i =
+      if not (Int.equal (Domain.self () :> int) caller) then Atomic.incr parked;
+      job out i
+    in
+    for _ = 1 to rounds do
+      Pool.run_resident pool ~count f;
+      Array.iter (fun v -> sum := !sum + v) out
+    done;
+    !sum
+  in
+  let parked = Atomic.make 0 in
+  Pool.with_resident ~jobs:1 @@ fun one ->
+  Pool.with_resident ~jobs @@ fun crew ->
+  let name = "resident round (8 arithmetic jobs)" in
+  let rows, _, same =
+    measure ~unit:"us/round"
+      ~value:(fun _ dt -> dt *. 1e6 /. float_of_int rounds)
+      [
+        (name ^ ", jobs=1", side one (Atomic.make 0));
+        (name ^ ", jobs=N", side crew parked);
+      ]
+  in
+  ( rows
+    @ [
+        exact (name ^ ", jobs=N: share run by parked workers") "ratio"
+          (float_of_int (Atomic.get parked) /. float_of_int (passes * rounds * count));
+      ],
+    (name ^ " sums identical across jobs", same) )
+
 (* The drivers users run (`p2psim paper`), at jobs=1 and jobs=N on
    identical arguments. The executor guarantees identical output
    (asserted structurally here, byte for byte in the test suite), so only
@@ -450,6 +499,7 @@ let run_exec () =
       compare "figure5 networks" (fun jobs () -> E.figure5 ~jobs ~networks ~n ~links:12 ~seed ());
       compare "figure6 (fractions x nets)" (fun jobs () ->
           E.figure6 ~jobs ~n ~networks:2 ~messages ~fractions:[ 0.0; 0.3; 0.6 ] ~seed ());
+      resident_rows ();
     ]
   in
   {

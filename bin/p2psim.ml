@@ -57,6 +57,16 @@ let at_most_nodes ~option value ~nodes k =
     `Error (true, Printf.sprintf "option '%s': %d is above --nodes %d" option value nodes)
   else `Ok (k ())
 
+(* Node indices, each an (option, value) pair, must lie in [-nodes,
+   nodes): a negative one counts from the end of the line. The first
+   outside it is a usage error naming its option, as in
+   [at_most_nodes]. *)
+let on_the_line indices ~nodes k =
+  match List.find_opt (fun (_, v) -> v < -nodes || v >= nodes) indices with
+  | Some (option, v) ->
+      `Error (true, Printf.sprintf "option '%s': %d is outside [-%d, %d)" option v nodes nodes)
+  | None -> `Ok (k ())
+
 let n_t default =
   Arg.(
     value & opt nodes_conv default
@@ -146,6 +156,7 @@ let run_selfcheck name ~passed body =
 
 let route_cmd =
   let run n links seed src dst fraction strategy json =
+    on_the_line [ ("--src", src); ("--dst", dst) ] ~nodes:n @@ fun () ->
     let links = resolve_links n links in
     let rng = Rng.of_int seed in
     let net, failures, live_guard = ideal_with_failures ~n ~links ~fraction rng in
@@ -189,21 +200,28 @@ let route_cmd =
       end
     end
   in
-  let src_t = Arg.(value & opt int 0 & info [ "src" ] ~docv:"SRC" ~doc:"Source node.") in
-  let dst_t = Arg.(value & opt int (-1) & info [ "dst" ] ~docv:"DST" ~doc:"Destination node.") in
+  let src_t =
+    Arg.(
+      value & opt int 0
+      & info [ "src" ] ~docv:"SRC" ~doc:"Source node, in [-N, N); a negative one counts from N.")
+  in
+  let dst_t =
+    Arg.(
+      value & opt int (-1)
+      & info [ "dst" ] ~docv:"DST"
+          ~doc:"Destination node, in [-N, N); a negative one counts from N (default: the last).")
+  in
   Cmd.v
     (Cmd.info "route" ~doc:"Route one message and print the route it took")
     Term.(
-      const run $ n_t 4096 $ links_t $ seed_t $ src_t $ dst_t $ fail_t 0.0 $ strategy_t $ json_t)
+      ret
+        (const run $ n_t 4096 $ links_t $ seed_t $ src_t $ dst_t $ fail_t 0.0 $ strategy_t
+       $ json_t))
 
 (* explain *)
 
 let explain_cmd =
   let run n links seed fraction strategy route_ix jobs json chrome_path =
-    if route_ix < 0 then begin
-      Printf.eprintf "p2psim explain: --route must be non-negative\n";
-      exit 2
-    end;
     let links = resolve_links n links in
     (* The flight recorder forced on. Trace identity derives from (seed,
        route index) — no clocks, no worker identity — so the rendered
@@ -263,7 +281,7 @@ let explain_cmd =
   in
   let route_t =
     Arg.(
-      value & opt int 0
+      value & opt count_conv 0
       & info [ "route" ] ~docv:"K"
           ~doc:
             "Route index to explain: routes 0..K-1 replay untraced, then route K runs with \
@@ -979,9 +997,15 @@ let sweep_cmd =
     else begin
       let results =
         match checkpoint with
-        | Some path ->
-            Sweep.run_checkpointed ?jobs ~fresh:(not resume) ~path ~seed
-              ~encode:encode_measurement ~decode:decode_measurement sweep
+        | Some path -> (
+            (* A journal that is not this sweep's exits 1 with the defect
+               named, as a bad snapshot does. *)
+            try
+              Sweep.run_checkpointed ?jobs ~fresh:(not resume) ~path ~seed
+                ~encode:encode_measurement ~decode:decode_measurement sweep
+            with Ftr_exec.Checkpoint.Bad_journal msg ->
+              Printf.eprintf "p2psim sweep: bad checkpoint: %s\n" msg;
+              exit 1)
         | None -> run_plain ?jobs ()
       in
       (* Replicates are consecutive (innermost axis), so folding slice
@@ -1239,7 +1263,7 @@ let serve_cmd =
   let explain_t =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some count_conv) None
       & info [ "explain" ] ~docv:"K"
           ~doc:
             "Trace request K through the flight recorder and print its hop-by-hop story as a \

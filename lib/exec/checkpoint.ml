@@ -1,5 +1,7 @@
 module Json = Ftr_obs.Json
 
+exception Bad_journal of string
+
 type t = {
   count : int;
   mutable oc : out_channel option;
@@ -29,18 +31,19 @@ let read_existing ~path ~seed ~count =
               match Json.member field h with
               | Some (Json.Int v) when v = expected -> ()
               | got ->
-                  failwith
-                    (Printf.sprintf
-                       "Checkpoint: %s was journalled for %s=%s, this sweep has %s=%d \
-                        (delete %s or fix the grid/seed flags)"
-                       path field
-                       (match got with Some (Json.Int v) -> string_of_int v | _ -> "?")
-                       field expected path)
+                  raise
+                    (Bad_journal
+                       (Printf.sprintf
+                          "%s was journalled for %s=%s, this sweep has %s=%d (delete %s or \
+                           fix the grid/seed flags)"
+                          path field
+                          (match got with Some (Json.Int v) -> string_of_int v | _ -> "?")
+                          field expected path))
             in
             check "seed" seed;
             check "jobs_total" count
         | Some _ | None ->
-            failwith (Printf.sprintf "Checkpoint: %s does not start with a sweep header" path));
+            raise (Bad_journal (Printf.sprintf "%s does not start with a sweep header" path)));
         let seen = Hashtbl.create 64 in
         List.iter
           (fun line ->

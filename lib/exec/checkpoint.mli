@@ -17,14 +17,19 @@
 
 type t
 
+exception Bad_journal of string
+(** An existing journal {!open_} will not resume from, with the file and
+    the defect named: its first line is not a sweep header, or the
+    header names a different seed or job count. *)
+
 val open_ : ?fresh:bool -> path:string -> seed:int -> count:int -> unit -> t
 (** Open (creating parent directories as needed) the journal at [path]
     for a sweep of [count] jobs rooted at [seed]. An existing journal is
     read and its completed jobs exposed via {!completed}; a missing or
     empty one is started with a fresh header. [~fresh:true] truncates any
     existing journal first.
-    @raise Failure if an existing header names a different seed or job
-    count. *)
+    @raise Bad_journal if an existing journal does not start with a
+    header, or its header names a different seed or job count. *)
 
 val completed : t -> (int * Ftr_obs.Json.t) list
 (** Jobs already journalled, in increasing index order, as read at

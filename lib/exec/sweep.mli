@@ -44,4 +44,5 @@ val run_checkpointed :
     an uninterrupted {!run} as long as [decode] inverts [encode]
     exactly — encode floats by bits, not by decimal rendering.
     [~fresh:true] discards any existing journal.
-    @raise Failure on a journal header mismatch (see {!Checkpoint}). *)
+    @raise Checkpoint.Bad_journal on a journal that is not this sweep's
+    (see {!Checkpoint}). *)

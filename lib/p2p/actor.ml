@@ -109,29 +109,44 @@ let[@inline] advances ~pos ~target ~cand =
   let my_dist = abs (pos - target) and d = abs (cand - target) in
   d < my_dist || (d = my_dist && cand < pos)
 
-(* Fold one candidate into a running pick ([-1] for none so far): keep
-   the advancing candidate with minimal (distance, position). *)
-let[@inline] better ~pos ~target best cand =
-  if not (advances ~pos ~target ~cand) then best
-  else if best < 0 then cand
-  else
-    let d = abs (cand - target) and bd = abs (best - target) in
-    if d < bd || (d = bd && cand < best) then cand else best
+(* The largest line [key] packs exactly: a distance and a position on it
+   both fit in 30 bits. *)
+let max_line_size = 1 lsl 30
 
-(* One min-scan over the neighbour set — [left] and [right] (each
-   skipped when [none]), then [long.(0 .. n_long-1)], read in place: the
-   advancing candidate with minimal (distance, position), or [-1] when
-   this node owns the target's basin. Liveness is deliberately not
+(* [c]'s distance to [target] and [c] itself packed into one int,
+   |c - target| * 2^32 + c, computed without a branch ([s] is all ones
+   when [c < target]). On a line of at most [max_line_size] points, key
+   order is (distance, position) order, so [cand] advances from [pos]
+   exactly when [key cand < key pos]. [none] packs to -1 whatever the
+   target. *)
+let[@inline] key ~target c =
+  let d = c - target in
+  let s = d asr (Sys.int_size - 1) in
+  (((d lxor s) - s) lsl 32) lor c
+
+(* The smaller of two non-negative keys, without a branch. *)
+let[@inline] min_key a b =
+  let d = a - b in
+  b + (d land (d asr (Sys.int_size - 1)))
+
+(* One min-scan over the neighbour set — [left] and [right], then
+   [long.(0 .. n_long-1)], read in place: the advancing candidate with
+   minimal (distance, position), or [-1] when this node owns the target's
+   basin. The scan starts from this node's own key, so the least key is
+   an advancing neighbour's exactly when it is below that start, and the
+   tie walk needs no case of its own. A [none] ring pointer's -1 key is
+   masked to [max_int], which never wins. Liveness is deliberately not
    consulted: the caller probes the single chosen candidate and, on a
    dead pick, repairs the link set and re-scans — the paper's failure
    detection by probing. *)
 let best_candidate ~pos ~target ~left ~right ~long ~n_long =
-  let best = if left = none then -1 else better ~pos ~target (-1) left in
-  let best = ref (if right = none then best else better ~pos ~target best right) in
+  let own = key ~target pos in
+  let m = min_key own (key ~target left land max_int) in
+  let m = ref (min_key m (key ~target right land max_int)) in
   for i = 0 to n_long - 1 do
-    best := better ~pos ~target !best long.(i)
+    m := min_key !m (key ~target long.(i))
   done;
-  !best
+  if !m < own then !m land ((1 lsl 32) - 1) else -1
 
 (* ------------------------------------------------------------------ *)
 (* Link bookkeeping                                                    *)

@@ -152,6 +152,8 @@ let depart t pos =
 let create ?(latency_model = Ftr_sim.Latency.constant 1.0) ?(ttl = 256) ?(regenerate = true)
     ~line_size ~links ~rng engine =
   if line_size < 2 then invalid_arg "Overlay.create: line_size must be >= 2";
+  if line_size > Actor.max_line_size then
+    invalid_arg "Overlay.create: line_size must be at most Actor.max_line_size";
   if links < 1 then invalid_arg "Overlay.create: links must be >= 1";
   let rec t =
     {

@@ -183,6 +183,8 @@ let fresh_acc t shard =
 let create ?capacity ?(ttl = 256) ?(regenerate = true) ?(shards = 8) ?(record = false)
     ~line_size ~links ~seed () =
   if line_size < 2 then invalid_arg "Service.create: line_size must be >= 2";
+  if line_size > Actor.max_line_size then
+    invalid_arg "Service.create: line_size must be at most Actor.max_line_size";
   if links < 1 then invalid_arg "Service.create: links must be >= 1";
   if shards < 1 then invalid_arg "Service.create: shards must be >= 1";
   let t =

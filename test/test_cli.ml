@@ -1,6 +1,7 @@
 (* p2psim refuses malformed command-line input by name: each case below
    must exit 124 (cmdliner's usage error) with the offending option on
-   stderr, never 125 (an uncaught exception) and never run. *)
+   stderr, never 125 (an uncaught exception) and never run. A malformed
+   input file exits 1 with the defect named, as a bad snapshot does. *)
 
 let cases =
   [
@@ -50,16 +51,21 @@ let cases =
     ([ "churn"; "--nodes=256"; "--initial=300" ], "--initial");
     ([ "serve"; "--nodes=256"; "--initial=300" ], "--initial");
     ([ "serve"; "--initial=1" ], "--initial");
+    (* Indices and ids: a request or route id is a count, a node index
+       lies in [-N, N) (the default --dst -1 is the last node). *)
+    ([ "serve"; "--explain=-1" ], "--explain");
+    ([ "explain"; "--route=-1" ], "--route");
+    ([ "route"; "--nodes=64"; "--src=99999" ], "--src");
   ]
 
 let contains s sub = Option.is_some (Ftr_lint.Suppress.find_sub s sub)
 
+(* Under `dune runtest` the exe is a declared dep next to the test
+   directory; under `dune exec` from the source tree it is in _build. *)
+let p2psim () = List.find Sys.file_exists [ "../bin/p2psim.exe"; "_build/default/bin/p2psim.exe" ]
+
 let refused_by_name () =
-  (* Under `dune runtest` the exe is a declared dep next to the test
-     directory; under `dune exec` from the source tree it is in _build. *)
-  let exe =
-    List.find Sys.file_exists [ "../bin/p2psim.exe"; "_build/default/bin/p2psim.exe" ]
-  in
+  let exe = p2psim () in
   let err = Filename.temp_file "p2psim_cli" ".err" in
   Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
   List.iter
@@ -75,6 +81,26 @@ let refused_by_name () =
       Alcotest.(check int) (line ^ ": exit status") 124 code;
       Alcotest.(check bool) (line ^ ": names " ^ option) true (contains text ("'" ^ option ^ "'")))
     cases
+
+(* A sweep journal that does not start with a sweep header is refused
+   with exit 1, naming the file, before any job runs. *)
+let bad_journal_refused () =
+  let exe = p2psim () in
+  let journal = Filename.temp_file "p2psim_cli" ".jsonl" in
+  let err = Filename.temp_file "p2psim_cli" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove journal; Sys.remove err) @@ fun () ->
+  Out_channel.with_open_text journal (fun oc -> output_string oc "not a journal\n");
+  let code =
+    Sys.command
+      (Printf.sprintf "%s sweep --nodes 256 --checkpoint %s --resume > /dev/null 2> %s" exe
+         (Filename.quote journal) (Filename.quote err))
+  in
+  let text = In_channel.with_open_bin err In_channel.input_all in
+  Alcotest.(check int) "exit status" 1 code;
+  Alcotest.(check bool) "names the file" true (contains text journal);
+  Alcotest.(check bool) "names the defect" true (contains text "sweep header");
+  Alcotest.(check string) "journal untouched" "not a journal\n"
+    (In_channel.with_open_bin journal In_channel.input_all)
 
 (* bench/main.exe refuses a bad flag or section name with exit 2,
    naming it, before any section runs: a smoke route section stands
@@ -117,6 +143,10 @@ let bench_refuses () =
 let () =
   Alcotest.run "cli"
     [
-      ("p2psim", [ Alcotest.test_case "malformed input refused by name" `Quick refused_by_name ]);
+      ( "p2psim",
+        [
+          Alcotest.test_case "malformed input refused by name" `Quick refused_by_name;
+          Alcotest.test_case "bad sweep journal refused by name" `Quick bad_journal_refused;
+        ] );
       ("bench", [ Alcotest.test_case "bad input refused before any section" `Quick bench_refuses ]);
     ]

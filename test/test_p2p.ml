@@ -580,18 +580,22 @@ let prop_random_operations_preserve_invariants =
       && s.Overlay.maintenance_issued >= !protocol_joins
       && Engine.pending_events engine = 0)
 
-(* The in-place neighbour choice against a list-based min-scan oracle:
-   over every neighbour that advances, the minimal (distance, position),
-   or -1 when none does. Positions are drawn from a small range so ties
-   in distance, duplicate links and a neighbour at the node itself all
-   occur, and each of left, right and long may be empty. *)
+(* The packed-key neighbour choice against a list-based min-scan oracle
+   over (distance, position) pairs: over every neighbour that advances,
+   the minimal pair, or -1 when none does. Points come from the largest
+   line the transports accept, in one of three ways per case: all from
+   [0, 24], so ties in distance, duplicate links and a neighbour at the
+   node itself all occur; all from the line's last 25 points, where a
+   key's position half is widest; or each from either of those or the
+   whole line, so distances reach the line's length. Each of left, right
+   and long may be empty. *)
 let prop_best_candidate_matches_oracle =
-  let small = QCheck.Gen.int_bound 24 in
+  let top = Actor.max_line_size - 1 in
+  let small = QCheck.Gen.int_bound 24 and far = QCheck.Gen.int_range (top - 24) top in
+  let mixed = QCheck.Gen.(oneof [ small; far; int_bound top ]) in
+  let case p = QCheck.Gen.(quad (pair p p) (opt p) (opt p) (list_size (int_bound 6) p)) in
   QCheck.Test.make ~name:"neighbour choice equals the list min-scan" ~count:1000
-    QCheck.(
-      make
-        Gen.(
-          quad (pair small small) (opt small) (opt small) (list_size (int_bound 6) small)))
+    QCheck.(make Gen.(oneof [ case small; case far; case mixed ]))
     (fun ((pos, target), left, right, long) ->
       let advancing =
         List.filter

@@ -322,6 +322,18 @@ let register_rejects () =
   Service.iter_actors svc (fun v -> order := v.Service.av_pos :: !order);
   Alcotest.(check (list int)) "actors in position order" [ 8; 24; 40; 56 ] (List.rev !order)
 
+(* Both transports refuse a line longer than the actor's packed
+   neighbour keys cover, by name and before allocating anything for it. *)
+let line_past_key_packing_refused () =
+  let line_size = Ftr_p2p.Actor.max_line_size + 1 in
+  Alcotest.check_raises "service"
+    (Invalid_argument "Service.create: line_size must be at most Actor.max_line_size")
+    (fun () -> ignore (Service.create ~line_size ~links:8 ~seed:1 ()));
+  Alcotest.check_raises "overlay"
+    (Invalid_argument "Overlay.create: line_size must be at most Actor.max_line_size")
+    (fun () ->
+      ignore (Overlay.create ~line_size ~links:8 ~rng:(Rng.of_int 1) (Engine.create ())))
+
 (* With telemetry on, each round records its three phases as spans;
    with it off, none. *)
 let round_phase_spans () =
@@ -348,7 +360,7 @@ let round_phase_spans () =
    handled envelope stay under [budget]. This workload measures 8.5
    words per envelope, most of it [Service.request]'s (the request
    record, the fresh lookup and its first delivery); the round alone is
-   held to 8 by the next test. Rounds that copied the lookup per hop and
+   held to 6 by the next test. Rounds that copied the lookup per hop and
    queued envelopes, outbox cells and mailbox entries as lists measured
    50.0, and a round that also found actors through hash lookups and
    built a neighbour list per hop measured 95.6. *)
@@ -390,7 +402,7 @@ let round_allocation_budget () =
    that copied the lookup per hop and queued envelopes, outbox cells and
    mailbox entries as lists allocated 38.7. *)
 let step_allocation_budget () =
-  let budget = 8.0 in
+  let budget = 6.0 in
   let line_size = 4096 and links = 8 and seed = 2002 in
   let engine = Engine.create () in
   let ov = Overlay.create ~line_size ~links ~rng:(Rng.of_int seed) engine in
@@ -628,6 +640,8 @@ let () =
         [
           Alcotest.test_case "request table grows and reads back" `Quick request_table;
           Alcotest.test_case "register rejects bad positions" `Quick register_rejects;
+          Alcotest.test_case "a line past the key packing is refused" `Quick
+            line_past_key_packing_refused;
           Alcotest.test_case "round phases are spans" `Quick round_phase_spans;
           Alcotest.test_case "minor words per envelope" `Quick round_allocation_budget;
           Alcotest.test_case "steady step allocates almost nothing" `Quick step_allocation_budget;
