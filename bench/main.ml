@@ -22,15 +22,22 @@ module Rng = Ftr_prng.Rng
 module Json = Ftr_obs.Json
 module Tracing = Ftr_obs.Tracing
 
-let env_set name = match Sys.getenv_opt name with Some ("1" | "true") -> true | _ -> false
+let die fmt = Printf.ksprintf (fun msg -> Printf.eprintf "bench: %s\n%!" msg; exit 2) fmt
 
-let full = env_set "FTR_BENCH_FULL"
+(* The FTR_* switches take the same words as every binary's, and a
+   switch set to anything else stops the run before any section. *)
+let () =
+  match
+    Ftr_debug.Switch.invalid (Ftr_debug.Switch.names @ [ "FTR_BENCH_FULL"; "FTR_BENCH_SMOKE" ])
+  with
+  | Some refusal -> die "%s" refusal
+  | None -> ()
 
-let smoke = env_set "FTR_BENCH_SMOKE"
+let full = Ftr_debug.Switch.read "FTR_BENCH_FULL" ~default:false
+
+let smoke = Ftr_debug.Switch.read "FTR_BENCH_SMOKE" ~default:false
 
 let seed = 0xF7A
-
-let die fmt = Printf.ksprintf (fun msg -> Printf.eprintf "bench: %s\n%!" msg; exit 2) fmt
 
 (* The executor's contract makes the job count a pure wall-clock knob:
    results never move. *)
@@ -391,16 +398,26 @@ let run_tracing () =
   in
   Tracing.reset ();
   Tracing.set_seed seed;
-  let rows, _, same =
-    measure ~unit:"hops/s"
-      ~value:(fun hops dt -> float_of_int hops /. dt)
-      [
-        ("telemetry off", route_all ~obs:false ~record:false);
-        ("obs on, recorder muted", route_all ~obs:true ~record:false);
-        ("full-fidelity tracing", route_all ~obs:true ~record:true);
-      ]
+  let modes =
+    [
+      ("telemetry off", route_all ~obs:false ~record:false);
+      ("obs on, recorder muted", route_all ~obs:true ~record:false);
+      ("full-fidelity tracing", route_all ~obs:true ~record:true);
+    ]
   in
-  let retained = Tracing.retained_count () in
+  let rows, _, same =
+    measure ~unit:"hops/s" ~value:(fun hops dt -> float_of_int hops /. dt) modes
+  in
+  let recorded = Tracing.completed () and retained = Tracing.retained_count ()
+  and pinned = Tracing.pinned_count () in
+  (* What each mode allocates per hop, over one more run of the stream:
+     the mode's own cost, whatever the clock reads. *)
+  let words (name, run) =
+    let before = Gc.minor_words () in
+    let hops = run () in
+    exact (name ^ ", minor words") "words/hop" ((Gc.minor_words () -. before) /. float_of_int hops)
+  in
+  let words_rows = List.map words modes in
   {
     params =
       [
@@ -412,10 +429,11 @@ let run_tracing () =
     rows =
       rows
       @ [
-          exact "recorded routes" "count" (float_of_int (Tracing.completed ()));
+          exact "recorded routes" "count" (float_of_int recorded);
           exact "retained traces" "count" (float_of_int retained);
-          exact "pinned traces" "count" (float_of_int (Tracing.pinned_count ()));
-        ];
+          exact "pinned traces" "count" (float_of_int pinned);
+        ]
+      @ words_rows;
     asserts =
       [
         ("hops identical with telemetry off, muted and tracing", same);

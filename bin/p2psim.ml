@@ -67,9 +67,9 @@ let on_the_line indices ~nodes k =
       `Error (true, Printf.sprintf "option '%s': %d is outside [-%d, %d)" option v nodes nodes)
   | None -> `Ok (k ())
 
-let n_t default =
+let n_t ?(domain = nodes_conv) default =
   Arg.(
-    value & opt nodes_conv default
+    value & opt domain default
     & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes on the line.")
 
 let links_of c =
@@ -645,8 +645,7 @@ let report_cmd =
             print_string (Ftr_obs.Tracing.render tr))
           (Ftr_obs.Tracing.pinned_traces ())
       end;
-      Printf.printf "\nevents: %d emitted, %d suppressed%s\n" (Ftr_obs.Events.emitted ())
-        (Ftr_obs.Events.suppressed ())
+      Printf.printf "\nevents: %d emitted%s\n" (Ftr_obs.Events.emitted ())
         (match events_path with Some p -> Printf.sprintf " (written to %s)" p | None -> "")
     end
   in
@@ -692,19 +691,7 @@ let report_cmd =
 
 let check_cmd =
   let run n links seed verbose =
-    (* The battery exercises every builder; the smallest ones (ring,
-       deterministic) need a handful of nodes, so demand a sane floor
-       instead of surfacing a raw Invalid_argument. *)
-    if n < 16 then begin
-      Printf.eprintf "p2psim check: --nodes must be at least 16 (got %d)\n" n;
-      exit 2
-    end;
     let links = resolve_links n links in
-    (match links with
-    | l when l < 0 ->
-        Printf.eprintf "p2psim check: --links must be non-negative (got %d)\n" l;
-        exit 2
-    | _ -> ());
     let rng = Rng.of_int seed in
     let module Check = Ftr_check.Check in
     let total = ref 0 and sections = ref 0 in
@@ -859,6 +846,11 @@ let check_cmd =
   let verbose_t =
     Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print every section, not just failures.")
   in
+  (* The battery exercises every builder; the smallest ones (ring,
+     deterministic) need a handful of nodes. *)
+  let n_t =
+    n_t ~domain:(checked Arg.int ~expected:"a node count of at least 16" (fun n -> n >= 16)) 1024
+  in
   Cmd.v
     (Cmd.info "check"
        ~doc:"Run the invariant sanitizer battery over builders, routes, simulator and DHT"
@@ -885,7 +877,7 @@ let check_cmd =
               incremental caching and deterministic parallel analysis. \
               $(b,@lint-tests) lints test/ under a relaxed profile.";
          ])
-    Term.(const run $ n_t 1024 $ links_t $ seed_t $ verbose_t)
+    Term.(const run $ n_t $ links_t $ seed_t $ verbose_t)
 
 (* sweep *)
 
@@ -1443,6 +1435,13 @@ let snapshot_cmd =
     [ save_cmd; info_cmd; load_cmd ]
 
 let () =
+  (* An FTR_* switch set to a word it does not take is a usage error, as
+     a bad option value is: refused before any subcommand runs. *)
+  (match Ftr_debug.Switch.invalid Ftr_debug.Switch.names with
+  | Some refusal ->
+      Printf.eprintf "p2psim: %s\n%!" refusal;
+      exit Cmd.Exit.cli_error
+  | None -> ());
   Ftr_obs.Events.install_exit_flush ();
   let info =
     Cmd.info "p2psim" ~version:"1.0.0"

@@ -280,11 +280,11 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
     ?(max_hops = 1_000_000) ?rng ?scratch:scr ?(on_hop = fun _ -> ()) net ~src ~dst =
   let n = Network.size net in
   check_endpoints failures ~n ~src ~dst;
-  (* Telemetry: one bool load here is the whole cost when FTR_OBS is off —
-     the unwrapped [on_hop] is passed through untouched and no metric or
-     event code runs. When on, every hop feeds the (sampled) JSONL stream
-     through the existing [on_hop] seam and the outcome feeds the
-     route_hops histogram and stuck-reason counters below. *)
+  (* Telemetry: one bool load here is the whole cost when FTR_OBS is off.
+     When on, the outcome feeds the route_hops histogram, the stuck-reason
+     counters and one route.done event below; the hops themselves are
+     recorded once, as the flight recorder's steps, and [on_hop] is
+     wrapped only while tracing. *)
   let obs = Ftr_obs.Flag.enabled () in
   (* Flight recorder (docs/OBSERVABILITY.md, "Tracing"): [tr] is the
      shared null sentinel unless FTR_OBS and the recorder are both on, and
@@ -300,20 +300,9 @@ let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
       ~links:(Failure.link_view_label failures)
       ~strategy:(strategy_label strategy);
   let on_hop =
-    if obs then begin
-      let hop_no = ref 0 in
-      fun v ->
-        incr hop_no;
-        if tracing then Ftr_obs.Tracing.hop tr ~node:v;
-        Ftr_obs.Events.emit ~kind:"route.hop"
-          [
-            ("src", Ftr_obs.Json.Int src);
-            ("dst", Ftr_obs.Json.Int dst);
-            ("hop", Ftr_obs.Json.Int !hop_no);
-            ("node", Ftr_obs.Json.Int v);
-          ];
-        on_hop v
-    end
+    if tracing then (fun v ->
+      Ftr_obs.Tracing.hop tr ~node:v;
+      on_hop v)
     else on_hop
   in
   (* Only {!Backtrack} records tried links; the other strategies never

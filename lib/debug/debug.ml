@@ -9,12 +9,7 @@
 
 exception Invariant_violation of string
 
-let env_enabled =
-  match Sys.getenv_opt "FTR_CHECK" with
-  | Some ("1" | "true" | "on" | "yes") -> true
-  | Some _ | None -> false
-
-let enabled_ref = ref env_enabled
+let enabled_ref = ref (Switch.read "FTR_CHECK" ~default:false)
 
 (* Workers only read; [with_mode] is harness-side and runs before the pool
    spawns domains. ftr-lint: disable T1 *)

@@ -4,10 +4,7 @@ module Flag = Ftr_obs.Flag
 module Metrics = Ftr_obs.Metrics
 module Span = Ftr_obs.Span
 
-let sequential_forced () =
-  match Sys.getenv_opt "FTR_EXEC_SEQ" with
-  | Some ("1" | "true" | "on" | "yes") -> true
-  | Some _ | None -> false
+let sequential_forced () = Ftr_debug.Switch.read "FTR_EXEC_SEQ" ~default:false
 
 let with_sequential_forced on f =
   let saved = Sys.getenv_opt "FTR_EXEC_SEQ" in

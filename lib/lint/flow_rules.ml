@@ -143,7 +143,7 @@ let collect_gate_vars aliases (u : Cmt_loader.unit_info) =
    trace) are deliberately absent. *)
 let d1_writer parts =
   match List.rev parts with
-  | ("incr" | "incr_by" | "set_gauge" | "observe" | "observe_int") :: m :: _
+  | ("incr" | "incr_by" | "set_gauge" | "observe" | "observe_int" | "observe_ints") :: m :: _
     when Typed_rules.module_head m "Metrics" ->
       Some `Flag
   | "emit" :: m :: _ when Typed_rules.module_head m "Events" -> Some `Flag

@@ -1,13 +1,9 @@
 (* Structured event sink: one JSON object per line (JSONL), covering
-   per-hop route events, engine dispatch, overlay membership changes and
-   anything else a layer wants to narrate. Disabled unless both the
-   [Flag] is on and a sink is installed, so an un-instrumented run writes
-   nothing and pays one bool load per potential event.
-
-   Sampling is deterministic, per event kind: [set_sampling ~every:k]
-   keeps the 1st, (k+1)-th, (2k+1)-th... occurrence of each kind, which
-   makes runs reproducible (no RNG involved) while still thinning the
-   per-hop firehose. *)
+   route outcomes, overlay membership changes and anything else a layer
+   wants to narrate. Disabled unless both the [Flag] is on and a sink is
+   installed, so an un-instrumented run writes nothing and pays one bool
+   load per potential event. Every event that reaches a sink is written;
+   a route's hops are the flight recorder's steps, not events. *)
 
 type sink = To_buffer of Buffer.t | To_channel of out_channel
 
@@ -53,59 +49,31 @@ let install_exit_flush () =
     at_exit flush_sink
   end
 
-let every = ref 1
-
-(* ftr-lint: disable T6 -- seam: tests make event sampling deterministic through it *)
-let set_sampling ~every:k =
-  if k < 1 then invalid_arg "Events.set_sampling: every must be >= 1";
-  every := k
-
-let seen : (string, int ref) Hashtbl.t = Hashtbl.create 16
-
 let emitted_count = ref 0
-
-let suppressed_count = ref 0
 
 let emitted () = !emitted_count
 
-let suppressed () = !suppressed_count
-
-(* Clear counters and sampling state; the sink installation survives. *)
-let reset () =
-  Hashtbl.reset seen;
-  emitted_count := 0;
-  suppressed_count := 0
+(* Clear the emitted counter; the sink installation survives. *)
+let reset () = emitted_count := 0
 
 let emit ?time ~kind fields =
   if Flag.enabled () then
     match current_sink () with
     | None -> ()
     | Some s ->
-        let c =
-          match Hashtbl.find_opt seen kind with
-          | Some c -> c
-          | None ->
-              let c = ref 0 in
-              Hashtbl.replace seen kind c;
-              c
+        let base =
+          ("kind", Json.String kind)
+          :: (match time with Some t -> [ ("time", Json.Float t) ] | None -> [])
         in
-        incr c;
-        if (!c - 1) mod !every = 0 then begin
-          let base =
-            ("kind", Json.String kind)
-            :: (match time with Some t -> [ ("time", Json.Float t) ] | None -> [])
-          in
-          let line = Json.to_string (Json.Obj (base @ fields)) in
-          (match s with
-          | To_buffer b ->
-              Buffer.add_string b line;
-              Buffer.add_char b '\n'
-          | To_channel oc ->
-              output_string oc line;
-              output_char oc '\n');
-          incr emitted_count
-        end
-        else incr suppressed_count
+        let line = Json.to_string (Json.Obj (base @ fields)) in
+        (match s with
+        | To_buffer b ->
+            Buffer.add_string b line;
+            Buffer.add_char b '\n'
+        | To_channel oc ->
+            output_string oc line;
+            output_char oc '\n');
+        incr emitted_count
 
 (* Run [f] with [s] as the sink, then restore the previous one and
    flush [s] if it is a channel, whether [f] returns or raises: the

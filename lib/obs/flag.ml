@@ -8,12 +8,7 @@
    Enable with the environment variable FTR_OBS=1 (read once at start-up)
    or programmatically via [set_mode]. *)
 
-let env_enabled =
-  match Sys.getenv_opt "FTR_OBS" with
-  | Some ("1" | "true" | "on" | "yes") -> true
-  | Some _ | None -> false
-
-let enabled_ref = ref env_enabled
+let enabled_ref = ref (Ftr_debug.Switch.read "FTR_OBS" ~default:false)
 
 (* The collectors ([Metrics], [Span], [Events]) are plain hashtables and
    refs — fast, but not domain-safe. [Ftr_exec.Pool] therefore suppresses

@@ -43,24 +43,19 @@ let kind_name = function
   | Gauge_kind -> "gauge"
   | Histogram_kind -> "histogram"
 
-type entry = { name : string; labels : (string * string) list; metric : metric }
+(* One family per metric name: its kind and its series, each keyed by
+   its label set sorted by [compare_label]. A name has a handful of label
+   sets at most, so the series are a list. *)
+type family = { kind : kind; mutable series : ((string * string) list * metric) list }
 
-type t = {
-  table : (string, entry) Hashtbl.t; (* keyed by name + rendered labels *)
-  kinds : (string, kind) Hashtbl.t; (* one kind per metric name *)
-}
+type t = (string, family) Hashtbl.t
 
-let create () = { table = Hashtbl.create 64; kinds = Hashtbl.create 64 }
+let create () : t = Hashtbl.create 64
 
 (* The process-wide registry every instrumentation site defaults to. *)
 let default = create ()
 
-let reset t =
-  Hashtbl.reset t.table;
-  Hashtbl.reset t.kinds
-
-let labels_key labels =
-  String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
+let reset (t : t) = Hashtbl.reset t
 
 (* Labels are string pairs; keep their ordering typed so the registry key
    never depends on polymorphic compare. *)
@@ -68,22 +63,39 @@ let compare_label (ka, va) (kb, vb) =
   let c = String.compare ka kb in
   if c <> 0 then c else String.compare va vb
 
+(* [List.sort] allocates its merge closures even for a short list, and
+   most updates carry no label or one. *)
+let sort_labels = function [] | [ _ ] as l -> l | l -> List.sort compare_label l
+
+let rec find_series labels = function
+  | [] -> raise_notrace Not_found
+  | (l, m) :: rest ->
+      if List.equal (fun a b -> compare_label a b = 0) l labels then m
+      else find_series labels rest
+
+let family (t : t) ~name ~kind =
+  match Hashtbl.find t name with
+  | f ->
+      if f.kind <> kind then
+        invalid_arg
+          (Printf.sprintf "Metrics: %S is a %s, used as a %s" name (kind_name f.kind)
+             (kind_name kind));
+      f
+  | exception Not_found ->
+      if String.equal name "" then invalid_arg "Metrics: metric name must be non-empty";
+      let f = { kind; series = [] } in
+      Hashtbl.replace t name f;
+      f
+
 let find_or_create t ~name ~labels ~kind make =
-  if String.equal name "" then invalid_arg "Metrics: metric name must be non-empty";
-  (match Hashtbl.find_opt t.kinds name with
-  | Some k when k <> kind ->
-      invalid_arg
-        (Printf.sprintf "Metrics: %S is a %s, used as a %s" name (kind_name k) (kind_name kind))
-  | Some _ -> ()
-  | None -> Hashtbl.replace t.kinds name kind);
-  let labels = List.sort compare_label labels in
-  let key = name ^ "{" ^ labels_key labels ^ "}" in
-  match Hashtbl.find_opt t.table key with
-  | Some e -> e.metric
-  | None ->
-      let metric = make () in
-      Hashtbl.replace t.table key { name; labels; metric };
-      metric
+  let f = family t ~name ~kind in
+  let labels = sort_labels labels in
+  match find_series labels f.series with
+  | m -> m
+  | exception Not_found ->
+      let m = make () in
+      f.series <- (labels, m) :: f.series;
+      m
 
 (* ------------------------------------------------------------------ *)
 (* Updates                                                             *)
@@ -132,20 +144,21 @@ let observe_int ?registry ?labels name v = observe ?registry ?labels name (float
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let lookup t ~name ~labels =
-  let labels = List.sort compare_label labels in
-  Hashtbl.find_opt t.table (name ^ "{" ^ labels_key labels ^ "}")
+let lookup (t : t) ~name ~labels =
+  match Hashtbl.find_opt t name with
+  | Some f -> ( try Some (find_series (sort_labels labels) f.series) with Not_found -> None)
+  | None -> None
 
 (* ftr-lint: disable T6 -- oracle: the exec and obs tests read counters through it *)
 let counter_value ?(registry = default) ?(labels = []) name =
   match lookup registry ~name ~labels with
-  | Some { metric = Counter r; _ } -> r.c
-  | Some _ | None -> 0
+  | Some (Counter r) -> r.c
+  | Some (Gauge _ | Histogram _) | None -> 0
 
 let gauge_value ?(registry = default) ?(labels = []) name =
   match lookup registry ~name ~labels with
-  | Some { metric = Gauge r; _ } -> r.g
-  | Some _ | None -> nan
+  | Some (Gauge r) -> r.g
+  | Some (Counter _ | Histogram _) | None -> nan
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots for the exporters                                         *)
@@ -183,15 +196,18 @@ let histogram_view h =
 let snapshot ?(registry = default) () =
   let items =
     Hashtbl.fold
-      (fun _ e acc ->
-        let view =
-          match e.metric with
-          | Counter r -> Counter_view r.c
-          | Gauge r -> Gauge_view r.g
-          | Histogram h -> Histogram_view (histogram_view h)
-        in
-        { item_name = e.name; item_labels = e.labels; item_view = view } :: acc)
-      registry.table []
+      (fun name f acc ->
+        List.fold_left
+          (fun acc (labels, metric) ->
+            let view =
+              match metric with
+              | Counter r -> Counter_view r.c
+              | Gauge r -> Gauge_view r.g
+              | Histogram h -> Histogram_view (histogram_view h)
+            in
+            { item_name = name; item_labels = labels; item_view = view } :: acc)
+          acc f.series)
+      registry []
   in
   List.sort
     (fun a b ->
@@ -199,7 +215,8 @@ let snapshot ?(registry = default) () =
       if c <> 0 then c else List.compare compare_label a.item_labels b.item_labels)
     items
 
-let size ?(registry = default) () = Hashtbl.length registry.table
+let size ?(registry = default) () =
+  Hashtbl.fold (fun _ f n -> n + List.length f.series) registry 0
 
 (* Quantile estimate from a log-scale histogram: find the bucket holding
    the target rank, then interpolate linearly within it (the

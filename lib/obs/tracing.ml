@@ -114,14 +114,10 @@ let is_live tr = tr.live
 (* ------------------------------------------------------------------ *)
 
 (* FTR_OBS_TRACE=0 turns the recorder off while leaving the rest of the
-   telemetry layer alone; unset or any other value keeps it riding the
-   FTR_OBS master switch ([Flag.enabled] is consulted on every
-   [begin_route], so the recorder is inert whenever telemetry is off). *)
-let recording_ref =
-  ref
-    (match Sys.getenv_opt "FTR_OBS_TRACE" with
-    | Some ("0" | "false" | "off" | "no") -> false
-    | Some _ | None -> true)
+   telemetry layer alone; unset, it keeps riding the FTR_OBS master
+   switch ([Flag.enabled] is consulted on every [begin_route], so the
+   recorder is inert whenever telemetry is off). *)
+let recording_ref = ref (Ftr_debug.Switch.read "FTR_OBS_TRACE" ~default:true)
 
 let set_recording on = recording_ref := on
 

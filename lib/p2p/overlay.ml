@@ -92,13 +92,7 @@ let settle t (a : Actor.t) =
     if c.c_repairs > 0 then Ftr_obs.Metrics.incr_by "overlay_repairs_total" c.c_repairs;
     if c.c_redirects > 0 then Ftr_obs.Metrics.incr_by "overlay_link_redirects_total" c.c_redirects
   end;
-  c.c_messages <- 0;
-  c.c_replies <- 0;
-  c.c_probes <- 0;
-  c.c_repairs <- 0;
-  c.c_redirects <- 0;
-  c.c_maint_issued <- 0;
-  c.c_handled <- 0;
+  Actor.clear_counters c;
   if Ftr_debug.Debug.enabled () then debug_check t a
 
 let dispatch t a payload =

@@ -12,6 +12,8 @@ type t = {
   mutable next_seq : int;
   mutable next_id : int;
   mutable executed : int;
+  mutable reported_seq : int; (* pushes already added to heap_pushes_total *)
+  mutable high_water : int; (* queue length before the fullest pop, telemetry on *)
 }
 
 type handle = int
@@ -28,6 +30,8 @@ let create () =
     next_seq = 0;
     next_id = 0;
     executed = 0;
+    reported_seq = 0;
+    high_water = 0;
   }
 
 let now t = t.now
@@ -53,36 +57,35 @@ let schedule_after t ~delay action =
 (* Lazy deletion: cancelled ids are skipped (and forgotten) at pop time. *)
 let cancel t handle = Hashtbl.replace t.cancelled handle ()
 
-let rec step t =
+let rec pop_live t =
   match Heap.pop t.heap with
+  | Some ev when Hashtbl.mem t.cancelled ev.id ->
+      Hashtbl.remove t.cancelled ev.id;
+      pop_live t
+  | next -> next
+
+let step t =
+  let depth = Heap.length t.heap in
+  match pop_live t with
   | None -> false
   | Some ev ->
-      if Hashtbl.mem t.cancelled ev.id then begin
-        Hashtbl.remove t.cancelled ev.id;
-        step t
-      end
-      else begin
-        if Ftr_debug.Debug.enabled () && ev.time < t.now then
-          Ftr_debug.Debug.failf
-            "Engine: event #%d at time %g popped with the clock already at %g" ev.id ev.time
-            t.now;
-        t.now <- ev.time;
-        t.executed <- t.executed + 1;
-        (* Telemetry: dispatch count, queue depth and a (sampled) per-event
-           record; the flight recorder additionally learns the simulation
-           clock so trace steps recorded inside [ev.action] carry sim-time
-           stamps (the Chrome export's timeline). One bool load when
-           FTR_OBS is off. *)
-        if Ftr_obs.Flag.enabled () then begin
-          Ftr_obs.Tracing.note_time ev.time;
-          Ftr_obs.Metrics.incr "engine_events_total";
-          Ftr_obs.Metrics.set_gauge "engine_queue_depth" (float_of_int (pending_events t));
-          Ftr_obs.Events.emit ~time:ev.time ~kind:"engine.event"
-            [ ("id", Ftr_obs.Json.Int ev.id); ("seq", Ftr_obs.Json.Int ev.seq) ]
-        end;
-        ev.action ();
-        true
-      end
+      if Ftr_debug.Debug.enabled () && ev.time < t.now then
+        Ftr_debug.Debug.failf "Engine: event #%d at time %g popped with the clock already at %g"
+          ev.id ev.time t.now;
+      t.now <- ev.time;
+      t.executed <- t.executed + 1;
+      (* Telemetry: the flight recorder learns the simulation clock, so
+         trace steps recorded inside [ev.action] carry sim-time stamps
+         (the Chrome export's timeline), and the queue's high-water mark
+         is taken here for [run] to report: the queue shrinks only at
+         pops, so its length before each pop gives its maximum. One bool
+         load when FTR_OBS is off. *)
+      if Ftr_obs.Flag.enabled () then begin
+        Ftr_obs.Tracing.note_time ev.time;
+        if depth > t.high_water then t.high_water <- depth
+      end;
+      ev.action ();
+      true
 
 let run ?max_events ?until t =
   let budget = match max_events with None -> max_int | Some m -> m in
@@ -97,7 +100,22 @@ let run ?max_events ?until t =
           else if step t then loop (remaining - 1)
           else ()
   in
-  if Ftr_obs.Flag.enabled () then Ftr_obs.Span.time "engine.run" (fun () -> loop budget)
+  if Ftr_obs.Flag.enabled () then begin
+    let executed_before = t.executed in
+    Ftr_obs.Span.time "engine.run" (fun () -> loop budget);
+    (* Telemetry, once per run: the events it executed, the pushes since
+       the last report, the queue depth it leaves and the process-wide
+       high-water mark of every engine's queue. *)
+    let events = t.executed - executed_before and pushes = t.next_seq - t.reported_seq in
+    if events > 0 then Ftr_obs.Metrics.incr_by "engine_events_total" events;
+    if pushes > 0 then Ftr_obs.Metrics.incr_by "heap_pushes_total" pushes;
+    t.reported_seq <- t.next_seq;
+    Ftr_obs.Metrics.set_gauge "engine_queue_depth" (float_of_int (pending_events t));
+    let high = max t.high_water (Heap.length t.heap) in
+    let hw = Ftr_obs.Metrics.gauge_value "heap_high_water" in
+    if high > 0 && (Float.is_nan hw || float_of_int high > hw) then
+      Ftr_obs.Metrics.set_gauge "heap_high_water" (float_of_int high)
+  end
   else loop budget
 
 let drain t =

@@ -70,13 +70,6 @@ let push t item =
   t.data.(t.length) <- item;
   t.length <- t.length + 1;
   sift_up t (t.length - 1);
-  (* Telemetry: push volume and the queue's high-water mark. *)
-  if Ftr_obs.Flag.enabled () then begin
-    Ftr_obs.Metrics.incr "heap_pushes_total";
-    let hw = Ftr_obs.Metrics.gauge_value "heap_high_water" in
-    if Float.is_nan hw || float_of_int t.length > hw then
-      Ftr_obs.Metrics.set_gauge "heap_high_water" (float_of_int t.length)
-  end;
   if Ftr_debug.Debug.enabled () then debug_validate t
 
 let peek t = if t.length = 0 then None else Some t.data.(0)

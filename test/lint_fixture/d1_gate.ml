@@ -1,8 +1,8 @@
-(* D1 gate-dominance fixture. [bad] and [half] each carry one telemetry
-   write that some path from function entry reaches without passing a
-   Flag.enabled check (two positive findings); [good] and [traced] are
-   fully dominated, including the lib/core/route.ml idiom of a gate
-   variable captured by a helper closure, and must stay silent. *)
+(* D1 gate-dominance fixture. [bad], [half] and [batched] each carry one
+   telemetry write that some path from function entry reaches without a
+   Flag.enabled check (three positives); [good] and [traced] are fully
+   dominated, including the lib/core/route.ml idiom of a gate variable
+   captured by a helper closure, and must stay silent. *)
 
 (* Positive: no gate anywhere. *)
 let bad () = Ftr_obs.Metrics.incr "lint_fixture_bad"
@@ -29,3 +29,6 @@ let traced () =
     record 1
   end;
   record 2
+
+(* Positive: the batched histogram update is a telemetry write too. *)
+let batched values = Ftr_obs.Metrics.observe_ints "lint_fixture_batch" values (Array.length values)

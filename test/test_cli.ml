@@ -56,6 +56,8 @@ let cases =
     ([ "serve"; "--explain=-1" ], "--explain");
     ([ "explain"; "--route=-1" ], "--route");
     ([ "route"; "--nodes=64"; "--src=99999" ], "--src");
+    (* The sanitizer battery needs its smallest builders' node count. *)
+    ([ "check"; "--nodes"; "8" ], "--nodes");
   ]
 
 let contains s sub = Option.is_some (Ftr_lint.Suppress.find_sub s sub)
@@ -81,6 +83,31 @@ let refused_by_name () =
       Alcotest.(check int) (line ^ ": exit status") 124 code;
       Alcotest.(check bool) (line ^ ": names " ^ option) true (contains text ("'" ^ option ^ "'")))
     cases
+
+(* An FTR_* switch set to a word it does not take is refused the same
+   way, naming the variable and the words it takes, before any
+   subcommand runs. *)
+let switch_cases =
+  [ "FTR_OBS=banana"; "FTR_OBS_TRACE=maybe"; "FTR_EXEC_SEQ=2"; "FTR_CHECK=7" ]
+
+let switch_refused () =
+  let exe = p2psim () in
+  let err = Filename.temp_file "p2psim_cli" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
+  List.iter
+    (fun setting ->
+      let name = List.hd (String.split_on_char '=' setting) in
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s route --nodes 64 > /dev/null 2> %s" setting exe
+             (Filename.quote err))
+      in
+      let text = In_channel.with_open_bin err In_channel.input_all in
+      Alcotest.(check int) (setting ^ ": exit status") 124 code;
+      Alcotest.(check bool) (setting ^ ": names " ^ name) true (contains text (name ^ "="));
+      Alcotest.(check bool) (setting ^ ": names the accepted words") true
+        (contains text "1, true, on, yes, 0, false, off, no"))
+    switch_cases
 
 (* A sweep journal that does not start with a sweep header is refused
    with exit 1, naming the file, before any job runs. *)
@@ -111,6 +138,7 @@ let bench_cases =
     ("FTR_BENCH_ONLY=route", [ "--jobs"; "0" ], "--jobs");
     ("FTR_BENCH_ONLY=route", [ "--jobs" ], "--jobs");
     ("FTR_BENCH_ONLY=route,rout", [], "FTR_BENCH_ONLY");
+    ("FTR_BENCH_ONLY=route FTR_OBS=banana", [], "FTR_OBS");
   ]
 
 let bench_refuses () =
@@ -147,6 +175,7 @@ let () =
         [
           Alcotest.test_case "malformed input refused by name" `Quick refused_by_name;
           Alcotest.test_case "bad sweep journal refused by name" `Quick bad_journal_refused;
+          Alcotest.test_case "bad FTR_* switch refused by name" `Quick switch_refused;
         ] );
       ("bench", [ Alcotest.test_case "bad input refused before any section" `Quick bench_refuses ]);
     ]

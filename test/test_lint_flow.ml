@@ -47,18 +47,20 @@ let test_corpus () =
   let _, units = Lazy.force fixture in
   Alcotest.(check int) "all seventeen fixture units loaded" 17 units
 
-(* D1: the ungated write and the post-join write fire; the gated write,
-   the gate-variable conjunction and the closure capturing it do not. *)
+(* D1: the ungated write, the post-join write and the ungated batched
+   histogram update fire; the gated write, the gate-variable conjunction
+   and the closure capturing it do not. *)
 let test_d1 () =
   match findings_of "d1_gate.ml" with
-  | [ ("D1", l1, m1); ("D1", l2, m2) ] ->
+  | [ ("D1", l1, m1); ("D1", l2, m2); ("D1", l3, m3) ] ->
       Alcotest.(check int) "the ungated write" 8 l1;
       Alcotest.(check int) "the post-join write" 14 l2;
+      Alcotest.(check int) "the ungated observe_ints" 34 l3;
       List.iter
         (fun m ->
           Alcotest.(check bool) "message points at the gate" true (contains m "Flag.enabled"))
-        [ m1; m2 ]
-  | fs -> Alcotest.failf "expected exactly the two D1 positives, got %d findings" (List.length fs)
+        [ m1; m2; m3 ]
+  | fs -> Alcotest.failf "expected exactly the three D1 positives, got %d findings" (List.length fs)
 
 (* D2 snapshot typestate: routing an unvalidated load fires at the use
    site, through Route.route and the lockstep batch entry alike;

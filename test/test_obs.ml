@@ -266,7 +266,6 @@ let span_no_allocation () =
 let events_jsonl () =
   Flag.with_mode true @@ fun () ->
   Events.reset ();
-  Events.set_sampling ~every:1;
   let (), out =
     Events.with_buffer (fun () ->
         Events.emit ~kind:"test"
@@ -291,37 +290,12 @@ let events_jsonl () =
         "quote\" back\\slash\nnewline\ttab \x01 control" s
   | _ -> Alcotest.fail "msg field lost"
 
-let events_sampling () =
-  Flag.with_mode true @@ fun () ->
-  Events.reset ();
-  Events.set_sampling ~every:3;
-  let finally () = Events.set_sampling ~every:1 in
-  Fun.protect ~finally @@ fun () ->
-  let (), out =
-    Events.with_buffer (fun () ->
-        for i = 1 to 7 do
-          Events.emit ~kind:"tick" [ ("i", Json.Int i) ]
-        done)
-  in
-  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' out) in
-  Alcotest.(check int) "1st, 4th and 7th kept" 3 (List.length lines);
-  Alcotest.(check int) "emitted counter" 3 (Events.emitted ());
-  Alcotest.(check int) "suppressed counter" 4 (Events.suppressed ());
-  let kept =
-    List.map
-      (fun line ->
-        match Json.member "i" (Json.parse line) with Some (Json.Int i) -> i | _ -> -1)
-      lines
-  in
-  Alcotest.(check (list int)) "deterministic choice" [ 1; 4; 7 ] kept
-
 (* FTR_OBS_SINK=<path> redirects the JSONL stream to a file when no
    [with_sink] bracket is active; a bracket, [with_buffer]'s or an
    explicit [None], takes precedence for its extent only. *)
 let events_env_sink () =
   Flag.with_mode true @@ fun () ->
   Events.reset ();
-  Events.set_sampling ~every:1;
   let path = Filename.temp_file "ftr_obs_sink" ".jsonl" in
   Unix.putenv "FTR_OBS_SINK" path;
   let finally () = Unix.putenv "FTR_OBS_SINK" "" in
@@ -363,7 +337,6 @@ let events_env_sink () =
 let events_exit_flush () =
   Flag.with_mode true @@ fun () ->
   Events.reset ();
-  Events.set_sampling ~every:1;
   let path = Filename.temp_file "ftr_obs_exitflush" ".jsonl" in
   let oc = open_out path in
   let finally () =
@@ -402,7 +375,6 @@ let ns_of jsonl =
 let with_sink_restores_on_raise () =
   Flag.with_mode true @@ fun () ->
   Events.reset ();
-  Events.set_sampling ~every:1;
   let inner = Buffer.create 64 in
   let (), outer =
     Events.with_buffer (fun () ->
@@ -421,7 +393,6 @@ let with_sink_restores_on_raise () =
 let with_sink_flushes_channel () =
   Flag.with_mode true @@ fun () ->
   Events.reset ();
-  Events.set_sampling ~every:1;
   let path = Filename.temp_file "ftr_obs_bracket" ".jsonl" in
   let oc = open_out path in
   let finally () =
@@ -700,6 +671,49 @@ let tracing_off_allocation_free () =
        (n - 1) delta)
     true (delta < 512.0)
 
+(* With telemetry on and the recorder muted, the bench tracing section's
+   Backtrack stream (n = 2^13, 13 links, 30% of nodes failed), with no
+   events sink, pays for its metrics once per route: the hops themselves
+   record nothing. The stream allocates about 8 minor words per hop
+   (about 4 with telemetry off); a per-hop event record costs several
+   times the bound. *)
+let muted_words_per_hop () =
+  with_recorder @@ fun () ->
+  Events.with_sink None @@ fun () ->
+  Tracing.set_recording false;
+  Metrics.reset Metrics.default;
+  let n = 1 lsl 13 in
+  let rng = Rng.of_int 79 in
+  let net = Network.build_ideal ~n ~links:13 (Rng.split rng) in
+  let mask = Ftr_core.Failure.random_node_fraction (Rng.split rng) ~n ~fraction:0.3 in
+  let failures = Ftr_core.Failure.of_node_mask mask in
+  let scratch = Route.scratch net in
+  let route_all () =
+    let pair_rng = Rng.of_int 80 in
+    let rec live () =
+      let v = Rng.int pair_rng n in
+      if Ftr_graph.Bitset.get mask v then v else live ()
+    in
+    let hops = ref 0 in
+    for _ = 1 to 2_000 do
+      let src = live () and dst = live () in
+      hops :=
+        !hops
+        + Route.hops
+            (Route.route ~failures ~strategy:(Route.Backtrack { history = 5 }) ~rng:pair_rng
+               ~scratch net ~src ~dst)
+    done;
+    !hops
+  in
+  ignore (route_all ());
+  let before = Gc.minor_words () in
+  let hops = route_all () in
+  let per_hop = (Gc.minor_words () -. before) /. float_of_int hops in
+  Metrics.reset Metrics.default;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per hop, at most 12" per_hop)
+    true (per_hop <= 12.0)
+
 (* ------------------------------------------------------------------ *)
 (* Overlay membership log                                              *)
 (* ------------------------------------------------------------------ *)
@@ -846,7 +860,6 @@ let () =
       ( "events",
         [
           quick "jsonl well-formed" events_jsonl;
-          quick "deterministic sampling" events_sampling;
           quick "env sink redirect and precedence" events_env_sink;
           quick "exit hook flushes programmatic channel sinks" events_exit_flush;
           quick "silent without sink" events_off_without_sink;
@@ -862,6 +875,7 @@ let () =
           quick "ids and sampling deterministic" tracing_ids_and_sampling_deterministic;
           QCheck_alcotest.to_alcotest tracing_jobs_invariant;
           quick "tracing off allocates nothing" tracing_off_allocation_free;
+          quick "recorder muted: metrics per route, not per hop" muted_words_per_hop;
         ] );
       ( "integration",
         [
