@@ -170,11 +170,13 @@ let publish section run =
 
 (* Hops/second of the production router on two streams over one
    network: any pair with no failures (Terminate), and live pairs under
-   30% node failures (Backtrack, 5-node history). Telemetry is off so
-   the number is the router's, not the obs layer's (the tracing section
-   measures that). Every pass routes the same pairs and must hop the
-   same total. The outcomes of these streams are pinned as digests in
-   test/test_csr.ml, recorded from the pre-refactor router. *)
+   30% node failures (Backtrack, 5-node history), each routed one
+   Route.route call per pair and as one Route_batch.run call at jobs=1.
+   Telemetry is off so the number is the router's, not the obs layer's
+   (the tracing section measures that). Every pass routes the same pairs
+   and must hop the same total, batch or not. The outcomes of these
+   streams are pinned as digests in test/test_csr.ml, recorded from the
+   pre-refactor router. *)
 let run_route () =
   let n = if full then 1 lsl 14 else 1 lsl 13 in
   let links = 14 in
@@ -196,12 +198,32 @@ let run_route () =
       done;
       !hops
     in
-    let rows, _, same =
+    let rows, hops, same =
       measure ~unit:"hops/s"
         ~value:(fun hops dt -> float_of_int hops /. dt)
         [ (name, route_pairs) ]
     in
-    (rows, (name ^ " passes agree on hops", same))
+    (* The same pairs, in one Route_batch.run call on this domain. *)
+    let pairs =
+      let pair_rng = Rng.of_int (seed + 78) in
+      Array.init messages (fun _ -> pick pair_rng)
+    in
+    let batch () =
+      Array.fold_left
+        (fun acc o -> acc + Route.hops o)
+        0
+        (Ftr_core.Route_batch.run ~jobs:1 ~failures ~strategy net ~pairs)
+    in
+    let batch_rows, batch_hops, batch_same =
+      measure ~unit:"hops/s"
+        ~value:(fun hops dt -> float_of_int hops /. dt)
+        [ (name ^ ", batch jobs=1", batch) ]
+    in
+    ( rows @ batch_rows,
+      [
+        (name ^ " passes agree on hops", same);
+        (name ^ ", batch jobs=1 passes agree on hops", batch_same && batch_hops = hops);
+      ] )
   in
   let streams =
     [
@@ -214,7 +236,7 @@ let run_route () =
   {
     params = [ ("n", Int n); ("links", Int links); ("messages", Int messages) ];
     rows = List.concat_map fst streams;
-    asserts = List.map snd streams;
+    asserts = List.concat_map snd streams;
   }
 
 (* ------------------------------------------------------------------ *)

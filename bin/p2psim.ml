@@ -115,7 +115,7 @@ let fail_t default =
     value & opt fraction_conv default
     & info [ "fail" ] ~docv:"P" ~doc:"Fraction of nodes to fail before routing.")
 
-let jobs_t ~doc = Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"J" ~doc)
+let jobs_t ~doc = Arg.(value & opt (some positive_conv) None & info [ "jobs"; "j" ] ~docv:"J" ~doc)
 
 (* The ideal network, then a random [fraction] of its nodes failed, both
    drawn from [rng] in that order: the failure set and its liveness
@@ -1064,7 +1064,7 @@ let sweep_cmd =
   let links_t =
     Arg.(
       value
-      & opt (list int) [ 0 ]
+      & opt (list count_conv) [ 0 ]
       & info [ "links" ] ~docv:"L,..." ~doc:"Grid axis: long links per node (0 means lg N).")
   in
   let fails_t =
@@ -1420,7 +1420,7 @@ let snapshot_cmd =
     in
     let messages_t =
       Arg.(
-        value & opt int 0
+        value & opt count_conv 0
         & info [ "messages" ] ~docv:"M" ~doc:"Route M random messages off the loaded network.")
     in
     Cmd.v

@@ -85,7 +85,6 @@ let route ?(defense = Naive) ?(max_hops = 1_000_000) net ~byzantine ~src ~dst =
   let { Ftr_graph.Adjacency.Csr.offsets; targets } = csr in
   let module I32 = Ftr_graph.Adjacency.I32 in
   let state = Stuck.create () in
-  let tried = Stuck.tried state in
   let dist v = Network.distance net v dst in
   let wasted = ref 0 in
   (* Senders cannot see who is Byzantine, so candidates include them. A
@@ -97,7 +96,7 @@ let route ?(defense = Naive) ?(max_hops = 1_000_000) net ~byzantine ~src ~dst =
     and best_d = ref (match mode with `Strict -> dist cur | `Any -> max_int) in
     if not (naive && !wasted > 0) then
       for k = 0 to I32.get offsets (cur + 1) - base - 1 do
-        if not (Tried.mem tried (base + k)) then begin
+        if not (Tried.mem (Stuck.tried state) (base + k)) then begin
           let d = dist (I32.get targets (base + k)) in
           if d < !best_d then begin
             best_idx := k;

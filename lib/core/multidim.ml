@@ -80,7 +80,6 @@ let route ?(alive = fun _ -> true) ?(strategy = Terminate) ?(max_hops = 1_000_00
   let dist u = Torus.distance t.torus u dst in
   let { Csr.offsets; targets } = t.adj in
   let state = Stuck.create () in
-  let tried = Stuck.tried state in
   (* The live untried neighbour closest to [dst], first in row order on
      ties; strictly closer than [cur] in [`Strict] mode. *)
   let scan mode cur =
@@ -89,7 +88,7 @@ let route ?(alive = fun _ -> true) ?(strategy = Terminate) ?(max_hops = 1_000_00
     and best_d = ref (match mode with `Strict -> dist cur | `Any -> max_int) in
     for k = 0 to I32.get offsets (cur + 1) - base - 1 do
       let v = I32.get targets (base + k) in
-      if alive v && not (Tried.mem tried (base + k)) then begin
+      if alive v && not (Tried.mem (Stuck.tried state) (base + k)) then begin
         let d = dist v in
         if d < !best_d then begin
           best_idx := k;

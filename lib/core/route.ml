@@ -30,26 +30,19 @@ let strategy_label = function
   | Random_reroute _ -> "random_reroute"
   | Backtrack _ -> "backtrack"
 
-(* Reusable per-route working state: the backtracking search's tried
-   links and window ({!Stuck.t}), 1 KiB to start whatever the size of the
-   network, grown by the longest route it serves. A backtracking route
-   without a caller-held one creates its own. *)
+(* One route's working state: see {!Stuck.t}. A route without a
+   caller-held one creates its own. *)
 type scratch = Stuck.t
 
 let scratch (_ : Network.t) = Stuck.create ()
-
-(* Stand-in for strategies that never record tried links ({!Terminate},
-   {!Random_reroute}) when the caller supplied no scratch: never read or
-   written, so sharing one global is safe. *)
-let dummy_scratch = Stuck.create ()
 
 (* Stand-in position vector for full networks, whose positions are the
    identity and are not stored: every read goes through [pos] below with
    [identity] true, so it is never read. *)
 let no_positions = I32.create 0
 
-(* Everything the hop choice reads, resolved once per route by [route]
-   and once per chunk by [route_lockstep]:
+(* One driver call: what the hop choice reads, resolved once, and the
+   pairs it routes.
    - the CSR vectors and the geometry, so the candidate scan computes
      two-sided distances inline — integer arithmetic per candidate
      instead of a call into [Network]. On a full network ([identity]) a
@@ -60,8 +53,9 @@ let no_positions = I32.create 0
      when the view has one, link liveness skipped entirely when
      everything is statically alive, the general closure forms as the
      fallback;
-   - the tried-link set, read only when [tracking], and the
-     flight-recorder handle, live only when [tracing]. *)
+   - the strategy's parameters, [tracking] when the scan skips tried links;
+   - the pairs left, [pairs.(next .. stop - 1)], whose outcomes go to [out];
+   - the current route's flight-recorder handle, live only when [tracing]. *)
 type view = {
   net : Network.t;
   offsets : I32.t;
@@ -76,13 +70,41 @@ type view = {
   node_bits : Bitset.t option;
   node_all : bool;
   link_all : bool;
-  tried : Tried.t;
+  strategy : strategy;
   tracking : bool;
-  tr : Ftr_obs.Tracing.t;
-  tracing : bool;
+  history : int;
+  attempts : int;
+  max_hops : int;
+  obs : bool;
+  on_hop : (int -> unit) option;
+  rng : int -> Ftr_prng.Rng.t option;
+  pairs : (int * int) array;
+  out : outcome array;
+  stop : int;
+  mutable next : int;
+  mutable tr : Ftr_obs.Tracing.t;
+  mutable tracing : bool;
 }
 
-let view ~failures ~side ~tried ~tracking ~tr ~tracing net =
+(* Every pair and the strategy are checked before any route starts. *)
+let view ~failures ~side ~strategy ~max_hops ~rng ~on_hop net ~pairs ~lo ~len ~out =
+  let n = Network.size net in
+  for i = lo to lo + len - 1 do
+    let src, dst = pairs.(i) in
+    if src < 0 || src >= n || dst < 0 || dst >= n then invalid_arg "Route.route: node out of range";
+    if not (Failure.node_alive failures dst) then invalid_arg "Route.route: destination is dead";
+    if not (Failure.node_alive failures src) then invalid_arg "Route.route: source is dead"
+  done;
+  let tracking, history, attempts =
+    match strategy with
+    | Terminate -> (false, 0, 0)
+    | Random_reroute { attempts } ->
+        if attempts < 0 then invalid_arg "Route.route: attempts must be >= 0";
+        (false, 0, attempts)
+    | Backtrack { history } ->
+        if history < 1 then invalid_arg "Route.route: history must be >= 1";
+        (true, history, 0)
+  in
   let { Ftr_graph.Adjacency.Csr.offsets; targets } = Network.csr net in
   let identity, positions =
     match Network.positions net with None -> (true, no_positions) | Some p -> (false, p)
@@ -101,18 +123,26 @@ let view ~failures ~side ~tried ~tracking ~tr ~tracing net =
     node_bits = Failure.node_alive_bits failures;
     node_all = Failure.node_all_alive failures;
     link_all = Failure.link_all_alive failures;
-    tried;
+    strategy;
     tracking;
-    tr;
-    tracing;
+    history;
+    attempts;
+    max_hops;
+    obs = Ftr_obs.Flag.enabled ();
+    on_hop;
+    rng;
+    pairs;
+    out;
+    stop = lo + len;
+    next = lo;
+    (* ftr-lint: disable T1 -- the null trace: every Tracing writer checks [live] first *)
+    tr = Ftr_obs.Tracing.null;
+    tracing = false;
   }
 
 (* Line position of node [v]: the node index itself on a full network,
    one (cache-missing, at scale) load from the sparse vector otherwise. *)
 let[@inline] pos rv v = if rv.identity then v else I32.unsafe_get rv.positions v
-
-(* Node behind link [k] of [cur]. *)
-let[@inline] nth_target rv ~cur k = I32.unsafe_get rv.targets (I32.unsafe_get rv.offsets cur + k)
 
 (* Unsafe I32/array reads below are justified by construction-time CSR
    validation ([Adjacency.Csr.validate], re-checked by the Check
@@ -132,19 +162,19 @@ let distance rv ~dst_pos v ~dst =
 
 (* Link [k] of [cur] (slot [base + k]) leads to a live node over a live
    link that the current route has not tried yet. *)
-let[@inline] usable rv ~cur ~base ~k v =
+let[@inline] usable rv ~tried ~cur ~base ~k v =
   (rv.link_all || Failure.link_alive rv.failures ~src:cur ~idx:k)
   && (match rv.node_bits with
      | Some b -> Bitset.unsafe_get b v
      | None -> rv.node_all || Failure.node_alive rv.failures v)
-  && not (rv.tracking && Tried.mem rv.tried (base + k))
+  && not (rv.tracking && Tried.mem tried (base + k))
 
 (* Flight-recorder verdict for a candidate [usable] rejected: re-run the
    conjuncts one by one to name the first that failed. The gate is
    re-checked here so the write is gated on every path (rules D1, T1); the
    recomputation (plus the record's allocation, inside
    [Ftr_obs.Tracing]) costs nothing when the recorder is off. *)
-let record_excluded rv ~cur ~base ~k ~v ~dist =
+let record_excluded rv ~tried ~cur ~base ~k ~v ~dist =
   if rv.tracing && Ftr_obs.Flag.enabled () then begin
     let verdict =
       if not (rv.link_all || Failure.link_alive rv.failures ~src:cur ~idx:k) then
@@ -155,7 +185,7 @@ let record_excluded rv ~cur ~base ~k ~v ~dist =
           | Some b -> Bitset.unsafe_get b v
           | None -> rv.node_all || Failure.node_alive rv.failures v)
       then Ftr_obs.Tracing.Dead_node
-      else if rv.tracking && Tried.mem rv.tried (base + k) then
+      else if rv.tracking && Tried.mem tried (base + k) then
         Ftr_obs.Tracing.Already_tried
       else Ftr_obs.Tracing.Not_closer
     in
@@ -170,9 +200,8 @@ let record_excluded rv ~cur ~base ~k ~v ~dist =
    the "next best neighbour" may have to route around a hole. Ties go to
    the first candidate in sorted-position order, matching "ties broken
    arbitrarily" (Section 4.2.1) deterministically. Returns the winner's
-   index into [cur]'s row, or -1 when there is none. Both drivers —
-   [route]'s greedy legs and [route_lockstep] — call this one scan. *)
-let best_hop rv ~mode ~cur ~dst =
+   index into [cur]'s row, or -1 when there is none. *)
+let best_hop rv ~tried ~mode ~cur ~dst =
   let tracing = rv.tracing && Ftr_obs.Flag.enabled () in
   let dst_pos = pos rv dst in
   let cur_dist = distance rv ~dst_pos cur ~dst in
@@ -213,12 +242,12 @@ let best_hop rv ~mode ~cur ~dst =
       else begin
         let k = if take_left then !l else !r in
         let v = I32.unsafe_get rv.targets (base + k) in
-        if usable rv ~cur ~base ~k v then begin
+        if usable rv ~tried ~cur ~base ~k v then begin
           best_idx := k;
           scanning := false
         end
         else begin
-          if tracing then record_excluded rv ~cur ~base ~k ~v ~dist:d;
+          if tracing then record_excluded rv ~tried ~cur ~base ~k ~v ~dist:d;
           if take_left then decr l else incr r
         end
       end
@@ -227,7 +256,7 @@ let best_hop rv ~mode ~cur ~dst =
   else
     for k = 0 to deg - 1 do
       let v = I32.unsafe_get rv.targets (base + k) in
-      if usable rv ~cur ~base ~k v then begin
+      if usable rv ~tried ~cur ~base ~k v then begin
         let v_dist = distance rv ~dst_pos v ~dst in
         let admissible =
           v_dist < !best_dist
@@ -250,7 +279,7 @@ let best_hop rv ~mode ~cur ~dst =
                Ftr_obs.Tracing.Overshoot
              else Ftr_obs.Tracing.Not_best)
       end
-      else if tracing then record_excluded rv ~cur ~base ~k ~v ~dist:(distance rv ~dst_pos v ~dst)
+      else if tracing then record_excluded rv ~tried ~cur ~base ~k ~v ~dist:(distance rv ~dst_pos v ~dst)
     done;
   !best_idx
 
@@ -259,299 +288,252 @@ let best_hop rv ~mode ~cur ~dst =
    networks never overshoot the target (Section 4.2.1). [best_hop]
    establishes this by construction; the check guards against regressions
    in the candidate filter. *)
-let debug_check_strict_hop net ~side ~cur ~v ~dst =
+let debug_check_strict_hop rv ~cur ~v ~dst =
   if Ftr_debug.Debug.enabled () then begin
-    let rd = match side with One_sided -> `One_sided | Two_sided -> `Two_sided in
-    let dv = Network.routing_distance net ~side:rd ~src:v ~dst
-    and dc = Network.routing_distance net ~side:rd ~src:cur ~dst in
+    let dv = Network.routing_distance rv.net ~side:rv.rd ~src:v ~dst
+    and dc = Network.routing_distance rv.net ~side:rv.rd ~src:cur ~dst in
     if dv >= dc then
       Ftr_debug.Debug.failf
         "Route: strict hop %d -> %d fails to approach %d (distance %d >= %d)" cur v dst dv dc;
-    if side = One_sided && not (Network.one_sided_admissible net ~cur ~v ~dst) then
+    if (not rv.two_sided) && not (Network.one_sided_admissible rv.net ~cur ~v ~dst) then
       Ftr_debug.Debug.failf "Route: one-sided hop %d -> %d overshoots target %d" cur v dst
   end
 
-let check_endpoints failures ~n ~src ~dst =
-  if src < 0 || src >= n || dst < 0 || dst >= n then invalid_arg "Route.route: node out of range";
-  if not (Failure.node_alive failures dst) then invalid_arg "Route.route: destination is dead";
-  if not (Failure.node_alive failures src) then invalid_arg "Route.route: source is dead"
+(* A uniformly random live node, the Valiant detour of {!Random_reroute};
+   [None] without a generator or after 100,000 dead draws. *)
+let random_live_node rv rng =
+  let rec attempt rng tries =
+    if tries > 100_000 then None
+    else
+      let v = Ftr_prng.Rng.int rng (Network.size rv.net) in
+      if Failure.node_alive rv.failures v then Some v else attempt rng (tries + 1)
+  in
+  Option.bind rng (fun rng -> attempt rng 0)
 
-let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
-    ?(max_hops = 1_000_000) ?rng ?scratch:scr ?(on_hop = fun _ -> ()) net ~src ~dst =
-  let n = Network.size net in
-  check_endpoints failures ~n ~src ~dst;
-  (* Telemetry: one bool load here is the whole cost when FTR_OBS is off.
-     When on, the outcome feeds the route_hops histogram, the stuck-reason
-     counters and one route.done event below; the hops themselves are
-     recorded once, as the flight recorder's steps, and [on_hop] is
-     wrapped only while tracing. *)
+(* Telemetry, out of line and each behind its own gate: one bool load per
+   route is the whole cost when FTR_OBS is off. When on, a route opens a
+   flight-recorder trace (docs/OBSERVABILITY.md, "Tracing"), its outcome
+   feeds the route_hops histogram, the stuck-reason counters and one
+   route.done event, and its hops are recorded once, as the trace's
+   steps. All trace allocation happens inside [Ftr_obs.Tracing]. *)
+let begin_trace rv ~src ~dst =
   let obs = Ftr_obs.Flag.enabled () in
-  (* Flight recorder (docs/OBSERVABILITY.md, "Tracing"): [tr] is the
-     shared null sentinel unless FTR_OBS and the recorder are both on, and
-     every recording call below hides behind [tracing] — one immediate
-     bool per check — so the hot loops stay branch-cheap and
-     allocation-free when tracing is off. All trace allocation happens
-     inside [Ftr_obs.Tracing], never in this file's loops. *)
   let tr = if obs then Ftr_obs.Tracing.begin_route ~src ~dst else Ftr_obs.Tracing.null in
-  let tracing = Ftr_obs.Flag.enabled () && Ftr_obs.Tracing.is_live tr in
+  let tracing = obs && Ftr_obs.Tracing.is_live tr in
+  rv.tr <- tr;
+  rv.tracing <- tracing;
   if tracing then
     Ftr_obs.Tracing.set_context tr
-      ~nodes:(Failure.node_view_label failures)
-      ~links:(Failure.link_view_label failures)
-      ~strategy:(strategy_label strategy);
-  let on_hop =
-    if tracing then (fun v ->
-      Ftr_obs.Tracing.hop tr ~node:v;
-      on_hop v)
-    else on_hop
-  in
-  (* Only {!Backtrack} records tried links; the other strategies never
-     read the set, and create no scratch when the caller supplied none. *)
-  let tracking = match strategy with Backtrack _ -> true | Terminate | Random_reroute _ -> false in
-  let scr =
-    match scr with
-    | Some s -> s
-    | None when tracking -> Stuck.create ()
-    (* Selected only when tracking is off, and every scratch write in
-       [route] is tracking-guarded: a shared read-only sentinel.
-       ftr-lint: disable T1 *)
-    | None -> dummy_scratch
-  in
-  let rv = view ~failures ~side ~tried:(Stuck.tried scr) ~tracking ~tr ~tracing net in
-  let trace_chosen ~cur ~v ~target =
-    if tracing then
-      Ftr_obs.Tracing.candidate tr ~cur ~cand:v
-        ~dist:(Network.routing_distance net ~side:rv.rd ~src:v ~dst:target)
-        Ftr_obs.Tracing.Chosen
-  in
-  (* Greedy leg toward [target]; stops at the target, at a stuck node, or at
-     the hop budget. Returns (terminus, hops_so_far, ran_out_of_budget). *)
-  let greedy_leg ~start ~target ~hops =
-    let cur = ref start and h = ref hops and stop = ref false in
-    while (not !stop) && !cur <> target && !h < max_hops do
-      let k = best_hop rv ~mode:`Strict ~cur:!cur ~dst:target in
-      if k >= 0 then begin
-        let v = nth_target rv ~cur:!cur k in
-        debug_check_strict_hop net ~side ~cur:!cur ~v ~dst:target;
-        if tracing then trace_chosen ~cur:!cur ~v ~target;
-        cur := v;
-        incr h;
-        on_hop v
-      end
-      else stop := true
-    done;
-    (!cur, !h, (!cur <> target && not !stop))
-  in
-  let random_live_node () =
-    match rng with
-    | None -> None
-    | Some rng ->
-        let rec attempt tries =
-          if tries > 100_000 then None
-          else
-            let v = Ftr_prng.Rng.int rng n in
-            if Failure.node_alive failures v then Some v else attempt (tries + 1)
-        in
-        attempt 0
-  in
-  let outcome =
-  match strategy with
-  | Terminate ->
-      let terminus, h, out_of_budget = greedy_leg ~start:src ~target:dst ~hops:0 in
-      if terminus = dst then Delivered { hops = h }
-      else if out_of_budget then Failed { hops = h; stuck_at = terminus; reason = Hop_limit }
-      else Failed { hops = h; stuck_at = terminus; reason = No_live_neighbor }
-  | Random_reroute { attempts } ->
-      if attempts < 0 then invalid_arg "Route.route: attempts must be >= 0";
-      let rec go cur h attempts_left =
-        let terminus, h, out_of_budget = greedy_leg ~start:cur ~target:dst ~hops:h in
-        if terminus = dst then Delivered { hops = h }
-        else if out_of_budget then Failed { hops = h; stuck_at = terminus; reason = Hop_limit }
-        else if attempts_left = 0 then
-          Failed { hops = h; stuck_at = terminus; reason = No_live_neighbor }
-        else
-          match random_live_node () with
-          | None -> Failed { hops = h; stuck_at = terminus; reason = No_live_reroute_target }
-          | Some r ->
-              if tracing then Ftr_obs.Tracing.reroute tr ~from_node:terminus ~target:r;
-              (* Carry the message to the random intermediate (or as close
-                 as greedy gets), then resume toward the destination. *)
-              let mid, h, out_of_budget = greedy_leg ~start:terminus ~target:r ~hops:h in
-              if out_of_budget then Failed { hops = h; stuck_at = mid; reason = Hop_limit }
-              else go mid h (attempts_left - 1)
-      in
-      go src 0 attempts
-  | Backtrack { history } ->
-      if history < 1 then invalid_arg "Route.route: history must be >= 1";
-      (* The hooks stay absent unless tracing, the sanitizer or telemetry
-         needs them, so the step makes one indirect call per hop beyond
-         [on_hop]: the scan. *)
-      let moved =
-        if tracing || Ftr_debug.Debug.enabled () then
-          Some
-            (fun cur v strict ->
-              if strict then debug_check_strict_hop net ~side ~cur ~v ~dst;
-              trace_chosen ~cur ~v ~target:dst)
-        else None
-      and backtracked =
-        if obs then
-          Some
-            (fun from_node to_node ->
-              Ftr_obs.Metrics.incr "route_backtracks_total";
-              if tracing then Ftr_obs.Tracing.backtrack tr ~from_node ~to_node)
-        else None
-      in
-      (* A backtracked node's [`Any] scan is the "next best neighbour":
-         once its strictly closer options are exhausted, the search may
-         route around the hole through a farther neighbour. Without
-         this, delivery would require a monotone live path, and the
-         failure fractions of Figure 6 are unreachable. *)
-      Stuck.search scr ~history ~max_hops ~csr:(Network.csr net)
-        ~scan:(fun mode cur -> best_hop rv ~mode ~cur ~dst)
-        ?moved ?backtracked ~on_hop ~src ~dst
-  in
-  if obs then begin
-    (match outcome with
-    | Delivered { hops = h } ->
-        Ftr_obs.Metrics.incr "route_delivered_total";
-        Ftr_obs.Metrics.observe_int "route_hops" h
-    | Failed { hops = h; reason; _ } ->
-        Ftr_obs.Metrics.incr ~labels:[ ("reason", reason_label reason) ] "route_stuck_total";
-        Ftr_obs.Metrics.observe_int "route_hops" h);
-    if tracing then begin
-      match outcome with
-      | Delivered { hops = h } ->
-          Ftr_obs.Tracing.finish tr ~delivered:true ~hops:h ~stuck_at:(-1) ~reason:""
-      | Failed { hops = h; stuck_at; reason } ->
-          Ftr_obs.Tracing.finish tr ~delivered:false ~hops:h ~stuck_at
-            ~reason:(reason_label reason)
-    end;
+      ~nodes:(Failure.node_view_label rv.failures)
+      ~links:(Failure.link_view_label rv.failures)
+      ~strategy:(strategy_label rv.strategy)
+
+let end_trace rv (src, dst) outcome =
+  if Ftr_obs.Flag.enabled () then begin
+    let h = hops outcome and delivered = delivered outcome in
+    let stuck_at, reason =
+      match outcome with Delivered _ -> (-1, "") | Failed f -> (f.stuck_at, reason_label f.reason)
+    in
+    if delivered then Ftr_obs.Metrics.incr "route_delivered_total"
+    else Ftr_obs.Metrics.incr ~labels:[ ("reason", reason) ] "route_stuck_total";
+    Ftr_obs.Metrics.observe_int "route_hops" h;
+    if rv.tracing then Ftr_obs.Tracing.finish rv.tr ~delivered ~hops:h ~stuck_at ~reason;
     Ftr_obs.Events.emit ~kind:"route.done"
       [
         ("src", Ftr_obs.Json.Int src);
         ("dst", Ftr_obs.Json.Int dst);
-        ("delivered", Ftr_obs.Json.Bool (delivered outcome));
-        ("hops", Ftr_obs.Json.Int (hops outcome));
+        ("delivered", Ftr_obs.Json.Bool delivered);
+        ("hops", Ftr_obs.Json.Int h);
       ]
-  end;
-  outcome
+  end
 
-(* Routes in flight at once in [route_lockstep]. On an n=2^20, links=8
-   network the gain over one route at a time plateaus from 4 to 32
-   routes (the sweep is in docs/MEMORY_LAYOUT.md, "Batch routing"). *)
-let lockstep_width = 16
+(* A forward move from [cur] to [v] toward [target]: the chosen
+   candidate, then the hop. *)
+let trace_move rv ~cur ~v ~target =
+  if rv.tracing && Ftr_obs.Flag.enabled () then begin
+    Ftr_obs.Tracing.candidate rv.tr ~cur ~cand:v
+      ~dist:(Network.routing_distance rv.net ~side:rv.rd ~src:v ~dst:target)
+      Ftr_obs.Tracing.Chosen;
+    Ftr_obs.Tracing.hop rv.tr ~node:v
+  end
 
-(* {!Terminate} routing of many pairs, advanced one hop per step across
-   [lockstep_width] slots. At scale every hop costs two dependent cache
-   misses — [offsets.(cur)], then the row in [targets] it points at — and
-   one route can never overlap them, since each hop's row depends on the
-   previous hop's choice. Different routes are independent, so each step
-   makes three passes over the slots: load every slot's offsets pair,
-   touch the first and last entry of every slot's row, then run
-   [best_hop] on rows that are now cached. The out-of-order core keeps
-   the misses of one pass in flight together (group prefetching, with
-   plain loads standing in for prefetch instructions). A finished slot
-   records its outcome and refills from the next pair. The outcome of
-   each pair is exactly [route ~strategy:Terminate]'s. *)
-let lockstep_terminate ~failures ~side ~max_hops net ~pairs =
-  let n = Network.size net in
-  Array.iter (fun (src, dst) -> check_endpoints failures ~n ~src ~dst) pairs;
-  let rv =
-    view ~failures ~side ~tried:(Stuck.tried dummy_scratch) ~tracking:false ~tr:Ftr_obs.Tracing.null
-      ~tracing:false net
-  in
-  let count = Array.length pairs in
-  let out = Array.make count (Delivered { hops = 0 }) in
-  let w = lockstep_width in
-  let cur = Array.make w 0 and dst = Array.make w 0 and hops = Array.make w 0 in
-  let pair = Array.make w (-1) and base = Array.make w 0 and deg = Array.make w 0 in
-  let next = ref 0 in
-  (* Load the next pair that needs a hop into slot [s], settling the
-     pairs that need none ([src = dst], a spent budget) on the way. An
-     idle slot holds pair -1. *)
-  let rec fill s =
-    if !next >= count then pair.(s) <- -1
-    else begin
-      let i = !next in
-      incr next;
-      let src, d = pairs.(i) in
-      if src = d then begin
-        out.(i) <- Delivered { hops = 0 };
-        fill s
-      end
-      else if max_hops <= 0 then begin
-        out.(i) <- Failed { hops = 0; stuck_at = src; reason = Hop_limit };
-        fill s
-      end
-      else begin
-        cur.(s) <- src;
-        dst.(s) <- d;
-        hops.(s) <- 0;
-        pair.(s) <- i
-      end
+let trace_backtrack rv ~from_node ~to_node =
+  if Ftr_obs.Flag.enabled () then begin
+    Ftr_obs.Metrics.incr "route_backtracks_total";
+    if rv.tracing then begin
+      Ftr_obs.Tracing.backtrack rv.tr ~from_node ~to_node;
+      Ftr_obs.Tracing.hop rv.tr ~node:to_node
     end
-  in
-  let delivered s h =
-    out.(pair.(s)) <- Delivered { hops = h };
-    fill s
-  in
-  let failed s h stuck_at reason =
-    out.(pair.(s)) <- Failed { hops = h; stuck_at; reason };
-    fill s
-  in
+  end
+
+let trace_reroute rv ~from_node ~target =
+  if rv.tracing && Ftr_obs.Flag.enabled () then Ftr_obs.Tracing.reroute rv.tr ~from_node ~target
+
+(* Routes in flight at once, a constant per strategy. At n=2^20, links=8
+   the Terminate gain over one route at a time plateaus from 4 to 32
+   routes; the measurements behind each width are in
+   docs/MEMORY_LAYOUT.md, "Batch routing". *)
+let lockstep_width = function Terminate -> 16 | Random_reroute _ -> 16 | Backtrack _ -> 1
+
+(* A lane holds one route: its {!Stuck.t}, the index of its pair (-1
+   while idle) and, for {!Random_reroute}, the reroutes it has left,
+   whether it is on a detour toward an intermediate, and its generator. *)
+type lane = {
+  st : Stuck.t;
+  mutable pair : int;
+  mutable left : int;
+  mutable detour : bool;
+  mutable rng : Ftr_prng.Rng.t option;
+}
+
+let lane st = { st; pair = -1; left = 0; detour = false; rng = None }
+
+let settle rv l outcome =
+  rv.out.(l.pair) <- outcome;
+  if rv.obs then end_trace rv rv.pairs.(l.pair) outcome;
+  l.pair <- -1
+
+(* A lane whose route is at its target or out of budget: the route is
+   settled, unless it is a detour that reached its intermediate, which
+   turns back toward the destination. True while the route goes on. *)
+let rec ended rv l =
+  let st = l.st in
+  if l.detour && Stuck.cur st = Stuck.dst st then begin
+    l.detour <- false;
+    Stuck.retarget st (snd rv.pairs.(l.pair));
+    (Stuck.cur st <> Stuck.dst st && Stuck.hops st < rv.max_hops) || ended rv l
+  end
+  else begin
+    settle rv l (Stuck.outcome st Hop_limit);
+    false
+  end
+
+(* Lane [l] before its next scan: true while its route goes on. *)
+let[@inline] going rv l =
+  (Stuck.cur l.st <> Stuck.dst l.st && Stuck.hops l.st < rv.max_hops) || ended rv l
+
+(* Load pairs into idle lane [l] until one needs a scan, settling the
+   routes that need none ([src = dst], a spent budget) on the way. *)
+let rec fill rv l =
+  if rv.next < rv.stop then begin
+    let i = rv.next in
+    rv.next <- i + 1;
+    let src, dst = rv.pairs.(i) in
+    if rv.obs then begin_trace rv ~src ~dst;
+    Stuck.start l.st ~track:rv.tracking ~history:rv.history ~src ~dst;
+    l.pair <- i;
+    l.left <- rv.attempts;
+    l.detour <- false;
+    if rv.attempts > 0 then l.rng <- rv.rng i;
+    if not (going rv l) then fill rv l
+  end
+
+(* One decision of lane [l]: the scan, then {!Stuck.step}. A stuck route
+   ends, or on a detour turns back, or draws a reroute target. *)
+let[@inline] advance rv l =
+  let st = l.st in
+  let c = Stuck.cur st and strict = Stuck.strict st and target = Stuck.dst st in
+  let k = best_hop rv ~tried:(Stuck.tried st) ~mode:(if strict then `Strict else `Any) ~cur:c ~dst:target in
+  match Stuck.step st ~offsets:rv.offsets ~targets:rv.targets k with
+  | Forward ->
+      let v = Stuck.cur st in
+      if strict && Ftr_debug.Debug.enabled () then debug_check_strict_hop rv ~cur:c ~v ~dst:target;
+      if rv.tracing then trace_move rv ~cur:c ~v ~target;
+      (match rv.on_hop with Some f -> f v | None -> ());
+      going rv l
+  | Popped ->
+      let y = Stuck.cur st in
+      if rv.obs then trace_backtrack rv ~from_node:c ~to_node:y;
+      (match rv.on_hop with Some f -> f y | None -> ());
+      going rv l
+  | Lost -> going rv l
+  | Stuck when l.detour ->
+      l.detour <- false;
+      Stuck.retarget st (snd rv.pairs.(l.pair));
+      going rv l
+  | Stuck -> (
+      match if l.left = 0 then None else random_live_node rv l.rng with
+      | Some r ->
+          trace_reroute rv ~from_node:c ~target:r;
+          l.left <- l.left - 1;
+          l.detour <- true;
+          Stuck.retarget st r;
+          going rv l
+      | None ->
+          settle rv l
+            (Stuck.outcome st (if l.left = 0 then No_live_neighbor else No_live_reroute_target));
+          false)
+
+(* The one driver: [lanes] routes in flight (one with telemetry on, which
+   records per route, in order). At scale every hop costs two dependent
+   cache misses — [offsets.(cur)], then the row in [targets] it points
+   at — and one route cannot overlap them. Independent routes can, so
+   each step makes three passes over the lanes: load every lane's
+   offsets pair, touch the first and last entry of every lane's row,
+   then scan rows that are now cached; the out-of-order core keeps one
+   pass's misses in flight together (group prefetching with plain
+   loads). The loads feed [sink], kept live past the loop, so the
+   compiler cannot drop them. One lane has nothing to overlap: it skips
+   the first two passes. *)
+let drive rv ~lanes ~len =
+  let w = Int.min (if rv.obs then 1 else Array.length lanes) len in
   for s = 0 to w - 1 do
-    fill s
+    fill rv lanes.(s)
   done;
-  (* The touched row entries feed [sink], kept live past the loop, so the
-     compiler cannot drop the loads of the second pass. *)
-  let sink = ref 0 and live = ref true in
+  let sink = ref 0 and live = ref (w > 1) in
+  if w = 1 then begin
+    let l = lanes.(0) in
+    while l.pair >= 0 do
+      if not (advance rv l) then fill rv l
+    done
+  end;
   while !live do
     live := false;
     for s = 0 to w - 1 do
-      if pair.(s) >= 0 then begin
-        let c = cur.(s) in
-        let b = I32.unsafe_get rv.offsets c in
-        base.(s) <- b;
-        deg.(s) <- I32.unsafe_get rv.offsets (c + 1) - b;
+      let l = lanes.(s) in
+      if l.pair >= 0 then begin
+        let c = Stuck.cur l.st in
+        sink := !sink lxor I32.unsafe_get rv.offsets c lxor I32.unsafe_get rv.offsets (c + 1);
         live := true
       end
     done;
     for s = 0 to w - 1 do
-      if pair.(s) >= 0 && deg.(s) > 0 then
-        sink :=
-          !sink
-          lxor I32.unsafe_get rv.targets base.(s)
-          lxor I32.unsafe_get rv.targets (base.(s) + deg.(s) - 1)
+      let l = lanes.(s) in
+      if l.pair >= 0 then begin
+        let c = Stuck.cur l.st in
+        let b = I32.unsafe_get rv.offsets c and e = I32.unsafe_get rv.offsets (c + 1) in
+        if e > b then
+          sink := !sink lxor I32.unsafe_get rv.targets b lxor I32.unsafe_get rv.targets (e - 1)
+      end
     done;
     for s = 0 to w - 1 do
-      if pair.(s) >= 0 then begin
-        let c = cur.(s) and d = dst.(s) in
-        let k = best_hop rv ~mode:`Strict ~cur:c ~dst:d in
-        if k < 0 then failed s hops.(s) c No_live_neighbor
-        else begin
-          let v = I32.unsafe_get rv.targets (base.(s) + k) in
-          debug_check_strict_hop net ~side ~cur:c ~v ~dst:d;
-          let h = hops.(s) + 1 in
-          if v = d then delivered s h
-          else if h >= max_hops then failed s h v Hop_limit
-          else begin
-            cur.(s) <- v;
-            hops.(s) <- h
-          end
-        end
-      end
+      let l = lanes.(s) in
+      if l.pair >= 0 && not (advance rv l) then fill rv l
     done
   done;
-  ignore (Sys.opaque_identity !sink);
-  out
+  ignore (Sys.opaque_identity !sink)
 
-let route_lockstep ?(failures = Failure.none) ?(side = Two_sided) ?(max_hops = 1_000_000) net
-    ~pairs =
-  (* Telemetry records per route, so with it on every pair goes through
-     [route], in order. *)
-  if Ftr_obs.Flag.enabled () then
-    Array.map (fun (src, dst) -> route ~failures ~side ~max_hops net ~src ~dst) pairs
-  else lockstep_terminate ~failures ~side ~max_hops net ~pairs
+let route ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
+    ?(max_hops = 1_000_000) ?rng ?scratch ?on_hop net ~src ~dst =
+  let st = match scratch with Some s -> s | None -> Stuck.create () in
+  let out = [| Delivered { hops = 0 } |] in
+  drive ~lanes:[| lane st |] ~len:1
+    (view ~failures ~side ~strategy ~max_hops ~rng:(fun _ -> rng) ~on_hop net
+       ~pairs:[| (src, dst) |] ~lo:0 ~len:1 ~out);
+  out.(0)
+
+let route_lockstep ?(failures = Failure.none) ?(side = Two_sided) ?(strategy = Terminate)
+    ?(max_hops = 1_000_000) ?rng ?scratch net ~pairs ~lo ~len ~out =
+  let rng = match rng with None -> fun _ -> None | Some f -> fun i -> Some (f i) in
+  let rv = view ~failures ~side ~strategy ~max_hops ~rng ~on_hop:None net ~pairs ~lo ~len ~out in
+  let w = Int.min (lockstep_width strategy) len in
+  let lanes =
+    match scratch with
+    | Some a when Array.length a >= w -> Array.init w (fun s -> lane a.(s))
+    | Some _ -> invalid_arg "Route.route_lockstep: too few scratch states"
+    | None -> Array.init w (fun _ -> lane (Stuck.create ()))
+  in
+  drive rv ~lanes ~len
 
 (* Length of the walk after erasing every excursion: each revisit of a node
    truncates the walk back to its first visit. For a backtracking search

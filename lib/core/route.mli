@@ -50,13 +50,14 @@ val hops : outcome -> int
 (** Hops consumed, delivered or not (backtracking steps count). *)
 
 type scratch = Stuck.t
-(** Reusable working state for {!route}: the {!Backtrack} search's
-    {!Stuck.t}, which holds the links the current route has tried and the
-    backtrack window. Its size follows the longest route it has served,
-    not the network: a few hundred words to start, whatever the edge
-    count. With a caller-held scratch, routing performs zero minor-heap
-    allocations per hop once the set has grown; one scratch serves
-    networks of any size. Not thread-safe: one scratch per domain. *)
+(** One route's working state, reusable across routes: the {!Stuck.t}
+    that holds its position, hops, backtrack window and the links it has
+    tried. Its size follows the longest route it has served, not the
+    network: a few hundred words once a {!Backtrack} route has used it,
+    whatever the edge count. With a caller-held scratch, routing performs
+    zero minor-heap allocations per hop once the set has grown; one
+    scratch serves networks of any size. Not thread-safe: one scratch per
+    domain. *)
 
 val scratch : Network.t -> scratch
 (** Fresh scratch for routing on [net] (or on any other network). *)
@@ -76,9 +77,11 @@ val route :
 (** Route a message between node indices. Defaults: no failures, two-sided,
     terminate-on-stuck, one million hop budget. [rng] is required only by
     {!Random_reroute}; [on_hop] observes every node the message visits.
-    [scratch] lets callers routing many messages reuse the working arrays
-    (outcomes are identical with or without it); without one, a
-    {!Backtrack} route creates its own.
+    [scratch] lets callers routing many messages reuse the working state
+    (outcomes are identical with or without it). This is
+    {!route_lockstep}'s driver with one lane, plus the hooks: with
+    [Ftr_obs.Flag.enabled ()] the route feeds the metrics, one route.done
+    event and a flight-recorder trace.
     @raise Invalid_argument if an endpoint is out of range or dead, if a
     {!Backtrack} history is below 1, or if {!Random_reroute} allows a
     negative number of attempts. *)
@@ -86,24 +89,33 @@ val route :
 val route_lockstep :
   ?failures:Failure.t ->
   ?side:side ->
+  ?strategy:strategy ->
   ?max_hops:int ->
+  ?rng:(int -> Ftr_prng.Rng.t) ->
+  ?scratch:scratch array ->
   Network.t ->
   pairs:(int * int) array ->
-  outcome array
-(** [route_lockstep net ~pairs] routes every [(src, dst)] pair with the
-    {!Terminate} strategy and returns the outcomes in pair order, each
-    exactly [route ~strategy:Terminate]'s for the same options. It keeps
-    16 routes in flight and advances them one hop per step, so that the
-    CSR cache misses of independent routes overlap instead of queueing
-    behind each other (docs/MEMORY_LAYOUT.md, "Batch routing"). Both this
-    driver and {!route} choose each hop with the same candidate scan.
-    While [Ftr_obs.Flag.enabled ()] holds in the calling domain, each pair
-    is instead handed to {!route} in order, so metrics, events and
-    flight-recorder traces are recorded per route exactly as {!route}
-    records them.
+  lo:int ->
+  len:int ->
+  out:outcome array ->
+  unit
+(** [route_lockstep net ~pairs ~lo ~len ~out] routes [pairs.(i)] for [i]
+    in [lo .. lo + len - 1] and writes its outcome to [out.(i)], exactly
+    the one {!route} returns for the pair with the same options and the
+    generator [rng i]. It is {!route}'s driver with several lanes, their
+    number a constant per strategy: 16 for {!Terminate} and
+    {!Random_reroute}, 1 for {!Backtrack}. Each lane holds one route and
+    advances it one decision per step, so that the CSR cache misses of
+    independent routes overlap instead of queueing behind each other
+    (docs/MEMORY_LAYOUT.md, "Batch routing"). [scratch] supplies a state
+    per lane (16 always suffice); without it each call creates its own.
+    While [Ftr_obs.Flag.enabled ()] holds in the calling domain, one lane
+    routes the pairs in order, so metrics, events and flight-recorder
+    traces are recorded per route exactly as {!route} records them.
     @raise Invalid_argument with {!route}'s message if any pair has an
-    endpoint out of range or dead; every pair is checked before any is
-    routed. *)
+    endpoint out of range or dead, or the strategy a bad parameter (every
+    pair is checked before any is routed), or if [scratch] holds fewer
+    states than lanes. *)
 
 val loop_erased_length : int list -> int
 (** Hop count of a visit sequence after erasing every excursion (a revisit

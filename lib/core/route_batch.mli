@@ -2,18 +2,19 @@
     single-message router into an aggregate-throughput engine.
 
     [run] partitions the request vector into fixed-size chunks (a pure
-    function of the pair count, never of the worker count), routes each
-    chunk as one pool job with its domain's scratch, and merges the results
-    in request order. The merged outcome vector is byte-identical across
+    function of the pair count, never of the worker count) and routes
+    each chunk as one pool job: one {!Route.route_lockstep} call, with
+    its domain's lane states, writing the chunk's outcomes into its own
+    cells of the result vector. The vector is byte-identical across
     [--jobs 1/2/4] and [FTR_EXEC_SEQ=1]: per-route generators are derived
     from [(seed, route index)] with {!Ftr_exec.Seed.rng_for}, so no route
     observes another's randomness regardless of scheduling.
 
-    A {!Route.Terminate} chunk is routed by {!Route.route_lockstep}, which
-    advances 16 routes one hop at a time so their cache misses overlap
-    (with telemetry on it routes pair by pair). {!Route.Backtrack} and
-    {!Route.Random_reroute} chunks call {!Route.route} once per pair. The
-    outcomes are the same either way. *)
+    {!Route.route_lockstep} keeps as many routes in flight as the
+    strategy's width (16 for {!Route.Terminate} and
+    {!Route.Random_reroute}, 1 for {!Route.Backtrack}; one for every
+    strategy while telemetry is on), so their cache misses overlap. The
+    outcomes are the same at any width. *)
 
 val run :
   ?jobs:int ->

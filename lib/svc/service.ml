@@ -119,6 +119,7 @@ type t = {
   mutable accs : shard_acc array; (* one per shard, cleared every round *)
   alive_view : Bytes.t;
   mutable live : int; (* registered positions the view marks alive *)
+  mutable live_tree : int array; (* Fenwick tree over the view, from the first [nth_live] *)
   pl : Sample.power_law;
   mutable now : int;
   mutable next_request : int;
@@ -205,6 +206,7 @@ let create ?capacity ?(ttl = 256) ?(regenerate = true) ?(shards = 8) ?(record = 
       accs = [||];
       alive_view = Bytes.make line_size '\000';
       live = 0;
+      live_tree = [||];
       pl = Sample.power_law ~exponent:1.0 ~max_length:(line_size - 1);
       now = 0;
       next_request = 0;
@@ -269,21 +271,54 @@ let known t pos = id_of t pos >= 0
 
 let live_count t = t.live
 
-(* The [k]-th live actor's position, counting from 0 in position order. *)
+(* [live_tree] is a Fenwick tree over line positions, 1-based: cell [i]
+   counts the live positions in (i - lowbit i, i]. It is built by the
+   first [nth_live] (a service that never picks holds none) and kept by
+   the view's two writers, [mark_dead] and [add_slot]. *)
+let tree_add t pos delta =
+  let i = ref (pos + 1) in
+  while !i <= Array.length t.live_tree - 1 do
+    t.live_tree.(!i) <- t.live_tree.(!i) + delta;
+    i := !i + (!i land - !i)
+  done
+
+let build_tree t =
+  let tree = Array.make (t.line_size + 1) 0 in
+  for i = 1 to t.line_size do
+    if view_alive t (i - 1) then tree.(i) <- tree.(i) + 1;
+    let j = i + (i land -i) in
+    if j <= t.line_size then tree.(j) <- tree.(j) + tree.(i)
+  done;
+  t.live_tree <- tree
+
+(* The [k]-th live actor's position, counting from 0 in position order:
+   a descent of the tree to the longest prefix of the line holding at
+   most [k] live positions, in O(log line_size). *)
 let nth_live t k =
   if k < 0 || k >= t.live then invalid_arg "Service.nth_live: no such live actor";
-  let rec from i k =
-    let pos = t.by_id.(t.order.(i)).actor.Actor.pos in
-    if not (view_alive t pos) then from (i + 1) k else if k = 0 then pos else from (i + 1) (k - 1)
-  in
-  from 0 k
+  if Array.length t.live_tree = 0 then build_tree t;
+  let step = ref 1 in
+  while 2 * !step <= t.line_size do
+    step := 2 * !step
+  done;
+  let i = ref 0 and k = ref k in
+  while !step > 0 do
+    let j = !i + !step in
+    if j <= t.line_size && t.live_tree.(j) <= !k then begin
+      i := j;
+      k := !k - t.live_tree.(j)
+    end;
+    step := !step / 2
+  done;
+  !i
 
 (* The view's one writer besides registration: marks [pos] departed and
    keeps [live] counting the marked bytes. *)
 let mark_dead t pos =
   if view_alive t pos then begin
     Bytes.set t.alive_view pos '\000';
-    t.live <- t.live - 1
+    t.live <- t.live - 1;
+    tree_add t pos (-1)
   end
 
 (* [arr], or a copy of twice the size when index [n] is past its end.
@@ -308,7 +343,8 @@ let add_slot t ~pos ~alive ~id =
   t.by_id.(id) <- s;
   if alive then begin
     Bytes.set t.alive_view pos '\001';
-    t.live <- t.live + 1
+    t.live <- t.live + 1;
+    tree_add t pos 1
   end;
   s
 

@@ -58,6 +58,13 @@ let cases =
     ([ "route"; "--nodes=64"; "--src=99999" ], "--src");
     (* The sanitizer battery needs its smallest builders' node count. *)
     ([ "check"; "--nodes"; "8" ], "--nodes");
+    (* Worker counts are positive wherever --jobs is taken. *)
+    ([ "sweep"; "--jobs=0" ], "--jobs");
+    ([ "explain"; "--jobs=0" ], "--jobs");
+    ([ "serve"; "--jobs=0" ], "--jobs");
+    ([ "serve"; "--jobs=-1" ], "--jobs");
+    ([ "sweep"; "--links=-1" ], "--links");
+    ([ "snapshot"; "load"; "--messages=-1"; "net.ftrsnap" ], "--messages");
   ]
 
 let contains s sub = Option.is_some (Ftr_lint.Suppress.find_sub s sub)

@@ -207,13 +207,13 @@ let route_digest ~route ~n ~seed =
   Array.iteri (fun i o -> h := fnv_outcome (fnv_outcome !h o) one.(i)) two;
   !h
 
-(* The two routers a pinned Terminate digest must hold for: one
-   [Route.route] call per pair, and the batch layer's lockstep driver. *)
+(* The two routers a pinned digest must hold for: one [Route.route] call
+   per pair, and the batch layer's lockstep driver. *)
 let per_route ?failures ?side ?strategy net pairs =
   Array.map (fun (src, dst) -> Route.route ?failures ?side ?strategy net ~src ~dst) pairs
 
-let batched ?failures ?side net pairs =
-  Ftr_core.Route_batch.run ~jobs:1 ?failures ?side net ~pairs
+let batched ?failures ?side ?strategy net pairs =
+  Ftr_core.Route_batch.run ~jobs:1 ?failures ?side ?strategy net ~pairs
 
 (* (n, links, seed, CSR digest, route-outcome digest). *)
 let ideal_digests =
@@ -337,9 +337,8 @@ let pinned_bench_stream_digests () =
       let digest outs = Array.fold_left fnv_outcome fnv_basis outs in
       Alcotest.(check int64) label want
         (digest (per_route ~failures ~strategy net pairs));
-      (* Terminate batches take the lockstep driver. *)
-      if strategy = Route.Terminate then
-        Alcotest.(check int64) (label ^ ", batched") want (digest (batched ~failures net pairs)))
+      Alcotest.(check int64) (label ^ ", batched") want
+        (digest (batched ~failures ~strategy net pairs)))
     bench_stream_digests
 
 (* Backtracking routes that try many more links than the tried-link
@@ -406,8 +405,8 @@ let prop_batch_jobs_invariant =
         if alive v then v else live ()
       in
       let pairs = Array.init 97 (fun _ -> (live (), live ())) in
-      (* Rerouting draws from per-route generators; Terminate chunks take
-         the lockstep driver. *)
+      (* Rerouting draws from per-route generators; every strategy runs
+         the driver at its own width. *)
       List.for_all
         (fun strategy ->
           let reference =
@@ -423,22 +422,25 @@ let prop_batch_jobs_invariant =
           in
           List.for_all (fun jobs -> batch ~jobs = reference) [ 1; 2; 4 ]
           && Ftr_exec.Pool.with_sequential_forced true (fun () -> batch ~jobs:4 = reference))
-        [ Route.Random_reroute { attempts = 2 }; Route.Terminate ])
+        [ Route.Random_reroute { attempts = 2 }; Route.Terminate; Route.Backtrack { history = 5 } ])
 
 (* ------------------------------------------------------------------ *)
-(* Batch routing: the lockstep Terminate driver                        *)
+(* Batch routing: the lockstep driver                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* [Route_batch.run] routes Terminate chunks in lockstep, several routes
-   in flight at once; every outcome, reason included, must be the one a
-   [Route.route] call gives the same pair. The grid crosses full and
-   sparse networks, line and circle geometries, both sides, the four
-   failure-view shapes, hop budgets that bind (0, 1, 3) and the default
-   one, and pair counts below, at and above the driver's width of 16,
-   with [src = dst] pairs mixed in. The chunk size varies too, so chunks
-   themselves fall below, at and above the width. *)
+(* [Route_batch.run] routes every chunk through the one driver, several
+   routes in flight at once at the strategy's width; every outcome,
+   reason included, must be the one a [Route.route] call gives the same
+   pair, for every strategy. A rerouting route draws from the generator
+   [Seed.rng_for] derives from the batch seed and the pair's index. The
+   grid crosses full and sparse networks, line and circle geometries,
+   both sides, the four failure-view shapes, hop budgets that bind (0, 1,
+   3) and the default one, and pair counts below, at and above the
+   widest driver's 16 lanes, with [src = dst] pairs mixed in. The chunk
+   size varies too, so chunks themselves fall below, at and above the
+   width. *)
 let prop_lockstep_matches_route =
-  QCheck.Test.make ~name:"lockstep Terminate batch equals per-route Route.route" ~count:20
+  QCheck.Test.make ~name:"every strategy's batch equals per-route Route.route" ~count:20
     QCheck.(quad (int_range 3 160) (int_range 0 6) small_int (int_range 1 40))
     (fun (n, links, seed, chunk) ->
       (* The shrinker may step below the generator's ranges. *)
@@ -471,21 +473,30 @@ let prop_lockstep_matches_route =
                         (src, if i mod 5 = 0 then src else live ()))
                   in
                   List.for_all
-                    (fun side ->
-                      List.for_all
-                        (fun max_hops ->
-                          let reference =
-                            Array.map
-                              (fun (src, dst) ->
-                                Route.route ~failures ~side ~strategy:Route.Terminate ?max_hops
-                                  net ~src ~dst)
-                              pairs
-                          in
-                          Ftr_core.Route_batch.run ~jobs:1 ~chunk ~failures ~side
-                            ~strategy:Route.Terminate ?max_hops net ~pairs
-                          = reference)
-                        [ Some 0; Some 1; Some 3; None ])
-                    [ Route.Two_sided; Route.One_sided ])
+                    (fun (strategy, side, max_hops) ->
+                      let reference =
+                        Array.mapi
+                          (fun i (src, dst) ->
+                            let rng = Ftr_exec.Seed.rng_for ~seed ~index:i in
+                            Route.route ~failures ~side ~strategy ?max_hops ~rng net ~src ~dst)
+                          pairs
+                      in
+                      Ftr_core.Route_batch.run ~jobs:1 ~chunk ~failures ~side ~strategy ?max_hops
+                        ~seed net ~pairs
+                      = reference)
+                    (List.concat_map
+                       (fun strategy ->
+                         List.concat_map
+                           (fun side ->
+                             List.map
+                               (fun max_hops -> (strategy, side, max_hops))
+                               [ Some 0; Some 1; Some 3; None ])
+                           [ Route.Two_sided; Route.One_sided ])
+                       [
+                         Route.Terminate;
+                         Route.Random_reroute { attempts = 2 };
+                         Route.Backtrack { history = 3 };
+                       ]))
                 [ 7; 16; 41 ])
             [
               (Failure.none, fun _ -> true);
@@ -617,25 +628,29 @@ let minor_words_independent_of_hops () =
     (Printf.sprintf "backtrack: %.0f minor words for %d hops" backtrack (n - 1))
     true (backtrack < 512.0)
 
-(* The lockstep batch path allocates per pair, not per hop: 33 routes of
-   65,535 hops each (more than two driver widths, so slots refill) on
-   the links:0 line stay under 64 minor words per pair. *)
+(* The batch path allocates per pair, not per hop: 33 routes of 65,535
+   hops each (more than two Terminate widths, so lanes refill) on the
+   links:0 line stay under 64 minor words per pair, for a Terminate and
+   for a Backtrack batch. *)
 let batch_minor_words_independent_of_hops () =
   let n = 1 lsl 16 in
   let net = Network.build_ideal ~n ~links:0 (Rng.of_int 1) in
   let pairs = Array.make 33 (0, n - 1) in
-  let run () = Ftr_core.Route_batch.run ~jobs:1 net ~pairs in
-  ignore (run ());
-  let w0 = Gc.minor_words () in
-  let outs = run () in
-  let per_pair = (Gc.minor_words () -. w0) /. 33.0 in
-  Alcotest.(check bool) "every route walks the line" true
-    (Array.for_all
-       (function Route.Delivered { hops } -> hops = n - 1 | Route.Failed _ -> false)
-       outs);
-  Alcotest.(check bool)
-    (Printf.sprintf "%.1f minor words per pair of %d hops" per_pair (n - 1))
-    true (per_pair < 64.0)
+  List.iter
+    (fun (label, strategy) ->
+      let run () = Ftr_core.Route_batch.run ~jobs:1 ~strategy net ~pairs in
+      ignore (run ());
+      let w0 = Gc.minor_words () in
+      let outs = run () in
+      let per_pair = (Gc.minor_words () -. w0) /. 33.0 in
+      Alcotest.(check bool) (label ^ "every route walks the line") true
+        (Array.for_all
+           (function Route.Delivered { hops } -> hops = n - 1 | Route.Failed _ -> false)
+           outs);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s%.1f minor words per pair of %d hops" label per_pair (n - 1))
+        true (per_pair < 64.0))
+    [ ("terminate: ", Route.Terminate); ("backtrack: ", Route.Backtrack { history = 5 }) ]
 
 (* Steady state on the Figure 6 workload: mean minor words per message
    stays a small constant (the pre-refactor router allocated per hop —

@@ -304,6 +304,61 @@ let request_table () =
     seen;
   Alcotest.(check int) "nothing pending" 0 (List.length (Service.pending_requests svc))
 
+(* [Service.nth_live] descends a Fenwick tree; the reference walks the
+   line. After every operation of a random schedule of registrations
+   (live and dead), crashes, leaves (which depart at the next round) and
+   joins, each rank must name the same position, and the live count
+   must be the number of positions the view marks alive. Line sizes that
+   are not powers of two exercise the descent's last, partial step. *)
+let nth_live_matches_walk =
+  QCheck.Test.make ~count:60 ~name:"nth_live agrees with a walk of the line"
+    QCheck.(pair (int_range 2 300) (list_of_size (Gen.int_range 1 60) (pair (int_bound 3) small_nat)))
+    (fun (line_size, ops) ->
+      let line_size = max 2 line_size in
+      let svc = Service.create ~line_size ~links:2 ~seed:7 () in
+      let walk k =
+        let rec go pos k =
+          if Service.view_alive svc pos then if k = 0 then pos else go (pos + 1) (k - 1)
+          else go (pos + 1) k
+        in
+        go 0 k
+      in
+      let agrees () =
+        let live = ref 0 in
+        for pos = 0 to line_size - 1 do
+          if Service.view_alive svc pos then incr live
+        done;
+        !live = Service.live_count svc
+        && List.for_all (fun k -> Service.nth_live svc k = walk k) (List.init !live Fun.id)
+      in
+      let free x =
+        let rec go pos tries =
+          if tries = line_size then None
+          else if Service.known svc pos then go ((pos + 1) mod line_size) (tries + 1)
+          else Some pos
+        in
+        go (x mod line_size) 0
+      in
+      let live_pick x = Service.nth_live svc (x mod Service.live_count svc) in
+      Pool.with_resident ~jobs:1 (fun pool ->
+          List.for_all
+            (fun (op, x) ->
+              (match op with
+              | 0 | 1 -> (
+                  match free x with
+                  | Some pos -> ignore (Service.register svc ~pos ~alive:(op = 0))
+                  | None -> ())
+              | 2 -> if Service.live_count svc > 0 then Service.crash svc ~pos:(live_pick x)
+              | _ -> (
+                  if Service.live_count svc > 1 then Service.leave svc ~pos:(live_pick x);
+                  match free x with
+                  | Some pos when Service.live_count svc > 0 ->
+                      Service.join svc ~pos ~via:(live_pick (x / 2))
+                  | Some _ | None -> ()));
+              Service.step svc ~pool;
+              agrees ())
+            ops))
+
 let register_rejects () =
   let svc = small_service () in
   Alcotest.check_raises "off the line, above"
@@ -640,6 +695,7 @@ let () =
         [
           Alcotest.test_case "request table grows and reads back" `Quick request_table;
           Alcotest.test_case "register rejects bad positions" `Quick register_rejects;
+          QCheck_alcotest.to_alcotest nth_live_matches_walk;
           Alcotest.test_case "a line past the key packing is refused" `Quick
             line_past_key_packing_refused;
           Alcotest.test_case "round phases are spans" `Quick round_phase_spans;
