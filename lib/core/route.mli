@@ -50,13 +50,15 @@ val hops : outcome -> int
 (** Hops consumed, delivered or not (backtracking steps count). *)
 
 type scratch = Stuck.t
-(** One route's working state, reusable across routes: the {!Stuck.t}
-    that holds its position, hops, backtrack window and the links it has
-    tried. Its size follows the longest route it has served, not the
-    network: a few hundred words once a {!Backtrack} route has used it,
-    whatever the edge count. With a caller-held scratch, routing performs
-    zero minor-heap allocations per hop once the set has grown; one
-    scratch serves networks of any size. Not thread-safe: one scratch per
+(** One route's Section 6 memory, reusable across routes: the
+    {!Stuck.t} that holds a {!Backtrack} route's window and the links it
+    has tried (the route's node, target and hops live in the driver's
+    lanes). {!Terminate} and {!Random_reroute} routes never touch it.
+    Its size follows the longest route it has served, not the network: a
+    few hundred words once a {!Backtrack} route has used it, whatever
+    the edge count. With a caller-held scratch, routing performs zero
+    minor-heap allocations per hop once the set has grown; one scratch
+    serves networks of any size. Not thread-safe: one scratch per
     domain. *)
 
 val scratch : Network.t -> scratch
@@ -107,8 +109,10 @@ val route_lockstep :
     {!Random_reroute}, 1 for {!Backtrack}. Each lane holds one route and
     advances it one decision per step, so that the CSR cache misses of
     independent routes overlap instead of queueing behind each other
-    (docs/MEMORY_LAYOUT.md, "Batch routing"). [scratch] supplies a state
-    per lane (16 always suffice); without it each call creates its own.
+    (docs/MEMORY_LAYOUT.md, "Batch routing"). A lane's node, target,
+    hops and pair index are cells of four flat [int] arrays, one cell
+    per lane; [scratch] supplies its {!Stuck.t} (16 always suffice);
+    without it each call creates its own.
     While [Ftr_obs.Flag.enabled ()] holds in the calling domain, one lane
     routes the pairs in order, so metrics, events and flight-recorder
     traces are recorded per route exactly as {!route} records them.

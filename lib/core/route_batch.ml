@@ -11,7 +11,8 @@ module Seed = Ftr_exec.Seed
 
    Each chunk is one [Route.route_lockstep] call, as many routes in
    flight as the strategy's width; no route reads another's state or
-   generator, so the contract holds at any width. *)
+   generator, so the contract holds at any width. The chunks run for
+   their effects ([Pool.iter]): nothing is collected per chunk. *)
 
 let default_chunk = 1024
 
@@ -35,9 +36,12 @@ let run ?jobs ?(chunk = default_chunk) ?failures ?side ?strategy ?max_hops ?(see
     | Some (Route.Random_reroute _) -> Some (fun i -> Seed.rng_for ~seed ~index:i)
     | Some (Route.Terminate | Route.Backtrack _) | None -> None
   in
-  ignore
-    (Pool.map ?jobs ~count:((count + chunk - 1) / chunk) (fun c ->
-         let lo = c * chunk in
-         Route.route_lockstep ?failures ?side ?strategy ?max_hops ?rng
-           ~scratch:(Domain.DLS.get scratch_key) net ~pairs ~lo ~len:(min chunk (count - lo)) ~out));
+  let route_chunk c =
+    let lo = c * chunk in
+    Route.route_lockstep ?failures ?side ?strategy ?max_hops ?rng
+      ~scratch:(Domain.DLS.get scratch_key) net ~pairs ~lo ~len:(min chunk (count - lo)) ~out
+  in
+  (* The span is the caller's: the pool's workers record nothing. *)
+  Ftr_obs.Span.time "route_batch.run" (fun () ->
+      Pool.iter ?jobs ~count:((count + chunk - 1) / chunk) route_chunk);
   out

@@ -3,9 +3,11 @@
 
     [run] partitions the request vector into fixed-size chunks (a pure
     function of the pair count, never of the worker count) and routes
-    each chunk as one pool job: one {!Route.route_lockstep} call, with
-    its domain's lane states, writing the chunk's outcomes into its own
-    cells of the result vector. The vector is byte-identical across
+    each chunk as one job of an {!Ftr_exec.Pool.iter} round: one
+    {!Route.route_lockstep} call, with its domain's lane states, writing
+    the chunk's outcomes into its own cells of the result vector. With
+    telemetry on, the call is timed as the [route_batch.run] span on the
+    calling domain. The vector is byte-identical across
     [--jobs 1/2/4] and [FTR_EXEC_SEQ=1]: per-route generators are derived
     from [(seed, route index)] with {!Ftr_exec.Seed.rng_for}, so no route
     observes another's randomness regardless of scheduling.

@@ -1,6 +1,7 @@
-(** One route's state and the Section 6 step that advances it, written
-    once for {!Route}, {!Multidim} and {!Byzantine}. Each router supplies
-    its candidate scan; {!Route} runs many states side by side.
+(** A route's Section 6 memory and the step that uses it, written once for
+    {!Route}, {!Multidim} and {!Byzantine}. Each router supplies its
+    candidate scan and keeps the route's position, target and hops
+    itself; {!Route} keeps them in flat per-lane arrays.
 
     A message moves to the scan's strict choice, a neighbour strictly
     closer to the target. When there is none, the state pops the newest
@@ -21,65 +22,42 @@ type outcome =
   | Failed of { hops : int; stuck_at : int; reason : reason }
 
 type t
-(** One route's state: its current node, its target, the hops spent, the
-    backtrack window (a ring grown to the largest history asked of it),
-    whether the current node was reached by a pop, and the links tried
-    so far (a {!Tried.t}, created for the first route that tracks them
-    and cleared in O(1) per route after that). Once grown, a route
+(** One route's memory: the backtrack window (a ring grown to the
+    largest history asked of it), whether the route's node was reached
+    by a pop, and the links tried so far (a {!Tried.t}, created by the
+    first {!start} and cleared in O(1) per route after that). A fresh
+    state shares one empty, never-written set. Once grown, a route
     allocates nothing per hop. Not thread-safe. *)
 
 val create : unit -> t
 
-val start : t -> track:bool -> history:int -> src:int -> dst:int -> unit
-(** Begin a route at [src] toward [dst] with an empty window of
-    [history] entries. [track] records each taken link as tried; a scan
-    that never reads the set can leave it off.
+val start : t -> history:int -> unit
+(** Begin a route with an empty window of [history] entries and no
+    link tried.
     @raise Invalid_argument if [history < 0]. *)
-
-val cur : t -> int
-(** The node the message is at. *)
-
-val dst : t -> int
-(** The node it is heading for. *)
-
-val hops : t -> int
-(** Hops spent, backtracking included. *)
 
 val strict : t -> bool
 (** Whether the next scan must pick a strictly closer neighbour: false
-    only at a node just reached by a pop. *)
+    only at a node just reached by {!pop}. *)
 
 val tried : t -> Tried.t
 (** The tried-link set, which a scan reads to skip slots already taken. *)
 
-val retarget : t -> int -> unit
-(** Head for another node from where the message is, keeping the hops
-    and window (a {!Route.Random_reroute} leg). *)
+val forward : t -> cur:int -> slot:int -> unit
+(** The message leaves [cur] over CSR slot [slot]: the slot is tried,
+    [cur] enters the window (dropping the oldest entry at capacity), and
+    the next scan is strict. The caller moves the message and charges
+    the hop. *)
 
-type move =
-  | Forward  (** moved to the scan's choice *)
-  | Lost  (** the choice ate the message: hop charged, link tried *)
-  | Popped  (** backtracked to the newest window entry *)
-  | Stuck  (** no choice and an empty window: nothing changed *)
+val pop : t -> int
+(** With no choice at the route's node: the newest window entry, taken
+    out of the window, after which the next scan may pick any untried
+    neighbour; or -1 when the window is empty. The caller moves the
+    message there and charges the hop. *)
 
-val step :
-  ?eaten:(int -> bool) ->
-  t ->
-  offsets:Ftr_graph.Adjacency.I32.t ->
-  targets:Ftr_graph.Adjacency.I32.t ->
-  int ->
-  move
-(** [step t ~offsets ~targets k] makes one decision at [cur t], given the
-    row index [k] of the scan's choice in the CSR, or -1 for none. A
-    choice costs a hop and is recorded as tried when tracking; unless
-    [eaten v] says the message was lost at [v], the message moves there
-    and the departed node enters the window. With no choice, a
-    non-empty window pops its newest node for one hop; an empty one
-    leaves the state as it was. *)
-
-val outcome : t -> reason -> outcome
-(** The route as it stands: delivered when at its target, else failed
-    at [cur t] for [reason]. *)
+val outcome : cur:int -> dst:int -> hops:int -> reason -> outcome
+(** A route at [cur] after [hops]: delivered when [cur = dst], else
+    failed at [cur] for [reason]. *)
 
 val search :
   ?eaten:(int -> bool) ->
@@ -91,11 +69,14 @@ val search :
   src:int ->
   dst:int ->
   outcome
-(** A tracking route from [src] to [dst] over [csr], run by {!step}
-    until it ends. [scan mode cur] returns the row index of [cur]'s best
-    untried candidate, or -1: strictly closer to [dst] in [`Strict] mode,
-    any in [`Any] mode. The search fails with {!Hop_limit} once
-    [max_hops] are spent away from [dst], and with {!No_live_neighbor}
-    where the scan finds nothing and the window is empty. [eaten] is as
-    for {!step}.
+(** A route from [src] to [dst] over [csr], recording every taken link.
+    [scan mode cur] returns the row index of [cur]'s best untried
+    candidate, or -1: strictly closer to [dst] in [`Strict] mode, any in
+    [`Any] mode. A choice costs a hop; unless [eaten v] says the message
+    was lost at [v] (the link stays tried and the sender scans again in
+    the same mode), the message moves there by {!forward}. With no
+    choice it moves back by {!pop}, for a hop. The search fails with
+    {!Hop_limit} once [max_hops] are spent away from [dst], and with
+    {!No_live_neighbor} where the scan finds nothing and the window is
+    empty.
     @raise Invalid_argument if [history < 0]. *)

@@ -51,8 +51,9 @@ let same_stream a b = a == b || Rng.bits64 (Rng.copy a) = Rng.bits64 (Rng.copy b
    caller-owned slots where index [i] is written only by the job for
    [i], so the deterministic-output contract is the caller's chunking
    discipline, not this scheduler's. Which worker runs which index is
-   unspecified; only effects keyed by index are meaningful. [map] is one
-   round on a crew of its own. *)
+   unspecified; only effects keyed by index are meaningful. [iter] is one
+   round on a crew of its own, and [map] is [iter] writing each result
+   to its own slot. *)
 
 type resident = {
   r_jobs : int; (* workers, the caller included; 1 = everything runs inline *)
@@ -197,22 +198,28 @@ let with_resident ?jobs f =
   let r = create_resident ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown_resident r) (fun () -> f r)
 
-(* One round on a crew of its own. The crew is internal, so it reports as
-   a pool run, not as a resident. A single worker runs inline, unboxed. *)
-let map ?jobs ~count f =
-  if count < 0 then invalid_arg "Pool.map: count must be non-negative";
+(* The argument checks and sequential conditions of a round on a crew
+   of its own: the workers it gets, 1 when it runs inline. *)
+let sized name ?jobs count =
+  if count < 0 then invalid_arg (name ^ ": count must be non-negative");
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  if jobs < 1 then invalid_arg "Pool.map: jobs must be >= 1";
-  let jobs = effective (min jobs count) in
+  if jobs < 1 then invalid_arg (name ^ ": jobs must be >= 1");
+  effective (min jobs count)
+
+(* One round on a crew of its own, effects only. The crew is internal,
+   so it reports as a pool run, not as a resident. A single worker runs
+   inline. *)
+let iter ?jobs ~count f =
+  let jobs = sized "Pool.iter" ?jobs count in
   if jobs <= 1 then begin
-    let results = Array.init count f in
-    if Flag.enabled () then Metrics.incr_by "exec_jobs_completed_total" count;
-    results
+    for i = 0 to count - 1 do
+      f i
+    done;
+    if Flag.enabled () then Metrics.incr_by "exec_jobs_completed_total" count
   end
   else
     Span.time "exec.pool.run" (fun () ->
         if Flag.enabled () then Metrics.set_gauge "exec_queue_depth" (float_of_int count);
-        let results = Array.make count None in
         let r = crew jobs in
         (* Pool telemetry once the crew has joined, also when a job raised. *)
         let finish () =
@@ -227,10 +234,23 @@ let map ?jobs ~count f =
               r.r_busy
           end
         in
-        Fun.protect ~finally:finish (fun () ->
-            run_resident r ~count (fun i -> results.(i) <- Some (f i)));
-        (* Every slot is filled: each index ran once and no job raised. *)
-        Array.map Option.get results)
+        Fun.protect ~finally:finish (fun () -> run_resident r ~count f))
+
+(* [iter] with each job's result in its own slot. A single worker runs
+   inline, unboxed. *)
+let map ?jobs ~count f =
+  let jobs = sized "Pool.map" ?jobs count in
+  if jobs <= 1 then begin
+    let results = Array.init count f in
+    if Flag.enabled () then Metrics.incr_by "exec_jobs_completed_total" count;
+    results
+  end
+  else begin
+    let results = Array.make count None in
+    iter ~jobs ~count (fun i -> results.(i) <- Some (f i));
+    (* Every slot is filled: each index ran once and no job raised. *)
+    Array.map Option.get results
+  end
 
 let map_seeded ?jobs ~seed ~count f =
   let rngs = Array.init count (fun index -> Seed.rng_for ~seed ~index) in

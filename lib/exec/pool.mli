@@ -1,11 +1,13 @@
 (** A pool of OCaml 5 domains with chunked work distribution and a
-    deterministic contract: {!map} returns results in job-index order, so
-    output never depends on how jobs landed on workers.
+    deterministic contract: {!map} returns results in job-index order, and
+    {!iter} leaves effects keyed by job index, so output never depends
+    on how jobs landed on workers.
 
     One scheduler serves both entry points: a crew of [jobs] workers is
     the calling domain (worker 0) plus [jobs - 1] spawned domains, all
-    pulling chunks of indices from one atomic cursor. {!map} is one round
-    on a crew of its own (none when it runs inline, see below); a
+    pulling chunks of indices from one atomic cursor. {!iter} and {!map}
+    are one round on a crew of their own (none when they run inline, see
+    below); a
     {!resident} crew keeps its domains parked between rounds.
 
     Parallel execution only changes {e wall-clock}, never results,
@@ -38,20 +40,27 @@ val default_jobs : unit -> int
     {!sequential_forced} or when [Domain.recommended_domain_count ()] is
     1, else the recommended domain count. *)
 
+val iter : ?jobs:int -> count:int -> (int -> unit) -> unit
+(** [iter ~count f] evaluates [f i] for every [i] in [0, count), for its
+    effects. With [jobs = 1], [count <= 1], {!sequential_forced} (which
+    wins over an explicit [~jobs]) or inside a worker, everything runs
+    on the calling domain, in index order; otherwise the caller and
+    [min jobs count - 1] spawned domains pull chunks of indices from a
+    shared atomic cursor, so only effects keyed by index (writing slot
+    [i] of a caller-owned array) are deterministic. A job's exception is
+    re-raised on the caller once all workers have joined.
+    @raise Invalid_argument if [count < 0] or [jobs < 1]. *)
+
 val map : ?jobs:int -> count:int -> (int -> 'a) -> 'a array
-(** [map ~count f] evaluates [f i] for every [i] in [0, count) and
-    returns [[| f 0; ...; f (count-1) |]]. With [jobs = 1], [count <= 1],
-    {!sequential_forced} (which wins over an explicit [~jobs]) or inside a
-    worker, everything runs on the calling domain; otherwise the caller
-    and [min jobs count - 1] spawned domains pull chunks of indices from
-    a shared atomic cursor. A job's exception is re-raised on the caller
-    once all workers have joined.
+(** [map ~count f] is {!iter} collecting [f i] into slot [i]: it returns
+    [[| f 0; ...; f (count-1) |]], on the same workers as {!iter}.
     @raise Invalid_argument if [count < 0] or [jobs < 1]. *)
 
 (** {1 Resident pool}
 
-    {!map} spawns fresh domains per call — fine for sweeps, dominant for
-    a serving loop that fans out thousands of sub-millisecond rounds. A
+    {!iter} and {!map} spawn fresh domains per call — fine for sweeps,
+    dominant for a serving loop that fans out thousands of
+    sub-millisecond rounds. A
     [resident] keeps its [jobs - 1] domains parked on a condition
     variable between rounds, and the caller of {!run_resident} drains the
     round as worker 0. The mutex hand-offs at round start/end give

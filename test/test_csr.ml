@@ -506,6 +506,63 @@ let prop_lockstep_matches_route =
             ])
         nets)
 
+(* An independent Terminate oracle for the two-sided line: a plain scan
+   of the whole row through the [Network] accessors, sharing no code with
+   [Route]'s scans or its driver. A message at [cur] moves to the live
+   neighbour closest to [dst] if that one is strictly closer than [cur];
+   of two at one distance the smaller position wins; with none it is
+   stuck. *)
+let oracle_terminate net ~alive ~max_hops (src, dst) =
+  let at v = Network.position net v in
+  let gap v = abs (at v - at dst) in
+  let rec walk cur hops =
+    if cur = dst then Route.Delivered { hops }
+    else if hops >= max_hops then Route.Failed { hops; stuck_at = cur; reason = Route.Hop_limit }
+    else begin
+      let best = ref (-1) in
+      for k = 0 to Network.degree net cur - 1 do
+        let v = Network.neighbor net cur k in
+        if alive v && gap v < gap cur then
+          if !best < 0 || gap v < gap !best || (gap v = gap !best && at v < at !best) then best := v
+      done;
+      if !best < 0 then Route.Failed { hops; stuck_at = cur; reason = Route.No_live_neighbor }
+      else walk !best (hops + 1)
+    end
+  in
+  walk src 0
+
+(* Ideal networks up to 2^12 nodes, with a random share of nodes failed,
+   rows that repeat entries (several long links drawn to one near node),
+   some [src = dst] pairs and, in one case of three, a binding hop
+   budget: the oracle's outcomes are [Route.route]'s, and
+   [Route_batch.run]'s in batches wider than the driver's lanes. *)
+let prop_terminate_oracle =
+  QCheck.Test.make ~name:"Terminate outcomes equal an independent full-scan oracle" ~count:100
+    QCheck.(quad (int_range 2 4096) (int_range 0 16) (int_range 0 60) small_int)
+    (fun (n, links, percent, seed) ->
+      let n = max 2 n and links = max 0 links and percent = max 0 (min 60 percent) in
+      let rng = Rng.of_int seed in
+      let net = Network.build_ideal ~n ~links rng in
+      let mask = Failure.random_node_fraction rng ~n ~fraction:(float_of_int percent /. 100.0) in
+      let alive = Ftr_graph.Bitset.get mask and failures = Failure.of_node_mask mask in
+      let rec live () =
+        let v = Rng.int rng n in
+        if alive v then v else live ()
+      in
+      let pairs =
+        Array.init 53 (fun i ->
+            let src = live () in
+            (src, if i mod 7 = 0 then src else live ()))
+      in
+      let max_hops = if seed mod 3 = 0 then Some (1 + Rng.int rng 6) else None in
+      let expected =
+        Array.map (oracle_terminate net ~alive ~max_hops:(Option.value max_hops ~default:1_000_000)) pairs
+      in
+      Array.for_all2
+        (fun (src, dst) o -> Route.route ~failures ?max_hops net ~src ~dst = o)
+        pairs expected
+      && Ftr_core.Route_batch.run ~jobs:1 ~chunk:37 ~failures ?max_hops net ~pairs = expected)
+
 (* A batch refuses a bad endpoint with [Route.route]'s own message, even
    when valid pairs precede it in the chunk. *)
 let lockstep_rejects_like_route () =
@@ -729,6 +786,7 @@ let () =
             prop_csr_roundtrip;
             prop_batch_jobs_invariant;
             prop_lockstep_matches_route;
+            prop_terminate_oracle;
             prop_duplicate_policy;
           ] );
     ]

@@ -64,6 +64,24 @@ let pool_map () =
   Alcotest.check_raises "zero jobs" (Invalid_argument "Pool.map: jobs must be >= 1") (fun () ->
       ignore (Pool.map ~jobs:0 ~count:4 (fun i -> i)))
 
+(* [iter] runs every index exactly once, for its effects, at any worker
+   count, and refuses bad arguments under its own name. *)
+let pool_iter () =
+  List.iter
+    (fun jobs ->
+      let hits = Array.make 100 0 in
+      Pool.iter ~jobs ~count:100 (fun i -> hits.(i) <- hits.(i) + i + 1);
+      Alcotest.(check (array int))
+        (Printf.sprintf "each index once under jobs=%d" jobs)
+        (Array.init 100 (fun i -> i + 1))
+        hits)
+    [ 1; 2; 4 ];
+  Pool.iter ~count:0 (fun _ -> Alcotest.fail "a job of an empty round ran");
+  Alcotest.check_raises "negative count" (Invalid_argument "Pool.iter: count must be non-negative")
+    (fun () -> Pool.iter ~count:(-1) ignore);
+  Alcotest.check_raises "zero jobs" (Invalid_argument "Pool.iter: jobs must be >= 1") (fun () ->
+      Pool.iter ~jobs:0 ~count:4 ignore)
+
 let pool_exception () =
   match Pool.map ~jobs:2 ~count:16 (fun i -> if i = 7 then failwith "boom" else i) with
   | _ -> Alcotest.fail "a job raised but map returned"
@@ -400,6 +418,7 @@ let () =
       ( "pool",
         [
           quick "map basics and index order" pool_map;
+          quick "iter runs each index once" pool_iter;
           quick "exception propagation" pool_exception;
           quick "nested map degrades to sequential" pool_nested;
           quick "FTR_EXEC_SEQ fallback" pool_sequential_fallbacks;

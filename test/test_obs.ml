@@ -833,6 +833,21 @@ let bench_reports () =
         (list "asserts"))
     [ "route"; "scale"; "tracing"; "exec"; "serve"; "lint" ]
 
+(* A batch records one route_batch.run span per call, on the calling
+   domain, at any worker count; none with telemetry off. *)
+let route_batch_span () =
+  let net = Network.build_ideal ~n:256 ~links:4 (Rng.of_int 5) in
+  let pairs = Array.init 48 (fun i -> (i, 255 - i)) in
+  let calls () = match Span.find "route_batch.run" with Some s -> s.Span.count | None -> 0 in
+  Flag.with_mode false (fun () ->
+      Span.reset ();
+      ignore (Ftr_core.Route_batch.run ~jobs:2 ~chunk:8 net ~pairs));
+  Alcotest.(check int) "off: no span" 0 (calls ());
+  Flag.with_mode true @@ fun () ->
+  Span.reset ();
+  List.iter (fun jobs -> ignore (Ftr_core.Route_batch.run ~jobs ~chunk:8 net ~pairs)) [ 1; 2 ];
+  Alcotest.(check int) "on: one span per call" 2 (calls ())
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "obs"
@@ -880,6 +895,7 @@ let () =
       ( "integration",
         [
           quick "route feeds metrics, spans and events" route_instrumentation;
+          quick "route_batch.run span on the caller" route_batch_span;
           quick "export formats" export_formats;
         ] );
       ("overlay", [ quick "membership events" overlay_membership_events ]);
