@@ -391,7 +391,6 @@ let run_tracing () =
   Fun.protect
     ~finally:(fun () ->
       Tracing.set_recording true;
-      Tracing.force_full false;
       Tracing.reset ())
   @@ fun () ->
   let rng = Rng.of_int (seed + 79) in
@@ -403,7 +402,6 @@ let run_tracing () =
   let route_all ~obs ~record () =
     Ftr_obs.Flag.set_mode obs;
     Tracing.set_recording record;
-    Tracing.force_full record;
     let pair_rng = Rng.of_int (seed + 80) in
     let live () = draw_alive pair_rng ~n alive in
     let hops = ref 0 in
@@ -563,7 +561,10 @@ let run_exec () =
    lookups over the rounds' wall time, set-up excluded. The round's own
    allocation is counted apart: the same workload at jobs=1 with
    telemetry off, minor words taken around [Service.step] alone, so
-   set-up and the control calls between rounds are left out. *)
+   set-up and the control calls between rounds are left out. Boot is
+   timed apart too, at 2^12 and 2^16 actors on lines of 16 points per
+   actor: [Service.boot] against the engine overlay's [populate] and
+   [Service.of_overlay] of it, which must build the same actors. *)
 let run_serve () =
   let module D = Ftr_svc.Driver in
   let cfg =
@@ -598,10 +599,7 @@ let run_serve () =
   let round_words =
     Ftr_obs.Flag.with_mode false @@ fun () ->
     let module S = Ftr_svc.Service in
-    let svc =
-      S.of_overlay ?capacity:cfg.D.capacity ~ttl:cfg.D.ttl ~regenerate:cfg.D.regenerate
-        ~shards:cfg.D.shards ~seed:cfg.D.seed (D.build_overlay cfg)
-    in
+    let svc = D.boot cfg in
     let rng = Ftr_exec.Seed.rng_for ~seed:cfg.D.seed ~index:cfg.D.line_size in
     let words = ref 0.0 in
     let round f =
@@ -616,6 +614,35 @@ let run_serve () =
         done;
         round (fun () -> ignore (S.drain svc ~pool)));
     !words /. float_of_int (max 1 (S.stats svc).S.handled)
+  in
+  let boots =
+    List.map
+      (fun log_actors ->
+        let actors = 1 lsl log_actors in
+        let cfg =
+          { D.default_config with D.line_size = 16 * actors; initial = actors; links = 8; seed }
+        in
+        let state svc =
+          let b = Buffer.create (64 * actors) in
+          Ftr_svc.Service.iter_actors svc (fun v ->
+              Printf.bprintf b "%d %b %s %s %s\n" v.av_pos v.av_alive
+                (Option.fold ~none:"-" ~some:string_of_int v.av_left)
+                (Option.fold ~none:"-" ~some:string_of_int v.av_right)
+                (String.concat "," (Array.to_list (Array.map string_of_int v.av_long))));
+          Buffer.contents b
+        in
+        let rows, _, same =
+          measure ~unit:"s" ~value:seconds
+            ~same:(fun a b -> String.equal (state a) (state b))
+            [
+              ( Printf.sprintf "boot seconds, engine overlay, 2^%d actors" log_actors,
+                fun () -> Ftr_svc.Service.of_overlay ~seed (D.build_overlay cfg) );
+              ( Printf.sprintf "boot seconds, Service.boot, 2^%d actors" log_actors,
+                fun () -> D.boot cfg );
+            ]
+        in
+        (rows, (Printf.sprintf "boots identical at 2^%d actors" log_actors, same)))
+      (if smoke then [ 12 ] else [ 12; 16 ])
   in
   let count name unit v = exact name unit (float_of_int v) in
   {
@@ -639,8 +666,9 @@ let run_serve () =
           exact "minor words per lookup, jobs=1" "words"
             (words /. float_of_int (max 1 r.D.rp_issued));
           exact "minor words per handled envelope, round only" "words" round_words;
-        ];
-    asserts = [ ("report identical across jobs", same) ];
+        ]
+      @ List.concat_map fst boots;
+    asserts = ("report identical across jobs", same) :: List.map snd boots;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -223,11 +223,10 @@ let route_cmd =
 let explain_cmd =
   let run n links seed fraction strategy route_ix jobs json chrome_path =
     let links = resolve_links n links in
-    (* The flight recorder forced on. Trace identity derives from (seed,
-       route index) — no clocks, no worker identity — so the rendered
-       trace is byte-identical on re-runs and across --jobs counts. *)
+    (* The flight recorder on. Trace identity derives from (seed, route
+       index) — no clocks, no worker identity — so the rendered trace is
+       byte-identical on re-runs and across --jobs counts. *)
     fresh_telemetry ~seed;
-    Ftr_obs.Tracing.force_full true;
     let net, failures, alive = ideal_with_failures ~n ~links ~fraction (Rng.of_int seed) in
     (* Route [i]'s endpoints and recovery randomness are a pure function
        of (seed, i) through the sweep derivation scheme (Seed.rng_for),
@@ -1177,11 +1176,10 @@ let serve_cmd =
     else begin
       (match explain with
       | Some _ ->
-          (* Same forcing as [explain]: trace identity derives from (seed,
-             request id), so the rendered trace is byte-identical across
-             --jobs counts. *)
-          fresh_telemetry ~seed;
-          Ftr_obs.Tracing.force_full true
+          (* As in [explain]: trace identity derives from (seed, request
+             id), so the rendered trace is byte-identical across --jobs
+             counts. *)
+          fresh_telemetry ~seed
       | None -> ());
       let res = D.run cfg in
       if transcript then print_string res.D.res_transcript;

@@ -421,6 +421,9 @@ let ceil_log ~base n =
   let rec go acc power = if power >= n then acc else go (acc + 1) (power * base) in
   go 0 1
 
+(* A deterministic builder's row: its targets sorted, each once. *)
+let sorted_row targets = Array.of_list (List.sort_uniq Int.compare targets)
+
 let build_deterministic ~n ~base =
   if n < 2 then invalid_arg "Network.build_deterministic: need at least two nodes";
   if base < 2 then invalid_arg "Network.build_deterministic: base must be >= 2";
@@ -440,14 +443,7 @@ let build_deterministic ~n ~base =
         done;
         add (u - 1);
         add (u + 1);
-        let arr = Array.of_list !acc in
-        Array.sort Int.compare arr;
-        (* Deduplicate the sorted neighbour list. *)
-        let uniq = ref [] in
-        Array.iter
-          (fun v -> match !uniq with w :: _ when w = v -> () | _ -> uniq := v :: !uniq)
-          arr;
-        Array.of_list (List.rev !uniq))
+        sorted_row !acc)
   in
   let links = (base - 1) * digits in
   make ~geometry:Line ~line_size:n ~rows:neighbors ~links ()
@@ -466,13 +462,7 @@ let build_geometric ~n ~base =
           add (u - !power);
           power := !power * base
         done;
-        let arr = Array.of_list !acc in
-        Array.sort Int.compare arr;
-        let uniq = ref [] in
-        Array.iter
-          (fun v -> match !uniq with w :: _ when w = v -> () | _ -> uniq := v :: !uniq)
-          arr;
-        Array.of_list (List.rev !uniq))
+        sorted_row !acc)
   in
   make ~geometry:Line ~line_size:n ~rows:neighbors ~links:(ceil_log ~base n) ()
 
@@ -562,13 +552,7 @@ let build_chordlike ?(base = 2) ?(predecessor = false) ~n () =
           done;
           power := !power * base
         done;
-        let arr = Array.of_list !acc in
-        Array.sort Int.compare arr;
-        let uniq = ref [] in
-        Array.iter
-          (fun v -> match !uniq with w :: _ when w = v -> () | _ -> uniq := v :: !uniq)
-          arr;
-        Array.of_list (List.rev !uniq))
+        sorted_row !acc)
   in
   make ~geometry:Circle ~line_size:n ~rows:neighbors
     ~links:((base - 1) * ceil_log ~base n)

@@ -22,8 +22,7 @@
      identity — so the same seeded run produces byte-identical traces, and
      worker domains (which suppress [Flag]) record nothing, keeping
      rendered output invariant across `--jobs 1/2/4` and `FTR_EXEC_SEQ=1`.
-     Full-fidelity sampling is a function of the trace id, not of arrival
-     order.
+     Every trace records at full fidelity: each candidate scanned.
 
    - Bounded memory. Completed traces land in a bounded ring (the last N
      routes); failed routes are additionally pinned in their own bounded
@@ -71,7 +70,6 @@ type t = {
   t_index : int;
   src : int;
   dst : int;
-  full : bool; (* sampled in for candidate-level fidelity *)
   start_time : float;
   mutable nodes_view : string;
   mutable links_view : string;
@@ -93,7 +91,6 @@ let null =
     t_index = 0;
     src = 0;
     dst = 0;
-    full = false;
     start_time = 0.0;
     nodes_view = "";
     links_view = "";
@@ -127,10 +124,6 @@ let seed_ref = ref 0
 
 let next_index = ref 0
 
-let sample_every = ref 1
-
-let force_full_ref = ref false
-
 let ring_capacity = ref 32
 
 let pin_capacity = ref 16
@@ -146,13 +139,6 @@ let set_seed s =
 let set_next_index i =
   if i < 0 then invalid_arg "Tracing.set_next_index: index must be non-negative";
   next_index := i
-
-(* ftr-lint: disable T6 -- seam: tests make trace sampling deterministic through it *)
-let set_sampling ~every =
-  if every < 1 then invalid_arg "Tracing.set_sampling: every must be >= 1";
-  sample_every := every
-
-let force_full on = force_full_ref := on
 
 (* ftr-lint: disable T6 -- seam: tests shrink the recorder's bounds through it *)
 let set_capacity ?ring ?pinned ?steps () =
@@ -234,14 +220,6 @@ let trace_id ~seed ~index =
 
 let id_hex tr = Printf.sprintf "%016Lx" tr.id
 
-(* Deterministic hash-based sampling: whether a trace records candidate-
-   level detail is a pure function of its id, so the set of full-fidelity
-   traces is identical across job counts and re-runs. *)
-let sampled_full id =
-  !force_full_ref
-  || !sample_every = 1
-  || Int64.rem (Int64.logand id Int64.max_int) (Int64.of_int !sample_every) = 0L
-
 let begin_route ~src ~dst =
   if not (recording ()) then null
   else begin
@@ -256,7 +234,6 @@ let begin_route ~src ~dst =
       t_index = index;
       src;
       dst;
-      full = sampled_full id;
       start_time = time;
       nodes_view = "";
       links_view = "";
@@ -300,7 +277,7 @@ let hop tr ~node =
   end
 
 let candidate tr ~cur ~cand ~dist verdict =
-  if tr.live && tr.full then
+  if tr.live then
     push_step tr (Candidate { hop = tr.hop_count; cur; cand; dist; verdict })
 
 let backtrack tr ~from_node ~to_node =
@@ -378,11 +355,10 @@ let render tr =
       (Printf.sprintf "trace %s  route #%d  seed %d  %d -> %d\n" (id_hex tr) tr.t_index tr.t_seed
          tr.src tr.dst);
     Buffer.add_string buf
-      (Printf.sprintf "  strategy=%s nodes=%s links=%s fidelity=%s\n"
+      (Printf.sprintf "  strategy=%s nodes=%s links=%s fidelity=full\n"
          (if String.equal tr.strategy "" then "?" else tr.strategy)
          (if String.equal tr.nodes_view "" then "?" else tr.nodes_view)
-         (if String.equal tr.links_view "" then "?" else tr.links_view)
-         (if tr.full then "full" else "hops-only"));
+         (if String.equal tr.links_view "" then "?" else tr.links_view));
     let at = ref (-1) in
     List.iter
       (fun s ->
@@ -471,7 +447,7 @@ let header_fields tr =
     ("route", Json.Int tr.t_index);
     ("src", Json.Int tr.src);
     ("dst", Json.Int tr.dst);
-    ("full", Json.Bool tr.full);
+    ("full", Json.Bool true);
     ("strategy", Json.String tr.strategy);
   ]
 

@@ -175,6 +175,38 @@ let add_long a target =
   a.long.(0) <- target;
   a.n_long <- a.n_long + 1
 
+(* The boot sampler, shared by both transports' instant populations:
+   [actors] are fresh and sorted by position. Each gets its ring
+   neighbours, then, in position order, ℓ draws of the 1/d rule from
+   [rng], each sink snapped to the nearest boot position (ties to the
+   left). A snap onto the node itself is dropped and a repeat is kept,
+   so a node can start below ℓ (CHANGES.md PR 26). *)
+let boot_links ~line_size ~links pl rng actors =
+  let n = Array.length actors in
+  let occupied = Bytes.make line_size '\000' in
+  Array.iteri
+    (fun i a ->
+      Bytes.set occupied a.pos '\001';
+      if i > 0 then a.left <- actors.(i - 1).pos;
+      if i < n - 1 then a.right <- actors.(i + 1).pos)
+    actors;
+  (* The node's own position is occupied, so the widening walk ends. *)
+  let rec nearest sink d =
+    let lo = sink - d and hi = sink + d in
+    if lo >= 0 && Bytes.get occupied lo = '\001' then lo
+    else if hi < line_size && Bytes.get occupied hi = '\001' then hi
+    else nearest sink (d + 1)
+  in
+  Array.iter
+    (fun a ->
+      for _ = 1 to links do
+        let owner =
+          nearest (Ftr_core.Network.sample_long_target pl rng ~n:line_size ~src:a.pos) 0
+        in
+        if owner <> a.pos then add_long a owner
+      done)
+    actors
+
 (* Section 5's redirect rule ([Heuristic.redirect_victim]), applied when
    [newcomer] solicits a link from this actor: the evicted link leaves,
    the newcomer's becomes the newest. *)

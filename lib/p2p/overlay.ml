@@ -265,47 +265,20 @@ let lookup t ~from ~target ?callback () =
     (Lookup (fresh_lookup ~traced:(Ftr_obs.Tracing.recording ()) ~request ~origin:from ~target User))
 
 (* Instantiate a whole network at time zero without paying the join
-   message cost, for tests and as a churn starting point. *)
+   message cost, for tests and as a churn starting point. The boot
+   sampler's occupancy map knows only these positions, so the overlay
+   must be empty. *)
 let populate t ~positions =
-  match positions with
-  | [] -> invalid_arg "Overlay.populate: need at least one position"
-  | first :: rest ->
-      let n = line_size t in
-      let sorted = List.sort_uniq Int.compare (first :: rest) in
-      List.iter
-        (fun pos ->
-          if pos < 0 || pos >= n then invalid_arg "Overlay.populate: off the line";
-          ignore (bootstrap_node t ~pos))
-        sorted;
-      (* Ring links. *)
-      let arr = Array.of_list sorted in
-      Array.iteri
-        (fun i pos ->
-          let a = Hashtbl.find t.actors pos in
-          if i > 0 then a.left <- arr.(i - 1);
-          if i < Array.length arr - 1 then a.right <- arr.(i + 1))
-        arr;
-      (* Long links by direct sampling (the ideal distribution). *)
-      Array.iter
-        (fun pos ->
-          let a = Hashtbl.find t.actors pos in
-          for _ = 1 to links t do
-            let sink = Ftr_core.Network.sample_long_target t.ctx.pl t.rng ~n ~src:pos in
-            (* Snap to the nearest populated position. *)
-            let owner =
-              let rec nearest d =
-                let lo = sink - d and hi = sink + d in
-                if lo < 0 && hi >= n then pos
-                else if lo >= 0 && Hashtbl.mem t.actors lo then lo
-                else if hi < n && Hashtbl.mem t.actors hi then hi
-                else nearest (d + 1)
-              in
-              nearest 0
-            in
-            if owner <> pos then Actor.add_long a owner
-          done;
-          if Ftr_debug.Debug.enabled () then debug_check t a)
-        arr
+  let n = line_size t in
+  if positions = [] then invalid_arg "Overlay.populate: need at least one position";
+  if Hashtbl.length t.actors > 0 then
+    invalid_arg "Overlay.populate: the overlay already holds nodes";
+  if List.exists (fun pos -> pos < 0 || pos >= n) positions then
+    invalid_arg "Overlay.populate: off the line";
+  let sorted = List.sort_uniq Int.compare positions in
+  let actors = Array.of_list (List.map (fun pos -> register t ~pos) sorted) in
+  Actor.boot_links ~line_size:n ~links:(links t) t.ctx.Actor.pl t.rng actors;
+  if Ftr_debug.Debug.enabled () then Array.iter (debug_check t) actors
 
 (* ------------------------------------------------------------------ *)
 (* Introspection for the invariant sanitizer                           *)

@@ -78,8 +78,11 @@ val bootstrap_node : t -> pos:int -> int
 
 val populate : t -> positions:int list -> unit
 (** Instantaneously instantiate a whole network (ring plus ideally-drawn
-    long links) as a churn starting point, bypassing join traffic.
-    @raise Invalid_argument on empty or out-of-range positions. *)
+    long links) as a churn starting point, bypassing join traffic. The
+    links are drawn by [Actor.boot_links], as [Ftr_svc.Service.boot]
+    draws them.
+    @raise Invalid_argument on empty or out-of-range positions, or when
+    the overlay already holds nodes. *)
 
 val join : t -> pos:int -> via:int -> unit
 (** Schedule the full join protocol for a new node at [pos], bootstrapped

@@ -1,12 +1,12 @@
-(* The serve workload driver: builds a populated overlay, snapshots it
-   into a [Service.t], then runs a tick loop that injects user lookups
-   and (optionally) mid-run churn — joins, crashes, graceful leaves,
-   stabilization pulses — before draining the scheduler clean.
+(* The serve workload driver: boots a [Service.t] on an evenly spread
+   population ([Service.boot]), then runs a tick loop that injects user
+   lookups and (optionally) mid-run churn — joins, crashes, graceful
+   leaves, stabilization pulses — before draining the scheduler clean.
 
    All randomness comes from [Ftr_exec.Seed] streams: per-actor RNGs use
    the actor's line position as the stream index, the driver's own
-   workload RNG uses index [line_size] and the overlay construction RNG
-   uses index [line_size + 1], so no stream is ever shared. Wall-clock
+   workload RNG uses index [line_size] and the boot sampler uses index
+   [line_size + 1], so no stream is ever shared. Wall-clock
    only feeds the requests/s figure, read through [Ftr_obs.Span.now]
    (rule T2); everything else in the report is deterministic, and
    [report_lines ~wall:false] renders exactly that deterministic subset
@@ -215,10 +215,20 @@ let report_json ?(wall = true) r =
 (* The run                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Build the starting network synchronously: a populated overlay is the
-   closest thing the paper has to "a long-running system in steady
-   state", and reusing [Overlay.populate] keeps the service's initial
-   link structure identical to what every other subsystem studies. *)
+(* The boot population: [initial] positions spread evenly on the line. *)
+let positions cfg = List.init cfg.initial (fun i -> i * cfg.line_size / cfg.initial)
+
+(* The starting network: a booted population is the closest thing the
+   paper has to "a long-running system in steady state". *)
+let boot cfg =
+  Service.boot ?capacity:cfg.capacity ~ttl:cfg.ttl ~regenerate:cfg.regenerate
+    ~shards:cfg.shards ~record:cfg.record ~line_size:cfg.line_size ~links:cfg.links
+    ~seed:cfg.seed ~positions:(positions cfg) ()
+
+(* The same population on the event-engine transport, [Overlay.populate]
+   drawing from the boot sampler's stream: [Service.of_overlay] of it
+   equals [boot cfg] actor for actor. It stays for the e2e benchmark's
+   set-up and for the transport comparisons in the tests. *)
 let build_overlay cfg =
   let rng = Seed.rng_for ~seed:cfg.seed ~index:(cfg.line_size + 1) in
   let engine = Ftr_sim.Engine.create () in
@@ -226,8 +236,7 @@ let build_overlay cfg =
     Ftr_p2p.Overlay.create ~ttl:cfg.ttl ~regenerate:cfg.regenerate ~line_size:cfg.line_size
       ~links:cfg.links ~rng engine
   in
-  Ftr_p2p.Overlay.populate ov
-    ~positions:(List.init cfg.initial (fun i -> i * cfg.line_size / cfg.initial));
+  Ftr_p2p.Overlay.populate ov ~positions:(positions cfg);
   Ftr_sim.Engine.run engine;
   ov
 
@@ -283,11 +292,7 @@ let control cfg rng svc =
   done
 
 let run cfg =
-  let ov = build_overlay cfg in
-  let svc =
-    Service.of_overlay ?capacity:cfg.capacity ~ttl:cfg.ttl ~regenerate:cfg.regenerate
-      ~shards:cfg.shards ~record:cfg.record ~seed:cfg.seed ov
-  in
+  let svc = boot cfg in
   let rng = Seed.rng_for ~seed:cfg.seed ~index:cfg.line_size in
   let wall0 = Ftr_obs.Span.now () in
   Pool.with_resident ?jobs:cfg.jobs (fun pool ->

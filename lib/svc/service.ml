@@ -395,6 +395,21 @@ let of_overlay ?capacity ?ttl ?(regenerate = true) ?shards ?record ~seed ov =
   t.order <- Array.init t.registered Fun.id;
   t
 
+(* The service's own boot: one live actor per position, registered in
+   position order (so slot ids follow positions, as in [of_overlay]),
+   wired by the boot sampler both transports share. The sampler draws
+   from stream [line_size + 1] of [seed], the stream the engine overlay
+   of [Driver.build_overlay] draws from, so the two boots build the same
+   actors link for link. *)
+let boot ?capacity ?ttl ?regenerate ?shards ?record ~line_size ~links ~seed ~positions () =
+  Ftr_obs.Span.time "svc.boot" @@ fun () ->
+  let t = create ?capacity ?ttl ?regenerate ?shards ?record ~line_size ~links ~seed () in
+  if positions = [] then invalid_arg "Service.boot: need at least one position";
+  let sorted = List.sort_uniq Int.compare positions in
+  let actors = Array.of_list (List.map (fun pos -> register t ~pos ~alive:true) sorted) in
+  Actor.boot_links ~line_size ~links t.pl (Seed.rng_for ~seed ~index:(line_size + 1)) actors;
+  t
+
 (* ------------------------------------------------------------------ *)
 (* Posting                                                             *)
 (* ------------------------------------------------------------------ *)

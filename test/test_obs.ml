@@ -522,8 +522,6 @@ let with_recorder f =
   Tracing.set_recording true;
   let finally () =
     Tracing.set_recording true;
-    Tracing.force_full false;
-    Tracing.set_sampling ~every:1;
     Tracing.set_capacity ~ring:32 ~pinned:16 ~steps:4096 ();
     Tracing.reset ()
   in
@@ -544,7 +542,6 @@ let tracing_null_noop () =
 
 let tracing_bounds () =
   with_recorder @@ fun () ->
-  Tracing.force_full true;
   Tracing.set_capacity ~ring:4 ~pinned:2 ~steps:8 ();
   for i = 0 to 9 do
     let tr = Tracing.begin_route ~src:i ~dst:(i + 100) in
@@ -576,28 +573,6 @@ let tracing_bounds () =
       | _ -> Alcotest.fail "a pinned trace was not a failure")
     (Tracing.pinned_traces ())
 
-let tracing_ids_and_sampling_deterministic () =
-  with_recorder @@ fun () ->
-  Tracing.set_sampling ~every:3;
-  let fidelity_run () =
-    Tracing.reset ();
-    Tracing.set_seed 7;
-    List.init 24 (fun i ->
-        let tr = Tracing.begin_route ~src:i ~dst:(i + 1) in
-        let id = Tracing.id_hex tr in
-        Tracing.finish tr ~delivered:true ~hops:1 ~stuck_at:(-1) ~reason:"";
-        match Json.member "full" (Tracing.to_json tr) with
-        | Some (Json.Bool full) -> (id, full)
-        | _ -> Alcotest.fail "trace json lacks a full field")
-  in
-  let a = fidelity_run () in
-  let b = fidelity_run () in
-  Alcotest.(check bool) "ids and sampling identical across runs" true (a = b);
-  Alcotest.(check bool) "sampling keeps some traces full" true
-    (List.exists (fun (_, full) -> full) a);
-  Alcotest.(check bool) "sampling thins some traces to hops-only" true
-    (List.exists (fun (_, full) -> not full) a)
-
 (* The explain workflow in miniature: warmup routes replay through the
    pool with recording off, then route K records at full fidelity. The
    rendered trace and its Chrome export must be byte-identical whatever the worker count — including the sequential
@@ -608,10 +583,8 @@ let trace_bytes ~seed ?jobs () =
   Tracing.reset ();
   Tracing.set_seed seed;
   Tracing.set_recording true;
-  Tracing.force_full true;
   let finally () =
     Tracing.set_recording true;
-    Tracing.force_full false;
     Tracing.reset ()
   in
   Fun.protect ~finally @@ fun () ->
@@ -887,7 +860,6 @@ let () =
         [
           quick "null trace is a no-op" tracing_null_noop;
           quick "ring, pin and step bounds" tracing_bounds;
-          quick "ids and sampling deterministic" tracing_ids_and_sampling_deterministic;
           QCheck_alcotest.to_alcotest tracing_jobs_invariant;
           quick "tracing off allocates nothing" tracing_off_allocation_free;
           quick "recorder muted: metrics per route, not per hop" muted_words_per_hop;

@@ -25,6 +25,20 @@ let populate_counts () =
   Alcotest.(check bool) "alive" true (Overlay.is_alive overlay 0);
   Alcotest.(check bool) "vacant" false (Overlay.is_alive overlay 1)
 
+(* The boot sampler snaps to the positions being populated and to no
+   others, so a second population, or one after a bootstrap, is refused. *)
+let populate_refuses_nonempty () =
+  let refused = Invalid_argument "Overlay.populate: the overlay already holds nodes" in
+  let _, overlay = make () in
+  populate_evenly overlay ~line_size:256 ~count:8;
+  Alcotest.check_raises "populated twice" refused (fun () ->
+      Overlay.populate overlay ~positions:[ 3; 100 ]);
+  let _, overlay = make () in
+  ignore (Overlay.bootstrap_node overlay ~pos:5);
+  Alcotest.check_raises "populated after a bootstrap" refused (fun () ->
+      Overlay.populate overlay ~positions:[ 3; 100 ]);
+  Alcotest.(check int) "nothing registered by the refusal" 1 (Overlay.node_count overlay)
+
 let lookup_resolves_to_basin_owner () =
   let engine, overlay = make () in
   populate_evenly overlay ~line_size:256 ~count:32;
@@ -624,6 +638,7 @@ let () =
       ( "static",
         [
           quick "populate" populate_counts;
+          quick "populate refuses a non-empty overlay" populate_refuses_nonempty;
           quick "lookup resolves to basin owner" lookup_resolves_to_basin_owner;
           quick "lookup for own position" lookup_for_own_position;
           quick "all lookups succeed" lookups_all_succeed_statically;

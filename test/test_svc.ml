@@ -4,6 +4,8 @@
    static network, and a clean drain when the workload stops mid-churn. *)
 
 module Rng = Ftr_prng.Rng
+module Sample = Ftr_prng.Sample
+module Actor = Ftr_p2p.Actor
 module Engine = Ftr_sim.Engine
 module Overlay = Ftr_p2p.Overlay
 module Mailbox = Ftr_svc.Mailbox
@@ -562,6 +564,74 @@ let transports_agree () =
   | ms -> Alcotest.failf "transport divergence:\n%s" (String.concat "\n" ms)
 
 (* ------------------------------------------------------------------ *)
+(* Boot                                                                *)
+(* ------------------------------------------------------------------ *)
+
+let actor_views svc =
+  let acc = ref [] in
+  Service.iter_actors svc (fun v -> acc := v :: !acc);
+  List.rev !acc
+
+let same_actor (v : Service.actor_view) (w : Service.actor_view) =
+  Int.equal v.av_pos w.av_pos
+  && Bool.equal v.av_alive w.av_alive
+  && Option.equal Int.equal v.av_left w.av_left
+  && Option.equal Int.equal v.av_right w.av_right
+  && Int.equal (Array.length v.av_long) (Array.length w.av_long)
+  && Array.for_all2 Int.equal v.av_long w.av_long
+  && Int.equal v.av_mail_length w.av_mail_length
+
+(* [Service.boot] builds, actor by actor, the service [of_overlay] makes
+   of the engine overlay's [populate]: positions, liveness, both ring
+   pointers and every long-link array in order. Populations run from two
+   nodes to every point of the line, at strides that do not divide it. *)
+let boot_matches_engine_boot =
+  let gen =
+    QCheck.Gen.(
+      int_range 2 1500 >>= fun line_size ->
+      frequency [ (1, return 2); (1, return line_size); (4, int_range 2 line_size) ]
+      >>= fun initial ->
+      quad (return (line_size, initial)) (int_range 1 20) bool (int_bound 10_000))
+  in
+  let print ((line_size, initial), links, regenerate, seed) =
+    Printf.sprintf "line_size=%d initial=%d links=%d regenerate=%b seed=%d" line_size initial
+      links regenerate seed
+  in
+  QCheck.Test.make ~count:150 ~name:"Service.boot equals of_overlay of the engine boot"
+    (QCheck.make ~print gen)
+    (fun ((line_size, initial), links, regenerate, seed) ->
+      let cfg =
+        { Driver.default_config with Driver.line_size; initial; links; regenerate; seed }
+      in
+      let reference = Service.of_overlay ~regenerate ~seed (Driver.build_overlay cfg) in
+      List.equal same_actor (actor_views (Driver.boot cfg)) (actor_views reference))
+
+(* The boot sampler leaves nodes below their budget ℓ (CHANGES.md PR 26,
+   FOUND): a self-snap is dropped and a repeat kept. Pinned on 128 nodes
+   at stride 8 on a 1,024-point line with ℓ = 8, so a change to the rule
+   shows here as a declared difference. *)
+let boot_sampler_leaves_nodes_short () =
+  let links = 8 in
+  let actors = Array.init 128 (fun i -> Actor.create ~pos:(i * 8) ~links ~rng:(Rng.of_int 0) ()) in
+  Actor.boot_links ~line_size:1024 ~links
+    (Sample.power_law ~exponent:1.0 ~max_length:1023)
+    (Rng.of_int 1) actors;
+  let total = ref 0 and duplicates = ref 0 and short = ref 0 in
+  Array.iteri
+    (fun i (a : Actor.t) ->
+      Alcotest.(check int) "left neighbour" (if i = 0 then Actor.none else a.pos - 8) a.left;
+      Alcotest.(check int) "right neighbour" (if i = 127 then Actor.none else a.pos + 8) a.right;
+      let held = Actor.long_links a in
+      total := !total + Array.length held;
+      let distinct = List.length (List.sort_uniq Int.compare (Array.to_list held)) in
+      duplicates := !duplicates + Array.length held - distinct;
+      if Array.length held < links then incr short)
+    actors;
+  Alcotest.(check int) "long links" 727 !total;
+  Alcotest.(check int) "duplicates" 54 !duplicates;
+  Alcotest.(check int) "nodes below budget" 124 !short
+
+(* ------------------------------------------------------------------ *)
 (* Jobs-invariance under churn                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -617,10 +687,7 @@ let invariants_hold_after_churn () =
    timeout), and nothing may be silently lost. *)
 let kill_mid_churn_drains_clean () =
   let cfg = { churn_config with Driver.seed = 11; ticks = 10 } in
-  let ov = Driver.build_overlay cfg in
-  let svc =
-    Service.of_overlay ~shards:cfg.Driver.shards ~record:false ~seed:cfg.Driver.seed ov
-  in
+  let svc = Driver.boot { cfg with Driver.record = false } in
   let rng = Ftr_exec.Seed.rng_for ~seed:cfg.Driver.seed ~index:cfg.Driver.line_size in
   Pool.with_resident ~jobs:3 (fun pool ->
       (* Run churn ticks, then kill the workload with mail still queued. *)
@@ -704,6 +771,12 @@ let () =
         ] );
       ( "transports",
         [ Alcotest.test_case "engine and rounds agree" `Quick transports_agree ] );
+      ( "boot",
+        [
+          QCheck_alcotest.to_alcotest boot_matches_engine_boot;
+          Alcotest.test_case "the sampler leaves nodes short of ℓ" `Quick
+            boot_sampler_leaves_nodes_short;
+        ] );
       ( "determinism",
         [
           Alcotest.test_case "transcript jobs-invariant under churn" `Slow
